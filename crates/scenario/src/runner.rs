@@ -74,17 +74,17 @@ const PERCOLATION_SEED_SALT: u64 = 0x5045_5243_4F4C;
 const TRAFFIC_SEED_SALT: u64 = 0x0054_5241_4646_4943;
 
 /// The synthetic demand model for a given `demand.seed`, built once per
-/// process and shared: synthesizing the 0.5° population grid is by far
-/// the most expensive per-scenario fixed cost, and it depends on nothing
-/// but the seed — so sweeps whose points agree on the seed (the common
-/// case) share one synthesis, while a `demand.seed` axis still gets a
-/// distinct model per value.
+/// process and shared. Synthesizing the 0.5° population grid takes tens
+/// of milliseconds in a release build and depends on nothing but the
+/// seed, so sweeps whose points agree on the seed (the common case)
+/// share one synthesis and one ~2 MB grid, while a `demand.seed` axis
+/// still gets a distinct model per value.
 ///
-/// Entries live for the process (a few MB per distinct seed; a
-/// `demand.seed` axis re-reads its models on every rerun of the sweep),
-/// and the lock is held across synthesis — deliberately, so concurrent
-/// workers wanting the *same* new seed do the work once rather than
-/// racing on it.
+/// Entries live for the process (a `demand.seed` axis re-reads its
+/// models on every rerun of the sweep). The lock is held across
+/// synthesis so concurrent workers wanting the *same* new seed do the
+/// work once rather than racing on it; that serializes first touches of
+/// distinct seeds too, which now costs each waiter tens of ms.
 fn shared_demand_model(seed: u64) -> Arc<DemandModel> {
     static CACHE: OnceLock<Mutex<BTreeMap<u64, Arc<DemandModel>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));

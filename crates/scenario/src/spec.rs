@@ -873,6 +873,13 @@ impl ScenarioSpec {
             ));
         }
         if self.network.enabled {
+            if !positive(self.network.max_range_km) {
+                return Err(ScenarioError::bad_value(
+                    "network.max_range_km",
+                    &self.network.max_range_km.to_string(),
+                    "> 0 (a non-positive range leaves the network without links)",
+                ));
+            }
             if self.network.time_grid_slots == 0 {
                 return Err(ScenarioError::bad_value("network.time_grid_slots", "0", ">= 1"));
             }
@@ -1031,6 +1038,23 @@ mod tests {
         // A disabled network stage does not police its grid.
         spec.network.enabled = false;
         spec.network.time_grid_slots = 0;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn max_range_must_be_finite_and_positive() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        for bad in [-5.0, 0.0, f64::NAN, f64::INFINITY] {
+            spec.network.max_range_km = bad;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("network.max_range_km"), "{bad}: {err}");
+        }
+        spec.network.max_range_km = 2500.0;
+        spec.validate().unwrap();
+        // A disabled network stage does not police its range.
+        spec.network.enabled = false;
+        spec.network.max_range_km = -5.0;
         spec.validate().unwrap();
     }
 
