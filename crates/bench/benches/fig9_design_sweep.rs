@@ -1,9 +1,18 @@
-//! Criterion bench for the Fig. 9 pipeline: the greedy SS-plane designer
-//! and the multi-shell Walker baseline on the realistic demand grid.
+//! Criterion bench for the Fig. 9/10 pipeline: the greedy SS-plane
+//! designer and the multi-shell Walker baseline on the realistic demand
+//! grid, plus the per-plane fluence sampling of the largest SS design.
+//!
+//! The design and fluence kernel numbers land in `BENCH_design.json` at
+//! the repository root; re-capture with
+//! `cargo bench -p ssplane-bench --bench fig9_design_sweep`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ssplane_bench::figures::{default_demand_model, default_grid};
+use ssplane_astro::kepler::OrbitalElements;
+use ssplane_bench::figures::{
+    default_demand_model, default_environment, default_grid, design_epoch,
+};
 use ssplane_core::designer::{design_ss_constellation, DesignConfig};
+use ssplane_core::evaluate::plane_fluence_samples;
 use ssplane_core::walker_baseline::{design_walker_constellation, WalkerBaselineConfig};
 use std::hint::black_box;
 
@@ -17,6 +26,33 @@ fn bench_designers(c: &mut Criterion) {
             let cons =
                 design_ss_constellation(black_box(&demand), DesignConfig::default()).unwrap();
             black_box(cons.total_sats())
+        })
+    });
+
+    // The top of the paper sweep: 390 planes on 21 distinct orbits.
+    let demand_5000 = grid.scaled(5000.0 / grid.total());
+    c.bench_function("ss_greedy_design_B5000", |b| {
+        b.iter(|| {
+            let cons =
+                design_ss_constellation(black_box(&demand_5000), DesignConfig::default()).unwrap();
+            black_box(cons.total_sats())
+        })
+    });
+
+    // Fluence sampling of that design, as the scenario runner calls it
+    // (one evaluation group per placed plane, 1 phase, 120 s steps).
+    let epoch = design_epoch();
+    let env = default_environment();
+    let ss_5000 = design_ss_constellation(&demand_5000, DesignConfig::default()).unwrap();
+    let groups: Vec<(OrbitalElements, usize)> = ss_5000
+        .planes
+        .iter()
+        .map(|p| (p.orbit.elements_at(epoch, 0.0).unwrap(), p.n_sats))
+        .collect();
+    c.bench_function("plane_fluence_samples_ss_B5000", |b| {
+        b.iter(|| {
+            let samples = plane_fluence_samples(black_box(&groups), &env, epoch, 1, 120.0).unwrap();
+            black_box(samples.len())
         })
     });
 

@@ -14,6 +14,8 @@ use ssplane_astro::time::Epoch;
 use ssplane_demand::grid::LatTodGrid;
 use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
 use ssplane_radiation::RadiationEnvironment;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 /// One row of the Fig. 9 comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,6 +250,13 @@ pub fn verify_earth_fixed_supply(
 /// per plane with the plane's population as weight reproduces the
 /// constellation median at a fraction of the cost).
 ///
+/// The result holds `phases` samples per group, in group order. Each
+/// distinct sample orbit is integrated once per call: the SS designer
+/// emits one group per placed plane, and a plane placed again through the
+/// same peak cell has bit-identical elements, so its samples reuse the
+/// first integration (keyed by the bits of all six elements, which makes
+/// the reuse exact).
+///
 /// # Errors
 /// Propagates fluence-integration failure.
 pub fn plane_fluence_samples(
@@ -258,6 +267,7 @@ pub fn plane_fluence_samples(
     step_s: f64,
 ) -> Result<Vec<(DailyFluence, usize)>> {
     let phases = phases.max(1);
+    let mut integrated: BTreeMap<[u64; 6], DailyFluence> = BTreeMap::new();
     let mut out = Vec::with_capacity(groups.len() * phases);
     for &(el, weight) in groups {
         for k in 0..phases {
@@ -265,11 +275,27 @@ pub fn plane_fluence_samples(
             sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
                 el.mean_anomaly + core::f64::consts::TAU * k as f64 / phases as f64,
             );
-            let f = daily_fluence(env, &sample, epoch, step_s)?;
+            let f = match integrated.entry(element_bits(&sample)) {
+                Entry::Occupied(hit) => *hit.get(),
+                Entry::Vacant(slot) => *slot.insert(daily_fluence(env, &sample, epoch, step_s)?),
+            };
             out.push((f, weight.div_ceil(phases).max(1)));
         }
     }
     Ok(out)
+}
+
+/// The bit patterns of all six orbital elements: equal keys mean
+/// bit-identical inputs, hence bit-identical fluence.
+fn element_bits(el: &OrbitalElements) -> [u64; 6] {
+    [
+        el.semi_major_axis_km.to_bits(),
+        el.eccentricity.to_bits(),
+        el.inclination.to_bits(),
+        el.raan.to_bits(),
+        el.arg_perigee.to_bits(),
+        el.mean_anomaly.to_bits(),
+    ]
 }
 
 /// Weighted median of fluence samples, component-wise.
@@ -337,11 +363,11 @@ pub fn fig10_row(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::designer::BranchRule;
 
-    fn small_demand() -> LatTodGrid {
+    pub(crate) fn small_demand() -> LatTodGrid {
         // A paper-shaped demand pattern: population envelope across
         // latitudes (southern tropics through northern Europe) times a
         // diurnal day/night profile. Latitude spread is what forces the
@@ -440,6 +466,60 @@ mod tests {
             "mean supply ratio {:.3}",
             report.mean_supply_ratio
         );
+    }
+
+    #[test]
+    fn deduplicated_fluence_matches_per_sample_integration() {
+        // The 5000 B SS design places many planes through the same few
+        // peak cells, so its evaluation groups repeat (the first 40 are
+        // plenty, and keep the per-sample reference cheap); WD shells are
+        // interleaved so distinct orbits sit between the repeats.
+        let demand = small_demand().scaled(5000.0 / small_demand().total());
+        let ss = design_ss_constellation(&demand, ss_cfg()).unwrap();
+        let wd = design_walker_constellation(&demand.scaled(0.02), Default::default()).unwrap();
+        let epoch = Epoch::from_calendar(2013, 6, 1, 0, 0, 0.0);
+        let mut groups: Vec<(OrbitalElements, usize)> = ss
+            .planes
+            .iter()
+            .take(40)
+            .map(|p| (p.orbit.elements_at(epoch, 0.0).unwrap(), p.n_sats))
+            .collect();
+        let distinct_ss = {
+            let mut keys: Vec<[u64; 6]> = groups.iter().map(|(el, _)| element_bits(el)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            keys.len()
+        };
+        assert!(distinct_ss < groups.len(), "{distinct_ss} distinct of {}", groups.len());
+        for (k, shell) in wd.shells.iter().enumerate() {
+            let el = OrbitalElements::circular(shell.altitude_km, shell.inclination, 0.0, 0.0);
+            groups.insert(k * 7 % groups.len(), (el.unwrap(), shell.n_sats));
+        }
+
+        let env = RadiationEnvironment::default();
+        let step_s = 600.0;
+        for phases in [1, 2, 3] {
+            let deduped = plane_fluence_samples(&groups, &env, epoch, phases, step_s).unwrap();
+            // The reference integrates every sample, repeats included.
+            let mut reference: Vec<(DailyFluence, usize)> = Vec::new();
+            for &(el, weight) in &groups {
+                for k in 0..phases {
+                    let mut sample = el;
+                    sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
+                        el.mean_anomaly + core::f64::consts::TAU * k as f64 / phases as f64,
+                    );
+                    let f = daily_fluence(&env, &sample, epoch, step_s).unwrap();
+                    reference.push((f, weight.div_ceil(phases).max(1)));
+                }
+            }
+            assert_eq!(deduped.len(), groups.len() * phases);
+            assert_eq!(deduped.len(), reference.len());
+            for (k, ((a, wa), (b, wb))) in deduped.iter().zip(&reference).enumerate() {
+                assert_eq!(a.electron.to_bits(), b.electron.to_bits(), "sample {k} electron");
+                assert_eq!(a.proton.to_bits(), b.proton.to_bits(), "sample {k} proton");
+                assert_eq!(wa, wb, "sample {k} weight");
+            }
+        }
     }
 
     #[test]

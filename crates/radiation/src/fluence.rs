@@ -32,8 +32,19 @@ impl DailyFluence {
     }
 }
 
+/// Shortest integration step \[s\] [`daily_fluence`] uses.
+pub const MIN_STEP_S: f64 = 1.0;
+
+/// Longest integration step \[s\] [`daily_fluence`] uses: a ~95-minute
+/// LEO orbit still gets about ten samples per revolution.
+pub const MAX_STEP_S: f64 = 600.0;
+
 /// Integrates the daily fluence of a satellite on `elements` starting at
 /// `epoch`, sampling the environment every `step_s` seconds for 24 hours.
+///
+/// `step_s` is clamped into [[`MIN_STEP_S`], [`MAX_STEP_S`]]; callers that
+/// take the step from user input should reject values outside it instead
+/// (the scenario validator does).
 ///
 /// # Errors
 /// Propagates propagation or flux-evaluation failure (invalid elements or
@@ -44,7 +55,7 @@ pub fn daily_fluence(
     epoch: Epoch,
     step_s: f64,
 ) -> Result<DailyFluence> {
-    let step_s = step_s.clamp(1.0, 600.0);
+    let step_s = step_s.clamp(MIN_STEP_S, MAX_STEP_S);
     let prop = J2Propagator::new(epoch, *elements)?;
     let n_steps = (86_400.0 / step_s).round() as usize;
     let mut total = DailyFluence::default();

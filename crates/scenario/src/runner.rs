@@ -1387,6 +1387,29 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_radiation_knobs_fail_per_point() {
+        let mut ok = tiny_spec();
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        let mut coarse = ok.clone();
+        coarse.radiation.step_s = 3600.0;
+        let mut no_phases = ok.clone();
+        crate::sweep::apply_param(
+            &mut no_phases,
+            "radiation.phases",
+            &crate::toml::TomlValue::Int(0),
+        )
+        .unwrap();
+        assert_eq!(no_phases.radiation.phases, 0, "the sweep layer no longer clamps phases");
+        let outcome = Runner::with_threads(1).run_specs(&[ok, coarse, no_phases]);
+        assert!(outcome.reports[0].is_ok());
+        for (k, key) in [(1, "radiation.step_s"), (2, "radiation.phases")] {
+            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
+            assert!(err.contains(key), "point {k}: {err}");
+        }
+    }
+
+    #[test]
     fn percolation_block_reports_targeted_collapse_before_random() {
         let mut spec = tiny_spec();
         spec.radiation.enabled = false;

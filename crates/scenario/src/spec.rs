@@ -22,6 +22,7 @@ use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::optimizer::{AttackBudget, AttackObjective, AttackSearchConfig};
 use ssplane_lsn::spares::SparePolicy;
 use ssplane_lsn::survivability::SurvivabilityConfig;
+use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 
 /// Accepted spellings of each canonical designer name, for specs written
 /// against older tokens (`"walker"` predates the `wd` registry name).
@@ -776,12 +777,20 @@ impl ScenarioSpec {
         if self.demand.lat_bins == 0 || self.demand.tod_bins == 0 {
             return Err(ScenarioError::bad_value("demand.bins", "0", "> 0"));
         }
-        if self.radiation.enabled && !positive(self.radiation.step_s) {
-            return Err(ScenarioError::bad_value(
-                "radiation.step_s",
-                &self.radiation.step_s.to_string(),
-                "> 0",
-            ));
+        if self.radiation.enabled {
+            // The integrator would clamp an out-of-range step and run at a
+            // step the report never mentions; refuse it instead.
+            let step_s = self.radiation.step_s;
+            if !(MIN_STEP_S..=MAX_STEP_S).contains(&step_s) {
+                return Err(ScenarioError::bad_value(
+                    "radiation.step_s",
+                    &step_s.to_string(),
+                    &format!("a step in [{MIN_STEP_S}, {MAX_STEP_S}] s"),
+                ));
+            }
+            if self.radiation.phases == 0 {
+                return Err(ScenarioError::bad_value("radiation.phases", "0", ">= 1"));
+            }
         }
         if self.survivability.enabled && !self.radiation.enabled {
             return Err(ScenarioError::bad_value(
@@ -1038,6 +1047,31 @@ mod tests {
         // A disabled network stage does not police its grid.
         spec.network.enabled = false;
         spec.network.time_grid_slots = 0;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn radiation_step_and_phases_must_be_in_range() {
+        let mut spec = ScenarioSpec::named("x");
+        for bad in [0.0, 0.5, 600.5, 3600.0, -60.0, f64::NAN, f64::INFINITY] {
+            spec.radiation.step_s = bad;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("radiation.step_s"), "{bad}: {err}");
+        }
+        for good in [MIN_STEP_S, 60.0, 120.0, 300.0, MAX_STEP_S] {
+            spec.radiation.step_s = good;
+            spec.validate().unwrap();
+        }
+        spec.radiation.phases = 0;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("radiation.phases"), "{err}");
+        spec.radiation.phases = 3;
+        spec.validate().unwrap();
+        // A disabled radiation stage does not police its knobs.
+        spec.radiation.enabled = false;
+        spec.survivability.enabled = false;
+        spec.radiation.phases = 0;
+        spec.radiation.step_s = 3600.0;
         spec.validate().unwrap();
     }
 

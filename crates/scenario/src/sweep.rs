@@ -298,7 +298,7 @@ pub fn apply_param(spec: &mut ScenarioSpec, key: &str, value: &TomlValue) -> Res
         "radiation.enabled" => spec.radiation.enabled = need_bool(key, value)?,
         "radiation.solar" => spec.radiation.solar = SolarActivity::parse(need_str(key, value)?)?,
         "radiation.epoch" => spec.radiation.epoch_ymd = parse_ymd(key, need_str(key, value)?)?,
-        "radiation.phases" => spec.radiation.phases = need_usize(key, value)?.max(1),
+        "radiation.phases" => spec.radiation.phases = need_usize(key, value)?,
         "radiation.step_s" => spec.radiation.step_s = need_f64(key, value)?,
 
         "survivability.enabled" => spec.survivability.enabled = need_bool(key, value)?,
