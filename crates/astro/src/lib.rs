@@ -25,6 +25,9 @@
 //! * repeat-ground-track orbit design ([`rgt`]);
 //! * ground tracks and swaths ([`ground_track`]).
 //!
+//! It also hosts the workspace's one thread pool, the index-ordered
+//! [`par::par_map`], because every downstream crate depends on it.
+//!
 //! ## Conventions
 //!
 //! * Lengths are in **kilometers**, velocities in **km/s**, angles in
@@ -59,6 +62,7 @@ pub mod geo;
 pub mod ground_track;
 pub mod kepler;
 pub mod linalg;
+pub mod par;
 pub mod propagate;
 pub mod rgt;
 pub mod sun;

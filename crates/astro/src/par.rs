@@ -1,0 +1,168 @@
+//! Deterministic data parallelism: the workspace's one thread pool.
+//!
+//! Every intra-process parallel loop — snapshot builds, gravity draws,
+//! candidate scoring, attack refinement, and the sweep runner itself —
+//! goes through [`par_map`]. Workers claim items off one shared queue
+//! and every result is put back at its item's index, so the output is
+//! in input order and identical for every thread count: threads change
+//! how fast a result arrives, never what it is.
+//!
+//! ```
+//! use ssplane_astro::par::par_map;
+//!
+//! let squares = par_map((1..=5).collect(), 3, |x: u64| x * x);
+//! assert_eq!(squares, [1, 4, 9, 16, 25]);
+//! ```
+
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
+
+/// Budget used when the machine's parallelism cannot be read.
+const FALLBACK_THREADS: usize = 4;
+
+/// The thread budget `threads` stands for: itself, or the machine's
+/// available parallelism when `0`.
+pub fn budget(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(FALLBACK_THREADS, NonZeroUsize::get)
+    } else {
+        threads
+    }
+}
+
+/// The workers a pool of `threads` (`0` = the machine) runs for `jobs`
+/// items: the [`budget`], clamped to `1..=jobs` (at least one worker
+/// even for no jobs).
+pub fn workers(threads: usize, jobs: usize) -> usize {
+    budget(threads).clamp(1, jobs.max(1))
+}
+
+/// Maps `f` over `items` on [`workers`]`(threads, items.len())` scoped
+/// threads, returning the results in input order.
+///
+/// With one worker it runs inline on the calling thread. Items move
+/// into `f` by value, so disjoint `&mut` chunks of one buffer can be
+/// written in place. A `Result`-valued map collects to its lowest-index
+/// error, whatever the thread count. A panic in `f` panics the caller
+/// once every worker has stopped.
+pub fn par_map<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let workers = workers(threads, n);
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let slots: Vec<Mutex<Option<R>>> =
+        std::iter::repeat_with(|| Mutex::new(None)).take(n).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // The guard drops at the end of this statement, so `f`
+                // runs outside the lock.
+                let Some((i, item)) = queue.lock().expect("par_map queue poisoned").next() else {
+                    break;
+                };
+                let r = f(item);
+                *slots[i].lock().expect("par_map slot poisoned") = Some(r);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner().expect("par_map slot poisoned").expect("every item mapped once")
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    #[test]
+    fn matches_serial_map_for_every_thread_count() {
+        let items: Vec<u64> = (0..23).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(0x9E37_79B9) ^ x).collect();
+        for threads in [0, 1, 2, 3, 7, items.len() + 5] {
+            let got = par_map(items.clone(), threads, |x| x.wrapping_mul(0x9E37_79B9) ^ x);
+            assert_eq!(got, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn results_keep_input_order_when_workers_interleave() {
+        // Barrier pairs force two workers to finish out of input order:
+        // one runs items 0 and 3, the other items 1 and 2.
+        let pairs = [Barrier::new(2), Barrier::new(2), Barrier::new(2)];
+        let out = par_map(vec![0, 1, 2, 3], 2, |i: usize| {
+            match i {
+                0 => {
+                    pairs[0].wait();
+                    pairs[1].wait();
+                }
+                1 => {
+                    pairs[0].wait();
+                }
+                2 => {
+                    pairs[1].wait();
+                    pairs[2].wait();
+                }
+                _ => {
+                    pairs[2].wait();
+                }
+            }
+            i
+        });
+        assert_eq!(out, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn empty_input_returns_empty() {
+        for threads in [0, 1, 4] {
+            let out: Vec<u8> = par_map(Vec::<u8>::new(), threads, |x| x);
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
+    fn moved_mut_chunks_are_each_written_once() {
+        for threads in [1, 2, 3, 7] {
+            let mut buf = vec![0u32; 10 * 4];
+            let jobs: Vec<(usize, &mut [u32])> = buf.chunks_mut(4).enumerate().collect();
+            par_map(jobs, threads, |(k, chunk)| {
+                for v in chunk.iter_mut() {
+                    *v += u32::try_from(k).unwrap() + 1;
+                }
+            });
+            let want: Vec<u32> = (1..=10).flat_map(|k| [k; 4]).collect();
+            assert_eq!(buf, want, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn result_maps_collect_to_the_lowest_index_error() {
+        let items: Vec<usize> = (0..40).collect();
+        for threads in [0, 1, 2, 3, 7, 45] {
+            let out: Result<Vec<usize>, usize> =
+                par_map(items.clone(), threads, |i| if i % 9 == 5 { Err(i) } else { Ok(i) })
+                    .into_iter()
+                    .collect();
+            assert_eq!(out, Err(5), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn workers_clamp_the_budget_to_the_jobs() {
+        assert_eq!(budget(3), 3);
+        assert!(budget(0) >= 1);
+        assert_eq!(workers(3, 10), 3);
+        assert_eq!(workers(8, 2), 2);
+        assert_eq!(workers(5, 0), 1);
+        assert_eq!(workers(0, 1), 1);
+    }
+}

@@ -1,7 +1,7 @@
 //! Extension experiments beyond the paper's figures: the sustainability
-//! ledger (title claim, quantified), per-plane eclipse/power feasibility,
-//! and the handoff-minimizing schedule — the "future work" directions §5
-//! sketches, made measurable.
+//! ledger (title claim, quantified) and per-plane eclipse/power
+//! feasibility — two of the "future work" directions §5 sketches, made
+//! measurable.
 
 use crate::render;
 use ssplane_core::designer::{design_ss_constellation, DesignConfig};

@@ -22,8 +22,8 @@
 //! Determinism contract: the flow list is a pure function of
 //! `(model, config)` — byte-identical across runs **and thread counts**.
 //! Generation is chunked; every chunk owns a seed derived from
-//! `config.seed` and its chunk index, workers claim chunk indices off an
-//! atomic queue, and chunks are concatenated in index order.
+//! `config.seed` and its chunk index, and chunks run through
+//! [`ssplane_astro::par::par_map`], which returns them in index order.
 //!
 //! [`PopulationGrid`]: crate::population::PopulationGrid
 //! [`DiurnalModel`]: crate::diurnal::DiurnalModel
@@ -33,8 +33,7 @@ use crate::spatiotemporal::DemandModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::geo::GeoPoint;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use ssplane_astro::par::par_map;
 
 /// Flows generated per RNG chunk — the unit of parallelism *and* of the
 /// determinism contract (each chunk's stream is independent of who runs
@@ -224,38 +223,13 @@ pub fn gravity_flows(
     let distance: Vec<Vec<f64>> =
         points.iter().map(|a| points.iter().map(|b| a.distance_km(b)).collect()).collect();
 
-    // Chunked generation: workers claim chunk indices off an atomic
-    // queue and write into that chunk's slot; concatenation in chunk
-    // order makes the output independent of scheduling.
+    // Chunked generation: each chunk is a pure function of its index,
+    // and `par_map` returns chunks in index order, so the output is
+    // independent of scheduling.
     let n_chunks = config.pairs.div_ceil(CHUNK);
-    let chunk_len = |c: usize| CHUNK.min(config.pairs - c * CHUNK);
-    let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let workers = if threads == 0 { auto } else { threads }.clamp(1, n_chunks);
-    let chunks: Vec<Vec<RawDraw>> = if workers <= 1 {
-        (0..n_chunks)
-            .map(|c| generate_chunk(c, chunk_len(c), &sites, &prefix, &distance, config))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<RawDraw>>>> =
-            (0..n_chunks).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let out = generate_chunk(c, chunk_len(c), &sites, &prefix, &distance, config);
-                    *slots[c].lock().expect("chunk slot poisoned") = Some(out);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("chunk slot poisoned").expect("chunk claimed"))
-            .collect()
-    };
+    let chunks: Vec<Vec<RawDraw>> = par_map((0..n_chunks).collect(), threads, |c| {
+        generate_chunk(c, CHUNK.min(config.pairs - c * CHUNK), &sites, &prefix, &distance, config)
+    });
 
     // Normalize in chunk-then-draw order so the float summation is the
     // same serial reduction for every thread count.

@@ -3,7 +3,7 @@
 //! Workspace determinism & scale-safety static analysis for the
 //! ss-plane reproduction — a self-contained, dependency-free token-level
 //! linter (the build environment is offline, so no dylint/clippy-plugin
-//! route) with five rules:
+//! route) with six rules:
 //!
 //! * **hash-iter** — `HashMap`/`HashSet`/`RandomState` in library code:
 //!   hash iteration order is nondeterministic, and every report byte
@@ -15,6 +15,9 @@
 //! * **lossy-cast** — `as`-casts to sized integer types in the
 //!   `ssplane-lsn` hot paths, where 10k→100k-satellite scale makes
 //!   truncation real; use `try_from` or `ssplane_lsn::cast`.
+//! * **thread-pool** — `thread::scope`/`thread::spawn`/
+//!   `available_parallelism` in library code under `crates/`, outside
+//!   the one pool `ssplane_astro::par` and `crates/compat`.
 //! * **scenario-schema** — every `scenarios/*.toml` key validated
 //!   against the surface `apply_param` recognizes.
 //!
@@ -114,6 +117,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The one module allowed to spawn threads.
+const PAR_MODULE: &str = "crates/astro/src/par.rs";
+
 /// Which rules apply to a workspace-relative Rust path. This scoping is
 /// the policy half of the linter:
 ///
@@ -123,7 +129,10 @@ fn json_escape(s: &str) -> String {
 ///   stopwatch) and defines the RNG seeding machinery;
 /// * **lossy-cast** is scoped to `crates/lsn/src/` — the percolation /
 ///   optimizer / traffic hot paths where index truncation scales into
-///   real bugs (the ISSUE's target list).
+///   real bugs;
+/// * **thread-pool** is scoped to `crates/` (so host probes outside it,
+///   like perfbench's, stay free) and spares `crates/astro/src/par.rs`,
+///   the one pool, and `crates/compat/`.
 pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     let p = rel.replace('\\', "/");
     let test_like = p.starts_with("tests/")
@@ -141,6 +150,9 @@ pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     }
     if p.starts_with("crates/lsn/src/") {
         rules.push(Rule::LossyCast);
+    }
+    if p.starts_with("crates/") && !p.starts_with("crates/compat/") && p != PAR_MODULE {
+        rules.push(Rule::ThreadPool);
     }
     rules
 }
@@ -273,6 +285,10 @@ mod tests {
         assert!(rules_for_path("crates/lint/tests/fixtures/hash_iter_pos.rs").is_empty());
         assert!(rules_for_path("tests/integration.rs").is_empty());
         assert!(!rules_for_path("examples/routing.rs").is_empty());
+        assert!(all.contains(&Rule::ThreadPool) && scenario.contains(&Rule::ThreadPool));
+        assert!(!compat.contains(&Rule::ThreadPool));
+        assert!(!rules_for_path("crates/astro/src/par.rs").contains(&Rule::ThreadPool));
+        assert!(!rules_for_path("src/lib.rs").contains(&Rule::ThreadPool));
     }
 
     #[test]

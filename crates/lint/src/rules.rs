@@ -32,6 +32,11 @@ pub enum Rule {
     /// u64→u32) is a real bug class. Use `try_from` or
     /// `ssplane_lsn::cast`.
     LossyCast,
+    /// `thread::scope`, `thread::spawn` or `available_parallelism` in
+    /// library code under `crates/` outside `ssplane_astro::par`: every
+    /// pool goes through the index-ordered `par_map`, so no hand-rolled
+    /// pool can let scheduling order leak into results.
+    ThreadPool,
     /// Scenario TOML keys outside the surface `apply_param` recognizes:
     /// a typoed key or sweep axis must fail CI, not silently no-op.
     ScenarioSchema,
@@ -48,12 +53,13 @@ impl Rule {
             Rule::WallClock => "wall-clock",
             Rule::UnseededRng => "unseeded-rng",
             Rule::LossyCast => "lossy-cast",
+            Rule::ThreadPool => "thread-pool",
             Rule::ScenarioSchema => "scenario-schema",
             Rule::BadAllow => "bad-allow",
         }
     }
 
-    /// Parses a registry name (the five public rules only — `bad-allow`
+    /// Parses a registry name (the six public rules only — `bad-allow`
     /// findings cannot be allowed away).
     pub fn parse(s: &str) -> Option<Rule> {
         match s {
@@ -61,6 +67,7 @@ impl Rule {
             "wall-clock" => Some(Rule::WallClock),
             "unseeded-rng" => Some(Rule::UnseededRng),
             "lossy-cast" => Some(Rule::LossyCast),
+            "thread-pool" => Some(Rule::ThreadPool),
             "scenario-schema" => Some(Rule::ScenarioSchema),
             _ => None,
         }
@@ -68,8 +75,14 @@ impl Rule {
 }
 
 /// Every public rule, in registry order.
-pub const ALL_RULES: [Rule; 5] =
-    [Rule::HashIter, Rule::WallClock, Rule::UnseededRng, Rule::LossyCast, Rule::ScenarioSchema];
+pub const ALL_RULES: [Rule; 6] = [
+    Rule::HashIter,
+    Rule::WallClock,
+    Rule::UnseededRng,
+    Rule::LossyCast,
+    Rule::ThreadPool,
+    Rule::ScenarioSchema,
+];
 
 /// One parsed `// ssplane-lint: allow(rule, ...) -- justification`.
 #[derive(Debug, Clone)]
@@ -255,6 +268,24 @@ pub fn scan_rust(file: &str, src: &str, rules: &[Rule]) -> (Vec<Finding>, AllowT
                 ),
                 &mut allows,
             );
+        }
+        if rules.contains(&Rule::ThreadPool) {
+            let thread_call = name == "thread"
+                && matches!(code.get(idx + 1).map(|t| &t.kind), Some(TokenKind::Punct(':')))
+                && matches!(code.get(idx + 2).map(|t| &t.kind), Some(TokenKind::Punct(':')))
+                && matches!(code.get(idx + 3).map(|t| &t.kind),
+                    Some(TokenKind::Ident(m)) if m == "scope" || m == "spawn");
+            if thread_call || name == "available_parallelism" {
+                emit(
+                    Rule::ThreadPool,
+                    line,
+                    "hand-rolled thread pool: run parallel work through \
+                     ssplane_astro::par::par_map, whose results are index-ordered for every \
+                     thread count"
+                        .to_string(),
+                    &mut allows,
+                );
+            }
         }
         if rules.contains(&Rule::LossyCast) && name == "as" {
             if let Some(TokenKind::Ident(ty)) = code.get(idx + 1).map(|t| &t.kind) {

@@ -71,6 +71,15 @@ fn lossy_cast_only_fires_where_enabled() {
 }
 
 #[test]
+fn thread_pool_positive_and_negative() {
+    let findings = scan_fixture("thread_pool_pos.rs", &ALL_RULES);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [3, 5, 18], "available_parallelism, scope and spawn: {findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "thread-pool"), "{findings:?}");
+    assert!(scan_fixture("thread_pool_neg.rs", &ALL_RULES).is_empty());
+}
+
+#[test]
 fn allow_annotations_suppress_and_malformed_allows_are_findings() {
     let (findings, allows) = scan_rust("allows.rs", &fixture("allows.rs"), &ALL_RULES);
     // Trailing hash-iter allow and standalone wall-clock allow suppress;

@@ -72,7 +72,6 @@ pub mod failures;
 pub mod optimizer;
 pub mod percolation;
 pub mod routing;
-pub mod schedule;
 pub mod snapshot;
 pub mod spares;
 pub mod survivability;

@@ -49,8 +49,7 @@ use crate::traffic::{assign_traffic_with_capacity, Flow, TrafficReport};
 use crate::traffic_engine::{assign_capacity_constrained, ServedDemandSummary, TrafficWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use ssplane_astro::par::par_map;
 
 /// Greedy frontier sample per step for satellite-unit searches: scoring
 /// every remaining satellite each step would cost O(budget · fleet)
@@ -525,11 +524,10 @@ impl<'a> DegradedEvaluator<'a> {
         Ok(self.objective_value(objective, &slots))
     }
 
-    /// Scores a batch of candidates in parallel across `threads` scoped
-    /// workers (`0` = the machine), returning scores in candidate order —
+    /// Scores a batch of candidates across `threads` workers (`0` = the
+    /// machine) via [`par_map`], returning scores in candidate order —
     /// the throughput the attack-search bench measures. The output is
-    /// identical for every thread count: workers claim candidate indices
-    /// off an atomic queue and write into that candidate's slot.
+    /// identical for every thread count.
     ///
     /// # Errors
     /// The first (lowest-index) candidate failure.
@@ -539,34 +537,8 @@ impl<'a> DegradedEvaluator<'a> {
         objective: AttackObjective,
         threads: usize,
     ) -> Result<Vec<f64>> {
-        let n = candidates.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        let workers = if threads == 0 { auto } else { threads }.clamp(1, n);
-        if workers <= 1 {
-            return candidates.iter().map(|c| self.score_attack(c, objective)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<f64>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = self.score_attack(&candidates[i], objective);
-                    *slots[i].lock().expect("score slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
+        par_map(candidates.iter().collect(), threads, |c| self.score_attack(c, objective))
             .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("score slot poisoned").expect("every index claimed")
-            })
             .collect()
     }
 }
@@ -848,7 +820,6 @@ pub fn optimize_attack(
     let expanded: Vec<Vec<SatId>> =
         starts.iter().skip(1).map(|units| space.expand(units)).collect();
     let start_values = scorer.score_batch(&expanded, config.threads)?;
-    let n_starts = starts.len();
     let jobs: Vec<(Units, f64, u64)> = starts
         .into_iter()
         .zip(std::iter::once(greedy_value).chain(start_values))
@@ -857,36 +828,11 @@ pub fn optimize_attack(
             (units, value, seed ^ crate::cast::count_u64(i).wrapping_mul(0xA076_1D64_78BD_642F))
         })
         .collect();
-    let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    let workers = if config.threads == 0 { auto } else { config.threads }.clamp(1, n_starts);
-    type RefineSlot = Mutex<Option<Result<(Units, f64)>>>;
-    let refined: Vec<(Units, f64)> = if workers <= 1 {
-        jobs.iter()
-            .map(|(units, value, s)| refine(&scorer, &space, units.clone(), *value, config, *s))
-            .collect::<Result<_>>()?
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<RefineSlot> = (0..n_starts).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_starts {
-                        break;
-                    }
-                    let (units, value, s) = &jobs[i];
-                    let outcome = refine(&scorer, &space, units.clone(), *value, config, *s);
-                    *slots[i].lock().expect("refine slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("refine slot poisoned").expect("every index claimed")
-            })
-            .collect::<Result<_>>()?
-    };
+    let refined: Vec<(Units, f64)> = par_map(jobs, config.threads, |(units, value, s)| {
+        refine(&scorer, &space, units, value, config, s)
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
 
     // The final pick: strict < over start order, so ties resolve to the
     // earliest start (greedy, then baseline, then seeds, then restarts).

@@ -48,6 +48,7 @@ use crate::traffic_engine::{
     aggregate_attachments, k_paths_for_source, waterfill_summary, ServedDemandSummary,
 };
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::par::par_map;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -378,44 +379,15 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         Ok(value)
     }
 
-    /// Scores a batch in parallel across `threads` scoped workers (`0` =
-    /// the machine), returning scores in candidate order — the
-    /// incremental counterpart of [`DegradedEvaluator::score_batch`],
-    /// with the same atomic-queue determinism: cached states change how
-    /// much a candidate costs, never what it scores.
+    /// Scores a batch across `threads` workers (`0` = the machine) via
+    /// [`par_map`], returning scores in candidate order — the incremental
+    /// counterpart of [`DegradedEvaluator::score_batch`]: cached states
+    /// change how much a candidate costs, never what it scores.
     ///
     /// # Errors
     /// The first (lowest-index) candidate failure.
     pub fn score_batch(&self, candidates: &[Vec<SatId>], threads: usize) -> Result<Vec<f64>> {
-        let n = candidates.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        let workers = if threads == 0 { auto } else { threads }.clamp(1, n);
-        if workers <= 1 {
-            return candidates.iter().map(|c| self.score(c)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<f64>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = self.score(&candidates[i]);
-                    *slots[i].lock().expect("score slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner().expect("score slot poisoned").expect("every index claimed")
-            })
-            .collect()
+        par_map(candidates.iter().collect(), threads, |c| self.score(c)).into_iter().collect()
     }
 
     /// Pins the state of `destroyed` (evaluating it if needed, without

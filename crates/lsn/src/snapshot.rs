@@ -21,19 +21,15 @@
 use crate::error::{LsnError, Result};
 use crate::topology::{Constellation, SatId};
 use ssplane_astro::linalg::Vec3;
+use ssplane_astro::par::par_map;
 use ssplane_astro::propagate::batch_positions_soa;
 use ssplane_astro::time::Epoch;
-use std::sync::Mutex;
 
 /// The epochs of a uniform time grid: `n_slots` slots spaced `slot_s`
 /// seconds from `start`.
 pub fn time_grid(start: Epoch, n_slots: usize, slot_s: f64) -> Vec<Epoch> {
     (0..n_slots).map(|k| start + k as f64 * slot_s).collect()
 }
-
-/// One slot's build job: its epoch and the disjoint SoA buffer chunks a
-/// worker fills for it.
-type SlotJob<'b> = (Epoch, &'b mut [f64], &'b mut [f64], &'b mut [f64]);
 
 /// Batch-propagated positions of one constellation over a time grid.
 ///
@@ -61,12 +57,13 @@ impl SnapshotSeries {
     }
 
     /// Builds the series with `threads` workers (`0` = the machine's
-    /// available parallelism), splitting the slot list across scoped
-    /// threads. Each slot's buffer chunk is written by exactly one
-    /// worker, so the result is identical for every thread count.
+    /// available parallelism) via [`par_map`]: one job per slot, each
+    /// writing its own disjoint chunk of the buffers in place, so the
+    /// result is identical for every thread count.
     ///
     /// # Errors
-    /// Rejects an empty epoch list; propagates propagation failure.
+    /// Rejects an empty epoch list; propagates the lowest-slot
+    /// propagation failure.
     pub fn build_parallel(
         constellation: &Constellation,
         epochs: &[Epoch],
@@ -81,46 +78,17 @@ impl SnapshotSeries {
         let mut ys = vec![0.0; n * epochs.len()];
         let mut zs = vec![0.0; n * epochs.len()];
 
-        let auto = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        let workers = if threads == 0 { auto } else { threads }.clamp(1, epochs.len());
-        if workers <= 1 {
-            for (k, &t) in epochs.iter().enumerate() {
-                batch_positions_soa(
-                    &props,
-                    t,
-                    &mut xs[k * n..(k + 1) * n],
-                    &mut ys[k * n..(k + 1) * n],
-                    &mut zs[k * n..(k + 1) * n],
-                )?;
-            }
-        } else {
-            let mut jobs: Vec<SlotJob<'_>> = epochs
-                .iter()
-                .copied()
-                .zip(xs.chunks_mut(n).zip(ys.chunks_mut(n).zip(zs.chunks_mut(n))))
-                .map(|(t, (x, (y, z)))| (t, x, y, z))
-                .collect();
-            let per_worker = jobs.len().div_ceil(workers);
-            let failure: Mutex<Option<LsnError>> = Mutex::new(None);
-            std::thread::scope(|scope| {
-                for group in jobs.chunks_mut(per_worker) {
-                    scope.spawn(|| {
-                        for (t, x, y, z) in group.iter_mut() {
-                            if let Err(e) = batch_positions_soa(&props, *t, x, y, z) {
-                                failure
-                                    .lock()
-                                    .expect("snapshot build lock poisoned")
-                                    .get_or_insert(LsnError::from(e));
-                                return;
-                            }
-                        }
-                    });
-                }
-            });
-            if let Some(e) = failure.into_inner().expect("snapshot build lock poisoned") {
-                return Err(e);
-            }
-        }
+        // One job per slot: its epoch and its disjoint chunk of each
+        // buffer (`max(1)`: an empty constellation has no chunks at all).
+        let chunk = n.max(1);
+        let jobs: Vec<_> = epochs
+            .iter()
+            .copied()
+            .zip(xs.chunks_mut(chunk).zip(ys.chunks_mut(chunk).zip(zs.chunks_mut(chunk))))
+            .collect();
+        par_map(jobs, threads, |(t, (x, (y, z)))| batch_positions_soa(&props, t, x, y, z))
+            .into_iter()
+            .collect::<std::result::Result<(), _>>()?;
         Ok(SnapshotSeries {
             epochs: epochs.to_vec(),
             xs,

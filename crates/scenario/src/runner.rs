@@ -30,6 +30,7 @@ use crate::report::{
 use crate::spec::{AttackKind, AttackUnit, DesignSpec, ScenarioSpec, TrafficModel};
 use crate::sweep::SweepSpec;
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::par;
 use ssplane_astro::time::Epoch;
 use ssplane_core::evaluate::{plane_fluence_samples, weighted_median_fluence};
 use ssplane_core::system::{
@@ -55,7 +56,6 @@ use ssplane_lsn::LsnError;
 use ssplane_radiation::fluence::DailyFluence;
 use ssplane_radiation::RadiationEnvironment;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Salt XORed into the scenario seed for the degraded-network outage
@@ -1299,65 +1299,25 @@ impl SweepOutcome {
     }
 }
 
-/// The runner's total thread budget: the configured count, or the
-/// machine's available parallelism when auto (`0`).
-fn workers_total_budget(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    }
-}
-
 impl Runner {
     /// A runner using `threads` workers (`0` = auto).
     pub fn with_threads(threads: usize) -> Self {
         Runner { threads }
     }
 
-    fn worker_count(&self, jobs: usize) -> usize {
-        workers_total_budget(self.threads).clamp(1, jobs.max(1))
-    }
-
     /// Runs every spec, in parallel, returning outcomes in spec order.
     pub fn run_specs(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
-        let n = specs.len();
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
-        let workers = self.worker_count(n);
-        if workers <= 1 || n <= 1 {
-            // The whole budget goes to intra-scenario parallelism (an
-            // explicit `--threads k` still caps snapshot builds at k).
-            let (reports, timings) =
-                specs.iter().map(|spec| execute_scenario_timed_with(spec, self.threads)).unzip();
-            return SweepOutcome { names, reports, timings };
-        }
-        let next = AtomicUsize::new(0);
-        type Slot = Mutex<Option<(Result<ScenarioReport>, ScenarioTimings)>>;
-        let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
         // Each concurrent worker gets its share of the thread budget for
-        // intra-scenario parallelism (the network stage's snapshot
-        // build), so a sweep never runs more threads than configured.
-        let build_threads = (workers_total_budget(self.threads) / workers).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = execute_scenario_timed_with(&specs[i], build_threads);
-                    *slots[i].lock().expect("runner slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        let (reports, timings) = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("runner slot poisoned")
-                    .expect("every index claimed exactly once")
-            })
-            .unzip();
+        // intra-scenario parallelism (snapshot builds, gravity draws,
+        // attack search), so a sweep never runs more threads than
+        // configured; a lone worker gets the whole budget.
+        let build_threads = par::budget(self.threads) / par::workers(self.threads, specs.len());
+        let (reports, timings) = par::par_map(specs.iter().collect(), self.threads, |spec| {
+            execute_scenario_timed_with(spec, build_threads)
+        })
+        .into_iter()
+        .unzip();
         SweepOutcome { names, reports, timings }
     }
 
@@ -1404,6 +1364,33 @@ mod tests {
         let outcome = Runner::with_threads(1).run_specs(&[ok, coarse, no_phases]);
         assert!(outcome.reports[0].is_ok());
         for (k, key) in [(1, "radiation.step_s"), (2, "radiation.phases")] {
+            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
+            assert!(err.contains(key), "point {k}: {err}");
+        }
+    }
+
+    #[test]
+    fn oversized_flow_and_pair_budgets_fail_per_point() {
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        ok.network.slots = 2;
+        let mut flows = ok.clone();
+        crate::sweep::apply_param(
+            &mut flows,
+            "network.n_flows",
+            &crate::toml::TomlValue::Int(100_000_000_000_000),
+        )
+        .unwrap();
+        let mut pairs = ok.clone();
+        pairs.traffic.model = crate::spec::TrafficModel::Gravity;
+        pairs.traffic.pairs = crate::spec::MAX_TRAFFIC_PAIRS + 1;
+        let outcome = Runner::with_threads(1).run_specs(&[flows, ok.clone(), pairs, ok]);
+        assert!(outcome.reports[1].is_ok() && outcome.reports[3].is_ok());
+        for (k, key) in [(0, "network.n_flows"), (2, "traffic.pairs")] {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
         }

@@ -24,6 +24,19 @@ use ssplane_lsn::spares::SparePolicy;
 use ssplane_lsn::survivability::SurvivabilityConfig;
 use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 
+/// Most `network.n_flows` a point may request. The flow list and every
+/// per-slot routing pass grow linearly with it (40 bytes a flow before
+/// routing state), so an unbounded count can abort the whole sweep on
+/// one allocation. 100k is 500× the largest value in use (200).
+pub const MAX_N_FLOWS: usize = 100_000;
+
+/// Most `traffic.pairs` the gravity model may draw. The draws, the flow
+/// list and the per-pair aggregation grow linearly with it (~56 bytes a
+/// pair before aggregation), so an unbounded count can abort the whole
+/// sweep on one allocation. 1M is 10× the 100k-pair mega-network
+/// workload, the largest in use.
+pub const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
+
 /// Accepted spellings of each canonical designer name, for specs written
 /// against older tokens (`"walker"` predates the `wd` registry name).
 const DESIGN_KIND_ALIASES: &[(&str, &str)] =
@@ -862,6 +875,13 @@ impl ScenarioSpec {
             if self.traffic.pairs == 0 {
                 return Err(ScenarioError::bad_value("traffic.pairs", "0", ">= 1"));
             }
+            if self.traffic.pairs > MAX_TRAFFIC_PAIRS {
+                return Err(ScenarioError::bad_value(
+                    "traffic.pairs",
+                    &self.traffic.pairs.to_string(),
+                    &format!("<= {MAX_TRAFFIC_PAIRS}"),
+                ));
+            }
             if self.traffic.sites < 2 {
                 return Err(ScenarioError::bad_value(
                     "traffic.sites",
@@ -882,6 +902,13 @@ impl ScenarioSpec {
             ));
         }
         if self.network.enabled {
+            if self.network.n_flows > MAX_N_FLOWS {
+                return Err(ScenarioError::bad_value(
+                    "network.n_flows",
+                    &self.network.n_flows.to_string(),
+                    &format!("<= {MAX_N_FLOWS}"),
+                ));
+            }
             if !positive(self.network.max_range_km) {
                 return Err(ScenarioError::bad_value(
                     "network.max_range_km",
@@ -1090,6 +1117,27 @@ mod tests {
         spec.network.enabled = false;
         spec.network.max_range_km = -5.0;
         spec.validate().unwrap();
+    }
+
+    #[test]
+    fn flow_and_pair_budgets_are_bounded() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        spec.network.n_flows = MAX_N_FLOWS;
+        spec.validate().unwrap();
+        spec.network.n_flows = MAX_N_FLOWS + 1;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("network.n_flows"), "{err}");
+        // A disabled network stage samples no flows.
+        spec.network.enabled = false;
+        spec.validate().unwrap();
+
+        spec.traffic.model = TrafficModel::Gravity;
+        spec.traffic.pairs = MAX_TRAFFIC_PAIRS;
+        spec.validate().unwrap();
+        spec.traffic.pairs = MAX_TRAFFIC_PAIRS + 1;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("traffic.pairs"), "{err}");
     }
 
     #[test]
