@@ -5,7 +5,7 @@
 //! code). Every token carries its 1-based source line.
 //!
 //! This is deliberately not a parser: the rules pattern-match short token
-//! sequences (`Instant :: now`, `as u32`, `"key" =>`), which a token
+//! sequences (`Instant :: now`, `as u32`, `thread :: spawn`), which a token
 //! stream supports exactly and a regex over raw text does not (comments,
 //! strings, and `use x as y` would all false-positive).
 
@@ -14,9 +14,9 @@
 pub enum TokenKind {
     /// Identifier or keyword (`HashMap`, `as`, `fn`, …).
     Ident(String),
-    /// String literal (normal, raw, or byte); the unescaped-as-written
-    /// content, used by the scenario-schema key extractor.
-    Str(String),
+    /// String literal, normal, raw or byte (content irrelevant to every
+    /// rule: it is lexed only so it never masquerades as code).
+    Str,
     /// Character literal (content irrelevant to every rule).
     Char,
     /// Numeric literal (content irrelevant to every rule).
@@ -91,8 +91,8 @@ pub fn lex(src: &str) -> Vec<Token> {
             }
             i = j;
         } else if c == '"' {
-            let (content, next, newlines) = scan_string(&b, i + 1);
-            out.push(Token { kind: TokenKind::Str(content), line });
+            let (next, newlines) = scan_string(&b, i + 1);
+            out.push(Token { kind: TokenKind::Str, line });
             line += newlines;
             i = next;
         } else if c == '\'' {
@@ -134,13 +134,13 @@ pub fn lex(src: &str) -> Vec<Token> {
             let raw = (ident == "r" || ident == "br") && j < n && (b[j] == '"' || b[j] == '#');
             let byte = ident == "b" && j < n && b[j] == '"';
             if raw {
-                let (content, next, newlines) = scan_raw_string(&b, j);
-                out.push(Token { kind: TokenKind::Str(content), line });
+                let (next, newlines) = scan_raw_string(&b, j);
+                out.push(Token { kind: TokenKind::Str, line });
                 line += newlines;
                 i = next;
             } else if byte {
-                let (content, next, newlines) = scan_string(&b, j + 1);
-                out.push(Token { kind: TokenKind::Str(content), line });
+                let (next, newlines) = scan_string(&b, j + 1);
+                out.push(Token { kind: TokenKind::Str, line });
                 line += newlines;
                 i = next;
             } else {
@@ -156,37 +156,33 @@ pub fn lex(src: &str) -> Vec<Token> {
 }
 
 /// Scans a normal (escaped) string body starting just past the opening
-/// quote; returns `(content, index past closing quote, newlines seen)`.
-fn scan_string(b: &[char], mut i: usize) -> (String, usize, usize) {
+/// quote; returns `(index past closing quote, newlines seen)`.
+fn scan_string(b: &[char], mut i: usize) -> (usize, usize) {
     let n = b.len();
-    let mut content = String::new();
     let mut newlines = 0;
     while i < n {
         match b[i] {
             '\\' if i + 1 < n => {
-                content.push(b[i]);
-                content.push(b[i + 1]);
                 if b[i + 1] == '\n' {
                     newlines += 1;
                 }
                 i += 2;
             }
-            '"' => return (content, i + 1, newlines),
+            '"' => return (i + 1, newlines),
             c => {
                 if c == '\n' {
                     newlines += 1;
                 }
-                content.push(c);
                 i += 1;
             }
         }
     }
-    (content, n, newlines)
+    (n, newlines)
 }
 
 /// Scans a raw string starting at its `#`s-or-quote; returns
-/// `(content, index past the closing delimiter, newlines seen)`.
-fn scan_raw_string(b: &[char], mut i: usize) -> (String, usize, usize) {
+/// `(index past the closing delimiter, newlines seen)`.
+fn scan_raw_string(b: &[char], mut i: usize) -> (usize, usize) {
     let n = b.len();
     let mut hashes = 0;
     while i < n && b[i] == '#' {
@@ -196,7 +192,6 @@ fn scan_raw_string(b: &[char], mut i: usize) -> (String, usize, usize) {
     if i < n && b[i] == '"' {
         i += 1;
     }
-    let mut content = String::new();
     let mut newlines = 0;
     while i < n {
         if b[i] == '"' {
@@ -205,16 +200,15 @@ fn scan_raw_string(b: &[char], mut i: usize) -> (String, usize, usize) {
                 k += 1;
             }
             if k == hashes {
-                return (content, i + 1 + hashes, newlines);
+                return (i + 1 + hashes, newlines);
             }
         }
         if b[i] == '\n' {
             newlines += 1;
         }
-        content.push(b[i]);
         i += 1;
     }
-    (content, n, newlines)
+    (n, newlines)
 }
 
 /// Disambiguates `'a'` (char literal) from `'a` (lifetime) at a `'`;

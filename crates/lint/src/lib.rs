@@ -3,7 +3,7 @@
 //! Workspace determinism & scale-safety static analysis for the
 //! ss-plane reproduction — a self-contained, dependency-free token-level
 //! linter (the build environment is offline, so no dylint/clippy-plugin
-//! route) with six rules:
+//! route) with five rules:
 //!
 //! * **hash-iter** — `HashMap`/`HashSet`/`RandomState` in library code:
 //!   hash iteration order is nondeterministic, and every report byte
@@ -18,8 +18,11 @@
 //! * **thread-pool** — `thread::scope`/`thread::spawn`/
 //!   `available_parallelism` in library code under `crates/`, outside
 //!   the one pool `ssplane_astro::par` and `crates/compat`.
-//! * **scenario-schema** — every `scenarios/*.toml` key validated
-//!   against the surface `apply_param` recognizes.
+//!
+//! Scenario files are not linted: the scenario loader itself rejects an
+//! unknown key with a did-you-mean hint, and the scenario crate's tests
+//! load every `scenarios/*.toml`. This crate's integration tests keep
+//! the corrupted-scenario-key gate, through that loader.
 //!
 //! Findings are suppressed only by an inline
 //! `// ssplane-lint: allow(<rule>) -- <justification>` annotation on the
@@ -31,7 +34,6 @@
 
 pub mod lexer;
 pub mod rules;
-pub mod schema;
 
 use rules::{AllowCounts, Rule};
 use std::collections::BTreeSet;
@@ -59,7 +61,7 @@ impl fmt::Display for Finding {
 }
 
 /// The outcome of a workspace scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     /// All findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
@@ -67,8 +69,6 @@ pub struct Report {
     pub allows: AllowCounts,
     /// Rust files scanned.
     pub files_scanned: usize,
-    /// Scenario TOML files validated.
-    pub scenarios_checked: usize,
 }
 
 impl Report {
@@ -93,9 +93,8 @@ impl Report {
             ));
         }
         out.push_str(&format!(
-            "],\"allows\":{{\"declared\":{},\"used\":{}}},\"files_scanned\":{},\
-             \"scenarios_checked\":{}}}",
-            self.allows.declared, self.allows.used, self.files_scanned, self.scenarios_checked
+            "],\"allows\":{{\"declared\":{},\"used\":{}}},\"files_scanned\":{}}}",
+            self.allows.declared, self.allows.used, self.files_scanned
         ));
         out
     }
@@ -157,9 +156,9 @@ pub fn rules_for_path(rel: &str) -> Vec<Rule> {
     rules
 }
 
-/// Recursively collects files under `dir` with extension `ext`, sorted
-/// for a deterministic scan order.
-fn collect_files(dir: &Path, ext: &str, out: &mut BTreeSet<PathBuf>) {
+/// Recursively collects the `.rs` files under `dir`, sorted for a
+/// deterministic scan order.
+fn collect_rust_files(dir: &Path, out: &mut BTreeSet<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else { return };
     for entry in entries.flatten() {
         let path = entry.path();
@@ -168,8 +167,8 @@ fn collect_files(dir: &Path, ext: &str, out: &mut BTreeSet<PathBuf>) {
             if name == "target" || name == ".git" {
                 continue;
             }
-            collect_files(&path, ext, out);
-        } else if path.extension().and_then(|s| s.to_str()) == Some(ext) {
+            collect_rust_files(&path, out);
+        } else if path.extension().and_then(|s| s.to_str()) == Some("rs") {
             out.insert(path);
         }
     }
@@ -188,7 +187,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
 pub fn scan_rust_tree(root: &Path, report: &mut Report) -> Result<(), String> {
     let mut files = BTreeSet::new();
     for top in ["src", "examples", "crates"] {
-        collect_files(&root.join(top), "rs", &mut files);
+        collect_rust_files(&root.join(top), &mut files);
     }
     for path in files {
         let rel = rel_path(root, &path);
@@ -206,43 +205,14 @@ pub fn scan_rust_tree(root: &Path, report: &mut Report) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates every `scenarios/*.toml` under `root` against the key
-/// surface extracted from `crates/scenario/src/sweep.rs`.
+/// The full `--workspace` pass over the Rust tree, findings sorted
+/// deterministically.
 ///
 /// # Errors
-/// A missing/unreadable sweep.rs or a failed key extraction — schema
-/// checking must never silently pass because its input vanished.
-pub fn scan_scenarios(root: &Path, report: &mut Report) -> Result<(), String> {
-    let sweep_path = root.join("crates/scenario/src/sweep.rs");
-    let sweep_src = fs::read_to_string(&sweep_path)
-        .map_err(|e| format!("{}: cannot read the schema source: {e}", sweep_path.display()))?;
-    let keys = schema::extract_keys(&sweep_src)?;
-    let mut files = BTreeSet::new();
-    collect_files(&root.join("scenarios"), "toml", &mut files);
-    for path in files {
-        let rel = rel_path(root, &path);
-        let src =
-            fs::read_to_string(&path).map_err(|e| format!("{rel}: unreadable scenario: {e}"))?;
-        schema::validate_scenario(&rel, &src, &keys, &mut report.findings);
-        report.scenarios_checked += 1;
-    }
-    Ok(())
-}
-
-/// The full `--workspace` pass: Rust tree + scenario schema, findings
-/// sorted deterministically.
-///
-/// # Errors
-/// As [`scan_rust_tree`] and [`scan_scenarios`].
+/// As [`scan_rust_tree`].
 pub fn scan_workspace(root: &Path) -> Result<Report, String> {
-    let mut report = Report {
-        findings: Vec::new(),
-        allows: AllowCounts::default(),
-        files_scanned: 0,
-        scenarios_checked: 0,
-    };
+    let mut report = Report::default();
     scan_rust_tree(root, &mut report)?;
-    scan_scenarios(root, &mut report)?;
     report
         .findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
@@ -302,7 +272,6 @@ mod tests {
             }],
             allows: AllowCounts { declared: 2, used: 1 },
             files_scanned: 5,
-            scenarios_checked: 7,
         };
         let json = report.to_json();
         assert!(json.contains("\"file\":\"a\\\\b.rs\""));

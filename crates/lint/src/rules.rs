@@ -11,7 +11,7 @@
 
 use crate::lexer::{code_tokens, lex, Token, TokenKind};
 use crate::Finding;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A registered rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -37,9 +37,6 @@ pub enum Rule {
     /// pool goes through the index-ordered `par_map`, so no hand-rolled
     /// pool can let scheduling order leak into results.
     ThreadPool,
-    /// Scenario TOML keys outside the surface `apply_param` recognizes:
-    /// a typoed key or sweep axis must fail CI, not silently no-op.
-    ScenarioSchema,
     /// A malformed `ssplane-lint: allow(...)` annotation (unknown rule,
     /// missing `-- justification`). Not suppressible.
     BadAllow,
@@ -54,12 +51,11 @@ impl Rule {
             Rule::UnseededRng => "unseeded-rng",
             Rule::LossyCast => "lossy-cast",
             Rule::ThreadPool => "thread-pool",
-            Rule::ScenarioSchema => "scenario-schema",
             Rule::BadAllow => "bad-allow",
         }
     }
 
-    /// Parses a registry name (the six public rules only — `bad-allow`
+    /// Parses a registry name (the five public rules only — `bad-allow`
     /// findings cannot be allowed away).
     pub fn parse(s: &str) -> Option<Rule> {
         match s {
@@ -68,21 +64,14 @@ impl Rule {
             "unseeded-rng" => Some(Rule::UnseededRng),
             "lossy-cast" => Some(Rule::LossyCast),
             "thread-pool" => Some(Rule::ThreadPool),
-            "scenario-schema" => Some(Rule::ScenarioSchema),
             _ => None,
         }
     }
 }
 
 /// Every public rule, in registry order.
-pub const ALL_RULES: [Rule; 6] = [
-    Rule::HashIter,
-    Rule::WallClock,
-    Rule::UnseededRng,
-    Rule::LossyCast,
-    Rule::ThreadPool,
-    Rule::ScenarioSchema,
-];
+pub const ALL_RULES: [Rule; 5] =
+    [Rule::HashIter, Rule::WallClock, Rule::UnseededRng, Rule::LossyCast, Rule::ThreadPool];
 
 /// One parsed `// ssplane-lint: allow(rule, ...) -- justification`.
 #[derive(Debug, Clone)]
@@ -411,10 +400,6 @@ impl AllowCounts {
         self.used += table.used();
     }
 }
-
-/// Per-line allow map, exposed for the schema rule (TOML files share the
-/// annotation grammar via `#` comments — not currently used, reserved).
-pub type LineAllows = BTreeMap<usize, Vec<Allow>>;
 
 #[cfg(test)]
 mod tests {

@@ -164,6 +164,15 @@ count = 12
     fn unknown_axis_param_fails_at_load() {
         let err = sweep_from_toml("[sweep]\n\"demand.warp\" = [1]\n").unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownParameter { .. }), "{err}");
+        let err = sweep_from_toml("[sweep]\n\"attack.planes_lots\" = [0, 2]\n").unwrap_err();
+        assert!(err.to_string().contains("did you mean `attack.planes_lost`"), "{err}");
+        let err = sweep_from_toml("[sweep]\n\"made_up.knob\" = [1.0]\n").unwrap_err();
+        assert!(matches!(err, ScenarioError::UnknownParameter { hint: None, .. }), "{err}");
+        // `seed` is a real key, so the axis loads; expansion refuses it
+        // because it assigns every point's seed itself.
+        let sweep = sweep_from_toml("[sweep]\n\"seed\" = [1, 2, 3]\n").unwrap();
+        let err = sweep.expand().unwrap_err().to_string();
+        assert!(err.contains("seed") && err.contains("a sweep axis"), "{err}");
     }
 
     #[test]

@@ -24,10 +24,12 @@ pub enum ScenarioError {
         /// What went wrong.
         message: String,
     },
-    /// A sweep axis referenced a parameter the engine does not expose.
+    /// A config key or sweep axis is not in [`crate::sweep::PARAMS`].
     UnknownParameter {
         /// The dotted path as written.
         key: String,
+        /// The nearest known key, when one is within a few edits.
+        hint: Option<&'static str>,
     },
     /// A constellation-design or evaluation routine failed.
     Core(ssplane_core::CoreError),
@@ -68,8 +70,12 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Parse { line, message } => {
                 write!(f, "scenario config parse error at line {line}: {message}")
             }
-            ScenarioError::UnknownParameter { key } => {
-                write!(f, "unknown sweep parameter '{key}'")
+            ScenarioError::UnknownParameter { key, hint } => {
+                write!(f, "unknown scenario parameter '{key}'")?;
+                match hint {
+                    Some(hint) => write!(f, " — did you mean `{hint}`?"),
+                    None => Ok(()),
+                }
             }
             ScenarioError::Core(e) => write!(f, "design error: {e}"),
             ScenarioError::Lsn(e) => write!(f, "networking/survivability error: {e}"),

@@ -63,6 +63,8 @@ pub mod json;
 pub mod library;
 pub mod report;
 pub mod runner;
+#[cfg(test)]
+mod schema;
 pub mod spec;
 pub mod sweep;
 pub mod toml;

@@ -126,6 +126,26 @@ mod tests {
     }
 
     #[test]
+    fn every_scenario_file_is_a_builtin() {
+        // With this, `every_builtin_parses_and_expands` covers the whole
+        // directory: no file ships without the loader checking it.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+        let mut on_disk = 0;
+        for entry in std::fs::read_dir(&dir).expect("scenarios/ readable") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("toml") {
+                continue;
+            }
+            let stem = path.file_stem().and_then(|s| s.to_str()).expect("UTF-8 file name");
+            let builtin = find(stem).unwrap_or_else(|| panic!("{stem}.toml is not a builtin"));
+            let source = std::fs::read_to_string(&path).expect("scenario readable");
+            assert_eq!(builtin.toml, source, "{stem}: builtin embeds another file");
+            on_disk += 1;
+        }
+        assert_eq!(on_disk, BUILTINS.len(), "a builtin has no file of its name");
+    }
+
+    #[test]
     fn default_grid_has_at_least_24_points() {
         let grid = find("paper-grid").unwrap();
         assert!(sweep(grid).unwrap().expand().unwrap().len() >= 24);

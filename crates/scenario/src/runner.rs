@@ -687,6 +687,19 @@ fn run_attack_search(
 ) -> Result<(Vec<SatId>, AttackSearchReport)> {
     let config = spec.attack.search_config(threads);
     let n_net_planes = ctx.layout.kept.len();
+    // The search picks from the network constellation's planes or
+    // satellites; a larger budget would quietly clamp to all of them.
+    let (n_units, unit) = match spec.attack.unit {
+        AttackUnit::Planes => (n_net_planes, "planes"),
+        AttackUnit::Sats => (ctx.layout.total, "sats"),
+    };
+    if spec.attack.budget > n_units {
+        return Err(ScenarioError::bad_value(
+            "attack.budget",
+            &spec.attack.budget.to_string(),
+            &format!("at most the system's {n_units} network {unit}"),
+        ));
+    }
     let (baseline_name, baseline): (&str, Vec<SatId>) = match spec.attack.unit {
         AttackUnit::Planes => {
             let victims = strided_plane_indices(n_net_planes, spec.attack.budget)
@@ -1057,11 +1070,10 @@ fn run_scenario(
         };
         let evaluator: Option<DegradedEvaluator<'_>> = match &net_ctx {
             Some(ctx) => Some(clock.time(&format!("{name}.network.intact"), || {
-                // The spec's percolation knobs also configure the
-                // masking-threshold attack objective; only forward them
-                // when they are in-range (they are unvalidated while the
-                // percolation stage itself is off).
-                let (steps, gap) = (spec.network.percolation_steps, spec.network.percolation_gap);
+                // The percolation knobs also configure the
+                // masking-threshold attack objective, and the repair
+                // threshold the incremental scorer; `validate` checks all
+                // three whenever the network stage is on.
                 DegradedEvaluator::with_workload(
                     &ctx.series,
                     &ctx.flows,
@@ -1070,20 +1082,8 @@ fn run_scenario(
                     ctx.workload.as_ref(),
                 )
                 .map(|e| {
-                    let e = if steps >= 1 && gap.is_finite() && gap > 0.0 && gap < 1.0 {
-                        e.with_percolation(steps, gap)
-                    } else {
-                        e
-                    };
-                    // The incremental scorer's repair-fallback knob; like
-                    // the percolation knobs, forward it only when valid
-                    // (it is unvalidated for fixed attacks).
-                    let frac = spec.attack.damage_threshold;
-                    if frac.is_finite() && frac > 0.0 && frac <= 1.0 {
-                        e.with_repair_threshold(frac)
-                    } else {
-                        e
-                    }
+                    e.with_percolation(spec.network.percolation_steps, spec.network.percolation_gap)
+                        .with_repair_threshold(spec.attack.damage_threshold)
                 })
             })?),
             None => None,
@@ -1393,6 +1393,70 @@ mod tests {
         for (k, key) in [(0, "network.n_flows"), (2, "traffic.pairs")] {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_evaluator_knobs_fail_per_point() {
+        use crate::toml::TomlValue;
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        ok.network.slots = 2;
+        // A fixed attack and no percolation stage: none of the three
+        // knobs is used, yet each must be valid or fail its own point.
+        let bad = |key: &str, value: TomlValue| {
+            let mut spec = ok.clone();
+            crate::sweep::apply_param(&mut spec, key, &value).unwrap();
+            spec
+        };
+        let points = [
+            bad("attack.damage_threshold", TomlValue::Float(1.5)),
+            ok.clone(),
+            bad("network.percolation_steps", TomlValue::Int(0)),
+            bad("network.percolation_gap", TomlValue::Float(1.0)),
+        ];
+        let outcome = Runner::with_threads(1).run_specs(&points);
+        assert!(outcome.reports[1].is_ok());
+        for (k, key) in [
+            (0, "attack.damage_threshold"),
+            (2, "network.percolation_steps"),
+            (3, "network.percolation_gap"),
+        ] {
+            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
+            assert!(err.contains(key), "point {k}: {err}");
+        }
+    }
+
+    #[test]
+    fn attack_budget_beyond_the_candidate_space_fails_per_point() {
+        use crate::spec::{AttackKind, AttackUnit};
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.attack.kind = AttackKind::Optimized;
+        ok.attack.unit = AttackUnit::Planes;
+        ok.attack.budget = 2;
+        ok.attack.restarts = 1;
+        ok.attack.swaps = 3;
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        ok.network.slots = 2;
+        let mut planes = ok.clone();
+        planes.attack.budget = 1_000_000;
+        let mut sats = planes.clone();
+        sats.attack.unit = AttackUnit::Sats;
+        let outcome = Runner::with_threads(1).run_specs(&[planes, ok, sats]);
+        let report = outcome.reports[1].as_ref().expect("an in-range budget runs");
+        let design = &report.system("ss").unwrap().design;
+        for (k, n, unit) in [(0, design.planes, "planes"), (2, design.sats, "sats")] {
+            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
+            assert!(err.contains("attack.budget"), "{err}");
+            assert!(err.contains(&format!("at most the system's {n} network {unit}")), "{err}");
         }
     }
 

@@ -59,13 +59,7 @@ pub fn resolve_design_kind(s: &str) -> Result<&'static str> {
     }
     let names: Vec<&str> = DESIGNER_REGISTRY.iter().map(|&(n, _)| n).collect();
     let mut expected = names.join(" | ");
-    let near = names
-        .iter()
-        .map(|&n| (edit_distance(s, n), n))
-        .filter(|&(d, _)| d <= 3)
-        .min()
-        .map(|(_, n)| n);
-    if let Some(hint) = near {
+    if let Some(hint) = nearest(s, names.iter().copied()) {
         expected = format!("{expected} — did you mean `{hint}`?");
     }
     Err(ScenarioError::bad_value("design.kind", s, &expected))
@@ -82,8 +76,22 @@ pub fn parse_design_kinds(s: &str) -> Result<Vec<&'static str>> {
     resolve_design_kind(s).map(|k| vec![k])
 }
 
-/// Plain Levenshtein distance for the did-you-mean hint (designer names
-/// are short; the O(nm) table is fine).
+/// The did-you-mean hint for a rejected token or key: the candidate
+/// nearest to `s` within 3 edits (ties go to the alphabetically first).
+pub(crate) fn nearest<'c>(
+    s: &str,
+    candidates: impl IntoIterator<Item = &'c str>,
+) -> Option<&'c str> {
+    candidates
+        .into_iter()
+        .map(|c| (edit_distance(s, c), c))
+        .filter(|&(d, _)| d <= 3)
+        .min()
+        .map(|(_, c)| c)
+}
+
+/// Plain Levenshtein distance (designer names and scenario keys are
+/// short; the O(nm) table is fine).
 fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
@@ -590,7 +598,8 @@ pub struct AttackSpec {
     /// Candidate-set unit of the search ([`AttackKind::Optimized`]).
     pub unit: AttackUnit,
     /// Planes or satellites the searched attack may destroy
-    /// ([`AttackKind::Optimized`]; clamped to the constellation).
+    /// ([`AttackKind::Optimized`]; a budget above the system's network
+    /// plane or satellite count fails the point).
     pub budget: usize,
     /// Random-restart local searches after the greedy construction
     /// ([`AttackKind::Optimized`]).
@@ -601,7 +610,7 @@ pub struct AttackSpec {
     /// ([`AttackKind::Optimized`]): shortest-path-tree repairs touching
     /// more than this fraction of the constellation fall back to a full
     /// recompute. Purely a performance knob — results are byte-identical
-    /// either way. In `(0, 1]`.
+    /// either way. In `(0, 1]` whenever the network stage is on.
     pub damage_threshold: f64,
 }
 
@@ -935,18 +944,25 @@ impl ScenarioSpec {
                      network is the intact network)",
                 ));
             }
-            if self.network.percolation {
-                if self.network.percolation_steps == 0 {
-                    return Err(ScenarioError::bad_value("network.percolation_steps", "0", ">= 1"));
-                }
-                let gap = self.network.percolation_gap;
-                if !(gap.is_finite() && gap > 0.0 && gap < 1.0) {
-                    return Err(ScenarioError::bad_value(
-                        "network.percolation_gap",
-                        &gap.to_string(),
-                        "a fraction in (0, 1)",
-                    ));
-                }
+            // The stage's evaluator takes these three knobs whether or
+            // not the percolation stage or an attack search uses them.
+            if self.network.percolation_steps == 0 {
+                return Err(ScenarioError::bad_value("network.percolation_steps", "0", ">= 1"));
+            }
+            let gap = self.network.percolation_gap;
+            if !(gap.is_finite() && gap > 0.0 && gap < 1.0) {
+                return Err(ScenarioError::bad_value(
+                    "network.percolation_gap",
+                    &gap.to_string(),
+                    "a fraction in (0, 1)",
+                ));
+            }
+            if !unit(self.attack.damage_threshold) {
+                return Err(ScenarioError::bad_value(
+                    "attack.damage_threshold",
+                    &self.attack.damage_threshold.to_string(),
+                    "a fraction in (0, 1]",
+                ));
             }
         } else if self.network.percolation {
             return Err(ScenarioError::bad_value(
@@ -1212,9 +1228,41 @@ mod tests {
         }
         spec.network.percolation_gap = 0.1;
         spec.validate().unwrap();
-        // A disabled percolation stage does not police its knobs.
+        // The knobs are policed with the percolation stage off too (the
+        // network stage's evaluator takes them); a disabled network
+        // stage skips them.
         spec.network.percolation = false;
         spec.network.percolation_steps = 0;
+        assert!(spec.validate().is_err());
+        spec.network.enabled = false;
+        spec.validate().unwrap();
+    }
+
+    #[test]
+    fn evaluator_knobs_are_checked_whenever_the_network_runs() {
+        let mut spec = ScenarioSpec::named("x");
+        spec.network.enabled = true;
+        // A fixed attack and no percolation stage: the knobs still reach
+        // the network stage's evaluator, so they must be in range.
+        for bad in [0.0, -0.5, 1.5, f64::NAN] {
+            spec.attack.damage_threshold = bad;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("attack.damage_threshold"), "{bad}: {err}");
+        }
+        spec.attack.damage_threshold = 1.0;
+        spec.validate().unwrap();
+        spec.network.percolation_steps = 0;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(err.contains("network.percolation_steps"), "{err}");
+        spec.network.percolation_steps = 4;
+        for bad in [0.0, 1.0, f64::INFINITY] {
+            spec.network.percolation_gap = bad;
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains("network.percolation_gap"), "{bad}: {err}");
+        }
+        // With the network stage off no evaluator is built.
+        spec.network.enabled = false;
+        spec.attack.damage_threshold = 7.0;
         spec.validate().unwrap();
     }
 

@@ -12,7 +12,7 @@
 
 use crate::error::{Result, ScenarioError};
 use crate::spec::{
-    parse_branch_rule, parse_design_kinds, parse_objective, parse_supply_model,
+    nearest, parse_branch_rule, parse_design_kinds, parse_objective, parse_supply_model,
     resolve_design_kind, AttackKind, AttackUnit, FailureKind, ScenarioSpec, SolarActivity,
     TrafficModel,
 };
@@ -157,6 +157,16 @@ fn need_usize(key: &str, v: &TomlValue) -> Result<usize> {
         .ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a non-negative integer"))
 }
 
+fn need_u64(key: &str, v: &TomlValue) -> Result<u64> {
+    v.as_u64()
+        .ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a non-negative integer"))
+}
+
+fn need_u32(key: &str, v: &TomlValue) -> Result<u32> {
+    u32::try_from(need_usize(key, v)?)
+        .map_err(|_| ScenarioError::bad_value(key, &canonical_value(v), "a small positive integer"))
+}
+
 fn need_str<'v>(key: &str, v: &'v TomlValue) -> Result<&'v str> {
     v.as_str().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a string"))
 }
@@ -195,222 +205,225 @@ fn parse_ymd(key: &str, s: &str) -> Result<(i32, u32, u32)> {
     Ok((y, m, d))
 }
 
-/// Applies one dotted-path override to a spec. This is the *entire*
-/// config surface: the TOML loader funnels every `section.key` pair
-/// through here, so config files and sweep axes can address exactly the
-/// same knobs.
+/// How one key writes its value into a spec. The key is passed along
+/// for error messages.
+pub type Setter = fn(&mut ScenarioSpec, &str, &TomlValue) -> Result<()>;
+
+/// Every scenario key and its setter: the *entire* config surface. The
+/// TOML loader funnels every `section.key` pair and every sweep axis
+/// through [`apply_param`], so config files and sweep axes address
+/// exactly these knobs, and an unknown key's did-you-mean hint is drawn
+/// from this list.
+pub const PARAMS: &[(&str, Setter)] = &[
+    ("name", |s, k, v| need_str(k, v).map(|x| s.name = x.to_string())),
+    ("seed", |s, k, v| need_u64(k, v).map(|x| s.seed = x)),
+    // `design.kind` is the scalar spelling (kept for back-compat:
+    // `"both"` still selects the paper's SS + Walker pair);
+    // `design.kinds` is the open list form.
+    ("design.kind", |s, k, v| parse_design_kinds(need_str(k, v)?).map(|x| s.design.kinds = x)),
+    ("design.kinds", |s, k, v| {
+        let arr = v.as_array().ok_or_else(|| {
+            ScenarioError::bad_value(k, &canonical_value(v), "an array of design kinds")
+        })?;
+        let mut kinds = Vec::with_capacity(arr.len());
+        for item in arr {
+            kinds.push(resolve_design_kind(need_str(k, item)?)?);
+        }
+        if kinds.is_empty() {
+            return Err(ScenarioError::bad_value(k, "[]", "at least one design kind"));
+        }
+        s.design.kinds = kinds;
+        Ok(())
+    }),
+    ("design.altitude_km", |s, k, v| {
+        let alt = need_f64(k, v)?;
+        s.design.ss.altitude_km = alt;
+        s.design.wd.altitude_km = alt;
+        Ok(())
+    }),
+    ("design.min_elevation_deg", |s, k, v| {
+        let elev = need_f64(k, v)?;
+        s.design.ss.min_elevation_deg = elev;
+        s.design.wd.min_elevation_deg = elev;
+        s.design.rgt.min_elevation_deg = elev;
+        Ok(())
+    }),
+    ("design.sat_capacity", |s, k, v| {
+        let cap = need_f64(k, v)?;
+        s.design.ss.sat_capacity = cap;
+        s.design.wd.sat_capacity = cap;
+        s.design.rgt.sat_capacity = cap;
+        Ok(())
+    }),
+    ("design.rgt_revs", |s, k, v| need_u32(k, v).map(|x| s.design.rgt.revs = x)),
+    ("design.rgt_days", |s, k, v| need_u32(k, v).map(|x| s.design.rgt.days = x)),
+    ("design.rgt_inclination_deg", |s, k, v| {
+        need_f64(k, v).map(|x| s.design.rgt.inclination_deg = x)
+    }),
+    ("design.max_planes", |s, k, v| need_usize(k, v).map(|x| s.design.ss.max_planes = x)),
+    ("design.branch_rule", |s, k, v| {
+        parse_branch_rule(need_str(k, v)?).map(|x| s.design.ss.branch_rule = x)
+    }),
+    ("design.walker_shell_spacing_km", |s, k, v| {
+        need_f64(k, v).map(|x| s.design.wd.shell_spacing_km = x)
+    }),
+    ("design.walker_supply_model", |s, k, v| {
+        parse_supply_model(need_str(k, v)?).map(|x| s.design.wd.supply_model = x)
+    }),
+    ("design.walker_inclinations_deg", |s, k, v| {
+        let arr = v.as_array().ok_or_else(|| {
+            ScenarioError::bad_value(k, &canonical_value(v), "an array of degrees")
+        })?;
+        let mut incs = Vec::with_capacity(arr.len());
+        for item in arr {
+            incs.push(need_f64(k, item)?);
+        }
+        if incs.is_empty() {
+            return Err(ScenarioError::bad_value(k, "[]", "at least one inclination"));
+        }
+        s.design.wd.candidate_inclinations_deg = incs;
+        Ok(())
+    }),
+    ("design.slim_plane_factor", |s, k, v| need_f64(k, v).map(|x| s.design.slim_plane_factor = x)),
+    ("design.slim_min_planes", |s, k, v| need_usize(k, v).map(|x| s.design.slim_min_planes = x)),
+    ("design.starlink_scale", |s, k, v| need_f64(k, v).map(|x| s.design.starlink_scale = x)),
+    ("demand.total_demand_b", |s, k, v| need_f64(k, v).map(|x| s.demand.total_demand_b = x)),
+    ("demand.lat_bins", |s, k, v| need_usize(k, v).map(|x| s.demand.lat_bins = x)),
+    ("demand.tod_bins", |s, k, v| need_usize(k, v).map(|x| s.demand.tod_bins = x)),
+    ("demand.seed", |s, k, v| need_u64(k, v).map(|x| s.demand.seed = x)),
+    ("radiation.enabled", |s, k, v| need_bool(k, v).map(|x| s.radiation.enabled = x)),
+    ("radiation.solar", |s, k, v| {
+        SolarActivity::parse(need_str(k, v)?).map(|x| s.radiation.solar = x)
+    }),
+    ("radiation.epoch", |s, k, v| parse_ymd(k, need_str(k, v)?).map(|x| s.radiation.epoch_ymd = x)),
+    ("radiation.phases", |s, k, v| need_usize(k, v).map(|x| s.radiation.phases = x)),
+    ("radiation.step_s", |s, k, v| need_f64(k, v).map(|x| s.radiation.step_s = x)),
+    ("survivability.enabled", |s, k, v| need_bool(k, v).map(|x| s.survivability.enabled = x)),
+    ("survivability.horizon_years", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.horizon_years = x)
+    }),
+    ("survivability.resupply_days", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.resupply_days = x)
+    }),
+    ("survivability.per_satellite", |s, k, v| {
+        need_bool(k, v).map(|x| s.survivability.per_satellite = x)
+    }),
+    ("survivability.failure.kind", |s, k, v| {
+        FailureKind::parse(need_str(k, v)?).map(|x| s.survivability.failure_kind = x)
+    }),
+    ("survivability.failure.infant_shape", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.infant_shape = x)
+    }),
+    ("survivability.failure.infant_scale_years", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.infant_scale_years = x)
+    }),
+    ("survivability.failure.wearout_shape", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.wearout_shape = x)
+    }),
+    ("survivability.failure.wearout_scale_years", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.wearout_scale_years = x)
+    }),
+    ("survivability.failure.electron_accel", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.electron_accel = x)
+    }),
+    ("survivability.failure.proton_accel", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.weibull.proton_accel = x)
+    }),
+    ("failures.baseline_per_year", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.failure.baseline_per_year = x)
+    }),
+    ("failures.electron_coeff", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.failure.electron_coeff = x)
+    }),
+    ("failures.proton_coeff", |s, k, v| {
+        need_f64(k, v).map(|x| s.survivability.failure.proton_coeff = x)
+    }),
+    ("spares.policy", |s, k, v| {
+        let (count, replacement_days) = policy_parts(&s.survivability.policy);
+        s.survivability.policy = match need_str(k, v)? {
+            "per-plane" => SparePolicy::PerPlane { spares_per_plane: count, replacement_days },
+            "shared-pool" => SparePolicy::SharedPool { pool_size: count, replacement_days },
+            other => return Err(ScenarioError::bad_value(k, other, "per-plane | shared-pool")),
+        };
+        Ok(())
+    }),
+    ("spares.count", |s, k, v| {
+        let n = need_usize(k, v)?;
+        s.survivability.policy = match s.survivability.policy {
+            SparePolicy::PerPlane { replacement_days, .. } => {
+                SparePolicy::PerPlane { spares_per_plane: n, replacement_days }
+            }
+            SparePolicy::SharedPool { replacement_days, .. } => {
+                SparePolicy::SharedPool { pool_size: n, replacement_days }
+            }
+        };
+        Ok(())
+    }),
+    ("spares.replacement_days", |s, k, v| {
+        let days = need_f64(k, v)?;
+        s.survivability.policy = match s.survivability.policy {
+            SparePolicy::PerPlane { spares_per_plane, .. } => {
+                SparePolicy::PerPlane { spares_per_plane, replacement_days: days }
+            }
+            SparePolicy::SharedPool { pool_size, .. } => {
+                SparePolicy::SharedPool { pool_size, replacement_days: days }
+            }
+        };
+        Ok(())
+    }),
+    ("attack.kind", |s, k, v| AttackKind::parse(need_str(k, v)?).map(|x| s.attack.kind = x)),
+    ("attack.planes_lost", |s, k, v| need_usize(k, v).map(|x| s.attack.planes_lost = x)),
+    ("attack.sats_lost", |s, k, v| need_usize(k, v).map(|x| s.attack.sats_lost = x)),
+    ("attack.band_min_deg", |s, k, v| need_f64(k, v).map(|x| s.attack.band_min_deg = x)),
+    ("attack.band_max_deg", |s, k, v| need_f64(k, v).map(|x| s.attack.band_max_deg = x)),
+    ("attack.shell", |s, k, v| need_usize(k, v).map(|x| s.attack.shell = x)),
+    ("attack.objective", |s, k, v| {
+        parse_objective(need_str(k, v)?).map(|x| s.attack.objective = x)
+    }),
+    ("attack.unit", |s, k, v| AttackUnit::parse(need_str(k, v)?).map(|x| s.attack.unit = x)),
+    ("attack.budget", |s, k, v| need_usize(k, v).map(|x| s.attack.budget = x)),
+    ("attack.restarts", |s, k, v| need_usize(k, v).map(|x| s.attack.restarts = x)),
+    ("attack.swaps", |s, k, v| need_usize(k, v).map(|x| s.attack.swaps = x)),
+    ("attack.damage_threshold", |s, k, v| need_f64(k, v).map(|x| s.attack.damage_threshold = x)),
+    ("network.enabled", |s, k, v| need_bool(k, v).map(|x| s.network.enabled = x)),
+    ("network.with_outages", |s, k, v| need_bool(k, v).map(|x| s.network.with_outages = x)),
+    ("network.n_flows", |s, k, v| need_usize(k, v).map(|x| s.network.n_flows = x)),
+    ("network.utc_hour", |s, k, v| need_f64(k, v).map(|x| s.network.utc_hour = x)),
+    ("network.min_elevation_deg", |s, k, v| {
+        need_f64(k, v).map(|x| s.network.min_elevation_deg = x)
+    }),
+    ("network.max_range_km", |s, k, v| need_f64(k, v).map(|x| s.network.max_range_km = x)),
+    ("network.slots", |s, k, v| need_usize(k, v).map(|x| s.network.slots = x)),
+    ("network.slot_s", |s, k, v| need_f64(k, v).map(|x| s.network.slot_s = x)),
+    ("network.time_grid_slots", |s, k, v| need_usize(k, v).map(|x| s.network.time_grid_slots = x)),
+    ("network.time_grid_slot_s", |s, k, v| need_f64(k, v).map(|x| s.network.time_grid_slot_s = x)),
+    ("network.percolation", |s, k, v| need_bool(k, v).map(|x| s.network.percolation = x)),
+    ("network.percolation_steps", |s, k, v| {
+        need_usize(k, v).map(|x| s.network.percolation_steps = x)
+    }),
+    ("network.percolation_gap", |s, k, v| need_f64(k, v).map(|x| s.network.percolation_gap = x)),
+    ("traffic.model", |s, k, v| TrafficModel::parse(need_str(k, v)?).map(|x| s.traffic.model = x)),
+    ("traffic.pairs", |s, k, v| need_usize(k, v).map(|x| s.traffic.pairs = x)),
+    ("traffic.sites", |s, k, v| need_usize(k, v).map(|x| s.traffic.sites = x)),
+    ("traffic.capacity_gbps", |s, k, v| need_f64(k, v).map(|x| s.traffic.capacity_gbps = x)),
+    ("traffic.k_paths", |s, k, v| need_usize(k, v).map(|x| s.traffic.k_paths = x)),
+];
+
+/// Applies one dotted-path override to a spec: looks the key up in
+/// [`PARAMS`] and runs its setter.
 ///
 /// # Errors
-/// [`ScenarioError::UnknownParameter`] for paths outside the surface,
-/// [`ScenarioError::BadValue`] for un-coercible values.
+/// [`ScenarioError::UnknownParameter`] for keys outside [`PARAMS`] (with
+/// the nearest key as a hint), [`ScenarioError::BadValue`] for
+/// un-coercible values.
 pub fn apply_param(spec: &mut ScenarioSpec, key: &str, value: &TomlValue) -> Result<()> {
-    match key {
-        "name" => spec.name = need_str(key, value)?.to_string(),
-        "seed" => {
-            spec.seed = value.as_u64().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a non-negative integer")
-            })?;
-        }
-
-        // `design.kind` is the scalar spelling (kept for back-compat:
-        // `"both"` still selects the paper's SS + Walker pair);
-        // `design.kinds` is the open list form.
-        "design.kind" => spec.design.kinds = parse_design_kinds(need_str(key, value)?)?,
-        "design.kinds" => {
-            let arr = value.as_array().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "an array of design kinds")
-            })?;
-            let mut kinds = Vec::with_capacity(arr.len());
-            for item in arr {
-                kinds.push(resolve_design_kind(need_str(key, item)?)?);
-            }
-            if kinds.is_empty() {
-                return Err(ScenarioError::bad_value(key, "[]", "at least one design kind"));
-            }
-            spec.design.kinds = kinds;
-        }
-        "design.altitude_km" => {
-            let alt = need_f64(key, value)?;
-            spec.design.ss.altitude_km = alt;
-            spec.design.wd.altitude_km = alt;
-        }
-        "design.min_elevation_deg" => {
-            let elev = need_f64(key, value)?;
-            spec.design.ss.min_elevation_deg = elev;
-            spec.design.wd.min_elevation_deg = elev;
-            spec.design.rgt.min_elevation_deg = elev;
-        }
-        "design.sat_capacity" => {
-            let cap = need_f64(key, value)?;
-            spec.design.ss.sat_capacity = cap;
-            spec.design.wd.sat_capacity = cap;
-            spec.design.rgt.sat_capacity = cap;
-        }
-        "design.rgt_revs" => {
-            spec.design.rgt.revs = u32::try_from(need_usize(key, value)?).map_err(|_| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a small positive integer")
-            })?;
-        }
-        "design.rgt_days" => {
-            spec.design.rgt.days = u32::try_from(need_usize(key, value)?).map_err(|_| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a small positive integer")
-            })?;
-        }
-        "design.rgt_inclination_deg" => {
-            spec.design.rgt.inclination_deg = need_f64(key, value)?;
-        }
-        "design.max_planes" => spec.design.ss.max_planes = need_usize(key, value)?,
-        "design.branch_rule" => {
-            spec.design.ss.branch_rule = parse_branch_rule(need_str(key, value)?)?;
-        }
-        "design.walker_shell_spacing_km" => {
-            spec.design.wd.shell_spacing_km = need_f64(key, value)?;
-        }
-        "design.walker_supply_model" => {
-            spec.design.wd.supply_model = parse_supply_model(need_str(key, value)?)?;
-        }
-        "design.walker_inclinations_deg" => {
-            let arr = value.as_array().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "an array of degrees")
-            })?;
-            let mut incs = Vec::with_capacity(arr.len());
-            for item in arr {
-                incs.push(need_f64(key, item)?);
-            }
-            if incs.is_empty() {
-                return Err(ScenarioError::bad_value(key, "[]", "at least one inclination"));
-            }
-            spec.design.wd.candidate_inclinations_deg = incs;
-        }
-        "design.slim_plane_factor" => spec.design.slim_plane_factor = need_f64(key, value)?,
-        "design.slim_min_planes" => spec.design.slim_min_planes = need_usize(key, value)?,
-        "design.starlink_scale" => spec.design.starlink_scale = need_f64(key, value)?,
-
-        "demand.total_demand_b" => spec.demand.total_demand_b = need_f64(key, value)?,
-        "demand.lat_bins" => spec.demand.lat_bins = need_usize(key, value)?,
-        "demand.tod_bins" => spec.demand.tod_bins = need_usize(key, value)?,
-        "demand.seed" => {
-            spec.demand.seed = value.as_u64().ok_or_else(|| {
-                ScenarioError::bad_value(key, &canonical_value(value), "a non-negative integer")
-            })?;
-        }
-
-        "radiation.enabled" => spec.radiation.enabled = need_bool(key, value)?,
-        "radiation.solar" => spec.radiation.solar = SolarActivity::parse(need_str(key, value)?)?,
-        "radiation.epoch" => spec.radiation.epoch_ymd = parse_ymd(key, need_str(key, value)?)?,
-        "radiation.phases" => spec.radiation.phases = need_usize(key, value)?,
-        "radiation.step_s" => spec.radiation.step_s = need_f64(key, value)?,
-
-        "survivability.enabled" => spec.survivability.enabled = need_bool(key, value)?,
-        "survivability.horizon_years" => {
-            spec.survivability.horizon_years = need_f64(key, value)?;
-        }
-        "survivability.resupply_days" => {
-            spec.survivability.resupply_days = need_f64(key, value)?;
-        }
-        "survivability.per_satellite" => {
-            spec.survivability.per_satellite = need_bool(key, value)?;
-        }
-        "survivability.failure.kind" => {
-            spec.survivability.failure_kind = FailureKind::parse(need_str(key, value)?)?;
-        }
-        "survivability.failure.infant_shape" => {
-            spec.survivability.weibull.infant_shape = need_f64(key, value)?;
-        }
-        "survivability.failure.infant_scale_years" => {
-            spec.survivability.weibull.infant_scale_years = need_f64(key, value)?;
-        }
-        "survivability.failure.wearout_shape" => {
-            spec.survivability.weibull.wearout_shape = need_f64(key, value)?;
-        }
-        "survivability.failure.wearout_scale_years" => {
-            spec.survivability.weibull.wearout_scale_years = need_f64(key, value)?;
-        }
-        "survivability.failure.electron_accel" => {
-            spec.survivability.weibull.electron_accel = need_f64(key, value)?;
-        }
-        "survivability.failure.proton_accel" => {
-            spec.survivability.weibull.proton_accel = need_f64(key, value)?;
-        }
-        "failures.baseline_per_year" => {
-            spec.survivability.failure.baseline_per_year = need_f64(key, value)?;
-        }
-        "failures.electron_coeff" => {
-            spec.survivability.failure.electron_coeff = need_f64(key, value)?;
-        }
-        "failures.proton_coeff" => {
-            spec.survivability.failure.proton_coeff = need_f64(key, value)?;
-        }
-
-        "spares.policy" => {
-            let (count, replacement_days) = policy_parts(&spec.survivability.policy);
-            spec.survivability.policy = match need_str(key, value)? {
-                "per-plane" => SparePolicy::PerPlane { spares_per_plane: count, replacement_days },
-                "shared-pool" => SparePolicy::SharedPool { pool_size: count, replacement_days },
-                other => {
-                    return Err(ScenarioError::bad_value(key, other, "per-plane | shared-pool"))
-                }
-            };
-        }
-        "spares.count" => {
-            let n = need_usize(key, value)?;
-            spec.survivability.policy = match spec.survivability.policy {
-                SparePolicy::PerPlane { replacement_days, .. } => {
-                    SparePolicy::PerPlane { spares_per_plane: n, replacement_days }
-                }
-                SparePolicy::SharedPool { replacement_days, .. } => {
-                    SparePolicy::SharedPool { pool_size: n, replacement_days }
-                }
-            };
-        }
-        "spares.replacement_days" => {
-            let days = need_f64(key, value)?;
-            spec.survivability.policy = match spec.survivability.policy {
-                SparePolicy::PerPlane { spares_per_plane, .. } => {
-                    SparePolicy::PerPlane { spares_per_plane, replacement_days: days }
-                }
-                SparePolicy::SharedPool { pool_size, .. } => {
-                    SparePolicy::SharedPool { pool_size, replacement_days: days }
-                }
-            };
-        }
-
-        "attack.kind" => spec.attack.kind = AttackKind::parse(need_str(key, value)?)?,
-        "attack.planes_lost" => spec.attack.planes_lost = need_usize(key, value)?,
-        "attack.sats_lost" => spec.attack.sats_lost = need_usize(key, value)?,
-        "attack.band_min_deg" => spec.attack.band_min_deg = need_f64(key, value)?,
-        "attack.band_max_deg" => spec.attack.band_max_deg = need_f64(key, value)?,
-        "attack.shell" => spec.attack.shell = need_usize(key, value)?,
-        "attack.objective" => spec.attack.objective = parse_objective(need_str(key, value)?)?,
-        "attack.unit" => spec.attack.unit = AttackUnit::parse(need_str(key, value)?)?,
-        "attack.budget" => spec.attack.budget = need_usize(key, value)?,
-        "attack.restarts" => spec.attack.restarts = need_usize(key, value)?,
-        "attack.swaps" => spec.attack.swaps = need_usize(key, value)?,
-        "attack.damage_threshold" => spec.attack.damage_threshold = need_f64(key, value)?,
-
-        "network.enabled" => spec.network.enabled = need_bool(key, value)?,
-        "network.with_outages" => spec.network.with_outages = need_bool(key, value)?,
-        "network.n_flows" => spec.network.n_flows = need_usize(key, value)?,
-        "network.utc_hour" => spec.network.utc_hour = need_f64(key, value)?,
-        "network.min_elevation_deg" => spec.network.min_elevation_deg = need_f64(key, value)?,
-        "network.max_range_km" => spec.network.max_range_km = need_f64(key, value)?,
-        "network.slots" => spec.network.slots = need_usize(key, value)?,
-        "network.slot_s" => spec.network.slot_s = need_f64(key, value)?,
-        "network.time_grid_slots" => spec.network.time_grid_slots = need_usize(key, value)?,
-        "network.time_grid_slot_s" => spec.network.time_grid_slot_s = need_f64(key, value)?,
-        "network.percolation" => spec.network.percolation = need_bool(key, value)?,
-        "network.percolation_steps" => spec.network.percolation_steps = need_usize(key, value)?,
-        "network.percolation_gap" => spec.network.percolation_gap = need_f64(key, value)?,
-
-        "traffic.model" => spec.traffic.model = TrafficModel::parse(need_str(key, value)?)?,
-        "traffic.pairs" => spec.traffic.pairs = need_usize(key, value)?,
-        "traffic.sites" => spec.traffic.sites = need_usize(key, value)?,
-        "traffic.capacity_gbps" => spec.traffic.capacity_gbps = need_f64(key, value)?,
-        "traffic.k_paths" => spec.traffic.k_paths = need_usize(key, value)?,
-
-        _ => return Err(ScenarioError::UnknownParameter { key: key.to_string() }),
+    match PARAMS.iter().find(|&&(k, _)| k == key) {
+        Some((_, set)) => set(spec, key, value),
+        None => Err(ScenarioError::UnknownParameter {
+            key: key.to_string(),
+            hint: nearest(key, PARAMS.iter().map(|&(k, _)| k)),
+        }),
     }
-    Ok(())
 }
 
 /// The `(count, replacement_days)` of either policy variant.
@@ -487,6 +500,29 @@ mod tests {
         let mut spec = ScenarioSpec::named("x");
         let err = apply_param(&mut spec, "demand.flux_capacitor", &TomlValue::Int(1)).unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownParameter { .. }));
+
+        // Corrupted files fail at load: a renamed section in a shipped
+        // scenario, a typo'd key (with the nearest key as a hint) and a
+        // made-up section.
+        let baseline = crate::library::find("baseline").unwrap().toml;
+        let corrupt = baseline.replacen("[spares]", "[spare]", 1);
+        assert_ne!(baseline, corrupt, "corruption did not apply");
+        let err = crate::config::sweep_from_toml(&corrupt).unwrap_err().to_string();
+        assert!(err.contains("'spare.") && err.contains("did you mean `spares."), "{err}");
+        let err =
+            crate::config::sweep_from_toml("[attack]\nplanes_lots = 2\n").unwrap_err().to_string();
+        assert!(err.contains("did you mean `attack.planes_lost`"), "{err}");
+        let err = crate::config::sweep_from_toml("[made_up]\nknob = 1.0\n").unwrap_err();
+        assert_eq!(err, ScenarioError::UnknownParameter { key: "made_up.knob".into(), hint: None });
+    }
+
+    #[test]
+    fn param_keys_are_unique() {
+        // A repeated key would shadow its second setter without a word.
+        let mut keys: Vec<&str> = PARAMS.iter().map(|&(k, _)| k).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), PARAMS.len(), "duplicate key in PARAMS");
     }
 
     #[test]
