@@ -1,11 +1,14 @@
 //! Deterministic data parallelism: the workspace's one thread pool.
 //!
-//! Every intra-process parallel loop — snapshot builds, gravity draws,
-//! candidate scoring, attack refinement, and the sweep runner itself —
-//! goes through [`par_map`]. Workers claim items off one shared queue
-//! and every result is put back at its item's index, so the output is
-//! in input order and identical for every thread count: threads change
-//! how fast a result arrives, never what it is.
+//! Every intra-process parallel loop goes through [`par_map`]: snapshot
+//! builds, gravity draws, candidate scoring, attack refinement, the
+//! per-slot loops of a network point (intact evaluator build, degraded
+//! pass, λ₂ and percolation sweeps) and the sweep runner itself. Workers
+//! claim items off one shared queue and every result is put back at its
+//! item's index, so the output is in input order and identical for every
+//! thread count: threads change how fast a result arrives, never what it
+//! is. The calling thread is one of the workers, so a pool of `n` workers
+//! spawns `n - 1` threads.
 //!
 //! ```
 //! use ssplane_astro::par::par_map;
@@ -37,10 +40,12 @@ pub fn workers(threads: usize, jobs: usize) -> usize {
     budget(threads).clamp(1, jobs.max(1))
 }
 
-/// Maps `f` over `items` on [`workers`]`(threads, items.len())` scoped
-/// threads, returning the results in input order.
+/// Maps `f` over `items` on [`workers`]`(threads, items.len())` workers,
+/// returning the results in input order.
 ///
-/// With one worker it runs inline on the calling thread. Items move
+/// The calling thread is a worker too: it runs items next to
+/// `workers - 1` scoped threads, and with one worker it runs them all
+/// inline. Items move
 /// into `f` by value, so disjoint `&mut` chunks of one buffer can be
 /// written in place. A `Result`-valued map collects to its lowest-index
 /// error, whatever the thread count. A panic in `f` panics the caller
@@ -58,18 +63,20 @@ pub fn par_map<T: Send, R: Send>(
     let queue = Mutex::new(items.into_iter().enumerate());
     let slots: Vec<Mutex<Option<R>>> =
         std::iter::repeat_with(|| Mutex::new(None)).take(n).collect();
+    let worker = || loop {
+        // The guard drops at the end of this statement, so `f` runs
+        // outside the lock.
+        let Some((i, item)) = queue.lock().expect("par_map queue poisoned").next() else {
+            break;
+        };
+        let r = f(item);
+        *slots[i].lock().expect("par_map slot poisoned") = Some(r);
+    };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // The guard drops at the end of this statement, so `f`
-                // runs outside the lock.
-                let Some((i, item)) = queue.lock().expect("par_map queue poisoned").next() else {
-                    break;
-                };
-                let r = f(item);
-                *slots[i].lock().expect("par_map slot poisoned") = Some(r);
-            });
+        for _ in 1..workers {
+            scope.spawn(worker);
         }
+        worker();
     });
     slots
         .into_iter()
@@ -119,6 +126,30 @@ mod tests {
             i
         });
         assert_eq!(out, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // A barrier pair on items 0 and 1 makes both workers take an
+        // item, so the caller must run one whoever reaches the queue
+        // first.
+        let caller = std::thread::current().id();
+        let pair = Barrier::new(2);
+        let ids = par_map((0..6).collect(), 2, |i: usize| {
+            if i < 2 {
+                pair.wait();
+            }
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "no item ran on the calling thread");
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert!(distinct.len() <= workers(2, ids.len()), "{} threads ran items", distinct.len());
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_item_panics_the_caller() {
+        par_map((0..8).collect(), 3, |i: usize| assert!(i != 3, "item {i}"));
     }
 
     #[test]

@@ -115,12 +115,33 @@ pub fn grid_demand_total(model: &DemandModel, utc_hour: f64) -> f64 {
     total
 }
 
+/// A grid cell's `(mass, lat index, lon index)`.
+type Cell = (f64, usize, usize);
+
+/// Orders cells heaviest first, ties by cell index.
+fn heaviest_first(a: &Cell, b: &Cell) -> std::cmp::Ordering {
+    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then((a.1, a.2).cmp(&(b.1, b.2)))
+}
+
+/// The first `n` of `cells` under [`heaviest_first`], in that order:
+/// partitions the heaviest `n` to the front, then sorts only those.
+/// Finite masses and unique `(i, j)` make the comparator a total order,
+/// so the result equals a full sort's prefix.
+fn heaviest_cells(mut cells: Vec<Cell>, n: usize) -> Vec<Cell> {
+    if n < cells.len() {
+        cells.select_nth_unstable_by(n, heaviest_first);
+        cells.truncate(n);
+    }
+    cells.sort_unstable_by(heaviest_first);
+    cells
+}
+
 /// The top `n_sites` grid cells by demand mass at `utc_hour`, heaviest
 /// first (ties break on cell index, so the selection is deterministic).
 /// Cells with zero mass never become sites.
 pub fn gravity_sites(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<GravitySite> {
     let grid = &model.population;
-    let mut cells: Vec<(f64, usize, usize)> = Vec::with_capacity(grid.lat_bins() * grid.lon_bins());
+    let mut cells: Vec<Cell> = Vec::with_capacity(grid.lat_bins() * grid.lon_bins());
     for i in 0..grid.lat_bins() {
         let area = grid.cell_area_km2(i);
         let lat = grid.lat_center_deg(i);
@@ -131,11 +152,7 @@ pub fn gravity_sites(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<
             }
         }
     }
-    cells.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then((a.1, a.2).cmp(&(b.1, b.2)))
-    });
-    cells.truncate(n_sites);
-    cells
+    heaviest_cells(cells, n_sites)
         .into_iter()
         .map(|(mass, i, j)| GravitySite {
             lat_deg: grid.lat_center_deg(i),
@@ -241,20 +258,19 @@ pub fn gravity_flows(
         });
     }
     let scale = grid_demand_total(model, config.utc_hour) / weight_sum;
-    Ok(chunks
-        .iter()
-        .flatten()
-        .map(|&(s, d, w)| {
-            let (s, d) = (&sites[s as usize], &sites[d as usize]);
-            GravityFlow {
-                src_lat_deg: s.lat_deg,
-                src_lon_deg: s.lon_deg,
-                dst_lat_deg: d.lat_deg,
-                dst_lon_deg: d.lon_deg,
-                rate: w * scale,
-            }
-        })
-        .collect())
+    // `flatten` hides the length, so presize instead of growing by doubling.
+    let mut flows = Vec::with_capacity(config.pairs);
+    flows.extend(chunks.iter().flatten().map(|&(s, d, w)| {
+        let (s, d) = (&sites[s as usize], &sites[d as usize]);
+        GravityFlow {
+            src_lat_deg: s.lat_deg,
+            src_lon_deg: s.lon_deg,
+            dst_lat_deg: d.lat_deg,
+            dst_lon_deg: d.lon_deg,
+            rate: w * scale,
+        }
+    }));
+    Ok(flows)
 }
 
 #[cfg(test)]
@@ -344,6 +360,30 @@ mod tests {
         assert!(gravity_flows(&m, &GravityConfig { sites: 1, ..Default::default() }, 1).is_err());
         assert!(gravity_flows(&m, &GravityConfig { deterrence_km: 0.0, ..Default::default() }, 1)
             .is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The partial selection keeps exactly the prefix the full stable
+        /// sort keeps, in the same order — also when every cell is kept
+        /// and when masses tie.
+        #[test]
+        fn selection_equals_the_full_sort(
+            masses in proptest::collection::vec(0u8..6, 1..200),
+            lon_bins in 1usize..12,
+            n in 0usize..240,
+        ) {
+            let cells: Vec<Cell> = masses
+                .iter()
+                .enumerate()
+                .map(|(k, &m)| (f64::from(m) * 0.25, k / lon_bins, k % lon_bins))
+                .collect();
+            let mut full = cells.clone();
+            full.sort_by(heaviest_first);
+            full.truncate(n);
+            prop_assert_eq!(heaviest_cells(cells, n), full);
+        }
     }
 
     proptest! {

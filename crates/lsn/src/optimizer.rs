@@ -221,39 +221,61 @@ impl<'a> DegradedEvaluator<'a> {
         config: GridTopologyConfig,
         workload: Option<&'a TrafficWorkload>,
     ) -> Result<Self> {
+        Self::with_workload_threads(series, flows, min_elevation, config, workload, 1)
+    }
+
+    /// [`Self::with_workload`], building the slots on `threads` workers
+    /// (`0` = the machine) through [`par_map`], one job per slot. The
+    /// topologies and intact evaluations are identical for every thread
+    /// count.
+    ///
+    /// # Errors
+    /// Propagates topology or traffic-assignment failure (the lowest
+    /// failing slot's, whatever the thread count).
+    pub fn with_workload_threads(
+        series: &'a SnapshotSeries,
+        flows: &'a [Flow],
+        min_elevation: f64,
+        config: GridTopologyConfig,
+        workload: Option<&'a TrafficWorkload>,
+        threads: usize,
+    ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
         let all_alive = vec![true; series.n_sats()];
-        let mut topologies = Vec::with_capacity(series.len());
-        let mut intact = Vec::with_capacity(series.len());
-        for snapshot in series.iter() {
-            let topology = Topology::plus_grid(&snapshot, config)?;
-            let traffic = assign_traffic_with_capacity(
-                &snapshot,
-                &topology,
-                flows,
-                min_elevation,
-                link_capacity,
-            )?;
-            let served = workload
-                .map(|w| {
-                    assign_capacity_constrained(
-                        &snapshot,
-                        &topology,
-                        &w.flows,
-                        min_elevation,
-                        &w.capacity,
-                    )
-                })
-                .transpose()?;
-            intact.push(SlotEvaluation {
-                connected: topology.is_connected(),
-                largest_component: topology.largest_component_among(&all_alive),
-                alive: series.n_sats(),
-                traffic,
-                served,
-            });
-            topologies.push(topology);
-        }
+        let slots: Vec<(Topology, SlotEvaluation)> =
+            par_map((0..series.len()).collect(), threads, |k| {
+                let snapshot = series.snapshot(k);
+                let topology = Topology::plus_grid(&snapshot, config)?;
+                let traffic = assign_traffic_with_capacity(
+                    &snapshot,
+                    &topology,
+                    flows,
+                    min_elevation,
+                    link_capacity,
+                )?;
+                let served = workload
+                    .map(|w| {
+                        assign_capacity_constrained(
+                            &snapshot,
+                            &topology,
+                            &w.flows,
+                            min_elevation,
+                            &w.capacity,
+                        )
+                    })
+                    .transpose()?;
+                let evaluation = SlotEvaluation {
+                    connected: topology.is_connected(),
+                    largest_component: topology.largest_component_among(&all_alive),
+                    alive: series.n_sats(),
+                    traffic,
+                    served,
+                };
+                Ok((topology, evaluation))
+            })
+            .into_iter()
+            .collect::<Result<_>>()?;
+        let (topologies, intact): (Vec<Topology>, Vec<SlotEvaluation>) = slots.into_iter().unzip();
         let intact_mean_link_load = intact.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>()
             / intact.len().max(1) as f64;
         let spread_order =
@@ -929,6 +951,38 @@ mod tests {
         // evaluate(None) returns the cache.
         let again = evaluator.evaluate(None).unwrap();
         assert_eq!(again[0].traffic.routed, evaluator.intact()[0].traffic.routed);
+    }
+
+    #[test]
+    fn slot_parallel_build_matches_the_serial_one() {
+        let c = constellation(6, 12);
+        let flows = city_flows();
+        let (series, flows) = evaluator_fixture(&c, &flows, 4);
+        let workload = capacity_workload();
+        let build = |threads| {
+            DegradedEvaluator::with_workload_threads(
+                &series,
+                &flows,
+                20f64.to_radians(),
+                Default::default(),
+                Some(&workload),
+                threads,
+            )
+            .unwrap()
+        };
+        let (serial, pooled) = (build(1), build(3));
+        assert!(serial.intact().iter().all(|e| e.served.is_some()), "the engine ran");
+        // Debug output spells every float exactly, so equal strings mean
+        // bit-equal evaluations and link sets.
+        assert_eq!(format!("{:?}", serial.intact()), format!("{:?}", pooled.intact()));
+        for k in 0..serial.n_slots() {
+            assert_eq!(
+                format!("{:?}", serial.intact_topology(k)),
+                format!("{:?}", pooled.intact_topology(k)),
+                "slot {k}"
+            );
+        }
+        assert_eq!(serial.intact_mean_link_load(), pooled.intact_mean_link_load());
     }
 
     #[test]

@@ -55,6 +55,7 @@ use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
 use ssplane_lsn::LsnError;
 use ssplane_radiation::fluence::DailyFluence;
 use ssplane_radiation::RadiationEnvironment;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -578,47 +579,27 @@ fn network_layout(sys: &DesignedSystem) -> NetworkLayout {
     NetworkLayout { kept, net_plane_of_design, offsets, plane_sats, total: acc }
 }
 
-/// Everything the network-facing stages share for one designed system:
-/// the network constellation, the batch-propagated traffic-grid
-/// [`SnapshotSeries`], the demand-weighted flow sample, and the
-/// design↔network plane mapping. Built once per system — the attack
-/// search and the network report ride the same propagation cache, so an
-/// optimized attack never costs a second build.
-struct NetworkContext {
-    constellation: Constellation,
-    topo_config: GridTopologyConfig,
-    min_elev: f64,
-    t: Epoch,
-    grid: Vec<Epoch>,
-    series: SnapshotSeries,
+/// The traffic a network point offers: the demand-weighted flow sample
+/// and, with `traffic.model = "gravity"`, the population-scale workload.
+/// Both depend only on the spec and the demand model, never on the
+/// system, so a point builds them once and every system's
+/// [`NetworkContext`] borrows them.
+struct TrafficInputs {
     flows: Vec<Flow>,
-    layout: NetworkLayout,
-    /// The population-scale gravity workload (`traffic.model =
-    /// "gravity"`), in satellite-capacity units: the emitted rates are
-    /// rescaled so the total offered demand equals
-    /// `demand.total_demand_b`.
+    /// The population-scale gravity workload, in satellite-capacity
+    /// units: the emitted rates are rescaled so the total offered demand
+    /// equals `demand.total_demand_b`.
     workload: Option<TrafficWorkload>,
 }
 
-/// Builds the [`NetworkContext`]: one parallel snapshot build over the
-/// traffic grid (`build_threads` scoped workers, `0` = the machine) and
-/// one seeded flow sample.
-fn network_context(
+/// Builds the point's [`TrafficInputs`]: one seeded flow sample and, when
+/// asked for, the gravity workload (its pair draws on `point_threads`
+/// workers, `0` = the machine).
+fn traffic_inputs(
     spec: &ScenarioSpec,
     model: &DemandModel,
-    sys: &DesignedSystem,
-    epoch: Epoch,
-    build_threads: usize,
-) -> Result<NetworkContext> {
-    let constellation = Constellation::from_planes(epoch, sys.network_planes())?;
-    let topo_config = GridTopologyConfig {
-        max_range_km: spec.network.max_range_km,
-        ..GridTopologyConfig::default()
-    };
-    let t = epoch + spec.network.utc_hour * 3600.0;
-    let grid_slots = spec.network.time_grid_slots.max(1);
-    let grid = time_grid(t, grid_slots, spec.network.time_grid_slot_s);
-    let series = SnapshotSeries::build_parallel(&constellation, &grid, build_threads)?;
+    point_threads: usize,
+) -> Result<TrafficInputs> {
     // Flow endpoints are demand-weighted; the stream is derived from the
     // scenario seed so sweeps decorrelate. One flow set is routed at
     // every slot (the grid varies the geometry, not the demand sample).
@@ -628,8 +609,6 @@ fn network_context(
         spec.network.n_flows,
         spec.seed.wrapping_add(0x9E37_79B9),
     );
-    let layout = network_layout(sys);
-    debug_assert_eq!(layout.total, series.n_sats(), "network layout mismatch");
     // The gravity workload, when asked for: seeded pair sampling over the
     // same demand model, rescaled so the offered total is the scenario's
     // `demand.total_demand_b` (satellite-capacity units — the same units
@@ -642,7 +621,7 @@ fn network_context(
             seed: spec.seed ^ TRAFFIC_SEED_SALT,
             ..GravityConfig::default()
         };
-        let gravity = gravity_flows(model, &config, build_threads)?;
+        let gravity = gravity_flows(model, &config, point_threads)?;
         let total = grid_demand_total(model, spec.network.utc_hour);
         Some(TrafficWorkload::from_gravity(
             &gravity,
@@ -655,6 +634,47 @@ fn network_context(
     } else {
         None
     };
+    Ok(TrafficInputs { flows, workload })
+}
+
+/// Everything the network-facing stages share for one designed system:
+/// the network constellation, the batch-propagated traffic-grid
+/// [`SnapshotSeries`], the point's borrowed [`TrafficInputs`], and the
+/// design↔network plane mapping. Built once per system — the attack
+/// search and the network report ride the same propagation cache, so an
+/// optimized attack never costs a second build.
+struct NetworkContext<'t> {
+    constellation: Constellation,
+    topo_config: GridTopologyConfig,
+    min_elev: f64,
+    t: Epoch,
+    grid: Vec<Epoch>,
+    series: SnapshotSeries,
+    traffic: &'t TrafficInputs,
+    layout: NetworkLayout,
+}
+
+/// Builds the [`NetworkContext`]: one parallel snapshot build over the
+/// traffic grid (`point_threads` workers, `0` = the machine) around the
+/// point's shared `traffic`.
+fn network_context<'t>(
+    spec: &ScenarioSpec,
+    sys: &DesignedSystem,
+    epoch: Epoch,
+    traffic: &'t TrafficInputs,
+    point_threads: usize,
+) -> Result<NetworkContext<'t>> {
+    let constellation = Constellation::from_planes(epoch, sys.network_planes())?;
+    let topo_config = GridTopologyConfig {
+        max_range_km: spec.network.max_range_km,
+        ..GridTopologyConfig::default()
+    };
+    let t = epoch + spec.network.utc_hour * 3600.0;
+    let grid_slots = spec.network.time_grid_slots.max(1);
+    let grid = time_grid(t, grid_slots, spec.network.time_grid_slot_s);
+    let series = SnapshotSeries::build_parallel(&constellation, &grid, point_threads)?;
+    let layout = network_layout(sys);
+    debug_assert_eq!(layout.total, series.n_sats(), "network layout mismatch");
     Ok(NetworkContext {
         constellation,
         topo_config,
@@ -662,9 +682,8 @@ fn network_context(
         t,
         grid,
         series,
-        flows,
+        traffic,
         layout,
-        workload,
     })
 }
 
@@ -681,7 +700,7 @@ fn network_context(
 fn run_attack_search(
     spec: &ScenarioSpec,
     sys: &DesignedSystem,
-    ctx: &NetworkContext,
+    ctx: &NetworkContext<'_>,
     evaluator: &DegradedEvaluator<'_>,
     threads: usize,
 ) -> Result<(Vec<SatId>, AttackSearchReport)> {
@@ -766,23 +785,14 @@ fn run_attack_search(
 #[allow(clippy::too_many_lines)]
 fn network_report(
     spec: &ScenarioSpec,
-    ctx: &NetworkContext,
+    ctx: &NetworkContext<'_>,
     evaluator: &DegradedEvaluator<'_>,
     destroyed: &[SatId],
     plane_doses: Option<&[DailyFluence]>,
-    build_threads: usize,
+    point_threads: usize,
 ) -> Result<NetworkReport> {
-    let NetworkContext {
-        constellation,
-        topo_config,
-        min_elev,
-        t,
-        grid,
-        series,
-        flows,
-        layout,
-        workload,
-    } = ctx;
+    let NetworkContext { constellation, topo_config, min_elev, t, grid, series, traffic, layout } =
+        ctx;
     let (topo_config, min_elev) = (*topo_config, *min_elev);
     let per_slot: Vec<(bool, TrafficReport)> =
         evaluator.intact().iter().map(|e| (e.connected, e.traffic.clone())).collect();
@@ -813,7 +823,7 @@ fn network_report(
         TimeExpandedRoutes { epochs: route_grid, routes: shared_routes }
     } else {
         let route_series =
-            SnapshotSeries::build_parallel(constellation, &route_grid, build_threads)?;
+            SnapshotSeries::build_parallel(constellation, &route_grid, point_threads)?;
         route_over_time(&route_series, src, dst, min_elev, topo_config)?
     };
 
@@ -851,26 +861,35 @@ fn network_report(
             _ => None,
         };
 
-        let mut degraded_slots: Vec<(bool, usize, TrafficReport)> =
-            Vec::with_capacity(series.len());
-        let mut served_fractions: Vec<f64> = Vec::with_capacity(series.len());
-        let mut mask = evaluator.all_alive().to_vec();
-        for k in 0..series.len() {
-            mask.copy_from_slice(&alive_base);
+        // One job per slot, each masking its own copy of `alive_base`;
+        // results land in slot order, so the report is the same for every
+        // thread count.
+        let evaluations = par::par_map((0..series.len()).collect(), point_threads, |k| {
+            let mut mask = alive_base.clone();
             if let Some(tl) = &timeline {
                 // Slot k samples the mission at fraction (k + 0.5)/slots.
                 let day = tl.horizon_days * (k as f64 + 0.5) / series.len() as f64;
                 tl.mask_alive(day, &mut mask);
             }
-            let eval = evaluator.evaluate_slot(k, Some(&mask))?;
+            evaluator.evaluate_slot(k, Some(&mask))
+        });
+        let mut degraded_slots: Vec<(bool, usize, TrafficReport)> =
+            Vec::with_capacity(series.len());
+        let mut served_fractions: Vec<f64> = Vec::with_capacity(series.len());
+        for eval in evaluations {
+            let eval = eval?;
             if let Some(s) = &eval.served {
                 served_fractions.push(s.served_fraction);
             }
             degraded_slots.push((eval.connected, eval.alive, eval.traffic));
         }
-        let mut deg =
-            degraded_report(&degraded_slots, total, flows.len(), evaluator.intact_mean_link_load());
-        if workload.is_some() && served_fractions.len() == degraded_slots.len() {
+        let mut deg = degraded_report(
+            &degraded_slots,
+            total,
+            traffic.flows.len(),
+            evaluator.intact_mean_link_load(),
+        );
+        if traffic.workload.is_some() && served_fractions.len() == degraded_slots.len() {
             let denom = served_fractions.len().max(1) as f64;
             deg.served_fraction = Some(served_fractions.iter().sum::<f64>() / denom);
             deg.min_served_fraction =
@@ -938,6 +957,14 @@ fn averaged_curve(curves: &[PercolationCurve]) -> PercolationCurve {
     }
 }
 
+/// One job's result in [`percolation_report`]'s flat job list.
+enum SlotAnalysis {
+    /// One slot's algebraic connectivity.
+    Lambda2(f64),
+    /// One (ordering, slot) percolation sweep.
+    Curve(PercolationCurve),
+}
+
 /// Runs the percolation stage (`network.percolation`) over the network
 /// stage's prebuilt intact per-slot topologies — pure union-find replay
 /// and one power iteration per slot, no re-propagation and no routing.
@@ -949,11 +976,16 @@ fn averaged_curve(curves: &[PercolationCurve]) -> PercolationCurve {
 /// `threshold_vs_random` is measured against), and — when the scenario's
 /// attack destroyed anything — `"attack"`, the destroyed set leading the
 /// plane-spread schedule.
+///
+/// Every slot's λ₂ and every (ordering, slot) sweep is one job of a
+/// single [`par::par_map`] over `point_threads` workers; the sums and
+/// averages reduce the results by index, in the serial order.
 fn percolation_report(
     spec: &ScenarioSpec,
-    ctx: &NetworkContext,
+    ctx: &NetworkContext<'_>,
     evaluator: &DegradedEvaluator<'_>,
     destroyed: &[SatId],
+    point_threads: usize,
 ) -> PercolationReport {
     let (steps, gap) = (spec.network.percolation_steps, spec.network.percolation_gap);
     let slots = ctx.series.len();
@@ -967,22 +999,43 @@ fn percolation_report(
         orderings.push(("attack", priority_ordering(&priority, &spread)));
     }
 
-    let lambda2_intact = (0..slots)
-        .map(|k| {
-            algebraic_connectivity(
-                evaluator.intact_topology(k),
+    // Job `(None, k)` is slot k's λ₂, `(Some(o), k)` ordering o's sweep
+    // over slot k. The λ₂ jobs, the longest, go first.
+    let jobs: Vec<(Option<usize>, usize)> = (0..slots)
+        .map(|k| (None, k))
+        .chain((0..orderings.len()).flat_map(|o| (0..slots).map(move |k| (Some(o), k))))
+        .collect();
+    let mut done = par::par_map(jobs, point_threads, |(ordering, k)| {
+        let topology = evaluator.intact_topology(k);
+        match ordering {
+            None => SlotAnalysis::Lambda2(algebraic_connectivity(
+                topology,
                 evaluator.all_alive(),
                 &Lambda2Config::default(),
-            )
+            )),
+            Some(o) => SlotAnalysis::Curve(percolation_sweep(topology, &orderings[o].1, steps)),
+        }
+    })
+    .into_iter();
+    let lambda2_intact = done
+        .by_ref()
+        .take(slots)
+        .map(|job| match job {
+            SlotAnalysis::Lambda2(l2) => l2,
+            SlotAnalysis::Curve(_) => unreachable!("λ₂ jobs come first"),
         })
         .sum::<f64>()
         / slots as f64;
-
     let curves: Vec<(&str, PercolationCurve)> = orderings
         .iter()
-        .map(|(name, order)| {
-            let per_slot: Vec<PercolationCurve> = (0..slots)
-                .map(|k| percolation_sweep(evaluator.intact_topology(k), order, steps))
+        .map(|(name, _)| {
+            let per_slot: Vec<PercolationCurve> = done
+                .by_ref()
+                .take(slots)
+                .map(|job| match job {
+                    SlotAnalysis::Curve(curve) => curve,
+                    SlotAnalysis::Lambda2(_) => unreachable!("sweeps follow the λ₂ jobs"),
+                })
                 .collect();
             (*name, averaged_curve(&per_slot))
         })
@@ -1019,11 +1072,13 @@ fn percolation_report(
 }
 
 /// The scenario pipeline body, writing stage timings into `clock`.
-/// `build_threads` caps the network stage's snapshot-build workers.
+/// `point_threads` caps every pool inside the point: snapshot builds,
+/// gravity draws, the evaluator's slots, the attack search, the degraded
+/// pass and the percolation jobs.
 fn run_scenario(
     spec: &ScenarioSpec,
     clock: &mut StageClock,
-    build_threads: usize,
+    point_threads: usize,
 ) -> Result<ScenarioReport> {
     spec.validate()?;
 
@@ -1047,6 +1102,11 @@ fn run_scenario(
     let epoch = spec.radiation.epoch();
     let params = DesignParams { epoch };
 
+    // The point's traffic, built on the first system that needs the
+    // network and borrowed by every later one; a point whose systems all
+    // skip the network never builds it.
+    let traffic: OnceCell<TrafficInputs> = OnceCell::new();
+
     // One generic pipeline per selected system, in registry order (so the
     // spec's `kinds` ordering can never change the output bytes).
     let mut systems = Vec::new();
@@ -1061,9 +1121,16 @@ fn run_scenario(
         // either.
         let needs_network = spec.network.enabled && sys.total_sats() > 0;
         let optimized = needs_network && spec.attack.kind == AttackKind::Optimized;
-        let net_ctx: Option<NetworkContext> = if needs_network {
+        let net_ctx: Option<NetworkContext<'_>> = if needs_network {
             Some(clock.time(&format!("{name}.network.setup"), || {
-                network_context(spec, &model, &sys, epoch, build_threads)
+                let inputs = match traffic.get() {
+                    Some(inputs) => inputs,
+                    None => {
+                        let built = traffic_inputs(spec, &model, point_threads)?;
+                        traffic.get_or_init(|| built)
+                    }
+                };
+                network_context(spec, &sys, epoch, inputs, point_threads)
             })?)
         } else {
             None
@@ -1074,12 +1141,13 @@ fn run_scenario(
                 // masking-threshold attack objective, and the repair
                 // threshold the incremental scorer; `validate` checks all
                 // three whenever the network stage is on.
-                DegradedEvaluator::with_workload(
+                DegradedEvaluator::with_workload_threads(
                     &ctx.series,
-                    &ctx.flows,
+                    &ctx.traffic.flows,
                     ctx.min_elev,
                     ctx.topo_config,
-                    ctx.workload.as_ref(),
+                    ctx.traffic.workload.as_ref(),
+                    point_threads,
                 )
                 .map(|e| {
                     e.with_percolation(spec.network.percolation_steps, spec.network.percolation_gap)
@@ -1095,7 +1163,7 @@ fn run_scenario(
             let (ctx, eval) =
                 (net_ctx.as_ref().expect("context built"), evaluator.as_ref().expect("built"));
             let (victims, search) = clock.time(&format!("{name}.attack_search"), || {
-                run_attack_search(spec, &sys, ctx, eval, build_threads)
+                run_attack_search(spec, &sys, ctx, eval, point_threads)
             })?;
             // Surface search throughput next to the stage's wall-clock —
             // the bench harness's candidates/s without the bench harness.
@@ -1124,13 +1192,13 @@ fn run_scenario(
             let (ctx, eval) =
                 (net_ctx.as_ref().expect("context built"), evaluator.as_ref().expect("built"));
             report.network = Some(clock.time(&format!("{name}.network"), || {
-                network_report(spec, ctx, eval, &destroyed, plane_doses.as_deref(), build_threads)
+                network_report(spec, ctx, eval, &destroyed, plane_doses.as_deref(), point_threads)
             })?);
             if spec.network.percolation {
                 // Its own timing entry: the sweep is a distinct analytic
                 // pass over the stage's topologies, not routing work.
                 let block = clock.time(&format!("{name}.percolation"), || {
-                    percolation_report(spec, ctx, eval, &destroyed)
+                    percolation_report(spec, ctx, eval, &destroyed, point_threads)
                 });
                 if let Some(net) = report.network.as_mut() {
                     net.percolation = Some(block);
@@ -1162,21 +1230,21 @@ pub fn execute_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport> {
 
 /// Executes one scenario end-to-end, also returning its stage timings
 /// (collected even when the scenario fails partway: the stages that did
-/// run are reported). A standalone execution owns the machine, so the
-/// snapshot build may use every core.
+/// run are reported). A standalone execution owns the machine, so its
+/// intra-point pools may use every core.
 pub fn execute_scenario_timed(spec: &ScenarioSpec) -> (Result<ScenarioReport>, ScenarioTimings) {
     execute_scenario_timed_with(spec, 0)
 }
 
-/// As [`execute_scenario_timed`], with the network stage's snapshot
-/// build capped at `build_threads` scoped workers (`0` = all cores) —
-/// the sweep runner passes each worker's share of the thread budget.
+/// As [`execute_scenario_timed`], with every intra-point pool capped at
+/// `point_threads` workers (`0` = all cores) — the sweep runner passes
+/// each worker's share of the thread budget.
 fn execute_scenario_timed_with(
     spec: &ScenarioSpec,
-    build_threads: usize,
+    point_threads: usize,
 ) -> (Result<ScenarioReport>, ScenarioTimings) {
     let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
-    let result = run_scenario(spec, &mut clock, build_threads);
+    let result = run_scenario(spec, &mut clock, point_threads);
     (
         result,
         ScenarioTimings { name: spec.name.clone(), stages: clock.stages, metrics: clock.metrics },
@@ -1309,12 +1377,14 @@ impl Runner {
     pub fn run_specs(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         // Each concurrent worker gets its share of the thread budget for
-        // intra-scenario parallelism (snapshot builds, gravity draws,
-        // attack search), so a sweep never runs more threads than
-        // configured; a lone worker gets the whole budget.
-        let build_threads = par::budget(self.threads) / par::workers(self.threads, specs.len());
+        // the pools inside its point (snapshot builds, gravity draws, the
+        // evaluator's slots, attack search, degraded pass, percolation),
+        // so a sweep never runs more threads than configured: a
+        // multi-point sweep's points run them inline, a lone point gets
+        // the whole budget.
+        let point_threads = par::budget(self.threads) / par::workers(self.threads, specs.len());
         let (reports, timings) = par::par_map(specs.iter().collect(), self.threads, |spec| {
-            execute_scenario_timed_with(spec, build_threads)
+            execute_scenario_timed_with(spec, point_threads)
         })
         .into_iter()
         .unzip();
@@ -2282,6 +2352,41 @@ mod tests {
         let serial = Runner::with_threads(1).run_specs(&specs);
         let threaded = Runner::with_threads(7).run_specs(&specs);
         assert_eq!(serial.to_jsonl(), threaded.to_jsonl());
+    }
+
+    #[test]
+    fn intra_point_pools_never_change_the_bytes() {
+        // A lone point gets the runner's whole budget, so at 2 and 3
+        // threads the evaluator build, degraded pass and percolation jobs
+        // run pooled; both systems share one gravity workload.
+        let mut spec = tiny_spec();
+        spec.attack.planes_lost = 2;
+        spec.network.enabled = true;
+        spec.network.n_flows = 20;
+        spec.network.slots = 3;
+        spec.network.slot_s = 300.0;
+        spec.network.time_grid_slots = 3;
+        spec.network.time_grid_slot_s = 300.0;
+        spec.network.with_outages = true;
+        spec.network.percolation = true;
+        spec.network.percolation_steps = 8;
+        spec.traffic.model = crate::spec::TrafficModel::Gravity;
+        spec.traffic.pairs = 600;
+        spec.traffic.sites = 16;
+        let specs = vec![spec];
+        let serial = Runner::with_threads(1).run_specs(&specs);
+        let report = serial.reports[0].as_ref().unwrap();
+        for system in ["ss", "wd"] {
+            let net = report.system(system).unwrap().network.as_ref().unwrap();
+            let deg = net.degraded.as_ref().expect("with_outages adds the block");
+            assert!(deg.served_fraction.is_some(), "{system}: gravity adds degraded served");
+            assert!(deg.mean_alive_fraction < 1.0, "{system}: attack and outages mask slots");
+            assert_eq!(net.percolation.as_ref().expect("percolation on").slots, 3);
+        }
+        for threads in [2, 3] {
+            let pooled = Runner::with_threads(threads).run_specs(&specs);
+            assert_eq!(serial.to_jsonl(), pooled.to_jsonl(), "{threads} threads");
+        }
     }
 
     #[test]
