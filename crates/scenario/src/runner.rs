@@ -831,7 +831,7 @@ fn network_report(
     // intact topologies) as the intact loop above.
     let degraded = if spec.network.with_outages {
         let total = series.n_sats();
-        // Seed both working masks from the evaluator's shared all-alive
+        // Seed the attack mask from the evaluator's shared all-alive
         // buffer instead of rebuilding the all-true vec from scratch.
         let mut alive_base = evaluator.all_alive().to_vec();
         for id in destroyed {
