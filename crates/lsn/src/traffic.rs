@@ -180,7 +180,9 @@ pub fn assign_traffic_with_capacity(
     let mut stretch_sum = 0.0;
     let mut hop_sum = 0usize;
     let mut flow_outcomes: Vec<Option<FlowOutcome>> = Vec::with_capacity(flows.len());
-    let mut trees: BTreeMap<SatId, ShortestPathTree> = BTreeMap::new();
+    // Each cached tree carries its source's flows still to route and is
+    // dropped after the last one, so only open sources hold a tree.
+    let mut trees: BTreeMap<SatId, (ShortestPathTree, usize)> = BTreeMap::new();
     for (flow, pair) in flows.iter().zip(&pairs) {
         let Some((s_sat, d_sat)) = *pair else {
             unrouted += 1;
@@ -190,13 +192,19 @@ pub fn assign_traffic_with_capacity(
         let isl = if s_sat == d_sat {
             Ok((vec![s_sat], 0.0))
         } else if source_flows[&s_sat] > 1 {
-            let tree = match trees.entry(s_sat) {
+            let (tree, left) = match trees.entry(s_sat) {
                 std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(ShortestPathTree::from_source(topology, s_sat)?)
-                }
+                std::collections::btree_map::Entry::Vacant(e) => e.insert((
+                    ShortestPathTree::from_source(topology, s_sat)?,
+                    source_flows[&s_sat],
+                )),
             };
-            tree.path_to(topology, d_sat)
+            let path = tree.path_to(topology, d_sat);
+            *left -= 1;
+            if *left == 0 {
+                trees.remove(&s_sat);
+            }
+            path
         } else {
             shortest_path(topology, s_sat, d_sat)
         };
