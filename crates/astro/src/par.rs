@@ -45,11 +45,10 @@ pub fn workers(threads: usize, jobs: usize) -> usize {
 ///
 /// The calling thread is a worker too: it runs items next to
 /// `workers - 1` scoped threads, and with one worker it runs them all
-/// inline. Items move
-/// into `f` by value, so disjoint `&mut` chunks of one buffer can be
-/// written in place. A `Result`-valued map collects to its lowest-index
-/// error, whatever the thread count. A panic in `f` panics the caller
-/// once every worker has stopped.
+/// inline. Items move into `f` by value, so disjoint `&mut` chunks of
+/// one buffer can be written in place. A `Result`-valued map collects
+/// to its lowest-index error, whatever the thread count. A panic in `f`
+/// panics the caller once every worker has stopped.
 pub fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
