@@ -1,4 +1,4 @@
-//! Angle helpers: normalization, wrapping, and degree/radian conversion.
+//! Angle helpers: normalization and wrapping.
 
 use core::f64::consts::{PI, TAU};
 
@@ -25,22 +25,12 @@ pub fn wrap_pi(angle: f64) -> f64 {
 }
 
 /// Smallest absolute angular separation between two angles \[rad\],
-/// in `[0, π]`.
+/// in `[0, π]`. The pipeline itself never calls it: it is the angle
+/// comparison the tests of this and downstream crates check live code
+/// with.
 #[inline]
 pub fn separation(a: f64, b: f64) -> f64 {
     wrap_pi(a - b).abs()
-}
-
-/// Converts degrees to radians.
-#[inline]
-pub fn deg2rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Converts radians to degrees.
-#[inline]
-pub fn rad2deg(rad: f64) -> f64 {
-    rad.to_degrees()
 }
 
 /// Wraps an hour-of-day value to `[0, 24)`.

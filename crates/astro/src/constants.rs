@@ -23,14 +23,16 @@ pub const EARTH_J2: f64 = 1.082_626_68e-3;
 pub const EARTH_ROTATION_RATE: f64 = 7.292_115_146_706_979e-5;
 
 /// Mean solar day \[s\].
-pub const SOLAR_DAY_S: f64 = 86_400.0;
+const SOLAR_DAY_S: f64 = 86_400.0;
 
-/// Sidereal day \[s\] — one Earth rotation relative to the stars.
+/// Sidereal day \[s\] — one Earth rotation relative to the stars; the
+/// tests check [`EARTH_ROTATION_RATE`] and GMST against it.
+#[cfg(test)]
 pub const SIDEREAL_DAY_S: f64 = 86_164.090_53;
 
 /// Mean tropical year \[days\] — drives the required sun-synchronous nodal
 /// precession rate of 360° per year.
-pub const TROPICAL_YEAR_DAYS: f64 = 365.242_19;
+const TROPICAL_YEAR_DAYS: f64 = 365.242_19;
 
 /// Required nodal precession rate for a sun-synchronous orbit \[rad/s\]:
 /// one full revolution of the ascending node per tropical year, eastward.

@@ -41,33 +41,6 @@ pub fn coverage_half_angle(altitude_km: f64, min_elevation: f64) -> Result<f64> 
     Ok((ratio * min_elevation.cos()).acos() - min_elevation)
 }
 
-/// Nadir cone half-angle η \[rad\] at the satellite corresponding to the
-/// same geometry: `sin η = Re/(Re+h) · cos ε`.
-///
-/// # Errors
-/// Same domain as [`coverage_half_angle`].
-pub fn nadir_half_angle(altitude_km: f64, min_elevation: f64) -> Result<f64> {
-    if altitude_km <= 0.0 {
-        return Err(AstroError::InfeasibleGeometry { what: "altitude must be positive" });
-    }
-    if !(0.0..PI / 2.0).contains(&min_elevation) {
-        return Err(AstroError::InfeasibleGeometry { what: "min elevation must be in [0, pi/2)" });
-    }
-    let ratio = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km);
-    Ok((ratio * min_elevation.cos()).asin())
-}
-
-/// Slant range \[km\] from satellite to a user at the coverage edge.
-///
-/// # Errors
-/// Same domain as [`coverage_half_angle`].
-pub fn slant_range_km(altitude_km: f64, min_elevation: f64) -> Result<f64> {
-    let theta = coverage_half_angle(altitude_km, min_elevation)?;
-    let r = EARTH_RADIUS_KM + altitude_km;
-    // Law of cosines in the Earth-center / satellite / user triangle.
-    Ok((EARTH_RADIUS_KM * EARTH_RADIUS_KM + r * r - 2.0 * EARTH_RADIUS_KM * r * theta.cos()).sqrt())
-}
-
 /// Elevation angle \[rad\] of a satellite seen from a ground point at
 /// Earth-central separation `central_angle` \[rad\], for a satellite at
 /// `altitude_km`. Negative values mean the satellite is below the horizon.
@@ -105,7 +78,7 @@ pub fn street_half_width(theta: f64, sats_per_plane: usize) -> Result<f64> {
 
 /// Minimum satellites in one plane so that every point of the sub-satellite
 /// track is continuously covered (adjacent caps touch): `S = ⌈π/θ⌉`.
-pub fn min_sats_for_track_coverage(theta: f64) -> usize {
+fn min_sats_for_track_coverage(theta: f64) -> usize {
     (PI / theta).ceil() as usize
 }
 
@@ -176,25 +149,16 @@ pub fn size_walker_delta(theta: f64, inclination: f64) -> Result<WalkerSizing> {
     best.ok_or(AstroError::InfeasibleGeometry { what: "no feasible street configuration" })
 }
 
-/// Convenience: Walker-delta sizing from altitude and elevation instead of
-/// a precomputed θ.
-///
-/// # Errors
-/// Propagates the domain errors of [`coverage_half_angle`] and
-/// [`size_walker_delta`].
-pub fn size_walker_delta_at(
-    altitude_km: f64,
-    min_elevation: f64,
-    inclination: f64,
-) -> Result<WalkerSizing> {
-    size_walker_delta(coverage_half_angle(altitude_km, min_elevation)?, inclination)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const EPS30: f64 = 30.0 * PI / 180.0;
+
+    fn size_at(altitude_km: f64, inclination_deg: f64) -> WalkerSizing {
+        let theta = coverage_half_angle(altitude_km, EPS30).unwrap();
+        size_walker_delta(theta, inclination_deg.to_radians()).unwrap()
+    }
 
     #[test]
     fn coverage_half_angle_reference_values() {
@@ -238,13 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn slant_range_bounds() {
-        let d = slant_range_km(560.0, EPS30).unwrap();
-        // Between the altitude (nadir) and the horizon distance.
-        assert!(d > 560.0 && d < 3000.0, "slant = {d}");
-    }
-
-    #[test]
     fn street_width_behaviour() {
         let theta = 0.2;
         // Too few satellites: caps don't overlap.
@@ -274,15 +231,15 @@ mod tests {
     #[test]
     fn walker_sizing_paper_anchor_1215km() {
         // The paper's Fig. 1 anchor: ~200 satellites at 1215 km, 65°.
-        let sizing = size_walker_delta_at(1215.0, EPS30, 65f64.to_radians()).unwrap();
+        let sizing = size_at(1215.0, 65.0);
         let n = sizing.total();
         assert!((150..=260).contains(&n), "total = {n} ({sizing:?})");
     }
 
     #[test]
     fn walker_sizing_decreases_with_altitude() {
-        let lo = size_walker_delta_at(500.0, EPS30, 65f64.to_radians()).unwrap().total();
-        let hi = size_walker_delta_at(2000.0, EPS30, 65f64.to_radians()).unwrap().total();
+        let lo = size_at(500.0, 65.0).total();
+        let hi = size_at(2000.0, 65.0).total();
         assert!(lo > hi, "lo={lo} hi={hi}");
     }
 
@@ -292,15 +249,16 @@ mod tests {
         assert!(size_walker_delta(2.0, 1.0).is_err());
         assert!(size_walker_delta(0.2, 0.0).is_err());
         assert!(coverage_half_angle(-5.0, 0.3).is_err());
-        assert!(nadir_half_angle(560.0, 2.0).is_err());
+        assert!(coverage_half_angle(560.0, 2.0).is_err());
     }
 
     #[test]
     fn nadir_plus_coverage_plus_elevation_is_right_angle() {
-        // η + θ + ε = 90° (spherical triangle identity).
+        // η + θ + ε = 90° (spherical triangle identity), with the nadir
+        // cone half-angle η from `sin η = Re/(Re+h) · cos ε`.
         let h = 780.0;
-        let eps = 0.4;
-        let eta = nadir_half_angle(h, eps).unwrap();
+        let eps: f64 = 0.4;
+        let eta = (EARTH_RADIUS_KM / (EARTH_RADIUS_KM + h) * eps.cos()).asin();
         let theta = coverage_half_angle(h, eps).unwrap();
         assert!((eta + theta + eps - PI / 2.0).abs() < 1e-12);
     }

@@ -16,7 +16,7 @@ use crate::time::Epoch;
 /// Solar beta angle \[rad\]: the angle between the sun direction and the
 /// orbital plane, in `[-π/2, π/2]`. |β| = 90° means the sun is normal to
 /// the plane (no eclipses); β ≈ 0 maximizes eclipse duration.
-pub fn beta_angle(epoch: Epoch, elements: &OrbitalElements) -> f64 {
+fn beta_angle(epoch: Epoch, elements: &OrbitalElements) -> f64 {
     // Orbit normal in ECI.
     let (si, ci) = elements.inclination.sin_cos();
     let (sr, cr) = elements.raan.sin_cos();
@@ -31,7 +31,7 @@ pub fn beta_angle(epoch: Epoch, elements: &OrbitalElements) -> f64 {
 /// Cylindrical-shadow model (Vallado §5.3): eclipse occurs while the
 /// satellite's anti-sun angle keeps it inside the shadow cylinder of
 /// radius Rₑ. Zero when `|sin β| ≥ Rₑ/a` (the orbit clears the cylinder).
-pub fn eclipse_fraction(semi_major_axis_km: f64, beta: f64) -> f64 {
+fn eclipse_fraction(semi_major_axis_km: f64, beta: f64) -> f64 {
     let rho = EARTH_RADIUS_KM / semi_major_axis_km;
     let cos_beta = beta.cos();
     if cos_beta <= 0.0 {
@@ -47,7 +47,7 @@ pub fn eclipse_fraction(semi_major_axis_km: f64, beta: f64) -> f64 {
 }
 
 /// Eclipse fraction of a circular orbit at `epoch` (combines
-/// [`beta_angle`] and [`eclipse_fraction`]).
+/// `beta_angle` and `eclipse_fraction`).
 pub fn orbit_eclipse_fraction(epoch: Epoch, elements: &OrbitalElements) -> f64 {
     eclipse_fraction(elements.semi_major_axis_km, beta_angle(epoch, elements))
 }

@@ -6,7 +6,7 @@
 //! plane traces a *fixed* curve in this frame, which is what lets a
 //! constellation "pin" supply to demand.
 
-use crate::angles::{wrap_pi, wrap_two_pi};
+use crate::angles::wrap_two_pi;
 use crate::geo::GeoPoint;
 use crate::linalg::{Mat3, Vec3};
 use crate::sun::local_solar_time_of_right_ascension;
@@ -34,12 +34,6 @@ pub fn subsatellite_point(epoch: Epoch, r_eci: Vec3) -> Option<(GeoPoint, f64)> 
     Some((point, r_ecef.norm() - crate::constants::EARTH_RADIUS_KM))
 }
 
-/// Geodetic (spherical) coordinates to an ECEF position vector \[km\].
-#[inline]
-pub fn geodetic_to_ecef(point: GeoPoint, altitude_km: f64) -> Vec3 {
-    point.to_unit_vector() * (crate::constants::EARTH_RADIUS_KM + altitude_km)
-}
-
 /// A position expressed in the sun-relative grid the paper's demand model
 /// lives on.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,14 +44,6 @@ pub struct SunRelativePoint {
     /// Mean local solar time \[hours, 0-24)\]. 12.0 is local noon (the
     /// meridian facing the Sun).
     pub local_time_h: f64,
-}
-
-impl SunRelativePoint {
-    /// Local solar time expressed as an angle from midnight \[rad, 0-2π)\].
-    #[inline]
-    pub fn local_time_angle(&self) -> f64 {
-        self.local_time_h / 24.0 * core::f64::consts::TAU
-    }
 }
 
 /// Converts an ECI position to the sun-relative grid at `epoch`.
@@ -73,7 +59,10 @@ pub fn eci_to_sun_relative(epoch: Epoch, r_eci: Vec3) -> Option<SunRelativePoint
     })
 }
 
-/// Converts a ground point to the sun-relative grid at `epoch`.
+/// Converts a ground point to the sun-relative grid at `epoch`. The
+/// pipeline works from ECI positions ([`eci_to_sun_relative`]); this
+/// ground-point form is the reference the tests check that path
+/// against.
 pub fn ground_to_sun_relative(epoch: Epoch, point: GeoPoint) -> SunRelativePoint {
     SunRelativePoint {
         lat: point.lat,
@@ -81,19 +70,15 @@ pub fn ground_to_sun_relative(epoch: Epoch, point: GeoPoint) -> SunRelativePoint
     }
 }
 
-/// Ground longitude \[rad\] currently sitting at local solar time
-/// `local_time_h` at `epoch` (inverse of [`ground_to_sun_relative`] in the
-/// longitude coordinate).
-pub fn longitude_of_local_time(epoch: Epoch, local_time_h: f64) -> f64 {
-    // local time at lon L: lst(L) = lst(0) + L/15°; solve for L.
-    let lst0 = crate::sun::local_solar_time_of_longitude(epoch, 0.0);
-    wrap_pi(((local_time_h - lst0) * 15.0).to_radians())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constants::EARTH_RADIUS_KM;
+
+    /// A spherical-Earth ground point at `altitude_km` as an ECEF vector.
+    fn geodetic_to_ecef(point: GeoPoint, altitude_km: f64) -> Vec3 {
+        point.to_unit_vector() * (EARTH_RADIUS_KM + altitude_km)
+    }
 
     #[test]
     fn eci_ecef_round_trip() {
@@ -138,17 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn longitude_of_local_time_inverts() {
-        let e = Epoch::from_calendar(2022, 2, 2, 22, 0, 0.0);
-        for lt in [0.0, 5.5, 12.0, 18.25] {
-            let lon = longitude_of_local_time(e, lt);
-            let back = crate::sun::local_solar_time_of_longitude(e, lon);
-            let dh = (back - lt).abs();
-            assert!(dh.min(24.0 - dh) < 1e-6, "lt {lt} -> lon {lon} -> {back}");
-        }
-    }
-
-    #[test]
     fn sun_relative_point_is_stationary_for_sun_fixed_observer() {
         // A point rotating with the *mean sun* keeps constant local time.
         // Approximate: take the subsolar longitude at two epochs; both map
@@ -159,11 +133,5 @@ mod tests {
             let sr = ground_to_sun_relative(e, GeoPoint::new(0.3, lon));
             assert!((sr.local_time_h - 12.0).abs() < 1e-6, "{:?}", sr);
         }
-    }
-
-    #[test]
-    fn local_time_angle_range() {
-        let p = SunRelativePoint { lat: 0.0, local_time_h: 6.0 };
-        assert!((p.local_time_angle() - core::f64::consts::FRAC_PI_2).abs() < 1e-12);
     }
 }

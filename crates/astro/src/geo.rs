@@ -72,28 +72,6 @@ impl GeoPoint {
     pub fn distance_km(&self, other: &GeoPoint) -> f64 {
         self.central_angle_to(other) * EARTH_RADIUS_KM
     }
-
-    /// Initial great-circle bearing toward `other` \[rad\], clockwise from
-    /// north, in `[0, 2π)`.
-    pub fn bearing_to(&self, other: &GeoPoint) -> f64 {
-        let dlon = other.lon - self.lon;
-        let y = dlon.sin() * other.lat.cos();
-        let x = self.lat.cos() * other.lat.sin() - self.lat.sin() * other.lat.cos() * dlon.cos();
-        crate::angles::wrap_two_pi(y.atan2(x))
-    }
-}
-
-/// Area of a spherical cap of angular radius `theta` \[rad\] on the unit
-/// sphere \[steradians\]: `2π(1 - cos θ)`.
-#[inline]
-pub fn spherical_cap_area(theta: f64) -> f64 {
-    core::f64::consts::TAU * (1.0 - theta.cos())
-}
-
-/// Fraction of the sphere's surface inside a cap of angular radius `theta`.
-#[inline]
-pub fn spherical_cap_fraction(theta: f64) -> f64 {
-    spherical_cap_area(theta) / (2.0 * core::f64::consts::TAU)
 }
 
 /// Area \[km²\] of the latitude band `[lat0, lat1]` on the spherical Earth.
@@ -129,22 +107,6 @@ mod tests {
         let a = GeoPoint::from_degrees(10.0, 20.0);
         let b = GeoPoint::from_degrees(-10.0, -160.0);
         assert!((a.central_angle_to(&b) - PI).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bearing_north_and_east() {
-        let origin = GeoPoint::from_degrees(0.0, 0.0);
-        let north = GeoPoint::from_degrees(10.0, 0.0);
-        let east = GeoPoint::from_degrees(0.0, 10.0);
-        assert!(origin.bearing_to(&north).abs() < 1e-9);
-        assert!((origin.bearing_to(&east) - FRAC_PI_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cap_area_limits() {
-        assert!(spherical_cap_area(0.0).abs() < 1e-15);
-        assert!((spherical_cap_area(PI) - 2.0 * core::f64::consts::TAU).abs() < 1e-12);
-        assert!((spherical_cap_fraction(FRAC_PI_2) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -53,21 +53,15 @@ impl GroundTrack {
         Ok(GroundTrack { samples })
     }
 
-    /// Total along-track length \[rad of Earth-central angle\], summing
-    /// great-circle hops between consecutive samples.
-    pub fn length_rad(&self) -> f64 {
-        self.samples.windows(2).map(|w| w[0].point.central_angle_to(&w[1].point)).sum()
-    }
-
     /// Minimum central angle \[rad\] from `target` to any sample of the
     /// track (∞ if the track is empty).
-    pub fn min_central_angle_to(&self, target: &GeoPoint) -> f64 {
+    fn min_central_angle_to(&self, target: &GeoPoint) -> f64 {
         self.samples.iter().map(|s| s.point.central_angle_to(target)).fold(f64::INFINITY, f64::min)
     }
 
     /// Whether `target` lies inside the swath of half-width
     /// `swath_half_angle` \[rad\] around the track.
-    pub fn swath_covers(&self, target: &GeoPoint, swath_half_angle: f64) -> bool {
+    fn swath_covers(&self, target: &GeoPoint, swath_half_angle: f64) -> bool {
         self.min_central_angle_to(target) <= swath_half_angle
     }
 
@@ -154,7 +148,9 @@ mod tests {
         let el = o.reference_elements();
         let t_n = crate::propagate::nodal_period_s(&el);
         let track = GroundTrack::sample(Epoch::J2000, &el, 15.0 * t_n, 10.0).unwrap();
-        let sampled = track.length_rad();
+        // Along-track length: great-circle hops between consecutive samples.
+        let sampled: f64 =
+            track.samples.windows(2).map(|w| w[0].point.central_angle_to(&w[1].point)).sum();
         let analytic = o.ground_track_length();
         assert!(
             (sampled - analytic).abs() / analytic < 0.01,
@@ -177,7 +173,6 @@ mod tests {
     #[test]
     fn empty_track_behaviour() {
         let t = GroundTrack::default();
-        assert_eq!(t.length_rad(), 0.0);
         assert!(t.min_central_angle_to(&GeoPoint::default()).is_infinite());
         assert!(!t.swath_covers(&GeoPoint::default(), 1.0));
     }

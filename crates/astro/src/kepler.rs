@@ -125,8 +125,9 @@ impl OrbitalElements {
         (EARTH_MU / self.semi_major_axis_km.powi(3)).sqrt()
     }
 
-    /// Keplerian (unperturbed) orbital period \[s\].
-    #[inline]
+    /// Keplerian (unperturbed) orbital period \[s\]: the tests' yardstick
+    /// for the J2 nodal period and the integration horizons.
+    #[cfg(test)]
     pub fn period_s(&self) -> f64 {
         TAU / self.mean_motion()
     }
@@ -164,7 +165,10 @@ impl OrbitalElements {
         Ok((dcm * r_pf, dcm * v_pf))
     }
 
-    /// Recovers orbital elements from an ECI Cartesian state.
+    /// Recovers orbital elements from an ECI Cartesian state — the
+    /// inverse of [`Self::to_cartesian`]. The pipeline only ever goes from
+    /// elements to states; the tests use this to check that direction and
+    /// to read elements off numerically integrated states.
     ///
     /// Near-circular and near-equatorial degeneracies are resolved with the
     /// usual conventions (node at +X for equatorial orbits, perigee at the
@@ -284,19 +288,12 @@ pub fn eccentric_to_true(ea: f64, e: f64) -> f64 {
     ea + 2.0 * (beta * ea.sin() / (1.0 - beta * ea.cos())).atan()
 }
 
-/// Converts true anomaly to eccentric anomaly.
+/// Converts true anomaly to eccentric anomaly: the inverse the tests
+/// check [`eccentric_to_true`] against.
 #[inline]
 pub fn true_to_eccentric(nu: f64, e: f64) -> f64 {
     let beta = e / (1.0 + (1.0 - e * e).sqrt());
     nu - 2.0 * (beta * nu.sin() / (1.0 + beta * nu.cos())).atan()
-}
-
-/// Converts mean anomaly directly to true anomaly.
-///
-/// # Errors
-/// Propagates Kepler-solver non-convergence.
-pub fn mean_to_true(mean_anomaly: f64, e: f64) -> Result<f64> {
-    Ok(eccentric_to_true(solve_kepler(mean_anomaly, e)?, e))
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! ## Conventions
 //!
 //! * Lengths are in **kilometers**, velocities in **km/s**, angles in
-//!   **radians** (helpers in [`angles`] convert), times in **seconds**.
+//!   **radians** (helpers in [`angles`] wrap them), times in **seconds**.
 //! * Epochs are carried as seconds since J2000.0 (TT ≈ UTC is assumed; the
 //!   sub-minute difference is irrelevant at the fidelity of the paper).
 //! * The Earth is modeled as a rotating sphere of radius
@@ -54,7 +54,6 @@
 pub mod angles;
 pub mod constants;
 pub mod coverage;
-pub mod drag;
 pub mod eclipse;
 pub mod error;
 pub mod frames;

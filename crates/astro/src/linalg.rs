@@ -24,9 +24,11 @@ pub struct Vec3 {
 impl Vec3 {
     /// The zero vector.
     pub const ZERO: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 0.0 };
-    /// Unit vector along +X.
+    /// Unit vector along +X (the tests' reference axis).
+    #[cfg(test)]
     pub const X: Vec3 = Vec3 { x: 1.0, y: 0.0, z: 0.0 };
-    /// Unit vector along +Y.
+    /// Unit vector along +Y (the tests' reference axis).
+    #[cfg(test)]
     pub const Y: Vec3 = Vec3 { x: 0.0, y: 1.0, z: 0.0 };
     /// Unit vector along +Z.
     pub const Z: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 1.0 };
@@ -86,18 +88,6 @@ impl Vec3 {
     #[inline]
     pub fn angle_to(self, rhs: Vec3) -> f64 {
         self.cross(rhs).norm().atan2(self.dot(rhs))
-    }
-
-    /// Component-wise linear interpolation: `self + t * (rhs - self)`.
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, t: f64) -> Vec3 {
-        self + (rhs - self) * t
-    }
-
-    /// True if any component is NaN or infinite.
-    #[inline]
-    pub fn is_non_finite(self) -> bool {
-        !(self.x.is_finite() && self.y.is_finite() && self.z.is_finite())
     }
 }
 
@@ -171,12 +161,9 @@ pub struct Mat3 {
 }
 
 impl Mat3 {
-    /// Identity matrix.
-    pub const IDENTITY: Mat3 = Mat3 { rows: [Vec3::X, Vec3::Y, Vec3::Z] };
-
     /// Builds a matrix from three rows.
     #[inline]
-    pub const fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
+    const fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
         Mat3 { rows: [r0, r1, r2] }
     }
 
@@ -185,12 +172,6 @@ impl Mat3 {
     pub fn rot_x(angle: f64) -> Mat3 {
         let (s, c) = angle.sin_cos();
         Mat3::from_rows(Vec3::new(1.0, 0.0, 0.0), Vec3::new(0.0, c, s), Vec3::new(0.0, -s, c))
-    }
-
-    /// Rotation about the Y axis by `angle` radians (ROT2).
-    pub fn rot_y(angle: f64) -> Mat3 {
-        let (s, c) = angle.sin_cos();
-        Mat3::from_rows(Vec3::new(c, 0.0, -s), Vec3::new(0.0, 1.0, 0.0), Vec3::new(s, 0.0, c))
     }
 
     /// Rotation about the Z axis by `angle` radians (ROT3).
@@ -279,7 +260,7 @@ mod tests {
     #[test]
     fn rotation_preserves_norm() {
         let v = Vec3::new(1.3, -2.7, 0.4);
-        let m = Mat3::rot_x(0.3).mul_mat(Mat3::rot_z(-1.1)).mul_mat(Mat3::rot_y(2.2));
+        let m = Mat3::rot_x(0.3).mul_mat(Mat3::rot_z(-1.1)).mul_mat(Mat3::rot_x(2.2));
         assert!(((m * v).norm() - v.norm()).abs() < 1e-12);
     }
 
@@ -288,14 +269,5 @@ mod tests {
         assert!(Vec3::ZERO.normalized().is_none());
         let u = Vec3::new(3.0, 4.0, 0.0).normalized().unwrap();
         assert!((u.norm() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-4.0, 0.0, 9.0);
-        assert!(approx(a.lerp(b, 0.0), a, 1e-15));
-        assert!(approx(a.lerp(b, 1.0), b, 1e-15));
-        assert!(approx(a.lerp(b, 0.5), (a + b) * 0.5, 1e-15));
     }
 }

@@ -1,18 +1,15 @@
 //! Orbit propagation with secular J2 effects.
 //!
-//! Two propagators are provided:
-//!
-//! * [`J2Propagator`] — the workhorse: closed-form secular propagation of
-//!   the mean elements (Ω, ω, M advance linearly in time). This captures
-//!   exactly the physics the paper's arguments rest on — J2 nodal
-//!   precession (sun-synchrony) and nodal-period commensurability (repeat
-//!   ground tracks) — at a few ns per evaluation and with no accumulation
-//!   of numerical error over multi-day horizons.
-//! * [`NumericalPropagator`] — an RK4 integrator of the full two-body + J2
-//!   acceleration, used in tests to validate the secular rates and
-//!   available for callers who need short-arc osculating states.
+//! [`J2Propagator`] is closed-form secular propagation of the mean
+//! elements (Ω, ω, M advance linearly in time). This captures exactly the
+//! physics the paper's arguments rest on — J2 nodal precession
+//! (sun-synchrony) and nodal-period commensurability (repeat ground
+//! tracks) — at a few ns per evaluation and with no accumulation of
+//! numerical error over multi-day horizons. The tests validate its
+//! secular rates against an RK4 integrator of the full two-body + J2
+//! acceleration.
 
-use crate::constants::{EARTH_J2, EARTH_MU, EARTH_RADIUS_KM};
+use crate::constants::{EARTH_J2, EARTH_RADIUS_KM};
 use crate::error::Result;
 use crate::kepler::OrbitalElements;
 use crate::linalg::Vec3;
@@ -100,7 +97,8 @@ impl J2Propagator {
         &self.elements
     }
 
-    /// The secular rates in effect.
+    /// The secular rates in effect (the tests read them back).
+    #[cfg(test)]
     pub fn rates(&self) -> J2Rates {
         self.rates
     }
@@ -171,93 +169,86 @@ pub fn batch_positions_soa(
     Ok(())
 }
 
-/// Two-body + J2 point-mass acceleration \[km/s²\] at ECI position `r`.
-pub fn acceleration_two_body_j2(r: Vec3) -> Vec3 {
-    let rn = r.norm();
-    let rn2 = rn * rn;
-    let two_body = r * (-EARTH_MU / (rn2 * rn));
-    // J2 perturbation (Vallado eq. 8-30).
-    let k = -1.5 * EARTH_J2 * EARTH_MU * EARTH_RADIUS_KM * EARTH_RADIUS_KM / (rn2 * rn2 * rn);
-    let z2_r2 = (r.z * r.z) / rn2;
-    let j2 = Vec3::new(
-        k * r.x * (1.0 - 5.0 * z2_r2),
-        k * r.y * (1.0 - 5.0 * z2_r2),
-        k * r.z * (3.0 - 5.0 * z2_r2),
-    );
-    two_body + j2
-}
-
-/// Fixed-step RK4 integrator of the two-body + J2 equations of motion.
-///
-/// Used for validating [`J2Propagator`]'s secular rates and for short-arc
-/// work where osculating (rather than mean) states matter.
-#[derive(Debug, Clone)]
-pub struct NumericalPropagator {
-    epoch: Epoch,
-    position: Vec3,
-    velocity: Vec3,
-    /// Integration step \[s\]. 10 s keeps LEO position error < 1 m/orbit.
-    pub step_s: f64,
-}
-
-impl NumericalPropagator {
-    /// Creates a numerical propagator from an initial ECI state.
-    pub fn new(epoch: Epoch, position_km: Vec3, velocity_km_s: Vec3) -> Self {
-        NumericalPropagator { epoch, position: position_km, velocity: velocity_km_s, step_s: 10.0 }
-    }
-
-    /// Creates a numerical propagator from mean elements (converted to an
-    /// osculating-equivalent Cartesian state).
-    ///
-    /// # Errors
-    /// Propagates element validation / Kepler-solver failure.
-    pub fn from_elements(epoch: Epoch, elements: &OrbitalElements) -> Result<Self> {
-        let (r, v) = elements.to_cartesian()?;
-        Ok(Self::new(epoch, r, v))
-    }
-
-    /// Integrates forward (or backward) to epoch `t` and returns the state.
-    pub fn propagate_to(&mut self, t: Epoch) -> (Vec3, Vec3) {
-        let mut remaining = t - self.epoch;
-        let dir = if remaining >= 0.0 { 1.0 } else { -1.0 };
-        remaining = remaining.abs();
-        while remaining > 0.0 {
-            let h = remaining.min(self.step_s) * dir;
-            self.rk4_step(h);
-            remaining -= h.abs();
-        }
-        self.epoch = t;
-        (self.position, self.velocity)
-    }
-
-    fn rk4_step(&mut self, h: f64) {
-        let (r0, v0) = (self.position, self.velocity);
-
-        let k1v = acceleration_two_body_j2(r0);
-        let k1r = v0;
-
-        let k2v = acceleration_two_body_j2(r0 + k1r * (h / 2.0));
-        let k2r = v0 + k1v * (h / 2.0);
-
-        let k3v = acceleration_two_body_j2(r0 + k2r * (h / 2.0));
-        let k3r = v0 + k2v * (h / 2.0);
-
-        let k4v = acceleration_two_body_j2(r0 + k3r * h);
-        let k4r = v0 + k3v * h;
-
-        self.position = r0 + (k1r + 2.0 * k2r + 2.0 * k3r + k4r) * (h / 6.0);
-        self.velocity = v0 + (k1v + 2.0 * k2v + 2.0 * k3v + k4v) * (h / 6.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::angles::separation;
-    use crate::constants::SUN_SYNC_NODE_RATE;
+    use crate::constants::{EARTH_MU, SUN_SYNC_NODE_RATE};
 
     fn circ(alt: f64, inc_deg: f64) -> OrbitalElements {
         OrbitalElements::circular(alt, inc_deg.to_radians(), 0.0, 0.0).unwrap()
+    }
+
+    /// Two-body + J2 point-mass acceleration \[km/s²\] at ECI position `r`.
+    fn acceleration_two_body_j2(r: Vec3) -> Vec3 {
+        let rn = r.norm();
+        let rn2 = rn * rn;
+        let two_body = r * (-EARTH_MU / (rn2 * rn));
+        // J2 perturbation (Vallado eq. 8-30).
+        let k = -1.5 * EARTH_J2 * EARTH_MU * EARTH_RADIUS_KM * EARTH_RADIUS_KM / (rn2 * rn2 * rn);
+        let z2_r2 = (r.z * r.z) / rn2;
+        let j2 = Vec3::new(
+            k * r.x * (1.0 - 5.0 * z2_r2),
+            k * r.y * (1.0 - 5.0 * z2_r2),
+            k * r.z * (3.0 - 5.0 * z2_r2),
+        );
+        two_body + j2
+    }
+
+    /// Fixed-step RK4 integrator of the two-body + J2 equations of motion:
+    /// the reference [`J2Propagator`]'s secular rates are checked against.
+    struct NumericalPropagator {
+        epoch: Epoch,
+        position: Vec3,
+        velocity: Vec3,
+    }
+
+    impl NumericalPropagator {
+        /// Integration step \[s\]. 10 s keeps LEO position error < 1 m/orbit.
+        const STEP_S: f64 = 10.0;
+
+        fn new(epoch: Epoch, position: Vec3, velocity: Vec3) -> Self {
+            NumericalPropagator { epoch, position, velocity }
+        }
+
+        /// Starts from mean elements converted to a Cartesian state.
+        fn from_elements(epoch: Epoch, elements: &OrbitalElements) -> Result<Self> {
+            let (r, v) = elements.to_cartesian()?;
+            Ok(Self::new(epoch, r, v))
+        }
+
+        /// Integrates forward (or backward) to epoch `t` and returns the state.
+        fn propagate_to(&mut self, t: Epoch) -> (Vec3, Vec3) {
+            let mut remaining = t - self.epoch;
+            let dir = if remaining >= 0.0 { 1.0 } else { -1.0 };
+            remaining = remaining.abs();
+            while remaining > 0.0 {
+                let h = remaining.min(Self::STEP_S) * dir;
+                self.rk4_step(h);
+                remaining -= h.abs();
+            }
+            self.epoch = t;
+            (self.position, self.velocity)
+        }
+
+        fn rk4_step(&mut self, h: f64) {
+            let (r0, v0) = (self.position, self.velocity);
+
+            let k1v = acceleration_two_body_j2(r0);
+            let k1r = v0;
+
+            let k2v = acceleration_two_body_j2(r0 + k1r * (h / 2.0));
+            let k2r = v0 + k1v * (h / 2.0);
+
+            let k3v = acceleration_two_body_j2(r0 + k2r * (h / 2.0));
+            let k3r = v0 + k2v * (h / 2.0);
+
+            let k4v = acceleration_two_body_j2(r0 + k3r * h);
+            let k4r = v0 + k3v * h;
+
+            self.position = r0 + (k1r + 2.0 * k2r + 2.0 * k3r + k4r) * (h / 6.0);
+            self.velocity = v0 + (k1v + 2.0 * k2v + 2.0 * k3v + k4v) * (h / 6.0);
+        }
     }
 
     #[test]

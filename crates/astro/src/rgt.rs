@@ -38,15 +38,10 @@ pub struct RgtOrbit {
 }
 
 impl RgtOrbit {
-    /// Revolutions per nodal day (`k/m`).
-    pub fn revs_per_day(&self) -> f64 {
-        self.revs as f64 / self.days as f64
-    }
-
     /// Equatorial spacing between adjacent ascending passes after the full
     /// repeat cycle \[rad\]: the `k` ascending nodes are evenly spread, so
     /// `2π/k`.
-    pub fn equatorial_pass_spacing(&self) -> f64 {
+    fn equatorial_pass_spacing(&self) -> f64 {
         TAU / self.revs as f64
     }
 
@@ -145,7 +140,7 @@ fn repeat_residual(altitude_km: f64, inclination: f64, revs: u32, days: u32) -> 
 /// # Errors
 /// Returns [`AstroError::NoSolution`] when the ratio is outside the LEO+
 /// range bracketed by the search interval.
-pub fn find_rgt_altitude(revs: u32, days: u32, inclination: f64) -> Result<f64> {
+fn find_rgt_altitude(revs: u32, days: u32, inclination: f64) -> Result<f64> {
     if days == 0 || revs == 0 {
         return Err(AstroError::NoSolution { what: "revs and days must be non-zero" });
     }
@@ -175,7 +170,8 @@ pub fn find_rgt_altitude(revs: u32, days: u32, inclination: f64) -> Result<f64> 
 /// Builds the RGT orbit for `revs:days` at `inclination`.
 ///
 /// # Errors
-/// See [`find_rgt_altitude`].
+/// Returns [`AstroError::NoSolution`] for a zero `revs` or `days`, or a
+/// ratio outside the altitudes the solver brackets (150–40 000 km).
 pub fn rgt_orbit(revs: u32, days: u32, inclination: f64) -> Result<RgtOrbit> {
     Ok(RgtOrbit {
         revs,

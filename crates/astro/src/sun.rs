@@ -81,7 +81,8 @@ pub fn local_solar_time_of_longitude(epoch: Epoch, longitude: f64) -> f64 {
 }
 
 /// Sub-solar ground longitude \[rad, (-π, π]\] at `epoch`: where it is
-/// mean local noon.
+/// mean local noon. The tests pin the local-solar-time conversions to it.
+#[cfg(test)]
 pub fn subsolar_longitude(epoch: Epoch) -> f64 {
     let t = epoch.julian_centuries();
     let mean_sun_ra = wrap_two_pi((280.460f64 + 36_000.771 * t).to_radians());

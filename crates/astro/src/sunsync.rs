@@ -14,26 +14,8 @@ use crate::constants::SUN_SYNC_NODE_RATE;
 use crate::error::{AstroError, Result};
 use crate::frames::SunRelativePoint;
 use crate::kepler::OrbitalElements;
-use crate::propagate::j2_rates;
 use crate::time::Epoch;
 use core::f64::consts::TAU;
-
-/// Highest altitude \[km\] at which a sun-synchronous inclination exists
-/// (where the required inclination reaches 180°); ~5975 km for Earth.
-pub fn max_sun_synchronous_altitude_km() -> f64 {
-    // Solve cos i = -1 in the closed form below by bisection on altitude.
-    let mut lo = 4000.0;
-    let mut hi = 8000.0;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if sun_synchronous_inclination(mid).is_ok() {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
 
 /// Sun-synchronous inclination \[rad\] for a circular orbit at
 /// `altitude_km`.
@@ -123,7 +105,7 @@ impl SunSyncOrbit {
 
     /// RAAN \[rad\] that realizes this LTAN at `epoch`: the node sits
     /// `(LTAN − 12h)` east of the mean sun's right ascension.
-    pub fn raan_at(&self, epoch: Epoch) -> f64 {
+    fn raan_at(&self, epoch: Epoch) -> f64 {
         let t = epoch.julian_centuries();
         let mean_sun_ra = wrap_two_pi((280.460f64 + 36_000.771 * t).to_radians());
         wrap_two_pi(mean_sun_ra + (self.ltan_h - 12.0) / 24.0 * TAU)
@@ -173,7 +155,8 @@ impl SunSyncOrbit {
     }
 
     /// Verifies sun-synchrony: the actual J2 node rate of this orbit
-    /// relative to the target rate, as a relative error.
+    /// relative to the target rate, as a relative error (a test check).
+    #[cfg(test)]
     pub fn node_rate_relative_error(&self) -> f64 {
         let el = OrbitalElements {
             semi_major_axis_km: crate::constants::EARTH_RADIUS_KM + self.altitude_km,
@@ -183,7 +166,7 @@ impl SunSyncOrbit {
             arg_perigee: 0.0,
             mean_anomaly: 0.0,
         };
-        (j2_rates(&el).raan_rate - SUN_SYNC_NODE_RATE).abs() / SUN_SYNC_NODE_RATE
+        (crate::propagate::j2_rates(&el).raan_rate - SUN_SYNC_NODE_RATE).abs() / SUN_SYNC_NODE_RATE
     }
 }
 
@@ -212,9 +195,10 @@ mod tests {
 
     #[test]
     fn sso_infeasible_at_high_altitude() {
+        // The required inclination reaches 180° near 5975 km.
+        assert!(sun_synchronous_inclination(5800.0).is_ok());
+        assert!(sun_synchronous_inclination(6150.0).is_err());
         assert!(sun_synchronous_inclination(8000.0).is_err());
-        let max = max_sun_synchronous_altitude_km();
-        assert!((max - 5975.0).abs() < 150.0, "max SSO altitude = {max}");
         assert!(sun_synchronous_inclination(-5.0).is_err());
     }
 
@@ -253,8 +237,7 @@ mod tests {
                 if plat < 0.0 && lat >= 0.0 {
                     // linear interpolation to the crossing
                     let frac = -plat / (lat - plat);
-                    crossing =
-                        Some(Epoch::from_seconds_j2000(pt.seconds_j2000() + frac * (t - pt)));
+                    crossing = Some(pt + frac * (t - pt));
                     break;
                 }
             }

@@ -23,7 +23,7 @@ impl Epoch {
 
     /// Builds an epoch from seconds since J2000.0.
     #[inline]
-    pub const fn from_seconds_j2000(seconds: f64) -> Self {
+    const fn from_seconds_j2000(seconds: f64) -> Self {
         Epoch { seconds_since_j2000: seconds }
     }
 
@@ -35,7 +35,7 @@ impl Epoch {
 
     /// Builds an epoch from a Julian date.
     #[inline]
-    pub fn from_julian_date(jd: f64) -> Self {
+    fn from_julian_date(jd: f64) -> Self {
         Epoch::from_days_j2000(jd - JD_J2000)
     }
 
@@ -62,15 +62,9 @@ impl Epoch {
         Epoch::from_julian_date(jd + frac)
     }
 
-    /// Seconds since J2000.0.
-    #[inline]
-    pub const fn seconds_j2000(self) -> f64 {
-        self.seconds_since_j2000
-    }
-
     /// Days since J2000.0.
     #[inline]
-    pub fn days_j2000(self) -> f64 {
+    fn days_j2000(self) -> f64 {
         self.seconds_since_j2000 / SECONDS_PER_DAY
     }
 
@@ -104,15 +98,6 @@ impl Epoch {
             rad
         }
     }
-
-    /// Hours elapsed in the current UTC day, `[0, 24)`.
-    ///
-    /// J2000.0 falls at 12:00, hence the half-day offset.
-    pub fn utc_hours_of_day(self) -> f64 {
-        let days = self.days_j2000() + 0.5; // shift so 0.0 is midnight
-        let frac = days - days.floor();
-        frac * 24.0
-    }
 }
 
 impl Add<f64> for Epoch {
@@ -141,7 +126,7 @@ mod tests {
     fn j2000_calendar_round_trip() {
         let e = Epoch::from_calendar(2000, 1, 1, 12, 0, 0.0);
         assert!((e.julian_date() - JD_J2000).abs() < 1e-9);
-        assert!(e.seconds_j2000().abs() < 1e-4);
+        assert!((e - Epoch::J2000).abs() < 1e-4);
     }
 
     #[test]
@@ -165,13 +150,6 @@ mod tests {
         let e1 = e0 + SIDEREAL_DAY_S;
         let d = crate::angles::separation(e0.gmst(), e1.gmst());
         assert!(d < 1e-4, "gmst drift over one sidereal day = {d} rad");
-    }
-
-    #[test]
-    fn utc_hours_of_day_noon_at_j2000() {
-        assert!((Epoch::J2000.utc_hours_of_day() - 12.0).abs() < 1e-9);
-        let midnight = Epoch::from_calendar(2020, 6, 1, 0, 0, 0.0);
-        assert!(midnight.utc_hours_of_day() < 1e-9 || midnight.utc_hours_of_day() > 24.0 - 1e-9);
     }
 
     #[test]

@@ -68,7 +68,7 @@ proptest! {
             mean_anomaly: ma,
         };
         let (r, v) = el.to_cartesian().unwrap();
-        prop_assert!(!r.is_non_finite() && !v.is_non_finite());
+        prop_assert!([r.x, r.y, r.z, v.x, v.y, v.z].iter().all(|c| c.is_finite()));
         let back = OrbitalElements::from_cartesian(r, v).unwrap();
         prop_assert!((back.semi_major_axis_km - el.semi_major_axis_km).abs() < 1e-5);
         prop_assert!((back.eccentricity - el.eccentricity).abs() < 1e-8);

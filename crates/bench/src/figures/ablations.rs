@@ -25,7 +25,7 @@ pub struct AblationRow {
 }
 
 /// Probe total-demand level for the ablations \[satellite capacities\].
-pub const PROBE_TOTAL_B: f64 = 200.0;
+const PROBE_TOTAL_B: f64 = 200.0;
 
 /// Runs all ablations at the probe demand level.
 ///

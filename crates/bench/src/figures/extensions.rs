@@ -8,6 +8,7 @@ use ssplane_core::designer::{design_ss_constellation, DesignConfig};
 use ssplane_core::error::Result as CoreResult;
 use ssplane_core::sustainability::{assess, SustainabilityParams, SustainabilityReport};
 use ssplane_core::walker_baseline::{design_walker_constellation, WalkerBaselineConfig};
+use ssplane_lsn::failures::FailureModel;
 use ssplane_radiation::fluence::daily_fluence;
 use ssplane_radiation::RadiationEnvironment;
 
@@ -54,10 +55,15 @@ pub fn data(total_b: f64) -> CoreResult<ExtensionData> {
         daily_fluence(&env, &el, epoch, 60.0)?
     };
 
+    // Both ledgers take their failure rates from the one failure model
+    // the survivability stage samples lifetimes from.
+    let failures = FailureModel::default();
     let params = SustainabilityParams::default();
-    let ss_ledger = assess(ss.total_sats(), ss.planes.len(), ss_dose, true, params)?;
+    let ss_hazard = failures.hazard_per_year(ss_dose);
+    let ss_ledger = assess(ss.total_sats(), ss.planes.len(), ss_hazard, true, params)?;
     let wd_shell_count: usize = wd.shells.iter().map(|s| s.planes).sum();
-    let wd_ledger = assess(wd.total_sats(), wd_shell_count, wd_dose, false, params)?;
+    let wd_hazard = failures.hazard_per_year(wd_dose);
+    let wd_ledger = assess(wd.total_sats(), wd_shell_count, wd_hazard, false, params)?;
 
     let eclipse_by_plane = ss
         .planes
@@ -128,5 +134,46 @@ mod tests {
             assert!((0.0..0.45).contains(&frac));
         }
         assert!(render(&d).contains("fleet_mass_t"));
+    }
+
+    #[test]
+    fn ledgers_are_pinned_bit_for_bit() {
+        // The ledgers' exact bits: any change to the hazard expression
+        // (`FailureModel::hazard_per_year`) or its evaluation order shows
+        // here, not just a change in the SS < WD ordering.
+        let d = data(100.0).unwrap();
+        let bits = |r: &SustainabilityReport| {
+            (
+                r.active_sats,
+                r.spare_sats,
+                r.fleet_mass_kg.to_bits(),
+                r.replacement_rate_per_year.to_bits(),
+                r.launches_per_year.to_bits(),
+                r.reentry_aerosol_kg_per_year.to_bits(),
+            )
+        };
+        let (ss, wd) = &d.sustainability;
+        assert_eq!(
+            bits(ss),
+            (
+                550,
+                33,
+                0x411f_5040_0000_0001,
+                0x4061_94d8_44c2_9e5f,
+                0x401e_f17c_a1fa_5e6a,
+                0x40e0_7b8a_c076_7479
+            )
+        );
+        assert_eq!(
+            bits(wd),
+            (
+                2744,
+                234,
+                0x4142_2d20_0000_0000,
+                0x4086_bac9_2fde_a501,
+                0x4042_2f07_597e_ea67,
+                0x4105_4f1c_9ce0_bab1
+            )
+        );
     }
 }

@@ -46,7 +46,7 @@ pub struct Fig6Data {
 
 impl Fig6Data {
     /// Center latitude of row `i` \[deg\].
-    pub fn lat_of(&self, i: usize) -> f64 {
+    fn lat_of(&self, i: usize) -> f64 {
         -90.0 + 180.0 * (i as f64 + 0.5) / self.params.n_lat as f64
     }
 

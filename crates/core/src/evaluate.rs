@@ -77,7 +77,8 @@ pub struct SatisfactionReport {
 }
 
 impl SatisfactionReport {
-    /// Fraction of checked cells satisfied.
+    /// Fraction of checked cells satisfied (what the integration tests
+    /// assert on).
     pub fn satisfied_fraction(&self) -> f64 {
         if self.cells_checked == 0 {
             1.0
@@ -90,7 +91,9 @@ impl SatisfactionReport {
 /// Empirically verifies an SS constellation against the sun-relative
 /// demand grid by propagating every satellite over `n_time_samples`
 /// instants spanning one day and counting satellites within the coverage
-/// cap of each demanded cell center.
+/// cap of each demanded cell center. The pipeline sizes designs
+/// analytically; this is the propagation-based reference the
+/// integration tests check those designs against.
 ///
 /// # Errors
 /// Propagates propagation failure.
@@ -171,7 +174,7 @@ pub fn verify_sun_relative_supply(
 /// Empirically verifies a Walker constellation against the Earth-fixed
 /// requirement (time-max demand per latitude): samples ground points
 /// across longitudes and times and reports the worst observed supply per
-/// latitude band.
+/// latitude band. Like [`verify_sun_relative_supply`], a test reference.
 ///
 /// # Errors
 /// Propagates propagation failure.
@@ -330,7 +333,9 @@ pub struct Fig10Row {
     pub wd: DailyFluence,
 }
 
-/// Computes the Fig. 10 row for a designed pair of constellations.
+/// Computes the Fig. 10 row for a designed pair of constellations
+/// directly, without the scenario engine. The `fig10` figure runs
+/// through the engine; its parity test uses this as the reference.
 ///
 /// # Errors
 /// Propagates fluence-integration failure.

@@ -53,14 +53,10 @@ pub struct Fig1Data {
 }
 
 impl Fig1Data {
-    /// The non-uniform RGT rows (the interesting series).
+    /// The non-uniform RGT rows (the interesting series; the figure tests
+    /// count them).
     pub fn non_uniform(&self) -> impl Iterator<Item = &RgtCoverage> {
         self.rgts.iter().filter(|r| !r.effectively_uniform)
-    }
-
-    /// The uniform RGT rows.
-    pub fn uniform(&self) -> impl Iterator<Item = &RgtCoverage> {
-        self.rgts.iter().filter(|r| r.effectively_uniform)
     }
 }
 

@@ -20,7 +20,8 @@ pub struct SsPlane {
 
 impl SsPlane {
     /// Samples the plane's fixed sun-relative track at `n` points of
-    /// argument of latitude.
+    /// argument of latitude: the dense reference the designer's coverage
+    /// tests and proptests compare swaths against.
     pub fn track_points(&self, n: usize) -> Vec<SunRelativePoint> {
         (0..n)
             .map(|k| self.orbit.sun_relative_point(core::f64::consts::TAU * k as f64 / n as f64))

@@ -11,9 +11,12 @@
 //! The model is deliberately first-order and fully parameterized: every
 //! constant is a field with a documented default, and the comparisons the
 //! tests assert are ratio claims that hold across wide parameter ranges.
+//! The failure hazard is an input, not a parameter: callers take it from
+//! the one radiation-driven failure model (`ssplane_lsn`'s
+//! `FailureModel::hazard_per_year`), so the ledger and the survivability
+//! stage never disagree about how often satellites fail.
 
 use crate::error::Result;
-use ssplane_radiation::fluence::DailyFluence;
 
 /// Per-satellite and launch-vehicle cost parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,12 +35,6 @@ pub struct SustainabilityParams {
     /// Fraction of satellite mass that survives re-entry ablation into
     /// long-lived upper-atmosphere aerosol (alumina), per its ref. \[10\].
     pub ablation_aerosol_fraction: f64,
-    /// Baseline annual failure hazard per satellite (non-radiation).
-    pub baseline_hazard_per_year: f64,
-    /// Hazard per unit electron daily fluence \[1/yr per #/cm²/MeV/day\].
-    pub electron_hazard_coeff: f64,
-    /// Hazard per unit proton daily fluence.
-    pub proton_hazard_coeff: f64,
     /// Spare satellites carried per plane per expected in-period failure
     /// (sizing looseness; deployed systems carry 2-10 per plane).
     pub spare_margin: f64,
@@ -53,9 +50,6 @@ impl Default for SustainabilityParams {
             design_life_years: 5.0,
             launch_capacity_kg: 16_000.0,
             ablation_aerosol_fraction: 0.3,
-            baseline_hazard_per_year: 0.01,
-            electron_hazard_coeff: 1.2e-12,
-            proton_hazard_coeff: 1.0e-9,
             spare_margin: 2.0,
             resupply_days: 180.0,
         }
@@ -81,15 +75,16 @@ pub struct SustainabilityReport {
 }
 
 /// Computes the ledger for a constellation of `active_sats` satellites in
-/// `planes` planes with representative daily dose `dose`, retrograde or
-/// not.
+/// `planes` planes whose satellites fail at `hazard_per_year` (the annual
+/// failure rate at the constellation's representative dose), retrograde
+/// or not.
 ///
 /// # Errors
-/// Rejects non-positive parameters.
+/// Rejects non-positive parameters and a negative or non-finite hazard.
 pub fn assess(
     active_sats: usize,
     planes: usize,
-    dose: DailyFluence,
+    hazard_per_year: f64,
     retrograde: bool,
     params: SustainabilityParams,
 ) -> Result<SustainabilityReport> {
@@ -102,17 +97,20 @@ pub fn assess(
             constraint: "positive masses, capacity, and design life",
         });
     }
-    let hazard = params.baseline_hazard_per_year
-        + params.electron_hazard_coeff * dose.electron
-        + params.proton_hazard_coeff * dose.proton;
+    if !(hazard_per_year.is_finite() && hazard_per_year >= 0.0) {
+        return Err(crate::error::CoreError::BadConfig {
+            name: "hazard_per_year",
+            constraint: "finite and >= 0",
+        });
+    }
     // Replacement: radiation/random failures plus scheduled end-of-life.
-    let replacement_rate = active_sats as f64 * (hazard + 1.0 / params.design_life_years);
+    let replacement_rate = active_sats as f64 * (hazard_per_year + 1.0 / params.design_life_years);
     // Spares: margin x expected failures per plane per resupply period,
     // at least 1 per plane, summed over planes.
     let per_plane_failures = if planes == 0 {
         0.0
     } else {
-        active_sats as f64 / planes as f64 * hazard * params.resupply_days / 365.25
+        active_sats as f64 / planes as f64 * hazard_per_year * params.resupply_days / 365.25
     };
     let spares_per_plane = (params.spare_margin * per_plane_failures).ceil().max(1.0);
     let spare_sats = (spares_per_plane * planes as f64) as usize;
@@ -137,13 +135,13 @@ pub fn assess(
 mod tests {
     use super::*;
 
-    fn dose(e: f64, p: f64) -> DailyFluence {
-        DailyFluence { electron: e, proton: p }
-    }
+    // Annual hazards below are the default radiation failure model's rates
+    // at representative daily doses (1e10-8e10 electrons, 1e7-9e7 protons
+    // per cm² per MeV).
 
     #[test]
     fn basic_ledger() {
-        let r = assess(1000, 20, dose(2e10, 2e7), true, Default::default()).unwrap();
+        let r = assess(1000, 20, 0.054, true, Default::default()).unwrap();
         assert_eq!(r.active_sats, 1000);
         assert!(r.spare_sats >= 20, "at least one spare per plane");
         assert!(r.fleet_mass_kg > 800.0 * 1000.0);
@@ -157,8 +155,8 @@ mod tests {
         // SS: fewer satellites (Fig. 9) and less radiation (Fig. 10), but
         // retrograde launch penalty. WD: more satellites, more radiation.
         // Representative mid-demand numbers from the fig9/fig10 pipelines.
-        let ss = assess(4150, 83, dose(2.04e10, 2.13e7), true, Default::default()).unwrap();
-        let wd = assess(11_939, 140, dose(2.54e10, 2.77e7), false, Default::default()).unwrap();
+        let ss = assess(4150, 83, 0.056, true, Default::default()).unwrap();
+        let wd = assess(11_939, 140, 0.068, false, Default::default()).unwrap();
         assert!(
             ss.fleet_mass_kg < 0.5 * wd.fleet_mass_kg,
             "SS fleet {:.0} t vs WD {:.0} t",
@@ -171,8 +169,8 @@ mod tests {
 
     #[test]
     fn radiation_dose_raises_spares_and_launches() {
-        let cool = assess(1000, 20, dose(1e10, 1e7), false, Default::default()).unwrap();
-        let hot = assess(1000, 20, dose(8e10, 9e7), false, Default::default()).unwrap();
+        let cool = assess(1000, 20, 0.032, false, Default::default()).unwrap();
+        let hot = assess(1000, 20, 0.196, false, Default::default()).unwrap();
         assert!(hot.spare_sats >= cool.spare_sats);
         assert!(hot.replacement_rate_per_year > cool.replacement_rate_per_year);
         assert!(hot.launches_per_year > cool.launches_per_year);
@@ -180,8 +178,8 @@ mod tests {
 
     #[test]
     fn retrograde_penalty_applies() {
-        let pro = assess(100, 5, dose(1e10, 1e7), false, Default::default()).unwrap();
-        let retro = assess(100, 5, dose(1e10, 1e7), true, Default::default()).unwrap();
+        let pro = assess(100, 5, 0.032, false, Default::default()).unwrap();
+        let retro = assess(100, 5, 0.032, true, Default::default()).unwrap();
         assert!(retro.fleet_mass_kg > pro.fleet_mass_kg);
         assert!((retro.fleet_mass_kg / pro.fleet_mass_kg - 1.1).abs() < 0.02);
     }
@@ -189,14 +187,17 @@ mod tests {
     #[test]
     fn invalid_params_rejected() {
         let p = SustainabilityParams { satellite_mass_kg: 0.0, ..Default::default() };
-        assert!(assess(10, 2, dose(1e10, 1e7), false, p).is_err());
+        assert!(assess(10, 2, 0.032, false, p).is_err());
         let p = SustainabilityParams { design_life_years: -1.0, ..Default::default() };
-        assert!(assess(10, 2, dose(1e10, 1e7), false, p).is_err());
+        assert!(assess(10, 2, 0.032, false, p).is_err());
+        for hazard in [-0.01, f64::NAN, f64::INFINITY] {
+            assert!(assess(10, 2, hazard, false, Default::default()).is_err(), "{hazard}");
+        }
     }
 
     #[test]
     fn zero_planes_safe() {
-        let r = assess(0, 0, dose(1e10, 1e7), false, Default::default()).unwrap();
+        let r = assess(0, 0, 0.032, false, Default::default()).unwrap();
         assert_eq!(r.spare_sats, 0);
         assert_eq!(r.fleet_mass_kg, 0.0);
     }

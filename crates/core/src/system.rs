@@ -138,7 +138,8 @@ impl DesignedSystem {
     /// group, derived from the group's representative elements and the
     /// planes tagged with its index — the semantic target of
     /// `attack.kind = "shell"` (shell `k` destroys exactly the planes of
-    /// `shell_meta()[k]`).
+    /// `shell_meta()[k]`). The runner reads the planes' tags directly; the
+    /// shell-attack tests check its reports against this.
     pub fn shell_meta(&self) -> Vec<ShellMeta> {
         self.eval_groups
             .iter()
@@ -335,7 +336,7 @@ impl Designer for RgtDesigner {
 /// authorization order ("Starlink Constellation: Deployment,
 /// Configuration, and Dynamics" documents the same structure). 4408
 /// satellites across five shells at full scale.
-pub const STARLINK_GEN1_SHELLS: &[(f64, f64, usize, usize)] = &[
+const STARLINK_GEN1_SHELLS: &[(f64, f64, usize, usize)] = &[
     (550.0, 53.0, 72, 22),
     (540.0, 53.2, 72, 22),
     (570.0, 70.0, 36, 20),

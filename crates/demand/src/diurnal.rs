@@ -46,12 +46,15 @@ impl DiurnalModel {
 
     /// Load relative to the *daily median* at local `hour` (1.0 = median).
     ///
-    /// This is the noise-free median curve of Fig. 4 divided by 100%.
+    /// This is the noise-free median curve of Fig. 4 divided by 100%. The
+    /// figure simulates noisy sites instead; the calibration tests and
+    /// proptests pin the model's shape through this curve.
     pub fn relative_load(&self, hour: f64) -> f64 {
         (self.log_shape(hour) - self.median_log_shape()).exp()
     }
 
-    /// The median curve of Fig. 4: % of site median at local `hour`.
+    /// The median curve of Fig. 4: % of site median at local `hour` (a
+    /// test reference, like [`Self::relative_load`]).
     pub fn median_percent(&self, hour: f64) -> f64 {
         100.0 * self.relative_load(hour)
     }
@@ -63,7 +66,7 @@ impl DiurnalModel {
     }
 
     /// Hour (to one-minute resolution) of the daily peak.
-    pub fn argmax_hour(&self) -> f64 {
+    fn argmax_hour(&self) -> f64 {
         let mut best = (f64::NEG_INFINITY, 0.0);
         for k in 0..(24 * 60) {
             let h = k as f64 / 60.0;

@@ -27,11 +27,6 @@ pub struct LatTodGrid {
 }
 
 impl LatTodGrid {
-    /// Default latitude resolution used by the paper reproduction (2.5°).
-    pub const DEFAULT_LAT_BINS: usize = 72;
-    /// Default time-of-day resolution (30 min).
-    pub const DEFAULT_TOD_BINS: usize = 48;
-
     /// Builds the grid from a demand model:
     /// `value(lat, tod) = max_lon population(lat, lon) × diurnal(tod)`,
     /// normalized to a unit peak.
@@ -169,11 +164,6 @@ impl LatTodGrid {
         best_idx
     }
 
-    /// True if every cell is ≤ `eps`.
-    pub fn is_satisfied(&self, eps: f64) -> bool {
-        self.values.iter().all(|&v| v <= eps)
-    }
-
     /// Iterates `(lat_idx, tod_idx, value)` over all cells.
     pub fn cells(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.lat_bins)
@@ -237,8 +227,7 @@ mod tests {
         let s = g.scaled(10.0);
         assert!((s.peak() - 10.0).abs() < 1e-9);
         assert!((s.total() - 10.0 * g.total()).abs() < 1e-6);
-        assert!(!s.is_satisfied(1e-9));
-        assert!(s.scaled(0.0).is_satisfied(0.0));
+        assert_eq!(s.scaled(0.0).peak(), 0.0);
     }
 
     #[test]
@@ -275,6 +264,6 @@ mod tests {
     fn argmax_none_when_empty() {
         let g = LatTodGrid::from_values(2, 2, vec![0.0; 4]).unwrap();
         assert_eq!(g.argmax(), None);
-        assert!(g.is_satisfied(0.0));
+        assert_eq!(g.peak(), 0.0);
     }
 }

@@ -31,7 +31,6 @@
 
 pub mod diurnal;
 pub mod error;
-pub mod forecast;
 pub mod gravity;
 pub mod grid;
 pub mod population;

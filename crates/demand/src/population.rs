@@ -304,16 +304,6 @@ impl PopulationGrid {
         let lat0 = -core::f64::consts::FRAC_PI_2 + dlat * i as f64;
         ssplane_astro::geo::latitude_band_area_km2(lat0, lat0 + dlat) / self.lon_bins as f64
     }
-
-    /// Total population (density × area summed over the grid).
-    pub fn total_population(&self) -> f64 {
-        (0..self.lat_bins)
-            .map(|i| {
-                let area = self.cell_area_km2(i);
-                (0..self.lon_bins).map(|j| self.cell(i, j) * area).sum::<f64>()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +427,9 @@ mod tests {
     #[test]
     fn total_population_plausible() {
         let g = small_grid();
-        let total = g.total_population();
+        let total: f64 = (0..g.lat_bins())
+            .map(|i| (0..g.lon_bins()).map(|j| g.cell(i, j)).sum::<f64>() * g.cell_area_km2(i))
+            .sum();
         // Synthetic effective population: order 10^9 - 10^11.
         assert!(total > 1e9 && total < 1e11, "total = {total:e}");
     }

@@ -50,7 +50,7 @@ impl DemandModel {
 
     /// Demand (arbitrary units: persons/km² × diurnal weight) at a surface
     /// point and **local solar hour**.
-    pub fn demand_at_local(&self, lat_deg: f64, lon_deg: f64, local_hour: f64) -> f64 {
+    fn demand_at_local(&self, lat_deg: f64, lon_deg: f64, local_hour: f64) -> f64 {
         self.population.density_at(lat_deg, lon_deg) * self.diurnal.weight(local_hour)
     }
 
@@ -58,37 +58,6 @@ impl DemandModel {
     /// hour is `utc + lon/15°` (mean sun).
     pub fn demand_at_utc(&self, lat_deg: f64, lon_deg: f64, utc_hour: f64) -> f64 {
         self.demand_at_local(lat_deg, lon_deg, wrap_hours(utc_hour + lon_deg / 15.0))
-    }
-
-    /// An Earth-fixed demand snapshot at `utc_hour`, on an `n_lat × n_lon`
-    /// grid (south-to-north, west-to-east). Units as
-    /// [`Self::demand_at_local`].
-    ///
-    /// # Errors
-    /// Returns [`DemandError::EmptyGrid`] for zero-sized grids.
-    pub fn snapshot_at_utc(
-        &self,
-        utc_hour: f64,
-        n_lat: usize,
-        n_lon: usize,
-    ) -> Result<Vec<Vec<f64>>> {
-        if n_lat == 0 {
-            return Err(DemandError::EmptyGrid { dimension: "n_lat" });
-        }
-        if n_lon == 0 {
-            return Err(DemandError::EmptyGrid { dimension: "n_lon" });
-        }
-        Ok((0..n_lat)
-            .map(|i| {
-                let lat = -90.0 + 180.0 * (i as f64 + 0.5) / n_lat as f64;
-                (0..n_lon)
-                    .map(|j| {
-                        let lon = -180.0 + 360.0 * (j as f64 + 0.5) / n_lon as f64;
-                        self.demand_at_utc(lat, lon, utc_hour)
-                    })
-                    .collect()
-            })
-            .collect())
     }
 
     /// The paper's Fig. 5 view: the Northern Hemisphere from above the
@@ -185,9 +154,6 @@ mod tests {
     #[test]
     fn snapshot_shapes_and_rotation() {
         let m = model();
-        let snap = m.snapshot_at_utc(12.0, 18, 36).unwrap();
-        assert_eq!(snap.len(), 18);
-        assert_eq!(snap[0].len(), 36);
         // As UTC advances 6h, the demand pattern shifts by 90° of longitude:
         // demand(lon, utc) == demand(lon - 90°, utc + 6) for the same local
         // time — check via the scalar API.
@@ -249,8 +215,6 @@ mod tests {
     #[test]
     fn empty_grids_rejected() {
         let m = model();
-        assert!(m.snapshot_at_utc(0.0, 0, 10).is_err());
-        assert!(m.snapshot_at_utc(0.0, 10, 0).is_err());
         assert!(m.polar_snapshot(0.0, 0, 5).is_err());
         assert!(m.polar_snapshot(0.0, 5, 0).is_err());
     }

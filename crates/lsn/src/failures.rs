@@ -45,18 +45,8 @@ impl FailureModel {
             + self.proton_coeff * dose.proton
     }
 
-    /// Mean time to failure \[years\].
-    pub fn mttf_years(&self, dose: DailyFluence) -> f64 {
-        1.0 / self.hazard_per_year(dose)
-    }
-
-    /// Probability of failure within `years` (exponential lifetime).
-    pub fn failure_probability(&self, dose: DailyFluence, years: f64) -> f64 {
-        1.0 - (-self.hazard_per_year(dose) * years).exp()
-    }
-
     /// Samples a failure time \[years\] for one satellite.
-    pub fn sample_failure_time(&self, dose: DailyFluence, rng: &mut StdRng) -> f64 {
+    fn sample_failure_time(&self, dose: DailyFluence, rng: &mut StdRng) -> f64 {
         let u: f64 = rng.gen::<f64>().max(1e-300);
         -u.ln() / self.hazard_per_year(dose)
     }
@@ -105,18 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn mttf_and_probability_consistent() {
-        let m = FailureModel::default();
-        let d = dose(1e10, 2e7);
-        let mttf = m.mttf_years(d);
-        // At t = MTTF the exponential failure probability is 1 - 1/e.
-        let p = m.failure_probability(d, mttf);
-        assert!((p - (1.0 - core::f64::consts::E.recip())).abs() < 1e-12);
-        assert!(m.failure_probability(d, 0.0).abs() < 1e-15);
-        assert!(m.failure_probability(d, 1e6) > 0.9999);
-    }
-
-    #[test]
     fn fleet_sampling_deterministic_and_mean_near_mttf() {
         let m = FailureModel::default();
         let doses = vec![dose(2e10, 2e7); 4000];
@@ -124,10 +102,24 @@ mod tests {
         let b = m.sample_fleet(&doses, 11).unwrap();
         assert_eq!(a, b);
         let mean: f64 = a.iter().sum::<f64>() / a.len() as f64;
-        let mttf = m.mttf_years(doses[0]);
+        let mttf = 1.0 / m.hazard_per_year(doses[0]);
         assert!((mean - mttf).abs() / mttf < 0.1, "mean {mean} vs mttf {mttf}");
         // Different seed -> different sample.
         assert_ne!(m.sample_fleet(&doses, 12).unwrap(), a);
+    }
+
+    #[test]
+    fn mttf_and_probability_consistent() {
+        // Sampled lifetimes are exponential: at t = MTTF = 1/hazard the
+        // failure probability is 1 - 1/e.
+        let m = FailureModel::default();
+        let doses = vec![dose(1e10, 2e7); 20_000];
+        let lifetimes = m.sample_fleet(&doses, 3).unwrap();
+        let mttf = 1.0 / m.hazard_per_year(doses[0]);
+        let failed = lifetimes.iter().filter(|&&t| t <= mttf).count() as f64;
+        let p = failed / lifetimes.len() as f64;
+        assert!((p - (1.0 - core::f64::consts::E.recip())).abs() < 0.02, "P(T <= MTTF) = {p}");
+        assert!(lifetimes.iter().all(|&t| t > 0.0));
     }
 
     #[test]
@@ -141,8 +133,8 @@ mod tests {
         // The paper's survivability argument in one assert: an SS-dose
         // satellite outlives a 65°-dose satellite on average.
         let m = FailureModel::default();
-        let sso = m.mttf_years(dose(3.4e10, 2.1e7));
-        let walker65 = m.mttf_years(dose(4.1e10, 2.3e7));
-        assert!(sso > walker65);
+        let sso = m.hazard_per_year(dose(3.4e10, 2.1e7));
+        let walker65 = m.hazard_per_year(dose(4.1e10, 2.3e7));
+        assert!(sso < walker65, "a lower hazard is a longer mean lifetime");
     }
 }

@@ -115,14 +115,6 @@ pub enum AttackBudget {
 }
 
 impl AttackBudget {
-    /// The unit token (`"planes"` / `"sats"`).
-    pub fn unit_str(self) -> &'static str {
-        match self {
-            AttackBudget::Planes(_) => "planes",
-            AttackBudget::Sats(_) => "sats",
-        }
-    }
-
     /// The raw budget count.
     pub fn count(self) -> usize {
         match self {
@@ -327,11 +319,6 @@ impl<'a> DegradedEvaluator<'a> {
         self
     }
 
-    /// The incremental scorer's damage-threshold fraction.
-    pub fn repair_threshold(&self) -> f64 {
-        self.repair_threshold
-    }
-
     /// Builds an [`IncrementalScorer`] over this evaluator for
     /// `objective` — the delta-evaluation layer [`optimize_attack`]
     /// scores through (see [`incremental`]).
@@ -347,11 +334,6 @@ impl<'a> DegradedEvaluator<'a> {
     /// Satellites per slot.
     pub fn n_sats(&self) -> usize {
         self.series.n_sats()
-    }
-
-    /// Flows offered per slot.
-    pub fn n_flows(&self) -> usize {
-        self.flows.len()
     }
 
     /// The intact (unmasked) per-slot evaluations, computed once at
@@ -520,7 +502,7 @@ impl<'a> DegradedEvaluator<'a> {
 
     /// The alive mask destroying exactly `destroyed` (network-layout
     /// ids); out-of-range ids are ignored.
-    pub fn attack_mask(&self, destroyed: &[SatId]) -> Vec<bool> {
+    fn attack_mask(&self, destroyed: &[SatId]) -> Vec<bool> {
         let mut mask = self.all_alive.clone();
         let snapshot = self.series.snapshot(0);
         for id in destroyed {

@@ -350,7 +350,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// Scores one destroyed set — byte-identical to
     /// [`DegradedEvaluator::score_attack`] with this scorer's objective.
     /// The destroyed set is canonicalized (sorted unique in-range flat
-    /// indices) for caching, exactly the [`DegradedEvaluator::attack_mask`]
+    /// indices) for caching, exactly the `DegradedEvaluator::attack_mask`
     /// semantics.
     ///
     /// # Errors

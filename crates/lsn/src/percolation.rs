@@ -22,9 +22,9 @@
 //!   registry: [`plane_spread_ordering`] (targeted whole-plane loss at
 //!   maximal spread — the sweep form of `leading-planes`),
 //!   [`random_ordering`] (seeded uniform loss — `random-sats`),
-//!   [`shell_ordering`] (whole evaluation groups — `shell`),
 //!   [`keyed_ordering`] (ascending scalar key, e.g. declination distance
-//!   from a debris-band center — `declination-band`), and
+//!   from a debris-band center — `declination-band`; a test reference),
+//!   and
 //!   [`priority_ordering`] (a searched destroyed set first, then a base
 //!   ordering — the `optimized` attack as a sweep);
 //! * [`PercolationCurve::masking_threshold`] — the critical loss
@@ -60,13 +60,13 @@ pub const DEFAULT_PERCOLATION_STEPS: usize = 32;
 pub const DEFAULT_MASKING_GAP: f64 = 0.1;
 
 /// The seed of the λ₂ power iteration's start vector ("lambda2").
-pub const LAMBDA2_SEED: u64 = 0x6C61_6D62_6461_3200;
+const LAMBDA2_SEED: u64 = 0x6C61_6D62_6461_3200;
 
 /// Incremental union-find over a topology's flat node space, tracking
 /// the cluster statistics a percolation sweep samples: giant-component
 /// size, sum of squared component sizes, and component count. Nodes
-/// start *inactive* (removed); [`ClusterTracker::activate`] brings one
-/// into service and [`ClusterTracker::union`] merges components — the
+/// start *inactive* (removed); `ClusterTracker::activate` brings one
+/// into service and `ClusterTracker::union` merges components — the
 /// sweep replays a removal ordering backwards through these two calls.
 #[derive(Debug, Clone)]
 pub struct ClusterTracker {
@@ -165,7 +165,7 @@ impl ClusterTracker {
 
     /// Brings node `v` into service as its own singleton component
     /// (no-op if already active).
-    pub fn activate(&mut self, v: usize) {
+    fn activate(&mut self, v: usize) {
         if self.active[v] {
             return;
         }
@@ -193,7 +193,7 @@ impl ClusterTracker {
     ///
     /// # Panics
     /// If either node is inactive.
-    pub fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: usize, b: usize) {
         assert!(self.active[a] && self.active[b], "union of an inactive node");
         let (mut ra, mut rb) = (self.find(a), self.find(b));
         if ra == rb {
@@ -208,11 +208,6 @@ impl ClusterTracker {
         self.n_components -= 1;
         self.sum_sq += 2 * sa * sb;
         self.largest = self.largest.max(sa + sb);
-    }
-
-    /// Size of the largest active component.
-    pub fn largest_component(&self) -> usize {
-        crate::cast::count_usize(self.largest)
     }
 
     /// The current cluster statistics.
@@ -250,14 +245,14 @@ fn radical_inverse(mut i: usize) -> f64 {
 /// `leading-planes` attack: each added plane lands mid-way between the
 /// planes already gone, the strongest whole-plane schedule against a
 /// +grid.
-pub fn spread_order(n: usize) -> Vec<usize> {
+fn spread_order(n: usize) -> Vec<usize> {
     let mut keyed: Vec<(f64, usize)> = (0..n).map(|i| (radical_inverse(i), i)).collect();
     keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Targeted whole-plane removal ordering: planes visited in
-/// [`spread_order`], each plane's slots removed consecutively.
+/// `spread_order`, each plane's slots removed consecutively.
 pub fn plane_spread_ordering(topology: &Topology) -> Vec<usize> {
     let offsets = topology.plane_offsets();
     spread_order(topology.n_planes()).into_iter().flat_map(|p| offsets[p]..offsets[p + 1]).collect()
@@ -276,30 +271,10 @@ pub fn random_ordering(n: usize, seed: u64) -> Vec<usize> {
     order
 }
 
-/// Whole-shell removal ordering: evaluation groups ascending, each
-/// group's planes (and their slots) removed consecutively — the sweep
-/// form of the `shell` attack.
-///
-/// # Panics
-/// If `plane_groups.len()` is not the plane count.
-pub fn shell_ordering(topology: &Topology, plane_groups: &[usize]) -> Vec<usize> {
-    assert_eq!(plane_groups.len(), topology.n_planes(), "one group tag per plane");
-    let offsets = topology.plane_offsets();
-    let n_groups = plane_groups.iter().max().map_or(0, |&g| g + 1);
-    (0..n_groups)
-        .flat_map(|g| {
-            plane_groups
-                .iter()
-                .enumerate()
-                .filter(move |&(_, &tag)| tag == g)
-                .flat_map(|(p, _)| offsets[p]..offsets[p + 1])
-        })
-        .collect()
-}
-
-/// Removal ordering by ascending scalar key (ties by flat index) — e.g.
-/// each satellite's declination distance from a debris-band center, the
-/// sweep form of the `declination-band` attack.
+/// Removal ordering by ascending scalar key (ties by flat index), e.g.
+/// each satellite's declination distance from a debris-band center. No
+/// runner stage sweeps it; the sweep proptests use it as the reference
+/// non-targeted, non-random ordering.
 pub fn keyed_ordering(keys: &[f64]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_unstable_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
@@ -361,7 +336,7 @@ impl PercolationCurve {
     }
 
     /// Fraction of nodes still in service at step `k`.
-    pub fn alive_fraction(&self, k: usize) -> f64 {
+    fn alive_fraction(&self, k: usize) -> f64 {
         if self.n_nodes == 0 {
             return 0.0;
         }
@@ -662,7 +637,6 @@ mod tests {
         // {0,1,2,3}, {4}: sum_sq = 16 + 1.
         let stats = t.stats();
         assert_eq!(stats, ClusterStats { active: 5, components: 2, largest: 4, sum_sq: 17 });
-        assert_eq!(t.largest_component(), 4);
         // χ excludes the giant: (17 - 16) / 5; mean finite: 1 / 1.
         assert!((stats.susceptibility() - 0.2).abs() < 1e-15);
         assert!((stats.mean_finite_cluster() - 1.0).abs() < 1e-15);
@@ -724,13 +698,6 @@ mod tests {
 
         let base: Vec<usize> = (0..6).collect();
         assert_eq!(priority_ordering(&[4, 2, 4, 99], &base), vec![4, 2, 0, 1, 3, 5]);
-    }
-
-    #[test]
-    fn shell_ordering_groups_planes() {
-        // Two planes of 2 slots each, tagged into groups 1 and 0.
-        let topo = Topology::from_links(Vec::new(), vec![0, 2, 4]);
-        assert_eq!(shell_ordering(&topo, &[1, 0]), vec![2, 3, 0, 1]);
     }
 
     #[test]

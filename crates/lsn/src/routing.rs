@@ -22,7 +22,7 @@ use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 /// Speed of light \[km/s\].
-pub const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
+const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
 
 /// A route through the constellation.
 #[derive(Debug, Clone, PartialEq)]

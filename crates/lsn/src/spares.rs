@@ -165,33 +165,6 @@ pub fn spares_for_availability(expected_failures: f64, exhaustion_prob: f64) -> 
     Ok(k)
 }
 
-/// Fractional capacity availability of a constellation under a policy:
-/// the steady-state expected fraction of slots occupied by a working
-/// satellite, approximating each failed slot as vacant for the policy's
-/// replacement latency (M/G/∞-style):
-/// `availability = 1 − hazard·latency` (clamped), degraded further if the
-/// spare pool is undersized for the observed failure rate.
-pub fn steady_state_availability(
-    hazard_per_year: f64,
-    policy: &SparePolicy,
-    planes: usize,
-    sats_per_plane: usize,
-    resupply_days: f64,
-) -> f64 {
-    let latency_years = policy.replacement_days() / 365.25;
-    let vacancy = (hazard_per_year * latency_years).min(1.0);
-    // Pool exhaustion: expected failures fleet-wide per resupply period vs
-    // total spares.
-    let expected =
-        expected_failures_per_plane(sats_per_plane, hazard_per_year, resupply_days) * planes as f64;
-    let spares = policy.total_spares(planes) as f64;
-    let coverage = if expected <= 0.0 { 1.0 } else { (spares / expected).min(1.0) };
-    // Failures beyond the spare budget stay vacant until resupply (about
-    // half a resupply period on average).
-    let uncovered = (1.0 - coverage) * (hazard_per_year * resupply_days / 365.25 / 2.0).min(1.0);
-    (1.0 - vacancy - uncovered).max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,20 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn availability_improves_with_spares_and_lower_hazard() {
-        let fast = SparePolicy::PerPlane { spares_per_plane: 4, replacement_days: 3.0 };
-        let none = SparePolicy::PerPlane { spares_per_plane: 0, replacement_days: 3.0 };
-        let a_spared = steady_state_availability(0.08, &fast, 20, 25, 180.0);
-        let a_bare = steady_state_availability(0.08, &none, 20, 25, 180.0);
-        assert!(a_spared > a_bare);
-        // Lower hazard (the SS constellation) → higher availability under
-        // the same policy.
-        let a_low = steady_state_availability(0.04, &fast, 20, 25, 180.0);
-        assert!(a_low > a_spared);
-        assert!((0.0..=1.0).contains(&a_spared));
-    }
-
-    #[test]
     fn per_plane_budget_draws_independently_and_resupplies_one_plane() {
         let policy = SparePolicy::PerPlane { spares_per_plane: 2, replacement_days: 3.0 };
         let mut budget = SpareBudget::new(&policy, 3);
@@ -278,14 +237,5 @@ mod tests {
             assert!(budget.draw(k), "draw {k} after a full top-up");
         }
         assert!(!budget.draw(0), "exactly pool_size spares delivered");
-    }
-
-    #[test]
-    fn per_plane_beats_pool_on_latency() {
-        let per_plane = SparePolicy::PerPlane { spares_per_plane: 2, replacement_days: 2.0 };
-        let pool = SparePolicy::SharedPool { pool_size: 40, replacement_days: 45.0 };
-        let a_plane = steady_state_availability(0.08, &per_plane, 20, 25, 180.0);
-        let a_pool = steady_state_availability(0.08, &pool, 20, 25, 180.0);
-        assert!(a_plane > a_pool, "{a_plane} vs {a_pool}");
     }
 }

@@ -5,7 +5,7 @@
 //! phase in after the policy's latency, exhausted planes wait for
 //! resupply. One engine — [`outage_timeline`] — records the resulting
 //! per-satellite `[start, end)` outage intervals; the scalar
-//! [`simulate`] wrapper (the paper's §5(2) claim quantified: a
+//! `simulate` wrapper (the paper's §5(2) claim quantified: a
 //! lower-radiation SS constellation sustains the same availability with
 //! fewer spares) derives its report from the same intervals, so a
 //! timeline and a scalar report built from identical arguments describe
@@ -210,7 +210,7 @@ pub fn simulate_process(
 /// # Errors
 /// Rejects empty constellations, non-positive horizons, and degenerate
 /// failure models.
-pub fn simulate(
+fn simulate(
     plane_doses: &[DailyFluence],
     sats_per_plane: usize,
     failure_model: &FailureModel,
@@ -230,7 +230,7 @@ pub fn simulate(
 /// plane doses (e.g. SS vs WD). Returns `(ss_report, wd_report)`.
 ///
 /// # Errors
-/// Propagates [`simulate`] failure.
+/// Propagates `simulate` failure.
 pub fn compare(
     ss_plane_doses: &[DailyFluence],
     wd_plane_doses: &[DailyFluence],

@@ -561,6 +561,7 @@ impl Topology {
     ///
     /// # Panics
     /// If a link endpoint is outside the plane layout.
+    #[cfg(test)]
     pub fn from_links(links: Vec<Link>, plane_offsets: Vec<usize>) -> Topology {
         let total = *plane_offsets.last().unwrap_or(&0);
         let flat = |id: SatId| {
@@ -633,7 +634,9 @@ impl Topology {
     /// is what makes alive-filtered Dijkstra over the intact topology
     /// bit-identical to Dijkstra over [`Topology::masked`]. A dead
     /// `index` has no surviving links at all (masking drops a link when
-    /// *either* endpoint is dead), so its list is empty.
+    /// *either* endpoint is dead), so its list is empty. The traffic
+    /// engine filters inline; the tests pin the invariant through this.
+    #[cfg(test)]
     pub fn neighbors_alive<'m>(
         &'m self,
         index: usize,

@@ -88,11 +88,6 @@ impl TrafficWorkload {
             .collect();
         TrafficWorkload { flows, capacity }
     }
-
-    /// Total offered demand.
-    pub fn offered(&self) -> f64 {
-        self.flows.iter().map(|f| f.demand).sum()
-    }
 }
 
 /// What one capacity-constrained assignment served, dropped, and loaded.
@@ -173,8 +168,7 @@ impl PartialOrd for HeapItem {
 /// inflated by its accumulated penalty — the diversity mechanism of the
 /// k-path rounds. An empty penalty map is the plain shortest-path tree.
 ///
-/// `alive` restricts the run to a node mask exactly as
-/// [`Topology::neighbors_alive`] would: relaxations into (or out of) dead
+/// `alive` restricts the run to a node mask: relaxations into (or out of) dead
 /// nodes are skipped, so the output is bit-identical to running over
 /// [`Topology::masked`] — the same lengths in the same canonical
 /// `(dist, node)` order, hence the same `prev` choices. Penalty keys are

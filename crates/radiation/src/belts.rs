@@ -50,7 +50,7 @@ pub struct BeltComponent {
 /// altitude, `B_c = b0 · √(4 − 3·rₐ/L) / rₐ³` with `rₐ` the loss radius in
 /// Earth radii. For shells entirely below the loss altitude, returns the
 /// equatorial field (flux will be zero).
-pub fn cutoff_field(b0: f64, l: f64) -> f64 {
+fn cutoff_field(b0: f64, l: f64) -> f64 {
     let r_a = 1.0 + LOSS_ALTITUDE_KM / EARTH_RADIUS_KM;
     if l <= r_a {
         return b0 / l.powi(3);
@@ -122,23 +122,15 @@ impl Default for BeltModel {
     }
 }
 
-impl BeltModel {
-    /// Total electron flux (inner + outer populations) at the given
-    /// magnetic coordinates \[#/cm²/s/MeV\].
-    pub fn electron_flux(&self, coords: &MagneticCoords) -> f64 {
-        self.inner_electrons.flux(coords) + self.outer_electrons.flux(coords)
-    }
-
-    /// Proton flux at the given magnetic coordinates \[#/cm²/s/MeV\].
-    pub fn proton_flux(&self, coords: &MagneticCoords) -> f64 {
-        self.inner_protons.flux(coords)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dipole::B0_SURFACE_T;
+
+    /// Total electron flux: the inner plus the outer population.
+    fn electron_flux(m: &BeltModel, c: &MagneticCoords) -> f64 {
+        m.inner_electrons.flux(c) + m.outer_electrons.flux(c)
+    }
 
     fn coords(l: f64, b_over_b0: f64) -> MagneticCoords {
         let b_equatorial = B0_SURFACE_T / l.powi(3);
@@ -192,7 +184,7 @@ mod tests {
         let m = BeltModel::default();
         let mut prev = f64::INFINITY;
         for b_ratio in [1.0, 1.5, 2.0, 3.0] {
-            let f = m.electron_flux(&coords(1.6, b_ratio));
+            let f = electron_flux(&m, &coords(1.6, b_ratio));
             assert!(f <= prev, "flux must fall as B grows");
             prev = f;
         }
@@ -218,10 +210,10 @@ mod tests {
     fn species_separation() {
         let m = BeltModel::default();
         // Protons live only in the inner zone.
-        assert_eq!(m.proton_flux(&coords(4.9, 1.0)), 0.0);
-        assert!(m.proton_flux(&coords(1.45, 1.0)) > 0.0);
+        assert_eq!(m.inner_protons.flux(&coords(4.9, 1.0)), 0.0);
+        assert!(m.inner_protons.flux(&coords(1.45, 1.0)) > 0.0);
         // Electrons exist in both zones.
-        assert!(m.electron_flux(&coords(1.6, 1.0)) > 0.0);
-        assert!(m.electron_flux(&coords(4.9, 1.0)) > 0.0);
+        assert!(electron_flux(&m, &coords(1.6, 1.0)) > 0.0);
+        assert!(electron_flux(&m, &coords(4.9, 1.0)) > 0.0);
     }
 }

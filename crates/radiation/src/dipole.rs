@@ -19,15 +19,15 @@ use ssplane_astro::linalg::Vec3;
 
 /// Surface equatorial field strength of the dipole \[Tesla\] (0.301 G,
 /// IGRF-2015 dipole moment).
-pub const B0_SURFACE_T: f64 = 3.012e-5;
+pub(crate) const B0_SURFACE_T: f64 = 3.012e-5;
 
 /// Geodetic position of the geomagnetic north pole used for the tilt
 /// (IGRF-era value: 80.4°N, 287.4°E).
-pub const GEOMAGNETIC_NORTH_POLE: (f64, f64) = (80.4, -72.6);
+const GEOMAGNETIC_NORTH_POLE: (f64, f64) = (80.4, -72.6);
 
 /// Eccentric-dipole center offset from the Earth center \[km\] in ECEF,
 /// ~500 km toward (≈22°N, 141°E) — western Pacific.
-pub const DIPOLE_OFFSET_KM: Vec3 = Vec3 { x: -385.0, y: 285.0, z: 170.0 };
+const DIPOLE_OFFSET_KM: Vec3 = Vec3 { x: -385.0, y: 285.0, z: 170.0 };
 
 /// The offset tilted dipole field model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,8 +51,9 @@ impl Default for DipoleField {
 }
 
 impl DipoleField {
-    /// A centered, axis-aligned dipole (no tilt, no offset) — useful for
-    /// validating against closed-form dipole results in tests.
+    /// A centered, axis-aligned dipole (no tilt, no offset) — the tests
+    /// validate against closed-form dipole results with it.
+    #[cfg(test)]
     pub fn centered_aligned() -> Self {
         DipoleField { moment_dir: -Vec3::Z, offset_km: Vec3::ZERO, b0: B0_SURFACE_T }
     }

@@ -17,21 +17,6 @@ pub struct DailyFluence {
     pub proton: f64,
 }
 
-impl DailyFluence {
-    /// Component-wise sum.
-    pub fn combined(self, other: DailyFluence) -> DailyFluence {
-        DailyFluence {
-            electron: self.electron + other.electron,
-            proton: self.proton + other.proton,
-        }
-    }
-
-    /// Component-wise scaling.
-    pub fn scale(self, k: f64) -> DailyFluence {
-        DailyFluence { electron: self.electron * k, proton: self.proton * k }
-    }
-}
-
 /// Shortest integration step \[s\] [`daily_fluence`] uses.
 pub const MIN_STEP_S: f64 = 1.0;
 
@@ -88,47 +73,6 @@ pub fn fluence_vs_inclination(
             Ok((inc, daily_fluence(env, &el, epoch, step_s)?))
         })
         .collect()
-}
-
-/// Daily fluence of every satellite in a constellation.
-///
-/// # Errors
-/// Propagates [`daily_fluence`] failure.
-pub fn constellation_fluences(
-    env: &RadiationEnvironment,
-    satellites: &[OrbitalElements],
-    epoch: Epoch,
-    step_s: f64,
-) -> Result<Vec<DailyFluence>> {
-    satellites.iter().map(|el| daily_fluence(env, el, epoch, step_s)).collect()
-}
-
-/// Median of a slice of per-satellite fluences, component-wise.
-/// Returns zeros for an empty slice.
-pub fn median_fluence(fluences: &[DailyFluence]) -> DailyFluence {
-    if fluences.is_empty() {
-        return DailyFluence::default();
-    }
-    let median_of = |extract: fn(&DailyFluence) -> f64| -> f64 {
-        let mut v: Vec<f64> = fluences.iter().map(extract).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite fluence"));
-        let n = v.len();
-        if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            0.5 * (v[n / 2 - 1] + v[n / 2])
-        }
-    };
-    DailyFluence { electron: median_of(|f| f.electron), proton: median_of(|f| f.proton) }
-}
-
-/// Mean of a slice of per-satellite fluences (zeros if empty).
-pub fn mean_fluence(fluences: &[DailyFluence]) -> DailyFluence {
-    if fluences.is_empty() {
-        return DailyFluence::default();
-    }
-    let n = fluences.len() as f64;
-    fluences.iter().fold(DailyFluence::default(), |acc, f| acc.combined(*f)).scale(1.0 / n)
 }
 
 #[cfg(test)]
@@ -198,30 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn median_and_mean_helpers() {
-        let fl = vec![
-            DailyFluence { electron: 1.0, proton: 10.0 },
-            DailyFluence { electron: 3.0, proton: 30.0 },
-            DailyFluence { electron: 100.0, proton: 20.0 },
-        ];
-        let med = median_fluence(&fl);
-        assert_eq!(med.electron, 3.0);
-        assert_eq!(med.proton, 20.0);
-        let mean = mean_fluence(&fl);
-        assert!((mean.electron - 104.0 / 3.0).abs() < 1e-12);
-        assert_eq!(median_fluence(&[]), DailyFluence::default());
-        assert_eq!(mean_fluence(&[]), DailyFluence::default());
-        // Even-length median averages the middle two.
-        let med2 = median_fluence(&fl[0..2]);
-        assert_eq!(med2.electron, 2.0);
-    }
-
-    #[test]
     fn constellation_fluences_per_satellite() {
         let e = env();
-        let sats = vec![circ(560.0, 65.0), circ(560.0, 97.64)];
-        let fl = constellation_fluences(&e, &sats, epoch(), 120.0).unwrap();
-        assert_eq!(fl.len(), 2);
+        let sats = [circ(560.0, 65.0), circ(560.0, 97.64)];
+        let fl: Vec<DailyFluence> =
+            sats.iter().map(|el| daily_fluence(&e, el, epoch(), 120.0).unwrap()).collect();
         assert!(fl[0].electron > fl[1].electron);
     }
 

@@ -28,7 +28,9 @@ pub struct MagneticCoords {
 
 impl MagneticCoords {
     /// Ratio of the local field to the shell's equatorial field (≥ 1 for
-    /// physical trapped-particle positions).
+    /// physical trapped-particle positions). The belt models read the two
+    /// fields directly; the tests check the dipole identities through
+    /// this ratio.
     pub fn b_over_b0(&self) -> f64 {
         self.b_local / self.b_equatorial
     }
@@ -52,17 +54,6 @@ pub fn magnetic_coordinates(field: &DipoleField, ecef_km: Vec3) -> Result<Magnet
     let b_local = field.field_magnitude(ecef_km);
     let b_equatorial = field.b0 / l_shell.powi(3);
     Ok(MagneticCoords { l_shell, b_local, b_equatorial, magnetic_latitude: lambda })
-}
-
-/// Magnetic latitude \[rad\] at which the field line of shell `l`
-/// intersects the sphere of radius `r_re` \[Earth radii\]:
-/// `cos²λ = r/L`. Returns `None` when the line does not reach down to that
-/// radius (`r_re > l`).
-pub fn footprint_latitude(l: f64, r_re: f64) -> Option<f64> {
-    if l <= 0.0 || r_re <= 0.0 || r_re > l {
-        return None;
-    }
-    Some(((r_re / l).sqrt()).acos())
 }
 
 #[cfg(test)]
@@ -94,14 +85,12 @@ mod tests {
     #[test]
     fn outer_belt_horns_at_high_latitude() {
         // The L=4.5..6 shells must come down to 560 km at magnetic
-        // latitudes ~60-66°.
-        let r_re = 1.0 + 560.0 / EARTH_RADIUS_KM;
-        let lo = footprint_latitude(4.5, r_re).unwrap().to_degrees();
-        let hi = footprint_latitude(6.0, r_re).unwrap().to_degrees();
-        assert!((60.0..64.0).contains(&lo), "L=4.5 footprint {lo}");
-        assert!((64.0..68.0).contains(&hi), "L=6 footprint {hi}");
-        assert!(footprint_latitude(1.0, 1.5).is_none());
-        assert!(footprint_latitude(-1.0, 0.5).is_none());
+        // latitudes ~60-66°: L(60°) < 4.5 < L(64°) < 6 < L(68°).
+        let d = DipoleField::centered_aligned();
+        let l_at = |lat: f64| magnetic_coordinates(&d, at(lat, 10.0, 560.0)).unwrap().l_shell;
+        let (l60, l64, l68) = (l_at(60.0), l_at(64.0), l_at(68.0));
+        assert!(l60 < 4.5 && 4.5 < l64, "L=4.5 footprint outside 60-64°: {l60} {l64}");
+        assert!(l64 < 6.0 && 6.0 < l68, "L=6 footprint outside 64-68°: {l64} {l68}");
     }
 
     #[test]

@@ -76,24 +76,6 @@ pub fn sweep_from_toml(source: &str) -> Result<SweepSpec> {
     Ok(SweepSpec { base, axes })
 }
 
-/// Parses a TOML file that must describe a single scenario (no `[sweep]`
-/// section).
-///
-/// # Errors
-/// As [`sweep_from_toml`], plus if a sweep section is present.
-pub fn scenario_from_toml(source: &str) -> Result<ScenarioSpec> {
-    let sweep = sweep_from_toml(source)?;
-    if !sweep.axes.is_empty() {
-        return Err(ScenarioError::bad_value(
-            "sweep",
-            "present",
-            "no [sweep] section for a single scenario",
-        ));
-    }
-    sweep.base.validate()?;
-    Ok(sweep.base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +155,5 @@ count = 12
         let sweep = sweep_from_toml("[sweep]\n\"seed\" = [1, 2, 3]\n").unwrap();
         let err = sweep.expand().unwrap_err().to_string();
         assert!(err.contains("seed") && err.contains("a sweep axis"), "{err}");
-    }
-
-    #[test]
-    fn scenario_from_toml_rejects_sweeps() {
-        assert!(scenario_from_toml("[sweep]\n\"attack.planes_lost\" = [1]\n").is_err());
-        let spec = scenario_from_toml("name = \"one\"\n").unwrap();
-        assert_eq!(spec.name, "one");
     }
 }

@@ -24,7 +24,7 @@ pub enum ScenarioError {
         /// What went wrong.
         message: String,
     },
-    /// A config key or sweep axis is not in [`crate::sweep::PARAMS`].
+    /// A config key or sweep axis is not in the scenario key table.
     UnknownParameter {
         /// The dotted path as written.
         key: String,

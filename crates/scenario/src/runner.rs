@@ -160,13 +160,13 @@ pub struct ScenarioTimings {
     /// `(metric, value)` derived-rate rows in execution order — e.g.
     /// `<system>.attack_search.candidates_per_sec`, the attack search's
     /// scoring throughput. Not wall-clock, so kept out of
-    /// [`Self::total_seconds`].
+    /// `Self::total_seconds`.
     pub metrics: Vec<(String, f64)>,
 }
 
 impl ScenarioTimings {
     /// Total wall-clock across stages \[s\] (metric rows excluded).
-    pub fn total_seconds(&self) -> f64 {
+    fn total_seconds(&self) -> f64 {
         self.stages.iter().map(|&(_, s)| s).sum()
     }
 }
@@ -284,7 +284,7 @@ fn system_report(
 
     // The fig10-parity statistic: `phases` samples per evaluation group,
     // weighted median across the constellation.
-    let phases = spec.radiation.phases.max(1);
+    let phases = spec.radiation.phases;
     let samples = clock.time(&format!("{name}.fluence"), || {
         plane_fluence_samples(&sys.eval_groups, env, epoch, phases, spec.radiation.step_s)
     })?;
@@ -670,8 +670,7 @@ fn network_context<'t>(
         ..GridTopologyConfig::default()
     };
     let t = epoch + spec.network.utc_hour * 3600.0;
-    let grid_slots = spec.network.time_grid_slots.max(1);
-    let grid = time_grid(t, grid_slots, spec.network.time_grid_slot_s);
+    let grid = time_grid(t, spec.network.time_grid_slots, spec.network.time_grid_slot_s);
     let series = SnapshotSeries::build_parallel(&constellation, &grid, point_threads)?;
     let layout = network_layout(sys);
     debug_assert_eq!(layout.total, series.n_sats(), "network layout mismatch");
@@ -804,7 +803,7 @@ fn network_report(
     // rebuilding the whole series.
     let src = GeoPoint::from_degrees(40.7, -74.0);
     let dst = GeoPoint::from_degrees(51.5, -0.1);
-    let route_grid = time_grid(*t, spec.network.slots.max(1), spec.network.slot_s);
+    let route_grid = time_grid(*t, spec.network.slots, spec.network.slot_s);
     let routes = if route_grid == *grid {
         let mut shared_routes: Vec<Option<Route>> = Vec::with_capacity(series.len());
         for (k, snapshot) in series.iter().enumerate() {
@@ -1498,6 +1497,42 @@ mod tests {
         ] {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_slot_and_backward_grids_fail_per_point() {
+        use crate::toml::TomlValue;
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        ok.network.slots = 2;
+        let bad = |key: &str, value: TomlValue| {
+            let mut spec = ok.clone();
+            crate::sweep::apply_param(&mut spec, key, &value).unwrap();
+            spec
+        };
+        // Zero slots would report a one-slot route, and a negative spacing
+        // would step the route grid backwards in time.
+        let points = [
+            bad("network.slots", TomlValue::Int(0)),
+            ok.clone(),
+            bad("network.slot_s", TomlValue::Float(-120.0)),
+            bad("network.time_grid_slots", TomlValue::Int(0)),
+        ];
+        let outcome = Runner::with_threads(1).run_specs(&points);
+        assert!(outcome.reports[1].is_ok());
+        for (k, expected) in
+            [(0, "network.slots"), (2, "network.slot_s"), (3, "network.time_grid_slots")]
+        {
+            let err = outcome.reports[k].as_ref().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::BadValue { key, .. } if key == expected),
+                "point {k}: {err}"
+            );
         }
     }
 

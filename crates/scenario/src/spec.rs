@@ -28,14 +28,14 @@ use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 /// per-slot routing pass grow linearly with it (40 bytes a flow before
 /// routing state), so an unbounded count can abort the whole sweep on
 /// one allocation. 100k is 500× the largest value in use (200).
-pub const MAX_N_FLOWS: usize = 100_000;
+const MAX_N_FLOWS: usize = 100_000;
 
 /// Most `traffic.pairs` the gravity model may draw. The draws, the flow
 /// list and the per-pair aggregation grow linearly with it (~56 bytes a
 /// pair before aggregation), so an unbounded count can abort the whole
 /// sweep on one allocation. 1M is 10× the 100k-pair mega-network
 /// workload, the largest in use.
-pub const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
+pub(crate) const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
 
 /// Accepted spellings of each canonical designer name, for specs written
 /// against older tokens (`"walker"` predates the `wd` registry name).
@@ -121,15 +121,6 @@ pub fn parse_branch_rule(s: &str) -> Result<BranchRule> {
     }
 }
 
-/// Canonical token for a [`BranchRule`].
-pub fn branch_rule_str(rule: BranchRule) -> &'static str {
-    match rule {
-        BranchRule::BestOfBoth => "best-of-both",
-        BranchRule::AscendingOnly => "ascending-only",
-        BranchRule::Alternate => "alternate",
-    }
-}
-
 /// Parses a [`SupplyModel`] config token.
 pub fn parse_supply_model(s: &str) -> Result<SupplyModel> {
     match s {
@@ -181,7 +172,7 @@ impl DesignSpec {
     }
 
     /// Whether `kind` is selected.
-    pub fn includes(&self, kind: &str) -> bool {
+    fn includes(&self, kind: &str) -> bool {
         self.kinds.contains(&kind)
     }
 }
@@ -758,7 +749,7 @@ pub struct ScenarioSpec {
     pub name: String,
     /// Base RNG seed. Every stochastic stage derives its stream from this
     /// and the scenario's sweep coordinates — see
-    /// [`crate::sweep::scenario_seed`].
+    /// [`crate::sweep::SweepSpec::expand`].
     pub seed: u64,
     /// Constellation design stage.
     pub design: DesignSpec,
@@ -935,6 +926,16 @@ impl ScenarioSpec {
                     "> 0 for a multi-slot time grid",
                 ));
             }
+            if self.network.slots == 0 {
+                return Err(ScenarioError::bad_value("network.slots", "0", ">= 1"));
+            }
+            if self.network.slots > 1 && !positive(self.network.slot_s) {
+                return Err(ScenarioError::bad_value(
+                    "network.slot_s",
+                    &self.network.slot_s.to_string(),
+                    "> 0 for a multi-slot reference route",
+                ));
+            }
             if self.network.with_outages && !self.attack.is_active() && !self.survivability.enabled
             {
                 return Err(ScenarioError::bad_value(
@@ -1002,8 +1003,12 @@ mod tests {
         for sol in [SolarActivity::Cycle24, SolarActivity::Max, SolarActivity::Min] {
             assert_eq!(SolarActivity::parse(sol.as_str()).unwrap(), sol);
         }
-        for rule in [BranchRule::BestOfBoth, BranchRule::AscendingOnly, BranchRule::Alternate] {
-            assert_eq!(parse_branch_rule(branch_rule_str(rule)).unwrap(), rule);
+        for (token, rule) in [
+            ("best-of-both", BranchRule::BestOfBoth),
+            ("ascending-only", BranchRule::AscendingOnly),
+            ("alternate", BranchRule::Alternate),
+        ] {
+            assert_eq!(parse_branch_rule(token).unwrap(), rule);
         }
         assert!(resolve_design_kind("sparkle").is_err());
         // Near misses get a did-you-mean hint naming the closest
@@ -1087,9 +1092,20 @@ mod tests {
         assert!(spec.validate().is_err());
         spec.network.time_grid_slot_s = 120.0;
         spec.validate().unwrap();
-        // A disabled network stage does not police its grid.
+        // The reference route's grid follows the same rules.
+        spec.network.slots = 0;
+        assert!(spec.validate().is_err());
+        spec.network.slots = 1;
+        spec.network.slot_s = -120.0;
+        spec.validate().unwrap();
+        spec.network.slots = 3;
+        assert!(spec.validate().is_err());
+        spec.network.slot_s = 120.0;
+        spec.validate().unwrap();
+        // A disabled network stage does not police its grids.
         spec.network.enabled = false;
         spec.network.time_grid_slots = 0;
+        spec.network.slots = 0;
         spec.validate().unwrap();
     }
 

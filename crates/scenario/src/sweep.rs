@@ -38,11 +38,6 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// A degenerate sweep: just the base scenario.
-    pub fn single(base: ScenarioSpec) -> Self {
-        SweepSpec { base, axes: Vec::new() }
-    }
-
     /// Number of grid points (0 if any axis has no values, matching
     /// [`SweepSpec::expand`]).
     pub fn len(&self) -> usize {
@@ -127,7 +122,7 @@ pub fn canonical_value(v: &TomlValue) -> String {
 /// Deterministic per-scenario seed: FNV-1a over the base seed and the
 /// **sorted** `(param, value)` overrides. Stable across axis reordering,
 /// platforms, and thread counts; `[]` returns the base seed unchanged.
-pub fn scenario_seed(base_seed: u64, sorted_overrides: &[(String, TomlValue)]) -> u64 {
+fn scenario_seed(base_seed: u64, sorted_overrides: &[(String, TomlValue)]) -> u64 {
     if sorted_overrides.is_empty() {
         return base_seed;
     }
@@ -214,7 +209,7 @@ pub type Setter = fn(&mut ScenarioSpec, &str, &TomlValue) -> Result<()>;
 /// through [`apply_param`], so config files and sweep axes address
 /// exactly these knobs, and an unknown key's did-you-mean hint is drawn
 /// from this list.
-pub const PARAMS: &[(&str, Setter)] = &[
+const PARAMS: &[(&str, Setter)] = &[
     ("name", |s, k, v| need_str(k, v).map(|x| s.name = x.to_string())),
     ("seed", |s, k, v| need_u64(k, v).map(|x| s.seed = x)),
     // `design.kind` is the scalar spelling (kept for back-compat:
@@ -410,10 +405,10 @@ pub const PARAMS: &[(&str, Setter)] = &[
 ];
 
 /// Applies one dotted-path override to a spec: looks the key up in
-/// [`PARAMS`] and runs its setter.
+/// `PARAMS` and runs its setter.
 ///
 /// # Errors
-/// [`ScenarioError::UnknownParameter`] for keys outside [`PARAMS`] (with
+/// [`ScenarioError::UnknownParameter`] for keys outside `PARAMS` (with
 /// the nearest key as a hint), [`ScenarioError::BadValue`] for
 /// un-coercible values.
 pub fn apply_param(spec: &mut ScenarioSpec, key: &str, value: &TomlValue) -> Result<()> {
