@@ -1,6 +1,6 @@
 //! Percolation-analytics benches on mega-constellation geometry: the
 //! union-find loss-fraction sweep (32 steps over 10k satellites), the
-//! deflated-power-iteration λ₂, and the full scenario-stage equivalent
+//! residual-checked Lanczos λ₂, and the full scenario-stage equivalent
 //! (4 slots × 2 orderings + per-slot λ₂) — the ISSUE's "a few seconds"
 //! budget, measured.
 //!
@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
 use ssplane_lsn::percolation::{
-    algebraic_connectivity, percolation_sweep, plane_spread_ordering, random_ordering,
-    Lambda2Config,
+    algebraic_connectivity, algebraic_connectivity_solve, percolation_sweep, plane_spread_ordering,
+    random_ordering, Lambda2Config,
 };
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::topology::{Constellation, GridTopologyConfig, Topology};
@@ -58,6 +58,12 @@ fn bench_percolation(criterion: &mut Criterion) {
     let (t, r) =
         (targeted.masking_threshold(0.1).unwrap(), baseline.masking_threshold(0.1).unwrap());
     assert!(t < r, "targeted {t} vs random {r}");
+    // Sanity: λ₂ converges on every slot, just above the 50×200 torus
+    // value 2 − 2cos(2π/200) ≈ 9.87e-4.
+    for topology in &topologies {
+        let solve = algebraic_connectivity_solve(topology, &alive, &Lambda2Config::default());
+        assert!(solve.converged && (solve.value - 1.0023e-3).abs() < 1e-7, "{solve:?}");
+    }
 
     let mut group = criterion.benchmark_group("percolation_10000sats");
     group.sample_size(10);
@@ -80,7 +86,7 @@ fn bench_percolation(criterion: &mut Criterion) {
     );
 
     // Algebraic connectivity of the intact 10k-node +grid: the seeded
-    // deflated power iteration.
+    // Lanczos solve, to its residual tolerance.
     group.bench_with_input(criterion::BenchmarkId::new("lambda2", "intact"), &(), |b, ()| {
         b.iter(|| {
             black_box(algebraic_connectivity(&topologies[0], &alive, &Lambda2Config::default()))

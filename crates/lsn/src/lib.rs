@@ -82,7 +82,7 @@ pub mod traffic_engine;
 pub use disruption::{AttackModel, AttackTarget, FailureProcess, OutageTimeline};
 pub use error::{LsnError, Result};
 pub use optimizer::{AttackObjective, AttackSearchConfig, DegradedEvaluator, IncrementalScorer};
-pub use percolation::{ClusterTracker, Lambda2Config, PercolationCurve};
+pub use percolation::{ClusterTracker, Lambda2Config, Lambda2Solve, PercolationCurve};
 pub use snapshot::{Snapshot, SnapshotSeries};
 pub use topology::{Constellation, SatId, Topology};
 pub use traffic_engine::{CapacityConfig, ServedDemandSummary, TrafficWorkload};

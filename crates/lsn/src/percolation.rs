@@ -33,10 +33,10 @@
 //!   configurable gap), and
 //!   [`PercolationCurve::threshold_vs`] for the drop versus an explicit
 //!   random-loss baseline curve;
-//! * [`algebraic_connectivity`] — λ₂ of the masked graph Laplacian via
-//!   a deflated power iteration with a seeded deterministic start vector
-//!   and fixed tolerance, so reports stay byte-reproducible across runs
-//!   and thread counts without any external eigensolver;
+//! * [`algebraic_connectivity_solve`] — λ₂ of the masked graph
+//!   Laplacian via a seeded Lanczos solve that stops on the explicit
+//!   residual and reports it, so reports stay byte-reproducible across
+//!   runs and thread counts without any external eigensolver;
 //! * [`collapse_score`] — the scalar the attack optimizer minimizes
 //!   under `attack.objective = "masking-threshold"`: the masking
 //!   threshold of a removal ordering plus a sub-quantum mean-giant
@@ -59,7 +59,7 @@ pub const DEFAULT_PERCOLATION_STEPS: usize = 32;
 /// Default giant-component gap that declares the masking regime broken.
 pub const DEFAULT_MASKING_GAP: f64 = 0.1;
 
-/// The seed of the λ₂ power iteration's start vector ("lambda2").
+/// The seed of the λ₂ Lanczos start vector ("lambda2").
 const LAMBDA2_SEED: u64 = 0x6C61_6D62_6461_3200;
 
 /// Incremental union-find over a topology's flat node space, tracking
@@ -445,16 +445,17 @@ pub fn percolation_sweep(topology: &Topology, order: &[usize], steps: usize) -> 
     curve
 }
 
-/// Configuration of the λ₂ power iteration. Defaults converge the
-/// closed-form test graphs to ~1e-8 and keep mega-constellation
-/// Laplacians (whose spectral gap is tiny) bounded by the iteration cap
-/// — both deterministically, since every parameter is fixed.
+/// Configuration of the λ₂ Lanczos solve. Every parameter is fixed, so
+/// a solve is deterministic; the result says whether it met the
+/// residual contract ([`Lambda2Solve::converged`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lambda2Config {
-    /// Convergence tolerance on the Rayleigh-quotient estimate between
-    /// iterations.
+    /// Residual tolerance relative to `c = 2·d_max` (a Gershgorin bound
+    /// on the Laplacian spectrum): the solve has converged once its unit
+    /// Ritz vector `y` satisfies `‖Ly − θy‖ ≤ tolerance · c`.
     pub tolerance: f64,
-    /// Iteration cap (the cost bound at mega-constellation scale).
+    /// Cap on Lanczos steps (the cost bound when the spectral gap is too
+    /// small to meet the tolerance).
     pub max_iterations: usize,
     /// Seed of the deterministic start vector.
     pub seed: u64,
@@ -462,108 +463,365 @@ pub struct Lambda2Config {
 
 impl Default for Lambda2Config {
     fn default() -> Self {
-        Lambda2Config { tolerance: 1e-11, max_iterations: 4000, seed: LAMBDA2_SEED }
+        Lambda2Config { tolerance: 1e-10, max_iterations: 4000, seed: LAMBDA2_SEED }
     }
 }
 
+/// The outcome of one λ₂ solve ([`algebraic_connectivity_solve`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lambda2Solve {
+    /// λ₂: the Rayleigh quotient of the final Ritz vector (exactly `0.0`
+    /// for a disconnected, empty or single-node alive set).
+    pub value: f64,
+    /// Explicit residual `‖Ly − θy‖` of the unit Ritz vector `y` (`0.0`
+    /// for the combinatorial zero).
+    pub residual: f64,
+    /// Lanczos steps taken (`0` for the combinatorial zero).
+    pub iterations: usize,
+    /// Whether `residual ≤ tolerance · 2·d_max`; `false` means the solve
+    /// stopped (at the step cap) first and `value` is only an upper
+    /// estimate.
+    pub converged: bool,
+}
+
 /// Algebraic connectivity λ₂ (the Fiedler value) of the graph Laplacian
-/// restricted to the `alive` nodes, via a deflated power iteration — no
-/// external eigensolver, no randomness beyond the seeded start vector,
-/// no threading: byte-reproducible across runs and thread counts.
-///
-/// The iteration runs on `M = cI − L` with `c = 2·d_max` (a Gershgorin
-/// upper bound on the Laplacian spectrum, so `M ⪰ 0`); the all-ones
-/// kernel vector of `L` is projected out each step, leaving `c − λ₂` as
-/// the dominant eigenvalue. A disconnected (or empty, or single-node)
-/// alive set returns exactly `0.0` — detected combinatorially through a
-/// [`ClusterTracker`], not through the iteration's tolerance.
+/// restricted to the `alive` nodes: [`algebraic_connectivity_solve`]'s
+/// value.
 ///
 /// # Panics
 /// If `alive.len()` is not the node count.
 pub fn algebraic_connectivity(topology: &Topology, alive: &[bool], config: &Lambda2Config) -> f64 {
+    algebraic_connectivity_solve(topology, alive, config).value
+}
+
+/// λ₂ of the graph Laplacian `L` restricted to the `alive` nodes, with
+/// its residual — a seeded Lanczos solve on `L` over the complement of
+/// the all-ones kernel vector. No external eigensolver, no randomness
+/// beyond the seeded start vector, no threading: byte-reproducible
+/// across runs and thread counts.
+///
+/// The three-term recurrence keeps only two Lanczos vectors (memory
+/// O(nodes + links), no stored basis) and subtracts the mean from each
+/// new vector to stay orthogonal to the ones vector. Every
+/// `LANCZOS_CHECK_EVERY` steps the smallest Ritz value θ of the
+/// tridiagonal `T_j` is found by Sturm bisection and its eigenvector `s`
+/// by inverse iteration; once the residual estimate `β_j·|s_j|` meets
+/// `tolerance · c` (`c = 2·d_max`), the recurrence re-runs from the same
+/// start to form the Ritz vector `y = V s`, whose Rayleigh quotient is
+/// the value and whose explicit residual `‖Ly − θy‖` decides
+/// convergence. If the explicit residual misses the tolerance (lost
+/// orthogonality can make the estimate optimistic) the recurrence
+/// resumes, up to `max_iterations` steps.
+///
+/// A disconnected (or empty, or single-node) alive set returns exactly
+/// `0.0`, converged — detected combinatorially through a
+/// [`ClusterTracker`], not through the solver's tolerance.
+///
+/// # Panics
+/// If `alive.len()` is not the node count.
+pub fn algebraic_connectivity_solve(
+    topology: &Topology,
+    alive: &[bool],
+    config: &Lambda2Config,
+) -> Lambda2Solve {
     assert_eq!(alive.len(), topology.n_nodes(), "alive mask length mismatch");
-    // Compact the alive nodes to 0..m.
-    let mut compact = vec![usize::MAX; topology.n_nodes()];
-    let mut nodes = Vec::new();
-    for (v, &a) in alive.iter().enumerate() {
-        if a {
-            compact[v] = nodes.len();
-            nodes.push(v);
-        }
+    let exact_zero = Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, converged: true };
+    if alive.iter().filter(|&&a| a).count() <= 1
+        || ClusterTracker::from_alive(topology, alive).stats().components > 1
+    {
+        return exact_zero;
     }
-    let m = nodes.len();
-    if m <= 1 {
-        return 0.0;
-    }
-    let tracker = ClusterTracker::from_alive(topology, alive);
-    if tracker.stats().components > 1 {
-        return 0.0;
-    }
-    // Compact unweighted adjacency (the Laplacian convention the
-    // closed-form spectra use).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (a, b) in topology.edges() {
-        if alive[a] && alive[b] {
-            adj[compact[a]].push(compact[b]);
-            adj[compact[b]].push(compact[a]);
-        }
-    }
-    let d_max = adj.iter().map(Vec::len).max().unwrap_or(0);
-    let c = 2.0 * d_max as f64;
+    let laplacian = Laplacian::new(topology, alive);
+    let c = 2.0 * laplacian.max_degree();
     if c <= 0.0 {
-        // m > 1 and connected implies edges exist; defensive only.
-        return 0.0;
+        // More than one node and connected implies links; defensive only.
+        return exact_zero;
     }
-    // Seeded start vector, deflated against the ones kernel.
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let bound = config.tolerance * c;
+    let start = start_vector(laplacian.len(), config.seed);
+    let mut lanczos = Lanczos::new(&laplacian, start.clone());
+    let (mut alphas, mut betas) = (Vec::new(), Vec::new());
+    loop {
+        let (alpha, beta) = lanczos.step();
+        alphas.push(alpha);
+        betas.push(beta);
+        let j = alphas.len();
+        // Stop at the step cap, or once β_j is below the bound: the
+        // Krylov space is then (numerically) invariant and v_{j+1} would
+        // be roundoff.
+        let last = beta <= bound || j >= config.max_iterations;
+        if !last && j % LANCZOS_CHECK_EVERY != 0 {
+            continue;
+        }
+        let s = smallest_ritz_vector(&alphas, &betas[..j - 1]);
+        if !last && beta * s[j - 1].abs() > bound {
+            continue;
+        }
+        let y = ritz_vector(&laplacian, start.clone(), &s);
+        let (value, residual) = laplacian.rayleigh_residual(&y);
+        let converged = residual <= bound;
+        if converged || last {
+            return Lambda2Solve { value: value.max(0.0), residual, iterations: j, converged };
+        }
+    }
+}
+
+/// Lanczos steps between two checks of the Ritz residual estimate.
+const LANCZOS_CHECK_EVERY: usize = 10;
+
+/// The unweighted Laplacian of the alive subgraph (the convention the
+/// closed-form spectra use), with the alive nodes compacted to `0..m`
+/// and the adjacency in CSR form.
+struct Laplacian {
+    degree: Vec<f64>,
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Laplacian {
+    fn new(topology: &Topology, alive: &[bool]) -> Laplacian {
+        let mut compact = vec![usize::MAX; alive.len()];
+        let mut m = 0;
+        for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+            compact[v] = m;
+            m += 1;
+        }
+        let mut offsets = Vec::with_capacity(m + 1);
+        let mut targets = Vec::new();
+        offsets.push(0);
+        for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+            targets.extend(
+                topology
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&(nb, _)| alive[nb])
+                    .map(|&(nb, _)| compact[nb]),
+            );
+            offsets.push(targets.len());
+        }
+        let degree = offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
+        Laplacian { degree, offsets, targets }
+    }
+
+    fn len(&self) -> usize {
+        self.degree.len()
+    }
+
+    fn max_degree(&self) -> f64 {
+        self.degree.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// `Lx` in node order: `(Lx)_i = d_i·x_i − Σ_{j∈N(i)} x_j`.
+    fn apply<'s>(&'s self, x: &'s [f64]) -> impl Iterator<Item = f64> + 's {
+        self.offsets.windows(2).zip(self.degree.iter().zip(x)).map(|(range, (&d, &xi))| {
+            d * xi - self.targets[range[0]..range[1]].iter().map(|&j| x[j]).sum::<f64>()
+        })
+    }
+
+    /// The Rayleigh quotient `θ = yᵀLy / yᵀy` and the residual
+    /// `‖Ly − θy‖ / ‖y‖`.
+    fn rayleigh_residual(&self, y: &[f64]) -> (f64, f64) {
+        let ly: Vec<f64> = self.apply(y).collect();
+        let norm_sq = dot(y, y);
+        let theta = dot(y, &ly) / norm_sq;
+        let residual_sq: f64 = ly.iter().zip(y).map(|(l, v)| (l - theta * v).powi(2)).sum();
+        (theta, (residual_sq / norm_sq).sqrt())
+    }
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Subtracts the mean (the ones-vector component) and scales to unit
+/// norm; `false` (and `v` untouched by the scaling) if nothing is left.
+fn project_and_normalize(v: &mut [f64]) -> bool {
+    let mean = v.iter().sum::<f64>() / v.len() as f64;
+    v.iter_mut().for_each(|x| *x -= mean);
+    let norm = dot(v, v).sqrt();
+    if norm < 1e-300 {
+        return false;
+    }
+    v.iter_mut().for_each(|x| *x /= norm);
+    true
+}
+
+/// The seeded unit start vector, orthogonal to the ones vector.
+fn start_vector(m: usize, seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut v: Vec<f64> = (0..m).map(|_| rng.gen::<f64>() - 0.5).collect();
-    let project_and_normalize = |v: &mut Vec<f64>| -> bool {
-        let mean = v.iter().sum::<f64>() / v.len() as f64;
-        for x in v.iter_mut() {
-            *x -= mean;
-        }
-        let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm < 1e-300 {
-            return false;
-        }
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-        true
-    };
     if !project_and_normalize(&mut v) {
         // The random vector collapsed onto the kernel (vanishingly
         // unlikely); fall back to a deterministic non-kernel vector.
         v = (0..m).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
         project_and_normalize(&mut v);
     }
-    let mut estimate = f64::NAN;
-    for _ in 0..config.max_iterations {
-        // w = (cI − L) v = (c − d_i) v_i + Σ_{j∈N(i)} v_j.
-        let mut w: Vec<f64> = (0..m)
-            .map(|i| {
-                let mut acc = (c - adj[i].len() as f64) * v[i];
-                for &j in &adj[i] {
-                    acc += v[j];
-                }
-                acc
-            })
-            .collect();
-        // Rayleigh quotient with ‖v‖ = 1: μ = v·w estimates c − λ₂.
-        let mu: f64 = v.iter().zip(&w).map(|(a, b)| a * b).sum();
-        let converged = (mu - estimate).abs() <= config.tolerance * c.max(1.0);
-        estimate = mu;
-        if !project_and_normalize(&mut w) {
-            // M v vanished after deflation: v was (numerically) the λ₂
-            // eigenvector of eigenvalue c, i.e. λ₂ ≈ 0 within roundoff.
+    v
+}
+
+/// The Lanczos three-term recurrence on a [`Laplacian`], holding only
+/// the current and previous basis vectors.
+struct Lanczos<'a> {
+    laplacian: &'a Laplacian,
+    prev: Vec<f64>,
+    cur: Vec<f64>,
+    beta_prev: f64,
+}
+
+impl<'a> Lanczos<'a> {
+    /// A recurrence from a unit start vector orthogonal to the ones
+    /// vector.
+    fn new(laplacian: &'a Laplacian, start: Vec<f64>) -> Lanczos<'a> {
+        Lanczos { laplacian, prev: vec![0.0; start.len()], cur: start, beta_prev: 0.0 }
+    }
+
+    /// One step from `v_j` (the current vector): returns `(α_j, β_j)`
+    /// and advances to `v_{j+1}` (left unnormalized when `β_j = 0`).
+    fn step(&mut self) -> (f64, f64) {
+        let (prev, cur) = (&mut self.prev, &self.cur);
+        // w = L v_j − β_{j−1} v_{j−1}, written over v_{j−1}.
+        let (mut alpha, mut sum_w, mut sum_v) = (0.0, 0.0, 0.0);
+        for ((w, lv), &v) in prev.iter_mut().zip(self.laplacian.apply(cur)).zip(cur) {
+            *w = lv - self.beta_prev * *w;
+            alpha += *w * v;
+            sum_w += *w;
+            sum_v += v;
+        }
+        // w − α_j v_j, minus its mean: the ones-vector component that
+        // roundoff lets back in.
+        let mean = (sum_w - alpha * sum_v) / prev.len() as f64;
+        let mut norm_sq = 0.0;
+        for (w, v) in prev.iter_mut().zip(cur) {
+            *w -= alpha * v + mean;
+            norm_sq += *w * *w;
+        }
+        let beta = norm_sq.sqrt();
+        if beta > 0.0 {
+            let inv = beta.recip();
+            prev.iter_mut().for_each(|w| *w *= inv);
+        }
+        std::mem::swap(&mut self.prev, &mut self.cur);
+        self.beta_prev = beta;
+        (alpha, beta)
+    }
+}
+
+/// The Ritz vector `y = Σ s_i v_i`, re-running the recurrence from
+/// `start` (bit-identically, so no basis is stored).
+fn ritz_vector(laplacian: &Laplacian, start: Vec<f64>, s: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; start.len()];
+    let mut lanczos = Lanczos::new(laplacian, start);
+    for (i, &si) in s.iter().enumerate() {
+        if i > 0 {
+            lanczos.step();
+        }
+        y.iter_mut().zip(&lanczos.cur).for_each(|(y, v)| *y += si * v);
+    }
+    y
+}
+
+/// The unit eigenvector of the smallest eigenvalue of the symmetric
+/// tridiagonal matrix with diagonal `alpha` and off-diagonal `beta`
+/// (`beta.len() == alpha.len() − 1`): the eigenvalue by Sturm bisection,
+/// the vector by two steps of inverse iteration.
+fn smallest_ritz_vector(alpha: &[f64], beta: &[f64]) -> Vec<f64> {
+    let n = alpha.len();
+    let off = |i: usize| if i < beta.len() { beta[i].abs() } else { 0.0 };
+    // Gershgorin lower bound; the smallest eigenvalue is at most any
+    // diagonal entry.
+    let mut lo = (0..n)
+        .map(|i| alpha[i] - off(i) - if i > 0 { off(i - 1) } else { 0.0 })
+        .fold(f64::INFINITY, f64::min);
+    let mut hi = alpha.iter().copied().fold(f64::INFINITY, f64::min);
+    let scale = lo.abs().max(hi.abs()).max(f64::MIN_POSITIVE);
+    let pivot_floor = f64::EPSILON * scale;
+    // Eigenvalues below x: negative pivots of the LDLᵀ of T − xI.
+    let count_below = |x: f64| {
+        let mut q = 1.0;
+        let mut count = 0;
+        for i in 0..n {
+            let coupling = if i > 0 { beta[i - 1] * beta[i - 1] / q } else { 0.0 };
+            q = alpha[i] - x - coupling;
+            if q.abs() < pivot_floor {
+                q = -pivot_floor;
+            }
+            if q < 0.0 {
+                count += 1;
+            }
+        }
+        count
+    };
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
             break;
         }
-        v = w;
-        if converged {
-            break;
+        if count_below(mid) >= 1 {
+            hi = mid;
+        } else {
+            lo = mid;
         }
     }
-    (c - estimate).max(0.0)
+    let mut s = vec![1.0; n];
+    for _ in 0..2 {
+        s = solve_shifted_tridiagonal(alpha, beta, hi, &s, pivot_floor);
+        let norm = dot(&s, &s).sqrt();
+        s.iter_mut().for_each(|x| *x /= norm);
+    }
+    s
+}
+
+/// Solves `(T − σI) x = rhs` for the symmetric tridiagonal `T`
+/// (diagonal `alpha`, off-diagonal `beta`) by Gaussian elimination with
+/// partial pivoting; pivots below `pivot_floor` are raised to it, as
+/// inverse iteration at a converged shift requires.
+fn solve_shifted_tridiagonal(
+    alpha: &[f64],
+    beta: &[f64],
+    sigma: f64,
+    rhs: &[f64],
+    pivot_floor: f64,
+) -> Vec<f64> {
+    let n = alpha.len();
+    let floor = |d: f64| if d.abs() < pivot_floor { pivot_floor.copysign(d) } else { d };
+    // Upper-triangular rows: entries at columns (k, k+1, k+2).
+    let mut upper = Vec::with_capacity(n);
+    let mut y = Vec::with_capacity(n);
+    // The reduced row at column k: entries at columns (k, k+1), rhs r.
+    let (mut d, mut u, mut r) = (alpha[0] - sigma, beta.first().copied().unwrap_or(0.0), rhs[0]);
+    for k in 0..n - 1 {
+        // Row k+1: entries at columns (k, k+1, k+2).
+        let (l, nd, nu, nr) =
+            (beta[k], alpha[k + 1] - sigma, beta.get(k + 1).copied().unwrap_or(0.0), rhs[k + 1]);
+        if l.abs() > d.abs() {
+            // Row k+1 pivots and the reduced row is eliminated.
+            let f = d / l;
+            upper.push((l, nd, nu));
+            y.push(nr);
+            (d, u, r) = (u - f * nd, -f * nu, r - f * nr);
+        } else {
+            let pivot = floor(d);
+            let f = l / pivot;
+            upper.push((pivot, u, 0.0));
+            y.push(r);
+            (d, u, r) = (nd - f * u, nu, nr - f * r);
+        }
+    }
+    upper.push((d, 0.0, 0.0));
+    y.push(r);
+    let mut x = vec![0.0; n];
+    for k in (0..n).rev() {
+        let (pd, p1, p2) = upper[k];
+        let mut acc = y[k];
+        if k + 1 < n {
+            acc -= p1 * x[k + 1];
+        }
+        if k + 2 < n {
+            acc -= p2 * x[k + 2];
+        }
+        x[k] = acc / floor(pd);
+    }
+    x
 }
 
 /// The attack optimizer's masking-collapse score of one removal ordering
@@ -780,6 +1038,20 @@ mod tests {
         assert!(at > 0.0 && at < 1.0, "χ peaks strictly inside the sweep: {at}");
     }
 
+    /// The torus C_rows □ C_cols: node `r·cols + k` links to its ring
+    /// successors along both dimensions (both sides at least 3, so no
+    /// link repeats).
+    fn torus(rows: usize, cols: usize) -> Topology {
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for k in 0..cols {
+                edges.push((r * cols + k, r * cols + (k + 1) % cols));
+                edges.push((r * cols + k, ((r + 1) % rows) * cols + k));
+            }
+        }
+        graph(rows * cols, &edges)
+    }
+
     #[test]
     fn lambda2_matches_closed_forms() {
         use std::f64::consts::PI;
@@ -789,22 +1061,72 @@ mod tests {
             let topo = path(n);
             let expect = 2.0 * (1.0 - (PI / n as f64).cos());
             let got = algebraic_connectivity(&topo, &vec![true; n], &config);
-            assert!((got - expect).abs() < 1e-6, "path n={n}: {got} vs {expect}");
+            assert!((got - expect).abs() < 1e-9, "path n={n}: {got} vs {expect}");
         }
-        // Cycle C_n: λ₂ = 2(1 − cos(2π/n)) (doubly degenerate — the
-        // deflated iteration still lands on the right eigenvalue).
+        // Cycle C_n: λ₂ = 2(1 − cos(2π/n)), doubly degenerate.
         for n in [3usize, 4, 6, 10] {
             let topo = cycle(n);
             let expect = 2.0 * (1.0 - (2.0 * PI / n as f64).cos());
             let got = algebraic_connectivity(&topo, &vec![true; n], &config);
-            assert!((got - expect).abs() < 1e-6, "cycle n={n}: {got} vs {expect}");
+            assert!((got - expect).abs() < 1e-9, "cycle n={n}: {got} vs {expect}");
         }
         // Complete K_n: λ₂ = n.
         for n in [2usize, 4, 7] {
             let topo = complete(n);
             let got = algebraic_connectivity(&topo, &vec![true; n], &config);
-            assert!((got - n as f64).abs() < 1e-6, "complete n={n}: {got}");
+            assert!((got - n as f64).abs() < 1e-9, "complete n={n}: {got}");
         }
+    }
+
+    #[test]
+    fn lambda2_matches_the_torus_spectrum() {
+        use std::f64::consts::PI;
+        let config = Lambda2Config::default();
+        // C_m □ C_n: λ₂ = 2 − 2cos(2π/max(m, n)); the +grid of a Walker
+        // shell is this graph.
+        for (rows, cols) in [(12usize, 40usize), (40, 12), (5, 7), (16, 16), (3, 50)] {
+            let topo = torus(rows, cols);
+            let solve = algebraic_connectivity_solve(&topo, &vec![true; rows * cols], &config);
+            let expect = 2.0 - 2.0 * (2.0 * PI / rows.max(cols) as f64).cos();
+            assert!(
+                (solve.value - expect).abs() < 1e-9,
+                "torus {rows}x{cols}: {} vs {expect}",
+                solve.value
+            );
+            // Degree 4 everywhere: c = 8.
+            assert!(solve.converged, "torus {rows}x{cols}: {solve:?}");
+            assert!(solve.residual <= config.tolerance * 8.0, "torus {rows}x{cols}: {solve:?}");
+            assert!(solve.iterations > 0 && solve.iterations <= config.max_iterations);
+        }
+    }
+
+    #[test]
+    fn lambda2_does_not_depend_on_the_seed() {
+        // On the square torus λ₂ has multiplicity 4, so every seed lands
+        // on a different eigenvector but must report the same value.
+        let topo = torus(16, 16);
+        let alive = vec![true; 256];
+        let a = algebraic_connectivity_solve(&topo, &alive, &Lambda2Config::default());
+        let b = algebraic_connectivity_solve(
+            &topo,
+            &alive,
+            &Lambda2Config { seed: 7, ..Lambda2Config::default() },
+        );
+        assert!(a.converged && b.converged);
+        assert!((a.value - b.value).abs() < 1e-9, "seeds disagree: {a:?} vs {b:?}");
+    }
+
+    #[test]
+    fn lambda2_reports_a_capped_solve_as_unconverged() {
+        let topo = torus(12, 40);
+        let config = Lambda2Config { max_iterations: 3, ..Lambda2Config::default() };
+        let solve = algebraic_connectivity_solve(&topo, &vec![true; 480], &config);
+        assert!(!solve.converged, "3 steps cannot resolve a 480-node torus: {solve:?}");
+        assert_eq!(solve.iterations, 3);
+        assert!(solve.residual > config.tolerance * 8.0);
+        // Still an upper estimate of λ₂ (the Ritz value interlaces).
+        let expect = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / 40.0).cos();
+        assert!(solve.value.is_finite() && solve.value >= expect - 1e-12, "{solve:?}");
     }
 
     #[test]
@@ -829,7 +1151,13 @@ mod tests {
         use std::f64::consts::PI;
         let got = algebraic_connectivity(&p, &tail, &config);
         let expect = 2.0 * (1.0 - (PI / 4.0).cos());
-        assert!((got - expect).abs() < 1e-6, "masked path: {got} vs {expect}");
+        assert!((got - expect).abs() < 1e-9, "masked path: {got} vs {expect}");
+        // The combinatorial zero is exact and converged.
+        let zero = algebraic_connectivity_solve(&topo, &[true; 4], &config);
+        assert_eq!(
+            zero,
+            Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, converged: true }
+        );
     }
 
     #[test]

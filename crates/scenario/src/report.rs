@@ -437,6 +437,10 @@ pub struct PercolationReport {
     /// Algebraic connectivity λ₂ of the intact topology, slot-averaged
     /// (0 when a slot's +grid is disconnected).
     pub lambda2_intact: f64,
+    /// The largest λ₂ solve residual `‖Ly − θy‖` over the slots.
+    pub lambda2_residual: f64,
+    /// Whether every slot's λ₂ solve met its residual tolerance.
+    pub lambda2_converged: bool,
     /// Loss fraction at each sweep step (shared x-axis of every model's
     /// `giant_curve`).
     pub loss_fraction: Vec<f64>,
@@ -452,6 +456,8 @@ impl PercolationReport {
             .num("gap", self.gap)
             .uint("slots", self.slots as u64)
             .num("lambda2_intact", self.lambda2_intact)
+            .num("lambda2_residual", self.lambda2_residual)
+            .field("lambda2_converged", Json::Bool(self.lambda2_converged))
             .field(
                 "loss_fraction",
                 Json::Arr(self.loss_fraction.iter().map(|&f| Json::Num(f)).collect()),

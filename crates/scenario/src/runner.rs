@@ -43,8 +43,8 @@ use ssplane_demand::DemandModel;
 use ssplane_lsn::disruption::{strided_plane_indices, AttackModel, AttackTarget, OutageTimeline};
 use ssplane_lsn::optimizer::{optimize_attack, DegradedEvaluator};
 use ssplane_lsn::percolation::{
-    algebraic_connectivity, percolation_sweep, plane_spread_ordering, priority_ordering,
-    random_ordering, Lambda2Config, PercolationCurve,
+    algebraic_connectivity_solve, percolation_sweep, plane_spread_ordering, priority_ordering,
+    random_ordering, Lambda2Config, Lambda2Solve, PercolationCurve,
 };
 use ssplane_lsn::routing::{route_ground_to_ground, route_over_time, Route, TimeExpandedRoutes};
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
@@ -958,15 +958,15 @@ fn averaged_curve(curves: &[PercolationCurve]) -> PercolationCurve {
 
 /// One job's result in [`percolation_report`]'s flat job list.
 enum SlotAnalysis {
-    /// One slot's algebraic connectivity.
-    Lambda2(f64),
+    /// One slot's algebraic-connectivity solve.
+    Lambda2(Lambda2Solve),
     /// One (ordering, slot) percolation sweep.
     Curve(PercolationCurve),
 }
 
 /// Runs the percolation stage (`network.percolation`) over the network
 /// stage's prebuilt intact per-slot topologies — pure union-find replay
-/// and one power iteration per slot, no re-propagation and no routing.
+/// and one seeded λ₂ solve per slot, no re-propagation and no routing.
 ///
 /// One loss-fraction sweep per attack-registry ordering, slot-averaged:
 /// `"leading-planes"` (the plane-spread schedule whose power-of-two
@@ -1007,7 +1007,7 @@ fn percolation_report(
     let mut done = par::par_map(jobs, point_threads, |(ordering, k)| {
         let topology = evaluator.intact_topology(k);
         match ordering {
-            None => SlotAnalysis::Lambda2(algebraic_connectivity(
+            None => SlotAnalysis::Lambda2(algebraic_connectivity_solve(
                 topology,
                 evaluator.all_alive(),
                 &Lambda2Config::default(),
@@ -1016,15 +1016,15 @@ fn percolation_report(
         }
     })
     .into_iter();
-    let lambda2_intact = done
+    let lambda2: Vec<Lambda2Solve> = done
         .by_ref()
         .take(slots)
         .map(|job| match job {
-            SlotAnalysis::Lambda2(l2) => l2,
+            SlotAnalysis::Lambda2(solve) => solve,
             SlotAnalysis::Curve(_) => unreachable!("λ₂ jobs come first"),
         })
-        .sum::<f64>()
-        / slots as f64;
+        .collect();
+    let lambda2_intact = lambda2.iter().map(|l2| l2.value).sum::<f64>() / slots as f64;
     let curves: Vec<(&str, PercolationCurve)> = orderings
         .iter()
         .map(|(name, _)| {
@@ -1065,6 +1065,8 @@ fn percolation_report(
         gap,
         slots,
         lambda2_intact,
+        lambda2_residual: lambda2.iter().map(|l2| l2.residual).fold(0.0, f64::max),
+        lambda2_converged: lambda2.iter().all(|l2| l2.converged),
         loss_fraction: random_curve.loss_fraction.clone(),
         models,
     }
@@ -1590,6 +1592,8 @@ mod tests {
         assert_eq!(perc.loss_fraction.first(), Some(&0.0));
         assert_eq!(perc.loss_fraction.last(), Some(&1.0));
         assert!(perc.lambda2_intact > 0.0, "the intact SS +grid is connected");
+        assert!(perc.lambda2_converged, "the default λ₂ solve converges: {perc:?}");
+        assert!(perc.lambda2_residual > 0.0 && perc.lambda2_residual < 1e-8);
         let names: Vec<&str> = perc.models.iter().map(|m| m.model.as_str()).collect();
         assert_eq!(names, vec!["leading-planes", "random-sats"], "no attack, no attack sweep");
         for m in &perc.models {
