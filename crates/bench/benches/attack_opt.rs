@@ -1,26 +1,32 @@
 //! Attack-search benches: candidate-evaluation throughput of the
 //! `DegradedEvaluator` (the per-candidate mask → filtered topology →
 //! traffic-assignment pipeline every search step pays) against the
-//! incremental `IncrementalScorer` delta path (shortest-path-tree
-//! repair and affected-flow filtering) at 1k- and 10k-satellite scale,
-//! plus one end-to-end `optimize_attack` run on the 1k constellation.
-//! The incremental batch is pinned byte-identical to the full path
-//! before it is timed.
+//! incremental `IncrementalScorer` delta path at 1k- and 10k-satellite
+//! scale, for three objectives: routed fraction (component labels),
+//! load inflation (shortest-path-tree repair through per-plane cuts)
+//! and served demand over a gravity workload (ranked attachment, the
+//! indexed demand tally and k-path reuse). One end-to-end
+//! `optimize_attack` run on the 1k constellation closes the set. Every
+//! incremental batch is pinned byte-identical to `score_attack` before
+//! it is timed.
 //!
 //! The headline numbers land in `BENCH_attack_opt.json` at the
 //! repository root; re-capture with
 //! `cargo bench -p ssplane-bench --bench attack_opt`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
+use ssplane_demand::gravity::{gravity_flows, GravityConfig};
+use ssplane_demand::spatiotemporal::DemandModel;
 use ssplane_lsn::optimizer::{
     optimize_attack, AttackBudget, AttackObjective, AttackSearchConfig, DegradedEvaluator,
 };
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::topology::{Constellation, SatId};
 use ssplane_lsn::traffic::Flow;
+use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
 use std::hint::black_box;
 
 /// The benchmark time grid: 4 slots, 2 minutes apart (every candidate
@@ -71,6 +77,62 @@ fn flows() -> Vec<Flow> {
     out
 }
 
+/// Gravity pairs in the served-demand workload (the attack-search
+/// workload's size).
+const GRAVITY_PAIRS: usize = 20_000;
+
+/// Offered gravity demand in link-capacity units: deep enough into
+/// saturation that waterfilling and drop accounting stay on the path.
+const OFFERED: f64 = 200.0;
+
+/// The served-demand workload: seeded gravity flows over the synthetic
+/// population grid, rescaled to [`OFFERED`], two candidate paths per
+/// satellite pair.
+fn gravity_workload() -> TrafficWorkload {
+    let model = DemandModel::synthetic_seeded(42).unwrap();
+    let config = GravityConfig { pairs: GRAVITY_PAIRS, sites: 64, ..GravityConfig::default() };
+    let gravity = gravity_flows(&model, &config, 0).unwrap();
+    let total: f64 = gravity.iter().map(|g| g.rate).sum();
+    TrafficWorkload::from_gravity(
+        &gravity,
+        OFFERED / total,
+        CapacityConfig { link_capacity: 1.0, k_paths: 2 },
+    )
+}
+
+/// Times the incremental scorer of `objective` on `candidates`, after
+/// pinning its batch bit for bit to the full `score_attack` path. The
+/// cache is cleared inside the loop so every iteration pays the honest
+/// delta-from-intact cost, never a seen-cache hit.
+fn incremental_batch(
+    group: &mut BenchmarkGroup<'_>,
+    evaluator: &DegradedEvaluator<'_>,
+    candidates: &[Vec<SatId>],
+    objective: AttackObjective,
+) {
+    let scorer = evaluator.incremental_scorer(objective);
+    let full: Vec<u64> = candidates
+        .iter()
+        .map(|c| evaluator.score_attack(c, objective).unwrap().to_bits())
+        .collect();
+    let fast: Vec<u64> =
+        scorer.score_batch(candidates, 0).unwrap().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(full, fast, "incremental {} diverged from score_attack", objective.as_str());
+    group.bench_with_input(
+        criterion::BenchmarkId::new(
+            "score_batch_incremental",
+            format!("{}/{BATCH}x1plane", objective.as_str()),
+        ),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                scorer.clear_cache();
+                black_box(scorer.score_batch(candidates, 0).unwrap().len())
+            })
+        },
+    );
+}
+
 /// `BATCH` single-plane candidates, strided across the plane count.
 fn plane_candidates(planes: usize, per_plane: usize) -> Vec<Vec<SatId>> {
     (0..BATCH)
@@ -81,7 +143,13 @@ fn plane_candidates(planes: usize, per_plane: usize) -> Vec<Vec<SatId>> {
         .collect()
 }
 
-fn bench_scale(criterion: &mut Criterion, label: &str, planes: usize, per_plane: usize) {
+fn bench_scale(
+    criterion: &mut Criterion,
+    label: &str,
+    planes: usize,
+    per_plane: usize,
+    workload: &TrafficWorkload,
+) {
     let c = walker(planes, per_plane);
     let series =
         SnapshotSeries::build_parallel(&c, &time_grid(Epoch::J2000, SLOTS, SLOT_S), 0).unwrap();
@@ -135,39 +203,33 @@ fn bench_scale(criterion: &mut Criterion, label: &str, planes: usize, per_plane:
         },
     );
 
-    // Incremental scorer on the same batch: per-source trees repaired
-    // from the cached intact state instead of rebuilt per candidate.
-    // Pinned byte-identical to the full path before timing; the cache is
-    // cleared inside the loop so every iteration pays the honest
-    // delta-from-intact cost, never a seen-cache hit.
-    let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
-    let full = evaluator.score_batch(&candidates, AttackObjective::RoutedFraction, 0).unwrap();
-    let fast = scorer.score_batch(&candidates, 0).unwrap();
-    assert_eq!(
-        full.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        fast.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "incremental scorer diverged from full evaluation at {label}"
-    );
-    group.bench_with_input(
-        criterion::BenchmarkId::new("score_batch_incremental", format!("{BATCH}x1plane")),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                scorer.clear_cache();
-                black_box(scorer.score_batch(&candidates, 0).unwrap().len())
-            })
-        },
-    );
+    // The incremental scorer on the same batch, per objective: routed
+    // fraction through component labels, load inflation through
+    // per-source tree repairs cut by whole-plane bitsets, and served
+    // demand over a gravity workload (its own evaluator, since the
+    // workload rides on the evaluator).
+    incremental_batch(&mut group, &evaluator, &candidates, AttackObjective::RoutedFraction);
+    incremental_batch(&mut group, &evaluator, &candidates, AttackObjective::LoadInflation);
+    let with_workload = DegradedEvaluator::with_workload(
+        &series,
+        &flow_list,
+        20f64.to_radians(),
+        Default::default(),
+        Some(workload),
+    )
+    .unwrap();
+    incremental_batch(&mut group, &with_workload, &candidates, AttackObjective::ServedDemand);
 
     group.finish();
 }
 
 fn bench_attack_opt(criterion: &mut Criterion) {
+    let workload = gravity_workload();
     // 1k satellites: 10 planes x 100 slots.
-    bench_scale(criterion, "1000sats", 10, 100);
+    bench_scale(criterion, "1000sats", 10, 100, &workload);
     // 10k satellites: 50 planes x 200 slots (the mega-constellation
     // geometry every other bench uses).
-    bench_scale(criterion, "10000sats", 50, 200);
+    bench_scale(criterion, "10000sats", 50, 200, &workload);
 
     // One full search at 1k-satellite scale for context: greedy k=2 over
     // 10 planes + 1 restart of 4 swaps.

@@ -24,6 +24,21 @@ pub fn count_usize(n: u64) -> usize {
     usize::try_from(n).expect("count exceeds usize")
 }
 
+/// Widens a `u32` (a bitset word's bit position or popcount, a
+/// `trailing_zeros`) to `usize`. Infallible on every supported platform
+/// (usize ≥ 32 bits), expressed through `try_from` like [`count_u64`].
+#[inline]
+pub fn widen_u32(x: u32) -> usize {
+    usize::try_from(x).expect("u32 exceeds usize")
+}
+
+/// Narrows an index to `u32` for a compact per-item table. Panics, like
+/// every helper here, instead of wrapping past `u32::MAX`.
+#[inline]
+pub fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("index exceeds u32")
+}
+
 /// Converts a non-negative finite `f64` (a rank, a scaled threshold)
 /// into a `usize` index. The float must already be integral-intent —
 /// callers `ceil()`/`floor()` first; values at or above 2^53 have lost
@@ -51,6 +66,8 @@ mod tests {
         assert_eq!(count_u64(0), 0);
         assert_eq!(count_u64(123_456), 123_456);
         assert_eq!(count_usize(count_u64(usize::MAX / 2)), usize::MAX / 2);
+        assert_eq!(widen_u32(63), 63);
+        assert_eq!(widen_u32(index_u32(4_000_000_000)), 4_000_000_000);
         assert_eq!(f64_to_index(0.0), 0);
         assert_eq!(f64_to_index(42.9), 42, "truncation toward zero, post-ceil by callers");
         assert_eq!(f64_to_index(100_000.0), 100_000);

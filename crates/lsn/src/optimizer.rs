@@ -46,7 +46,7 @@ use crate::error::Result;
 use crate::snapshot::SnapshotSeries;
 use crate::topology::{GridTopologyConfig, SatId, Topology};
 use crate::traffic::{assign_traffic_with_capacity, Flow, TrafficReport};
-use crate::traffic_engine::{assign_capacity_constrained, ServedDemandSummary, TrafficWorkload};
+use crate::traffic_engine::{assign_interned, FlowIndex, ServedDemandSummary, TrafficWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::par::par_map;
@@ -152,6 +152,8 @@ pub struct DegradedEvaluator<'a> {
     flows: &'a [Flow],
     min_elevation: f64,
     workload: Option<&'a TrafficWorkload>,
+    /// The workload's flows, interned once for every assignment over it.
+    w_flows: Option<FlowIndex>,
     /// The capacity the classic load statistics normalize by — the
     /// workload's link capacity when one is carried, else `1.0` (raw
     /// load, the historical semantics).
@@ -233,6 +235,7 @@ impl<'a> DegradedEvaluator<'a> {
         threads: usize,
     ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
+        let w_flows = workload.map(|w| FlowIndex::new(&w.flows));
         let all_alive = vec![true; series.n_sats()];
         let slots: Vec<(Topology, SlotEvaluation)> =
             par_map((0..series.len()).collect(), threads, |k| {
@@ -245,17 +248,16 @@ impl<'a> DegradedEvaluator<'a> {
                     min_elevation,
                     link_capacity,
                 )?;
-                let served = workload
-                    .map(|w| {
-                        assign_capacity_constrained(
-                            &snapshot,
-                            &topology,
-                            &w.flows,
-                            min_elevation,
-                            &w.capacity,
-                        )
-                    })
-                    .transpose()?;
+                let served = workload.zip(w_flows.as_ref()).map(|(w, flows)| {
+                    assign_interned(
+                        &snapshot,
+                        &topology,
+                        &w.flows,
+                        flows,
+                        min_elevation,
+                        &w.capacity,
+                    )
+                });
                 let evaluation = SlotEvaluation {
                     connected: topology.is_connected(),
                     largest_component: topology.largest_component_among(&all_alive),
@@ -277,6 +279,7 @@ impl<'a> DegradedEvaluator<'a> {
             flows,
             min_elevation,
             workload,
+            w_flows,
             link_capacity,
             topologies,
             intact,
@@ -413,18 +416,10 @@ impl<'a> DegradedEvaluator<'a> {
             self.min_elevation,
             self.link_capacity,
         )?;
-        let served = self
-            .workload
-            .map(|w| {
-                assign_capacity_constrained(
-                    &snapshot,
-                    &topology,
-                    &w.flows,
-                    self.min_elevation,
-                    &w.capacity,
-                )
-            })
-            .transpose()?;
+        let served = self.workload.zip(self.w_flows.as_ref()).map(|(w, flows)| {
+            let capacity = &w.capacity;
+            assign_interned(&snapshot, &topology, &w.flows, flows, self.min_elevation, capacity)
+        });
         Ok(SlotEvaluation {
             connected: topology.is_connected_among(mask),
             largest_component: topology.largest_component_among(mask),

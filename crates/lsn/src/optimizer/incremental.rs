@@ -7,7 +7,7 @@
 //! greedy-frontier neighbours share a (k−1)-victim prefix, swap
 //! neighbours share k−1 of k victims — so almost all of that work
 //! repeats verbatim between candidates. [`IncrementalScorer`] exploits
-//! the structure with three mechanisms, each *exact*, never heuristic:
+//! the structure with these mechanisms, each *exact*, never heuristic:
 //!
 //! 1. **Dynamic shortest-path-tree repair** — per-source trees are
 //!    built once on the intact per-slot topologies; a candidate mask
@@ -18,18 +18,46 @@
 //!    recompute past the evaluator's damage threshold
 //!    ([`super::DegradedEvaluator::with_repair_threshold`]). With the
 //!    canonical `(dist, node)` heap order every repaired label is
-//!    bit-identical to a from-scratch run over the masked topology.
-//! 2. **Candidate-delta scoring** — the evaluation state of recent
-//!    candidates (servers, per-flow routes, repaired trees, k-path
-//!    sets) is kept in a small LRU keyed by canonical victim set; a new
-//!    candidate starts from the largest cached subset of its victims
-//!    and applies only the delta. The greedy loop pins its growing
-//!    prefix so every frontier neighbour is a one-unit delta.
-//! 3. **Affected-flow filtering** — only flows whose cached route
-//!    touches a newly dead node (or whose attachment died) are
-//!    re-routed; everything else replays its cached outcome. Server
-//!    re-attachment is monotone (a surviving winner stays the winner
-//!    under a stricter mask), so only orphaned endpoints re-query.
+//!    bit-identical to a from-scratch run over the masked topology, so
+//!    the same repair also supplies round 0 (the plain shortest paths)
+//!    of every recomputed served-demand k-path set. Repairs write their
+//!    labels into a generation-stamped buffers shared by a slot's
+//!    repairs, so none copies or resets a whole tree.
+//! 2. **Per-plane cut bitsets** — each cached intact tree carries, built
+//!    once on its first plane repair, the subtree and frontier bitset of
+//!    every plane (`routing::PlaneCuts`). A repair ORs its whole victim
+//!    planes' bitsets and seeds the alive, finite-label nodes in
+//!    frontier AND NOT region — exactly the region and seeds a subtree
+//!    walk from every dead node finds — so a plane-budget repair sets
+//!    its region up in O(n/64) words instead of walking most of the
+//!    tree. Victims
+//!    outside whole planes still go through the subtree walk in the same
+//!    routine, and the damage threshold compares the region's popcount.
+//! 3. **Ranked attachment** — per (slot, interned endpoint), the serving
+//!    candidates are listed once, best first (elevation descending, flat
+//!    index ascending: `ServingIndex::ranked`). An endpoint's server under
+//!    a mask is the first alive entry — the masked index's first-wins
+//!    maximum without a constellation-wide scan.
+//! 4. **An indexed demand tally** — workload flows are interned by
+//!    endpoint pair once per evaluator, each pair is classified once per
+//!    candidate, and one flow-order pass accumulates into a dense
+//!    per-satellite-pair vector (`traffic_engine::tally_attachments`,
+//!    the same routine the full engine uses), making the same additions
+//!    in the same order as a per-flow map.
+//! 5. **Candidate-delta scoring** — the evaluation state of recent
+//!    candidates (per-flow routes, fallback trees, k-path sets) is kept
+//!    in a small LRU keyed by canonical victim set; a new candidate
+//!    starts from the largest cached subset of its victims and applies
+//!    only the delta. The greedy loop pins its growing prefix so every
+//!    frontier neighbour is a one-unit delta.
+//! 6. **Affected-flow filtering** — only flows whose cached route
+//!    touches a newly dead node (or whose attachment changed) are
+//!    re-routed, and a source's k-path set is recomputed only when its
+//!    destinations changed or a stored path lost a hop; everything else
+//!    replays its cached outcome. Alive-component labels settle
+//!    reachability first: a pair split across components is unreachable
+//!    outright, so no repair or k-path round waits on a destination it
+//!    can never settle.
 //!
 //! Aggregates (routed counts, per-link loads, waterfilled served
 //! demand) are rebuilt in flow order from the per-flow outcomes — never
@@ -41,49 +69,102 @@
 
 use super::{AttackObjective, DegradedEvaluator, SlotEvaluation};
 use crate::error::Result;
-use crate::routing::{ServingIndex, ShortestPathTree};
-use crate::topology::SatId;
-use crate::traffic::{Flow, TrafficReport};
+use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTree};
+use crate::topology::{SatId, Topology};
+use crate::traffic::TrafficReport;
 use crate::traffic_engine::{
-    aggregate_attachments, k_paths_for_source, waterfill_summary, ServedDemandSummary,
+    k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, FlowIndex,
+    ServedDemandSummary,
 };
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached candidate states kept for delta evaluation. Small on purpose:
 /// the intact state (always available) bounds the worst case, and every
 /// cached state holds repaired trees worth O(sources · nodes).
 const LRU_CAP: usize = 12;
 
-/// Distinct flow endpoints, interned so per-candidate attachment work is
-/// per *endpoint*, not per flow (gravity and city endpoints repeat).
+/// Per endpoint of one slot, every satellite able to serve it (flat
+/// indices), best first — see [`ServingIndex::ranked`].
 #[derive(Debug, Default)]
-struct EndpointTable {
-    /// Distinct endpoint coordinates, first-appearance order.
-    points: Vec<GeoPoint>,
-    /// Per-flow (source endpoint, destination endpoint) indices.
-    flow_eps: Vec<(usize, usize)>,
+struct RankedServers {
+    /// Endpoint `e`'s list is `sats[starts[e]..starts[e + 1]]`.
+    starts: Vec<usize>,
+    sats: Vec<usize>,
 }
 
-fn intern_endpoints(flows: &[Flow]) -> EndpointTable {
-    let mut by_bits: BTreeMap<(u64, u64), usize> = BTreeMap::new();
-    let mut points: Vec<GeoPoint> = Vec::new();
-    let mut flow_eps = Vec::with_capacity(flows.len());
-    for f in flows {
-        let mut intern = |p: GeoPoint| -> usize {
-            *by_bits.entry((p.lat.to_bits(), p.lon.to_bits())).or_insert_with(|| {
-                points.push(p);
-                points.len() - 1
-            })
-        };
-        let a = intern(f.src);
-        let b = intern(f.dst);
-        flow_eps.push((a, b));
+impl RankedServers {
+    fn build(index: &ServingIndex<'_>, topology: &Topology, points: &[GeoPoint]) -> Self {
+        let mut starts = Vec::with_capacity(points.len() + 1);
+        let mut sats = Vec::new();
+        starts.push(0);
+        for &p in points {
+            sats.extend(index.ranked(p).into_iter().map(|(id, _)| {
+                topology.index_of(id).expect("snapshot and topology share the flat layout")
+            }));
+            starts.push(sats.len());
+        }
+        RankedServers { starts, sats }
     }
-    EndpointTable { points, flow_eps }
+
+    /// Per endpoint: its serving satellite under `mask`, the first alive
+    /// entry of its list.
+    fn servers(&self, mask: &[bool]) -> Vec<Option<usize>> {
+        self.starts
+            .windows(2)
+            .map(|w| self.sats[w[0]..w[1]].iter().copied().find(|&s| mask[s]))
+            .collect()
+    }
+}
+
+/// A cached intact tree and its per-plane cuts, built on the tree's
+/// first plane repair.
+#[derive(Debug)]
+struct IntactTree {
+    tree: ShortestPathTree,
+    cuts: OnceLock<PlaneCuts>,
+}
+
+/// A canonical victim set split for repair: the planes it kills whole,
+/// and its remaining satellites.
+#[derive(Debug, Default)]
+struct VictimSplit {
+    planes: Vec<usize>,
+    others: Vec<usize>,
+}
+
+impl VictimSplit {
+    /// Splits sorted, unique flat `victims` over the plane layout
+    /// `offsets` (start per plane plus a trailing total).
+    fn new(victims: &[usize], offsets: &[usize]) -> Self {
+        let mut split = VictimSplit::default();
+        let mut i = 0;
+        for (p, w) in offsets.windows(2).enumerate() {
+            let j = i + victims[i..].partition_point(|&v| v < w[1]);
+            if j > i && j - i == w[1] - w[0] {
+                split.planes.push(p);
+            } else {
+                split.others.extend_from_slice(&victims[i..j]);
+            }
+            i = j;
+        }
+        split
+    }
+}
+
+/// One candidate as a delta off its cached parent state: what each
+/// slot's evaluation reads.
+struct Delta<'d> {
+    parent: &'d MaskState,
+    /// The candidate's alive mask.
+    mask: &'d [bool],
+    /// The victims alive under the parent's mask.
+    dead_new: &'d [usize],
+    /// The whole victim set, split for intact-tree repairs.
+    split: &'d VictimSplit,
 }
 
 /// One flow's routing outcome under a mask — everything a stricter mask
@@ -106,15 +187,14 @@ enum FlowState {
 struct SourcePaths {
     /// The destination set the rounds were run over (ascending).
     dsts: Vec<usize>,
-    /// Up-to-k deduplicated candidate paths per destination.
-    paths: BTreeMap<usize, Vec<Vec<usize>>>,
+    /// Up-to-k deduplicated candidate paths per destination, aligned
+    /// with `dsts`.
+    paths: Vec<Vec<Vec<usize>>>,
 }
 
 /// Served-demand evaluation state of one slot.
 #[derive(Debug, Clone, Default)]
 struct ServedState {
-    /// Per workload endpoint: serving satellite (flat), if any.
-    servers: Vec<Option<usize>>,
     /// Per source satellite: its k-path candidate set.
     sources: BTreeMap<usize, Arc<SourcePaths>>,
 }
@@ -122,8 +202,6 @@ struct ServedState {
 /// Cached evaluation state of one slot under one mask.
 #[derive(Debug, Clone, Default)]
 struct SlotState {
-    /// Per classic-flow endpoint: serving satellite (flat), if any.
-    servers: Vec<Option<usize>>,
     /// Per classic flow: its routing outcome.
     flows: Vec<FlowState>,
     /// Full from-scratch trees built past the damage threshold while
@@ -172,33 +250,6 @@ fn is_subset(small: &[usize], big: &[usize]) -> bool {
     true
 }
 
-/// Connected-component labels over the alive nodes (dead nodes keep
-/// `u32::MAX`): two alive nodes share a label iff the masked topology
-/// connects them — the exact reachability verdict of a masked Dijkstra.
-fn component_labels(topo: &crate::topology::Topology, alive: &[bool]) -> Vec<u32> {
-    let n = topo.n_nodes();
-    let mut comp = vec![u32::MAX; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next = 0u32;
-    for v in 0..n {
-        if !alive[v] || comp[v] != u32::MAX {
-            continue;
-        }
-        comp[v] = next;
-        stack.push(v);
-        while let Some(u) = stack.pop() {
-            for &(w, _) in topo.neighbors(u) {
-                if alive[w] && comp[w] == u32::MAX {
-                    comp[w] = next;
-                    stack.push(w);
-                }
-            }
-        }
-        next += 1;
-    }
-    comp
-}
-
 /// `victims − parent` for sorted slices with `parent ⊆ victims`.
 fn diff_sorted(victims: &[usize], parent: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(victims.len().saturating_sub(parent.len()));
@@ -239,17 +290,15 @@ pub struct IncrementalScorer<'e, 'a> {
     needs_connectivity: bool,
     /// Flat index → network-layout id, for rebuilding `SatId` link keys.
     ids: Vec<SatId>,
-    /// Interned classic-flow endpoints (empty unless routing is needed).
-    endpoints: EndpointTable,
-    /// Interned workload endpoints (present only with served demand).
-    w_endpoints: Option<EndpointTable>,
-    /// Total workload demand, summed once in flow order.
-    w_offered: f64,
-    /// Per-slot attachment indexes over the intact snapshots.
-    indexes: Vec<ServingIndex<'a>>,
+    /// Interned classic flows (empty unless routing is needed).
+    flow_index: FlowIndex,
+    /// Per slot: the classic endpoints' ranked servers.
+    ranked: Vec<RankedServers>,
+    /// Per slot: the workload endpoints' ranked servers.
+    w_ranked: Vec<RankedServers>,
     /// Per-slot intact per-source trees, built lazily, kept for the
     /// scorer's lifetime — the repair baseline every state can reach.
-    intact_trees: Vec<Mutex<BTreeMap<usize, Arc<ShortestPathTree>>>>,
+    intact_trees: Vec<Mutex<BTreeMap<usize, Arc<IntactTree>>>>,
     /// The fully evaluated intact state — the universal parent.
     intact_state: Arc<MaskState>,
     /// Recently evaluated candidate states, most recent first.
@@ -264,10 +313,11 @@ pub struct IncrementalScorer<'e, 'a> {
 }
 
 impl<'e, 'a> IncrementalScorer<'e, 'a> {
-    /// Builds the scorer: interns endpoints, builds per-slot attachment
-    /// indexes, and evaluates the intact state (one tree per distinct
-    /// intact source — the only whole-constellation Dijkstras the
-    /// scorer's lifetime pays for, outside damage-threshold fallbacks).
+    /// Builds the scorer: interns flows, ranks every endpoint's serving
+    /// candidates per slot, and evaluates the intact state (one tree per
+    /// distinct intact source — the only whole-constellation Dijkstras
+    /// the scorer's lifetime pays for, outside damage-threshold
+    /// fallbacks).
     pub fn new(ev: &'e DegradedEvaluator<'a>, objective: AttackObjective) -> Self {
         let needs_served = objective == AttackObjective::ServedDemand && ev.workload.is_some();
         let needs_routing =
@@ -278,18 +328,22 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let n_slots = ev.n_slots();
         let ids: Vec<SatId> =
             if n_slots > 0 { ev.series.snapshot(0).ids().collect() } else { Vec::new() };
-        let endpoints =
-            if needs_routing { intern_endpoints(ev.flows) } else { EndpointTable::default() };
-        let w_endpoints =
-            if needs_served { ev.workload.map(|w| intern_endpoints(&w.flows)) } else { None };
-        let w_offered = ev.workload.map_or(0.0, |w| w.flows.iter().map(|f| f.demand).sum());
-        let indexes: Vec<ServingIndex<'a>> = if needs_routing || needs_served {
-            (0..n_slots)
-                .map(|k| ServingIndex::new(ev.series.snapshot(k), ev.min_elevation))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let flow_index =
+            if needs_routing { FlowIndex::new(ev.flows) } else { FlowIndex::default() };
+        let mut ranked = Vec::new();
+        let mut w_ranked = Vec::new();
+        if needs_routing || needs_served {
+            for k in 0..n_slots {
+                let index = ServingIndex::new(ev.series.snapshot(k), ev.min_elevation);
+                let topology = &ev.topologies[k];
+                ranked.push(RankedServers::build(&index, topology, &flow_index.points));
+                let w_points = match &ev.w_flows {
+                    Some(w) if needs_served => &w.points[..],
+                    _ => &[],
+                };
+                w_ranked.push(RankedServers::build(&index, topology, w_points));
+            }
+        }
         let n = ev.n_sats();
         let max_affected = crate::cast::f64_to_index(((n as f64) * ev.repair_threshold).ceil());
         let bootstrap = Arc::new(MaskState::bootstrap(n_slots, &ev.all_alive));
@@ -302,10 +356,9 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             needs_served,
             needs_connectivity,
             ids,
-            endpoints,
-            w_endpoints,
-            w_offered,
-            indexes,
+            flow_index,
+            ranked,
+            w_ranked,
             intact_trees: (0..n_slots).map(|_| Mutex::new(BTreeMap::new())).collect(),
             intact_state: bootstrap.clone(),
             lru: Mutex::new(Vec::new()),
@@ -451,35 +504,37 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
 
     /// The intact tree of source `s` in slot `k`, built on first use and
     /// kept for the scorer's lifetime.
-    fn intact_tree(&self, k: usize, s: usize) -> Arc<ShortestPathTree> {
+    fn intact_tree(&self, k: usize, s: usize) -> Arc<IntactTree> {
         let mut cache = self.intact_trees[k].lock().expect("intact tree cache poisoned");
         cache
             .entry(s)
             .or_insert_with(|| {
-                Arc::new(ShortestPathTree::from_flat(&self.ev.topologies[k], s, None))
+                Arc::new(IntactTree {
+                    tree: ShortestPathTree::from_flat(&self.ev.topologies[k], s, None),
+                    cuts: OnceLock::new(),
+                })
             })
             .clone()
     }
 
     /// The routes from alive source `s` to each of `dsts` (ascending,
-    /// deduplicated) under `mask`: a fallback tree built earlier in this
-    /// evaluation, then a targeted repair of the parent's fallback tree
-    /// by `dead_new`, then a targeted repair of the intact tree by the
-    /// whole victim set — each cut short once the needed destinations
-    /// settle ([`ShortestPathTree::repaired_paths`]) — then (damage
-    /// threshold hit) a from-scratch masked tree, kept in `local` for
-    /// this state's lifetime. Every branch is bit-identical.
-    #[allow(clippy::too_many_arguments)]
+    /// deduplicated) under the candidate's mask: a fallback tree built
+    /// earlier in this evaluation, then a targeted repair of the parent's
+    /// fallback tree by the newly dead nodes, then a targeted repair of
+    /// the intact tree by the whole victim set (whole planes through the
+    /// tree's plane cuts, the rest walked) — each cut short once the
+    /// needed destinations settle ([`ShortestPathTree::repaired_paths`])
+    /// — then (damage threshold hit) a from-scratch masked tree, kept in
+    /// `local` for this state's lifetime. Every branch is bit-identical.
+    /// Repairs label into `buffers`, shared by the slot's repairs.
     fn paths_for(
         &self,
         k: usize,
         s: usize,
-        parent: &MaskState,
-        mask: &[bool],
-        dead_new: &[usize],
-        victims: &[usize],
         dsts: &[usize],
+        delta: &Delta<'_>,
         local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
+        buffers: &mut RepairBuffers,
     ) -> Vec<Option<Arc<[usize]>>> {
         let from_tree = |tree: &ShortestPathTree| {
             dsts.iter().map(|&d| tree.flat_path_to(d).map(|(h, _)| h.into())).collect()
@@ -487,16 +542,25 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         if let Some(tree) = local.get(&s) {
             return from_tree(tree);
         }
-        if victims.is_empty() {
-            return from_tree(&self.intact_tree(k, s));
+        let intact = self.intact_tree(k, s);
+        let split = delta.split;
+        if split.planes.is_empty() && split.others.is_empty() {
+            return from_tree(&intact.tree);
         }
-        let topo = &self.ev.topologies[k];
-        let repaired = parent.slots[k]
+        let (topo, mask) = (&self.ev.topologies[k], delta.mask);
+        let repaired = delta.parent.slots[k]
             .trees
             .get(&s)
-            .and_then(|t| t.repaired_paths(topo, mask, dead_new, self.max_affected, dsts))
+            .and_then(|t| {
+                let cut = Cut { planes: None, nodes: delta.dead_new };
+                t.repaired_paths(topo, mask, cut, self.max_affected, dsts, buffers)
+            })
             .or_else(|| {
-                self.intact_tree(k, s).repaired_paths(topo, mask, victims, self.max_affected, dsts)
+                let planes = (!split.planes.is_empty()).then(|| {
+                    (intact.cuts.get_or_init(|| intact.tree.plane_cuts(topo)), &split.planes[..])
+                });
+                let cut = Cut { planes, nodes: &split.others };
+                intact.tree.repaired_paths(topo, mask, cut, self.max_affected, dsts, buffers)
             });
         match repaired {
             Some(paths) => paths.into_iter().map(|p| p.map(|(h, _)| h.into())).collect(),
@@ -508,103 +572,82 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         }
     }
 
-    /// Per-endpoint serving satellites under `mask`, from the parent's:
-    /// a surviving winner stays the winner under a stricter mask and an
-    /// unattached endpoint stays unattached, so only endpoints whose
-    /// server died re-query. A parent without server state (the
-    /// bootstrap) resolves everything fresh.
-    fn update_servers(
-        &self,
-        k: usize,
-        points: &[GeoPoint],
-        parent: &[Option<usize>],
-        mask: &[bool],
-    ) -> Vec<Option<usize>> {
-        let topo = &self.ev.topologies[k];
-        let requery = |p: GeoPoint| {
-            self.indexes[k].query_masked(p, mask).and_then(|(id, _)| topo.index_of(id))
-        };
-        if parent.len() == points.len() {
-            parent
-                .iter()
-                .zip(points)
-                .map(|(&srv, &p)| match srv {
-                    Some(s) if mask[s] => Some(s),
-                    Some(_) => requery(p),
-                    None => None,
-                })
-                .collect()
-        } else {
-            points.iter().map(|&p| requery(p)).collect()
-        }
-    }
-
-    /// The served-demand stage replay: cached attachment + per-source
-    /// k-path reuse, then the shared waterfilling — bit-identical to
+    /// The served-demand stage replay: ranked attachment, the shared
+    /// indexed tally and per-source k-path reuse, then the shared
+    /// waterfilling — bit-identical to
     /// [`crate::traffic_engine::assign_capacity_constrained`] over the
-    /// masked snapshot and topology.
+    /// masked snapshot and topology. A recomputed source takes its
+    /// round-0 (plain shortest) paths from [`Self::paths_for`]'s tree
+    /// repair; `local` and `buffers` are as there.
     fn eval_served(
         &self,
         k: usize,
-        parent: &MaskState,
-        mask: &[bool],
+        delta: &Delta<'_>,
+        local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
+        buffers: &mut RepairBuffers,
     ) -> (ServedState, ServedDemandSummary) {
+        let mask = delta.mask;
         let w = self.ev.workload.expect("served demand needs a workload");
         if w.flows.is_empty() {
             return (ServedState::default(), ServedDemandSummary::empty(0, 0.0, 0.0));
         }
+        let flows = self.ev.w_flows.as_ref().expect("interned with the workload");
         let topo = &self.ev.topologies[k];
-        let table = self.w_endpoints.as_ref().expect("built with the workload");
+        let servers = self.w_ranked[k].servers(mask);
+        let tally = tally_attachments(&w.flows, flows, &servers);
+        let n_flows = w.flows.len();
+        if tally.sat_pairs.is_empty() {
+            let summary = local_only_summary(n_flows, flows.offered, &tally);
+            return (ServedState::default(), summary);
+        }
         let fresh = ServedState::default();
-        let pserved = parent.slots[k].served.as_ref().unwrap_or(&fresh);
-        let servers = self.update_servers(k, &table.points, &pserved.servers, mask);
-        let tally = aggregate_attachments(&w.flows, |i, _| {
-            let (a, b) = table.flow_eps[i];
-            (servers[a], servers[b])
-        });
-        if tally.demand.is_empty() {
-            let fraction =
-                if self.w_offered > 0.0 { tally.local_served / self.w_offered } else { 0.0 };
-            let summary = ServedDemandSummary {
-                served: tally.local_served,
-                served_fraction: fraction,
-                ..ServedDemandSummary::empty(w.flows.len(), tally.unattached, self.w_offered)
-            };
-            return (ServedState { servers, sources: BTreeMap::new() }, summary);
-        }
-        let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for &(s, d) in tally.demand.keys() {
-            by_src.entry(s).or_default().push(d);
-        }
+        let pserved = delta.parent.slots[k].served.as_ref().unwrap_or(&fresh);
         let kp = w.capacity.k_paths.max(1);
+        let mut reach: Option<Vec<u32>> = None;
         let mut sources: BTreeMap<usize, Arc<SourcePaths>> = BTreeMap::new();
-        for (&s, dsts) in &by_src {
+        for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
+            let s = group[0].0;
+            let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
             // Round-r penalties couple every destination of a source, so
             // reuse is whole-source: same destination set and every
             // stored candidate path still alive — then each round
             // replays identically and so does the merged path set.
             let reusable = pserved.sources.get(&s).filter(|sp| {
-                sp.dsts == *dsts && sp.paths.values().flatten().flatten().all(|&h| mask[h])
+                sp.dsts == dsts && sp.paths.iter().flatten().flatten().all(|&h| mask[h])
             });
             let sp = match reusable {
                 Some(sp) => Arc::clone(sp),
-                None => Arc::new(SourcePaths {
-                    dsts: dsts.clone(),
-                    paths: k_paths_for_source(topo, s, dsts, kp, Some(mask)),
-                }),
+                None => {
+                    // Round 0 from the repaired tree, which only has to
+                    // settle the destinations `s` can reach.
+                    let reach = reach.get_or_insert_with(|| topo.component_labels(Some(mask)));
+                    let reachable: Vec<usize> =
+                        dsts.iter().copied().filter(|&d| reach[d] == reach[s]).collect();
+                    let mut found =
+                        self.paths_for(k, s, &reachable, delta, local, buffers).into_iter();
+                    let shortest = dsts
+                        .iter()
+                        .map(|&d| {
+                            let path = (reach[d] == reach[s]).then(|| found.next()).flatten();
+                            path.flatten().map(|hops| hops.to_vec())
+                        })
+                        .collect();
+                    let paths =
+                        k_paths_for_source(topo, s, &dsts, kp, Some(mask), reach, Some(shortest));
+                    Arc::new(SourcePaths { paths, dsts })
+                }
             };
             sources.insert(s, sp);
         }
-        let summary = waterfill_summary(
-            w.flows.len(),
-            self.w_offered,
-            tally.local_served,
-            tally.unattached,
-            &tally.demand,
-            |s, d| sources.get(&s).and_then(|sp| sp.paths.get(&d)).map_or(&[][..], Vec::as_slice),
-            w.capacity.link_capacity,
-        );
-        (ServedState { servers, sources }, summary)
+        // Sources ascend like the tally's pairs and each source's paths
+        // align with its destinations, so the flattening aligns with
+        // `tally.sat_pairs`.
+        let pair_paths: Vec<&[Vec<usize>]> =
+            sources.values().flat_map(|sp| sp.paths.iter().map(Vec::as_slice)).collect();
+        let capacity = w.capacity.link_capacity;
+        let summary =
+            waterfill_summary(n_flows, flows.offered, &tally, |j| pair_paths[j], capacity);
+        (ServedState { sources }, summary)
     }
 
     /// One slot's delta evaluation: cached-or-repaired routing plus the
@@ -612,47 +655,43 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// [`SlotEvaluation`] whose read fields match the full pipeline's
     /// bit for bit (unread fields — stretch, hops, outcomes — are left
     /// inert).
-    fn build_slot(
-        &self,
-        k: usize,
-        parent: &MaskState,
-        mask: &[bool],
-        dead_new: &[usize],
-        victims: &[usize],
-    ) -> (SlotState, SlotEvaluation) {
+    fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, SlotEvaluation) {
+        let (parent, mask) = (delta.parent, delta.mask);
         let mut state = SlotState::default();
+        let mut buffers = RepairBuffers::default();
         let mut routed = 0usize;
         let mut unrouted = 0usize;
         let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
+        let flow_ends =
+            |i: usize| self.flow_index.pairs[crate::cast::widen_u32(self.flow_index.flow_pair[i])];
         if self.needs_routing && !self.need_load {
             // Reachability-only objectives (routed fraction and its
             // served-demand fallback): the masked Dijkstra finds a path
             // iff both serving satellites share an alive component, so
             // component labels give the exact same routed/unrouted
             // counts without building a single path.
-            let servers =
-                self.update_servers(k, &self.endpoints.points, &parent.slots[k].servers, mask);
-            let comp = component_labels(&self.ev.topologies[k], mask);
+            let servers = self.ranked[k].servers(mask);
+            let comp = self.ev.topologies[k].component_labels(Some(mask));
             for i in 0..self.ev.flows.len() {
-                let (ea, eb) = self.endpoints.flow_eps[i];
+                let (ea, eb) = flow_ends(i);
                 match (servers[ea], servers[eb]) {
                     (Some(a), Some(b)) if a == b || comp[a] == comp[b] => routed += 1,
                     _ => unrouted += 1,
                 }
             }
-            state.servers = servers;
         } else if self.needs_routing {
-            let servers =
-                self.update_servers(k, &self.endpoints.points, &parent.slots[k].servers, mask);
-            let mut trees: BTreeMap<usize, Arc<ShortestPathTree>> = BTreeMap::new();
+            let servers = self.ranked[k].servers(mask);
             // Classify every flow first; flows needing a fresh route are
             // grouped by source so each source pays one targeted repair
-            // for all of its destinations.
+            // for all of its destinations. Pairs in different alive
+            // components are unreachable outright, so a repair only ever
+            // waits for destinations it will settle.
+            let comp = self.ev.topologies[k].component_labels(Some(mask));
             let mut staged: Vec<Option<FlowState>> = Vec::with_capacity(self.ev.flows.len());
             let mut pairs: Vec<(usize, usize)> = Vec::new();
             let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for i in 0..self.ev.flows.len() {
-                let (ea, eb) = self.endpoints.flow_eps[i];
+                let (ea, eb) = flow_ends(i);
                 let fs = match (servers[ea], servers[eb]) {
                     (Some(a), Some(b)) if a == b => Some(FlowState::Local),
                     (Some(a), Some(b)) => match parent.slots[k].flows.get(i) {
@@ -669,6 +708,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                         Some(FlowState::Unreachable { s, d }) if *s == a && *d == b => {
                             Some(FlowState::Unreachable { s: a, d: b })
                         }
+                        _ if comp[a] != comp[b] => Some(FlowState::Unreachable { s: a, d: b }),
                         _ => {
                             by_src.entry(a).or_default().push(b);
                             pairs.push((a, b));
@@ -683,7 +723,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             for (&s, dsts) in &mut by_src {
                 dsts.sort_unstable();
                 dsts.dedup();
-                let found = self.paths_for(k, s, parent, mask, dead_new, victims, dsts, &mut trees);
+                let found = self.paths_for(k, s, dsts, delta, &mut state.trees, &mut buffers);
                 for (&d, hops) in dsts.iter().zip(found) {
                     routes.insert((s, d), hops);
                 }
@@ -716,9 +756,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                 }
                 flows.push(fs);
             }
-            state.servers = servers;
             state.flows = flows;
-            state.trees = trees;
         }
         let largest_component = if self.needs_connectivity {
             self.ev.topologies[k].largest_component_among(mask)
@@ -726,7 +764,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             0
         };
         let served = if self.needs_served {
-            let (ss, summary) = self.eval_served(k, parent, mask);
+            let (ss, summary) = self.eval_served(k, delta, &mut state.trees, &mut buffers);
             state.served = Some(ss);
             Some(summary)
         } else {
@@ -735,7 +773,8 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let evaluation = SlotEvaluation {
             connected: false,
             largest_component,
-            alive: self.ev.n_sats() - victims.len(),
+            // The victims are the parent's plus the disjoint new ones.
+            alive: self.ev.n_sats() - parent.victims.len() - delta.dead_new.len(),
             traffic: TrafficReport {
                 routed,
                 unrouted,
@@ -763,10 +802,16 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             mask[d] = false;
         }
         let n_slots = self.ev.n_slots();
+        let split = if (self.need_load || self.needs_served) && n_slots > 0 {
+            VictimSplit::new(&victims, self.ev.topologies[0].plane_offsets())
+        } else {
+            VictimSplit::default()
+        };
+        let delta = Delta { parent, mask: &mask, dead_new: &dead_new, split: &split };
         let mut slots = Vec::with_capacity(n_slots);
         let mut evaluations = Vec::with_capacity(n_slots);
         for k in 0..n_slots {
-            let (st, ev_k) = self.build_slot(k, parent, &mask, &dead_new, &victims);
+            let (st, ev_k) = self.build_slot(k, &delta);
             slots.push(st);
             evaluations.push(ev_k);
         }
@@ -874,6 +919,61 @@ mod tests {
         wider.extend((0..24).map(|slot| SatId { plane: 3, slot }));
         let full = evaluator.score_attack(&wider, AttackObjective::ServedDemand).unwrap();
         assert_eq!(full.to_bits(), scorer.score(&wider).unwrap().to_bits());
+    }
+
+    #[test]
+    fn incremental_matches_full_under_a_plane_budget_with_a_tight_threshold() {
+        // A 5 % damage threshold (12 of 240 nodes) sends every whole-plane
+        // repair to the from-scratch fallback while single-satellite
+        // repairs of small subtrees still cut, so both branches run side
+        // by side through greedy-shaped frontier batches — each a
+        // one-plane delta off the pinned prefix — at 1, 2 and 7 threads.
+        let c = constellation(10, 24);
+        let flows = city_flows();
+        let (series, flows) = evaluator_fixture(&c, &flows, 2);
+        let workload = capacity_workload();
+        let evaluator = DegradedEvaluator::with_workload(
+            &series,
+            &flows,
+            20f64.to_radians(),
+            Default::default(),
+            Some(&workload),
+        )
+        .unwrap()
+        .with_repair_threshold(0.05);
+        let plane = |p: usize| (0..24).map(move |slot| SatId { plane: p, slot });
+        for objective in [AttackObjective::ServedDemand, AttackObjective::LoadInflation] {
+            for threads in [1usize, 2, 7] {
+                let scorer = evaluator.incremental_scorer(objective);
+                let mut prefix: Vec<SatId> = Vec::new();
+                for (step, next) in [3usize, 7, 0].into_iter().enumerate() {
+                    let mut batch: Vec<Vec<SatId>> = (0..10)
+                        .filter(|&q| !prefix.iter().any(|id| id.plane == q))
+                        .map(|q| {
+                            let mut c: Vec<SatId> =
+                                prefix.iter().copied().chain(plane(q)).collect();
+                            c.sort_unstable();
+                            c
+                        })
+                        .collect();
+                    // Plane-plus-satellite mixes and a lone satellite.
+                    let mut mixed = prefix.clone();
+                    mixed.extend(plane(5 + step % 2).take(5));
+                    mixed.push(SatId { plane: 9, slot: 11 });
+                    mixed.sort_unstable();
+                    batch.push(mixed);
+                    batch.push(vec![SatId { plane: 2, slot: step }]);
+                    let full = evaluator.score_batch(&batch, objective, 1).unwrap();
+                    let fast = scorer.score_batch(&batch, threads).unwrap();
+                    for (i, (f, g)) in full.iter().zip(&fast).enumerate() {
+                        assert_eq!(f.to_bits(), g.to_bits(), "{objective:?} step {step} #{i}");
+                    }
+                    prefix.extend(plane(next));
+                    prefix.sort_unstable();
+                    scorer.ensure_resident(&prefix);
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,6 @@ use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::time::Epoch;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
 /// Speed of light \[km/s\].
 const SPEED_OF_LIGHT_KM_S: f64 = 299_792.458;
@@ -35,11 +34,12 @@ pub struct Route {
     pub length_km: f64,
 }
 
-/// Dijkstra state.
+/// Dijkstra state, shared by every Dijkstra in the crate (the traffic
+/// engine's penalized k-path rounds included).
 #[derive(Debug, PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
+pub(crate) struct HeapItem {
+    pub(crate) dist: f64,
+    pub(crate) node: usize,
 }
 
 impl Eq for HeapItem {}
@@ -53,7 +53,7 @@ impl Ord for HeapItem {
         // node at a given finalized distance is already in the heap before
         // the first node at that distance pops, so finalization is exactly
         // the global sort by `(dist, node)`. That canonicality is what
-        // lets the incremental tree repair ([`ShortestPathTree::repaired`],
+        // lets the incremental tree repair ([`ShortestPathTree::repaired_paths`],
         // seeded from a damaged tree's frontier) reproduce a fresh masked
         // run's labels bit for bit.
         other
@@ -159,16 +159,40 @@ pub struct ShortestPathTree {
     src: usize,
     dist: Vec<f64>,
     prev: Vec<usize>,
-    /// Children lists of the predecessor forest, built lazily on the
-    /// first repair: a pure function of `prev`, so one build serves every
-    /// repair of this tree (the incremental evaluator repairs each cached
-    /// tree once per candidate).
-    kids: OnceLock<ChildrenCsr>,
+}
+
+/// Words of a bitset over `n` nodes.
+fn bit_words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// Whether bit `i` is set.
+fn bit_test(bits: &[u64], i: usize) -> bool {
+    (bits[i / 64] >> (i % 64)) & 1 == 1
+}
+
+/// Sets bit `i`, returning whether it was clear.
+fn bit_insert(bits: &mut [u64], i: usize) -> bool {
+    let mask = 1u64 << (i % 64);
+    let clear = bits[i / 64] & mask == 0;
+    bits[i / 64] |= mask;
+    clear
+}
+
+/// Calls `f` on every set bit of `bits`, ascending.
+fn for_each_bit(bits: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (w, mut word) in bits.enumerate() {
+        while word != 0 {
+            f(w * 64 + crate::cast::widen_u32(word.trailing_zeros()));
+            word &= word - 1;
+        }
+    }
 }
 
 /// CSR-packed children lists of a predecessor forest: the children of
-/// node `u` are `children[counts[u]..counts[u + 1]]`.
-#[derive(Debug, Clone)]
+/// node `u` are `children[counts[u]..counts[u + 1]]`. Built where a
+/// subtree walk needs it and dropped after, so a cached tree holds only
+/// its labels.
 struct ChildrenCsr {
     counts: Vec<usize>,
     children: Vec<usize>,
@@ -196,6 +220,67 @@ impl ChildrenCsr {
         }
         ChildrenCsr { counts, children }
     }
+
+    fn children_of(&self, u: usize) -> &[usize] {
+        &self.children[self.counts[u]..self.counts[u + 1]]
+    }
+
+    /// Adds every node on `stack` and its whole subtree to `region` and
+    /// every neighbor of an added node to `frontier`, draining `stack`.
+    /// Nodes already in `region` are skipped: a region built only from
+    /// whole subtrees already holds their descendants.
+    fn cut(
+        &self,
+        topology: &Topology,
+        stack: &mut Vec<usize>,
+        region: &mut [u64],
+        frontier: &mut [u64],
+    ) {
+        while let Some(u) = stack.pop() {
+            if !bit_insert(region, u) {
+                continue;
+            }
+            for &(v, _) in topology.neighbors(u) {
+                bit_insert(frontier, v);
+            }
+            stack.extend_from_slice(self.children_of(u));
+        }
+    }
+}
+
+/// The damage regions whole-plane losses cut out of one tree, built once
+/// per tree ([`ShortestPathTree::plane_cuts`]) so a plane-loss repair ORs
+/// bitsets instead of walking subtrees: per plane, the union of its
+/// members' subtrees and its frontier, the nodes outside that union
+/// adjacent to it.
+#[derive(Debug)]
+pub(crate) struct PlaneCuts {
+    /// Words per bitset.
+    words: usize,
+    /// Plane `p`'s subtree bitset, then its frontier bitset, at
+    /// `bits[2p·words..(2p + 2)·words]`.
+    bits: Vec<u64>,
+}
+
+impl PlaneCuts {
+    fn subtree(&self, p: usize) -> &[u64] {
+        &self.bits[2 * p * self.words..(2 * p + 1) * self.words]
+    }
+
+    fn frontier(&self, p: usize) -> &[u64] {
+        &self.bits[(2 * p + 1) * self.words..(2 * p + 2) * self.words]
+    }
+}
+
+/// What one repair cuts out of a tree: the subtrees of whole lost planes,
+/// read from the tree's [`PlaneCuts`], and of individual newly dead
+/// nodes, walked through the tree's children.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut<'c> {
+    /// The tree's plane cuts and the lost planes, if any.
+    pub(crate) planes: Option<(&'c PlaneCuts, &'c [usize])>,
+    /// Newly dead nodes outside those planes.
+    pub(crate) nodes: &'c [usize],
 }
 
 impl ShortestPathTree {
@@ -208,7 +293,7 @@ impl ShortestPathTree {
             .index_of(from)
             .ok_or(LsnError::UnknownNode { plane: from.plane, slot: from.slot })?;
         let (dist, prev) = dijkstra(topology, src, None, None);
-        Ok(ShortestPathTree { src, dist, prev, kids: OnceLock::new() })
+        Ok(ShortestPathTree { src, dist, prev })
     }
 
     /// The tree rooted at flat node `src`, optionally restricted to the
@@ -221,7 +306,7 @@ impl ShortestPathTree {
     pub(crate) fn from_flat(topology: &Topology, src: usize, alive: Option<&[bool]>) -> Self {
         assert!(src < topology.n_nodes(), "flat source out of range");
         let (dist, prev) = dijkstra(topology, src, None, alive);
-        ShortestPathTree { src, dist, prev, kids: OnceLock::new() }
+        ShortestPathTree { src, dist, prev }
     }
 
     /// The hop list and length to `to`.
@@ -255,11 +340,82 @@ impl ShortestPathTree {
         Some((hops, self.dist[dst]))
     }
 
+    /// Every plane's subtree and frontier bitsets over this tree's
+    /// predecessor forest (planes from `topology`'s layout). A region
+    /// cut by several whole planes is the OR of their subtrees — the
+    /// union of the members' subtrees, exactly what walking each dead
+    /// member's descendants finds — and its heap seeds are the OR of
+    /// their frontiers minus that region. One top-down pass gives every
+    /// node the set of planes whose subtrees contain it (its own plane
+    /// plus its parent's set); an arc leaving a subtree marks its head
+    /// in that plane's frontier.
+    pub(crate) fn plane_cuts(&self, topology: &Topology) -> PlaneCuts {
+        let n = self.dist.len();
+        let words = bit_words(n);
+        let n_planes = topology.n_planes();
+        let plane_words = bit_words(n_planes);
+        let mut plane_of = vec![0usize; n];
+        for (p, w) in topology.plane_offsets().windows(2).enumerate() {
+            plane_of[w[0]..w[1]].fill(p);
+        }
+        // `above[v]`: the planes whose subtrees contain node v.
+        let mut above = vec![0u64; n * plane_words];
+        let kids = ChildrenCsr::build(&self.prev);
+        let mut stack: Vec<usize> = (0..n).filter(|&v| self.prev[v] == usize::MAX).collect();
+        while let Some(u) = stack.pop() {
+            bit_insert(&mut above[u * plane_words..(u + 1) * plane_words], plane_of[u]);
+            for &c in kids.children_of(u) {
+                above.copy_within(u * plane_words..(u + 1) * plane_words, c * plane_words);
+                stack.push(c);
+            }
+        }
+        let mut bits = vec![0u64; 2 * n_planes * words];
+        for v in 0..n {
+            let planes = above[v * plane_words..(v + 1) * plane_words].iter().copied();
+            for_each_bit(planes, |p| {
+                bit_insert(&mut bits[2 * p * words..(2 * p + 1) * words], v);
+            });
+        }
+        for a in 0..n {
+            for &(b, _) in topology.neighbors(a) {
+                let leaving = (0..plane_words)
+                    .map(|w| above[a * plane_words + w] & !above[b * plane_words + w]);
+                for_each_bit(leaving, |p| {
+                    bit_insert(&mut bits[(2 * p + 1) * words..(2 * p + 2) * words], b);
+                });
+            }
+        }
+        PlaneCuts { words, bits }
+    }
+
+    /// The whole repaired tree: [`Self::repaired_paths`] run to
+    /// completion instead of stopping at its targets — the tests'
+    /// exactness reference for the truncated run.
+    #[cfg(test)]
+    pub(crate) fn repaired(
+        &self,
+        topology: &Topology,
+        alive: &[bool],
+        cut: Cut<'_>,
+        max_affected: usize,
+    ) -> Option<ShortestPathTree> {
+        let mut buffers = RepairBuffers::default();
+        let region = self.repair(topology, alive, cut, max_affected, None, &mut buffers)?;
+        let mut dist = self.dist.clone();
+        let mut prev = self.prev.clone();
+        for_each_bit(region.iter().copied(), |v| {
+            (dist[v], prev[v]) = buffers.label(v);
+        });
+        Some(ShortestPathTree { src: self.src, dist, prev })
+    }
+
     /// Repairs a tree whose labels are valid for some mask `M` into the
-    /// labels of the stricter mask `alive ⊆ M`, where `dead_new` lists
-    /// exactly the nodes alive in `M` but dead under `alive`. Returns
-    /// `None` — recompute from scratch — when the damaged region exceeds
-    /// `max_affected` nodes (or the root itself died).
+    /// paths to `targets` under the stricter mask `alive ⊆ M`, where
+    /// `cut` covers exactly the nodes alive in `M` but dead under
+    /// `alive`. Returns `None` — recompute from scratch — when the
+    /// damaged region exceeds `max_affected` nodes (or the root itself
+    /// died). `buffers` hold the repaired labels; one set serves any
+    /// number of repairs in turn.
     ///
     /// The repair is exact, not approximate: with the canonical
     /// `(dist, node)` heap order, Dijkstra's output is a pure function of
@@ -270,167 +426,163 @@ impl ShortestPathTree {
     /// and any path re-entering the region must cross an alive edge from
     /// an unaffected node — so seeding the heap with those frontier nodes
     /// at their known distances explores exactly what a fresh run would.
-    #[cfg_attr(not(test), allow(dead_code))] // the tests' exactness reference for `repaired_paths`
-    pub(crate) fn repaired(
-        &self,
-        topology: &Topology,
-        alive: &[bool],
-        dead_new: &[usize],
-        max_affected: usize,
-    ) -> Option<ShortestPathTree> {
-        let (mut dist, mut prev, _, mut heap) =
-            self.cut_region(topology, alive, dead_new, max_affected)?;
-        while let Some(HeapItem { dist: d, node }) = heap.pop() {
-            if d > dist[node] {
-                continue;
-            }
-            for &(v, w) in topology.neighbors(node) {
-                if !alive[v] {
-                    continue;
-                }
-                let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = node;
-                    heap.push(HeapItem { dist: nd, node: v });
-                }
-            }
-        }
-        Some(ShortestPathTree { src: self.src, dist, prev, kids: OnceLock::new() })
-    }
-
-    /// The repaired paths to `targets` only: [`Self::repaired`] with the
-    /// region Dijkstra cut short once every affected target is settled.
-    /// Exact by the same canonical-order argument — the truncated run
-    /// pops a prefix of the full run's pop sequence, and when a node pops
-    /// its label and whole predecessor chain are final — so each returned
-    /// path is bit-identical to `flat_path_to` on the fully repaired
-    /// tree. Unaffected targets read straight from the preserved labels.
-    /// `None` means the damage exceeded `max_affected`: recompute from
-    /// scratch.
+    /// Relaxations into unaffected nodes are skipped: removals only
+    /// lengthen distances and rounding is monotone, so they could never
+    /// beat a final label. The region Dijkstra stops once every affected
+    /// target is settled: the truncated run pops a prefix of the full
+    /// run's pop sequence, and when a node pops its label and whole
+    /// predecessor chain are final, so each returned path is
+    /// bit-identical to `flat_path_to` on the fully repaired tree.
+    /// Unaffected targets read straight from the preserved labels.
     #[allow(clippy::type_complexity)]
     pub(crate) fn repaired_paths(
         &self,
         topology: &Topology,
         alive: &[bool],
-        dead_new: &[usize],
+        cut: Cut<'_>,
         max_affected: usize,
         targets: &[usize],
+        buffers: &mut RepairBuffers,
     ) -> Option<Vec<Option<(Vec<usize>, f64)>>> {
-        let (mut dist, mut prev, affected, mut heap) =
-            self.cut_region(topology, alive, dead_new, max_affected)?;
-        let mut pending = targets.iter().filter(|&&t| affected[t]).count();
+        let region = self.repair(topology, alive, cut, max_affected, Some(targets), buffers)?;
+        let label = |v: usize| {
+            if bit_test(&region, v) {
+                buffers.label(v)
+            } else {
+                (self.dist[v], self.prev[v])
+            }
+        };
+        let path = |t: usize| {
+            let (d, _) = label(t);
+            if d.is_infinite() {
+                return None;
+            }
+            let mut hops = vec![t];
+            let mut cur = t;
+            while cur != self.src {
+                cur = label(cur).1;
+                hops.push(cur);
+            }
+            hops.reverse();
+            Some((hops, d))
+        };
+        Some(targets.iter().map(|&t| path(t)).collect())
+    }
+
+    /// The repair itself: cuts the region out (the cut planes' subtrees
+    /// ORed from [`PlaneCuts`], plus the walked subtrees of `cut.nodes`),
+    /// seeds the heap with every alive, finite-label node adjacent to it
+    /// — frontier AND NOT region — at its known-final label, and settles
+    /// region labels into `buffers` until every region node among
+    /// `targets` has settled (all of them without targets). Returns the
+    /// region bitset; `None` when the root died or the region's popcount
+    /// exceeds `max_affected`.
+    fn repair(
+        &self,
+        topology: &Topology,
+        alive: &[bool],
+        cut: Cut<'_>,
+        max_affected: usize,
+        targets: Option<&[usize]>,
+        buffers: &mut RepairBuffers,
+    ) -> Option<Vec<u64>> {
+        if !alive[self.src] {
+            return None;
+        }
+        let words = bit_words(self.dist.len());
+        let mut region = vec![0u64; words];
+        let mut frontier = vec![0u64; words];
+        if let Some((cuts, planes)) = cut.planes {
+            for &p in planes {
+                region.iter_mut().zip(cuts.subtree(p)).for_each(|(r, s)| *r |= s);
+                frontier.iter_mut().zip(cuts.frontier(p)).for_each(|(f, s)| *f |= s);
+            }
+        }
+        if !cut.nodes.is_empty() {
+            let mut stack = cut.nodes.to_vec();
+            ChildrenCsr::build(&self.prev).cut(topology, &mut stack, &mut region, &mut frontier);
+        }
+        let affected: usize = region.iter().map(|w| crate::cast::widen_u32(w.count_ones())).sum();
+        if affected > max_affected {
+            return None;
+        }
+        buffers.begin(self.dist.len());
+        let mut seeds = Vec::new();
+        for_each_bit(frontier.iter().zip(&region).map(|(f, r)| f & !r), |u| {
+            if alive[u] && self.dist[u].is_finite() {
+                seeds.push(HeapItem { dist: self.dist[u], node: u });
+            }
+        });
+        let mut heap = BinaryHeap::from(seeds);
+        let mut pending =
+            targets.map_or(usize::MAX, |ts| ts.iter().filter(|&&t| bit_test(&region, t)).count());
         while pending > 0 {
             let Some(HeapItem { dist: d, node }) = heap.pop() else {
                 // Heap exhausted: the remaining affected targets are
                 // unreachable under the mask (their labels stay ∞).
                 break;
             };
-            if d > dist[node] {
-                continue;
-            }
-            if affected[node] && targets.contains(&node) {
-                pending -= 1;
+            // Seeds sit outside the region and pop once, at their label.
+            if bit_test(&region, node) {
+                if d > buffers.label(node).0 {
+                    continue;
+                }
+                if targets.is_some_and(|ts| ts.contains(&node)) {
+                    pending -= 1;
+                }
             }
             for &(v, w) in topology.neighbors(node) {
-                if !alive[v] {
+                if !alive[v] || !bit_test(&region, v) {
                     continue;
                 }
                 let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = node;
+                if nd < buffers.label(v).0 {
+                    buffers.set(v, nd, node);
                     heap.push(HeapItem { dist: nd, node: v });
                 }
             }
         }
-        let paths = targets
-            .iter()
-            .map(|&t| {
-                if dist[t].is_infinite() {
-                    return None;
-                }
-                let mut hops = vec![t];
-                let mut cur = t;
-                while cur != self.src {
-                    cur = prev[cur];
-                    hops.push(cur);
-                }
-                hops.reverse();
-                Some((hops, dist[t]))
-            })
-            .collect();
-        Some(paths)
+        Some(region)
+    }
+}
+
+/// Label buffers for a run of tree repairs. A repair writes only the
+/// region labels it reaches, stamped with its own generation, so the
+/// next repair starts with no reset and no copy of the tree.
+#[derive(Debug, Default)]
+pub(crate) struct RepairBuffers {
+    dist: Vec<f64>,
+    prev: Vec<usize>,
+    /// The generation that wrote each node's label.
+    stamp: Vec<u64>,
+    generation: u64,
+}
+
+impl RepairBuffers {
+    /// Starts a repair over `n` nodes: every label reads unreached.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() != n {
+            self.dist = vec![f64::INFINITY; n];
+            self.prev = vec![usize::MAX; n];
+            self.stamp = vec![0; n];
+        }
+        self.generation += 1;
     }
 
-    /// The shared damage-region setup of [`Self::repaired`] and
-    /// [`Self::repaired_paths`]: invalidated labels (dead nodes plus
-    /// their tree descendants reset to ∞) and the heap seeded with every
-    /// unaffected alive node holding an alive edge into the region, at
-    /// its known-final label. `None` when the root died or the region
-    /// exceeds `max_affected`.
-    #[allow(clippy::type_complexity)]
-    fn cut_region(
-        &self,
-        topology: &Topology,
-        alive: &[bool],
-        dead_new: &[usize],
-        max_affected: usize,
-    ) -> Option<(Vec<f64>, Vec<usize>, Vec<bool>, BinaryHeap<HeapItem>)> {
-        if !alive[self.src] {
-            return None;
+    /// This repair's `(dist, prev)` of region node `v`, `(∞, none)` while
+    /// unreached.
+    fn label(&self, v: usize) -> (f64, usize) {
+        if self.stamp[v] == self.generation {
+            (self.dist[v], self.prev[v])
+        } else {
+            (f64::INFINITY, usize::MAX)
         }
-        let n = self.dist.len();
-        let ChildrenCsr { counts, children } =
-            self.kids.get_or_init(|| ChildrenCsr::build(&self.prev));
-        // Affected = newly dead nodes and their whole subtrees.
-        let mut affected = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut n_affected = 0usize;
-        for &d in dead_new {
-            if !affected[d] {
-                affected[d] = true;
-                n_affected += 1;
-                stack.push(d);
-            }
-        }
-        if n_affected > max_affected {
-            return None;
-        }
-        while let Some(u) = stack.pop() {
-            for &c in &children[counts[u]..counts[u + 1]] {
-                if !affected[c] {
-                    affected[c] = true;
-                    n_affected += 1;
-                    stack.push(c);
-                }
-            }
-            if n_affected > max_affected {
-                return None;
-            }
-        }
-        let mut dist = self.dist.clone();
-        let mut prev = self.prev.clone();
-        for (v, flag) in affected.iter().enumerate() {
-            if *flag {
-                dist[v] = f64::INFINITY;
-                prev[v] = usize::MAX;
-            }
-        }
-        let mut heap = BinaryHeap::new();
-        let mut seeded = vec![false; n];
-        for (a, flag) in affected.iter().enumerate() {
-            if !*flag {
-                continue;
-            }
-            for &(u, _) in topology.neighbors(a) {
-                if alive[u] && !affected[u] && !seeded[u] && dist[u].is_finite() {
-                    seeded[u] = true;
-                    heap.push(HeapItem { dist: dist[u], node: u });
-                }
-            }
-        }
-        Some((dist, prev, affected, heap))
+    }
+
+    fn set(&mut self, v: usize, dist: f64, prev: usize) {
+        self.dist[v] = dist;
+        self.prev[v] = prev;
+        self.stamp[v] = self.generation;
     }
 }
 
@@ -442,38 +594,57 @@ pub fn serving_satellite(
     ground: GeoPoint,
     min_elevation: f64,
 ) -> Option<(SatId, f64)> {
-    serving_scan(snapshot, ground, min_elevation, None)
+    best_visible(snapshot, ground, min_elevation, None)
 }
 
-/// The full-scan attachment search, with an optional *extra* alive mask
-/// layered on top of the snapshot's own: a satellite serves only if both
-/// agree it is alive. With `extra = None` this is [`serving_satellite`];
-/// with a mask it answers exactly what the scan over
-/// `snapshot.with_alive(extra)` would (positions and elevations never
-/// consult aliveness, and dropping non-winners never changes a strict
-/// first-wins maximum).
-fn serving_scan(
+/// Visits every alive satellite that clears `min_elevation` \[rad\] over
+/// `ground`, in flat order, as `(flat, id, elevation)`. With `bands`
+/// (per-satellite declinations and band half-widths, see
+/// [`ServingIndex`]) satellites outside their band are skipped without
+/// the exact elevation math — they cannot clear the mask anyway — so the
+/// visited set is the same with or without them.
+fn for_each_visible(
     snapshot: &Snapshot<'_>,
     ground: GeoPoint,
     min_elevation: f64,
-    extra: Option<&[bool]>,
-) -> Option<(SatId, f64)> {
-    let t = snapshot.epoch();
-    let g_ecef = ground.to_unit_vector() * EARTH_RADIUS_KM;
-    let g_eci = ecef_to_eci(t, g_ecef);
-    let mut best: Option<(SatId, f64)> = None;
+    bands: Option<(&[f64], &[f64])>,
+    mut visit: impl FnMut(usize, SatId, f64),
+) {
+    let g_eci = ecef_to_eci(snapshot.epoch(), ground.to_unit_vector() * EARTH_RADIUS_KM);
+    let g_dec = (g_eci.z / g_eci.norm()).asin();
     for (flat, id) in snapshot.ids().enumerate() {
-        if !snapshot.is_alive_flat(flat) || extra.is_some_and(|m| !m[flat]) {
+        // Central angle >= |declination difference|: out-of-band
+        // satellites cannot clear the elevation mask. Dead satellites
+        // cannot serve at all.
+        if !snapshot.is_alive_flat(flat)
+            || bands.is_some_and(|(dec, band)| (dec[flat] - g_dec).abs() > band[flat])
+        {
             continue;
         }
         let r = snapshot.position_flat(flat);
         let central = g_eci.angle_to(r);
         let altitude = r.norm() - EARTH_RADIUS_KM;
         let elev = elevation_at_central_angle(altitude, central.max(1e-9));
-        if elev >= min_elevation && best.is_none_or(|(_, be)| elev > be) {
-            best = Some((id, elev));
+        if elev >= min_elevation {
+            visit(flat, id, elev);
         }
     }
+}
+
+/// The first-wins elevation maximum over [`for_each_visible`]: the
+/// highest satellite, ties to the lowest flat index.
+fn best_visible(
+    snapshot: &Snapshot<'_>,
+    ground: GeoPoint,
+    min_elevation: f64,
+    bands: Option<(&[f64], &[f64])>,
+) -> Option<(SatId, f64)> {
+    let mut best: Option<(SatId, f64)> = None;
+    for_each_visible(snapshot, ground, min_elevation, bands, |_, id, elev| {
+        if best.is_none_or(|(_, be)| elev > be) {
+            best = Some((id, elev));
+        }
+    });
     best
 }
 
@@ -543,50 +714,32 @@ impl<'a> ServingIndex<'a> {
         }
     }
 
+    fn bands(&self) -> Option<(&[f64], &[f64])> {
+        (!self.declinations.is_empty()).then_some((&self.declinations, &self.bands))
+    }
+
     /// The serving satellite for `ground` — identical to
     /// [`serving_satellite`] on this snapshot.
     pub fn query(&self, ground: GeoPoint) -> Option<(SatId, f64)> {
-        self.query_with(ground, None)
+        best_visible(&self.snapshot, ground, self.min_elevation, self.bands())
     }
 
-    /// The serving satellite for `ground` under an additional alive mask
-    /// (flat order): exactly what a fresh index over
-    /// `snapshot.with_alive(alive)` would answer. Declinations and the
-    /// band half-width never consult aliveness (they are computed over
-    /// *all* satellites at build time), and removing non-winning
-    /// candidates from a strict first-wins maximum cannot change it, so
-    /// the cached geometry transfers to any mask.
-    pub fn query_masked(&self, ground: GeoPoint, alive: &[bool]) -> Option<(SatId, f64)> {
-        self.query_with(ground, Some(alive))
-    }
-
-    fn query_with(&self, ground: GeoPoint, extra: Option<&[bool]>) -> Option<(SatId, f64)> {
-        if self.declinations.is_empty() {
-            return serving_scan(&self.snapshot, ground, self.min_elevation, extra);
-        }
-        let t = self.snapshot.epoch();
-        let g_eci = ecef_to_eci(t, ground.to_unit_vector() * EARTH_RADIUS_KM);
-        let g_dec = (g_eci.z / g_eci.norm()).asin();
-        let mut best: Option<(SatId, f64)> = None;
-        for (flat, id) in self.snapshot.ids().enumerate() {
-            // Central angle >= |declination difference|: out-of-band
-            // satellites cannot clear the elevation mask. Dead satellites
-            // cannot serve at all.
-            if !self.snapshot.is_alive_flat(flat)
-                || extra.is_some_and(|m| !m[flat])
-                || (self.declinations[flat] - g_dec).abs() > self.bands[flat]
-            {
-                continue;
-            }
-            let r = self.snapshot.position_flat(flat);
-            let central = g_eci.angle_to(r);
-            let altitude = r.norm() - EARTH_RADIUS_KM;
-            let elev = elevation_at_central_angle(altitude, central.max(1e-9));
-            if elev >= self.min_elevation && best.is_none_or(|(_, be)| elev > be) {
-                best = Some((id, elev));
-            }
-        }
-        best
+    /// Every satellite able to serve `ground`, best first: elevation
+    /// descending, ties in ascending flat order. The head is
+    /// [`Self::query`]'s answer, and under any stricter alive mask the
+    /// first entry still alive is what an index rebuilt over
+    /// `snapshot.with_alive(mask)` answers: positions and elevations
+    /// never consult aliveness, and dropping entries from a first-wins
+    /// maximum never changes which survivor wins. One list therefore
+    /// serves every candidate mask of an attack search.
+    pub fn ranked(&self, ground: GeoPoint) -> Vec<(SatId, f64)> {
+        let mut visible: Vec<(usize, SatId, f64)> = Vec::new();
+        for_each_visible(&self.snapshot, ground, self.min_elevation, self.bands(), |f, id, e| {
+            visible.push((f, id, e));
+        });
+        visible
+            .sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0)));
+        visible.into_iter().map(|(_, id, elev)| (id, elev)).collect()
     }
 }
 
@@ -722,6 +875,9 @@ mod tests {
     use super::*;
     use crate::snapshot::time_grid;
     use crate::topology::Constellation;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use ssplane_astro::kepler::OrbitalElements;
     use ssplane_astro::sunsync::sun_synchronous_orbit;
 
@@ -824,8 +980,9 @@ mod tests {
                 }
                 let intact = ShortestPathTree::from_flat(&topo, src, None);
                 let scratch = ShortestPathTree::from_flat(&topo, src, Some(&alive));
+                let cut = Cut { planes: None, nodes: dead };
                 let repaired =
-                    intact.repaired(&topo, &alive, dead, n).expect("budget n covers any damage");
+                    intact.repaired(&topo, &alive, cut, n).expect("budget n covers any damage");
                 let rebuilt = ShortestPathTree::from_flat(&masked, src, None);
                 for v in 0..n {
                     let bits = scratch.dist[v].to_bits();
@@ -840,21 +997,119 @@ mod tests {
         let mut alive = vec![true; n];
         alive[0] = false;
         let tree = ShortestPathTree::from_flat(&topo, 0, None);
-        assert!(tree.repaired(&topo, &alive, &[0], n).is_none());
+        let root_cut = Cut { planes: None, nodes: &[0] };
+        assert!(tree.repaired(&topo, &alive, root_cut, n).is_none());
         let tree5 = ShortestPathTree::from_flat(&topo, 5, None);
-        assert!(tree5.repaired(&topo, &alive, &[0], 0).is_none(), "budget 0 must fall back");
+        assert!(tree5.repaired(&topo, &alive, root_cut, 0).is_none(), "budget 0 must fall back");
         // Wipeout: everyone but the root dead still repairs (given budget)
         // to an all-unreachable tree.
         let lone: Vec<usize> = (1..n).collect();
         let mut only_root = vec![false; n];
         only_root[0] = true;
-        let wiped = tree.repaired(&topo, &only_root, &lone, n).unwrap();
+        let wiped =
+            tree.repaired(&topo, &only_root, Cut { planes: None, nodes: &lone }, n).unwrap();
         assert!(wiped.dist[1..].iter().all(|d| d.is_infinite()));
         assert_eq!(wiped.dist[0], 0.0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Plane-cut repair is the subtree-walk repair: ORing the
+        /// victim planes' precomputed cuts (plus walking any other dead
+        /// satellites) yields, path for path, what `repaired` finds
+        /// walking every victim's subtree and what a from-scratch masked
+        /// Dijkstra finds — for whole-plane sets, plane-plus-satellite
+        /// mixes and dead roots, and with the same damage-threshold
+        /// verdict. Walker-delta shells close their +grid into a ring of
+        /// planes, so a lost plane leaves detours to repair onto.
+        #[test]
+        fn plane_cut_repair_matches_walk_and_scratch(
+            planes in 4usize..8,
+            slots in 18usize..30,
+            inclination_deg in 50.0f64..80.0,
+            dt in 0.0f64..6000.0,
+            lost in 1usize..3,
+            extra in 0usize..6,
+            seed in 0u64..10_000,
+            budget_frac in 0.2f64..1.6,
+        ) {
+            let pattern = ssplane_astro::walker::WalkerDelta::new(
+                550.0,
+                inclination_deg.to_radians(),
+                planes * slots,
+                planes,
+                1,
+            )
+            .unwrap()
+            .generate()
+            .unwrap();
+            let c = Constellation::from_planes(
+                Epoch::J2000,
+                pattern.chunks(slots).map(<[_]>::to_vec).collect(),
+            )
+            .unwrap();
+            let series = single(&c, Epoch::J2000 + dt);
+            let topo = Topology::plus_grid(&series.snapshot(0), Default::default()).unwrap();
+            let n = topo.n_nodes();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut dead_planes: Vec<usize> = Vec::new();
+            while dead_planes.len() < lost.min(planes - 1) {
+                let p = rng.gen_index(planes);
+                if !dead_planes.contains(&p) {
+                    dead_planes.push(p);
+                }
+            }
+            dead_planes.sort_unstable();
+            let mut alive = vec![true; n];
+            for &p in &dead_planes {
+                alive[p * slots..(p + 1) * slots].fill(false);
+            }
+            let mut others: Vec<usize> = Vec::new();
+            for _ in 0..extra {
+                let v = rng.gen_index(n);
+                if alive[v] {
+                    alive[v] = false;
+                    others.push(v);
+                }
+            }
+            others.sort_unstable();
+            let victims: Vec<usize> = (0..n).filter(|&v| !alive[v]).collect();
+            let targets: Vec<usize> = (0..n).collect();
+            let budget = crate::cast::f64_to_index((n as f64 * budget_frac.min(1.0)).ceil());
+            // One root inside a dead plane, the rest drawn at random.
+            let roots = [dead_planes[0] * slots, rng.gen_index(n), rng.gen_index(n)];
+            for src in roots {
+                let intact = ShortestPathTree::from_flat(&topo, src, None);
+                let cuts = intact.plane_cuts(&topo);
+                let cut = Cut { planes: Some((&cuts, &dead_planes)), nodes: &others };
+                let mut buf = RepairBuffers::default();
+                let fast = intact.repaired_paths(&topo, &alive, cut, budget, &targets, &mut buf);
+                let walk = Cut { planes: None, nodes: &victims };
+                let walked = intact.repaired(&topo, &alive, walk, budget);
+                prop_assert_eq!(fast.is_some(), walked.is_some(), "threshold, root {}", src);
+                if !alive[src] {
+                    prop_assert!(fast.is_none(), "a dead root never repairs");
+                    continue;
+                }
+                let scratch = ShortestPathTree::from_flat(&topo, src, Some(&alive));
+                let full = intact.repaired(&topo, &alive, walk, n).expect("budget n covers all");
+                if let (Some(fast), Some(walked)) = (&fast, &walked) {
+                    for (t, path) in fast.iter().enumerate() {
+                        let want = walked.flat_path_to(t);
+                        prop_assert_eq!(path, &want, "cut vs walk, root {} node {}", src, t);
+                    }
+                }
+                for t in 0..n {
+                    let want = scratch.flat_path_to(t);
+                    prop_assert_eq!(full.flat_path_to(t), want, "walk vs fresh, {} to {}", src, t);
+                }
+            }
+        }
+    }
+
     #[test]
-    fn query_masked_matches_rebuilt_index() {
+    fn ranked_attachment_matches_rebuilt_index() {
         let c = constellation(6, 15);
         let series = single(&c, Epoch::J2000 + 700.0);
         let snap = series.snapshot(0);
@@ -868,21 +1123,24 @@ mod tests {
             .iter()
             .map(|&(la, lo)| GeoPoint::from_degrees(la, lo))
             .collect();
+        let first_alive = |ranked: &[(SatId, f64)], alive: &[bool]| {
+            ranked.iter().copied().find(|(id, _)| alive[snap.flat_index(*id).unwrap()])
+        };
         // Both the pruned path and the degenerate full-scan fallback
         // (min_elevation 0 disables the declination band) must answer
         // exactly what a fresh index over the masked snapshot answers.
         for &min_elev in &[0.0, 15f64.to_radians(), 40f64.to_radians()] {
             let index = ServingIndex::new(snap, min_elev);
             let rebuilt = ServingIndex::new(snap.with_alive(&mask), min_elev);
-            for &g in &grounds {
-                assert_eq!(index.query_masked(g, &mask), rebuilt.query(g), "min_elev {min_elev}");
-            }
-            // The trivial masks bracket the behavior.
             let all = vec![true; n];
             let none = vec![false; n];
             for &g in &grounds {
-                assert_eq!(index.query_masked(g, &all), index.query(g));
-                assert_eq!(index.query_masked(g, &none), None);
+                let ranked = index.ranked(g);
+                assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "best first");
+                assert_eq!(first_alive(&ranked, &mask), rebuilt.query(g), "min_elev {min_elev}");
+                // The trivial masks bracket the behavior.
+                assert_eq!(first_alive(&ranked, &all), index.query(g));
+                assert_eq!(first_alive(&ranked, &none), None);
             }
         }
     }

@@ -624,6 +624,18 @@ impl Topology {
         &self.adj_entries[self.adj_offsets[index]..self.adj_offsets[index + 1]]
     }
 
+    /// The arc id of `neighbors(index)[0]`: the `j`-th neighbor entry of
+    /// `index` is directed arc `arc_offset(index) + j`, so per-arc data
+    /// can live in one dense array of [`Self::n_arcs`] entries.
+    pub(crate) fn arc_offset(&self, index: usize) -> usize {
+        self.adj_offsets[index]
+    }
+
+    /// Directed arcs: twice the link count.
+    pub(crate) fn n_arcs(&self) -> usize {
+        self.adj_entries.len()
+    }
+
     /// Neighbors of a node restricted to an alive mask — the lazy
     /// equivalent of `self.masked(alive).neighbors(index)`. Because
     /// [`Topology::masked`] filters links in emission order and
@@ -765,6 +777,35 @@ impl Topology {
             largest = largest.max(size);
         }
         largest
+    }
+
+    /// Connected-component labels over the nodes `alive` keeps (all of
+    /// them for `None`; dead nodes keep `u32::MAX`): two alive nodes
+    /// share a label iff the masked topology connects them — the exact
+    /// reachability verdict of a masked Dijkstra.
+    pub(crate) fn component_labels(&self, alive: Option<&[bool]>) -> Vec<u32> {
+        let n = self.n_nodes();
+        let is_alive = |v: usize| alive.is_none_or(|m| m[v]);
+        let mut comp = vec![u32::MAX; n];
+        let mut stack: Vec<usize> = Vec::new();
+        let mut next = 0u32;
+        for v in 0..n {
+            if !is_alive(v) || comp[v] != u32::MAX {
+                continue;
+            }
+            comp[v] = next;
+            stack.push(v);
+            while let Some(u) = stack.pop() {
+                for &(w, _) in self.neighbors(u) {
+                    if is_alive(w) && comp[w] == u32::MAX {
+                        comp[w] = next;
+                        stack.push(w);
+                    }
+                }
+            }
+            next += 1;
+        }
+        comp
     }
 }
 

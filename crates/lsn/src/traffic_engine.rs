@@ -33,19 +33,20 @@
 //! the routed-fraction metric, and the `served-demand` objective of the
 //! adversarial attack search ([`crate::optimizer`]).
 //!
-//! Everything is deterministic: aggregation and waterfilling iterate
-//! `BTreeMap`s, and the penalized Dijkstra breaks distance ties on node
-//! index exactly like the routing module's.
+//! Everything is deterministic: aggregation sums in flow order into
+//! satellite pairs sorted by `(source, destination)`, waterfilling visits
+//! them in that order, and the penalized Dijkstra breaks distance ties on
+//! node index with the routing module's heap order.
 
 use crate::error::Result;
-use crate::routing::ServingIndex;
+use crate::routing::{HeapItem, ServingIndex};
 use crate::snapshot::Snapshot;
 use crate::topology::Topology;
 use crate::traffic::Flow;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_demand::gravity::GravityFlow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Capacity and path-diversity configuration of one assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -138,45 +139,28 @@ impl ServedDemandSummary {
     }
 }
 
-/// Dijkstra state (min-heap on penalized distance, ties on node index so
-/// reconstruction is deterministic).
-#[derive(Debug, PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
-}
-
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Full single-source Dijkstra where every directed edge's weight is
-/// inflated by its accumulated penalty — the diversity mechanism of the
-/// k-path rounds. An empty penalty map is the plain shortest-path tree.
+/// Single-source Dijkstra where every directed arc's weight is inflated
+/// by its accumulated penalty — the diversity mechanism of the k-path
+/// rounds. `penalty` is dense over arc ids ([`Topology::arc_offset`]); an
+/// all-zero penalty is the plain shortest-path tree. The run stops once
+/// every node of `dsts` (ascending) in `src`'s component (`reach` holds
+/// the topology's component labels under the same mask) has settled: a
+/// settled node's label and whole predecessor chain are final, and the
+/// other destinations are never reached, so the truncated run
+/// reconstructs the same destination paths as a full one.
 ///
-/// `alive` restricts the run to a node mask: relaxations into (or out of) dead
-/// nodes are skipped, so the output is bit-identical to running over
-/// [`Topology::masked`] — the same lengths in the same canonical
-/// `(dist, node)` order, hence the same `prev` choices. Penalty keys are
-/// flat node pairs, which masking preserves (nodes are never renumbered).
+/// `alive` restricts the run to a node mask: relaxations into (or out
+/// of) dead nodes are skipped, so the output is bit-identical to running
+/// over [`Topology::masked`] — the same lengths in the same canonical
+/// `(dist, node)` order, hence the same `prev` choices. Arc ids are
+/// those of the topology the rounds run over, and penalties follow node
+/// pairs, which masking preserves (nodes are never renumbered).
 fn penalized_dijkstra(
     topology: &Topology,
     src: usize,
-    penalty: &BTreeMap<(usize, usize), f64>,
+    dsts: &[usize],
+    reach: &[u32],
+    penalty: &[f64],
     alive: Option<&[bool]>,
 ) -> (Vec<f64>, Vec<usize>) {
     let n = topology.n_nodes();
@@ -189,17 +173,23 @@ fn penalized_dijkstra(
     if alive.is_none_or(|m| m[src]) {
         heap.push(HeapItem { dist: 0.0, node: src });
     }
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
+    let mut pending = dsts.iter().filter(|&&d| reach[d] == reach[src]).count();
+    while pending > 0 {
+        let Some(HeapItem { dist: d, node }) = heap.pop() else { break };
         if d > dist[node] {
             continue;
         }
-        for &(next, w) in topology.neighbors(node) {
+        if dsts.binary_search(&node).is_ok() {
+            pending -= 1;
+        }
+        let first_arc = topology.arc_offset(node);
+        for (j, &(next, w)) in topology.neighbors(node).iter().enumerate() {
             if let Some(m) = alive {
                 if !m[next] {
                     continue;
                 }
             }
-            let factor = 1.0 + penalty.get(&(node, next)).copied().unwrap_or(0.0);
+            let factor = 1.0 + penalty[first_arc + j];
             let nd = d + w * factor;
             if nd < dist[next] {
                 dist[next] = nd;
@@ -232,104 +222,220 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// Flow endpoints and endpoint pairs, interned once per flow list: the
+/// attachment work of a mask is then one lookup per distinct endpoint,
+/// and the demand tally classifies each distinct endpoint pair once
+/// instead of every flow.
+#[derive(Debug, Default)]
+pub(crate) struct FlowIndex {
+    /// Distinct endpoint coordinates (bit-exact), first-appearance order.
+    pub(crate) points: Vec<GeoPoint>,
+    /// Distinct (source endpoint, destination endpoint) pairs,
+    /// first-appearance order.
+    pub(crate) pairs: Vec<(usize, usize)>,
+    /// Per flow: its endpoint pair (`u32` keeps a 10⁵-flow index small).
+    pub(crate) flow_pair: Vec<u32>,
+    /// Total demand, summed in flow order.
+    pub(crate) offered: f64,
+}
+
+impl FlowIndex {
+    pub(crate) fn new(flows: &[Flow]) -> Self {
+        let mut point_ids: BTreeMap<(u64, u64), usize> = BTreeMap::new();
+        let mut pair_ids: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+        let mut points: Vec<GeoPoint> = Vec::new();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        let mut flow_pair = Vec::with_capacity(flows.len());
+        for f in flows {
+            let mut intern = |p: GeoPoint| -> usize {
+                *point_ids.entry((p.lat.to_bits(), p.lon.to_bits())).or_insert_with(|| {
+                    points.push(p);
+                    points.len() - 1
+                })
+            };
+            let pair = (intern(f.src), intern(f.dst));
+            flow_pair.push(crate::cast::index_u32(*pair_ids.entry(pair).or_insert_with(|| {
+                pairs.push(pair);
+                pairs.len() - 1
+            })));
+        }
+        let offered = flows.iter().map(|f| f.demand).sum();
+        FlowIndex { points, pairs, flow_pair, offered }
+    }
+}
+
 /// Stage-1 output: how the flow list classified under some attachment
 /// resolution — shared between the from-scratch assignment and the
-/// incremental evaluator (which replays it with cached per-flow servers).
+/// incremental evaluator.
 pub(crate) struct AttachmentTally {
     /// Demand with at least one unserved endpoint.
     pub(crate) unattached: f64,
     /// Same-satellite demand, served without touching an ISL.
     pub(crate) local_served: f64,
-    /// Per-(source satellite, destination satellite) aggregated demand.
-    pub(crate) demand: BTreeMap<(usize, usize), f64>,
+    /// Distinct (source satellite, destination satellite) pairs,
+    /// ascending.
+    pub(crate) sat_pairs: Vec<(usize, usize)>,
+    /// Aggregated demand per entry of `sat_pairs`.
+    pub(crate) demand: Vec<f64>,
 }
 
-/// Classifies every flow through `serve_pair(flow index, flow)` →
-/// (source server, destination server), accumulating in flow order —
-/// the exact summation order of the original single-pass loop, so any
-/// resolver that returns the same servers reproduces the tally bit for
-/// bit.
-pub(crate) fn aggregate_attachments<F>(flows: &[Flow], mut serve_pair: F) -> AttachmentTally
-where
-    F: FnMut(usize, &Flow) -> (Option<usize>, Option<usize>),
-{
-    let mut tally = AttachmentTally { unattached: 0.0, local_served: 0.0, demand: BTreeMap::new() };
-    for (i, flow) in flows.iter().enumerate() {
-        match serve_pair(i, flow) {
-            (Some(s), Some(d)) if s == d => tally.local_served += flow.demand,
-            (Some(s), Some(d)) => *tally.demand.entry((s, d)).or_insert(0.0) += flow.demand,
-            _ => tally.unattached += flow.demand,
+/// The rank of an endpoint no satellite serves.
+const NO_RANK: usize = usize::MAX;
+
+/// Stable counting sort of `items` by `key`, which is below `buckets`.
+fn counting_sort(items: &[usize], buckets: usize, key: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut starts = vec![0usize; buckets + 1];
+    for &i in items {
+        starts[key(i) + 1] += 1;
+    }
+    for b in 0..buckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut out = vec![0usize; items.len()];
+    for &i in items {
+        let k = key(i);
+        out[starts[k]] = i;
+        starts[k] += 1;
+    }
+    out
+}
+
+/// Classifies `flows` (interned by `index`) under per-endpoint
+/// `servers`. Each endpoint pair is classified once: unattached, local,
+/// or an ISL pair of serving satellites, ordered ascending by two stable
+/// counting passes over the servers' ranks. One flow-order pass then
+/// adds each flow's demand to its pair's accumulator, so every
+/// accumulator sees the same additions in the same order as a per-flow
+/// loop into a `(source, destination)`-keyed map — the tally is
+/// bit-identical to it.
+pub(crate) fn tally_attachments(
+    flows: &[Flow],
+    index: &FlowIndex,
+    servers: &[Option<usize>],
+) -> AttachmentTally {
+    let mut ranked: Vec<usize> = servers.iter().flatten().copied().collect();
+    ranked.sort_unstable();
+    ranked.dedup();
+    let rank: Vec<usize> = servers
+        .iter()
+        .map(|s| s.map_or(NO_RANK, |s| ranked.binary_search(&s).expect("a ranked server")))
+        .collect();
+    // Accumulator 0 sums unattached demand, 1 local demand, and 2 + j
+    // the demand of satellite pair j.
+    let mut class = vec![0usize; index.pairs.len()];
+    let mut isl: Vec<usize> = Vec::new();
+    for (p, &(a, b)) in index.pairs.iter().enumerate() {
+        let (ra, rb) = (rank[a], rank[b]);
+        if ra != NO_RANK && rb != NO_RANK {
+            if ra == rb {
+                class[p] = 1;
+            } else {
+                isl.push(p);
+            }
         }
     }
-    tally
+    let by_dst = counting_sort(&isl, ranked.len(), |p| rank[index.pairs[p].1]);
+    let ordered = counting_sort(&by_dst, ranked.len(), |p| rank[index.pairs[p].0]);
+    let mut sat_pairs: Vec<(usize, usize)> = Vec::new();
+    for p in ordered {
+        let (a, b) = index.pairs[p];
+        let key = (ranked[rank[a]], ranked[rank[b]]);
+        if sat_pairs.last() != Some(&key) {
+            sat_pairs.push(key);
+        }
+        class[p] = 1 + sat_pairs.len();
+    }
+    let mut acc = vec![0.0; 2 + sat_pairs.len()];
+    for (flow, &p) in flows.iter().zip(&index.flow_pair) {
+        acc[class[crate::cast::widen_u32(p)]] += flow.demand;
+    }
+    let demand = acc.split_off(2);
+    AttachmentTally { unattached: acc[0], local_served: acc[1], sat_pairs, demand }
 }
 
 /// Stage 2 for one source satellite: `k` rounds of penalized Dijkstra
-/// over `dsts` (ascending — the `BTreeMap` key order the caller groups
-/// by), returning up to `k` deduplicated candidate paths per
-/// destination, shortest first. With an `alive` mask the rounds run
+/// over `dsts` (ascending), returning up to `k` deduplicated candidate
+/// paths per destination, shortest first, aligned with `dsts` (empty
+/// where unreachable). Each round stops once every destination `s` can
+/// reach has settled, and each round's path edges add one penalty to
+/// every arc joining the same node pair. With an `alive` mask the rounds run
 /// alive-filtered, which is bit-identical to running them over
-/// [`Topology::masked`] (penalties key flat node pairs, and masking
-/// never renumbers nodes).
+/// [`Topology::masked`]; `reach` is [`Topology::component_labels`] under
+/// the same mask.
+///
+/// Round 0 carries no penalty, so its paths are the plain shortest
+/// paths: a caller holding them — from a shortest-path tree under the
+/// same mask, whose canonical heap order makes them the same paths —
+/// passes them as `shortest` (`None` per unreachable destination) and
+/// the rounds start from round 1.
 pub(crate) fn k_paths_for_source(
     topology: &Topology,
     s: usize,
     dsts: &[usize],
     k: usize,
     alive: Option<&[bool]>,
-) -> BTreeMap<usize, Vec<Vec<usize>>> {
-    let mut penalty: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-    let mut paths: BTreeMap<usize, Vec<Vec<usize>>> = BTreeMap::new();
+    reach: &[u32],
+    mut shortest: Option<Vec<Option<Vec<usize>>>>,
+) -> Vec<Vec<Vec<usize>>> {
+    let mut penalty = vec![0.0; topology.n_arcs()];
+    let mut round_arcs: Vec<usize> = Vec::new();
+    let mut paths: Vec<Vec<Vec<usize>>> = vec![Vec::new(); dsts.len()];
     for round in 0..k {
-        let (dist, prev) = penalized_dijkstra(topology, s, &penalty, alive);
-        let mut round_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for &d in dsts {
-            if !dist[d].is_finite() {
-                continue;
+        let found = shortest.take().unwrap_or_else(|| {
+            let (dist, prev) = penalized_dijkstra(topology, s, dsts, reach, &penalty, alive);
+            dsts.iter().map(|&d| dist[d].is_finite().then(|| reconstruct(&prev, s, d))).collect()
+        });
+        let penalize = round + 1 < k;
+        for (entry, path) in paths.iter_mut().zip(found) {
+            let Some(path) = path else { continue };
+            if penalize {
+                for hop in path.windows(2) {
+                    let first_arc = topology.arc_offset(hop[0]);
+                    for (j, &(v, _)) in topology.neighbors(hop[0]).iter().enumerate() {
+                        if v == hop[1] {
+                            round_arcs.push(first_arc + j);
+                        }
+                    }
+                }
             }
-            let path = reconstruct(&prev, s, d);
-            for hop in path.windows(2) {
-                round_edges.insert((hop[0], hop[1]));
-            }
-            let entry = paths.entry(d).or_default();
             if !entry.contains(&path) {
                 entry.push(path);
             }
         }
-        if round + 1 < k {
-            for edge in round_edges {
-                *penalty.entry(edge).or_insert(0.0) += 1.0;
-            }
+        // A node pair on several of this round's paths is penalized once,
+        // on every arc joining it.
+        round_arcs.sort_unstable();
+        round_arcs.dedup();
+        for arc in round_arcs.drain(..) {
+            penalty[arc] += 1.0;
         }
     }
     paths
 }
 
-/// Stage 3: deterministic residual-capacity waterfilling over the
-/// aggregated demand, visiting pairs in `(source, destination)` order
-/// and spilling each pair's demand across `paths_for(s, d)` in
-/// candidate order. `local_served` seeds the served accumulator (the
-/// same-satellite demand from stage 1), preserving the original
-/// single-pass summation order exactly.
+/// Stage 3: deterministic residual-capacity waterfilling over the tally,
+/// visiting its satellite pairs in ascending `(source, destination)`
+/// order and spilling each pair's demand across `paths_for(pair index)`
+/// in candidate order. The tally's `local_served` seeds the served
+/// accumulator, preserving the original single-pass summation order
+/// exactly.
 pub(crate) fn waterfill_summary<'p, F>(
     n_flows: usize,
     offered: f64,
-    local_served: f64,
-    unattached: f64,
-    demand: &BTreeMap<(usize, usize), f64>,
+    tally: &AttachmentTally,
     paths_for: F,
     capacity: f64,
 ) -> ServedDemandSummary
 where
-    F: Fn(usize, usize) -> &'p [Vec<usize>],
+    F: Fn(usize) -> &'p [Vec<usize>],
 {
-    let mut served = local_served;
+    let mut served = tally.local_served;
     let mut residual: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut load: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut dropped = 0.0;
-    for (&(s, d), &dem) in demand {
+    for (j, &dem) in tally.demand.iter().enumerate() {
         let mut rest = dem;
-        for path in paths_for(s, d) {
+        for path in paths_for(j) {
             if rest <= 0.0 {
                 break;
             }
@@ -355,16 +461,30 @@ where
     utilization.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     ServedDemandSummary {
         flows: n_flows,
-        pairs: demand.len(),
+        pairs: tally.sat_pairs.len(),
         offered,
         served,
         dropped,
-        unattached,
+        unattached: tally.unattached,
         served_fraction: if offered > 0.0 { served / offered } else { 0.0 },
         utilization_p50: percentile(&utilization, 0.50),
         utilization_p90: percentile(&utilization, 0.90),
         utilization_p99: percentile(&utilization, 0.99),
         utilization_max: utilization.last().copied().unwrap_or(0.0),
+    }
+}
+
+/// The summary of a tally with no ISL pair: only local demand is served.
+pub(crate) fn local_only_summary(
+    n_flows: usize,
+    offered: f64,
+    tally: &AttachmentTally,
+) -> ServedDemandSummary {
+    let fraction = if offered > 0.0 { tally.local_served / offered } else { 0.0 };
+    ServedDemandSummary {
+        served: tally.local_served,
+        served_fraction: fraction,
+        ..ServedDemandSummary::empty(n_flows, tally.unattached, offered)
     }
 }
 
@@ -385,54 +505,47 @@ pub fn assign_capacity_constrained(
     min_elevation: f64,
     config: &CapacityConfig,
 ) -> Result<ServedDemandSummary> {
-    let capacity = config.link_capacity;
-    let offered: f64 = flows.iter().map(|f| f.demand).sum();
+    Ok(assign_interned(snapshot, topology, flows, &FlowIndex::new(flows), min_elevation, config))
+}
+
+/// [`assign_capacity_constrained`] over `flows` interned once as
+/// `interned`, so callers assigning one workload over many slots or
+/// masks intern it once.
+pub(crate) fn assign_interned(
+    snapshot: &Snapshot<'_>,
+    topology: &Topology,
+    flows: &[Flow],
+    interned: &FlowIndex,
+    min_elevation: f64,
+    config: &CapacityConfig,
+) -> ServedDemandSummary {
     if flows.is_empty() {
-        return Ok(ServedDemandSummary::empty(0, 0.0, 0.0));
+        return ServedDemandSummary::empty(0, 0.0, 0.0);
     }
 
     // --- 1. attachment aggregation ----------------------------------
     let index = ServingIndex::new(*snapshot, min_elevation);
-    let mut endpoint_cache: BTreeMap<(u64, u64), Option<usize>> = BTreeMap::new();
-    let mut serve = |p: GeoPoint| -> Option<usize> {
-        *endpoint_cache
-            .entry((p.lat.to_bits(), p.lon.to_bits()))
-            .or_insert_with(|| index.query(p).and_then(|(id, _)| topology.index_of(id)))
-    };
-    let tally = aggregate_attachments(flows, |_, flow| (serve(flow.src), serve(flow.dst)));
-    let AttachmentTally { unattached, local_served, demand } = tally;
-    if demand.is_empty() {
-        let fraction = if offered > 0.0 { local_served / offered } else { 0.0 };
-        return Ok(ServedDemandSummary {
-            served: local_served,
-            served_fraction: fraction,
-            ..ServedDemandSummary::empty(flows.len(), unattached, offered)
-        });
+    let servers: Vec<Option<usize>> = interned
+        .points
+        .iter()
+        .map(|&p| index.query(p).and_then(|(id, _)| topology.index_of(id)))
+        .collect();
+    let tally = tally_attachments(flows, interned, &servers);
+    if tally.sat_pairs.is_empty() {
+        return local_only_summary(flows.len(), interned.offered, &tally);
     }
 
     // --- 2. k-path candidates per source satellite -------------------
-    let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &(s, d) in demand.keys() {
-        by_src.entry(s).or_default().push(d);
-    }
     let k = config.k_paths.max(1);
-    let mut paths: BTreeMap<(usize, usize), Vec<Vec<usize>>> = BTreeMap::new();
-    for (&s, dsts) in &by_src {
-        for (d, p) in k_paths_for_source(topology, s, dsts, k, None) {
-            paths.insert((s, d), p);
-        }
+    let reach = topology.component_labels(None);
+    let mut paths: Vec<Vec<Vec<usize>>> = Vec::with_capacity(tally.sat_pairs.len());
+    for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
+        let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
+        paths.extend(k_paths_for_source(topology, group[0].0, &dsts, k, None, &reach, None));
     }
 
     // --- 3. deterministic residual-capacity waterfilling -------------
-    Ok(waterfill_summary(
-        flows.len(),
-        offered,
-        local_served,
-        unattached,
-        &demand,
-        |s, d| paths.get(&(s, d)).map_or(&[][..], Vec::as_slice),
-        capacity,
-    ))
+    waterfill_summary(flows.len(), interned.offered, &tally, |j| &paths[j], config.link_capacity)
 }
 
 #[cfg(test)]

@@ -49,6 +49,15 @@ fn random_constellation(altitude_km: f64, plane_params: &[(f64, usize)]) -> Cons
     Constellation::new(epoch, element_planes).unwrap()
 }
 
+/// The first entry of a ranked serving list alive under `alive`.
+fn first_alive(
+    snapshot: &ssplane_lsn::Snapshot<'_>,
+    ranked: &[(SatId, f64)],
+    alive: &[bool],
+) -> Option<(SatId, f64)> {
+    ranked.iter().copied().find(|(id, _)| alive[snapshot.flat_index(*id).unwrap()])
+}
+
 /// Asserts that two topologies are identical: same canonical link list
 /// (order included) and the same adjacency lists entry for entry. The
 /// legacy construction may emit a link's endpoints in either orientation,
@@ -250,9 +259,55 @@ proptest! {
                 "unmasked attachment diverged at ({}, {})", lat, lon
             );
             prop_assert_eq!(
-                index.query_masked(g, &alive),
+                first_alive(&snapshot, &index.ranked(g), &alive),
                 serving_satellite(&snapshot.with_alive(&alive), g, min_elevation),
                 "masked attachment diverged at ({}, {})", lat, lon
+            );
+        }
+    }
+
+    /// Ranked attachment: the first alive entry of an endpoint's ranked
+    /// serving list equals a query on an index rebuilt over the masked
+    /// snapshot, for every mask shape the attack search produces — none
+    /// dead, all dead, whole planes, scattered satellites, and planes
+    /// plus scattered satellites.
+    #[test]
+    fn ranked_attachment_first_alive_matches_rebuilt_index(
+        ltans in collection::vec(0.0f64..24.0, 3usize..7),
+        per_plane in 6usize..14,
+        min_elevation_deg in 5.0f64..45.0,
+        dt in 0.0f64..86_400.0,
+        shape in 0usize..5,
+        mask_seed in 0u64..10_000,
+        ground in collection::vec((-80.0f64..80.0, -180.0f64..180.0), 4usize..9),
+    ) {
+        let plane_params: Vec<(f64, usize)> = ltans.iter().map(|&l| (l, per_plane)).collect();
+        let c = random_constellation(560.0, &plane_params);
+        let series = SnapshotSeries::build(&c, &[Epoch::J2000 + dt]).unwrap();
+        let snapshot = series.snapshot(0);
+        let n = snapshot.total_sats();
+        let min_elevation = min_elevation_deg.to_radians();
+        let index = ServingIndex::new(snapshot, min_elevation);
+        let mut rng = StdRng::seed_from_u64(mask_seed);
+        let mut alive = vec![shape != 1; n];
+        if shape == 2 || shape == 4 {
+            let plane = rng.gen_index(ltans.len());
+            alive[plane * per_plane..(plane + 1) * per_plane].fill(false);
+        }
+        if shape >= 3 {
+            for a in alive.iter_mut() {
+                if rng.gen::<f64>() < 0.3 {
+                    *a = false;
+                }
+            }
+        }
+        let rebuilt = ServingIndex::new(snapshot.with_alive(&alive), min_elevation);
+        for &(lat, lon) in &ground {
+            let g = GeoPoint::from_degrees(lat, lon);
+            prop_assert_eq!(
+                first_alive(&snapshot, &index.ranked(g), &alive),
+                rebuilt.query(g),
+                "ranked attachment diverged at ({}, {}), mask shape {}", lat, lon, shape
             );
         }
     }
