@@ -2,7 +2,11 @@
 //! synthesis of the 100k-pair workload, and the capacity-constrained
 //! served-demand assignment (attachment aggregation → k-path candidates
 //! → residual waterfilling) at 10k-satellite scale — one slot and the
-//! full 4-slot grid, the per-scenario stage `scenario-runner` pays.
+//! full 4-slot grid, the per-scenario stage `scenario-runner` pays. On
+//! the same slot, the sampled-flow path a network point routes twice
+//! (intact, then under an attack mask): ground attachment through the
+//! serving index, and shortest-path routing of 200 demand-sampled flows
+//! over the intact and a 4-plane-masked topology.
 //!
 //! The headline numbers land in `BENCH_traffic_scale.json` at the
 //! repository root; re-capture with
@@ -13,8 +17,10 @@ use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
 use ssplane_demand::gravity::{gravity_flows, GravityConfig};
 use ssplane_demand::spatiotemporal::DemandModel;
+use ssplane_lsn::routing::ServingIndex;
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::topology::{Constellation, Topology};
+use ssplane_lsn::traffic::{assign_traffic, sample_flows};
 use ssplane_lsn::traffic_engine::{assign_capacity_constrained, CapacityConfig, TrafficWorkload};
 use std::hint::black_box;
 
@@ -30,6 +36,13 @@ const PAIRS: usize = 100_000;
 /// saturation that waterfilling and drop accounting are both on the
 /// measured path, not just the attachment aggregation.
 const OFFERED: f64 = 200.0;
+
+/// Demand-sampled flows a network point routes per pass.
+const SAMPLED_FLOWS: usize = 200;
+
+/// Planes the masked sampled-flow case loses: four, evenly strided, so
+/// the +grid splits into components and many flows are cut off.
+const LOST_PLANES: [usize; 4] = [0, 12, 25, 37];
 
 fn walker(planes: usize, per_plane: usize) -> Constellation {
     let pattern = WalkerDelta::new(550.0, 53f64.to_radians(), planes * per_plane, planes, 1)
@@ -74,6 +87,53 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
         .map(|snapshot| Topology::plus_grid(&snapshot, Default::default()).unwrap())
         .collect();
     let min_elevation = 20f64.to_radians();
+
+    // Sampled-flow routing on slot 0: index build plus one query per
+    // distinct endpoint, then whole assignments, intact and masked.
+    let snapshot = series.snapshot(0);
+    let flows = sample_flows(&model, 12.0, SAMPLED_FLOWS, 7);
+    group.bench_with_input(
+        criterion::BenchmarkId::new("serving_index", format!("{}queries", 2 * SAMPLED_FLOWS)),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                let index = ServingIndex::new(snapshot, min_elevation);
+                let served = flows
+                    .iter()
+                    .flat_map(|f| [f.src, f.dst])
+                    .filter(|&p| index.query(p).is_some())
+                    .count();
+                black_box(served)
+            })
+        },
+    );
+    group.bench_with_input(criterion::BenchmarkId::new("sampled_flows", "intact"), &(), |b, ()| {
+        b.iter(|| {
+            black_box(
+                assign_traffic(&snapshot, &topologies[0], &flows, min_elevation).unwrap().routed,
+            )
+        })
+    });
+    let mut alive = vec![true; snapshot.total_sats()];
+    let offsets = snapshot.plane_offsets();
+    for p in LOST_PLANES {
+        alive[offsets[p]..offsets[p + 1]].fill(false);
+    }
+    let masked = snapshot.with_alive(&alive);
+    let masked_topology = Topology::plus_grid(&masked, Default::default()).unwrap();
+    group.bench_with_input(
+        criterion::BenchmarkId::new("sampled_flows", "4planes_masked"),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                black_box(
+                    assign_traffic(&masked, &masked_topology, &flows, min_elevation)
+                        .unwrap()
+                        .routed,
+                )
+            })
+        },
+    );
 
     // One slot: ServingIndex attachment of 100k flows + penalized
     // k-path rounds + waterfilling on the 10k-node topology.

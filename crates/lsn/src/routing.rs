@@ -11,11 +11,12 @@
 
 use crate::error::{LsnError, Result};
 use crate::snapshot::{Snapshot, SnapshotSeries};
-use crate::topology::{GridTopologyConfig, SatId, Topology};
+use crate::topology::{sat_id_at, GridTopologyConfig, SatId, Topology};
 use ssplane_astro::constants::EARTH_RADIUS_KM;
 use ssplane_astro::coverage::elevation_at_central_angle;
 use ssplane_astro::frames::ecef_to_eci;
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::linalg::Vec3;
 use ssplane_astro::time::Epoch;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -55,12 +56,13 @@ impl Ord for HeapItem {
         // the global sort by `(dist, node)`. That canonicality is what
         // lets the incremental tree repair ([`ShortestPathTree::repaired_paths`],
         // seeded from a damaged tree's frontier) reproduce a fresh masked
-        // run's labels bit for bit.
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
+        // run's labels bit for bit. Every distance here is non-negative
+        // and never NaN, and on those values (+∞ included) the IEEE-754
+        // bit patterns order as unsigned integers exactly as the floats
+        // do, so the key compares as two integers.
+        let keyable = |d: f64| d.is_sign_positive() && !d.is_nan();
+        debug_assert!(keyable(self.dist) && keyable(other.dist), "negative or NaN heap distance");
+        (other.dist.to_bits(), other.node).cmp(&(self.dist.to_bits(), self.node))
     }
 }
 
@@ -587,83 +589,68 @@ impl RepairBuffers {
 }
 
 /// The satellite best serving a ground point at the snapshot's epoch: the
-/// one with the highest elevation above `min_elevation` \[rad\], if any.
-/// Satellites masked dead by the snapshot's alive mask cannot serve.
+/// one with the highest elevation above `min_elevation` \[rad\], if any,
+/// ties to the lowest flat index. Satellites masked dead by the
+/// snapshot's alive mask cannot serve. A plain scan of the whole fleet:
+/// [`ServingIndex`] answers the same faster when many points attach.
 pub fn serving_satellite(
     snapshot: &Snapshot<'_>,
     ground: GeoPoint,
     min_elevation: f64,
 ) -> Option<(SatId, f64)> {
-    best_visible(snapshot, ground, min_elevation, None)
-}
-
-/// Visits every alive satellite that clears `min_elevation` \[rad\] over
-/// `ground`, in flat order, as `(flat, id, elevation)`. With `bands`
-/// (per-satellite declinations and band half-widths, see
-/// [`ServingIndex`]) satellites outside their band are skipped without
-/// the exact elevation math — they cannot clear the mask anyway — so the
-/// visited set is the same with or without them.
-fn for_each_visible(
-    snapshot: &Snapshot<'_>,
-    ground: GeoPoint,
-    min_elevation: f64,
-    bands: Option<(&[f64], &[f64])>,
-    mut visit: impl FnMut(usize, SatId, f64),
-) {
-    let g_eci = ecef_to_eci(snapshot.epoch(), ground.to_unit_vector() * EARTH_RADIUS_KM);
-    let g_dec = (g_eci.z / g_eci.norm()).asin();
+    let g_eci = ground_eci(snapshot, ground);
+    let mut best: Option<(SatId, f64)> = None;
     for (flat, id) in snapshot.ids().enumerate() {
-        // Central angle >= |declination difference|: out-of-band
-        // satellites cannot clear the elevation mask. Dead satellites
-        // cannot serve at all.
-        if !snapshot.is_alive_flat(flat)
-            || bands.is_some_and(|(dec, band)| (dec[flat] - g_dec).abs() > band[flat])
-        {
-            continue;
-        }
-        let r = snapshot.position_flat(flat);
-        let central = g_eci.angle_to(r);
-        let altitude = r.norm() - EARTH_RADIUS_KM;
-        let elev = elevation_at_central_angle(altitude, central.max(1e-9));
-        if elev >= min_elevation {
-            visit(flat, id, elev);
+        if let Some(elev) = visible_elevation(snapshot, g_eci, flat, min_elevation) {
+            if best.is_none_or(|(_, be)| elev > be) {
+                best = Some((id, elev));
+            }
         }
     }
-}
-
-/// The first-wins elevation maximum over [`for_each_visible`]: the
-/// highest satellite, ties to the lowest flat index.
-fn best_visible(
-    snapshot: &Snapshot<'_>,
-    ground: GeoPoint,
-    min_elevation: f64,
-    bands: Option<(&[f64], &[f64])>,
-) -> Option<(SatId, f64)> {
-    let mut best: Option<(SatId, f64)> = None;
-    for_each_visible(snapshot, ground, min_elevation, bands, |_, id, elev| {
-        if best.is_none_or(|(_, be)| elev > be) {
-            best = Some((id, elev));
-        }
-    });
     best
 }
 
-/// A per-snapshot ground-attachment accelerator: precomputes every
-/// satellite's declination and its own conservative maximum central
-/// angle, so each query only runs the exact elevation math on the
-/// satellites whose declination band can possibly clear `min_elevation`.
-/// A satellite outside its band has central angle > its own visibility
-/// cap, hence elevation < `min_elevation` — so the pruned query returns
-/// exactly what [`serving_satellite`] returns (candidates are still
-/// evaluated in flat order with the same strict comparison).
+/// A ground point's ECI position \[km\] at the snapshot's epoch.
+fn ground_eci(snapshot: &Snapshot<'_>, ground: GeoPoint) -> Vec3 {
+    ecef_to_eci(snapshot.epoch(), ground.to_unit_vector() * EARTH_RADIUS_KM)
+}
+
+/// The elevation \[rad\] of the satellite at `flat` over the ground
+/// point at `g_eci` when it is alive and clears `min_elevation` — the
+/// exact visibility test every attachment path runs.
+fn visible_elevation(
+    snapshot: &Snapshot<'_>,
+    g_eci: Vec3,
+    flat: usize,
+    min_elevation: f64,
+) -> Option<f64> {
+    if !snapshot.is_alive_flat(flat) {
+        return None;
+    }
+    let r = snapshot.position_flat(flat);
+    let central = g_eci.angle_to(r);
+    let elev = elevation_at_central_angle(r.norm() - EARTH_RADIUS_KM, central.max(1e-9));
+    (elev >= min_elevation).then_some(elev)
+}
+
+/// A per-snapshot ground-attachment accelerator. It sorts the fleet by
+/// declination and stores, per satellite, its unit position vector and
+/// the cosine of its own visibility cap (from its own altitude, so a
+/// low shell of a mixed-altitude catalog is pruned by its own tighter
+/// cap). A query binary-searches the declination window `g_dec ±
+/// max_band` — the central angle is at least the declination
+/// difference — and inside it skips every satellite whose dot product
+/// with the ground direction falls below its cosine bound. Only the
+/// survivors run the exact elevation math.
 ///
-/// The band is **per satellite**, derived from each satellite's own
-/// altitude: on a multi-shell constellation (a deployed catalog mixing
-/// 540 km and 570 km shells, say) a low-shell satellite is pruned by its
-/// own tighter visibility cap instead of the fleet-wide maximum, and a
-/// mixed-altitude fleet never widens anyone's band. Per-satellite caps
-/// are still conservative, so answers are identical to the single-band
-/// index on single-shell fleets.
+/// Both filters are conservative, so the visible set is exactly
+/// [`serving_satellite`]'s. A satellite that clears `min_elevation` has
+/// central angle `≤ cap`, hence `dot ≥ cos(cap) > cos(cap + 1e-6) −
+/// 1e-9`: the 1e-6 rad absorbs the rounding between the cap and the
+/// exact central angle, the 1e-9 the rounding of the dot product. The
+/// answer is the maximum by elevation descending, then flat index
+/// ascending — the plain scan's first-wins flat-order maximum, whatever
+/// order the window visits.
 ///
 /// Build one per snapshot when answering many queries (traffic
 /// assignment); for a single lookup the plain scan is cheaper.
@@ -671,13 +658,24 @@ fn best_visible(
 pub struct ServingIndex<'a> {
     snapshot: Snapshot<'a>,
     min_elevation: f64,
-    /// Per-satellite declination \[rad\], flat order; empty when pruning
-    /// is disabled and queries fall back to the full scan.
-    declinations: Vec<f64>,
-    /// Per-satellite band half-width \[rad\], flat order: the satellite's
-    /// own visibility cap plus slack for the declination/central-angle
-    /// bound. Same length as `declinations`.
-    bands: Vec<f64>,
+    /// Satellites sorted by declination, ties by flat index; empty when
+    /// pruning is disabled and queries fall back to the full scan.
+    sorted: Vec<Candidate>,
+    /// The widest per-satellite band \[rad\]: visibility cap plus slack.
+    max_band: f64,
+}
+
+/// One satellite of a [`ServingIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    flat: usize,
+    /// Declination \[rad\].
+    dec: f64,
+    /// Unit ECI position.
+    unit: Vec3,
+    /// `cos(cap + 1e-6) − 1e-9`: a smaller dot product with the ground
+    /// direction cannot clear the mask.
+    cos_bound: f64,
 }
 
 impl<'a> ServingIndex<'a> {
@@ -686,42 +684,49 @@ impl<'a> ServingIndex<'a> {
     /// satellite; for anything else the index degrades to the exact full
     /// scan.
     pub fn new(snapshot: Snapshot<'a>, min_elevation: f64) -> Self {
-        let n = snapshot.total_sats();
-        let mut declinations = Vec::with_capacity(n);
-        let mut bands = Vec::with_capacity(n);
-        let prune = min_elevation > 0.0 && min_elevation < std::f64::consts::FRAC_PI_2;
-        for flat in 0..n {
-            let r = snapshot.position_flat(flat);
-            let norm = r.norm();
-            declinations.push((r.z / norm).asin());
-            if !prune {
-                continue;
-            }
-            // 1e-6 rad of slack absorbs the rounding between the
-            // declination-difference bound and the exact central angle.
-            match ssplane_astro::coverage::coverage_half_angle(
-                norm - EARTH_RADIUS_KM,
-                min_elevation,
-            ) {
-                Ok(cap) => bands.push(cap + 1e-6),
-                Err(_) => break,
-            }
-        }
-        if bands.len() == n {
-            ServingIndex { snapshot, min_elevation, declinations, bands }
-        } else {
-            ServingIndex { snapshot, min_elevation, declinations: Vec::new(), bands: Vec::new() }
-        }
+        let (sorted, max_band) = sorted_candidates(&snapshot, min_elevation).unwrap_or_default();
+        ServingIndex { snapshot, min_elevation, sorted, max_band }
     }
 
-    fn bands(&self) -> Option<(&[f64], &[f64])> {
-        (!self.declinations.is_empty()).then_some((&self.declinations, &self.bands))
+    fn id(&self, flat: usize) -> SatId {
+        sat_id_at(self.snapshot.plane_offsets(), flat).expect("flat index in range")
+    }
+
+    /// Visits every satellite that can serve `ground` as `(flat,
+    /// elevation)`: the declination window filtered by the dot test, or
+    /// the whole fleet in flat order without pruning.
+    fn for_each_visible(&self, ground: GeoPoint, mut visit: impl FnMut(usize, f64)) {
+        let g_eci = ground_eci(&self.snapshot, ground);
+        let mut run = |flat: usize| {
+            if let Some(elev) = visible_elevation(&self.snapshot, g_eci, flat, self.min_elevation) {
+                visit(flat, elev);
+            }
+        };
+        if self.sorted.is_empty() {
+            (0..self.snapshot.total_sats()).for_each(run);
+            return;
+        }
+        let g_unit = g_eci / g_eci.norm();
+        let g_dec = g_unit.z.asin();
+        let lo = self.sorted.partition_point(|c| c.dec < g_dec - self.max_band);
+        let hi = self.sorted.partition_point(|c| c.dec <= g_dec + self.max_band);
+        for c in &self.sorted[lo..hi] {
+            if g_unit.dot(c.unit) >= c.cos_bound {
+                run(c.flat);
+            }
+        }
     }
 
     /// The serving satellite for `ground` — identical to
     /// [`serving_satellite`] on this snapshot.
     pub fn query(&self, ground: GeoPoint) -> Option<(SatId, f64)> {
-        best_visible(&self.snapshot, ground, self.min_elevation, self.bands())
+        let mut best: Option<(usize, f64)> = None;
+        self.for_each_visible(ground, |flat, elev| {
+            if best.is_none_or(|(bf, be)| elev > be || (elev == be && flat < bf)) {
+                best = Some((flat, elev));
+            }
+        });
+        best.map(|(flat, elev)| (self.id(flat), elev))
     }
 
     /// Every satellite able to serve `ground`, best first: elevation
@@ -733,14 +738,34 @@ impl<'a> ServingIndex<'a> {
     /// maximum never changes which survivor wins. One list therefore
     /// serves every candidate mask of an attack search.
     pub fn ranked(&self, ground: GeoPoint) -> Vec<(SatId, f64)> {
-        let mut visible: Vec<(usize, SatId, f64)> = Vec::new();
-        for_each_visible(&self.snapshot, ground, self.min_elevation, self.bands(), |f, id, e| {
-            visible.push((f, id, e));
-        });
+        let mut visible: Vec<(usize, f64)> = Vec::new();
+        self.for_each_visible(ground, |flat, elev| visible.push((flat, elev)));
         visible
-            .sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0)));
-        visible.into_iter().map(|(_, id, elev)| (id, elev)).collect()
+            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0)));
+        visible.into_iter().map(|(flat, elev)| (self.id(flat), elev)).collect()
     }
+}
+
+/// The fleet sorted by declination (ties by flat index) with the widest
+/// band, `None` when the mask or some satellite's cap rules pruning out.
+fn sorted_candidates(snapshot: &Snapshot<'_>, min_elevation: f64) -> Option<(Vec<Candidate>, f64)> {
+    if !(min_elevation > 0.0 && min_elevation < std::f64::consts::FRAC_PI_2) {
+        return None;
+    }
+    let mut sorted = Vec::with_capacity(snapshot.total_sats());
+    let mut max_band = 0.0f64;
+    for flat in 0..snapshot.total_sats() {
+        let r = snapshot.position_flat(flat);
+        let norm = r.norm();
+        let cap =
+            ssplane_astro::coverage::coverage_half_angle(norm - EARTH_RADIUS_KM, min_elevation);
+        let band = cap.ok().filter(|c| c.is_finite())? + 1e-6;
+        max_band = max_band.max(band);
+        let cos_bound = band.cos() - 1e-9;
+        sorted.push(Candidate { flat, dec: (r.z / norm).asin(), unit: r / norm, cos_bound });
+    }
+    sorted.sort_unstable_by(|a, b| a.dec.total_cmp(&b.dec).then(a.flat.cmp(&b.flat)));
+    Some((sorted, max_band))
 }
 
 /// Assembles the full ground-to-ground route from a serving pair and its
@@ -1108,6 +1133,37 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The integer heap key orders exactly as the float one did:
+        /// `(partial_cmp(dist), node)`, reversed for the min-heap, over
+        /// non-negative finite distances (ties and zero included) and +∞.
+        #[test]
+        fn integer_heap_key_matches_float_order(
+            raw in collection::vec((0usize..4, 0.0f64..1e7, 0usize..40), 2usize..40),
+        ) {
+            let items: Vec<HeapItem> = raw
+                .iter()
+                .map(|&(kind, d, node)| {
+                    let dist = match kind {
+                        0 => f64::INFINITY,
+                        1 => 0.0,
+                        2 => (d / 1e6).floor(),
+                        _ => d,
+                    };
+                    HeapItem { dist, node }
+                })
+                .collect();
+            for a in &items {
+                for b in &items {
+                    let want = b.dist.partial_cmp(&a.dist).unwrap().then(b.node.cmp(&a.node));
+                    prop_assert_eq!(a.cmp(b), want, "{:?} vs {:?}", a, b);
+                }
+            }
+        }
+    }
+
     #[test]
     fn ranked_attachment_matches_rebuilt_index() {
         let c = constellation(6, 15);
@@ -1127,7 +1183,7 @@ mod tests {
             ranked.iter().copied().find(|(id, _)| alive[snap.flat_index(*id).unwrap()])
         };
         // Both the pruned path and the degenerate full-scan fallback
-        // (min_elevation 0 disables the declination band) must answer
+        // (min_elevation 0 disables the declination window) must answer
         // exactly what a fresh index over the masked snapshot answers.
         for &min_elev in &[0.0, 15f64.to_radians(), 40f64.to_radians()] {
             let index = ServingIndex::new(snap, min_elev);
@@ -1194,6 +1250,82 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every satellite clearing `min_elevation` over `ground`, sorted by
+    /// elevation descending then flat ascending, from the plain scan.
+    fn brute_ranked(snap: &Snapshot<'_>, ground: GeoPoint, min_elev: f64) -> Vec<(SatId, f64)> {
+        let g_eci = ground_eci(snap, ground);
+        let mut visible: Vec<(SatId, f64)> = snap
+            .ids()
+            .enumerate()
+            .filter_map(|(flat, id)| Some((id, visible_elevation(snap, g_eci, flat, min_elev)?)))
+            .collect();
+        visible.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        visible
+    }
+
+    #[test]
+    fn index_keeps_satellites_exactly_at_the_mask() {
+        // A satellite whose elevation *is* the mask sits on the edge of
+        // both prefilters, where only the slack keeps it. Setting the
+        // mask to each visible satellite's exact elevation in turn puts
+        // one satellite on that edge per index.
+        let c = constellation(8, 25);
+        let series = single(&c, Epoch::J2000 + 4321.0);
+        let snap = series.snapshot(0);
+        let mut edges = 0;
+        for lat in [-80.0, -45.0, -10.0, 0.0, 20.0, 52.0, 85.0] {
+            for lon in [-150.0, -60.0, 0.0, 75.0, 160.0] {
+                let g = GeoPoint::from_degrees(lat, lon);
+                let g_eci = ground_eci(&snap, g);
+                for flat in 0..snap.total_sats() {
+                    let Some(elev) = visible_elevation(&snap, g_eci, flat, 1e-3) else {
+                        continue;
+                    };
+                    let index = ServingIndex::new(snap, elev);
+                    let ranked = index.ranked(g);
+                    let id = sat_id_at(snap.plane_offsets(), flat).unwrap();
+                    assert!(ranked.contains(&(id, elev)), "{id:?} dropped at ({lat}, {lon})");
+                    assert_eq!(ranked, brute_ranked(&snap, g, elev), "at ({lat}, {lon})");
+                    assert_eq!(index.query(g), serving_satellite(&snap, g, elev));
+                    edges += 1;
+                }
+            }
+        }
+        assert!(edges >= 100, "only {edges} edge cases exercised");
+    }
+
+    #[test]
+    fn twin_satellites_tie_to_the_lower_flat_index() {
+        // The second half of the fleet repeats the first plane for plane,
+        // so every satellite has a twin at the same position and every
+        // elevation ties exactly: the index must still answer the plain
+        // scan's first-wins winner, the twin with the lower flat index.
+        let epoch = Epoch::J2000;
+        let orbit = sun_synchronous_orbit(560.0).unwrap();
+        let half: Vec<Vec<OrbitalElements>> = (0..5)
+            .map(|p| orbit.with_ltan(8.0 + p as f64).plane_elements(epoch, 20).unwrap())
+            .collect();
+        let c = Constellation::new(epoch, [half.clone(), half].concat()).unwrap();
+        let series = single(&c, epoch + 900.0);
+        let snap = series.snapshot(0);
+        let index = ServingIndex::new(snap, 20f64.to_radians());
+        let mut served = 0;
+        for flat in (0..100).step_by(3) {
+            let (g, _) =
+                ssplane_astro::frames::subsatellite_point(snap.epoch(), snap.position_flat(flat))
+                    .unwrap();
+            let want = serving_satellite(&snap, g, 20f64.to_radians());
+            assert_eq!(index.query(g), want, "sub-point of flat {flat}");
+            let (id, _) = want.expect("a sub-point is served");
+            assert!(id.plane < 5, "the lower twin wins, not {id:?}");
+            let ranked = index.ranked(g);
+            assert_eq!(ranked[0].1, ranked[1].1, "twins tie");
+            assert_eq!(ranked, brute_ranked(&snap, g, 20f64.to_radians()));
+            served += 1;
+        }
+        assert!(served > 30);
     }
 
     #[test]

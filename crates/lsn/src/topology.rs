@@ -24,6 +24,18 @@ pub struct SatId {
     pub slot: usize,
 }
 
+/// The satellite at flat index `flat` under `plane_offsets` (start index
+/// per plane plus a trailing total), `None` past the end. A binary search
+/// over the offsets: an empty plane shares its offset with the next one,
+/// so the last plane starting at or before `flat` is the one holding it.
+pub(crate) fn sat_id_at(plane_offsets: &[usize], flat: usize) -> Option<SatId> {
+    if flat >= *plane_offsets.last()? {
+        return None;
+    }
+    let plane = plane_offsets.partition_point(|&start| start <= flat) - 1;
+    Some(SatId { plane, slot: flat - plane_offsets[plane] })
+}
+
 /// A constellation as planes of orbital elements, with propagators.
 #[derive(Debug, Clone)]
 pub struct Constellation {
@@ -615,8 +627,7 @@ impl Topology {
 
     /// Satellite id of a flattened index.
     pub fn id_of(&self, index: usize) -> Option<SatId> {
-        let plane = self.plane_offsets.windows(2).position(|w| index >= w[0] && index < w[1])?;
-        Some(SatId { plane, slot: index - self.plane_offsets[plane] })
+        sat_id_at(&self.plane_offsets, index)
     }
 
     /// Neighbors (flattened index, link length km) of a node.
@@ -926,6 +937,20 @@ mod tests {
         }
         assert!(topo.index_of(SatId { plane: 0, slot: 99 }).is_none());
         assert!(topo.id_of(999).is_none());
+    }
+
+    #[test]
+    fn sat_id_at_skips_empty_planes() {
+        // Planes 1 and 3 are empty: their offsets repeat.
+        let offsets = [0, 3, 3, 5, 5, 6];
+        let ids: Vec<SatId> = (0..6).map(|f| sat_id_at(&offsets, f).unwrap()).collect();
+        let want = [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (4, 0)];
+        for (id, &(plane, slot)) in ids.iter().zip(&want) {
+            assert_eq!(*id, SatId { plane, slot });
+        }
+        assert_eq!(sat_id_at(&offsets, 6), None);
+        assert_eq!(sat_id_at(&[0], 0), None);
+        assert_eq!(sat_id_at(&[], 0), None);
     }
 
     #[test]

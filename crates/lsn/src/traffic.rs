@@ -6,9 +6,9 @@
 //! reports link utilization and latency stretch — the metrics a time-aware
 //! traffic engineer would optimize.
 
-use crate::error::{LsnError, Result};
+use crate::error::Result;
 use crate::routing::{
-    assemble_route, great_circle_delay_ms, shortest_path, Route, ServingIndex, ShortestPathTree,
+    assemble_route, great_circle_delay_ms, shortest_path, ServingIndex, ShortestPathTree,
 };
 use crate::snapshot::Snapshot;
 use crate::topology::{SatId, Topology};
@@ -153,7 +153,7 @@ pub fn assign_traffic_with_capacity(
     min_elevation: f64,
     link_capacity: f64,
 ) -> Result<TrafficReport> {
-    // Resolve ground attachment up front: one declination-pruned index
+    // Resolve ground attachment up front: one windowed serving index
     // per snapshot, one exact query per *distinct* endpoint (demand
     // sampling concentrates endpoints in cities, so flows share them).
     let index = ServingIndex::new(*snapshot, min_elevation);
@@ -163,10 +163,19 @@ pub fn assign_traffic_with_capacity(
             .entry((p.lat.to_bits(), p.lon.to_bits()))
             .or_insert_with(|| index.query(p).map(|(id, _)| id))
     };
+    // A flow whose serving satellites lie in different components of the
+    // topology has no route — Dijkstra returns `NoRoute` exactly when the
+    // labels differ — so it is counted unrouted without a search.
+    let comp = topology.component_labels(None);
+    let connected = |&(s, d): &(SatId, SatId)| match (topology.index_of(s), topology.index_of(d)) {
+        (Some(a), Some(b)) => comp[a] == comp[b],
+        // Unknown nodes go on to the search, which reports them.
+        _ => true,
+    };
     let pairs: Vec<Option<(SatId, SatId)>> =
-        flows.iter().map(|f| serve(f.src).zip(serve(f.dst))).collect();
-    // Sources serving several flows amortize one full Dijkstra tree;
-    // one-flow sources keep the cheaper early-exit per-pair search.
+        flows.iter().map(|f| serve(f.src).zip(serve(f.dst)).filter(connected)).collect();
+    // Sources serving several routable flows amortize one full Dijkstra
+    // tree; one-flow sources keep the cheaper early-exit per-pair search.
     let mut source_flows: BTreeMap<SatId, usize> = BTreeMap::new();
     for (s_sat, d_sat) in pairs.iter().flatten() {
         if s_sat != d_sat {
@@ -208,17 +217,8 @@ pub fn assign_traffic_with_capacity(
         } else {
             shortest_path(topology, s_sat, d_sat)
         };
-        let route: Route = match isl {
-            Ok((hops, isl_km)) => {
-                assemble_route(snapshot, flow.src, flow.dst, s_sat, d_sat, hops, isl_km)?
-            }
-            Err(LsnError::NoRoute) => {
-                unrouted += 1;
-                flow_outcomes.push(None);
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
+        let (hops, isl_km) = isl?;
+        let route = assemble_route(snapshot, flow.src, flow.dst, s_sat, d_sat, hops, isl_km)?;
         routed += 1;
         hop_sum += route.hops.len();
         let fiber = great_circle_delay_ms(flow.src, flow.dst).max(0.1);
@@ -242,6 +242,7 @@ pub fn assign_traffic_with_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::LsnError;
     use crate::snapshot::SnapshotSeries;
     use crate::topology::{Constellation, GridTopologyConfig};
     use ssplane_astro::kepler::OrbitalElements;
@@ -375,6 +376,62 @@ mod tests {
         let rerun = assign_traffic(&masked, &degraded_topo, &flows, 25f64.to_radians()).unwrap();
         assert_eq!(rerun.routed, degraded.routed);
         assert_eq!(rerun.link_load, degraded.link_load);
+    }
+
+    #[test]
+    fn split_topology_matches_per_flow_routing() {
+        // Strided whole-plane loss splits the +grid into components, so
+        // many flows are cut off between served endpoints. Skipping their
+        // searches on the component labels must leave every count, hop
+        // and link load bit-identical to routing each flow alone.
+        let c = constellation();
+        let series = SnapshotSeries::build(&c, &[Epoch::J2000 + 1800.0]).unwrap();
+        let snap = series.snapshot(0);
+        let mut alive = vec![true; snap.total_sats()];
+        for p in [0, 3, 6] {
+            alive[p * 24..(p + 1) * 24].fill(false);
+        }
+        let masked = snap.with_alive(&alive);
+        let topo = Topology::plus_grid(&masked, GridTopologyConfig::default()).unwrap();
+        assert!(!topo.is_connected_among(&alive), "the loss must split the grid");
+        let min_elev = 25f64.to_radians();
+        let flows = sample_flows(&model(), 15.0, 120, 21);
+        let report = assign_traffic(&masked, &topo, &flows, min_elev).unwrap();
+
+        let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
+        let (mut routed, mut hop_sum, mut cut_off) = (0usize, 0usize, 0usize);
+        for (flow, outcome) in flows.iter().zip(&report.flow_outcomes) {
+            match crate::routing::route_ground_to_ground(
+                &masked, &topo, flow.src, flow.dst, min_elev,
+            ) {
+                Ok(route) => {
+                    let out = outcome.expect("reference routed the flow");
+                    assert_eq!(route.delay_ms.to_bits(), out.delay_ms.to_bits());
+                    assert_eq!((route.hops[0], *route.hops.last().unwrap()), out.ends);
+                    routed += 1;
+                    hop_sum += route.hops.len();
+                    for pair in route.hops.windows(2) {
+                        *link_load.entry((pair[0], pair[1])).or_insert(0.0) += flow.demand;
+                    }
+                }
+                Err(LsnError::NoRoute) => {
+                    assert_eq!(*outcome, None);
+                    let served = |p| crate::routing::serving_satellite(&masked, p, min_elev);
+                    if served(flow.src).is_some() && served(flow.dst).is_some() {
+                        cut_off += 1;
+                    }
+                }
+                Err(e) => panic!("reference failed: {e:?}"),
+            }
+        }
+        assert!(cut_off > 0, "no flow crossed the split");
+        assert!(routed > 0, "no flow stayed inside a component");
+        assert_eq!((report.routed, report.unrouted), (routed, flows.len() - routed));
+        assert_eq!(report.mean_hops.to_bits(), (hop_sum as f64 / routed as f64).to_bits());
+        assert_eq!(report.link_load.len(), link_load.len());
+        for ((key, got), (want_key, want)) in report.link_load.iter().zip(&link_load) {
+            assert_eq!((key, got.to_bits()), (want_key, want.to_bits()));
+        }
     }
 
     #[test]

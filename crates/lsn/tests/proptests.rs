@@ -209,23 +209,29 @@ proptest! {
         assert_topologies_identical(&legacy, &snapshot);
     }
 
-    /// Cross-shell ground attachment: the pruned [`ServingIndex`] (whose
-    /// declination bands are now per satellite, from each satellite's own
-    /// altitude) must return exactly what the brute-force
-    /// nearest-satellite scan returns on random multi-shell geometries —
-    /// same winner, same elevation, same lowest-flat-index tie-break —
-    /// both unmasked and under a random alive mask.
+    /// Cross-shell ground attachment: the windowed, dot-prefiltered
+    /// [`ServingIndex`] (whose visibility caps are per satellite, from
+    /// each satellite's own altitude) must return exactly what the
+    /// brute-force nearest-satellite scan returns on random multi-shell
+    /// geometries — same winner, same elevation, same lowest-flat-index
+    /// tie-break — unmasked, through the ranked list under a random alive
+    /// mask, and built over the masked snapshot itself. Ground points
+    /// span pole to pole and include satellite sub-points (central angle
+    /// ≈ 0); a twin shell repeats the first shell's planes, so every twin
+    /// pair ties exactly on elevation.
     #[test]
     fn serving_index_matches_brute_force_across_shells(
         shells in collection::vec(
             (450.0f64..1200.0, 40.0f64..98.0, 2usize..5, 3usize..9),
             2usize..4,
         ),
+        twin in 0usize..2,
         min_elevation_deg in 5.0f64..40.0,
         dt in 0.0f64..86_400.0,
         kill in 0.0f64..0.7,
         mask_seed in 0u64..10_000,
-        ground in collection::vec((-80.0f64..80.0, -180.0f64..180.0), 4usize..9),
+        ground in collection::vec((-90.0f64..=90.0, -180.0f64..180.0), 4usize..9),
+        sub_points in collection::vec(0usize..10_000, 1usize..4),
     ) {
         // Each shell contributes its own Walker-delta plane block at its
         // own altitude and inclination; concatenating the plane lists
@@ -244,24 +250,43 @@ proptest! {
             .unwrap();
             element_planes.extend(pattern.chunks(per_plane).map(<[_]>::to_vec));
         }
+        if twin == 1 {
+            let first_shell = shells[0].2;
+            element_planes.extend_from_within(..first_shell);
+        }
         let c = Constellation::from_planes(Epoch::J2000, element_planes).unwrap();
-        let series = SnapshotSeries::build(&c, &[Epoch::J2000 + dt]).unwrap();
+        let t = Epoch::J2000 + dt;
+        let series = SnapshotSeries::build(&c, &[t]).unwrap();
         let snapshot = series.snapshot(0);
         let min_elevation = min_elevation_deg.to_radians();
         let index = ServingIndex::new(snapshot, min_elevation);
         let mut rng = StdRng::seed_from_u64(mask_seed);
         let alive: Vec<bool> = (0..c.total_sats()).map(|_| rng.gen::<f64>() >= kill).collect();
-        for &(lat, lon) in &ground {
-            let g = GeoPoint::from_degrees(lat, lon);
+        let masked = snapshot.with_alive(&alive);
+        let masked_index = ServingIndex::new(masked, min_elevation);
+        let mut points: Vec<GeoPoint> =
+            ground.iter().map(|&(lat, lon)| GeoPoint::from_degrees(lat, lon)).collect();
+        for &k in &sub_points {
+            let r = snapshot.position_flat(k % c.total_sats());
+            points.push(ssplane_astro::frames::subsatellite_point(t, r).unwrap().0);
+        }
+        for &g in &points {
+            let (lat, lon) = (g.lat.to_degrees(), g.lon.to_degrees());
             prop_assert_eq!(
                 index.query(g),
                 serving_satellite(&snapshot, g, min_elevation),
                 "unmasked attachment diverged at ({}, {})", lat, lon
             );
+            let want = serving_satellite(&masked, g, min_elevation);
             prop_assert_eq!(
                 first_alive(&snapshot, &index.ranked(g), &alive),
-                serving_satellite(&snapshot.with_alive(&alive), g, min_elevation),
-                "masked attachment diverged at ({}, {})", lat, lon
+                want,
+                "ranked masked attachment diverged at ({}, {})", lat, lon
+            );
+            prop_assert_eq!(
+                masked_index.query(g),
+                want,
+                "masked index diverged at ({}, {})", lat, lon
             );
         }
     }

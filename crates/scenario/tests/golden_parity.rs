@@ -1,17 +1,20 @@
-//! Bit-parity pins for the `Designer` redesign: the seven scenarios that
-//! shipped *before* the registry pipeline existed must keep producing
-//! byte-identical JSON-lines through it.
+//! Bit-parity pins: every scenario listed here must keep producing
+//! byte-identical JSON-lines — every float, every field, every byte.
 //!
-//! The fixtures under `tests/golden/` were captured from the
-//! pre-refactor engine (fixed `ss_groups`/`wd_groups` paths, SS-only
-//! networking); the generic design → attack → fluence → survivability →
-//! network pipeline is required to reproduce them exactly — every float,
-//! every field, every byte.
+//! The first seven fixtures under `tests/golden/` were captured from the
+//! engine before the `Designer` redesign (fixed `ss_groups`/`wd_groups`
+//! paths, SS-only networking); the generic design → attack → fluence →
+//! survivability → network pipeline reproduces them exactly. The
+//! `disruption` and `traffic-scale` fixtures pin the degraded network
+//! pass — plane, random and band attacks, outage timelines and gravity
+//! served-demand under alive masks — as captured before ground
+//! attachment moved to the windowed serving index and flow routing to
+//! component-checked searches.
 
 use ssplane_scenario::library;
 use ssplane_scenario::runner::Runner;
 
-/// The pre-refactor scenario set and its pinned output.
+/// The pinned scenario set and its output.
 const GOLDEN: &[(&str, &str)] = &[
     ("baseline", include_str!("golden/baseline.jsonl")),
     ("paper-grid", include_str!("golden/paper-grid.jsonl")),
@@ -20,6 +23,8 @@ const GOLDEN: &[(&str, &str)] = &[
     ("spare-budget", include_str!("golden/spare-budget.jsonl")),
     ("mega-constellation", include_str!("golden/mega-constellation.jsonl")),
     ("routing", include_str!("golden/routing.jsonl")),
+    ("disruption", include_str!("golden/disruption.jsonl")),
+    ("traffic-scale", include_str!("golden/traffic-scale.jsonl")),
 ];
 
 #[test]
@@ -34,8 +39,8 @@ fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
         // Compare line by line first for a readable failure, then the
         // full byte string (which also catches line-count drift).
         for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
-            assert_eq!(got, want, "{name} line {i} diverged from its pre-refactor pin");
+            assert_eq!(got, want, "{name} line {i} diverged from its pin");
         }
-        assert_eq!(jsonl, *golden, "{name} diverged from its pre-refactor pin");
+        assert_eq!(jsonl, *golden, "{name} diverged from its pin");
     }
 }
