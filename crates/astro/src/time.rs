@@ -62,6 +62,13 @@ impl Epoch {
         Epoch::from_julian_date(jd + frac)
     }
 
+    /// Seconds since J2000.0, exactly as stored (unlike
+    /// [`Self::julian_date`], which rounds).
+    #[inline]
+    pub fn seconds_j2000(self) -> f64 {
+        self.seconds_since_j2000
+    }
+
     /// Days since J2000.0.
     #[inline]
     fn days_j2000(self) -> f64 {

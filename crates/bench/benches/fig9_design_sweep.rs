@@ -1,6 +1,8 @@
 //! Criterion bench for the Fig. 9/10 pipeline: the greedy SS-plane
 //! designer and the multi-shell Walker baseline on the realistic demand
-//! grid, plus the per-plane fluence sampling of the largest SS design.
+//! grid, the per-plane fluence sampling of the largest SS design, and the
+//! paper sweep's design and fluence kernels through per-call caches vs
+//! one shared [`KernelCache`].
 //!
 //! The design and fluence kernel numbers land in `BENCH_design.json` at
 //! the repository root; re-capture with
@@ -11,10 +13,56 @@ use ssplane_astro::kepler::OrbitalElements;
 use ssplane_bench::figures::{
     default_demand_model, default_environment, default_grid, design_epoch,
 };
+use ssplane_core::cache::KernelCache;
 use ssplane_core::designer::{design_ss_constellation, DesignConfig};
-use ssplane_core::evaluate::plane_fluence_samples;
+use ssplane_core::evaluate::{plane_fluence_samples, plane_fluence_samples_in};
+use ssplane_core::system::{DesignParams, Designer, SsDesigner, WalkerDesigner};
 use ssplane_core::walker_baseline::{design_walker_constellation, WalkerBaselineConfig};
+use ssplane_demand::grid::LatTodGrid;
+use ssplane_radiation::RadiationEnvironment;
+use ssplane_scenario::spec::{RadiationSpec, SolarActivity};
 use std::hint::black_box;
+
+/// The paper sweep's demand levels \[B\].
+const PAPER_SWEEP_B: [f64; 8] = [10.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0];
+
+/// SS and WD design plus fluence sampling (1 phase, 120 s steps) at every
+/// paper-sweep demand level and solar epoch, as the runner does them:
+/// through `cache` when given, else through the per-call entry points
+/// (each with a fresh cache). Returns the fluence samples taken.
+fn paper_sweep_kernels(
+    grid: &LatTodGrid,
+    env: &RadiationEnvironment,
+    cache: Option<&KernelCache>,
+) -> usize {
+    let designers: [Box<dyn Designer>; 2] = [
+        Box::new(SsDesigner { config: DesignConfig::default() }),
+        Box::new(WalkerDesigner { config: WalkerBaselineConfig::default() }),
+    ];
+    let mut samples = 0;
+    for b in PAPER_SWEEP_B {
+        let demand = grid.scaled(b / grid.total());
+        for solar in [SolarActivity::Min, SolarActivity::Cycle24, SolarActivity::Max] {
+            let epoch = RadiationSpec { solar, ..RadiationSpec::default() }.epoch();
+            let params = DesignParams { epoch };
+            for designer in &designers {
+                let groups = match cache {
+                    Some(c) => designer.design_in(&demand, &params, c),
+                    None => designer.design(&demand, &params),
+                }
+                .unwrap()
+                .eval_groups;
+                samples += match cache {
+                    Some(c) => plane_fluence_samples_in(&groups, c, epoch, 1, 120.0),
+                    None => plane_fluence_samples(&groups, env, epoch, 1, 120.0),
+                }
+                .unwrap()
+                .len();
+            }
+        }
+    }
+    samples
+}
 
 fn bench_designers(c: &mut Criterion) {
     let model = default_demand_model();
@@ -53,6 +101,19 @@ fn bench_designers(c: &mut Criterion) {
         b.iter(|| {
             let samples = plane_fluence_samples(black_box(&groups), &env, epoch, 1, 120.0).unwrap();
             black_box(samples.len())
+        })
+    });
+
+    // The whole paper sweep's kernels: a fresh cache per call, vs one
+    // cache per sweep (built inside the iteration, so every iteration
+    // computes each distinct kernel input once, as a runner pass does).
+    c.bench_function("paper_sweep_kernels/fresh", |b| {
+        b.iter(|| black_box(paper_sweep_kernels(black_box(&grid), &env, None)))
+    });
+    c.bench_function("paper_sweep_kernels/shared", |b| {
+        b.iter(|| {
+            let cache = KernelCache::new(env);
+            black_box(paper_sweep_kernels(black_box(&grid), &env, Some(&cache)))
         })
     });
 

@@ -22,12 +22,17 @@
 //!
 //! The greedy keeps returning to the same few peak cells (on the default
 //! 36 × 24 grid, 11–12 distinct cells at every demand from 10 B to
-//! 5000 B), so each design call memoises, per peak cell, the two candidate
-//! planes and the cells each one covers. The memo is exact: both are a
-//! pure function of the cell's centre and the grid shape, never of the
-//! residual demand. Branch gains are still scored against the live
-//! residual at every step.
+//! 5000 B), so the two candidate planes through a peak cell and the cells
+//! each one covers come from a [`KernelCache`], computed once per cell for
+//! as long as the cache lives: one design call
+//! ([`design_ss_constellation`]) or a whole sweep
+//! ([`design_ss_constellation_in`] with the runner's cache). The reuse is
+//! exact: both are a pure function of the cell's centre, the grid shape
+//! and the altitude/elevation configuration, never of the residual
+//! demand, and the cache key holds all of those. Branch gains are still
+//! scored against the live residual at every step.
 
+use crate::cache::KernelCache;
 use crate::error::{CoreError, Result};
 use crate::ssplane::{planes_through, SsPlane};
 use ssplane_astro::coverage::{
@@ -37,7 +42,6 @@ use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::sunsync::sun_synchronous_orbit;
 use ssplane_astro::time::Epoch;
 use ssplane_demand::grid::LatTodGrid;
-use std::collections::BTreeMap;
 
 /// How the designer chooses between the ascending- and descending-branch
 /// planes through the peak cell.
@@ -129,7 +133,7 @@ impl SsConstellation {
 
 /// The ascending- and descending-branch planes through one peak cell,
 /// with the cells each one covers.
-type Candidates = ([SsPlane; 2], [Vec<(usize, usize)>; 2]);
+pub(crate) type Candidates = ([SsPlane; 2], [Vec<(usize, usize)>; 2]);
 
 /// Residual demand removed by subtracting `capacity` from `cells` of
 /// `grid` (without mutating it).
@@ -156,6 +160,20 @@ pub fn design_ss_constellation(
     demand: &LatTodGrid,
     config: DesignConfig,
 ) -> Result<SsConstellation> {
+    design_ss_constellation_in(demand, config, &KernelCache::default())
+}
+
+/// As [`design_ss_constellation`], taking the peak-cell candidates from
+/// `cache` (and adding the ones it computes), so designs that share a
+/// cache compute each candidate once.
+///
+/// # Errors
+/// As [`design_ss_constellation`].
+pub fn design_ss_constellation_in(
+    demand: &LatTodGrid,
+    config: DesignConfig,
+    cache: &KernelCache,
+) -> Result<SsConstellation> {
     if config.sat_capacity <= 0.0 {
         return Err(CoreError::BadConfig { name: "sat_capacity", constraint: "> 0" });
     }
@@ -171,10 +189,7 @@ pub fn design_ss_constellation(
     // inclination; peak targets are clamped to the reachable band (their
     // swath still reaches the cell if within the swath margin).
     let max_lat = orbit.max_latitude() - 1e-6;
-    // Sparse on purpose: a dense lat × tod table of `Option<Candidates>`
-    // (~124 kB on the default grid) raised the paper sweep's peak RSS by
-    // ~1 MB, for a dozen or two entries actually filled.
-    let mut memo: BTreeMap<(usize, usize), Candidates> = BTreeMap::new();
+    let (alt_bits, elev_bits) = (config.altitude_km.to_bits(), config.min_elevation_deg.to_bits());
 
     let mut residual = demand.clone();
     let mut planes: Vec<SsPlane> = Vec::new();
@@ -191,14 +206,16 @@ pub fn design_ss_constellation(
                 residual_demand: residual.total(),
             });
         }
-        let (candidates, covered) = memo.entry((i, j)).or_insert_with(|| {
+        let key = (demand.lat_bins(), demand.tod_bins(), alt_bits, elev_bits, i, j);
+        let cell = cache.ss_candidates(key, || {
             let lat = demand.lat_center_deg(i).to_radians();
             let tod = demand.tod_center_h(j);
             let candidates =
                 planes_through(orbit, lat.clamp(-max_lat, max_lat), tod, sats_per_plane)
                     .expect("target latitude clamped into reachable band");
-            (candidates, candidates.map(|p| p.covered_cells(demand, swath)))
-        });
+            Ok((candidates, candidates.map(|p| p.covered_cells(demand, swath))))
+        })?;
+        let (candidates, covered) = &*cell;
 
         let branch = match config.branch_rule {
             BranchRule::AscendingOnly => 0,
@@ -411,6 +428,58 @@ mod tests {
                     &design_ss_constellation_oracle(&demand, tight),
                 );
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// One cache shared across two grid shapes, two altitudes, two
+        /// elevation masks, two demand scales and all three branch rules
+        /// designs exactly what a fresh cache designs, down to the budget
+        /// errors: its candidates are keyed on every input they read. The
+        /// first peak cell of one demand grid is the same at every
+        /// altitude and mask, so a key missing either would hand a later
+        /// design the wrong planes.
+        #[test]
+        fn shared_cache_design_matches_fresh_cache(
+            lat_bins in 2usize..=72,
+            tod_bins in 2usize..=48,
+            seed in 0u64..=u64::MAX,
+            log_b in 10f64.ln()..=5000f64.ln(),
+            altitude_km in 500f64..=800.0,
+            min_elevation_deg in 25f64..=60.0,
+            small_budget in 1usize..=40,
+        ) {
+            let cache = KernelCache::default();
+            let shapes = [(lat_bins, tod_bins), (tod_bins.max(3) + 1, lat_bins.max(3) - 1)];
+            let mut k = 0usize;
+            for (lat_bins, tod_bins) in shapes {
+                for altitude_km in [altitude_km, altitude_km + 37.5] {
+                    for min_elevation_deg in [min_elevation_deg, 85.0 - min_elevation_deg] {
+                        for total_b in [log_b.exp(), log_b.exp() * 0.3] {
+                            let demand = random_demand(lat_bins, tod_bins, seed, total_b);
+                            let config = DesignConfig {
+                                altitude_km,
+                                min_elevation_deg,
+                                branch_rule: RULES[k % RULES.len()],
+                                max_planes: if k % 4 == 3 { small_budget } else { 50_000 },
+                                ..DesignConfig::default()
+                            };
+                            k += 1;
+                            assert_same_design(
+                                &design_ss_constellation_in(&demand, config, &cache),
+                                &design_ss_constellation(&demand, config),
+                            );
+                        }
+                    }
+                }
+            }
+            let (_, candidates) = cache.counters()[1];
+            assert!(
+                candidates.requested == 0 || candidates.computed < candidates.requested,
+                "the shared cache reused nothing: {candidates:?}"
+            );
         }
     }
 

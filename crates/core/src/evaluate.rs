@@ -1,6 +1,7 @@
 //! Constellation evaluation: the Fig. 9 satellite-count sweep, empirical
 //! demand-satisfaction verification, and the Fig. 10 radiation statistics.
 
+use crate::cache::KernelCache;
 use crate::designer::{design_ss_constellation, DesignConfig, SsConstellation};
 use crate::error::Result;
 use crate::walker_baseline::{
@@ -12,10 +13,8 @@ use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::propagate::J2Propagator;
 use ssplane_astro::time::Epoch;
 use ssplane_demand::grid::LatTodGrid;
-use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
+use ssplane_radiation::fluence::DailyFluence;
 use ssplane_radiation::RadiationEnvironment;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 
 /// One row of the Fig. 9 comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -257,8 +256,8 @@ pub fn verify_earth_fixed_supply(
 /// distinct sample orbit is integrated once per call: the SS designer
 /// emits one group per placed plane, and a plane placed again through the
 /// same peak cell has bit-identical elements, so its samples reuse the
-/// first integration (keyed by the bits of all six elements, which makes
-/// the reuse exact).
+/// first integration. [`plane_fluence_samples_in`] extends that reuse to
+/// every call sharing one [`KernelCache`].
 ///
 /// # Errors
 /// Propagates fluence-integration failure.
@@ -269,8 +268,24 @@ pub fn plane_fluence_samples(
     phases: usize,
     step_s: f64,
 ) -> Result<Vec<(DailyFluence, usize)>> {
+    plane_fluence_samples_in(groups, &KernelCache::new(*env), epoch, phases, step_s)
+}
+
+/// As [`plane_fluence_samples`], integrating in the environment of
+/// `cache` and reusing every integration it holds: a sample orbit is
+/// integrated once per (elements, epoch, step) for as long as the cache
+/// lives (keyed by the bits of all of them, which makes the reuse exact).
+///
+/// # Errors
+/// Propagates fluence-integration failure.
+pub fn plane_fluence_samples_in(
+    groups: &[(OrbitalElements, usize)],
+    cache: &KernelCache,
+    epoch: Epoch,
+    phases: usize,
+    step_s: f64,
+) -> Result<Vec<(DailyFluence, usize)>> {
     let phases = phases.max(1);
-    let mut integrated: BTreeMap<[u64; 6], DailyFluence> = BTreeMap::new();
     let mut out = Vec::with_capacity(groups.len() * phases);
     for &(el, weight) in groups {
         for k in 0..phases {
@@ -278,27 +293,11 @@ pub fn plane_fluence_samples(
             sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
                 el.mean_anomaly + core::f64::consts::TAU * k as f64 / phases as f64,
             );
-            let f = match integrated.entry(element_bits(&sample)) {
-                Entry::Occupied(hit) => *hit.get(),
-                Entry::Vacant(slot) => *slot.insert(daily_fluence(env, &sample, epoch, step_s)?),
-            };
+            let f = cache.daily_fluence(&sample, epoch, step_s)?;
             out.push((f, weight.div_ceil(phases).max(1)));
         }
     }
     Ok(out)
-}
-
-/// The bit patterns of all six orbital elements: equal keys mean
-/// bit-identical inputs, hence bit-identical fluence.
-fn element_bits(el: &OrbitalElements) -> [u64; 6] {
-    [
-        el.semi_major_axis_km.to_bits(),
-        el.eccentricity.to_bits(),
-        el.inclination.to_bits(),
-        el.raan.to_bits(),
-        el.arg_perigee.to_bits(),
-        el.mean_anomaly.to_bits(),
-    ]
 }
 
 /// Weighted median of fluence samples, component-wise.
@@ -370,7 +369,9 @@ pub fn fig10_row(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::cache::element_bits;
     use crate::designer::BranchRule;
+    use ssplane_radiation::fluence::daily_fluence;
 
     pub(crate) fn small_demand() -> LatTodGrid {
         // A paper-shaped demand pattern: population envelope across
@@ -525,6 +526,39 @@ pub(crate) mod tests {
                 assert_eq!(wa, wb, "sample {k} weight");
             }
         }
+    }
+
+    #[test]
+    fn shared_cache_fluence_matches_fresh_samples() {
+        // One cache across two epochs and two step sizes over the same
+        // sample orbits (as a Walker shell's epoch-free elements recur
+        // across a solar axis), so a key missing the epoch or the step
+        // would hand a later call another combination's dose.
+        let demand = small_demand().scaled(500.0 / small_demand().total());
+        let ss = design_ss_constellation(&demand, ss_cfg()).unwrap();
+        let design_epoch = Epoch::from_calendar(2013, 6, 1, 0, 0, 0.0);
+        let groups: Vec<(OrbitalElements, usize)> = ss
+            .planes
+            .iter()
+            .map(|p| (p.orbit.elements_at(design_epoch, 0.0).unwrap(), p.n_sats))
+            .collect();
+        let env = RadiationEnvironment::default();
+        let cache = KernelCache::new(env);
+        for epoch in [design_epoch, Epoch::from_calendar(2019, 12, 1, 0, 0, 0.0)] {
+            for step_s in [600.0, 450.0] {
+                let shared = plane_fluence_samples_in(&groups, &cache, epoch, 2, step_s).unwrap();
+                let fresh = plane_fluence_samples(&groups, &env, epoch, 2, step_s).unwrap();
+                assert_eq!(shared.len(), fresh.len());
+                for (k, ((a, wa), (b, wb))) in shared.iter().zip(&fresh).enumerate() {
+                    assert_eq!(a.electron.to_bits(), b.electron.to_bits(), "sample {k} electron");
+                    assert_eq!(a.proton.to_bits(), b.proton.to_bits(), "sample {k} proton");
+                    assert_eq!(wa, wb, "sample {k} weight");
+                }
+            }
+        }
+        let (_, fluence) = cache.counters()[0];
+        assert_eq!(fluence.requested, 4 * 2 * ss.planes.len() as u64);
+        assert!(fluence.computed < fluence.requested, "{fluence:?}");
     }
 
     #[test]

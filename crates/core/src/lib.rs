@@ -29,10 +29,13 @@
 //! 6. [`system`] — the pluggable design/evaluation API: the [`Designer`]
 //!    trait and [`DesignedSystem`] output every downstream stage (attack,
 //!    fluence, survivability, networking) consumes generically.
+//! 7. [`cache`] — the compute-once [`KernelCache`] of the fluence and
+//!    SS-candidate kernels, which a sweep shares across its points.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod cache;
 pub mod designer;
 pub mod error;
 pub mod evaluate;
@@ -42,6 +45,7 @@ pub mod sustainability;
 pub mod system;
 pub mod walker_baseline;
 
+pub use cache::KernelCache;
 pub use designer::{design_ss_constellation, DesignConfig, SsConstellation};
 pub use error::{CoreError, Result};
 pub use rgt_analysis::{design_rgt_constellation, RgtConstellation, RgtDesignConfig};

@@ -26,7 +26,8 @@
 //! deployed Starlink Gen1 shell catalog). [`DESIGNER_REGISTRY`] is the
 //! canonical name/order list consumers resolve against.
 
-use crate::designer::{design_ss_constellation, DesignConfig};
+use crate::cache::KernelCache;
+use crate::designer::{design_ss_constellation_in, DesignConfig};
 use crate::error::{CoreError, Result};
 use crate::rgt_analysis::{design_rgt_constellation, RgtDesignConfig};
 use crate::walker_baseline::{design_walker_constellation, WalkerBaselineConfig, WalkerShell};
@@ -168,6 +169,21 @@ pub trait Designer {
     /// Family-specific design failure (bad configuration, infeasible
     /// geometry, plane-budget exhaustion).
     fn design(&self, demand: &LatTodGrid, params: &DesignParams) -> Result<DesignedSystem>;
+
+    /// As [`Designer::design`], reusing the kernel outputs `cache` holds
+    /// and adding the ones this design computes. The default ignores the
+    /// cache; the scenario runner calls only this.
+    ///
+    /// # Errors
+    /// As [`Designer::design`].
+    fn design_in(
+        &self,
+        demand: &LatTodGrid,
+        params: &DesignParams,
+        _cache: &KernelCache,
+    ) -> Result<DesignedSystem> {
+        self.design(demand, params)
+    }
 }
 
 /// The SS-plane greedy designer (§4.2) as a [`Designer`].
@@ -183,7 +199,16 @@ impl Designer for SsDesigner {
     }
 
     fn design(&self, demand: &LatTodGrid, params: &DesignParams) -> Result<DesignedSystem> {
-        let ss = design_ss_constellation(demand, self.config)?;
+        self.design_in(demand, params, &KernelCache::default())
+    }
+
+    fn design_in(
+        &self,
+        demand: &LatTodGrid,
+        params: &DesignParams,
+        cache: &KernelCache,
+    ) -> Result<DesignedSystem> {
+        let ss = design_ss_constellation_in(demand, self.config, cache)?;
         let eval_groups: Vec<(OrbitalElements, usize)> = ss
             .planes
             .iter()

@@ -10,6 +10,19 @@
 //! across thread counts. Wall-clock stage timings are collected on the
 //! side (see [`ScenarioTimings`]) and never enter the report.
 //!
+//! Each [`Runner::run_specs`] call builds one [`KernelCache`] and lends
+//! it to every point: the daily fluence integral of each distinct
+//! (orbit, epoch, step) and the SS designer's candidate planes through
+//! each distinct peak cell (per grid shape, altitude and elevation mask)
+//! are computed once per run, however many points need them. Points of
+//! the paper sweep repeat both (the same plane recurs across demand
+//! levels and spare budgets), and the reuse is exact, so a point inside
+//! a sweep reports the same bytes as the point run alone. The cache is
+//! per run, not per process: a long-lived process would otherwise grow
+//! it without bound, and a timed pass would reuse work an earlier pass
+//! did. Only the demand models (`shared_demand_model`) live for the
+//! process.
+//!
 //! The pipeline is **design-generic**: every system a scenario selects
 //! (`design.kinds`) is produced by a [`Designer`] from the
 //! `ssplane-core` registry, and one shared sequence of stages — design →
@@ -32,7 +45,8 @@ use crate::sweep::SweepSpec;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par;
 use ssplane_astro::time::Epoch;
-use ssplane_core::evaluate::{plane_fluence_samples, weighted_median_fluence};
+use ssplane_core::cache::{CacheCount, ComputeOnce, KernelCache};
+use ssplane_core::evaluate::{plane_fluence_samples_in, weighted_median_fluence};
 use ssplane_core::system::{
     DesignParams, DesignSummary, DesignedSystem, Designer, RgtDesigner, SlimDesigner, SsDesigner,
     StarlinkDesigner, WalkerDesigner,
@@ -56,8 +70,7 @@ use ssplane_lsn::LsnError;
 use ssplane_radiation::fluence::DailyFluence;
 use ssplane_radiation::RadiationEnvironment;
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 /// Salt XORed into the scenario seed for the degraded-network outage
 /// timeline, so its realization is an explicitly independent stream from
@@ -82,23 +95,18 @@ const TRAFFIC_SEED_SALT: u64 = 0x0054_5241_4646_4943;
 /// still gets a distinct model per value.
 ///
 /// Entries live for the process (a `demand.seed` axis re-reads its
-/// models on every rerun of the sweep). The lock is held across
-/// synthesis so concurrent workers wanting the *same* new seed do the
-/// work once rather than racing on it; that serializes first touches of
-/// distinct seeds too, which now costs each waiter tens of ms.
+/// models on every rerun of the sweep), unlike the per-run
+/// [`KernelCache`]. Each seed is a compute-once cell: concurrent workers
+/// wanting the *same* new seed wait for one synthesis rather than racing
+/// on it, while first touches of *distinct* seeds synthesize in parallel.
 fn shared_demand_model(seed: u64) -> Arc<DemandModel> {
-    static CACHE: OnceLock<Mutex<BTreeMap<u64, Arc<DemandModel>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let mut models = cache.lock().expect("demand cache poisoned");
-    models
-        .entry(seed)
-        .or_insert_with(|| {
-            Arc::new(
-                DemandModel::synthetic_seeded(seed)
-                    .expect("default-resolution synthesis is valid for every seed"),
-            )
-        })
-        .clone()
+    static MODELS: ComputeOnce<u64, Arc<DemandModel>> = ComputeOnce::new();
+    MODELS.get_or_compute(seed, || {
+        Arc::new(
+            DemandModel::synthetic_seeded(seed)
+                .expect("default-resolution synthesis is valid for every seed"),
+        )
+    })
 }
 
 /// The designer registry: the [`Designer`] a registry name (an entry of
@@ -162,6 +170,11 @@ pub struct ScenarioTimings {
     /// scoring throughput. Not wall-clock, so kept out of
     /// `Self::total_seconds`.
     pub metrics: Vec<(String, f64)>,
+    /// `(kernel, count)` of this point's requests to the run's
+    /// [`KernelCache`] ([`KernelCache::counters`]). Which point computes a
+    /// shared key depends on scheduling; the sums over a run do not (see
+    /// [`SweepOutcome::cache_counters`]).
+    pub cache: Vec<(&'static str, CacheCount)>,
 }
 
 impl ScenarioTimings {
@@ -241,7 +254,7 @@ fn system_report(
     name: &str,
     sys: &DesignedSystem,
     destroyed: &[SatId],
-    env: &RadiationEnvironment,
+    cache: &KernelCache,
     epoch: Epoch,
     fluence_stage: bool,
     clock: &mut StageClock,
@@ -286,7 +299,7 @@ fn system_report(
     // weighted median across the constellation.
     let phases = spec.radiation.phases;
     let samples = clock.time(&format!("{name}.fluence"), || {
-        plane_fluence_samples(&sys.eval_groups, env, epoch, phases, spec.radiation.step_s)
+        plane_fluence_samples_in(&sys.eval_groups, cache, epoch, phases, spec.radiation.step_s)
     })?;
     let median = weighted_median_fluence(&samples);
 
@@ -314,7 +327,7 @@ fn system_report(
         median_proton: median.proton,
         mean_electron: mean.electron,
         mean_proton: mean.proton,
-        solar_activity: env.solar.activity(epoch),
+        solar_activity: cache.env().solar.activity(epoch),
     });
 
     if spec.survivability.enabled {
@@ -1075,11 +1088,13 @@ fn percolation_report(
 /// The scenario pipeline body, writing stage timings into `clock`.
 /// `point_threads` caps every pool inside the point: snapshot builds,
 /// gravity draws, the evaluator's slots, the attack search, the degraded
-/// pass and the percolation jobs.
+/// pass and the percolation jobs. Design and fluence kernels go through
+/// `cache`, whose environment the fluence integrals run in.
 fn run_scenario(
     spec: &ScenarioSpec,
     clock: &mut StageClock,
     point_threads: usize,
+    cache: &KernelCache,
 ) -> Result<ScenarioReport> {
     spec.validate()?;
 
@@ -1099,7 +1114,6 @@ fn run_scenario(
     let multiplier = spec.demand.total_demand_b / total;
     let demand = grid.scaled(multiplier);
 
-    let env = RadiationEnvironment::default();
     let epoch = spec.radiation.epoch();
     let params = DesignParams { epoch };
 
@@ -1114,7 +1128,8 @@ fn run_scenario(
     for kind in spec.design.ordered_kinds() {
         let designer = designer_for(kind, &spec.design);
         let name = designer.name();
-        let sys = clock.time(&format!("{name}.design"), || designer.design(&demand, &params))?;
+        let sys = clock
+            .time(&format!("{name}.design"), || designer.design_in(&demand, &params, cache))?;
         // The network context (propagation cache + flows) and the
         // degraded evaluator (intact per-slot topologies + traffic) are
         // built once and shared by the attack search and the network
@@ -1183,7 +1198,7 @@ fn run_scenario(
             name,
             &sys,
             &destroyed,
-            &env,
+            cache,
             epoch,
             spec.radiation.enabled,
             clock,
@@ -1232,24 +1247,29 @@ pub fn execute_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport> {
 /// Executes one scenario end-to-end, also returning its stage timings
 /// (collected even when the scenario fails partway: the stages that did
 /// run are reported). A standalone execution owns the machine, so its
-/// intra-point pools may use every core.
+/// intra-point pools may use every core, and its kernels a fresh cache.
 pub fn execute_scenario_timed(spec: &ScenarioSpec) -> (Result<ScenarioReport>, ScenarioTimings) {
-    execute_scenario_timed_with(spec, 0)
+    execute_scenario_timed_with(spec, 0, &KernelCache::new(RadiationEnvironment::default()))
 }
 
 /// As [`execute_scenario_timed`], with every intra-point pool capped at
-/// `point_threads` workers (`0` = all cores) — the sweep runner passes
-/// each worker's share of the thread budget.
+/// `point_threads` workers (`0` = all cores) and the design and fluence
+/// kernels served from `cache` — the sweep runner passes each worker's
+/// share of the thread budget and a handle on the run's cache.
 fn execute_scenario_timed_with(
     spec: &ScenarioSpec,
     point_threads: usize,
+    cache: &KernelCache,
 ) -> (Result<ScenarioReport>, ScenarioTimings) {
     let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
-    let result = run_scenario(spec, &mut clock, point_threads);
-    (
-        result,
-        ScenarioTimings { name: spec.name.clone(), stages: clock.stages, metrics: clock.metrics },
-    )
+    let result = run_scenario(spec, &mut clock, point_threads, cache);
+    let timings = ScenarioTimings {
+        name: spec.name.clone(),
+        stages: clock.stages,
+        metrics: clock.metrics,
+        cache: cache.counters().to_vec(),
+    };
+    (result, timings)
 }
 
 /// A parallel scenario runner.
@@ -1308,10 +1328,31 @@ impl SweepOutcome {
         self.reports.iter().filter(|r| r.is_ok()).count()
     }
 
+    /// Per-kernel `(kernel, count)` totals over every point's requests to
+    /// the run's [`KernelCache`], in [`KernelCache::counters`] order. Both
+    /// totals are a pure function of the specs: every distinct key is
+    /// computed once whatever the thread count.
+    pub fn cache_counters(&self) -> Vec<(&'static str, CacheCount)> {
+        let mut totals: Vec<(&'static str, CacheCount)> = Vec::new();
+        for (kernel, count) in self.timings.iter().flat_map(|t| &t.cache) {
+            match totals.iter_mut().find(|(k, _)| k == kernel) {
+                Some((_, total)) => {
+                    total.computed += count.computed;
+                    total.requested += count.requested;
+                }
+                None => totals.push((kernel, *count)),
+            }
+        }
+        totals
+    }
+
     /// The timing side channel as tab-separated text: one
     /// `scenario<TAB>stage<TAB>seconds` row per stage, in scenario order,
-    /// with a per-scenario `total` row. Deliberately a separate artifact
-    /// from the (byte-deterministic) report JSON.
+    /// with a per-scenario `total` row, closed by the run's kernel-cache
+    /// totals ([`Self::cache_counters`]) as whole-number
+    /// `sweep<TAB>cache.<kernel>.{computed,requested}<TAB>n` rows.
+    /// Deliberately a separate artifact from the (byte-deterministic)
+    /// report JSON.
     pub fn timings_table(&self) -> String {
         let mut out = String::from("scenario\tstage\tseconds\n");
         for t in &self.timings {
@@ -1325,6 +1366,10 @@ impl SweepOutcome {
             for (metric, value) in &t.metrics {
                 out.push_str(&format!("{}\t{metric}\t{value:.6}\n", t.name));
             }
+        }
+        for (kernel, count) in self.cache_counters() {
+            out.push_str(&format!("sweep\tcache.{kernel}.computed\t{}\n", count.computed));
+            out.push_str(&format!("sweep\tcache.{kernel}.requested\t{}\n", count.requested));
         }
         out
     }
@@ -1384,8 +1429,11 @@ impl Runner {
         // multi-point sweep's points run them inline, a lone point gets
         // the whole budget.
         let point_threads = par::budget(self.threads) / par::workers(self.threads, specs.len());
+        // One kernel cache for the run, lent to every point through its
+        // own counting handle; it is dropped with the run.
+        let cache = KernelCache::new(RadiationEnvironment::default());
         let (reports, timings) = par::par_map(specs.iter().collect(), self.threads, |spec| {
-            execute_scenario_timed_with(spec, point_threads)
+            execute_scenario_timed_with(spec, point_threads, &cache.share())
         })
         .into_iter()
         .unzip();
@@ -1620,8 +1668,8 @@ mod tests {
         assert!(line.contains(r#""percolation":{"steps":32"#), "{line}");
         // Byte determinism across reruns and across thread counts.
         assert_eq!(line, execute_scenario(&spec).unwrap().to_json_line());
-        let (one, _) = execute_scenario_timed_with(&spec, 1);
-        let (many, _) = execute_scenario_timed_with(&spec, 7);
+        let (one, _) = execute_scenario_timed_with(&spec, 1, &KernelCache::default());
+        let (many, _) = execute_scenario_timed_with(&spec, 7, &KernelCache::default());
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1686,8 +1734,8 @@ mod tests {
         assert_eq!(names, vec!["leading-planes", "random-sats", "attack"]);
         // Byte determinism across thread counts: the search and the
         // sweep share the strict index-ordered reductions.
-        let (one, _) = execute_scenario_timed_with(&spec, 1);
-        let (many, _) = execute_scenario_timed_with(&spec, 7);
+        let (one, _) = execute_scenario_timed_with(&spec, 1, &KernelCache::default());
+        let (many, _) = execute_scenario_timed_with(&spec, 7, &KernelCache::default());
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1855,6 +1903,60 @@ mod tests {
         assert!(timings.total_seconds() > 0.0);
     }
 
+    /// Two demand levels × two solar epochs × two spare budgets over SS
+    /// and WD: the paper sweep's shape at test scale.
+    fn paper_shaped_sweep() -> SweepSpec {
+        crate::config::sweep_from_toml(
+            r#"
+name = "kernels"
+seed = 5
+
+[demand]
+lat_bins = 18
+tod_bins = 12
+
+[design]
+kinds = ["ss", "wd"]
+
+[radiation]
+phases = 1
+step_s = 600.0
+
+[survivability]
+horizon_years = 2.0
+
+[sweep]
+"demand.total_demand_b" = [20.0, 60.0]
+"radiation.solar" = ["min", "max"]
+"spares.count" = [1, 3]
+"#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn kernel_cache_counts_are_pinned_and_thread_independent() {
+        let sweep = paper_shaped_sweep();
+        let expected = vec![
+            ("fluence", CacheCount { computed: 34, requested: 120 }),
+            ("ss_candidates", CacheCount { computed: 6, requested: 68 }),
+        ];
+        for threads in [1, 2, 7] {
+            let runner = Runner::with_threads(threads);
+            let outcome = runner.run_sweep(&sweep).unwrap();
+            assert_eq!(outcome.ok_count(), 8);
+            assert_eq!(outcome.cache_counters(), expected, "{threads} threads");
+            let table = outcome.timings_table();
+            for (kernel, count) in &expected {
+                let row = format!("sweep\tcache.{kernel}.computed\t{}\n", count.computed);
+                assert!(table.contains(&row), "{row:?} missing");
+            }
+            // The cache lives for one run: the next run starts empty and
+            // computes every kernel again.
+            assert_eq!(runner.run_sweep(&sweep).unwrap().cache_counters(), expected);
+        }
+    }
+
     #[test]
     fn demand_seed_changes_the_design() {
         let mut spec = tiny_spec();
@@ -1954,13 +2056,13 @@ mod tests {
         let mut spec = tiny_spec();
         spec.attack.planes_lost = 1;
         let sys = one_plane_system();
-        let env = RadiationEnvironment::default();
+        let cache = KernelCache::default();
         let epoch = spec.radiation.epoch();
         let destroyed = attack_destroyed(&spec, &sys, epoch).unwrap();
         assert_eq!(destroyed.len(), 12, "the whole plane is the whole fleet");
         let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
         let (report, doses) =
-            system_report(&spec, "ss", &sys, &destroyed, &env, epoch, true, &mut clock).unwrap();
+            system_report(&spec, "ss", &sys, &destroyed, &cache, epoch, true, &mut clock).unwrap();
         let attack = report.attack.as_ref().expect("attack ran");
         assert_eq!(attack.planes_lost, 1);
         assert_eq!(attack.sats_lost, 12);
@@ -1972,7 +2074,7 @@ mod tests {
 
         spec.attack.planes_lost = 0;
         let (unharmed, _) =
-            system_report(&spec, "ss", &sys, &[], &env, epoch, true, &mut clock).unwrap();
+            system_report(&spec, "ss", &sys, &[], &cache, epoch, true, &mut clock).unwrap();
         assert!(unharmed.attack.is_none());
         let surv = unharmed.survivability.as_ref().unwrap();
         assert!(surv.availability > 0.0);

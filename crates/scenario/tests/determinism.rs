@@ -3,9 +3,12 @@
 //! 1. running the same `SweepSpec` twice produces **byte-identical**
 //!    JSON-lines output;
 //! 2. so does running it under different thread counts;
-//! 3. per-scenario seeds are stable under sweep-axis reordering.
+//! 3. per-scenario seeds are stable under sweep-axis reordering;
+//! 4. a point run alone reports the same bytes as inside a sweep whose
+//!    points share the run's kernel cache.
 
 use proptest::prelude::*;
+use ssplane_scenario::config::sweep_from_toml;
 use ssplane_scenario::runner::{execute_scenario, Runner};
 use ssplane_scenario::spec::ScenarioSpec;
 use ssplane_scenario::sweep::{SweepAxis, SweepSpec};
@@ -97,6 +100,54 @@ fn distinct_points_get_distinct_seeds() {
     seeds.sort_unstable();
     seeds.dedup();
     assert_eq!(seeds.len(), specs.len(), "seed collision across grid points");
+}
+
+/// The paper sweep's shape at test scale: two demand levels × two solar
+/// epochs × two spare budgets over SS and WD, so points share SS
+/// candidate planes across demand and fluence integrals across spares.
+fn paper_shaped_sweep() -> SweepSpec {
+    sweep_from_toml(
+        r#"
+name = "alone-vs-sweep"
+seed = 11
+
+[demand]
+lat_bins = 18
+tod_bins = 12
+
+[design]
+kinds = ["ss", "wd"]
+
+[radiation]
+phases = 2
+step_s = 600.0
+
+[survivability]
+horizon_years = 2.0
+
+[sweep]
+"demand.total_demand_b" = [15.0, 45.0]
+"radiation.solar" = ["cycle24", "max"]
+"spares.count" = [2, 5]
+"#,
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_point_alone_equals_the_same_point_inside_a_sweep() {
+    let specs = paper_shaped_sweep().expand().unwrap();
+    let outcome = Runner::with_threads(2).run_specs(&specs);
+    for (_, count) in outcome.cache_counters() {
+        assert!(count.computed < count.requested, "the sweep shared nothing: {count:?}");
+    }
+    let jsonl = outcome.to_jsonl();
+    let lines: Vec<&str> = jsonl.lines().collect();
+    assert_eq!(lines.len(), specs.len());
+    for (spec, line) in specs.iter().zip(lines) {
+        let alone = execute_scenario(spec).unwrap().to_json_line();
+        assert_eq!(alone, line, "{}", spec.name);
+    }
 }
 
 /// A cheap design-only scenario over every registry family (the catalog
