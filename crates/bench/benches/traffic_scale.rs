@@ -1,5 +1,6 @@
 //! Population-scale traffic-engine benches: seeded gravity-model
-//! synthesis of the 100k-pair workload, and the capacity-constrained
+//! synthesis of the 100k-pair workload (whole, and split into its
+//! seed-free field and its seeded draws), and the capacity-constrained
 //! served-demand assignment (attachment aggregation → k-path candidates
 //! → residual waterfilling) at 10k-satellite scale — one slot and the
 //! full 4-slot grid, the per-scenario stage `scenario-runner` pays. On
@@ -15,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
-use ssplane_demand::gravity::{gravity_flows, GravityConfig};
+use ssplane_demand::gravity::{gravity_flows, gravity_flows_in, GravityConfig, GravityField};
 use ssplane_demand::spatiotemporal::DemandModel;
 use ssplane_lsn::routing::ServingIndex;
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
@@ -66,6 +67,21 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
         criterion::BenchmarkId::new("gravity_flows", format!("{PAIRS}pairs")),
         &(),
         |b, ()| b.iter(|| black_box(gravity_flows(&model, &config, 0).unwrap().len())),
+    );
+    // Its two halves: the seed-free field a run builds once per (model,
+    // hour, site budget), and the seeded draws every point pays.
+    group.bench_with_input(
+        criterion::BenchmarkId::new("gravity_field", format!("{}sites", config.sites)),
+        &(),
+        |b, ()| {
+            b.iter(|| black_box(GravityField::new(&model, config.utc_hour, config.sites).total()))
+        },
+    );
+    let field = GravityField::new(&model, config.utc_hour, config.sites);
+    group.bench_with_input(
+        criterion::BenchmarkId::new("gravity_draws", format!("{PAIRS}pairs")),
+        &(),
+        |b, ()| b.iter(|| black_box(gravity_flows_in(&field, &config, 0).unwrap().len())),
     );
 
     let gravity = gravity_flows(&model, &config, 0).unwrap();

@@ -5,10 +5,12 @@
 //! demand level, so its daily fluence is integrated again on every point
 //! that places it, and the designer's peak-cell candidate planes depend
 //! on the grid shape and the altitude/elevation configuration, never on
-//! the demand. [`KernelCache`] keys both kernels on the bits of every
-//! input they read and computes each key once for as long as the cache
-//! lives; the scenario runner builds one per run and lends it to every
-//! point.
+//! the demand. Likewise the gravity workload's seed-free field (sites,
+//! sampling tables and grid total) depends on the demand model, the UTC
+//! hour and the site budget, never on the point's seed. [`KernelCache`]
+//! keys each kernel on the bits of every input it reads and computes each
+//! key once for as long as the cache lives; the scenario runner builds
+//! one per run and lends it to every point.
 //!
 //! The reuse is exact: a key holds every input bit the kernel reads, so a
 //! cached value is the value a fresh computation would return.
@@ -17,6 +19,8 @@ use crate::designer::Candidates;
 use crate::error::Result;
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::time::Epoch;
+use ssplane_demand::gravity::GravityField;
+use ssplane_demand::DemandModel;
 use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
 use ssplane_radiation::RadiationEnvironment;
 use std::collections::BTreeMap;
@@ -93,12 +97,12 @@ struct Tally {
 impl Tally {
     /// Fetches `key` from `store`, counting the request and, if it runs,
     /// the computation.
-    fn fetch<K: Ord, V: Clone>(
+    fn fetch<K: Ord, V: Clone, E>(
         &self,
         store: &ComputeOnce<K, V>,
         key: K,
-        compute: impl FnOnce() -> Result<V>,
-    ) -> Result<V> {
+        compute: impl FnOnce() -> std::result::Result<V, E>,
+    ) -> std::result::Result<V, E> {
         self.requested.fetch_add(1, Ordering::Relaxed);
         store.get_or_try_compute(key, || {
             self.computed.fetch_add(1, Ordering::Relaxed);
@@ -123,6 +127,11 @@ type FluenceKey = ([u64; 6], u64, u64);
 /// their covered cells depend on.
 pub(crate) type CandidateKey = (usize, usize, u64, u64, usize, usize);
 
+/// `(demand model key, utc_hour bits, sites)`: everything a
+/// [`GravityField`] reads, given that the caller's demand model key
+/// names its model uniquely.
+pub type GravityKey = (u64, u64, usize);
+
 /// The entries a [`KernelCache`] and its [`KernelCache::share`]d handles
 /// hold in common.
 #[derive(Debug)]
@@ -130,11 +139,13 @@ struct Kernels {
     env: RadiationEnvironment,
     fluence: ComputeOnce<FluenceKey, DailyFluence>,
     ss_candidates: ComputeOnce<CandidateKey, Arc<Candidates>>,
+    gravity: ComputeOnce<GravityKey, Arc<GravityField>>,
 }
 
 /// The compute-once cache of the sweep kernels: daily fluence
-/// integrations in one radiation environment, and the SS designer's
-/// peak-cell candidate planes with the cells they cover.
+/// integrations in one radiation environment, the SS designer's
+/// peak-cell candidate planes with the cells they cover, and the gravity
+/// workload's seed-free fields.
 ///
 /// Each handle counts its own requests ([`Self::counters`]); handles made
 /// by [`Self::share`] read and fill the same entries, so summing their
@@ -144,6 +155,7 @@ pub struct KernelCache {
     kernels: Arc<Kernels>,
     fluence: Tally,
     ss_candidates: Tally,
+    gravity: Tally,
 }
 
 impl Default for KernelCache {
@@ -161,9 +173,11 @@ impl KernelCache {
                 env,
                 fluence: ComputeOnce::new(),
                 ss_candidates: ComputeOnce::new(),
+                gravity: ComputeOnce::new(),
             }),
             fluence: Tally::default(),
             ss_candidates: Tally::default(),
+            gravity: Tally::default(),
         }
     }
 
@@ -173,6 +187,7 @@ impl KernelCache {
             kernels: Arc::clone(&self.kernels),
             fluence: Tally::default(),
             ss_candidates: Tally::default(),
+            gravity: Tally::default(),
         }
     }
 
@@ -182,9 +197,14 @@ impl KernelCache {
     }
 
     /// This handle's `(kernel, count)` pairs: `fluence` (daily fluence
-    /// integrations) and `ss_candidates` (SS peak-cell candidates).
-    pub fn counters(&self) -> [(&'static str, CacheCount); 2] {
-        [("fluence", self.fluence.count()), ("ss_candidates", self.ss_candidates.count())]
+    /// integrations), `ss_candidates` (SS peak-cell candidates) and
+    /// `gravity` (gravity fields).
+    pub fn counters(&self) -> [(&'static str, CacheCount); 3] {
+        [
+            ("fluence", self.fluence.count()),
+            ("ss_candidates", self.ss_candidates.count()),
+            ("gravity", self.gravity.count()),
+        ]
     }
 
     /// The daily fluence of `elements` from `epoch` at `step_s`
@@ -209,6 +229,19 @@ impl KernelCache {
         compute: impl FnOnce() -> Result<Candidates>,
     ) -> Result<Arc<Candidates>> {
         self.ss_candidates.fetch(&self.kernels.ss_candidates, key, || compute().map(Arc::new))
+    }
+
+    /// The gravity field of `model` at `key`'s UTC hour and site budget
+    /// ([`GravityField::new`]), built on first request. `key.0` must name
+    /// `model`: equal keys are served one field.
+    pub fn gravity_field(&self, key: GravityKey, model: &DemandModel) -> Arc<GravityField> {
+        let (_, hour_bits, sites) = key;
+        self.gravity
+            .fetch(&self.kernels.gravity, key, || {
+                let field = GravityField::new(model, f64::from_bits(hour_bits), sites);
+                Ok::<_, std::convert::Infallible>(Arc::new(field))
+            })
+            .unwrap_or_else(|never| match never {})
     }
 }
 

@@ -19,6 +19,14 @@
 //!    statistics stay comparable across `pairs` settings and the grid
 //!    total is conserved exactly (up to float summation).
 //!
+//! Steps 1 and 3 read no seed: the sites, their sampling tables and the
+//! grid total form a [`GravityField`], a function of the model, the UTC
+//! hour and the site budget alone. Only step 2's draws are seeded, so a
+//! sweep whose points differ in seed or pair count builds one field and
+//! draws from it per point ([`gravity_flows_in`]); [`gravity_flows`] is
+//! a fresh field plus one draw. A cell's diurnal weight depends on its
+//! longitude alone, so a field scan evaluates it once per column.
+//!
 //! Determinism contract: the flow list is a pure function of
 //! `(model, config)` — byte-identical across runs **and thread counts**.
 //! Generation is chunked; every chunk owns a seed derived from
@@ -29,9 +37,11 @@
 //! [`DiurnalModel`]: crate::diurnal::DiurnalModel
 
 use crate::error::{DemandError, Result};
+use crate::population::PopulationGrid;
 use crate::spatiotemporal::DemandModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssplane_astro::angles::wrap_hours;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
 
@@ -99,24 +109,39 @@ pub struct GravityFlow {
     pub rate: f64,
 }
 
-/// The whole grid's demand mass at `utc_hour` — the total the emitted
-/// flow rates conserve (summed in fixed south-to-north, west-to-east
-/// cell order).
-pub fn grid_demand_total(model: &DemandModel, utc_hour: f64) -> f64 {
+/// The diurnal weight of each longitude column at `utc_hour`. A cell's
+/// local solar hour, hence its weight, depends on its longitude alone,
+/// so one evaluation per column serves every latitude row.
+fn column_weights(model: &DemandModel, utc_hour: f64) -> Vec<f64> {
     let grid = &model.population;
-    let mut total = 0.0;
-    for i in 0..grid.lat_bins() {
-        let area = grid.cell_area_km2(i);
-        let lat = grid.lat_center_deg(i);
-        for j in 0..grid.lon_bins() {
-            total += model.demand_at_utc(lat, grid.lon_center_deg(j), utc_hour) * area;
-        }
-    }
-    total
+    (0..grid.lon_bins())
+        .map(|j| model.diurnal.weight(wrap_hours(utc_hour + grid.lon_center_deg(j) / 15.0)))
+        .collect()
 }
 
 /// A grid cell's `(mass, lat index, lon index)`.
 type Cell = (f64, usize, usize);
+
+/// Every grid cell's [`Cell`] under the column `weights`, south to north
+/// and west to east. A mass is `(density * weight) * area`: the product
+/// order of `demand_at_utc(..) * area`, so it is bit-identical to it.
+fn cell_masses<'a>(
+    grid: &'a PopulationGrid,
+    weights: &'a [f64],
+) -> impl Iterator<Item = Cell> + 'a {
+    (0..grid.lat_bins()).flat_map(move |i| {
+        let area = grid.cell_area_km2(i);
+        weights.iter().enumerate().map(move |(j, &w)| ((grid.cell(i, j) * w) * area, i, j))
+    })
+}
+
+/// The whole grid's demand mass at `utc_hour` — the total the emitted
+/// flow rates conserve (summed in fixed south-to-north, west-to-east
+/// cell order).
+pub fn grid_demand_total(model: &DemandModel, utc_hour: f64) -> f64 {
+    let weights = column_weights(model, utc_hour);
+    cell_masses(&model.population, &weights).fold(0.0, |total, (mass, _, _)| total + mass)
+}
 
 /// Orders cells heaviest first, ties by cell index.
 fn heaviest_first(a: &Cell, b: &Cell) -> std::cmp::Ordering {
@@ -147,20 +172,9 @@ fn heaviest_cells(cells: impl IntoIterator<Item = Cell>, n: usize) -> Vec<Cell> 
     kept
 }
 
-/// The top `n_sites` grid cells by demand mass at `utc_hour`, heaviest
-/// first (ties break on cell index, so the selection is deterministic).
-/// Cells with zero mass never become sites.
-pub fn gravity_sites(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<GravitySite> {
-    let grid = &model.population;
-    let cells = (0..grid.lat_bins()).flat_map(|i| {
-        let area = grid.cell_area_km2(i);
-        let lat = grid.lat_center_deg(i);
-        (0..grid.lon_bins()).filter_map(move |j| {
-            let mass = model.demand_at_utc(lat, grid.lon_center_deg(j), utc_hour) * area;
-            (mass > 0.0).then_some((mass, i, j))
-        })
-    });
-    heaviest_cells(cells, n_sites)
+/// The sites of `cells` (already in [`heaviest_first`] order).
+fn sites_of(grid: &PopulationGrid, cells: Vec<Cell>) -> Vec<GravitySite> {
+    cells
         .into_iter()
         .map(|(mass, i, j)| GravitySite {
             lat_deg: grid.lat_center_deg(i),
@@ -168,6 +182,72 @@ pub fn gravity_sites(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<
             mass,
         })
         .collect()
+}
+
+/// The top `n_sites` grid cells by demand mass at `utc_hour`, heaviest
+/// first (ties break on cell index, so the selection is deterministic).
+/// Cells with zero mass never become sites.
+pub fn gravity_sites(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<GravitySite> {
+    let weights = column_weights(model, utc_hour);
+    let cells = cell_masses(&model.population, &weights).filter(|&(mass, _, _)| mass > 0.0);
+    sites_of(&model.population, heaviest_cells(cells, n_sites))
+}
+
+/// The seed-free half of a gravity synthesis: the attraction sites at
+/// one UTC hour, the sampling tables over them, and the grid total the
+/// rates are normalized to. It depends only on the demand model, the UTC
+/// hour and the site budget, so every draw at those inputs — whatever
+/// its seed and pair count — can share one field
+/// ([`gravity_flows_in`]).
+#[derive(Debug)]
+pub struct GravityField {
+    utc_hour: f64,
+    site_budget: usize,
+    sites: Vec<GravitySite>,
+    /// Cumulative site mass, in site order.
+    prefix: Vec<f64>,
+    /// Site-to-site great-circle distance \[km\], row-major.
+    distance: Vec<f64>,
+    total: f64,
+}
+
+impl GravityField {
+    /// The field of `model` at `utc_hour` over its top `sites` cells: the
+    /// sites are [`gravity_sites`] and the total is
+    /// [`grid_demand_total`], both from one scan of the grid.
+    pub fn new(model: &DemandModel, utc_hour: f64, sites: usize) -> Self {
+        let grid = &model.population;
+        let weights = column_weights(model, utc_hour);
+        let mut total = 0.0;
+        let cells = cell_masses(grid, &weights)
+            .inspect(|&(mass, _, _)| total += mass)
+            .filter(|&(mass, _, _)| mass > 0.0);
+        let top = sites_of(grid, heaviest_cells(cells, sites));
+        // A few hundred sites: the tables are trivially small next to the
+        // draw count.
+        let mut prefix = Vec::with_capacity(top.len());
+        let mut acc = 0.0;
+        for s in &top {
+            acc += s.mass;
+            prefix.push(acc);
+        }
+        let points: Vec<GeoPoint> =
+            top.iter().map(|s| GeoPoint::from_degrees(s.lat_deg, s.lon_deg)).collect();
+        let distance =
+            points.iter().flat_map(|a| points.iter().map(|b| a.distance_km(b))).collect();
+        GravityField { utc_hour, site_budget: sites, sites: top, prefix, distance, total }
+    }
+
+    /// The attraction sites, heaviest first.
+    pub fn sites(&self) -> &[GravitySite] {
+        &self.sites
+    }
+
+    /// The whole grid's demand mass at the field's UTC hour
+    /// ([`grid_demand_total`]).
+    pub fn total(&self) -> f64 {
+        self.total
+    }
 }
 
 /// Draws one site index proportionally to site mass: binary search on
@@ -185,11 +265,10 @@ type RawDraw = (u32, u32, f64);
 fn generate_chunk(
     chunk: usize,
     count: usize,
-    sites: &[GravitySite],
-    prefix: &[f64],
-    distance: &[Vec<f64>],
+    field: &GravityField,
     config: &GravityConfig,
 ) -> Vec<RawDraw> {
+    let (sites, prefix) = (&field.sites, &field.prefix);
     let mut rng = StdRng::seed_from_u64(config.seed ^ (chunk as u64 + 1).wrapping_mul(CHUNK_SALT));
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
@@ -200,23 +279,39 @@ fn generate_chunk(
                 break d;
             }
         };
-        let w =
-            sites[src].mass * sites[dst].mass * (-distance[src][dst] / config.deterrence_km).exp();
+        let d_km = field.distance[src * sites.len() + dst];
+        let w = sites[src].mass * sites[dst].mass * (-d_km / config.deterrence_km).exp();
         out.push((src as u32, dst as u32, w));
     }
     out
 }
 
 /// Synthesizes `config.pairs` gravity-model flows over `threads` workers
-/// (`0` = the machine). The output is byte-identical for every thread
+/// (`0` = the machine): a fresh [`GravityField`] plus
+/// [`gravity_flows_in`]. The output is byte-identical for every thread
 /// count and the rates sum to [`grid_demand_total`] at `config.utc_hour`.
+///
+/// # Errors
+/// As [`gravity_flows_in`].
+pub fn gravity_flows(
+    model: &DemandModel,
+    config: &GravityConfig,
+    threads: usize,
+) -> Result<Vec<GravityFlow>> {
+    gravity_flows_in(&GravityField::new(model, config.utc_hour, config.sites), config, threads)
+}
+
+/// The seeded half of a gravity synthesis: `config.pairs` flows drawn
+/// over `field` on `threads` workers (`0` = the machine), byte-identical
+/// to [`gravity_flows`] for the same model and config.
 ///
 /// # Errors
 /// [`DemandError::EmptyGrid`] when `pairs` is zero or fewer than two
 /// sites carry demand mass, and [`DemandError::OutOfDomain`] for a
-/// non-positive deterrence scale.
-pub fn gravity_flows(
-    model: &DemandModel,
+/// non-positive deterrence scale or a config whose UTC hour or site
+/// budget is not the field's.
+pub fn gravity_flows_in(
+    field: &GravityField,
     config: &GravityConfig,
     threads: usize,
 ) -> Result<Vec<GravityFlow>> {
@@ -229,31 +324,23 @@ pub fn gravity_flows(
             expected: "a positive distance scale [km]",
         });
     }
-    let sites = gravity_sites(model, config.utc_hour, config.sites);
+    if config.utc_hour.to_bits() != field.utc_hour.to_bits() || config.sites != field.site_budget {
+        return Err(DemandError::OutOfDomain {
+            name: "utc_hour, sites",
+            expected: "the UTC hour and site budget the field was built at",
+        });
+    }
+    let sites = &field.sites;
     if sites.len() < 2 {
         return Err(DemandError::EmptyGrid { dimension: "sites" });
     }
-
-    // Shared sampling tables: cumulative mass and the site-to-site
-    // great-circle distance matrix (a few hundred sites → trivially
-    // small next to the draw count).
-    let mut prefix = Vec::with_capacity(sites.len());
-    let mut acc = 0.0;
-    for s in &sites {
-        acc += s.mass;
-        prefix.push(acc);
-    }
-    let points: Vec<GeoPoint> =
-        sites.iter().map(|s| GeoPoint::from_degrees(s.lat_deg, s.lon_deg)).collect();
-    let distance: Vec<Vec<f64>> =
-        points.iter().map(|a| points.iter().map(|b| a.distance_km(b)).collect()).collect();
 
     // Chunked generation: each chunk is a pure function of its index,
     // and `par_map` returns chunks in index order, so the output is
     // independent of scheduling.
     let n_chunks = config.pairs.div_ceil(CHUNK);
     let chunks: Vec<Vec<RawDraw>> = par_map((0..n_chunks).collect(), threads, |c| {
-        generate_chunk(c, CHUNK.min(config.pairs - c * CHUNK), &sites, &prefix, &distance, config)
+        generate_chunk(c, CHUNK.min(config.pairs - c * CHUNK), field, config)
     });
 
     // Normalize in chunk-then-draw order so the float summation is the
@@ -265,7 +352,7 @@ pub fn gravity_flows(
             expected: "a scale that leaves at least one pair with positive weight",
         });
     }
-    let scale = grid_demand_total(model, config.utc_hour) / weight_sum;
+    let scale = field.total / weight_sum;
     // `flatten` hides the length, so presize instead of growing by doubling.
     let mut flows = Vec::with_capacity(config.pairs);
     flows.extend(chunks.iter().flatten().map(|&(s, d, w)| {
@@ -303,6 +390,78 @@ mod tests {
 
     fn config(pairs: usize, seed: u64) -> GravityConfig {
         GravityConfig { pairs, sites: 64, seed, ..Default::default() }
+    }
+
+    /// The per-cell oracle of [`grid_demand_total`]: one
+    /// `demand_at_utc` (a diurnal weight) per cell.
+    fn total_per_cell(model: &DemandModel, utc_hour: f64) -> f64 {
+        let grid = &model.population;
+        let mut total = 0.0;
+        for i in 0..grid.lat_bins() {
+            let area = grid.cell_area_km2(i);
+            let lat = grid.lat_center_deg(i);
+            for j in 0..grid.lon_bins() {
+                total += model.demand_at_utc(lat, grid.lon_center_deg(j), utc_hour) * area;
+            }
+        }
+        total
+    }
+
+    /// The per-cell oracle of [`gravity_sites`].
+    fn sites_per_cell(model: &DemandModel, utc_hour: f64, n_sites: usize) -> Vec<GravitySite> {
+        let grid = &model.population;
+        let mut cells = Vec::new();
+        for i in 0..grid.lat_bins() {
+            let area = grid.cell_area_km2(i);
+            let lat = grid.lat_center_deg(i);
+            for j in 0..grid.lon_bins() {
+                let mass = model.demand_at_utc(lat, grid.lon_center_deg(j), utc_hour) * area;
+                if mass > 0.0 {
+                    cells.push((mass, i, j));
+                }
+            }
+        }
+        cells.sort_by(heaviest_first);
+        cells.truncate(n_sites);
+        sites_of(grid, cells)
+    }
+
+    /// Bit patterns of sites, so `-0.0` and `0.0` tell apart.
+    fn site_bits(sites: &[GravitySite]) -> Vec<[u64; 3]> {
+        sites.iter().map(|s| [s.lat_deg.to_bits(), s.lon_deg.to_bits(), s.mass.to_bits()]).collect()
+    }
+
+    fn flow_bits(flows: &[GravityFlow]) -> Vec<[u64; 5]> {
+        flows
+            .iter()
+            .map(|f| {
+                [f.src_lat_deg, f.src_lon_deg, f.dst_lat_deg, f.dst_lon_deg, f.rate]
+                    .map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_field_serves_every_draw_bit_for_bit() {
+        let m = model();
+        let field = GravityField::new(&m, 12.0, 64);
+        for (seed, pairs) in [(0, 1), (7, 500), (8, 500), (21, CHUNK + 3), (99, 2 * CHUNK)] {
+            let cfg = config(pairs, seed);
+            let shared = gravity_flows_in(&field, &cfg, 2).unwrap();
+            let fresh = gravity_flows(&m, &cfg, 1).unwrap();
+            assert_eq!(flow_bits(&shared), flow_bits(&fresh), "seed {seed}, {pairs} pairs");
+        }
+    }
+
+    #[test]
+    fn a_field_rejects_a_config_it_was_not_built_for() {
+        let m = model();
+        let field = GravityField::new(&m, 12.0, 64);
+        assert!(gravity_flows_in(&field, &config(100, 1), 1).is_ok());
+        let other_hour = GravityConfig { utc_hour: 6.0, ..config(100, 1) };
+        assert!(gravity_flows_in(&field, &other_hour, 1).is_err());
+        let other_sites = GravityConfig { sites: 65, ..config(100, 1) };
+        assert!(gravity_flows_in(&field, &other_sites, 1).is_err());
     }
 
     #[test]
@@ -391,6 +550,38 @@ mod tests {
             full.sort_by(heaviest_first);
             full.truncate(n);
             prop_assert_eq!(heaviest_cells(cells, n), full);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The column-factored scans equal the per-cell oracle bit for
+        /// bit — total, sites, and the field built from one scan — over
+        /// grid shapes (odd `lon_bins` included), UTC hours at and near
+        /// the wrap, and site budgets.
+        #[test]
+        fn factored_scans_equal_the_per_cell_oracle(
+            lat_bins in 1usize..48,
+            lon_bins in 1usize..97,
+            hour_case in 0usize..5,
+            any_hour in 0.0f64..24.0,
+            n_sites in 0usize..90,
+            seed in 0u64..1000,
+        ) {
+            let m = DemandModel::new(
+                PopulationGrid::synthetic(PopulationConfig { lat_bins, lon_bins, n_cities: 60, seed })
+                    .unwrap(),
+                DiurnalModel::default(),
+            );
+            let hour = [0.0, -0.0, 11.999, 23.99, any_hour][hour_case];
+            let total = total_per_cell(&m, hour);
+            let sites = site_bits(&sites_per_cell(&m, hour, n_sites));
+            prop_assert_eq!(grid_demand_total(&m, hour).to_bits(), total.to_bits());
+            prop_assert_eq!(site_bits(&gravity_sites(&m, hour, n_sites)), sites.clone());
+            let field = GravityField::new(&m, hour, n_sites);
+            prop_assert_eq!(field.total().to_bits(), total.to_bits());
+            prop_assert_eq!(site_bits(field.sites()), sites);
         }
     }
 

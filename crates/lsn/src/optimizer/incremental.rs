@@ -39,7 +39,7 @@
 //!    a mask is the first alive entry — the masked index's first-wins
 //!    maximum without a constellation-wide scan.
 //! 4. **An indexed demand tally** — workload flows are interned by
-//!    endpoint pair once per evaluator, each pair is classified once per
+//!    endpoint pair once per workload, each pair is classified once per
 //!    candidate, and one flow-order pass accumulates into a dense
 //!    per-satellite-pair vector (`traffic_engine::tally_attachments`,
 //!    the same routine the full engine uses), making the same additions
@@ -337,8 +337,8 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                 let index = ServingIndex::new(ev.series.snapshot(k), ev.min_elevation);
                 let topology = &ev.topologies[k];
                 ranked.push(RankedServers::build(&index, topology, &flow_index.points));
-                let w_points = match &ev.w_flows {
-                    Some(w) if needs_served => &w.points[..],
+                let w_points = match ev.workload {
+                    Some(w) if needs_served => &w.flows.index().points[..],
                     _ => &[],
                 };
                 w_ranked.push(RankedServers::build(&index, topology, w_points));
@@ -591,7 +591,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         if w.flows.is_empty() {
             return (ServedState::default(), ServedDemandSummary::empty(0, 0.0, 0.0));
         }
-        let flows = self.ev.w_flows.as_ref().expect("interned with the workload");
+        let flows = w.flows.index();
         let topo = &self.ev.topologies[k];
         let servers = self.w_ranked[k].servers(mask);
         let tally = tally_attachments(&w.flows, flows, &servers);

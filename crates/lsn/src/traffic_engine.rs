@@ -69,8 +69,9 @@ impl Default for CapacityConfig {
 /// and degraded passes.
 #[derive(Debug, Clone)]
 pub struct TrafficWorkload {
-    /// Ground-to-ground flows (typically gravity-model output).
-    pub flows: Vec<Flow>,
+    /// Ground-to-ground flows (typically gravity-model output), interned
+    /// once at construction.
+    pub flows: InternedFlows,
     /// The capacity model.
     pub capacity: CapacityConfig,
 }
@@ -79,7 +80,7 @@ impl TrafficWorkload {
     /// Builds a workload from gravity-model flows, rescaling rates by
     /// `scale` (e.g. from grid demand mass to satellite-capacity units).
     pub fn from_gravity(gravity: &[GravityFlow], scale: f64, capacity: CapacityConfig) -> Self {
-        let flows = gravity
+        let flows: Vec<Flow> = gravity
             .iter()
             .map(|g| Flow {
                 src: GeoPoint::from_degrees(g.src_lat_deg, g.src_lon_deg),
@@ -87,7 +88,33 @@ impl TrafficWorkload {
                 demand: g.rate * scale,
             })
             .collect();
-        TrafficWorkload { flows, capacity }
+        let index = FlowIndex::new(&flows);
+        TrafficWorkload { flows: InternedFlows { flows, index }, capacity }
+    }
+}
+
+/// A read-only flow list with its interned endpoints and endpoint pairs,
+/// built together so the index always describes the flows. It derefs to
+/// `[Flow]`; every assignment over a workload reuses the one index
+/// instead of interning the flows again.
+#[derive(Debug, Clone)]
+pub struct InternedFlows {
+    flows: Vec<Flow>,
+    index: FlowIndex,
+}
+
+impl InternedFlows {
+    /// The interned endpoints and endpoint pairs of the flows.
+    pub(crate) fn index(&self) -> &FlowIndex {
+        &self.index
+    }
+}
+
+impl std::ops::Deref for InternedFlows {
+    type Target = [Flow];
+
+    fn deref(&self) -> &[Flow] {
+        &self.flows
     }
 }
 
@@ -226,7 +253,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// attachment work of a mask is then one lookup per distinct endpoint,
 /// and the demand tally classifies each distinct endpoint pair once
 /// instead of every flow.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct FlowIndex {
     /// Distinct endpoint coordinates (bit-exact), first-appearance order.
     pub(crate) points: Vec<GeoPoint>,
@@ -600,6 +627,16 @@ mod tests {
             120.0 / total,
             CapacityConfig { link_capacity: capacity, k_paths },
         )
+    }
+
+    #[test]
+    fn a_workload_index_is_the_index_of_its_flows() {
+        let w = workload(3000, 1.0, 2);
+        let fresh = FlowIndex::new(&w.flows);
+        assert_eq!(w.flows.index(), &fresh);
+        assert_eq!(fresh.flow_pair.len(), 3000);
+        assert!(fresh.points.len() <= 48, "gravity endpoints are the 48 sites");
+        assert_eq!(w.clone().flows.index(), &fresh, "a clone carries the same index");
     }
 
     #[test]

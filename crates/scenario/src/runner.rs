@@ -14,9 +14,12 @@
 //! it to every point: the daily fluence integral of each distinct
 //! (orbit, epoch, step) and the SS designer's candidate planes through
 //! each distinct peak cell (per grid shape, altitude and elevation mask)
-//! are computed once per run, however many points need them. Points of
-//! the paper sweep repeat both (the same plane recurs across demand
-//! levels and spare budgets), and the reuse is exact, so a point inside
+//! are computed once per run, however many points need them, and so is
+//! the gravity workload's seed-free field per distinct (demand model,
+//! UTC hour, site budget). Points of the paper sweep repeat the first two
+//! (the same plane recurs across demand levels and spare budgets), points
+//! of an attack or capacity sweep the field (each point draws its own
+//! seeded pairs from it), and the reuse is exact, so a point inside
 //! a sweep reports the same bytes as the point run alone. The cache is
 //! per run, not per process: a long-lived process would otherwise grow
 //! it without bound, and a timed pass would reuse work an earlier pass
@@ -45,13 +48,13 @@ use crate::sweep::SweepSpec;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par;
 use ssplane_astro::time::Epoch;
-use ssplane_core::cache::{CacheCount, ComputeOnce, KernelCache};
+use ssplane_core::cache::{CacheCount, ComputeOnce, GravityKey, KernelCache};
 use ssplane_core::evaluate::{plane_fluence_samples_in, weighted_median_fluence};
 use ssplane_core::system::{
     DesignParams, DesignSummary, DesignedSystem, Designer, RgtDesigner, SlimDesigner, SsDesigner,
     StarlinkDesigner, WalkerDesigner,
 };
-use ssplane_demand::gravity::{gravity_flows, grid_demand_total, GravityConfig};
+use ssplane_demand::gravity::{gravity_flows_in, GravityConfig};
 use ssplane_demand::grid::LatTodGrid;
 use ssplane_demand::DemandModel;
 use ssplane_lsn::disruption::{strided_plane_indices, AttackModel, AttackTarget, OutageTimeline};
@@ -99,14 +102,30 @@ const TRAFFIC_SEED_SALT: u64 = 0x0054_5241_4646_4943;
 /// [`KernelCache`]. Each seed is a compute-once cell: concurrent workers
 /// wanting the *same* new seed wait for one synthesis rather than racing
 /// on it, while first touches of *distinct* seeds synthesize in parallel.
-fn shared_demand_model(seed: u64) -> Arc<DemandModel> {
+fn shared_demand_model(spec: &ScenarioSpec) -> Arc<DemandModel> {
     static MODELS: ComputeOnce<u64, Arc<DemandModel>> = ComputeOnce::new();
+    let seed = demand_key(spec);
     MODELS.get_or_compute(seed, || {
         Arc::new(
             DemandModel::synthetic_seeded(seed)
                 .expect("default-resolution synthesis is valid for every seed"),
         )
     })
+}
+
+/// The key of the spec's demand model: the `demand.seed` it is
+/// synthesized from. [`shared_demand_model`] and [`gravity_key`] both
+/// derive from it, so the two caches cannot disagree on which model a
+/// spec names.
+fn demand_key(spec: &ScenarioSpec) -> u64 {
+    spec.demand.seed
+}
+
+/// The run cache's key for the spec's gravity field: exactly what
+/// [`GravityField::new`](ssplane_demand::gravity::GravityField::new)
+/// reads — the demand model, `network.utc_hour` and `traffic.sites`.
+fn gravity_key(spec: &ScenarioSpec) -> GravityKey {
+    (demand_key(spec), spec.network.utc_hour.to_bits(), spec.traffic.sites)
 }
 
 /// The designer registry: the [`Designer`] a registry name (an entry of
@@ -607,10 +626,11 @@ struct TrafficInputs {
 
 /// Builds the point's [`TrafficInputs`]: one seeded flow sample and, when
 /// asked for, the gravity workload (its pair draws on `point_threads`
-/// workers, `0` = the machine).
+/// workers, `0` = the machine, from the run's shared field in `cache`).
 fn traffic_inputs(
     spec: &ScenarioSpec,
     model: &DemandModel,
+    cache: &KernelCache,
     point_threads: usize,
 ) -> Result<TrafficInputs> {
     // Flow endpoints are demand-weighted; the stream is derived from the
@@ -625,7 +645,8 @@ fn traffic_inputs(
     // The gravity workload, when asked for: seeded pair sampling over the
     // same demand model, rescaled so the offered total is the scenario's
     // `demand.total_demand_b` (satellite-capacity units — the same units
-    // `traffic.capacity_gbps` budgets each ISL in).
+    // `traffic.capacity_gbps` budgets each ISL in). The seed-free field
+    // is built once per run and shared by every point that reads it.
     let workload = if spec.traffic.model == TrafficModel::Gravity {
         let config = GravityConfig {
             pairs: spec.traffic.pairs,
@@ -634,11 +655,11 @@ fn traffic_inputs(
             seed: spec.seed ^ TRAFFIC_SEED_SALT,
             ..GravityConfig::default()
         };
-        let gravity = gravity_flows(model, &config, point_threads)?;
-        let total = grid_demand_total(model, spec.network.utc_hour);
+        let field = cache.gravity_field(gravity_key(spec), model);
+        let gravity = gravity_flows_in(&field, &config, point_threads)?;
         Some(TrafficWorkload::from_gravity(
             &gravity,
-            spec.demand.total_demand_b / total,
+            spec.demand.total_demand_b / field.total(),
             CapacityConfig {
                 link_capacity: spec.traffic.capacity_gbps,
                 k_paths: spec.traffic.k_paths,
@@ -1099,7 +1120,7 @@ fn run_scenario(
     spec.validate()?;
 
     // Demand stage.
-    let model = clock.time("demand.model", || shared_demand_model(spec.demand.seed));
+    let model = clock.time("demand.model", || shared_demand_model(spec));
     let grid = clock.time("demand.grid", || {
         LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
     })?;
@@ -1142,7 +1163,7 @@ fn run_scenario(
                 let inputs = match traffic.get() {
                     Some(inputs) => inputs,
                     None => {
-                        let built = traffic_inputs(spec, &model, point_threads)?;
+                        let built = traffic_inputs(spec, &model, cache, point_threads)?;
                         traffic.get_or_init(|| built)
                     }
                 };
@@ -1513,6 +1534,39 @@ mod tests {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
         }
+    }
+
+    #[test]
+    fn out_of_range_utc_hours_fail_per_point() {
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        ok.network.slots = 1;
+        ok.traffic.model = crate::spec::TrafficModel::Gravity;
+        ok.traffic.pairs = 200;
+        ok.traffic.sites = 16;
+        let at = |hour: f64| {
+            let mut spec = ok.clone();
+            spec.network.utc_hour = hour;
+            spec
+        };
+        let bad = [1e20, 1e308, 24.0, -1.0, -1e-9, f64::NAN, f64::INFINITY];
+        let mut specs: Vec<ScenarioSpec> = bad.iter().map(|&h| at(h)).collect();
+        specs.extend([at(0.0), at(-0.0), at(23.99)]);
+        let outcome = Runner::with_threads(1).run_specs(&specs);
+        for (k, hour) in bad.iter().enumerate() {
+            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
+            assert!(err.contains("network.utc_hour"), "utc_hour {hour}: {err}");
+        }
+        assert!(outcome.reports[bad.len()..].iter().all(Result::is_ok));
+        // Off the network stage the hour is never read, so it never fails.
+        let mut off = at(1e20);
+        off.network.enabled = false;
+        off.traffic.model = crate::spec::TrafficModel::Sampled;
+        assert!(execute_scenario(&off).is_ok());
     }
 
     #[test]
@@ -1934,26 +1988,84 @@ horizon_years = 2.0
         .unwrap()
     }
 
+    /// Two UTC hours × two link capacities over a small gravity
+    /// workload: four points, each drawing its own seeded pairs, from
+    /// two distinct gravity fields.
+    fn gravity_hours_sweep() -> SweepSpec {
+        crate::config::sweep_from_toml(
+            r#"
+name = "gravity-fields"
+seed = 5
+
+[demand]
+total_demand_b = 10.0
+lat_bins = 18
+tod_bins = 12
+
+[design]
+kinds = ["ss"]
+
+[radiation]
+enabled = false
+
+[survivability]
+enabled = false
+
+[network]
+enabled = true
+n_flows = 20
+slots = 1
+
+[traffic]
+model = "gravity"
+pairs = 400
+sites = 16
+
+[sweep]
+"network.utc_hour" = [6.0, 12.0]
+"traffic.capacity_gbps" = [2.0, 8.0]
+"#,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn kernel_cache_counts_are_pinned_and_thread_independent() {
-        let sweep = paper_shaped_sweep();
-        let expected = vec![
-            ("fluence", CacheCount { computed: 34, requested: 120 }),
-            ("ss_candidates", CacheCount { computed: 6, requested: 68 }),
+        let cases = [
+            (
+                paper_shaped_sweep(),
+                8,
+                vec![
+                    ("fluence", CacheCount { computed: 34, requested: 120 }),
+                    ("ss_candidates", CacheCount { computed: 6, requested: 68 }),
+                    ("gravity", CacheCount { computed: 0, requested: 0 }),
+                ],
+            ),
+            (
+                gravity_hours_sweep(),
+                4,
+                vec![
+                    ("fluence", CacheCount { computed: 0, requested: 0 }),
+                    ("ss_candidates", CacheCount { computed: 6, requested: 24 }),
+                    ("gravity", CacheCount { computed: 2, requested: 4 }),
+                ],
+            ),
         ];
-        for threads in [1, 2, 7] {
-            let runner = Runner::with_threads(threads);
-            let outcome = runner.run_sweep(&sweep).unwrap();
-            assert_eq!(outcome.ok_count(), 8);
-            assert_eq!(outcome.cache_counters(), expected, "{threads} threads");
-            let table = outcome.timings_table();
-            for (kernel, count) in &expected {
-                let row = format!("sweep\tcache.{kernel}.computed\t{}\n", count.computed);
-                assert!(table.contains(&row), "{row:?} missing");
+        for (sweep, points, expected) in &cases {
+            for threads in [1, 2, 7] {
+                let runner = Runner::with_threads(threads);
+                let outcome = runner.run_sweep(sweep).unwrap();
+                assert_eq!(outcome.ok_count(), *points);
+                assert_eq!(&outcome.cache_counters(), expected, "{threads} threads");
+                let table = outcome.timings_table();
+                for (kernel, count) in expected {
+                    let row = format!("sweep\tcache.{kernel}.computed\t{}\n", count.computed);
+                    assert!(table.contains(&row), "{row:?} missing");
+                }
+                // The cache lives for one run: the next run starts empty
+                // and computes every kernel again.
+                assert_eq!(&runner.run_sweep(sweep).unwrap().cache_counters(), expected);
             }
-            // The cache lives for one run: the next run starts empty and
-            // computes every kernel again.
-            assert_eq!(runner.run_sweep(&sweep).unwrap().cache_counters(), expected);
         }
     }
 
@@ -1996,7 +2108,7 @@ horizon_years = 2.0
         spec.radiation.enabled = false;
         spec.survivability.enabled = false;
         let designer = designer_for("ss", &spec.design);
-        let model = shared_demand_model(spec.demand.seed);
+        let model = shared_demand_model(&spec);
         let grid = LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
             .unwrap()
             .scaled(1.0);
@@ -2604,7 +2716,7 @@ horizon_years = 2.0
         // The catalog's shell structure, from the same designer the
         // pipeline will run.
         let designer = designer_for("starlink", &spec.design);
-        let model = shared_demand_model(spec.demand.seed);
+        let model = shared_demand_model(&spec);
         let grid = LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
             .unwrap()
             .scaled(1.0);

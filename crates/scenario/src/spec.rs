@@ -677,7 +677,7 @@ pub struct NetworkSpec {
     pub enabled: bool,
     /// Number of demand-weighted ground flows to route.
     pub n_flows: usize,
-    /// UTC hour at which flows are sampled.
+    /// UTC hour at which flows are sampled, in `[0, 24)`.
     pub utc_hour: f64,
     /// Minimum terminal elevation \[deg\] for up/downlinks (the routing
     /// examples' 20°, more permissive than the design elevation).
@@ -907,6 +907,15 @@ impl ScenarioSpec {
                     "network.n_flows",
                     &self.network.n_flows.to_string(),
                     &format!("<= {MAX_N_FLOWS}"),
+                ));
+            }
+            // The hour places the constellation and the demand field (and
+            // keys the run's gravity-field cache): one day's hours only.
+            if !(0.0..24.0).contains(&self.network.utc_hour) {
+                return Err(ScenarioError::bad_value(
+                    "network.utc_hour",
+                    &self.network.utc_hour.to_string(),
+                    "an hour in [0, 24)",
                 ));
             }
             if !positive(self.network.max_range_km) {

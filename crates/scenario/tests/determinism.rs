@@ -5,9 +5,11 @@
 //! 2. so does running it under different thread counts;
 //! 3. per-scenario seeds are stable under sweep-axis reordering;
 //! 4. a point run alone reports the same bytes as inside a sweep whose
-//!    points share the run's kernel cache.
+//!    points share the run's kernel cache (fluence integrals, SS
+//!    candidate planes, gravity fields).
 
 use proptest::prelude::*;
+use ssplane_core::cache::CacheCount;
 use ssplane_scenario::config::sweep_from_toml;
 use ssplane_scenario::runner::{execute_scenario, Runner};
 use ssplane_scenario::spec::ScenarioSpec;
@@ -134,19 +136,77 @@ horizon_years = 2.0
     .unwrap()
 }
 
+/// A gravity workload over SS at test scale: two demand models × two
+/// site budgets × two pair counts, so each of the four gravity fields
+/// serves two points that draw their own seeded pairs from it.
+fn gravity_sweep() -> SweepSpec {
+    sweep_from_toml(
+        r#"
+name = "alone-vs-sweep-gravity"
+seed = 11
+
+[demand]
+total_demand_b = 10.0
+lat_bins = 18
+tod_bins = 12
+
+[design]
+kinds = ["ss"]
+
+[radiation]
+enabled = false
+
+[survivability]
+enabled = false
+
+[attack]
+planes_lost = 1
+
+[network]
+enabled = true
+n_flows = 20
+slots = 2
+slot_s = 300.0
+with_outages = true
+
+[traffic]
+model = "gravity"
+k_paths = 2
+
+[sweep]
+"demand.seed" = [42, 7]
+"traffic.sites" = [16, 24]
+"traffic.pairs" = [300, 500]
+"#,
+    )
+    .unwrap()
+}
+
 #[test]
 fn a_point_alone_equals_the_same_point_inside_a_sweep() {
-    let specs = paper_shaped_sweep().expand().unwrap();
-    let outcome = Runner::with_threads(2).run_specs(&specs);
-    for (_, count) in outcome.cache_counters() {
-        assert!(count.computed < count.requested, "the sweep shared nothing: {count:?}");
-    }
-    let jsonl = outcome.to_jsonl();
-    let lines: Vec<&str> = jsonl.lines().collect();
-    assert_eq!(lines.len(), specs.len());
-    for (spec, line) in specs.iter().zip(lines) {
-        let alone = execute_scenario(spec).unwrap().to_json_line();
-        assert_eq!(alone, line, "{}", spec.name);
+    let cases = [
+        (paper_shaped_sweep(), &["fluence", "ss_candidates"][..]),
+        (gravity_sweep(), &["ss_candidates", "gravity"][..]),
+    ];
+    for (sweep, shared) in cases {
+        let specs = sweep.expand().unwrap();
+        let outcome = Runner::with_threads(2).run_specs(&specs);
+        // Every kernel the sweep requests must be shared across its
+        // points; every other kernel must not be requested at all.
+        for (kernel, count) in outcome.cache_counters() {
+            if shared.contains(&kernel) {
+                assert!(count.computed < count.requested, "{kernel}: shared nothing: {count:?}");
+            } else {
+                assert_eq!(count, CacheCount::default(), "{kernel}: requested unexpectedly");
+            }
+        }
+        let jsonl = outcome.to_jsonl();
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), specs.len());
+        for (spec, line) in specs.iter().zip(lines) {
+            let alone = execute_scenario(spec).unwrap().to_json_line();
+            assert_eq!(alone, line, "{}", spec.name);
+        }
     }
 }
 
