@@ -248,7 +248,7 @@ mod tests {
     fn scoping_policy() {
         let all = rules_for_path("crates/lsn/src/percolation.rs");
         assert!(all.contains(&Rule::LossyCast) && all.contains(&Rule::HashIter));
-        let scenario = rules_for_path("crates/scenario/src/runner.rs");
+        let scenario = rules_for_path("crates/scenario/src/runner/mod.rs");
         assert!(scenario.contains(&Rule::WallClock) && !scenario.contains(&Rule::LossyCast));
         let compat = rules_for_path("crates/compat/criterion/src/lib.rs");
         assert!(!compat.contains(&Rule::WallClock) && compat.contains(&Rule::HashIter));

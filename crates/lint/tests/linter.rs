@@ -59,7 +59,7 @@ fn lossy_cast_positive_and_negative() {
 #[test]
 fn lossy_cast_only_fires_where_enabled() {
     // The same source is clean when scanned with a non-lsn rule set.
-    let rules = rules_for_path("crates/scenario/src/runner.rs");
+    let rules = rules_for_path("crates/scenario/src/runner/mod.rs");
     assert!(!rules.contains(&Rule::LossyCast));
     assert!(scan_fixture("lossy_cast_pos.rs", &rules).is_empty());
 }

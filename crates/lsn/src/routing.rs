@@ -812,6 +812,25 @@ pub fn route_ground_to_ground(
     assemble_route(snapshot, src, dst, s_sat, d_sat, hops, isl_km)
 }
 
+/// Number of *handoffs* along one flow's per-slot serving pairs
+/// (first/last hop, `None` where the flow is unroutable): transitions
+/// where the pair changed between consecutive routable slots. An
+/// unroutable slot resets the comparison: re-acquiring service on a
+/// different pair after an outage gap is a fresh attachment, not a
+/// handoff, so `route → gap → route` never counts — only strictly
+/// adjacent routable slots do.
+pub fn count_handoffs(ends: impl IntoIterator<Item = Option<(SatId, SatId)>>) -> usize {
+    let mut count = 0;
+    let mut prev = None;
+    for pair in ends {
+        if let (Some(p), Some(e)) = (prev, pair) {
+            count += usize::from(p != e);
+        }
+        prev = pair;
+    }
+    count
+}
+
 /// A time-expanded routing result: one route per time slot plus handoff
 /// statistics.
 #[derive(Debug, Clone)]
@@ -828,30 +847,14 @@ impl TimeExpandedRoutes {
         self.routes.iter().filter(|r| r.is_some()).count()
     }
 
-    /// Number of *handoffs*: slot transitions where the serving pair
-    /// (first/last hop) changed between consecutive reachable slots. An
-    /// unreachable slot resets the comparison: re-acquiring service on a
-    /// different pair after an outage gap is a fresh attachment, not a
-    /// handoff, so `route → gap → route` never counts — only strictly
-    /// adjacent routable slots do.
+    /// Number of *handoffs* of the reference pair ([`count_handoffs`]
+    /// over each slot's first/last hop).
     pub fn handoffs(&self) -> usize {
-        let mut count = 0;
-        let mut prev: Option<(SatId, SatId)> = None;
-        for r in &self.routes {
-            let Some(r) = r else {
-                prev = None;
-                continue;
-            };
-            let ends =
-                (*r.hops.first().expect("route has hops"), *r.hops.last().expect("route has hops"));
-            if let Some(p) = prev {
-                if p != ends {
-                    count += 1;
-                }
-            }
-            prev = Some(ends);
-        }
-        count
+        count_handoffs(self.routes.iter().map(|r| {
+            r.as_ref().map(|r| {
+                (*r.hops.first().expect("route has hops"), *r.hops.last().expect("route has hops"))
+            })
+        }))
     }
 
     /// Mean delay over reachable slots \[ms\] (NaN if never reachable).

@@ -240,13 +240,14 @@ fn reconstruct(prev: &[usize], src: usize, dst: usize) -> Vec<usize> {
     path
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = crate::cast::f64_to_index((q * sorted.len() as f64).ceil());
-    sorted[rank.clamp(1, sorted.len()) - 1]
+/// Nearest-rank percentile of an ascending-sorted sample (`None` if
+/// empty): the smallest value with at least `q·n` of the sample at or
+/// below it, i.e. 1-based rank `ceil(q·n)` clamped to `[1, n]`. At
+/// `n = 10, q = 0.5` this is the 5th value, not a rounded linear index.
+pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
+    let n = sorted.len();
+    let rank = crate::cast::f64_to_index((q * n as f64).ceil());
+    (n > 0).then(|| sorted[rank.clamp(1, n) - 1])
 }
 
 /// Flow endpoints and endpoint pairs, interned once per flow list: the
@@ -494,9 +495,9 @@ where
         dropped,
         unattached: tally.unattached,
         served_fraction: if offered > 0.0 { served / offered } else { 0.0 },
-        utilization_p50: percentile(&utilization, 0.50),
-        utilization_p90: percentile(&utilization, 0.90),
-        utilization_p99: percentile(&utilization, 0.99),
+        utilization_p50: percentile(&utilization, 0.50).unwrap_or(0.0),
+        utilization_p90: percentile(&utilization, 0.90).unwrap_or(0.0),
+        utilization_p99: percentile(&utilization, 0.99).unwrap_or(0.0),
         utilization_max: utilization.last().copied().unwrap_or(0.0),
     }
 }
@@ -794,5 +795,21 @@ mod tests {
             let accounted = s.served + s.dropped + s.unattached;
             prop_assert!((accounted - s.offered).abs() < 1e-6 * s.offered.max(1.0));
         }
+    }
+
+    #[test]
+    fn percentile_is_true_nearest_rank() {
+        // At n = 10, q = 0.5 nearest-rank is the 5th value; a rounded
+        // linear index would return the 6th.
+        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&sorted, 0.5), Some(5.0));
+        assert_eq!(percentile(&sorted, 0.9), Some(9.0));
+        assert_eq!(percentile(&sorted, 0.99), Some(10.0));
+        assert_eq!(percentile(&sorted, 1.0), Some(10.0));
+        assert_eq!(percentile(&sorted, 0.0), Some(1.0), "rank clamps to the first value");
+        // ceil(0.5 * 4) = rank 2.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
+        assert_eq!(percentile(&[7.5], 0.5), Some(7.5));
+        assert_eq!(percentile(&[], 0.5), None, "callers choose the empty value");
     }
 }

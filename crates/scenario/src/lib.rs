@@ -71,6 +71,6 @@ pub mod toml;
 
 pub use error::{Result, ScenarioError};
 pub use report::{NamedSystemReport, ScenarioReport, SystemReport};
-pub use runner::{execute_scenario, execute_scenario_timed, Runner, ScenarioTimings, SweepOutcome};
+pub use runner::{execute_scenario, Runner, ScenarioTimings, SweepOutcome};
 pub use spec::{resolve_design_kind, ScenarioSpec};
 pub use sweep::SweepSpec;

@@ -6,39 +6,19 @@
 //! [`crate::json::Json`] builder.
 
 use crate::json::Json;
+use ssplane_core::system::DesignSummary;
 
-/// Design-stage outcome for one system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DesignReport {
-    /// Total satellites.
-    pub sats: usize,
-    /// Orbital planes (for Walker: summed across shells).
-    pub planes: usize,
-    /// Walker shells; equals `planes` for the SS design (one "shell" per
-    /// plane at the shared altitude/inclination would be meaningless, so
-    /// the SS designer's plane count is reported unchanged).
-    pub shells: usize,
-    /// Satellites per plane (SS street-of-coverage sizing; for Walker the
-    /// constellation mean used by the survivability stage).
-    pub sats_per_plane: usize,
-    /// Common inclination \[deg\] (SS) or satellite-weighted mean shell
-    /// inclination \[deg\] (Walker).
-    pub inclination_deg: f64,
-    /// Demand the design could not serve (SS only; 0 for Walker).
-    pub unserved_demand: f64,
-}
-
-impl DesignReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .uint("sats", self.sats as u64)
-            .uint("planes", self.planes as u64)
-            .uint("shells", self.shells as u64)
-            .uint("sats_per_plane", self.sats_per_plane as u64)
-            .num("inclination_deg", self.inclination_deg)
-            .num("unserved_demand", self.unserved_demand)
-            .build()
-    }
+/// The design block of a system's JSON: every [`DesignSummary`] field,
+/// in declaration order.
+fn design_json(design: &DesignSummary) -> Json {
+    Json::obj()
+        .uint("sats", design.sats as u64)
+        .uint("planes", design.planes as u64)
+        .uint("shells", design.shells as u64)
+        .uint("sats_per_plane", design.sats_per_plane as u64)
+        .num("inclination_deg", design.inclination_deg)
+        .num("unserved_demand", design.unserved_demand)
+        .build()
 }
 
 /// Radiation-stage outcome for one system.
@@ -174,7 +154,7 @@ impl PerSatelliteReport {
 }
 
 /// Survivability-stage outcome for one system.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SurvivabilityOutcome {
     /// Time-averaged fraction of slots with a working satellite.
     pub availability: f64,
@@ -534,7 +514,7 @@ impl NetworkReport {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// Design stage (always present).
-    pub design: DesignReport,
+    pub design: DesignSummary,
     /// Radiation stage (if enabled).
     pub fluence: Option<FluenceReport>,
     /// Attack stage (if `planes_lost > 0`).
@@ -549,7 +529,7 @@ pub struct SystemReport {
 
 impl SystemReport {
     fn to_json(&self) -> Json {
-        let mut obj = Json::obj().field("design", self.design.to_json());
+        let mut obj = Json::obj().field("design", design_json(&self.design));
         if let Some(f) = &self.fluence {
             obj = obj.field("fluence", f.to_json());
         }
@@ -642,7 +622,7 @@ mod tests {
             systems: vec![NamedSystemReport {
                 system: "ss".to_string(),
                 report: SystemReport {
-                    design: DesignReport {
+                    design: DesignSummary {
                         sats: 100,
                         planes: 4,
                         shells: 4,

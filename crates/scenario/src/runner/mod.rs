@@ -28,67 +28,40 @@
 //!
 //! The pipeline is **design-generic**: every system a scenario selects
 //! (`design.kinds`) is produced by a [`Designer`] from the
-//! `ssplane-core` registry, and one shared sequence of stages — design →
-//! attack → fluence → survivability → network — runs over the resulting
-//! [`DesignedSystem`]s in registry order. Stage plumbing goes through the
-//! existing crates, not re-implementations: `ssplane_demand` (grid) →
-//! `ssplane_core::system` designers → `ssplane_core::evaluate` fluence
-//! sampling over `ssplane_radiation` → `ssplane_lsn::{survivability,
-//! traffic, routing}`.
+//! `ssplane-core` registry, and one shared sequence of stages runs over
+//! the resulting designed systems in registry order. Each stage has its
+//! own file:
+//!
+//! * this module — demand, design, the per-point loop, stage timings and
+//!   the sweep [`Runner`];
+//! * `system` — the fixed attack, the attack bookkeeping, fluence and
+//!   survivability of one system;
+//! * `network` — one networked system's scope: its context, the intact
+//!   evaluator, the attack search, the reference route and the degraded
+//!   pass;
+//! * `percolation` — loss-fraction sweeps and λ₂ over the network
+//!   stage's topologies.
+#![warn(clippy::too_many_lines)]
+
+mod network;
+mod percolation;
+mod system;
 
 use crate::error::{Result, ScenarioError};
-use crate::report::{
-    AttackReport, AttackSearchReport, DegradedNetworkReport, DesignReport, FluenceReport,
-    NamedSystemReport, NetworkReport, PerSatelliteReport, PercolationModelReport,
-    PercolationReport, ScenarioReport, ServedDemandReport, SurvivabilityOutcome, SystemReport,
-    TimeGridReport,
-};
-use crate::spec::{AttackKind, AttackUnit, DesignSpec, ScenarioSpec, TrafficModel};
+use crate::report::{NamedSystemReport, ScenarioReport};
+use crate::spec::{DesignSpec, ScenarioSpec};
 use crate::sweep::SweepSpec;
-use ssplane_astro::geo::GeoPoint;
+use network::{network_context, networked_system_report, traffic_inputs, TrafficInputs};
 use ssplane_astro::par;
-use ssplane_astro::time::Epoch;
 use ssplane_core::cache::{CacheCount, ComputeOnce, GravityKey, KernelCache};
-use ssplane_core::evaluate::{plane_fluence_samples_in, weighted_median_fluence};
 use ssplane_core::system::{
-    DesignParams, DesignSummary, DesignedSystem, Designer, RgtDesigner, SlimDesigner, SsDesigner,
-    StarlinkDesigner, WalkerDesigner,
+    DesignParams, Designer, RgtDesigner, SlimDesigner, SsDesigner, StarlinkDesigner, WalkerDesigner,
 };
-use ssplane_demand::gravity::{gravity_flows_in, GravityConfig};
 use ssplane_demand::grid::LatTodGrid;
 use ssplane_demand::DemandModel;
-use ssplane_lsn::disruption::{strided_plane_indices, AttackModel, AttackTarget, OutageTimeline};
-use ssplane_lsn::optimizer::{optimize_attack, DegradedEvaluator};
-use ssplane_lsn::percolation::{
-    algebraic_connectivity_solve, percolation_sweep, plane_spread_ordering, priority_ordering,
-    random_ordering, Lambda2Config, Lambda2Solve, PercolationCurve,
-};
-use ssplane_lsn::routing::{route_ground_to_ground, route_over_time, Route, TimeExpandedRoutes};
-use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
-use ssplane_lsn::survivability::{outage_timeline, simulate_process};
-use ssplane_lsn::topology::{Constellation, GridTopologyConfig, SatId};
-use ssplane_lsn::traffic::{sample_flows, Flow, TrafficReport};
-use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
-use ssplane_lsn::LsnError;
-use ssplane_radiation::fluence::DailyFluence;
-use ssplane_radiation::RadiationEnvironment;
 use std::cell::OnceCell;
 use std::sync::Arc;
-
-/// Salt XORed into the scenario seed for the degraded-network outage
-/// timeline, so its realization is an explicitly independent stream from
-/// the aggregate survivability simulation's.
-const OUTAGE_SEED_SALT: u64 = 0x4F55_5441_4745;
-
-/// Salt XORed into the scenario seed for the percolation stage's
-/// random-loss baseline ordering, so its stream is independent of every
-/// other consumer of the scenario seed.
-const PERCOLATION_SEED_SALT: u64 = 0x5045_5243_4F4C;
-
-/// Salt XORed into the scenario seed for the gravity workload's pair
-/// sampling, so the population-scale demand stream is independent of the
-/// flow sample's and the outage timeline's.
-const TRAFFIC_SEED_SALT: u64 = 0x0054_5241_4646_4943;
+use system::{attack_destroyed, system_report};
 
 /// The synthetic demand model for a given `demand.seed`, built once per
 /// process and shared. Synthesizing the 0.5° population grid takes tens
@@ -147,31 +120,6 @@ fn designer_for(kind: &str, design: &DesignSpec) -> Box<dyn Designer> {
     }
 }
 
-/// The optional survivability-per-satellite normalization
-/// (`survivability.per_satellite`): outcome metrics divided by the
-/// *designed* fleet size, so systems of very different scale (a slim
-/// Walker vs the deployed Starlink catalog) compare on efficiency rather
-/// than raw totals. `None` when the switch is off or the design is empty
-/// — the block never changes existing bytes.
-fn per_satellite_block(
-    spec: &ScenarioSpec,
-    design_sats: usize,
-    availability: f64,
-    lost_slot_days: f64,
-    initial_spares: usize,
-) -> Option<PerSatelliteReport> {
-    if !spec.survivability.per_satellite || design_sats == 0 {
-        return None;
-    }
-    let n = design_sats as f64;
-    Some(PerSatelliteReport {
-        sats: design_sats,
-        availability_per_ksat: availability / n * 1000.0,
-        lost_slot_days_per_sat: lost_slot_days / n,
-        spares_per_sat: initial_spares as f64 / n,
-    })
-}
-
 /// Per-stage wall-clock of one scenario — the timing side channel. Kept
 /// strictly out of [`ScenarioReport`] so the report JSON stays a pure
 /// (byte-deterministic) function of the spec; timings go to a separate
@@ -205,6 +153,7 @@ impl ScenarioTimings {
 
 /// Collects `(stage, seconds)` pairs around closures, plus derived
 /// `(metric, value)` rate rows.
+#[derive(Default)]
 struct StageClock {
     stages: Vec<(String, f64)>,
     metrics: Vec<(String, f64)>,
@@ -226,883 +175,6 @@ impl StageClock {
 
     fn metric(&mut self, name: String, value: f64) {
         self.metrics.push((name, value));
-    }
-}
-
-/// The slots destroyed by the scenario's *fixed* attack on one designed
-/// system (empty when the attack stage is inactive, or when the kind is
-/// `optimized` — the searched attack is computed against the network
-/// context, see [`run_attack_search`]). The attack model comes from the
-/// `attack.kind` registry; selection is deterministic in the scenario
-/// seed.
-fn attack_destroyed(spec: &ScenarioSpec, sys: &DesignedSystem, epoch: Epoch) -> Result<Vec<SatId>> {
-    if !spec.attack.is_active() || sys.planes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let Some(model) = spec.attack.fixed_model() else {
-        return Ok(Vec::new());
-    };
-    let target = AttackTarget {
-        planes: sys.planes.iter().map(|p| p.satellites.as_slice()).collect(),
-        plane_groups: sys.planes.iter().map(|p| p.eval_idx).collect(),
-        epoch,
-    };
-    Ok(model.destroyed(&target, spec.seed)?)
-}
-
-/// The report row of a design summary.
-fn design_report(summary: &DesignSummary) -> DesignReport {
-    DesignReport {
-        sats: summary.sats,
-        planes: summary.planes,
-        shells: summary.shells,
-        sats_per_plane: summary.sats_per_plane,
-        inclination_deg: summary.inclination_deg,
-        unserved_demand: summary.unserved_demand,
-    }
-}
-
-/// Runs every post-design, pre-network stage for one designed system.
-/// `destroyed` is the attack's victim set ([`attack_destroyed`]); the
-/// per-plane doses are returned alongside the report so the degraded
-/// network stage can drive its outage timeline without re-sampling
-/// fluence.
-#[allow(clippy::too_many_arguments)]
-fn system_report(
-    spec: &ScenarioSpec,
-    name: &str,
-    sys: &DesignedSystem,
-    destroyed: &[SatId],
-    cache: &KernelCache,
-    epoch: Epoch,
-    fluence_stage: bool,
-    clock: &mut StageClock,
-) -> Result<(SystemReport, Option<Vec<DailyFluence>>)> {
-    let mut report = SystemReport {
-        design: design_report(&sys.summary),
-        fluence: None,
-        attack: None,
-        attack_search: None,
-        survivability: None,
-        network: None,
-    };
-
-    // Attack bookkeeping over the destroyed set: pure counting, so it
-    // runs (and reports capacity retention) even in design-only
-    // scenarios with the radiation stage disabled.
-    let mut destroyed_per_plane = vec![0usize; sys.planes.len()];
-    for id in destroyed {
-        destroyed_per_plane[id.plane] += 1;
-    }
-    if spec.attack.is_active() && !sys.planes.is_empty() {
-        let planes_lost = sys
-            .planes
-            .iter()
-            .zip(&destroyed_per_plane)
-            .filter(|(p, &d)| p.n_sats > 0 && d >= p.n_sats)
-            .count();
-        let sats_lost = destroyed.len();
-        let total: usize = sys.total_sats();
-        report.attack = Some(AttackReport {
-            planes_lost,
-            sats_lost,
-            capacity_retained: if total == 0 { 0.0 } else { 1.0 - sats_lost as f64 / total as f64 },
-        });
-    }
-
-    if !fluence_stage || sys.eval_groups.is_empty() {
-        return Ok((report, None));
-    }
-
-    // The fig10-parity statistic: `phases` samples per evaluation group,
-    // weighted median across the constellation.
-    let phases = spec.radiation.phases;
-    let samples = clock.time(&format!("{name}.fluence"), || {
-        plane_fluence_samples_in(&sys.eval_groups, cache, epoch, phases, spec.radiation.step_s)
-    })?;
-    let median = weighted_median_fluence(&samples);
-
-    // Per-evaluation-group dose (mean over its phase samples); planes
-    // inherit the dose of their group.
-    let eval_doses: Vec<DailyFluence> = samples
-        .chunks(phases)
-        .map(|chunk| {
-            let n = chunk.len() as f64;
-            DailyFluence {
-                electron: chunk.iter().map(|(f, _)| f.electron).sum::<f64>() / n,
-                proton: chunk.iter().map(|(f, _)| f.proton).sum::<f64>() / n,
-            }
-        })
-        .collect();
-    let plane_doses: Vec<DailyFluence> =
-        sys.planes.iter().map(|p| eval_doses[p.eval_idx]).collect();
-    let mean = DailyFluence {
-        electron: plane_doses.iter().map(|d| d.electron).sum::<f64>()
-            / plane_doses.len().max(1) as f64,
-        proton: plane_doses.iter().map(|d| d.proton).sum::<f64>() / plane_doses.len().max(1) as f64,
-    };
-    report.fluence = Some(FluenceReport {
-        median_electron: median.electron,
-        median_proton: median.proton,
-        mean_electron: mean.electron,
-        mean_proton: mean.proton,
-        solar_activity: cache.env().solar.activity(epoch),
-    });
-
-    if spec.survivability.enabled {
-        // A plane survives unless the attack destroyed every one of its
-        // satellites; partial losses keep the plane with a reduced count.
-        let surviving: Vec<(usize, usize)> = sys
-            .planes
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| !(p.n_sats > 0 && destroyed_per_plane[*i] >= p.n_sats))
-            .map(|(i, p)| (i, p.n_sats - destroyed_per_plane[i]))
-            .collect();
-        if surviving.is_empty() {
-            // The attack wiped out every plane: that is an availability-0
-            // outcome, not a missing stage — a sweep plotting
-            // availability vs planes_lost must see its extreme point.
-            // `lost_slot_days` counts vacancy-days among *surviving*
-            // slots (the simulation's metric), so it is 0 here, exactly
-            // as attack-destroyed slots are excluded in partial attacks;
-            // the destroyed capacity itself is the attack report's
-            // `sats_lost` / `capacity_retained`.
-            report.survivability = Some(SurvivabilityOutcome {
-                availability: 0.0,
-                failures: 0,
-                replacements: 0,
-                lost_slot_days: 0.0,
-                spares_consumed: 0,
-                initial_spares: 0,
-                per_satellite: per_satellite_block(spec, sys.total_sats(), 0.0, 0.0, 0),
-            });
-        } else {
-            let doses: Vec<DailyFluence> = surviving.iter().map(|&(i, _)| plane_doses[i]).collect();
-            let sats: usize = surviving.iter().map(|&(_, n)| n).sum();
-            // Round to nearest: flooring the mean would silently drop up
-            // to one satellite per plane from the simulated fleet (a ~10%
-            // undercount for small uneven Walker shells).
-            let sats_per_plane = ((sats as f64 / surviving.len() as f64).round() as usize).max(1);
-            let process = spec.survivability.process();
-            let sim = clock.time(&format!("{name}.survivability"), || {
-                simulate_process(
-                    &doses,
-                    sats_per_plane,
-                    &*process,
-                    &spec.survivability.policy,
-                    spec.survivability.sim_config(spec.seed),
-                )
-            })?;
-            let initial_spares = spec.survivability.policy.total_spares(surviving.len());
-            report.survivability = Some(SurvivabilityOutcome {
-                availability: sim.availability,
-                failures: sim.failures,
-                replacements: sim.replacements,
-                lost_slot_days: sim.lost_slot_days,
-                spares_consumed: sim.spares_consumed,
-                initial_spares,
-                per_satellite: per_satellite_block(
-                    spec,
-                    sys.total_sats(),
-                    sim.availability,
-                    sim.lost_slot_days,
-                    initial_spares,
-                ),
-            });
-        }
-    }
-    Ok((report, Some(plane_doses)))
-}
-
-/// Nearest-rank percentile of an ascending-sorted sample (NaN if empty):
-/// the smallest value with at least `q·n` of the sample at or below it,
-/// i.e. 1-based rank `ceil(q·n)` clamped to `[1, n]`. At `n = 10, q =
-/// 0.5` this is the 5th value — not the rounded linear index the
-/// pre-fix implementation returned.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let n = sorted.len();
-    let rank = (q * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
-}
-
-/// The per-slot statistics the intact `time_grid` block and the
-/// `degraded` block both report, computed by one aggregator so the two
-/// stay method-for-method comparable.
-struct SlotAggregates {
-    slots: usize,
-    connected_slots: usize,
-    min_routed: usize,
-    mean_routed: f64,
-    peak_link_load: f64,
-    mean_link_load: f64,
-    delay_p50_ms: f64,
-    delay_p90_ms: f64,
-    delay_p99_ms: f64,
-}
-
-fn slot_aggregates(per_slot: &[(bool, &TrafficReport)]) -> SlotAggregates {
-    let slots = per_slot.len();
-    let denom = slots.max(1) as f64;
-    let connected_slots = per_slot.iter().filter(|(connected, _)| *connected).count();
-    let min_routed = per_slot.iter().map(|(_, t)| t.routed).min().unwrap_or(0);
-    let mean_routed = per_slot.iter().map(|(_, t)| t.routed as f64).sum::<f64>() / denom;
-    let peak_link_load = per_slot.iter().map(|(_, t)| t.max_link_load()).fold(0.0, f64::max);
-    let mean_link_load = per_slot.iter().map(|(_, t)| t.mean_link_load()).sum::<f64>() / denom;
-    // Delay distribution over every routed (flow, slot) pair, in
-    // deterministic (slot-major, then flow) collection order before the
-    // total-order sort.
-    let mut delays: Vec<f64> = per_slot
-        .iter()
-        .flat_map(|(_, t)| t.flow_outcomes.iter().flatten().map(|o| o.delay_ms))
-        .collect();
-    delays.sort_by(|a, b| a.partial_cmp(b).expect("finite delays"));
-    SlotAggregates {
-        slots,
-        connected_slots,
-        min_routed,
-        mean_routed,
-        peak_link_load,
-        mean_link_load,
-        delay_p50_ms: percentile(&delays, 0.50),
-        delay_p90_ms: percentile(&delays, 0.90),
-        delay_p99_ms: percentile(&delays, 0.99),
-    }
-}
-
-/// The time-resolved aggregate over per-slot traffic reports and
-/// connectivity flags (the `time_grid` report block).
-fn time_grid_report(per_slot: &[(bool, TrafficReport)]) -> TimeGridReport {
-    let views: Vec<(bool, &TrafficReport)> =
-        per_slot.iter().map(|(connected, t)| (*connected, t)).collect();
-    let agg = slot_aggregates(&views);
-
-    // Per-flow serving-pair handoffs across consecutive routable slots.
-    // A slot where the flow is unroutable resets the previous pair: a
-    // route re-acquired on a different pair after a gap is a fresh
-    // attachment, not a handoff (the same contract as
-    // `TimeExpandedRoutes::handoffs`).
-    let n_flows = per_slot.first().map_or(0, |(_, t)| t.flow_outcomes.len());
-    let mut handoffs = 0usize;
-    for flow in 0..n_flows {
-        let mut prev = None;
-        for (_, t) in per_slot {
-            let Some(ends) = t.flow_outcomes[flow].map(|o| o.ends) else {
-                prev = None;
-                continue;
-            };
-            if let Some(p) = prev {
-                if p != ends {
-                    handoffs += 1;
-                }
-            }
-            prev = Some(ends);
-        }
-    }
-
-    TimeGridReport {
-        slots: agg.slots,
-        connected_slots: agg.connected_slots,
-        min_routed: agg.min_routed,
-        mean_routed: agg.mean_routed,
-        peak_link_load: agg.peak_link_load,
-        mean_link_load: agg.mean_link_load,
-        delay_p50_ms: agg.delay_p50_ms,
-        delay_p90_ms: agg.delay_p90_ms,
-        delay_p99_ms: agg.delay_p99_ms,
-        handoffs,
-    }
-}
-
-/// The degraded-network aggregate over per-slot `(connected, alive,
-/// traffic)` triples, reported next to the intact baseline.
-fn degraded_report(
-    per_slot: &[(bool, usize, TrafficReport)],
-    total_sats: usize,
-    n_flows: usize,
-    intact_mean_link_load: f64,
-) -> DegradedNetworkReport {
-    let views: Vec<(bool, &TrafficReport)> =
-        per_slot.iter().map(|(connected, _, t)| (*connected, t)).collect();
-    let agg = slot_aggregates(&views);
-    let denom = per_slot.len().max(1) as f64;
-    let min_alive = per_slot.iter().map(|&(_, alive, _)| alive).min().unwrap_or(0);
-    let mean_alive = per_slot.iter().map(|&(_, alive, _)| alive as f64).sum::<f64>() / denom;
-    DegradedNetworkReport {
-        slots: agg.slots,
-        mean_alive_fraction: if total_sats == 0 { 0.0 } else { mean_alive / total_sats as f64 },
-        min_alive,
-        connected_slots: agg.connected_slots,
-        min_routed: agg.min_routed,
-        mean_routed: agg.mean_routed,
-        routed_fraction: if n_flows == 0 { 0.0 } else { agg.mean_routed / n_flows as f64 },
-        peak_link_load: agg.peak_link_load,
-        mean_link_load: agg.mean_link_load,
-        // Serialized `null` when the intact grid carries no load.
-        load_inflation: agg.mean_link_load / intact_mean_link_load,
-        delay_p50_ms: agg.delay_p50_ms,
-        delay_p90_ms: agg.delay_p90_ms,
-        delay_p99_ms: agg.delay_p99_ms,
-        served_fraction: None,
-        min_served_fraction: None,
-    }
-}
-
-/// The network constellation's flat layout relative to the design's
-/// plane order: `Constellation::from_planes` permutes planes by
-/// `network_order` and drops empty planes, so attack victims expressed
-/// as design-plane [`SatId`]s must be translated before they can mask a
-/// snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct NetworkLayout {
-    /// Design plane index of each network plane (empty planes dropped).
-    kept: Vec<usize>,
-    /// Network plane index per design plane (`usize::MAX` for planes the
-    /// network dropped).
-    net_plane_of_design: Vec<usize>,
-    /// Flat start index per network plane.
-    offsets: Vec<usize>,
-    /// Satellites per network plane.
-    plane_sats: Vec<usize>,
-    /// Total satellites in the network layout.
-    total: usize,
-}
-
-impl NetworkLayout {
-    /// Flat network index of a design-plane satellite id (`None` when
-    /// its plane was dropped or the slot is out of range).
-    fn flat_of_design(&self, id: SatId) -> Option<usize> {
-        let np = *self.net_plane_of_design.get(id.plane)?;
-        if np == usize::MAX || id.slot >= self.plane_sats[np] {
-            return None;
-        }
-        Some(self.offsets[np] + id.slot)
-    }
-
-    /// The design-plane id of a network-layout id.
-    fn design_id(&self, id: SatId) -> SatId {
-        SatId { plane: self.kept[id.plane], slot: id.slot }
-    }
-}
-
-/// Computes the [`NetworkLayout`] of one designed system — exactly the
-/// permutation-plus-drop `Constellation::from_planes(sys.network_planes())`
-/// performs.
-fn network_layout(sys: &DesignedSystem) -> NetworkLayout {
-    let kept: Vec<usize> = sys
-        .network_order
-        .iter()
-        .copied()
-        .filter(|&i| !sys.planes[i].satellites.is_empty())
-        .collect();
-    let mut net_plane_of_design = vec![usize::MAX; sys.planes.len()];
-    let mut offsets = Vec::with_capacity(kept.len());
-    let mut plane_sats = Vec::with_capacity(kept.len());
-    let mut acc = 0usize;
-    for (np, &dp) in kept.iter().enumerate() {
-        net_plane_of_design[dp] = np;
-        offsets.push(acc);
-        plane_sats.push(sys.planes[dp].satellites.len());
-        acc += sys.planes[dp].satellites.len();
-    }
-    NetworkLayout { kept, net_plane_of_design, offsets, plane_sats, total: acc }
-}
-
-/// The traffic a network point offers: the demand-weighted flow sample
-/// and, with `traffic.model = "gravity"`, the population-scale workload.
-/// Both depend only on the spec and the demand model, never on the
-/// system, so a point builds them once and every system's
-/// [`NetworkContext`] borrows them.
-struct TrafficInputs {
-    flows: Vec<Flow>,
-    /// The population-scale gravity workload, in satellite-capacity
-    /// units: the emitted rates are rescaled so the total offered demand
-    /// equals `demand.total_demand_b`.
-    workload: Option<TrafficWorkload>,
-}
-
-/// Builds the point's [`TrafficInputs`]: one seeded flow sample and, when
-/// asked for, the gravity workload (its pair draws on `point_threads`
-/// workers, `0` = the machine, from the run's shared field in `cache`).
-fn traffic_inputs(
-    spec: &ScenarioSpec,
-    model: &DemandModel,
-    cache: &KernelCache,
-    point_threads: usize,
-) -> Result<TrafficInputs> {
-    // Flow endpoints are demand-weighted; the stream is derived from the
-    // scenario seed so sweeps decorrelate. One flow set is routed at
-    // every slot (the grid varies the geometry, not the demand sample).
-    let flows = sample_flows(
-        model,
-        spec.network.utc_hour,
-        spec.network.n_flows,
-        spec.seed.wrapping_add(0x9E37_79B9),
-    );
-    // The gravity workload, when asked for: seeded pair sampling over the
-    // same demand model, rescaled so the offered total is the scenario's
-    // `demand.total_demand_b` (satellite-capacity units — the same units
-    // `traffic.capacity_gbps` budgets each ISL in). The seed-free field
-    // is built once per run and shared by every point that reads it.
-    let workload = if spec.traffic.model == TrafficModel::Gravity {
-        let config = GravityConfig {
-            pairs: spec.traffic.pairs,
-            sites: spec.traffic.sites,
-            utc_hour: spec.network.utc_hour,
-            seed: spec.seed ^ TRAFFIC_SEED_SALT,
-            ..GravityConfig::default()
-        };
-        let field = cache.gravity_field(gravity_key(spec), model);
-        let gravity = gravity_flows_in(&field, &config, point_threads)?;
-        Some(TrafficWorkload::from_gravity(
-            &gravity,
-            spec.demand.total_demand_b / field.total(),
-            CapacityConfig {
-                link_capacity: spec.traffic.capacity_gbps,
-                k_paths: spec.traffic.k_paths,
-            },
-        ))
-    } else {
-        None
-    };
-    Ok(TrafficInputs { flows, workload })
-}
-
-/// Everything the network-facing stages share for one designed system:
-/// the network constellation, the batch-propagated traffic-grid
-/// [`SnapshotSeries`], the point's borrowed [`TrafficInputs`], and the
-/// design↔network plane mapping. Built once per system — the attack
-/// search and the network report ride the same propagation cache, so an
-/// optimized attack never costs a second build.
-struct NetworkContext<'t> {
-    constellation: Constellation,
-    topo_config: GridTopologyConfig,
-    min_elev: f64,
-    t: Epoch,
-    grid: Vec<Epoch>,
-    series: SnapshotSeries,
-    traffic: &'t TrafficInputs,
-    layout: NetworkLayout,
-}
-
-/// Builds the [`NetworkContext`]: one parallel snapshot build over the
-/// traffic grid (`point_threads` workers, `0` = the machine) around the
-/// point's shared `traffic`.
-fn network_context<'t>(
-    spec: &ScenarioSpec,
-    sys: &DesignedSystem,
-    epoch: Epoch,
-    traffic: &'t TrafficInputs,
-    point_threads: usize,
-) -> Result<NetworkContext<'t>> {
-    let constellation = Constellation::from_planes(epoch, sys.network_planes())?;
-    let topo_config = GridTopologyConfig {
-        max_range_km: spec.network.max_range_km,
-        ..GridTopologyConfig::default()
-    };
-    let t = epoch + spec.network.utc_hour * 3600.0;
-    let grid = time_grid(t, spec.network.time_grid_slots, spec.network.time_grid_slot_s);
-    let series = SnapshotSeries::build_parallel(&constellation, &grid, point_threads)?;
-    let layout = network_layout(sys);
-    debug_assert_eq!(layout.total, series.n_sats(), "network layout mismatch");
-    Ok(NetworkContext {
-        constellation,
-        topo_config,
-        min_elev: spec.network.min_elevation_deg.to_radians(),
-        t,
-        grid,
-        series,
-        traffic,
-        layout,
-    })
-}
-
-/// Runs the adversarial attack search (`attack.kind = "optimized"`) for
-/// one designed system over its prebuilt [`NetworkContext`]. Returns the
-/// found worst-case destroyed set translated back to **design-plane**
-/// ids (what the attack bookkeeping and survivability stages consume)
-/// plus the report block.
-///
-/// The same-budget fixed-attack baseline (`leading-planes` for a plane
-/// budget, `random-sats` for a satellite budget) is scored with the same
-/// objective and seeded into the search's start pool, so the found
-/// attack is reported next to it and is never weaker.
-fn run_attack_search(
-    spec: &ScenarioSpec,
-    sys: &DesignedSystem,
-    ctx: &NetworkContext<'_>,
-    evaluator: &DegradedEvaluator<'_>,
-    threads: usize,
-) -> Result<(Vec<SatId>, AttackSearchReport)> {
-    let config = spec.attack.search_config(threads);
-    let n_net_planes = ctx.layout.kept.len();
-    // The search picks from the network constellation's planes or
-    // satellites; a larger budget would quietly clamp to all of them.
-    let (n_units, unit) = match spec.attack.unit {
-        AttackUnit::Planes => (n_net_planes, "planes"),
-        AttackUnit::Sats => (ctx.layout.total, "sats"),
-    };
-    if spec.attack.budget > n_units {
-        return Err(ScenarioError::bad_value(
-            "attack.budget",
-            &spec.attack.budget.to_string(),
-            &format!("at most the system's {n_units} network {unit}"),
-        ));
-    }
-    let (baseline_name, baseline): (&str, Vec<SatId>) = match spec.attack.unit {
-        AttackUnit::Planes => {
-            let victims = strided_plane_indices(n_net_planes, spec.attack.budget)
-                .into_iter()
-                .flat_map(|p| {
-                    (0..ctx.layout.plane_sats[p]).map(move |s| SatId { plane: p, slot: s })
-                })
-                .collect();
-            ("leading-planes", victims)
-        }
-        AttackUnit::Sats => {
-            // The seeded random baseline over the *network* constellation
-            // (the search's own candidate space).
-            let element_planes: Vec<&[ssplane_astro::kepler::OrbitalElements]> =
-                ctx.layout.kept.iter().map(|&dp| sys.planes[dp].satellites.as_slice()).collect();
-            let target = AttackTarget {
-                plane_groups: (0..element_planes.len()).collect(),
-                planes: element_planes,
-                epoch: ctx.t,
-            };
-            let model = ssplane_lsn::disruption::RandomSats { sats_lost: spec.attack.budget };
-            ("random-sats", model.destroyed(&target, spec.seed)?)
-        }
-    };
-    let baseline_value = evaluator.score_attack(&baseline, config.objective)?;
-    let outcome = optimize_attack(evaluator, &config, spec.seed, &[baseline])?;
-    let mut destroyed: Vec<SatId> =
-        outcome.destroyed.iter().map(|&id| ctx.layout.design_id(id)).collect();
-    destroyed.sort_unstable();
-    let report = AttackSearchReport {
-        objective: config.objective.as_str().to_string(),
-        unit: spec.attack.unit.as_str().to_string(),
-        budget: spec.attack.budget,
-        restarts: spec.attack.restarts,
-        // The baseline's standalone scoring above is one extra candidate
-        // on top of the search's own counts (and it is always distinct
-        // work: it runs through the full evaluator, not the scorer).
-        candidates_scored: outcome.candidates_evaluated + 1,
-        candidates_unique: outcome.candidates_unique + 1,
-        objective_value: outcome.objective_value,
-        baseline: baseline_name.to_string(),
-        baseline_value,
-        intact_value: outcome.intact_value,
-    };
-    Ok((destroyed, report))
-}
-
-/// Runs the networking stage over one designed system's prebuilt
-/// [`NetworkContext`]: a [`DegradedEvaluator`] supplies the per-slot
-/// intact topologies and traffic assignments (the same reusable
-/// evaluation the attack search scores candidates through), plus the
-/// time-expanded reference route. With `time_grid_slots = 1` this is
-/// byte-identical to the classic single-instant stage; with more slots
-/// the per-slot metrics aggregate into the `time_grid` report block.
-///
-/// With `network.with_outages`, the same series (no re-propagation)
-/// additionally feeds a **degraded** pass: each slot's snapshot is
-/// masked by the attack's `destroyed` set plus, when survivability is
-/// enabled, an [`OutageTimeline`] driven by `plane_doses` and sampled at
-/// the slot's mission fraction — so the grid reads as orbital geometry
-/// *and* mission life at once. Each masked slot filters the prebuilt
-/// intact topology ([`ssplane_lsn::topology::Topology::masked`]) instead
-/// of re-running the geometric construction.
-#[allow(clippy::too_many_lines)]
-fn network_report(
-    spec: &ScenarioSpec,
-    ctx: &NetworkContext<'_>,
-    evaluator: &DegradedEvaluator<'_>,
-    destroyed: &[SatId],
-    plane_doses: Option<&[DailyFluence]>,
-    point_threads: usize,
-) -> Result<NetworkReport> {
-    let NetworkContext { constellation, topo_config, min_elev, t, grid, series, traffic, layout } =
-        ctx;
-    let (topo_config, min_elev) = (*topo_config, *min_elev);
-    let per_slot: Vec<(bool, TrafficReport)> =
-        evaluator.intact().iter().map(|e| (e.connected, e.traffic.clone())).collect();
-
-    // The reference pair of every routing walkthrough in this repo:
-    // New York -> London across the configured (route-grid) slots. When
-    // the route grid coincides with the traffic grid, the reference
-    // route rides the evaluator's per-slot topologies instead of
-    // rebuilding the whole series.
-    let src = GeoPoint::from_degrees(40.7, -74.0);
-    let dst = GeoPoint::from_degrees(51.5, -0.1);
-    let route_grid = time_grid(*t, spec.network.slots, spec.network.slot_s);
-    let routes = if route_grid == *grid {
-        let mut shared_routes: Vec<Option<Route>> = Vec::with_capacity(series.len());
-        for (k, snapshot) in series.iter().enumerate() {
-            match route_ground_to_ground(
-                &snapshot,
-                evaluator.intact_topology(k),
-                src,
-                dst,
-                min_elev,
-            ) {
-                Ok(r) => shared_routes.push(Some(r)),
-                Err(LsnError::NoRoute) => shared_routes.push(None),
-                Err(e) => return Err(e.into()),
-            }
-        }
-        TimeExpandedRoutes { epochs: route_grid, routes: shared_routes }
-    } else {
-        let route_series =
-            SnapshotSeries::build_parallel(constellation, &route_grid, point_threads)?;
-        route_over_time(&route_series, src, dst, min_elev, topo_config)?
-    };
-
-    // The degraded pass: rides the same snapshot series (and prebuilt
-    // intact topologies) as the intact loop above.
-    let degraded = if spec.network.with_outages {
-        let total = series.n_sats();
-        // Seed the attack mask from the evaluator's shared all-alive
-        // buffer instead of rebuilding the all-true vec from scratch.
-        let mut alive_base = evaluator.all_alive().to_vec();
-        for id in destroyed {
-            if let Some(flat) = layout.flat_of_design(*id) {
-                alive_base[flat] = false;
-            }
-        }
-
-        // The outage timeline over the real per-plane fleet (the scalar
-        // survivability report keeps its historical uniform-plane
-        // approximation); destroyed slots draw no lifetimes and consume
-        // no spares.
-        let timeline: Option<OutageTimeline> = match plane_doses {
-            Some(doses) if spec.survivability.enabled => {
-                let kept_doses: Vec<DailyFluence> = layout.kept.iter().map(|&i| doses[i]).collect();
-                let dead: Vec<bool> = alive_base.iter().map(|&a| !a).collect();
-                let process = spec.survivability.process();
-                Some(outage_timeline(
-                    &kept_doses,
-                    &layout.plane_sats,
-                    Some(&dead),
-                    &*process,
-                    &spec.survivability.policy,
-                    spec.survivability.sim_config(spec.seed ^ OUTAGE_SEED_SALT),
-                )?)
-            }
-            _ => None,
-        };
-
-        // One job per slot, each masking its own copy of `alive_base`;
-        // results land in slot order, so the report is the same for every
-        // thread count.
-        let evaluations = par::par_map((0..series.len()).collect(), point_threads, |k| {
-            let mut mask = alive_base.clone();
-            if let Some(tl) = &timeline {
-                // Slot k samples the mission at fraction (k + 0.5)/slots.
-                let day = tl.horizon_days * (k as f64 + 0.5) / series.len() as f64;
-                tl.mask_alive(day, &mut mask);
-            }
-            evaluator.evaluate_slot(k, Some(&mask))
-        });
-        let mut degraded_slots: Vec<(bool, usize, TrafficReport)> =
-            Vec::with_capacity(series.len());
-        let mut served_fractions: Vec<f64> = Vec::with_capacity(series.len());
-        for eval in evaluations {
-            let eval = eval?;
-            if let Some(s) = &eval.served {
-                served_fractions.push(s.served_fraction);
-            }
-            degraded_slots.push((eval.connected, eval.alive, eval.traffic));
-        }
-        let mut deg = degraded_report(
-            &degraded_slots,
-            total,
-            traffic.flows.len(),
-            evaluator.intact_mean_link_load(),
-        );
-        if traffic.workload.is_some() && served_fractions.len() == degraded_slots.len() {
-            let denom = served_fractions.len().max(1) as f64;
-            deg.served_fraction = Some(served_fractions.iter().sum::<f64>() / denom);
-            deg.min_served_fraction =
-                Some(served_fractions.iter().copied().fold(f64::INFINITY, f64::min));
-        }
-        Some(deg)
-    } else {
-        None
-    };
-
-    // The engine's headline block: the classic instant (slot 0 of the
-    // grid), reported next to the sampled-flow statistics it generalizes.
-    let served = evaluator.intact()[0].served.as_ref().map(|s| {
-        let safe = |x: f64| if s.offered > 0.0 { x / s.offered } else { 0.0 };
-        ServedDemandReport {
-            flows: s.flows,
-            pairs: s.pairs,
-            offered: s.offered,
-            served_fraction: s.served_fraction,
-            dropped_fraction: safe(s.dropped),
-            unattached_fraction: safe(s.unattached),
-            utilization_p50: s.utilization_p50,
-            utilization_p90: s.utilization_p90,
-            utilization_p99: s.utilization_p99,
-            utilization_max: s.utilization_max,
-        }
-    });
-
-    let (_, traffic) = &per_slot[0];
-    Ok(NetworkReport {
-        routed: traffic.routed,
-        unrouted: traffic.unrouted,
-        mean_stretch: traffic.mean_stretch,
-        mean_hops: traffic.mean_hops,
-        max_link_load: traffic.max_link_load(),
-        mean_link_load: traffic.mean_link_load(),
-        reachable_slots: routes.reachable_slots(),
-        slots: routes.routes.len(),
-        handoffs: routes.handoffs(),
-        mean_delay_ms: routes.mean_delay_ms(),
-        served,
-        time_grid: (grid.len() > 1).then(|| time_grid_report(&per_slot)),
-        degraded,
-        percolation: None,
-    })
-}
-
-/// Averages per-slot percolation curves point-wise. Every slot sweeps
-/// the same ordering over the same satellite count, so the loss and
-/// removed axes are identical across slots; only the cluster statistics
-/// differ with each slot's geometry-feasible link set.
-fn averaged_curve(curves: &[PercolationCurve]) -> PercolationCurve {
-    let first = &curves[0];
-    let n = curves.len() as f64;
-    let avg = |pick: fn(&PercolationCurve) -> &Vec<f64>| -> Vec<f64> {
-        (0..first.len()).map(|k| curves.iter().map(|c| pick(c)[k]).sum::<f64>() / n).collect()
-    };
-    PercolationCurve {
-        n_nodes: first.n_nodes,
-        loss_fraction: first.loss_fraction.clone(),
-        removed: first.removed.clone(),
-        giant_fraction: avg(|c| &c.giant_fraction),
-        susceptibility: avg(|c| &c.susceptibility),
-        mean_finite_cluster: avg(|c| &c.mean_finite_cluster),
-    }
-}
-
-/// One job's result in [`percolation_report`]'s flat job list.
-enum SlotAnalysis {
-    /// One slot's algebraic-connectivity solve.
-    Lambda2(Lambda2Solve),
-    /// One (ordering, slot) percolation sweep.
-    Curve(PercolationCurve),
-}
-
-/// Runs the percolation stage (`network.percolation`) over the network
-/// stage's prebuilt intact per-slot topologies — pure union-find replay
-/// and one seeded λ₂ solve per slot, no re-propagation and no routing.
-///
-/// One loss-fraction sweep per attack-registry ordering, slot-averaged:
-/// `"leading-planes"` (the plane-spread schedule whose power-of-two
-/// prefixes reproduce the strided plane attack), `"random-sats"` (the
-/// seeded uniform baseline every targeted ordering's
-/// `threshold_vs_random` is measured against), and — when the scenario's
-/// attack destroyed anything — `"attack"`, the destroyed set leading the
-/// plane-spread schedule.
-///
-/// Every slot's λ₂ and every (ordering, slot) sweep is one job of a
-/// single [`par::par_map`] over `point_threads` workers; the sums and
-/// averages reduce the results by index, in the serial order.
-fn percolation_report(
-    spec: &ScenarioSpec,
-    ctx: &NetworkContext<'_>,
-    evaluator: &DegradedEvaluator<'_>,
-    destroyed: &[SatId],
-    point_threads: usize,
-) -> PercolationReport {
-    let (steps, gap) = (spec.network.percolation_steps, spec.network.percolation_gap);
-    let slots = ctx.series.len();
-    let spread = plane_spread_ordering(evaluator.intact_topology(0));
-    let random = random_ordering(ctx.series.n_sats(), spec.seed ^ PERCOLATION_SEED_SALT);
-    let mut orderings: Vec<(&str, Vec<usize>)> =
-        vec![("leading-planes", spread.clone()), ("random-sats", random)];
-    if !destroyed.is_empty() {
-        let priority: Vec<usize> =
-            destroyed.iter().filter_map(|&id| ctx.layout.flat_of_design(id)).collect();
-        orderings.push(("attack", priority_ordering(&priority, &spread)));
-    }
-
-    // Job `(None, k)` is slot k's λ₂, `(Some(o), k)` ordering o's sweep
-    // over slot k. The λ₂ jobs, the longest, go first.
-    let jobs: Vec<(Option<usize>, usize)> = (0..slots)
-        .map(|k| (None, k))
-        .chain((0..orderings.len()).flat_map(|o| (0..slots).map(move |k| (Some(o), k))))
-        .collect();
-    let mut done = par::par_map(jobs, point_threads, |(ordering, k)| {
-        let topology = evaluator.intact_topology(k);
-        match ordering {
-            None => SlotAnalysis::Lambda2(algebraic_connectivity_solve(
-                topology,
-                evaluator.all_alive(),
-                &Lambda2Config::default(),
-            )),
-            Some(o) => SlotAnalysis::Curve(percolation_sweep(topology, &orderings[o].1, steps)),
-        }
-    })
-    .into_iter();
-    let lambda2: Vec<Lambda2Solve> = done
-        .by_ref()
-        .take(slots)
-        .map(|job| match job {
-            SlotAnalysis::Lambda2(solve) => solve,
-            SlotAnalysis::Curve(_) => unreachable!("λ₂ jobs come first"),
-        })
-        .collect();
-    let lambda2_intact = lambda2.iter().map(|l2| l2.value).sum::<f64>() / slots as f64;
-    let curves: Vec<(&str, PercolationCurve)> = orderings
-        .iter()
-        .map(|(name, _)| {
-            let per_slot: Vec<PercolationCurve> = done
-                .by_ref()
-                .take(slots)
-                .map(|job| match job {
-                    SlotAnalysis::Curve(curve) => curve,
-                    SlotAnalysis::Lambda2(_) => unreachable!("sweeps follow the λ₂ jobs"),
-                })
-                .collect();
-            (*name, averaged_curve(&per_slot))
-        })
-        .collect();
-    let random_curve =
-        &curves.iter().find(|(name, _)| *name == "random-sats").expect("baseline swept").1;
-
-    let models = curves
-        .iter()
-        .map(|(name, curve)| {
-            let (chi_peak_loss, chi_peak) = curve.chi_peak();
-            PercolationModelReport {
-                model: (*name).to_string(),
-                masking_threshold: curve.masking_threshold(gap),
-                threshold_vs_random: (*name != "random-sats")
-                    .then(|| curve.threshold_vs(random_curve, gap))
-                    .flatten(),
-                chi_peak_loss,
-                chi_peak,
-                mean_giant: curve.mean_giant(),
-                giant_curve: curve.giant_fraction.clone(),
-            }
-        })
-        .collect();
-
-    PercolationReport {
-        steps,
-        gap,
-        slots,
-        lambda2_intact,
-        lambda2_residual: lambda2.iter().map(|l2| l2.residual).fold(0.0, f64::max),
-        lambda2_converged: lambda2.iter().all(|l2| l2.converged),
-        loss_fraction: random_curve.loss_fraction.clone(),
-        models,
     }
 }
 
@@ -1134,9 +206,7 @@ fn run_scenario(
     }
     let multiplier = spec.demand.total_demand_b / total;
     let demand = grid.scaled(multiplier);
-
-    let epoch = spec.radiation.epoch();
-    let params = DesignParams { epoch };
+    let params = DesignParams { epoch: spec.radiation.epoch() };
 
     // The point's traffic, built on the first system that needs the
     // network and borrowed by every later one; a point whose systems all
@@ -1151,15 +221,8 @@ fn run_scenario(
         let name = designer.name();
         let sys = clock
             .time(&format!("{name}.design"), || designer.design_in(&demand, &params, cache))?;
-        // The network context (propagation cache + flows) and the
-        // degraded evaluator (intact per-slot topologies + traffic) are
-        // built once and shared by the attack search and the network
-        // stage — an optimized attack never costs a second build of
-        // either.
-        let needs_network = spec.network.enabled && sys.total_sats() > 0;
-        let optimized = needs_network && spec.attack.kind == AttackKind::Optimized;
-        let net_ctx: Option<NetworkContext<'_>> = if needs_network {
-            Some(clock.time(&format!("{name}.network.setup"), || {
+        let report = if spec.network.enabled && sys.total_sats() > 0 {
+            let ctx = clock.time(&format!("{name}.network.setup"), || {
                 let inputs = match traffic.get() {
                     Some(inputs) => inputs,
                     None => {
@@ -1167,81 +230,12 @@ fn run_scenario(
                         traffic.get_or_init(|| built)
                     }
                 };
-                network_context(spec, &sys, epoch, inputs, point_threads)
-            })?)
-        } else {
-            None
-        };
-        let evaluator: Option<DegradedEvaluator<'_>> = match &net_ctx {
-            Some(ctx) => Some(clock.time(&format!("{name}.network.intact"), || {
-                // The percolation knobs also configure the
-                // masking-threshold attack objective, and the repair
-                // threshold the incremental scorer; `validate` checks all
-                // three whenever the network stage is on.
-                DegradedEvaluator::with_workload_threads(
-                    &ctx.series,
-                    &ctx.traffic.flows,
-                    ctx.min_elev,
-                    ctx.topo_config,
-                    ctx.traffic.workload.as_ref(),
-                    point_threads,
-                )
-                .map(|e| {
-                    e.with_percolation(spec.network.percolation_steps, spec.network.percolation_gap)
-                        .with_repair_threshold(spec.attack.damage_threshold)
-                })
-            })?),
-            None => None,
-        };
-        // An optimized attack is a search over that machinery; every
-        // fixed kind stays a pure function of the geometry.
-        let mut attack_search: Option<AttackSearchReport> = None;
-        let destroyed = if optimized {
-            let (ctx, eval) =
-                (net_ctx.as_ref().expect("context built"), evaluator.as_ref().expect("built"));
-            let (victims, search) = clock.time(&format!("{name}.attack_search"), || {
-                run_attack_search(spec, &sys, ctx, eval, point_threads)
+                network_context(spec, &sys, inputs, point_threads)
             })?;
-            // Surface search throughput next to the stage's wall-clock —
-            // the bench harness's candidates/s without the bench harness.
-            let secs = clock.last_stage_seconds().max(f64::EPSILON);
-            clock.metric(
-                format!("{name}.attack_search.candidates_per_sec"),
-                search.candidates_scored as f64 / secs,
-            );
-            attack_search = Some(search);
-            victims
+            networked_system_report(spec, name, &sys, &ctx, cache, clock)?
         } else {
-            attack_destroyed(spec, &sys, epoch)?
+            system_report(spec, name, &sys, &attack_destroyed(spec, &sys)?, cache, clock)?.0
         };
-        let (mut report, plane_doses) = system_report(
-            spec,
-            name,
-            &sys,
-            &destroyed,
-            cache,
-            epoch,
-            spec.radiation.enabled,
-            clock,
-        )?;
-        report.attack_search = attack_search;
-        if needs_network {
-            let (ctx, eval) =
-                (net_ctx.as_ref().expect("context built"), evaluator.as_ref().expect("built"));
-            report.network = Some(clock.time(&format!("{name}.network"), || {
-                network_report(spec, ctx, eval, &destroyed, plane_doses.as_deref(), point_threads)
-            })?);
-            if spec.network.percolation {
-                // Its own timing entry: the sweep is a distinct analytic
-                // pass over the stage's topologies, not routing work.
-                let block = clock.time(&format!("{name}.percolation"), || {
-                    percolation_report(spec, ctx, eval, &destroyed, point_threads)
-                });
-                if let Some(net) = report.network.as_mut() {
-                    net.percolation = Some(block);
-                }
-            }
-        }
         systems.push(NamedSystemReport { system: name.to_string(), report });
     }
 
@@ -1251,38 +245,34 @@ fn run_scenario(
         total_demand_b: spec.demand.total_demand_b,
         demand_multiplier: multiplier,
         solar: spec.radiation.solar.as_str().to_string(),
-        epoch_jd: epoch.julian_date(),
+        epoch_jd: params.epoch.julian_date(),
         systems,
     })
 }
 
-/// Executes one scenario end-to-end.
+/// Executes one scenario end-to-end. A standalone execution owns the
+/// machine, so its intra-point pools may use every core, and its kernels
+/// a fresh cache.
 ///
 /// # Errors
 /// Validation failures and any stage error, tagged with the crate that
 /// produced it.
 pub fn execute_scenario(spec: &ScenarioSpec) -> Result<ScenarioReport> {
-    execute_scenario_timed(spec).0
+    execute_timed(spec, 0, &KernelCache::default()).0
 }
 
-/// Executes one scenario end-to-end, also returning its stage timings
-/// (collected even when the scenario fails partway: the stages that did
-/// run are reported). A standalone execution owns the machine, so its
-/// intra-point pools may use every core, and its kernels a fresh cache.
-pub fn execute_scenario_timed(spec: &ScenarioSpec) -> (Result<ScenarioReport>, ScenarioTimings) {
-    execute_scenario_timed_with(spec, 0, &KernelCache::new(RadiationEnvironment::default()))
-}
-
-/// As [`execute_scenario_timed`], with every intra-point pool capped at
+/// Executes one scenario end-to-end with every intra-point pool capped at
 /// `point_threads` workers (`0` = all cores) and the design and fluence
-/// kernels served from `cache` — the sweep runner passes each worker's
-/// share of the thread budget and a handle on the run's cache.
-fn execute_scenario_timed_with(
+/// kernels served from `cache`, also returning its stage timings
+/// (collected even when the scenario fails partway: the stages that did
+/// run are reported). The sweep runner passes each worker's share of the
+/// thread budget and a handle on the run's cache.
+fn execute_timed(
     spec: &ScenarioSpec,
     point_threads: usize,
     cache: &KernelCache,
 ) -> (Result<ScenarioReport>, ScenarioTimings) {
-    let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
+    let mut clock = StageClock::default();
     let result = run_scenario(spec, &mut clock, point_threads, cache);
     let timings = ScenarioTimings {
         name: spec.name.clone(),
@@ -1452,9 +442,9 @@ impl Runner {
         let point_threads = par::budget(self.threads) / par::workers(self.threads, specs.len());
         // One kernel cache for the run, lent to every point through its
         // own counting handle; it is dropped with the run.
-        let cache = KernelCache::new(RadiationEnvironment::default());
+        let cache = KernelCache::default();
         let (reports, timings) = par::par_map(specs.iter().collect(), self.threads, |spec| {
-            execute_scenario_timed_with(spec, point_threads, &cache.share())
+            execute_timed(spec, point_threads, &cache.share())
         })
         .into_iter()
         .unzip();
@@ -1475,9 +465,9 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ScenarioSpec;
+    use ssplane_lsn::topology::SatId;
 
-    fn tiny_spec() -> ScenarioSpec {
+    pub(super) fn tiny_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::named("tiny");
         spec.demand.total_demand_b = 10.0;
         spec.radiation.phases = 1;
@@ -1507,6 +497,44 @@ mod tests {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
         }
+    }
+
+    #[test]
+    fn out_of_range_spare_cadences_fail_per_point() {
+        use crate::toml::TomlValue;
+        let mut ok = tiny_spec();
+        ok.design.kinds = vec!["ss"];
+        let with = |key: &str, x: f64| {
+            let mut spec = ok.clone();
+            crate::sweep::apply_param(&mut spec, key, &TomlValue::Float(x)).unwrap();
+            spec
+        };
+        // A negative cadence credited availability above 1 and 0 meant
+        // "never resupply"; a negative repair time raised availability.
+        let bad = [
+            ("survivability.resupply_days", -180.0),
+            ("survivability.resupply_days", 0.0),
+            ("survivability.resupply_days", f64::NAN),
+            ("survivability.resupply_days", f64::INFINITY),
+            ("spares.replacement_days", -5.0),
+            ("spares.replacement_days", f64::NAN),
+            ("spares.replacement_days", f64::INFINITY),
+        ];
+        let mut specs: Vec<ScenarioSpec> = bad.iter().map(|&(key, x)| with(key, x)).collect();
+        specs.extend([ok.clone(), with("spares.replacement_days", 0.0)]);
+        let outcome = Runner::with_threads(1).run_specs(&specs);
+        for (k, &(key, x)) in bad.iter().enumerate() {
+            let err = outcome.reports[k].as_ref().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::BadValue { key: got, .. } if got == key),
+                "{key} = {x}: {err}"
+            );
+        }
+        assert!(outcome.reports[bad.len()..].iter().all(Result::is_ok));
+        // Off the survivability stage neither knob is read.
+        let mut off = with("survivability.resupply_days", -180.0);
+        off.survivability.enabled = false;
+        assert!(execute_scenario(&off).is_ok());
     }
 
     #[test]
@@ -1722,8 +750,8 @@ mod tests {
         assert!(line.contains(r#""percolation":{"steps":32"#), "{line}");
         // Byte determinism across reruns and across thread counts.
         assert_eq!(line, execute_scenario(&spec).unwrap().to_json_line());
-        let (one, _) = execute_scenario_timed_with(&spec, 1, &KernelCache::default());
-        let (many, _) = execute_scenario_timed_with(&spec, 7, &KernelCache::default());
+        let (one, _) = execute_timed(&spec, 1, &KernelCache::default());
+        let (many, _) = execute_timed(&spec, 7, &KernelCache::default());
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1788,8 +816,8 @@ mod tests {
         assert_eq!(names, vec!["leading-planes", "random-sats", "attack"]);
         // Byte determinism across thread counts: the search and the
         // sweep share the strict index-ordered reductions.
-        let (one, _) = execute_scenario_timed_with(&spec, 1, &KernelCache::default());
-        let (many, _) = execute_scenario_timed_with(&spec, 7, &KernelCache::default());
+        let (one, _) = execute_timed(&spec, 1, &KernelCache::default());
+        let (many, _) = execute_timed(&spec, 7, &KernelCache::default());
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
     }
 
@@ -1934,7 +962,7 @@ mod tests {
         spec.network.slots = 2;
         spec.network.percolation = true;
         spec.network.percolation_steps = 8;
-        let (report, timings) = execute_scenario_timed(&spec);
+        let (report, timings) = execute_timed(&spec, 0, &KernelCache::default());
         report.unwrap();
         let stages: Vec<&str> = timings.stages.iter().map(|(s, _)| s.as_str()).collect();
         for expected in [
@@ -2115,7 +1143,7 @@ sites = 16
         let sys = designer.design(&grid, &DesignParams { epoch: spec.radiation.epoch() }).unwrap();
         for planes_lost in [0usize, 1, 2, 5, 1000] {
             spec.attack.planes_lost = planes_lost;
-            let destroyed = attack_destroyed(&spec, &sys, spec.radiation.epoch()).unwrap();
+            let destroyed = attack_destroyed(&spec, &sys).unwrap();
             let expect: Vec<SatId> = strided_plane_indices(sys.planes.len(), planes_lost)
                 .into_iter()
                 .flat_map(|p| (0..sys.planes[p].n_sats).map(move |s| SatId { plane: p, slot: s }))
@@ -2135,62 +1163,6 @@ sites = 16
         let ss = report.system("ss").unwrap();
         assert!(ss.attack.is_none());
         assert!(!report.to_json_line().contains("attack"));
-    }
-
-    /// A hand-built 1-plane system (no designer produces one for a full
-    /// diurnal demand, so the edge case is exercised directly).
-    fn one_plane_system() -> DesignedSystem {
-        use ssplane_core::system::SystemPlane;
-        let epoch = tiny_spec().radiation.epoch();
-        let orbit = ssplane_astro::sunsync::sun_synchronous_orbit(560.0).unwrap();
-        let satellites = orbit.with_ltan(10.5).plane_elements(epoch, 12).unwrap();
-        DesignedSystem {
-            summary: DesignSummary {
-                sats: 12,
-                planes: 1,
-                shells: 1,
-                sats_per_plane: 12,
-                inclination_deg: 97.6,
-                unserved_demand: 0.0,
-            },
-            eval_groups: vec![(satellites[0], 12)],
-            planes: vec![SystemPlane { n_sats: 12, eval_idx: 0, satellites }],
-            network_order: vec![0],
-        }
-    }
-
-    #[test]
-    fn one_plane_system_attack_and_survivability() {
-        // A 1-plane system under a 1-plane attack is the smallest
-        // wipeout: the attack block and the availability-0 outcome must
-        // both appear — and with the attack off, the same system's
-        // survivability must be intact.
-        let mut spec = tiny_spec();
-        spec.attack.planes_lost = 1;
-        let sys = one_plane_system();
-        let cache = KernelCache::default();
-        let epoch = spec.radiation.epoch();
-        let destroyed = attack_destroyed(&spec, &sys, epoch).unwrap();
-        assert_eq!(destroyed.len(), 12, "the whole plane is the whole fleet");
-        let mut clock = StageClock { stages: Vec::new(), metrics: Vec::new() };
-        let (report, doses) =
-            system_report(&spec, "ss", &sys, &destroyed, &cache, epoch, true, &mut clock).unwrap();
-        let attack = report.attack.as_ref().expect("attack ran");
-        assert_eq!(attack.planes_lost, 1);
-        assert_eq!(attack.sats_lost, 12);
-        assert_eq!(attack.capacity_retained, 0.0);
-        let surv = report.survivability.as_ref().expect("wipeout outcome present");
-        assert_eq!(surv.availability, 0.0);
-        assert_eq!(surv.initial_spares, 0);
-        assert_eq!(doses.map(|d| d.len()), Some(1));
-
-        spec.attack.planes_lost = 0;
-        let (unharmed, _) =
-            system_report(&spec, "ss", &sys, &[], &cache, epoch, true, &mut clock).unwrap();
-        assert!(unharmed.attack.is_none());
-        let surv = unharmed.survivability.as_ref().unwrap();
-        assert!(surv.availability > 0.0);
-        assert_eq!(surv.initial_spares, 3, "one plane's per-plane budget");
     }
 
     #[test]
@@ -2332,129 +1304,6 @@ sites = 16
     }
 
     #[test]
-    fn percentile_is_true_nearest_rank() {
-        // The issue's diverging pair: at n = 10, q = 0.5 nearest-rank is
-        // the 5th value — the old rounded linear index returned the 6th.
-        let sorted: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(percentile(&sorted, 0.5), 5.0);
-        assert_ne!(percentile(&sorted, 0.5), 6.0, "the pre-fix answer must be gone");
-        assert_eq!(percentile(&sorted, 0.9), 9.0);
-        assert_eq!(percentile(&sorted, 0.99), 10.0);
-        assert_eq!(percentile(&sorted, 1.0), 10.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0, "rank clamps to the first value");
-        // ceil(0.5 * 4) = rank 2.
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.0);
-        assert_eq!(percentile(&[7.5], 0.5), 7.5);
-        assert!(percentile(&[], 0.5).is_nan());
-    }
-
-    /// A traffic report carrying only per-flow outcomes (what the
-    /// handoff accounting reads).
-    fn traffic_with(outcomes: Vec<Option<ssplane_lsn::traffic::FlowOutcome>>) -> TrafficReport {
-        TrafficReport {
-            routed: outcomes.iter().flatten().count(),
-            unrouted: outcomes.iter().filter(|o| o.is_none()).count(),
-            link_load: std::collections::BTreeMap::new(),
-            link_capacity: 1.0,
-            mean_stretch: 1.0,
-            mean_hops: 1.0,
-            flow_outcomes: outcomes,
-        }
-    }
-
-    #[test]
-    fn time_grid_handoffs_reset_across_unroutable_gaps() {
-        use ssplane_lsn::traffic::FlowOutcome;
-        let sat = |p: usize, s: usize| SatId { plane: p, slot: s };
-        let out = |ends: (SatId, SatId)| Some(FlowOutcome { delay_ms: 10.0, ends });
-        let a = (sat(0, 0), sat(1, 0));
-        let b = (sat(2, 2), sat(3, 2));
-        // One flow: routed on pair a, unroutable, routed on pair b — the
-        // gap resets the comparison, so 0 handoffs.
-        let gapped = vec![
-            (true, traffic_with(vec![out(a)])),
-            (true, traffic_with(vec![None])),
-            (true, traffic_with(vec![out(b)])),
-        ];
-        assert_eq!(time_grid_report(&gapped).handoffs, 0);
-        // The same pair change on adjacent slots is one handoff.
-        let adjacent = vec![
-            (true, traffic_with(vec![out(a)])),
-            (true, traffic_with(vec![out(b)])),
-            (true, traffic_with(vec![None])),
-        ];
-        assert_eq!(time_grid_report(&adjacent).handoffs, 1);
-        // Two flows: one churns without gaps (1 handoff), one only
-        // across a gap (0) — per-flow accounting keeps them separate.
-        let two = vec![
-            (true, traffic_with(vec![out(a), out(a)])),
-            (true, traffic_with(vec![out(b), None])),
-            (true, traffic_with(vec![out(b), out(b)])),
-        ];
-        assert_eq!(time_grid_report(&two).handoffs, 1);
-    }
-
-    /// A 3-plane system with a permuted network order and an empty
-    /// middle plane — the RGT-style layout the degraded-stage mapping
-    /// has to survive.
-    fn permuted_system() -> DesignedSystem {
-        use ssplane_core::system::SystemPlane;
-        let epoch = tiny_spec().radiation.epoch();
-        let orbit = ssplane_astro::sunsync::sun_synchronous_orbit(560.0).unwrap();
-        let plane = |ltan: f64, n: usize| SystemPlane {
-            n_sats: n,
-            eval_idx: 0,
-            satellites: if n == 0 {
-                Vec::new()
-            } else {
-                orbit.with_ltan(ltan).plane_elements(epoch, n).unwrap()
-            },
-        };
-        DesignedSystem {
-            summary: DesignSummary {
-                sats: 5,
-                planes: 3,
-                shells: 1,
-                sats_per_plane: 2,
-                inclination_deg: 97.6,
-                unserved_demand: 0.0,
-            },
-            eval_groups: vec![(orbit.with_ltan(8.0).plane_elements(epoch, 1).unwrap()[0], 5)],
-            planes: vec![plane(8.0, 2), plane(10.0, 0), plane(12.0, 3)],
-            // Network order reverses the planes; the empty plane 1 must
-            // be dropped, exactly as Constellation::from_planes does.
-            network_order: vec![2, 1, 0],
-        }
-    }
-
-    #[test]
-    fn network_layout_maps_permuted_orders_and_empty_planes() {
-        let sys = permuted_system();
-        let layout = network_layout(&sys);
-        assert_eq!(layout.kept, vec![2, 0], "plane 1 is empty and dropped");
-        assert_eq!(layout.net_plane_of_design, vec![1, usize::MAX, 0]);
-        assert_eq!(layout.offsets, vec![0, 3]);
-        assert_eq!(layout.plane_sats, vec![3, 2]);
-        assert_eq!(layout.total, 5);
-        // A destroyed design satellite masks the correct flat index
-        // under the permutation: design plane 0 lands *after* design
-        // plane 2 in the network layout.
-        assert_eq!(layout.flat_of_design(SatId { plane: 0, slot: 1 }), Some(4));
-        assert_eq!(layout.flat_of_design(SatId { plane: 2, slot: 2 }), Some(2));
-        assert_eq!(layout.flat_of_design(SatId { plane: 1, slot: 0 }), None, "dropped plane");
-        assert_eq!(layout.flat_of_design(SatId { plane: 0, slot: 9 }), None, "slot bound");
-        assert_eq!(layout.flat_of_design(SatId { plane: 7, slot: 0 }), None, "plane bound");
-        // Network-id -> design-id is the inverse on kept planes.
-        assert_eq!(layout.design_id(SatId { plane: 0, slot: 2 }), SatId { plane: 2, slot: 2 });
-        assert_eq!(layout.design_id(SatId { plane: 1, slot: 0 }), SatId { plane: 0, slot: 0 });
-        // The layout agrees with the real network constellation.
-        let epoch = tiny_spec().radiation.epoch();
-        let c = Constellation::from_planes(epoch, sys.network_planes()).unwrap();
-        assert_eq!(c.total_sats(), layout.total);
-        assert_eq!(c.plane_offsets()[..2], layout.offsets[..]);
-    }
-
-    #[test]
     fn optimized_attack_beats_its_fixed_baseline_and_is_deterministic() {
         use crate::spec::{AttackKind, AttackUnit};
         let mut spec = tiny_spec();
@@ -2470,7 +1319,7 @@ sites = 16
         spec.network.time_grid_slots = 2;
         spec.network.time_grid_slot_s = 300.0;
         spec.network.with_outages = true;
-        let (report, timings) = execute_scenario_timed(&spec);
+        let (report, timings) = execute_timed(&spec, 0, &KernelCache::default());
         let report = report.unwrap();
         // The attack-search stage surfaces its scoring throughput as a
         // derived metric row (not summed into the stage total).

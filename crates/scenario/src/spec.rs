@@ -835,12 +835,32 @@ impl ScenarioSpec {
                 "a fraction in (0, 1]",
             ));
         }
-        if self.survivability.enabled && !positive(self.survivability.horizon_years) {
-            return Err(ScenarioError::bad_value(
-                "survivability.horizon_years",
-                &self.survivability.horizon_years.to_string(),
-                "> 0",
-            ));
+        if self.survivability.enabled {
+            let surv = &self.survivability;
+            if !positive(surv.horizon_years) {
+                return Err(ScenarioError::bad_value(
+                    "survivability.horizon_years",
+                    &surv.horizon_years.to_string(),
+                    "> 0",
+                ));
+            }
+            // A negative cadence would credit availability above 1, and 0
+            // would silently mean "never resupply".
+            if !positive(surv.resupply_days) {
+                return Err(ScenarioError::bad_value(
+                    "survivability.resupply_days",
+                    &surv.resupply_days.to_string(),
+                    "> 0",
+                ));
+            }
+            let replacement_days = surv.policy.replacement_days();
+            if !(replacement_days.is_finite() && replacement_days >= 0.0) {
+                return Err(ScenarioError::bad_value(
+                    "spares.replacement_days",
+                    &replacement_days.to_string(),
+                    ">= 0",
+                ));
+            }
         }
         if self.attack.kind == AttackKind::DeclinationBand
             && !(self.attack.band_min_deg.is_finite()

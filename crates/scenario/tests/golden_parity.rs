@@ -9,7 +9,12 @@
 //! pass — plane, random and band attacks, outage timelines and gravity
 //! served-demand under alive masks — as captured before ground
 //! attachment moved to the windowed serving index and flow routing to
-//! component-checked searches.
+//! component-checked searches. The last six (`walker-network`,
+//! `design-shootout`, `design-catalog`, `time-resolved`, `attack-opt`,
+//! `percolation`) were captured before the runner was split along its
+//! stages: they pin the Walker network, the full designer registry, the
+//! multi-slot time grid, the optimized attack search and the percolation
+//! block. Every built-in scenario has a pin.
 
 use ssplane_scenario::library;
 use ssplane_scenario::runner::Runner;
@@ -25,7 +30,24 @@ const GOLDEN: &[(&str, &str)] = &[
     ("routing", include_str!("golden/routing.jsonl")),
     ("disruption", include_str!("golden/disruption.jsonl")),
     ("traffic-scale", include_str!("golden/traffic-scale.jsonl")),
+    ("walker-network", include_str!("golden/walker-network.jsonl")),
+    ("design-shootout", include_str!("golden/design-shootout.jsonl")),
+    ("design-catalog", include_str!("golden/design-catalog.jsonl")),
+    ("time-resolved", include_str!("golden/time-resolved.jsonl")),
+    ("attack-opt", include_str!("golden/attack-opt.jsonl")),
+    ("percolation", include_str!("golden/percolation.jsonl")),
 ];
+
+#[test]
+fn every_builtin_scenario_is_pinned() {
+    for builtin in library::BUILTINS {
+        assert!(
+            GOLDEN.iter().any(|(name, _)| *name == builtin.name),
+            "built-in scenario {} has no golden fixture",
+            builtin.name
+        );
+    }
+}
 
 #[test]
 fn pre_refactor_scenarios_reproduce_their_pinned_bytes() {
