@@ -6,8 +6,10 @@
 //! full 4-slot grid, the per-scenario stage `scenario-runner` pays. On
 //! the same slot, the sampled-flow path a network point routes twice
 //! (intact, then under an attack mask): ground attachment through the
-//! serving index, and shortest-path routing of 200 demand-sampled flows
-//! over the intact and a 4-plane-masked topology.
+//! serving index, the landmark tables the routing is bounded by, and
+//! landmark-guided shortest-path routing of 200 demand-sampled flows
+//! over the intact and a 4-plane-masked topology — the latter also as
+//! the degraded evaluator runs it, under the intact slot's landmarks.
 //!
 //! The headline numbers land in `BENCH_traffic_scale.json` at the
 //! repository root; re-capture with
@@ -18,7 +20,8 @@ use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
 use ssplane_demand::gravity::{gravity_flows, gravity_flows_in, GravityConfig, GravityField};
 use ssplane_demand::spatiotemporal::DemandModel;
-use ssplane_lsn::routing::ServingIndex;
+use ssplane_lsn::optimizer::DegradedEvaluator;
+use ssplane_lsn::routing::{Landmarks, ServingIndex};
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::topology::{Constellation, Topology};
 use ssplane_lsn::traffic::{assign_traffic, sample_flows};
@@ -123,6 +126,11 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
             })
         },
     );
+    // The routing bounds of one slot: six landmarks by farthest-point
+    // selection, one full Dijkstra each (plus the selection's seed run).
+    group.bench_with_input(criterion::BenchmarkId::new("landmarks", "build"), &(), |b, ()| {
+        b.iter(|| black_box(Landmarks::build(&topologies[0])))
+    });
     group.bench_with_input(criterion::BenchmarkId::new("sampled_flows", "intact"), &(), |b, ()| {
         b.iter(|| {
             black_box(
@@ -148,6 +156,19 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
                         .routed,
                 )
             })
+        },
+    );
+    // The degraded pass as a network point runs it: the evaluator's
+    // intact slot filtered by the same mask, the flows re-routed under
+    // the intact slot's landmarks, survivor components counted.
+    let first_slot = SnapshotSeries::build(&c, &[snapshot.epoch()]).unwrap();
+    let evaluator =
+        DegradedEvaluator::new(&first_slot, &flows, min_elevation, Default::default()).unwrap();
+    group.bench_with_input(
+        criterion::BenchmarkId::new("degraded_slot", "4planes_masked"),
+        &(),
+        |b, ()| {
+            b.iter(|| black_box(evaluator.evaluate_slot(0, Some(&alive)).unwrap().traffic.routed))
         },
     );
 

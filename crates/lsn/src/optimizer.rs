@@ -10,11 +10,13 @@
 //!
 //! * a [`DegradedEvaluator`] — the reusable per-candidate evaluation the
 //!   degraded network stage and the search share: one prebuilt intact
-//!   [`Topology`] per slot of a [`SnapshotSeries`], and candidate alive
-//!   masks scored by filtering that topology ([`Topology::masked`], an
-//!   O(links) incremental pass that never re-runs the geometric
-//!   construction, let alone re-propagates an orbit) followed by
-//!   [`assign_traffic_with_capacity`] and the slot aggregates;
+//!   [`Topology`] and routing [`Landmarks`] per slot of a
+//!   [`SnapshotSeries`], and candidate alive masks scored by filtering
+//!   that topology ([`Topology::masked`], an O(links) incremental pass
+//!   that never re-runs the geometric construction, let alone
+//!   re-propagates an orbit) followed by the landmark-guided traffic
+//!   assignment ([`crate::traffic::assign_traffic_with_capacity`]) and
+//!   the slot aggregates;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
 //!   surviving component fraction), (negated) link-load inflation, or —
@@ -43,9 +45,10 @@ pub mod incremental;
 pub use incremental::IncrementalScorer;
 
 use crate::error::Result;
+use crate::routing::Landmarks;
 use crate::snapshot::SnapshotSeries;
 use crate::topology::{GridTopologyConfig, SatId, Topology};
-use crate::traffic::{assign_traffic_with_capacity, Flow, TrafficReport};
+use crate::traffic::{assign_guided, Flow, TrafficReport};
 use crate::traffic_engine::{assign_interned, ServedDemandSummary, TrafficWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,11 +144,13 @@ pub struct SlotEvaluation {
 }
 
 /// The reusable per-candidate evaluation pipeline: mask →
-/// [`Topology::masked`] → [`assign_traffic_with_capacity`] → aggregates, over every
+/// [`Topology::masked`] → traffic assignment → aggregates, over every
 /// slot of one prebuilt [`SnapshotSeries`]. Construction builds the
-/// intact per-slot topologies **and** the intact evaluations once; every
-/// candidate afterwards only filters links and re-routes flows — no
-/// candidate ever re-propagates or re-runs the geometric +grid search.
+/// intact per-slot topologies, their routing [`Landmarks`] **and** the
+/// intact evaluations once; every candidate afterwards only filters links
+/// and re-routes flows under the intact slot's landmarks — no candidate
+/// ever re-propagates, re-runs the geometric +grid search or rebuilds a
+/// landmark table.
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
@@ -157,6 +162,9 @@ pub struct DegradedEvaluator<'a> {
     /// load, the historical semantics).
     link_capacity: f64,
     topologies: Vec<Topology>,
+    /// Each intact slot's routing bounds, reused by every masked pass
+    /// over that slot.
+    landmarks: Vec<Landmarks>,
     intact: Vec<SlotEvaluation>,
     intact_mean_link_load: f64,
     all_alive: Vec<bool>,
@@ -234,13 +242,15 @@ impl<'a> DegradedEvaluator<'a> {
     ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
         let all_alive = vec![true; series.n_sats()];
-        let slots: Vec<(Topology, SlotEvaluation)> =
+        let slots: Vec<((Topology, Landmarks), SlotEvaluation)> =
             par_map((0..series.len()).collect(), threads, |k| {
                 let snapshot = series.snapshot(k);
                 let topology = Topology::plus_grid(&snapshot, config)?;
-                let traffic = assign_traffic_with_capacity(
+                let landmarks = Landmarks::build(&topology);
+                let traffic = assign_guided(
                     &snapshot,
                     &topology,
+                    &landmarks,
                     flows,
                     min_elevation,
                     link_capacity,
@@ -256,11 +266,12 @@ impl<'a> DegradedEvaluator<'a> {
                     traffic,
                     served,
                 };
-                Ok((topology, evaluation))
+                Ok(((topology, landmarks), evaluation))
             })
             .into_iter()
             .collect::<Result<_>>()?;
-        let (topologies, intact): (Vec<Topology>, Vec<SlotEvaluation>) = slots.into_iter().unzip();
+        let (built, intact): (Vec<_>, Vec<SlotEvaluation>) = slots.into_iter().unzip();
+        let (topologies, landmarks): (Vec<Topology>, Vec<Landmarks>) = built.into_iter().unzip();
         let intact_mean_link_load = intact.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>()
             / intact.len().max(1) as f64;
         let spread_order =
@@ -272,6 +283,7 @@ impl<'a> DegradedEvaluator<'a> {
             workload,
             link_capacity,
             topologies,
+            landmarks,
             intact,
             intact_mean_link_load,
             all_alive,
@@ -399,9 +411,10 @@ impl<'a> DegradedEvaluator<'a> {
         };
         let snapshot = self.series.snapshot(k).with_alive(mask);
         let topology = self.topologies[k].masked(mask);
-        let traffic = assign_traffic_with_capacity(
+        let traffic = assign_guided(
             &snapshot,
             &topology,
+            &self.landmarks[k],
             self.flows,
             self.min_elevation,
             self.link_capacity,

@@ -568,12 +568,13 @@ impl Topology {
     /// layout — the analytic-graph entry point the percolation and
     /// spectral tests pin closed-form results with (path, cycle, and
     /// complete graphs have known Laplacian spectra that no orbital
-    /// geometry reproduces exactly). Links are kept in the given order;
-    /// endpoints must be valid under `plane_offsets`.
+    /// geometry reproduces exactly), and the routing properties build
+    /// equal-weight lattices with (ties no orbital geometry produces).
+    /// Links are kept in the given order; endpoints must be valid under
+    /// `plane_offsets`.
     ///
     /// # Panics
     /// If a link endpoint is outside the plane layout.
-    #[cfg(test)]
     pub fn from_links(links: Vec<Link>, plane_offsets: Vec<usize>) -> Topology {
         let total = *plane_offsets.last().unwrap_or(&0);
         let flat = |id: SatId| {

@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::routing::{
-    assemble_route, great_circle_delay_ms, shortest_path, ServingIndex, ShortestPathTree,
+    assemble_route, great_circle_delay_ms, GuidedSearch, Landmarks, ServingIndex,
 };
 use crate::snapshot::Snapshot;
 use crate::topology::{SatId, Topology};
@@ -121,9 +121,10 @@ impl TrafficReport {
 
 /// Routes every flow at the snapshot's epoch and accumulates per-link
 /// load. Ground attachment reads positions from the snapshot (no
-/// propagation), and flows sharing a serving satellite share one cached
-/// [`ShortestPathTree`] instead of re-running Dijkstra per pair — both
-/// produce bit-identical routes to the per-flow reference path.
+/// propagation), and each flow's ISL path comes from one
+/// landmark-guided [`GuidedSearch`] over [`Landmarks`] built for
+/// `topology` — bit-identical to the per-flow
+/// [`crate::routing::shortest_path`] reference.
 ///
 /// # Errors
 /// Propagates topology failure; per-flow unreachability is counted, not
@@ -153,6 +154,23 @@ pub fn assign_traffic_with_capacity(
     min_elevation: f64,
     link_capacity: f64,
 ) -> Result<TrafficReport> {
+    let landmarks = Landmarks::build(topology);
+    assign_guided(snapshot, topology, &landmarks, flows, min_elevation, link_capacity)
+}
+
+/// [`assign_traffic_with_capacity`] over prebuilt `landmarks`: those of
+/// `topology` itself or of the intact topology it is a
+/// [`Topology::masked`] subgraph of, which stay valid bounds there (see
+/// [`Landmarks`]). The degraded evaluator builds them once per intact
+/// slot and reuses them for every masked pass.
+pub(crate) fn assign_guided(
+    snapshot: &Snapshot<'_>,
+    topology: &Topology,
+    landmarks: &Landmarks,
+    flows: &[Flow],
+    min_elevation: f64,
+    link_capacity: f64,
+) -> Result<TrafficReport> {
     // Resolve ground attachment up front: one windowed serving index
     // per snapshot, one exact query per *distinct* endpoint (demand
     // sampling concentrates endpoints in cities, so flows share them).
@@ -174,14 +192,6 @@ pub fn assign_traffic_with_capacity(
     };
     let pairs: Vec<Option<(SatId, SatId)>> =
         flows.iter().map(|f| serve(f.src).zip(serve(f.dst)).filter(connected)).collect();
-    // Sources serving several routable flows amortize one full Dijkstra
-    // tree; one-flow sources keep the cheaper early-exit per-pair search.
-    let mut source_flows: BTreeMap<SatId, usize> = BTreeMap::new();
-    for (s_sat, d_sat) in pairs.iter().flatten() {
-        if s_sat != d_sat {
-            *source_flows.entry(*s_sat).or_insert(0) += 1;
-        }
-    }
 
     let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
     let mut routed = 0usize;
@@ -189,35 +199,14 @@ pub fn assign_traffic_with_capacity(
     let mut stretch_sum = 0.0;
     let mut hop_sum = 0usize;
     let mut flow_outcomes: Vec<Option<FlowOutcome>> = Vec::with_capacity(flows.len());
-    // Each cached tree carries its source's flows still to route and is
-    // dropped after the last one, so only open sources hold a tree.
-    let mut trees: BTreeMap<SatId, (ShortestPathTree, usize)> = BTreeMap::new();
+    let mut search = GuidedSearch::new();
     for (flow, pair) in flows.iter().zip(&pairs) {
         let Some((s_sat, d_sat)) = *pair else {
             unrouted += 1;
             flow_outcomes.push(None);
             continue;
         };
-        let isl = if s_sat == d_sat {
-            Ok((vec![s_sat], 0.0))
-        } else if source_flows[&s_sat] > 1 {
-            let (tree, left) = match trees.entry(s_sat) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(e) => e.insert((
-                    ShortestPathTree::from_source(topology, s_sat)?,
-                    source_flows[&s_sat],
-                )),
-            };
-            let path = tree.path_to(topology, d_sat);
-            *left -= 1;
-            if *left == 0 {
-                trees.remove(&s_sat);
-            }
-            path
-        } else {
-            shortest_path(topology, s_sat, d_sat)
-        };
-        let (hops, isl_km) = isl?;
+        let (hops, isl_km) = search.shortest_path(topology, landmarks, s_sat, d_sat)?;
         let route = assemble_route(snapshot, flow.src, flow.dst, s_sat, d_sat, hops, isl_km)?;
         routed += 1;
         hop_sum += route.hops.len();
@@ -312,10 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn cached_trees_match_per_flow_routing() {
-        // The per-source Dijkstra cache must be invisible: routing the
-        // same flow list one flow at a time through the uncached
-        // reference path gives identical aggregates.
+    fn guided_routing_matches_per_flow_routing() {
+        // The landmark-guided search must be invisible: routing the same
+        // flow list one flow at a time through the Dijkstra reference
+        // path gives identical outcomes.
         let c = constellation();
         let series = SnapshotSeries::build(&c, &[Epoch::J2000]).unwrap();
         let snap = series.snapshot(0);
@@ -332,7 +321,7 @@ mod tests {
             );
             match (reference, outcome) {
                 (Ok(route), Some(out)) => {
-                    assert_eq!(route.delay_ms, out.delay_ms);
+                    assert_eq!(route.delay_ms.to_bits(), out.delay_ms.to_bits());
                     assert_eq!(
                         (*route.hops.first().unwrap(), *route.hops.last().unwrap()),
                         out.ends

@@ -16,11 +16,16 @@ use ssplane_lsn::optimizer::{AttackObjective, DegradedEvaluator};
 use ssplane_lsn::percolation::{
     keyed_ordering, percolation_sweep, plane_spread_ordering, random_ordering, ClusterTracker,
 };
-use ssplane_lsn::routing::{serving_satellite, shortest_path, ServingIndex};
+use ssplane_lsn::routing::{
+    serving_satellite, shortest_path, GuidedSearch, Landmarks, ServingIndex,
+};
 use ssplane_lsn::snapshot::SnapshotSeries;
 use ssplane_lsn::spares::spares_for_availability;
-use ssplane_lsn::topology::{line_of_sight, Constellation, GridTopologyConfig, SatId, Topology};
+use ssplane_lsn::topology::{
+    line_of_sight, Constellation, GridTopologyConfig, Link, SatId, Topology,
+};
 use ssplane_lsn::traffic::Flow;
+use ssplane_lsn::LsnError;
 
 fn small_constellation(planes: usize, slots: usize) -> Constellation {
     let epoch = Epoch::J2000;
@@ -590,5 +595,174 @@ proptest! {
                 fast
             );
         }
+    }
+}
+
+/// Asserts that the landmark-guided search answers every pair exactly as
+/// the Dijkstra reference does on `topo`: the same hop list, the same
+/// length bits, the same `NoRoute`.
+fn assert_guided_matches_dijkstra(
+    topo: &Topology,
+    landmarks: &Landmarks,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) {
+    let mut search = GuidedSearch::new();
+    for (a, b) in pairs {
+        let (from, to) = (topo.id_of(a).unwrap(), topo.id_of(b).unwrap());
+        match (shortest_path(topo, from, to), search.shortest_path(topo, landmarks, from, to)) {
+            (Ok((want, want_km)), Ok((got, got_km))) => {
+                assert_eq!(got, want, "hops {from:?} -> {to:?}");
+                assert_eq!(got_km.to_bits(), want_km.to_bits(), "length {from:?} -> {to:?}");
+            }
+            (Err(LsnError::NoRoute), Err(LsnError::NoRoute)) => {}
+            (want, got) => panic!("{from:?} -> {to:?}: Dijkstra {want:?}, guided {got:?}"),
+        }
+    }
+}
+
+/// `count` seeded node pairs of an `n`-node graph.
+fn random_pairs(n: usize, count: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count).map(|_| (rng.gen_index(n), rng.gen_index(n))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The guided search is Dijkstra, bit for bit, on sun-synchronous
+    /// and Walker-delta slots — intact, under random satellite loss and
+    /// under strided whole-plane loss that splits the grid — with the
+    /// masked searches bounded by the *intact* topology's landmarks, as
+    /// the degraded evaluator runs them. Stacked sun-synchronous planes
+    /// (pairs sharing one LTAN, as the SS designer builds them) put
+    /// co-located satellites on zero-length links.
+    #[test]
+    fn guided_search_matches_dijkstra_on_random_slots(
+        walker in 0usize..2,
+        stacked in 0usize..2,
+        planes in 3usize..9,
+        slots in 8usize..20,
+        dt in 0.0f64..6000.0,
+        kill in 0.0f64..0.5,
+        stride in 2usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let c = if walker == 1 {
+            let pattern = ssplane_astro::walker::WalkerDelta::new(
+                550.0,
+                53f64.to_radians(),
+                planes * slots,
+                planes,
+                1,
+            )
+            .unwrap()
+            .generate()
+            .unwrap();
+            Constellation::from_planes(Epoch::J2000, pattern.chunks(slots).map(<[_]>::to_vec).collect())
+                .unwrap()
+        } else {
+            let params: Vec<(f64, usize)> =
+                (0..planes).map(|p| (6.0 + 1.7 * (p >> stacked) as f64, slots)).collect();
+            random_constellation(560.0, &params)
+        };
+        let topo = snapshot_grid(&c, Epoch::J2000 + dt, GridTopologyConfig::default());
+        if walker == 0 && stacked == 1 {
+            prop_assert!(topo.links.iter().any(|l| l.length_km == 0.0), "no co-located pair");
+        }
+        let n = topo.n_nodes();
+        let landmarks = Landmarks::build(&topo);
+        assert_guided_matches_dijkstra(&topo, &landmarks, random_pairs(n, 60, seed));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let random: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= kill).collect();
+        let mut strided = vec![true; n];
+        for p in (usize::try_from(seed).unwrap() % stride..planes).step_by(stride) {
+            strided[p * slots..(p + 1) * slots].fill(false);
+        }
+        for alive in [random, strided] {
+            let masked = topo.masked(&alive);
+            assert_guided_matches_dijkstra(&masked, &landmarks, random_pairs(n, 60, seed + 1));
+        }
+    }
+
+    /// Unit-weight lattices (grids or tori) are full of equal-length
+    /// paths, so only the `(dist, node)` predecessor tie-break and the
+    /// bound's strict margin make the guided search pick Dijkstra's path
+    /// among them — intact and under random loss. With two layers each
+    /// lattice row is a stacked pair of planes joined by zero-length
+    /// links, so Dijkstra's order inside those clusters matters too.
+    #[test]
+    fn guided_search_matches_dijkstra_on_unit_lattices(
+        rows in 2usize..10,
+        cols in 2usize..12,
+        layers in 1usize..3,
+        wrap in 0usize..2,
+        kill in 0.0f64..0.4,
+        seed in 0u64..10_000,
+    ) {
+        let id = |p: usize, s: usize| SatId { plane: p, slot: s };
+        let planes = rows * layers;
+        let mut links = Vec::new();
+        for p in 0..planes {
+            for s in 0..cols {
+                if s + 1 < cols || (wrap == 1 && cols > 2) {
+                    links.push(Link { a: id(p, s), b: id(p, (s + 1) % cols), length_km: 1.0 });
+                }
+                let q = (p + 1) % planes;
+                if p + 1 < planes || (wrap == 1 && planes > 2) {
+                    let length_km = if q / layers == p / layers { 0.0 } else { 1.0 };
+                    links.push(Link { a: id(p, s), b: id(q, s), length_km });
+                }
+            }
+        }
+        let topo = Topology::from_links(links, (0..=planes).map(|p| p * cols).collect());
+        let n = topo.n_nodes();
+        let landmarks = Landmarks::build(&topo);
+        assert_guided_matches_dijkstra(&topo, &landmarks, random_pairs(n, 150, seed));
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1a77);
+        let alive: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= kill).collect();
+        let masked = topo.masked(&alive);
+        assert_guided_matches_dijkstra(&masked, &landmarks, random_pairs(n, 150, seed + 1));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On graphs of at most six nodes every node is a landmark, so the
+    /// bound is the exact distance to the target and every node on every
+    /// shortest path shares one unshrunk key: only the margin makes
+    /// tied predecessors over unequal links settle in Dijkstra's order.
+    /// Zero-length links (co-located satellites) add clusters that must
+    /// settle in Dijkstra's order as well. A pendant link too short for
+    /// the margin leaves the table without bounds, where the search must
+    /// keep Dijkstra's first relaxation instead.
+    #[test]
+    fn guided_search_matches_dijkstra_on_small_weighted_graphs(
+        n in 3usize..7,
+        density in 0.3f64..0.9,
+        max_weight in 1usize..4,
+        zero_length in 0usize..2,
+        unbounded in 0usize..2,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let id = |v: usize| SatId { plane: 0, slot: v };
+        let mut links = Vec::new();
+        for a in 0..n {
+            for b in a + 1..n {
+                if rng.gen::<f64>() < density {
+                    let w = 1 - zero_length + rng.gen_index(max_weight + zero_length);
+                    links.push(Link { a: id(a), b: id(b), length_km: w as f64 });
+                }
+            }
+        }
+        if unbounded == 1 {
+            links.push(Link { a: id(0), b: id(n), length_km: 1e-9 });
+        }
+        let nodes = n + unbounded;
+        let topo = Topology::from_links(links, vec![0, nodes]);
+        let landmarks = Landmarks::build(&topo);
+        let all = (0..nodes).flat_map(|a| (0..nodes).map(move |b| (a, b)));
+        assert_guided_matches_dijkstra(&topo, &landmarks, all);
     }
 }

@@ -538,6 +538,39 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_network_elevations_fail_per_point() {
+        use crate::toml::TomlValue;
+        let mut ok = tiny_spec();
+        ok.radiation.enabled = false;
+        ok.survivability.enabled = false;
+        ok.design.kinds = vec!["ss"];
+        ok.network.enabled = true;
+        ok.network.n_flows = 20;
+        let with = |x: f64| {
+            let mut spec = ok.clone();
+            crate::sweep::apply_param(&mut spec, "network.min_elevation_deg", &TomlValue::Float(x))
+                .unwrap();
+            spec
+        };
+        // Each of these once reported `routed: 0` (or, negative, attached
+        // terminals below the horizon) without an error.
+        let bad = [95.0, 90.0, 1e308, -30.0, -1e-9, f64::INFINITY];
+        let good = [0.0, 20.0, 89.9];
+        let specs: Vec<ScenarioSpec> = bad.iter().chain(&good).map(|&x| with(x)).collect();
+        let outcome = Runner::with_threads(1).run_specs(&specs);
+        for (k, x) in bad.iter().enumerate() {
+            let err = outcome.reports[k].as_ref().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::BadValue { key, .. } if key == "network.min_elevation_deg"),
+                "{x}: {err}"
+            );
+        }
+        for (report, x) in outcome.reports[bad.len()..].iter().zip(good) {
+            assert!(report.is_ok(), "{x}: {report:?}");
+        }
+    }
+
+    #[test]
     fn oversized_flow_and_pair_budgets_fail_per_point() {
         let mut ok = tiny_spec();
         ok.radiation.enabled = false;

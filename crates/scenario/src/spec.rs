@@ -679,8 +679,9 @@ pub struct NetworkSpec {
     pub n_flows: usize,
     /// UTC hour at which flows are sampled, in `[0, 24)`.
     pub utc_hour: f64,
-    /// Minimum terminal elevation \[deg\] for up/downlinks (the routing
-    /// examples' 20°, more permissive than the design elevation).
+    /// Minimum terminal elevation \[deg\] for up/downlinks, in `[0, 90)`
+    /// (the routing examples' 20°, more permissive than the design
+    /// elevation).
     pub min_elevation_deg: f64,
     /// Maximum ISL range \[km\].
     pub max_range_km: f64,
@@ -927,6 +928,17 @@ impl ScenarioSpec {
                     "network.n_flows",
                     &self.network.n_flows.to_string(),
                     &format!("<= {MAX_N_FLOWS}"),
+                ));
+            }
+            // Terminals attach above the horizon only: a negative angle
+            // would reach satellites below it, and at 90° or more (or a
+            // non-finite angle) no satellite is ever in view.
+            let elevation = self.network.min_elevation_deg;
+            if !(0.0..90.0).contains(&elevation) {
+                return Err(ScenarioError::bad_value(
+                    "network.min_elevation_deg",
+                    &elevation.to_string(),
+                    "an angle in [0, 90) degrees",
                 ));
             }
             // The hour places the constellation and the demand field (and
