@@ -63,6 +63,7 @@
 //! [`DegradedEvaluator`]: optimizer::DegradedEvaluator
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod cast;

@@ -15,7 +15,7 @@
 //!   that topology ([`Topology::masked`], an O(links) incremental pass
 //!   that never re-runs the geometric construction, let alone
 //!   re-propagates an orbit) followed by the landmark-guided traffic
-//!   assignment ([`crate::traffic::assign_traffic_with_capacity`]) and
+//!   assignment ([`crate::traffic::assign_traffic`]) and
 //!   the slot aggregates;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
@@ -46,7 +46,7 @@ pub use incremental::IncrementalScorer;
 
 use crate::error::Result;
 use crate::routing::Landmarks;
-use crate::snapshot::SnapshotSeries;
+use crate::snapshot::{Snapshot, SnapshotSeries};
 use crate::topology::{GridTopologyConfig, SatId, Topology};
 use crate::traffic::{assign_guided, Flow, TrafficReport};
 use crate::traffic_engine::{assign_interned, ServedDemandSummary, TrafficWorkload};
@@ -143,6 +143,49 @@ pub struct SlotEvaluation {
     pub served: Option<ServedDemandSummary>,
 }
 
+/// The traffic every slot evaluation routes, shared by the intact build
+/// and every masked pass.
+#[derive(Debug, Clone, Copy)]
+struct SlotInputs<'a> {
+    flows: &'a [Flow],
+    min_elevation: f64,
+    workload: Option<&'a TrafficWorkload>,
+    /// The capacity the classic load statistics normalize by — the
+    /// workload's link capacity when one is carried, else `1.0` (raw
+    /// load, the historical semantics).
+    link_capacity: f64,
+}
+
+impl SlotInputs<'_> {
+    /// One slot's evaluation under `alive` (`None` = intact) for the intact
+    /// build and every [`DegradedEvaluator::evaluate_slot`]: one component
+    /// pass serves connectivity and both traffic passes' reachability.
+    fn evaluate(
+        &self,
+        snapshot: &Snapshot<'_>,
+        topology: &Topology,
+        landmarks: &Landmarks,
+        alive: Option<&[bool]>,
+    ) -> Result<SlotEvaluation> {
+        let components = topology.components(alive);
+        let labels = &components.labels;
+        let (flows, elevation, capacity) = (self.flows, self.min_elevation, self.link_capacity);
+        let traffic =
+            assign_guided(snapshot, topology, landmarks, labels, flows, elevation, capacity)?;
+        let served = self.workload.map(|w| {
+            let (index, capacity) = (w.flows.index(), &w.capacity);
+            assign_interned(snapshot, topology, labels, &w.flows, index, elevation, capacity)
+        });
+        Ok(SlotEvaluation {
+            connected: components.is_connected(),
+            largest_component: components.largest(),
+            alive: snapshot.alive_count(),
+            traffic,
+            served,
+        })
+    }
+}
+
 /// The reusable per-candidate evaluation pipeline: mask →
 /// [`Topology::masked`] → traffic assignment → aggregates, over every
 /// slot of one prebuilt [`SnapshotSeries`]. Construction builds the
@@ -154,13 +197,7 @@ pub struct SlotEvaluation {
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
-    flows: &'a [Flow],
-    min_elevation: f64,
-    workload: Option<&'a TrafficWorkload>,
-    /// The capacity the classic load statistics normalize by — the
-    /// workload's link capacity when one is carried, else `1.0` (raw
-    /// load, the historical semantics).
-    link_capacity: f64,
+    inputs: SlotInputs<'a>,
     topologies: Vec<Topology>,
     /// Each intact slot's routing bounds, reused by every masked pass
     /// over that slot.
@@ -241,31 +278,13 @@ impl<'a> DegradedEvaluator<'a> {
         threads: usize,
     ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
-        let all_alive = vec![true; series.n_sats()];
+        let inputs = SlotInputs { flows, min_elevation, workload, link_capacity };
         let slots: Vec<((Topology, Landmarks), SlotEvaluation)> =
             par_map((0..series.len()).collect(), threads, |k| {
                 let snapshot = series.snapshot(k);
                 let topology = Topology::plus_grid(&snapshot, config)?;
                 let landmarks = Landmarks::build(&topology);
-                let traffic = assign_guided(
-                    &snapshot,
-                    &topology,
-                    &landmarks,
-                    flows,
-                    min_elevation,
-                    link_capacity,
-                )?;
-                let served = workload.map(|w| {
-                    let (flows, index) = (&w.flows, w.flows.index());
-                    assign_interned(&snapshot, &topology, flows, index, min_elevation, &w.capacity)
-                });
-                let evaluation = SlotEvaluation {
-                    connected: topology.is_connected(),
-                    largest_component: topology.largest_component_among(&all_alive),
-                    alive: series.n_sats(),
-                    traffic,
-                    served,
-                };
+                let evaluation = inputs.evaluate(&snapshot, &topology, &landmarks, None)?;
                 Ok(((topology, landmarks), evaluation))
             })
             .into_iter()
@@ -278,15 +297,12 @@ impl<'a> DegradedEvaluator<'a> {
             topologies.first().map(crate::percolation::plane_spread_ordering).unwrap_or_default();
         Ok(DegradedEvaluator {
             series,
-            flows,
-            min_elevation,
-            workload,
-            link_capacity,
+            inputs,
             topologies,
             landmarks,
             intact,
             intact_mean_link_load,
-            all_alive,
+            all_alive: vec![true; series.n_sats()],
             spread_order,
             percolation_steps: crate::percolation::DEFAULT_PERCOLATION_STEPS,
             percolation_gap: crate::percolation::DEFAULT_MASKING_GAP,
@@ -411,25 +427,7 @@ impl<'a> DegradedEvaluator<'a> {
         };
         let snapshot = self.series.snapshot(k).with_alive(mask);
         let topology = self.topologies[k].masked(mask);
-        let traffic = assign_guided(
-            &snapshot,
-            &topology,
-            &self.landmarks[k],
-            self.flows,
-            self.min_elevation,
-            self.link_capacity,
-        )?;
-        let served = self.workload.map(|w| {
-            let (index, capacity) = (w.flows.index(), &w.capacity);
-            assign_interned(&snapshot, &topology, &w.flows, index, self.min_elevation, capacity)
-        });
-        Ok(SlotEvaluation {
-            connected: topology.is_connected_among(mask),
-            largest_component: topology.largest_component_among(mask),
-            alive: snapshot.alive_count(),
-            traffic,
-            served,
-        })
+        self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive)
     }
 
     /// Evaluates every slot under one mask (`None` = intact).
@@ -446,12 +444,11 @@ impl<'a> DegradedEvaluator<'a> {
         let denom = slots.len().max(1) as f64;
         match objective {
             AttackObjective::RoutedFraction => {
-                if self.flows.is_empty() {
+                let flows = self.inputs.flows.len();
+                if flows == 0 {
                     return 0.0;
                 }
-                slots.iter().map(|s| s.traffic.routed as f64).sum::<f64>()
-                    / denom
-                    / self.flows.len() as f64
+                slots.iter().map(|s| s.traffic.routed as f64).sum::<f64>() / denom / flows as f64
             }
             AttackObjective::Connectivity => {
                 slots
@@ -474,7 +471,7 @@ impl<'a> DegradedEvaluator<'a> {
                     / self.intact_mean_link_load
             }
             AttackObjective::ServedDemand => {
-                if self.workload.is_none() || slots.iter().any(|s| s.served.is_none()) {
+                if self.inputs.workload.is_none() || slots.iter().any(|s| s.served.is_none()) {
                     // No capacity workload: fall back to the flow-count
                     // service metric so the objective stays total.
                     return self.objective_value(AttackObjective::RoutedFraction, slots);
@@ -630,53 +627,6 @@ impl UnitSpace {
     }
 }
 
-/// Local swap refinement: propose `swaps` member/non-member exchanges
-/// (both drawn through the shared seeded [`Rng::gen_index`]), keeping
-/// each only on strict improvement. Returns the refined units and value.
-/// Swap neighbours share k−1 victims, so scoring through the
-/// [`IncrementalScorer`] makes each trial a one-unit delta off a cached
-/// state (and repeats — revisited swaps — free via its seen-cache).
-fn refine(
-    scorer: &IncrementalScorer<'_, '_>,
-    space: &UnitSpace,
-    start: Units,
-    start_value: f64,
-    config: &AttackSearchConfig,
-    seed: u64,
-) -> Result<(Units, f64)> {
-    let n_units = space.n_units();
-    let mut current = start;
-    let mut value = start_value;
-    if current.is_empty() || current.len() >= n_units {
-        return Ok((current, value));
-    }
-    let mut member = vec![false; n_units];
-    for &u in &current {
-        member[u] = true;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..config.swaps {
-        let out_pos = rng.gen_index(current.len());
-        // The pick-th unit currently outside the set.
-        let pick = rng.gen_index(n_units - current.len());
-        let incoming = (0..n_units)
-            .filter(|&u| !member[u])
-            .nth(pick)
-            .expect("pick is within the non-member count");
-        let outgoing = current[out_pos];
-        current[out_pos] = incoming;
-        let trial = scorer.score(&space.expand(&current))?;
-        if trial < value {
-            value = trial;
-            member[outgoing] = false;
-            member[incoming] = true;
-        } else {
-            current[out_pos] = outgoing;
-        }
-    }
-    Ok((current, value))
-}
-
 /// Runs the adversarial attack search over `evaluator`'s network.
 ///
 /// `seeds` are caller-supplied fixed attacks (network-layout destroyed
@@ -698,8 +648,7 @@ pub fn optimize_attack(
     seeds: &[Vec<SatId>],
 ) -> Result<AttackSearchOutcome> {
     let space = UnitSpace::build(evaluator.series, config.budget);
-    let n_units = space.n_units();
-    let k = config.budget.count().min(n_units);
+    let k = config.budget.count().min(space.n_units());
     let intact_value = evaluator.objective_value(config.objective, evaluator.intact());
     if k == 0 {
         return Ok(AttackSearchOutcome {
@@ -715,126 +664,9 @@ pub fn optimize_attack(
     // neighbour costs only its one-unit delta off a cached state, and
     // repeated victim sets dedup through the seen-cache.
     let scorer = evaluator.incremental_scorer(config.objective);
-
-    // Greedy construction: grow the destroyed set one unit at a time,
-    // scoring the whole frontier of each step in one parallel batch
-    // (satellite budgets sample their frontier — see
-    // [`GREEDY_SAT_SAMPLE`]).
-    let mut greedy: Units = Vec::with_capacity(k);
-    let mut member = vec![false; n_units];
-    let mut greedy_rng = StdRng::seed_from_u64(seed ^ 0x6772_6565_6479); // "greedy"
-    let mut greedy_value = intact_value;
-    for _ in 0..k {
-        let remaining: Vec<usize> = (0..n_units).filter(|&u| !member[u]).collect();
-        let frontier: Vec<usize> = match config.budget {
-            AttackBudget::Planes(_) => remaining,
-            AttackBudget::Sats(_) if remaining.len() <= GREEDY_SAT_SAMPLE => remaining,
-            AttackBudget::Sats(_) => {
-                // Seeded sample without replacement: a partial
-                // Fisher-Yates over the remaining units.
-                let mut pool = remaining;
-                for i in 0..GREEDY_SAT_SAMPLE {
-                    let j = i + greedy_rng.gen_index(pool.len() - i);
-                    pool.swap(i, j);
-                }
-                pool.truncate(GREEDY_SAT_SAMPLE);
-                pool
-            }
-        };
-        let candidates: Vec<Vec<SatId>> = frontier
-            .iter()
-            .map(|&u| {
-                let mut units = greedy.clone();
-                units.push(u);
-                space.expand(&units)
-            })
-            .collect();
-        let scores = scorer.score_batch(&candidates, config.threads)?;
-        let mut best = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
-            if s < scores[best] {
-                best = i;
-            }
-        }
-        greedy.push(frontier[best]);
-        member[frontier[best]] = true;
-        greedy_value = scores[best];
-        if greedy.len() < k {
-            // Pin the grown prefix so the next frontier batch deltas off
-            // it instead of whatever the LRU happens to retain.
-            scorer.ensure_resident(&space.expand(&greedy));
-        }
-    }
-
-    // The start pool: greedy, the implicit strided-plane baseline, the
-    // caller's seeded fixed attacks, and seeded random restarts.
-    let mut starts: Vec<Units> = vec![greedy];
-    if let AttackBudget::Planes(_) = config.budget {
-        starts.push(crate::disruption::strided_plane_indices(n_units, k));
-    }
-    for fixed in seeds {
-        // Map a destroyed set back onto whole units: a unit is selected
-        // when any of its satellites is in the fixed attack. Truncate or
-        // pad (lowest unselected units) to the budget so every start is
-        // comparable. The membership probe needs sorted ids; callers owe
-        // no ordering, so sort a local copy.
-        let mut fixed = fixed.clone();
-        fixed.sort_unstable();
-        let mut units: Units = Vec::new();
-        let mut selected = vec![false; n_units];
-        for (u, sats) in space.members.iter().enumerate() {
-            if sats.iter().any(|id| fixed.binary_search(id).is_ok()) && !selected[u] {
-                selected[u] = true;
-                units.push(u);
-            }
-        }
-        units.truncate(k);
-        let mut fill = 0usize;
-        while units.len() < k && fill < n_units {
-            if !selected[fill] {
-                selected[fill] = true;
-                units.push(fill);
-            }
-            fill += 1;
-        }
-        starts.push(units);
-    }
-    for r in 0..config.restarts {
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ (crate::cast::count_u64(r) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let mut units: Units = Vec::with_capacity(k);
-        let mut taken = vec![false; n_units];
-        while units.len() < k {
-            let u = rng.gen_index(n_units);
-            if !taken[u] {
-                taken[u] = true;
-                units.push(u);
-            }
-        }
-        starts.push(units);
-    }
-
-    // Score every start (except the greedy one, whose value the
-    // construction already produced) in one parallel batch, then refine
-    // each with the same swap budget — refinements run in parallel
-    // across starts, each on its own deterministic stream.
-    let expanded: Vec<Vec<SatId>> =
-        starts.iter().skip(1).map(|units| space.expand(units)).collect();
-    let start_values = scorer.score_batch(&expanded, config.threads)?;
-    let jobs: Vec<(Units, f64, u64)> = starts
-        .into_iter()
-        .zip(std::iter::once(greedy_value).chain(start_values))
-        .enumerate()
-        .map(|(i, (units, value))| {
-            (units, value, seed ^ crate::cast::count_u64(i).wrapping_mul(0xA076_1D64_78BD_642F))
-        })
-        .collect();
-    let refined: Vec<(Units, f64)> = par_map(jobs, config.threads, |(units, value, s)| {
-        refine(&scorer, &space, units, value, config, s)
-    })
-    .into_iter()
-    .collect::<Result<_>>()?;
+    let search = Search { scorer: &scorer, space: &space, config, seed, k };
+    let (greedy, greedy_value) = search.greedy(intact_value)?;
+    let refined = search.refine_starts(search.start_pool(seeds, greedy), greedy_value)?;
 
     // The final pick: strict < over start order, so ties resolve to the
     // earliest start (greedy, then baseline, then seeds, then restarts).
@@ -852,6 +684,190 @@ pub fn optimize_attack(
         candidates_evaluated: scorer.candidates_scored(),
         candidates_unique: scorer.candidates_unique(),
     })
+}
+
+/// One attack search's fixed inputs, shared by its stages: greedy
+/// construction, the start pool, and refinement.
+struct Search<'s> {
+    scorer: &'s IncrementalScorer<'s, 's>,
+    space: &'s UnitSpace,
+    config: &'s AttackSearchConfig,
+    seed: u64,
+    /// The budget in units.
+    k: usize,
+}
+
+impl Search<'_> {
+    /// Greedy construction: grows the destroyed set one unit at a time,
+    /// scoring the whole frontier of each step in one parallel batch
+    /// (satellite budgets sample their frontier — see
+    /// [`GREEDY_SAT_SAMPLE`]). Returns the units and their value.
+    fn greedy(&self, intact_value: f64) -> Result<(Units, f64)> {
+        let n_units = self.space.n_units();
+        let mut greedy: Units = Vec::with_capacity(self.k);
+        let mut member = vec![false; n_units];
+        let mut greedy_rng = StdRng::seed_from_u64(self.seed ^ 0x6772_6565_6479); // "greedy"
+        let mut greedy_value = intact_value;
+        for _ in 0..self.k {
+            let remaining: Vec<usize> = (0..n_units).filter(|&u| !member[u]).collect();
+            let frontier: Vec<usize> = match self.config.budget {
+                AttackBudget::Planes(_) => remaining,
+                AttackBudget::Sats(_) if remaining.len() <= GREEDY_SAT_SAMPLE => remaining,
+                AttackBudget::Sats(_) => {
+                    // Seeded sample without replacement: a partial
+                    // Fisher-Yates over the remaining units.
+                    let mut pool = remaining;
+                    for i in 0..GREEDY_SAT_SAMPLE {
+                        let j = i + greedy_rng.gen_index(pool.len() - i);
+                        pool.swap(i, j);
+                    }
+                    pool.truncate(GREEDY_SAT_SAMPLE);
+                    pool
+                }
+            };
+            let candidates: Vec<Vec<SatId>> = frontier
+                .iter()
+                .map(|&u| {
+                    let mut units = greedy.clone();
+                    units.push(u);
+                    self.space.expand(&units)
+                })
+                .collect();
+            let scores = self.scorer.score_batch(&candidates, self.config.threads)?;
+            let mut best = 0usize;
+            for (i, &s) in scores.iter().enumerate() {
+                if s < scores[best] {
+                    best = i;
+                }
+            }
+            greedy.push(frontier[best]);
+            member[frontier[best]] = true;
+            greedy_value = scores[best];
+            if greedy.len() < self.k {
+                // Pin the grown prefix so the next frontier batch deltas
+                // off it instead of whatever the LRU happens to retain.
+                self.scorer.ensure_resident(&self.space.expand(&greedy));
+            }
+        }
+        Ok((greedy, greedy_value))
+    }
+
+    /// The start pool, in tie-break order: the greedy set, the implicit
+    /// strided-plane baseline (plane budgets), the caller's seeded fixed
+    /// attacks, and seeded random restarts.
+    fn start_pool(&self, seeds: &[Vec<SatId>], greedy: Units) -> Vec<Units> {
+        let (n_units, k) = (self.space.n_units(), self.k);
+        let mut starts: Vec<Units> = vec![greedy];
+        if let AttackBudget::Planes(_) = self.config.budget {
+            starts.push(crate::disruption::strided_plane_indices(n_units, k));
+        }
+        for fixed in seeds {
+            // Map a destroyed set back onto whole units: a unit is
+            // selected when any of its satellites is in the fixed attack.
+            // Truncate or pad (lowest unselected units) to the budget so
+            // every start is comparable. The membership probe needs sorted
+            // ids; callers owe no ordering, so sort a local copy.
+            let mut fixed = fixed.clone();
+            fixed.sort_unstable();
+            let mut units: Units = Vec::new();
+            let mut selected = vec![false; n_units];
+            for (u, sats) in self.space.members.iter().enumerate() {
+                if sats.iter().any(|id| fixed.binary_search(id).is_ok()) && !selected[u] {
+                    selected[u] = true;
+                    units.push(u);
+                }
+            }
+            units.truncate(k);
+            let mut fill = 0usize;
+            while units.len() < k && fill < n_units {
+                if !selected[fill] {
+                    selected[fill] = true;
+                    units.push(fill);
+                }
+                fill += 1;
+            }
+            starts.push(units);
+        }
+        for r in 0..self.config.restarts {
+            let mut rng = StdRng::seed_from_u64(
+                self.seed ^ (crate::cast::count_u64(r) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let mut units: Units = Vec::with_capacity(k);
+            let mut taken = vec![false; n_units];
+            while units.len() < k {
+                let u = rng.gen_index(n_units);
+                if !taken[u] {
+                    taken[u] = true;
+                    units.push(u);
+                }
+            }
+            starts.push(units);
+        }
+        starts
+    }
+
+    /// Refinement: scores every start but the greedy one (whose value the
+    /// construction already produced) in one parallel batch, then refines
+    /// each with the same swap budget, in parallel across starts, each on
+    /// its own deterministic stream. Returns the results in start order.
+    fn refine_starts(&self, starts: Vec<Units>, greedy_value: f64) -> Result<Vec<(Units, f64)>> {
+        let expanded: Vec<Vec<SatId>> =
+            starts.iter().skip(1).map(|units| self.space.expand(units)).collect();
+        let start_values = self.scorer.score_batch(&expanded, self.config.threads)?;
+        let jobs: Vec<(Units, f64, u64)> = starts
+            .into_iter()
+            .zip(std::iter::once(greedy_value).chain(start_values))
+            .enumerate()
+            .map(|(i, (units, value))| {
+                let stream = crate::cast::count_u64(i).wrapping_mul(0xA076_1D64_78BD_642F);
+                (units, value, self.seed ^ stream)
+            })
+            .collect();
+        par_map(jobs, self.config.threads, |(units, value, s)| self.refine(units, value, s))
+            .into_iter()
+            .collect()
+    }
+
+    /// Local swap refinement: propose `swaps` member/non-member exchanges
+    /// (both drawn through the shared seeded [`Rng::gen_index`]), keeping
+    /// each only on strict improvement. Returns the refined units and
+    /// value. Swap neighbours share k−1 victims, so scoring through the
+    /// [`IncrementalScorer`] makes each trial a one-unit delta off a
+    /// cached state (and repeats — revisited swaps — free via its
+    /// seen-cache).
+    fn refine(&self, start: Units, start_value: f64, seed: u64) -> Result<(Units, f64)> {
+        let n_units = self.space.n_units();
+        let mut current = start;
+        let mut value = start_value;
+        if current.is_empty() || current.len() >= n_units {
+            return Ok((current, value));
+        }
+        let mut member = vec![false; n_units];
+        for &u in &current {
+            member[u] = true;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..self.config.swaps {
+            let out_pos = rng.gen_index(current.len());
+            // The pick-th unit currently outside the set.
+            let pick = rng.gen_index(n_units - current.len());
+            let incoming = (0..n_units)
+                .filter(|&u| !member[u])
+                .nth(pick)
+                .expect("pick is within the non-member count");
+            let outgoing = current[out_pos];
+            current[out_pos] = incoming;
+            let trial = self.scorer.score(&self.space.expand(&current))?;
+            if trial < value {
+                value = trial;
+                member[outgoing] = false;
+                member[incoming] = true;
+            } else {
+                current[out_pos] = outgoing;
+            }
+        }
+        Ok((current, value))
+    }
 }
 
 #[cfg(test)]
@@ -986,7 +1002,7 @@ mod tests {
                 assign_traffic(&snapshot, &topology, &flows, 20f64.to_radians()).unwrap();
             assert_eq!(fast.traffic.routed, reference.routed);
             assert_eq!(fast.traffic.link_load, reference.link_load);
-            assert_eq!(fast.connected, topology.is_connected_among(&mask));
+            assert_eq!(fast.connected, topology.components(Some(&mask)).is_connected());
             assert_eq!(fast.alive, 48);
         }
     }

@@ -70,7 +70,7 @@
 use super::{AttackObjective, DegradedEvaluator, SlotEvaluation};
 use crate::error::Result;
 use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTree};
-use crate::topology::{SatId, Topology};
+use crate::topology::{Components, SatId, Topology};
 use crate::traffic::TrafficReport;
 use crate::traffic_engine::{
     k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, FlowIndex,
@@ -78,6 +78,7 @@ use crate::traffic_engine::{
 };
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -319,25 +320,26 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// the scorer's lifetime pays for, outside damage-threshold
     /// fallbacks).
     pub fn new(ev: &'e DegradedEvaluator<'a>, objective: AttackObjective) -> Self {
-        let needs_served = objective == AttackObjective::ServedDemand && ev.workload.is_some();
+        let needs_served =
+            objective == AttackObjective::ServedDemand && ev.inputs.workload.is_some();
         let needs_routing =
             matches!(objective, AttackObjective::RoutedFraction | AttackObjective::LoadInflation)
-                || (objective == AttackObjective::ServedDemand && ev.workload.is_none());
+                || (objective == AttackObjective::ServedDemand && ev.inputs.workload.is_none());
         let need_load = objective == AttackObjective::LoadInflation;
         let needs_connectivity = objective == AttackObjective::Connectivity;
         let n_slots = ev.n_slots();
         let ids: Vec<SatId> =
             if n_slots > 0 { ev.series.snapshot(0).ids().collect() } else { Vec::new() };
         let flow_index =
-            if needs_routing { FlowIndex::new(ev.flows) } else { FlowIndex::default() };
+            if needs_routing { FlowIndex::new(ev.inputs.flows) } else { FlowIndex::default() };
         let mut ranked = Vec::new();
         let mut w_ranked = Vec::new();
         if needs_routing || needs_served {
             for k in 0..n_slots {
-                let index = ServingIndex::new(ev.series.snapshot(k), ev.min_elevation);
+                let index = ServingIndex::new(ev.series.snapshot(k), ev.inputs.min_elevation);
                 let topology = &ev.topologies[k];
                 ranked.push(RankedServers::build(&index, topology, &flow_index.points));
-                let w_points = match ev.workload {
+                let w_points = match ev.inputs.workload {
                     Some(w) if needs_served => &w.flows.index().points[..],
                     _ => &[],
                 };
@@ -369,11 +371,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let (intact, _) = scorer.build_state(Vec::new(), &bootstrap);
         scorer.intact_state = Arc::new(intact);
         scorer
-    }
-
-    /// The objective this scorer evaluates.
-    pub fn objective(&self) -> AttackObjective {
-        self.objective
     }
 
     /// Score requests so far, cache hits included — the search-loop
@@ -578,16 +575,18 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// [`crate::traffic_engine::assign_capacity_constrained`] over the
     /// masked snapshot and topology. A recomputed source takes its
     /// round-0 (plain shortest) paths from [`Self::paths_for`]'s tree
-    /// repair; `local` and `buffers` are as there.
-    fn eval_served(
+    /// repair; `components` reads the slot's labels, `local` and `buffers`
+    /// are as there.
+    fn eval_served<'c>(
         &self,
         k: usize,
         delta: &Delta<'_>,
+        components: &impl Fn() -> &'c Components,
         local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
         buffers: &mut RepairBuffers,
     ) -> (ServedState, ServedDemandSummary) {
         let mask = delta.mask;
-        let w = self.ev.workload.expect("served demand needs a workload");
+        let w = self.ev.inputs.workload.expect("served demand needs a workload");
         if w.flows.is_empty() {
             return (ServedState::default(), ServedDemandSummary::empty(0, 0.0, 0.0));
         }
@@ -603,7 +602,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let fresh = ServedState::default();
         let pserved = delta.parent.slots[k].served.as_ref().unwrap_or(&fresh);
         let kp = w.capacity.k_paths.max(1);
-        let mut reach: Option<Vec<u32>> = None;
         let mut sources: BTreeMap<usize, Arc<SourcePaths>> = BTreeMap::new();
         for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
             let s = group[0].0;
@@ -620,20 +618,20 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                 None => {
                     // Round 0 from the repaired tree, which only has to
                     // settle the destinations `s` can reach.
-                    let reach = reach.get_or_insert_with(|| topo.component_labels(Some(mask)));
+                    let labels = &components().labels;
                     let reachable: Vec<usize> =
-                        dsts.iter().copied().filter(|&d| reach[d] == reach[s]).collect();
+                        dsts.iter().copied().filter(|&d| labels[d] == labels[s]).collect();
                     let mut found =
                         self.paths_for(k, s, &reachable, delta, local, buffers).into_iter();
                     let shortest = dsts
                         .iter()
                         .map(|&d| {
-                            let path = (reach[d] == reach[s]).then(|| found.next()).flatten();
+                            let path = (labels[d] == labels[s]).then(|| found.next()).flatten();
                             path.flatten().map(|hops| hops.to_vec())
                         })
                         .collect();
                     let paths =
-                        k_paths_for_source(topo, s, &dsts, kp, Some(mask), reach, Some(shortest));
+                        k_paths_for_source(topo, s, &dsts, kp, Some(mask), labels, Some(shortest));
                     Arc::new(SourcePaths { paths, dsts })
                 }
             };
@@ -654,127 +652,51 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// slot aggregates the objective reads, synthesized into a
     /// [`SlotEvaluation`] whose read fields match the full pipeline's
     /// bit for bit (unread fields — stretch, hops, outcomes — are left
-    /// inert).
+    /// inert). The slot's components are labelled on first use, once for
+    /// the routing, connectivity and served-demand stages together.
     fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, SlotEvaluation) {
-        let (parent, mask) = (delta.parent, delta.mask);
+        let mask = delta.mask;
+        let cell = OnceCell::new();
+        let components = || cell.get_or_init(|| self.ev.topologies[k].components(Some(mask)));
         let mut state = SlotState::default();
         let mut buffers = RepairBuffers::default();
-        let mut routed = 0usize;
-        let mut unrouted = 0usize;
-        let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
-        let flow_ends =
-            |i: usize| self.flow_index.pairs[crate::cast::widen_u32(self.flow_index.flow_pair[i])];
-        if self.needs_routing && !self.need_load {
+        let n_flows = self.ev.inputs.flows.len();
+        let (routed, unrouted, link_load) = if !self.needs_routing {
+            (0, 0, BTreeMap::new())
+        } else if !self.need_load {
             // Reachability-only objectives (routed fraction and its
             // served-demand fallback): the masked Dijkstra finds a path
             // iff both serving satellites share an alive component, so
             // component labels give the exact same routed/unrouted
             // counts without building a single path.
             let servers = self.ranked[k].servers(mask);
-            let comp = self.ev.topologies[k].component_labels(Some(mask));
-            for i in 0..self.ev.flows.len() {
-                let (ea, eb) = flow_ends(i);
-                match (servers[ea], servers[eb]) {
-                    (Some(a), Some(b)) if a == b || comp[a] == comp[b] => routed += 1,
-                    _ => unrouted += 1,
-                }
-            }
-        } else if self.needs_routing {
-            let servers = self.ranked[k].servers(mask);
-            // Classify every flow first; flows needing a fresh route are
-            // grouped by source so each source pays one targeted repair
-            // for all of its destinations. Pairs in different alive
-            // components are unreachable outright, so a repair only ever
-            // waits for destinations it will settle.
-            let comp = self.ev.topologies[k].component_labels(Some(mask));
-            let mut staged: Vec<Option<FlowState>> = Vec::with_capacity(self.ev.flows.len());
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-            for i in 0..self.ev.flows.len() {
-                let (ea, eb) = flow_ends(i);
-                let fs = match (servers[ea], servers[eb]) {
-                    (Some(a), Some(b)) if a == b => Some(FlowState::Local),
-                    (Some(a), Some(b)) => match parent.slots[k].flows.get(i) {
-                        // Same serving pair and every hop alive: the
-                        // cached route is still canonical (removals only
-                        // lengthen competitors).
-                        Some(FlowState::Path { s, d, hops })
-                            if *s == a && *d == b && hops.iter().all(|&h| mask[h]) =>
-                        {
-                            Some(FlowState::Path { s: a, d: b, hops: Arc::clone(hops) })
-                        }
-                        // Reachability only shrinks under a stricter
-                        // mask: unreachable stays unreachable.
-                        Some(FlowState::Unreachable { s, d }) if *s == a && *d == b => {
-                            Some(FlowState::Unreachable { s: a, d: b })
-                        }
-                        _ if comp[a] != comp[b] => Some(FlowState::Unreachable { s: a, d: b }),
-                        _ => {
-                            by_src.entry(a).or_default().push(b);
-                            pairs.push((a, b));
-                            None
-                        }
-                    },
-                    _ => Some(FlowState::Unattached),
-                };
-                staged.push(fs);
-            }
-            let mut routes: BTreeMap<(usize, usize), Option<Arc<[usize]>>> = BTreeMap::new();
-            for (&s, dsts) in &mut by_src {
-                dsts.sort_unstable();
-                dsts.dedup();
-                let found = self.paths_for(k, s, dsts, delta, &mut state.trees, &mut buffers);
-                for (&d, hops) in dsts.iter().zip(found) {
-                    routes.insert((s, d), hops);
-                }
-            }
-            let mut pair_it = pairs.into_iter();
-            let mut flows = Vec::with_capacity(self.ev.flows.len());
-            for (flow, st) in self.ev.flows.iter().zip(staged) {
-                let fs = st.unwrap_or_else(|| {
-                    let (a, b) = pair_it.next().expect("one pending pair per staged hole");
-                    match &routes[&(a, b)] {
-                        Some(hops) => FlowState::Path { s: a, d: b, hops: Arc::clone(hops) },
-                        None => FlowState::Unreachable { s: a, d: b },
-                    }
-                });
-                match &fs {
-                    FlowState::Local => routed += 1,
-                    FlowState::Path { hops, .. } => {
-                        routed += 1;
-                        if self.need_load {
-                            // Flow-order accumulation onto SatId keys:
-                            // the exact summation the full path runs.
-                            for hop in hops.windows(2) {
-                                *link_load
-                                    .entry((self.ids[hop[0]], self.ids[hop[1]]))
-                                    .or_insert(0.0) += flow.demand;
-                            }
-                        }
-                    }
-                    FlowState::Unattached | FlowState::Unreachable { .. } => unrouted += 1,
-                }
-                flows.push(fs);
-            }
-            state.flows = flows;
-        }
-        let largest_component = if self.needs_connectivity {
-            self.ev.topologies[k].largest_component_among(mask)
+            let labels = &components().labels;
+            let routed = (0..n_flows)
+                .filter(|&i| {
+                    let (ea, eb) = self.flow_ends(i);
+                    matches!((servers[ea], servers[eb]),
+                        (Some(a), Some(b)) if a == b || labels[a] == labels[b])
+                })
+                .count();
+            (routed, n_flows - routed, BTreeMap::new())
         } else {
-            0
+            let labels = &components().labels;
+            state.flows = self.route_flows(k, delta, labels, &mut state.trees, &mut buffers);
+            let (routed, link_load) = self.aggregate_routes(&state.flows);
+            (routed, n_flows - routed, link_load)
         };
-        let served = if self.needs_served {
-            let (ss, summary) = self.eval_served(k, delta, &mut state.trees, &mut buffers);
+        let largest_component = if self.needs_connectivity { components().largest() } else { 0 };
+        let served = self.needs_served.then(|| {
+            let (ss, summary) =
+                self.eval_served(k, delta, &components, &mut state.trees, &mut buffers);
             state.served = Some(ss);
-            Some(summary)
-        } else {
-            None
-        };
+            summary
+        });
         let evaluation = SlotEvaluation {
             connected: false,
             largest_component,
             // The victims are the parent's plus the disjoint new ones.
-            alive: self.ev.n_sats() - parent.victims.len() - delta.dead_new.len(),
+            alive: self.ev.n_sats() - delta.parent.victims.len() - delta.dead_new.len(),
             traffic: TrafficReport {
                 routed,
                 unrouted,
@@ -782,11 +704,103 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                 mean_stretch: f64::NAN,
                 mean_hops: f64::NAN,
                 flow_outcomes: Vec::new(),
-                link_capacity: self.ev.link_capacity,
+                link_capacity: self.ev.inputs.link_capacity,
             },
             served,
         };
         (state, evaluation)
+    }
+
+    /// Classic flow `i`'s interned endpoint pair.
+    fn flow_ends(&self, i: usize) -> (usize, usize) {
+        self.flow_index.pairs[crate::cast::widen_u32(self.flow_index.flow_pair[i])]
+    }
+
+    /// Stage one of a routed slot: every classic flow's outcome under the
+    /// candidate's mask. Flows are classified first (local, unattached,
+    /// parent route still alive, split across the components `labels`);
+    /// those left need a route and are grouped by source, so each source
+    /// pays one targeted repair ([`Self::paths_for`]) that only waits for
+    /// destinations it will settle.
+    fn route_flows(
+        &self,
+        k: usize,
+        delta: &Delta<'_>,
+        labels: &[u32],
+        local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
+        buffers: &mut RepairBuffers,
+    ) -> Vec<FlowState> {
+        let (parent, mask) = (delta.parent, delta.mask);
+        let servers = self.ranked[k].servers(mask);
+        let n_flows = self.ev.inputs.flows.len();
+        // A flow still to route holds its serving pair.
+        let mut staged = Vec::with_capacity(n_flows);
+        let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for i in 0..n_flows {
+            let (ea, eb) = self.flow_ends(i);
+            let fs = match (servers[ea], servers[eb]) {
+                (Some(a), Some(b)) if a == b => Ok(FlowState::Local),
+                (Some(a), Some(b)) => match parent.slots[k].flows.get(i) {
+                    // Same serving pair and every hop alive: the cached
+                    // route is still canonical (removals only lengthen
+                    // competitors).
+                    Some(FlowState::Path { s, d, hops })
+                        if *s == a && *d == b && hops.iter().all(|&h| mask[h]) =>
+                    {
+                        Ok(FlowState::Path { s: a, d: b, hops: Arc::clone(hops) })
+                    }
+                    // Reachability only shrinks under a stricter mask:
+                    // unreachable stays unreachable.
+                    Some(FlowState::Unreachable { s, d }) if *s == a && *d == b => {
+                        Ok(FlowState::Unreachable { s: a, d: b })
+                    }
+                    _ if labels[a] != labels[b] => Ok(FlowState::Unreachable { s: a, d: b }),
+                    _ => {
+                        by_src.entry(a).or_default().push(b);
+                        Err((a, b))
+                    }
+                },
+                _ => Ok(FlowState::Unattached),
+            };
+            staged.push(fs);
+        }
+        let mut routes: BTreeMap<(usize, usize), Option<Arc<[usize]>>> = BTreeMap::new();
+        for (&s, dsts) in &mut by_src {
+            dsts.sort_unstable();
+            dsts.dedup();
+            let found = self.paths_for(k, s, dsts, delta, local, buffers);
+            routes.extend(dsts.iter().map(|&d| (s, d)).zip(found));
+        }
+        staged
+            .into_iter()
+            .map(|st| {
+                st.unwrap_or_else(|(a, b)| match &routes[&(a, b)] {
+                    Some(hops) => FlowState::Path { s: a, d: b, hops: Arc::clone(hops) },
+                    None => FlowState::Unreachable { s: a, d: b },
+                })
+            })
+            .collect()
+    }
+
+    /// Stage two of a routed slot: the routed count and the per-link loads
+    /// of the flow outcomes, accumulated in flow order onto `SatId` keys —
+    /// the exact summation the full path runs.
+    fn aggregate_routes(&self, flows: &[FlowState]) -> (usize, BTreeMap<(SatId, SatId), f64>) {
+        let (mut routed, mut link_load) = (0usize, BTreeMap::new());
+        for (flow, fs) in self.ev.inputs.flows.iter().zip(flows) {
+            match fs {
+                FlowState::Local => routed += 1,
+                FlowState::Path { hops, .. } => {
+                    routed += 1;
+                    for hop in hops.windows(2) {
+                        *link_load.entry((self.ids[hop[0]], self.ids[hop[1]])).or_insert(0.0) +=
+                            flow.demand;
+                    }
+                }
+                FlowState::Unattached | FlowState::Unreachable { .. } => {}
+            }
+        }
+        (routed, link_load)
     }
 
     /// Evaluates `victims` as a delta off `parent`, returning the new

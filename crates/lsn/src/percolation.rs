@@ -514,8 +514,8 @@ pub fn algebraic_connectivity(topology: &Topology, alive: &[bool], config: &Lamb
 /// resumes, up to `max_iterations` steps.
 ///
 /// A disconnected (or empty, or single-node) alive set returns exactly
-/// `0.0`, converged — detected combinatorially through a
-/// [`ClusterTracker`], not through the solver's tolerance.
+/// `0.0`, converged — detected combinatorially through
+/// [`Topology::components`], not through the solver's tolerance.
 ///
 /// # Panics
 /// If `alive.len()` is not the node count.
@@ -524,11 +524,9 @@ pub fn algebraic_connectivity_solve(
     alive: &[bool],
     config: &Lambda2Config,
 ) -> Lambda2Solve {
-    assert_eq!(alive.len(), topology.n_nodes(), "alive mask length mismatch");
     let exact_zero = Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, converged: true };
-    if alive.iter().filter(|&&a| a).count() <= 1
-        || ClusterTracker::from_alive(topology, alive).stats().components > 1
-    {
+    // One component of at least two nodes, or λ₂ is exactly 0.
+    if !matches!(topology.components(Some(alive)).sizes[..], [size] if size > 1) {
         return exact_zero;
     }
     let laplacian = Laplacian::new(topology, alive);
@@ -911,7 +909,7 @@ mod tests {
         let stats = tracker.stats();
         assert_eq!(stats.active, 6);
         assert_eq!(stats.components, 2);
-        assert_eq!(stats.largest, topo.largest_component_among(&alive));
+        assert_eq!(stats.largest, topo.components(Some(&alive)).largest());
         assert_eq!(stats.largest, 3);
         assert_eq!(stats.sum_sq, 18);
     }
@@ -1050,6 +1048,38 @@ mod tests {
             }
         }
         graph(rows * cols, &edges)
+    }
+
+    /// The loss fraction at the peak of the seed-averaged random-removal
+    /// χ curve on the L×L torus.
+    fn mean_chi_peak(l: usize, steps: usize, seeds: u64) -> f64 {
+        let topo = torus(l, l);
+        let mut total = vec![0.0; steps + 1];
+        for seed in 0..seeds {
+            let curve = percolation_sweep(&topo, &random_ordering(l * l, seed), steps);
+            for (t, chi) in total.iter_mut().zip(&curve.susceptibility) {
+                *t += chi;
+            }
+        }
+        // The earliest maximum, as `PercolationCurve::chi_peak` takes it.
+        let peak = (0..=steps).fold(0, |best, k| if total[k] > total[best] { k } else { best });
+        peak as f64 / steps as f64
+    }
+
+    #[test]
+    fn random_removal_chi_peak_approaches_the_square_lattice_threshold() {
+        // A wrapped +grid is an L×L torus, and random removal is site
+        // percolation on the square lattice: occupied fraction
+        // p_c ≈ 0.5927, so χ peaks near loss 1 − p_c ≈ 0.4073 as L grows.
+        // Finite size shifts the peak toward higher loss (~0.45 at L = 32).
+        const LOSS_AT_THRESHOLD: f64 = 1.0 - 0.592_746;
+        let gap = |l: usize| (mean_chi_peak(l, 400, 16) - LOSS_AT_THRESHOLD).abs();
+        let (small, large) = (gap(32), gap(128));
+        assert!(
+            large < small,
+            "the peak must close in on 1 − p_c: {small} at L=32, {large} at L=128"
+        );
+        assert!(large < 0.02, "L=128 peak {large} from 1 − p_c");
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //! ([`crate::snapshot::SnapshotSeries`]) — no function here propagates an
 //! orbit.
 //!
-//! Two searches produce the same paths. [`shortest_path`] is plain
-//! Dijkstra with a canonical `(dist, node)` order: the reference route,
-//! the oracle the tests hold everything else to, and (as
-//! `ShortestPathTree`) the incremental scorer's repairable trees.
-//! [`GuidedSearch`] is the traffic assignment's per-flow search: A* over
+//! One Dijkstra kernel, `dijkstra`, answers every plain shortest-path
+//! question in the crate with a canonical `(dist, node)` order:
+//! [`shortest_path`] (the reference route the tests hold everything else
+//! to), the incremental scorer's repairable per-source trees, the
+//! [`Landmarks`] columns and the traffic engine's penalized k-path rounds.
+//! Two searches keep their own loops because they are different
+//! algorithms: [`GuidedSearch`], the traffic assignment's per-flow A* over
 //! [`Landmarks`] lower bounds, exact to the bit (the proof is on
-//! [`Landmarks`]) while settling a fraction of Dijkstra's nodes.
+//! [`Landmarks`]) while settling a fraction of Dijkstra's nodes, and the
+//! region-restricted tree repair. All of them read their hop lists back
+//! through one predecessor walk.
 
 use crate::error::{LsnError, Result};
 use crate::snapshot::{Snapshot, SnapshotSeries};
@@ -43,99 +47,109 @@ pub struct Route {
     pub length_km: f64,
 }
 
-/// Dijkstra state, shared by every Dijkstra in the crate (the traffic
-/// engine's penalized k-path rounds included).
-#[derive(Debug, PartialEq)]
-pub(crate) struct HeapItem {
-    pub(crate) dist: f64,
-    pub(crate) node: usize,
+/// The min-heap key of [`dijkstra`] and the tree repair: `(dist, node)`,
+/// ties broken on node index. Every distance here is non-negative and
+/// never NaN, and on those values (+∞ included) the IEEE-754 bit
+/// patterns order as unsigned integers exactly as the floats do.
+fn heap_key(dist: f64, node: usize) -> Reverse<(u64, usize)> {
+    debug_assert!(dist.is_sign_positive() && !dist.is_nan(), "negative or NaN heap distance");
+    Reverse((dist.to_bits(), node))
 }
 
-impl Eq for HeapItem {}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance, ties broken on node index. The tie-break
-        // makes the pop order — and therefore every label and predecessor
-        // choice — a *pure function of the graph*, independent of heap
-        // insertion order: since link weights are strictly positive, every
-        // node at a given finalized distance is already in the heap before
-        // the first node at that distance pops, so finalization is exactly
-        // the global sort by `(dist, node)`. That canonicality is what
-        // lets the incremental tree repair ([`ShortestPathTree::repaired_paths`],
-        // seeded from a damaged tree's frontier) reproduce a fresh masked
-        // run's labels bit for bit. Every distance here is non-negative
-        // and never NaN, and on those values (+∞ included) the IEEE-754
-        // bit patterns order as unsigned integers exactly as the floats
-        // do, so the key compares as two integers.
-        let keyable = |d: f64| d.is_sign_positive() && !d.is_nan();
-        debug_assert!(keyable(self.dist) && keyable(other.dist), "negative or NaN heap distance");
-        (other.dist.to_bits(), other.node).cmp(&(self.dist.to_bits(), self.node))
-    }
-}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Runs Dijkstra from `src`, optionally stopping once `stop_at` is
-/// finalized, optionally restricting traversal to nodes flagged in
-/// `alive` (a `None` mask is the full graph; `src` must be alive).
-/// Because link weights are strictly positive and relaxations use strict
-/// `<`, the distance and predecessor entries of every node on a
-/// finalized node's shortest path are themselves final — so an
-/// early-exit run and a full run reconstruct identical paths. With the
-/// alive filter, the run is relaxation-for-relaxation identical to the
-/// unfiltered run on [`Topology::masked`] of the same mask: a node's
-/// masked neighbor list is the exact alive subsequence of its intact
-/// one.
-fn dijkstra(
+/// The crate's one Dijkstra: the tree from flat node `src` over the nodes
+/// flagged in `alive` (`None` is the full graph; a dead `src` reaches
+/// nothing), each arc's length scaled by `1 + penalty[arc id]`
+/// ([`Topology::arc_offset`]) when a penalty is given — monomorphized
+/// away when not. With `targets` (ascending, distinct, all reachable from
+/// `src`, or the run settles the whole component) it stops once they have
+/// all settled.
+///
+/// **Why the labels are canonical.** Pops take the smallest `(dist,
+/// node)` key and relaxations need a strict `<`. Stacked SS planes put
+/// co-located satellites on zero-length links, so the pops are not the
+/// global sort by `(dist, node)`: a cluster member reached only through
+/// its cluster enters the heap when a co-located neighbor pops (see
+/// [`Landmarks`]). What holds regardless is that the run is a pure
+/// function of the graph: a node has one live entry, the entries present
+/// at a pop are fixed by the pops before it, and a node keeps the label of
+/// its first tied predecessor to pop. Hence a settled node's label and
+/// predecessor chain are final, so a run cut short at its targets walks a
+/// full run's paths; the alive filter is relaxation for relaxation the run
+/// on [`Topology::masked`] (a masked neighbor list is the alive
+/// subsequence of the intact one); and the tree repair reproduces a fresh
+/// masked run under the condition on [`ShortestPathTree::repaired_paths`].
+pub(crate) fn dijkstra(
     topology: &Topology,
     src: usize,
-    stop_at: Option<usize>,
     alive: Option<&[bool]>,
-) -> (Vec<f64>, Vec<usize>) {
+    penalty: Option<&[f64]>,
+    targets: Option<&[usize]>,
+) -> ShortestPathTree {
+    match penalty {
+        None => settle(topology, src, alive, targets, |_, w| w),
+        Some(p) => settle(topology, src, alive, targets, |arc, w| w * (1.0 + p[arc])),
+    }
+}
+
+/// [`dijkstra`] with the arc length function `weight(arc, length)`.
+fn settle(
+    topology: &Topology,
+    src: usize,
+    alive: Option<&[bool]>,
+    targets: Option<&[usize]>,
+    weight: impl Fn(usize, f64) -> f64,
+) -> ShortestPathTree {
     let n = topology.n_nodes();
     let mut dist = vec![f64::INFINITY; n];
     let mut prev = vec![usize::MAX; n];
     let mut heap = BinaryHeap::new();
     dist[src] = 0.0;
-    heap.push(HeapItem { dist: 0.0, node: src });
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        if Some(node) == stop_at {
-            break;
-        }
+    if alive.is_none_or(|m| m[src]) {
+        heap.push(heap_key(0.0, src));
+    }
+    let mut pending = targets.map_or(usize::MAX, <[usize]>::len);
+    while pending > 0 {
+        let Some(Reverse((bits, node))) = heap.pop() else { break };
+        let d = f64::from_bits(bits);
         if d > dist[node] {
             continue;
         }
-        for &(v, w) in topology.neighbors(node) {
-            if let Some(mask) = alive {
-                if !mask[v] {
-                    continue;
-                }
+        if targets.is_some_and(|ts| ts.binary_search(&node).is_ok()) {
+            pending -= 1;
+        }
+        let first_arc = topology.arc_offset(node);
+        for (j, &(v, w)) in topology.neighbors(node).iter().enumerate() {
+            if alive.is_some_and(|m| !m[v]) {
+                continue;
             }
-            let nd = d + w;
+            let nd = d + weight(first_arc + j, w);
             if nd < dist[v] {
                 dist[v] = nd;
                 prev[v] = node;
-                heap.push(HeapItem { dist: nd, node: v });
+                heap.push(heap_key(nd, v));
             }
         }
     }
-    (dist, prev)
+    ShortestPathTree { src, dist, prev }
 }
 
-/// Rebuilds the hop list `src -> dst` from a predecessor array.
-fn reconstruct(topology: &Topology, prev: &[usize], src: usize, dst: usize) -> Vec<SatId> {
-    let mut hops = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        cur = prev[cur];
-        hops.push(cur);
-    }
+/// The hop list `src → dst` read back through the predecessor function
+/// `prev` — the one path walk of every search here. `dst` must have been
+/// reached.
+fn walk(src: usize, dst: usize, prev: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut hops: Vec<usize> =
+        std::iter::successors(Some(dst), |&v| (v != src).then(|| prev(v))).collect();
     hops.reverse();
+    hops
+}
+
+/// The flat index of a route endpoint.
+fn flat_index(topology: &Topology, id: SatId) -> Result<usize> {
+    topology.index_of(id).ok_or(LsnError::UnknownNode { plane: id.plane, slot: id.slot })
+}
+
+/// Flat hops as satellite ids.
+fn hop_ids(topology: &Topology, hops: Vec<usize>) -> Vec<SatId> {
     hops.into_iter().map(|i| topology.id_of(i).expect("valid index")).collect()
 }
 
@@ -146,16 +160,11 @@ fn reconstruct(topology: &Topology, prev: &[usize], src: usize, dst: usize) -> V
 /// [`LsnError::UnknownNode`] for unknown endpoints, [`LsnError::NoRoute`]
 /// if disconnected.
 pub fn shortest_path(topology: &Topology, from: SatId, to: SatId) -> Result<(Vec<SatId>, f64)> {
-    let src = topology
-        .index_of(from)
-        .ok_or(LsnError::UnknownNode { plane: from.plane, slot: from.slot })?;
-    let dst =
-        topology.index_of(to).ok_or(LsnError::UnknownNode { plane: to.plane, slot: to.slot })?;
-    let (dist, prev) = dijkstra(topology, src, Some(dst), None);
-    if dist[dst].is_infinite() {
-        return Err(LsnError::NoRoute);
-    }
-    Ok((reconstruct(topology, &prev, src, dst), dist[dst]))
+    let (src, dst) = (flat_index(topology, from)?, flat_index(topology, to)?);
+    let (hops, km) = dijkstra(topology, src, None, None, Some(&[dst]))
+        .flat_path_to(dst)
+        .ok_or(LsnError::NoRoute)?;
+    Ok((hop_ids(topology, hops), km))
 }
 
 /// Landmarks a [`Landmarks`] table holds (fewer only on graphs with fewer
@@ -270,7 +279,7 @@ impl Landmarks {
         // Each column goes straight into the node-major table, so the
         // build holds one Dijkstra run at a time.
         let mut dist = vec![0.0; n * LANDMARKS];
-        let (mut nearest, _) = dijkstra(topology, 0, None, None);
+        let mut nearest = dijkstra(topology, 0, None, None, None).dist;
         let mut count = 0;
         while count < LANDMARKS {
             // Ties keep the lowest index: `max_by` keeps the last maximum
@@ -286,7 +295,7 @@ impl Landmarks {
             if count > 0 && gap == 0.0 {
                 break;
             }
-            let (column, _) = dijkstra(topology, far, None, None);
+            let column = dijkstra(topology, far, None, None, None).dist;
             for (v, &d) in column.iter().enumerate() {
                 if d.is_finite() && d > key_cap {
                     return Landmarks::unbounded(n);
@@ -374,12 +383,7 @@ impl GuidedSearch {
         from: SatId,
         to: SatId,
     ) -> Result<(Vec<SatId>, f64)> {
-        let src = topology
-            .index_of(from)
-            .ok_or(LsnError::UnknownNode { plane: from.plane, slot: from.slot })?;
-        let dst = topology
-            .index_of(to)
-            .ok_or(LsnError::UnknownNode { plane: to.plane, slot: to.slot })?;
+        let (src, dst) = (flat_index(topology, from)?, flat_index(topology, to)?);
         assert_eq!(landmarks.n_nodes, topology.n_nodes(), "landmarks of another node layout");
         self.pops = 0;
         let mut pass = self.run(topology, landmarks, landmarks.count > 0, src, dst);
@@ -387,7 +391,10 @@ impl GuidedSearch {
             pass = self.run(topology, landmarks, false, src, dst);
         }
         match pass {
-            Pass::Reached => Ok((reconstruct(topology, &self.prev, src, dst), self.dist[dst])),
+            Pass::Reached => {
+                let hops = walk(src, dst, |v| self.prev[v]);
+                Ok((hop_ids(topology, hops), self.dist[dst]))
+            }
             Pass::Unreachable | Pass::OverCap => Err(LsnError::NoRoute),
         }
     }
@@ -532,11 +539,11 @@ impl GuidedSearch {
     }
 }
 
-/// All-destinations shortest paths from one source satellite — one full
-/// Dijkstra run, queryable for every destination: the incremental
-/// scorer's per-source trees. By the finalization argument on the
-/// underlying Dijkstra run, every answered path is identical to a fresh
-/// per-pair [`shortest_path`] call.
+/// The labels of one [`dijkstra`] run from one source, queryable for
+/// every destination it settled: the incremental scorer's per-source
+/// trees, and what every other caller of the kernel reads. Since a
+/// settled node's label and predecessor chain are final, every answered
+/// path is identical to a fresh per-pair [`shortest_path`] call.
 #[derive(Debug, Clone)]
 pub(crate) struct ShortestPathTree {
     src: usize,
@@ -667,8 +674,8 @@ pub(crate) struct Cut<'c> {
 }
 
 impl ShortestPathTree {
-    /// The tree rooted at flat node `src`, optionally restricted to the
-    /// `alive` nodes — identical to the unrestricted tree on
+    /// The whole tree rooted at flat node `src`, optionally restricted to
+    /// the `alive` nodes — identical to the unrestricted tree on
     /// [`Topology::masked`] of the same mask (see [`dijkstra`]). The
     /// incremental evaluator's full-recompute path.
     ///
@@ -676,24 +683,14 @@ impl ShortestPathTree {
     /// If `src` is out of range (callers pass validated flat indices).
     pub(crate) fn from_flat(topology: &Topology, src: usize, alive: Option<&[bool]>) -> Self {
         assert!(src < topology.n_nodes(), "flat source out of range");
-        let (dist, prev) = dijkstra(topology, src, None, alive);
-        ShortestPathTree { src, dist, prev }
+        dijkstra(topology, src, alive, None, None)
     }
 
     /// The flat hop list and length to flat node `dst`, `None` if
     /// unreachable.
     pub(crate) fn flat_path_to(&self, dst: usize) -> Option<(Vec<usize>, f64)> {
-        if self.dist[dst].is_infinite() {
-            return None;
-        }
-        let mut hops = vec![dst];
-        let mut cur = dst;
-        while cur != self.src {
-            cur = self.prev[cur];
-            hops.push(cur);
-        }
-        hops.reverse();
-        Some((hops, self.dist[dst]))
+        let d = self.dist[dst];
+        d.is_finite().then(|| (walk(self.src, dst, |v| self.prev[v]), d))
     }
 
     /// Every plane's subtree and frontier bitsets over this tree's
@@ -773,23 +770,35 @@ impl ShortestPathTree {
     /// died). `buffers` hold the repaired labels; one set serves any
     /// number of repairs in turn.
     ///
-    /// The repair is exact, not approximate: with the canonical
-    /// `(dist, node)` heap order, Dijkstra's output is a pure function of
-    /// the graph, so re-running it only over the *invalidated* region
-    /// reproduces the full masked run bit for bit. The invalidated region
-    /// is the dead nodes plus their tree descendants; every still-valid
-    /// label outside it is final (its shortest path avoids the region),
-    /// and any path re-entering the region must cross an alive edge from
-    /// an unaffected node — so seeding the heap with those frontier nodes
-    /// at their known distances explores exactly what a fresh run would.
-    /// Relaxations into unaffected nodes are skipped: removals only
-    /// lengthen distances and rounding is monotone, so they could never
-    /// beat a final label. The region Dijkstra stops once every affected
-    /// target is settled: the truncated run pops a prefix of the full
-    /// run's pop sequence, and when a node pops its label and whole
-    /// predecessor chain are final, so each returned path is
-    /// bit-identical to `flat_path_to` on the fully repaired tree.
-    /// Unaffected targets read straight from the preserved labels.
+    /// The repair is exact, not approximate (under the zero-length
+    /// condition below): Dijkstra's output is a pure function of the graph
+    /// (see [`dijkstra`]), so re-running it only over the *invalidated*
+    /// region reproduces the full masked run bit for bit.
+    /// The invalidated region is the dead nodes plus their tree
+    /// descendants; every still-valid label outside it is final (its
+    /// shortest path avoids the region), and any path re-entering the
+    /// region must cross an alive edge from an unaffected node — so
+    /// seeding the heap with those frontier nodes at their known distances
+    /// explores exactly what a fresh run would. Relaxations into
+    /// unaffected nodes are skipped: removals only lengthen distances and
+    /// rounding is monotone, so they could never beat a final label. The
+    /// region Dijkstra stops once every affected target is settled: the
+    /// truncated run pops a prefix of the full run's pop sequence, and
+    /// when a node pops its label and whole predecessor chain are final,
+    /// so each returned path is bit-identical to `flat_path_to` on the
+    /// fully repaired tree. Unaffected targets read straight from the
+    /// preserved labels.
+    ///
+    /// **Zero-length links.** This also needs each distance's nodes to pop
+    /// in the fresh run's relative order. With positive links both runs
+    /// hold all of them before the first pops. A fresh run reaches a node
+    /// across a zero-length link only when its co-located neighbor pops,
+    /// but a seed is in the heap from the start and may pop earlier: that
+    /// changes a label if the seed and another node of its distance tie
+    /// exactly as predecessors of one region node, a length tie between
+    /// two different positions that a hand-built graph can have. On +grid
+    /// geometry the exact ties are those of co-located twins; the
+    /// stacked-plane incremental proptest pins the repair there.
     #[allow(clippy::type_complexity)]
     pub(crate) fn repaired_paths(
         &self,
@@ -809,18 +818,8 @@ impl ShortestPathTree {
             }
         };
         let path = |t: usize| {
-            let (d, _) = label(t);
-            if d.is_infinite() {
-                return None;
-            }
-            let mut hops = vec![t];
-            let mut cur = t;
-            while cur != self.src {
-                cur = label(cur).1;
-                hops.push(cur);
-            }
-            hops.reverse();
-            Some((hops, d))
+            let d = label(t).0;
+            d.is_finite().then(|| (walk(self.src, t, |v| label(v).1), d))
         };
         Some(targets.iter().map(|&t| path(t)).collect())
     }
@@ -866,18 +865,19 @@ impl ShortestPathTree {
         let mut seeds = Vec::new();
         for_each_bit(frontier.iter().zip(&region).map(|(f, r)| f & !r), |u| {
             if alive[u] && self.dist[u].is_finite() {
-                seeds.push(HeapItem { dist: self.dist[u], node: u });
+                seeds.push(heap_key(self.dist[u], u));
             }
         });
         let mut heap = BinaryHeap::from(seeds);
         let mut pending =
             targets.map_or(usize::MAX, |ts| ts.iter().filter(|&&t| bit_test(&region, t)).count());
         while pending > 0 {
-            let Some(HeapItem { dist: d, node }) = heap.pop() else {
+            let Some(Reverse((bits, node))) = heap.pop() else {
                 // Heap exhausted: the remaining affected targets are
                 // unreachable under the mask (their labels stay ∞).
                 break;
             };
+            let d = f64::from_bits(bits);
             // Seeds sit outside the region and pop once, at their label.
             if bit_test(&region, node) {
                 if d > buffers.label(node).0 {
@@ -894,7 +894,7 @@ impl ShortestPathTree {
                 let nd = d + w;
                 if nd < buffers.label(v).0 {
                     buffers.set(v, nd, node);
-                    heap.push(HeapItem { dist: nd, node: v });
+                    heap.push(heap_key(nd, v));
                 }
             }
         }
@@ -1499,7 +1499,7 @@ mod tests {
         fn integer_heap_key_matches_float_order(
             raw in collection::vec((0usize..4, 0.0f64..1e7, 0usize..40), 2usize..40),
         ) {
-            let items: Vec<HeapItem> = raw
+            let items: Vec<(f64, usize)> = raw
                 .iter()
                 .map(|&(kind, d, node)| {
                     let dist = match kind {
@@ -1508,13 +1508,14 @@ mod tests {
                         2 => (d / 1e6).floor(),
                         _ => d,
                     };
-                    HeapItem { dist, node }
+                    (dist, node)
                 })
                 .collect();
-            for a in &items {
-                for b in &items {
-                    let want = b.dist.partial_cmp(&a.dist).unwrap().then(b.node.cmp(&a.node));
-                    prop_assert_eq!(a.cmp(b), want, "{:?} vs {:?}", a, b);
+            for &(da, na) in &items {
+                for &(db, nb) in &items {
+                    let want = db.partial_cmp(&da).unwrap().then(nb.cmp(&na));
+                    let got = heap_key(da, na).cmp(&heap_key(db, nb));
+                    prop_assert_eq!(got, want, "{:?} vs {:?}", (da, na), (db, nb));
                 }
             }
         }

@@ -384,8 +384,8 @@ impl Topology {
     /// neighbor takes its links down with it rather than being re-pointed
     /// around — the standard node-failure model on a fixed grid. Dead
     /// satellites remain zero-degree nodes (indexing is unchanged); use
-    /// [`Topology::is_connected_among`] for connectivity over the
-    /// survivors.
+    /// [`Topology::components`] under the same mask for connectivity over
+    /// the survivors.
     ///
     /// # Errors
     /// Currently infallible (positions are precomputed); kept fallible
@@ -705,119 +705,70 @@ impl Topology {
         }
     }
 
-    /// Whether the topology is connected (BFS from node 0).
+    /// Whether the topology is connected (an empty one is).
     pub fn is_connected(&self) -> bool {
-        let n = self.n_nodes();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in self.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == n
+        self.components(None).sizes.len() <= 1
     }
 
-    /// Whether every satellite flagged alive can reach every other over
-    /// the topology — connectivity of the degraded network, ignoring the
-    /// zero-degree dead nodes a masked
-    /// [`Topology::plus_grid`] leaves behind. A network with no
-    /// survivors is not connected.
+    /// The connected components over the nodes `alive` keeps (all of them
+    /// for `None`) — the crate's one component traversal. Two alive nodes
+    /// share a label iff the masked topology connects them, the exact
+    /// reachability verdict of a masked Dijkstra. Components are numbered
+    /// by their lowest node index.
     ///
     /// # Panics
-    /// If `alive.len()` is not the node count.
-    pub fn is_connected_among(&self, alive: &[bool]) -> bool {
-        assert_eq!(alive.len(), self.n_nodes(), "alive mask length mismatch");
-        let Some(start) = alive.iter().position(|&a| a) else {
-            return false;
-        };
-        let n_alive = alive.iter().filter(|&&a| a).count();
-        let mut seen = vec![false; self.n_nodes()];
-        let mut queue = std::collections::VecDeque::from([start]);
-        seen[start] = true;
-        let mut count = 1;
-        while let Some(u) = queue.pop_front() {
-            for &(v, _) in self.neighbors(u) {
-                if !seen[v] && alive[v] {
-                    seen[v] = true;
-                    count += 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count == n_alive
-    }
-
-    /// Size of the largest connected component among the satellites
-    /// flagged alive (0 when nobody is). The graded form of
-    /// [`Topology::is_connected_among`]: an attack optimizer minimizing
-    /// survivor connectivity needs to distinguish "split 50/50" from
-    /// "one straggler cut off", which the boolean cannot.
-    ///
-    /// # Panics
-    /// If `alive.len()` is not the node count.
-    pub fn largest_component_among(&self, alive: &[bool]) -> usize {
-        assert_eq!(alive.len(), self.n_nodes(), "alive mask length mismatch");
-        let mut seen = vec![false; self.n_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        let mut largest = 0usize;
-        for start in 0..self.n_nodes() {
-            if !alive[start] || seen[start] {
-                continue;
-            }
-            seen[start] = true;
-            queue.push_back(start);
-            let mut size = 1usize;
-            while let Some(u) = queue.pop_front() {
-                for &(v, _) in self.neighbors(u) {
-                    if alive[v] && !seen[v] {
-                        seen[v] = true;
-                        size += 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            largest = largest.max(size);
-        }
-        largest
-    }
-
-    /// Connected-component labels over the nodes `alive` keeps (all of
-    /// them for `None`; dead nodes keep `u32::MAX`): two alive nodes
-    /// share a label iff the masked topology connects them — the exact
-    /// reachability verdict of a masked Dijkstra.
-    pub(crate) fn component_labels(&self, alive: Option<&[bool]>) -> Vec<u32> {
+    /// If `alive` is given and its length is not the node count.
+    pub fn components(&self, alive: Option<&[bool]>) -> Components {
         let n = self.n_nodes();
+        assert!(alive.is_none_or(|m| m.len() == n), "alive mask length mismatch");
         let is_alive = |v: usize| alive.is_none_or(|m| m[v]);
-        let mut comp = vec![u32::MAX; n];
+        let mut labels = vec![u32::MAX; n];
+        let mut sizes = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
-        let mut next = 0u32;
         for v in 0..n {
-            if !is_alive(v) || comp[v] != u32::MAX {
+            if !is_alive(v) || labels[v] != u32::MAX {
                 continue;
             }
-            comp[v] = next;
+            let label = crate::cast::index_u32(sizes.len());
+            labels[v] = label;
             stack.push(v);
+            let mut size = 1;
             while let Some(u) = stack.pop() {
                 for &(w, _) in self.neighbors(u) {
-                    if is_alive(w) && comp[w] == u32::MAX {
-                        comp[w] = next;
+                    if is_alive(w) && labels[w] == u32::MAX {
+                        labels[w] = label;
+                        size += 1;
                         stack.push(w);
                     }
                 }
             }
-            next += 1;
+            sizes.push(size);
         }
-        comp
+        Components { labels, sizes }
+    }
+}
+
+/// One [`Topology::components`] pass: every question about the survivors'
+/// connectivity (connected, giant-component size, whether two satellites
+/// can reach each other) reads from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Components {
+    /// Per node: its component's label, `u32::MAX` for a dead node.
+    pub labels: Vec<u32>,
+    /// Per component label: its node count.
+    pub sizes: Vec<usize>,
+}
+
+impl Components {
+    /// Whether the alive nodes form exactly one component (false with no
+    /// survivors).
+    pub fn is_connected(&self) -> bool {
+        self.sizes.len() == 1
+    }
+
+    /// The largest component's size, 0 with no survivors.
+    pub fn largest(&self) -> usize {
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -1011,7 +962,7 @@ mod tests {
 
         // The survivors stay connected; the full node set (dead node
         // included) does not.
-        assert!(degraded.is_connected_among(&mask));
+        assert!(degraded.components(Some(&mask)).is_connected());
         assert!(!degraded.is_connected());
     }
 
@@ -1025,13 +976,13 @@ mod tests {
         let mut mask = vec![true; 30];
         mask[10..20].fill(false);
         let degraded = Topology::plus_grid(&snap.with_alive(&mask), Default::default()).unwrap();
-        assert!(!degraded.is_connected_among(&mask), "severed planes must disconnect");
+        assert!(!degraded.components(Some(&mask)).is_connected(), "severed planes must disconnect");
         // Nobody alive: not connected by definition.
-        assert!(!degraded.is_connected_among(&[false; 30]));
+        assert!(!degraded.components(Some(&[false; 30])).is_connected());
         // A single survivor is trivially connected.
         let mut lone = vec![false; 30];
         lone[0] = true;
-        assert!(degraded.is_connected_among(&lone));
+        assert!(degraded.components(Some(&lone)).is_connected());
     }
 
     #[test]
@@ -1102,19 +1053,19 @@ mod tests {
         let snap = series.snapshot(0);
         let topo = Topology::plus_grid(&snap, Default::default()).unwrap();
         let all = vec![true; 30];
-        assert_eq!(topo.largest_component_among(&all), 30, "intact +grid is one component");
+        assert_eq!(topo.components(Some(&all)).largest(), 30, "intact +grid is one component");
         // Kill the middle plane: survivors split into the two outer
         // plane rings of 10 each.
         let mut mask = all.clone();
         mask[10..20].fill(false);
         let degraded = topo.masked(&mask);
-        assert!(!degraded.is_connected_among(&mask));
-        assert_eq!(degraded.largest_component_among(&mask), 10);
+        assert!(!degraded.components(Some(&mask)).is_connected());
+        assert_eq!(degraded.components(Some(&mask)).largest(), 10);
         // Nobody alive: size 0; one survivor: size 1.
-        assert_eq!(topo.largest_component_among(&[false; 30]), 0);
+        assert_eq!(topo.components(Some(&[false; 30])).largest(), 0);
         let mut lone = vec![false; 30];
         lone[7] = true;
-        assert_eq!(topo.largest_component_among(&lone), 1);
+        assert_eq!(topo.components(Some(&lone)).largest(), 1);
     }
 
     #[test]

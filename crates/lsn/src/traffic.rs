@@ -97,9 +97,9 @@ pub struct TrafficReport {
     pub flow_outcomes: Vec<Option<FlowOutcome>>,
     /// The per-link capacity the load statistics normalize by.
     /// [`assign_traffic`] reports raw offered load (capacity `1.0`, the
-    /// historical behavior); a capacity-aware caller
-    /// ([`assign_traffic_with_capacity`]) turns the same statistics into
-    /// link *utilization*.
+    /// historical behavior); the degraded evaluator normalizes by its
+    /// workload's capacity, turning the same statistics into link
+    /// *utilization*.
     pub link_capacity: f64,
 }
 
@@ -135,38 +135,24 @@ pub fn assign_traffic(
     flows: &[Flow],
     min_elevation: f64,
 ) -> Result<TrafficReport> {
-    assign_traffic_with_capacity(snapshot, topology, flows, min_elevation, 1.0)
-}
-
-/// [`assign_traffic`] with an explicit per-link capacity: routing is
-/// identical (shortest paths, no admission control — the
-/// capacity-*constrained* engine is [`crate::traffic_engine`]), but the
-/// report's load statistics read as utilization of `link_capacity`.
-/// Capacity `1.0` is byte-identical to [`assign_traffic`].
-///
-/// # Errors
-/// Propagates topology failure; per-flow unreachability is counted, not
-/// raised.
-pub fn assign_traffic_with_capacity(
-    snapshot: &Snapshot<'_>,
-    topology: &Topology,
-    flows: &[Flow],
-    min_elevation: f64,
-    link_capacity: f64,
-) -> Result<TrafficReport> {
     let landmarks = Landmarks::build(topology);
-    assign_guided(snapshot, topology, &landmarks, flows, min_elevation, link_capacity)
+    let labels = topology.components(None).labels;
+    assign_guided(snapshot, topology, &landmarks, &labels, flows, min_elevation, 1.0)
 }
 
-/// [`assign_traffic_with_capacity`] over prebuilt `landmarks`: those of
-/// `topology` itself or of the intact topology it is a
-/// [`Topology::masked`] subgraph of, which stay valid bounds there (see
-/// [`Landmarks`]). The degraded evaluator builds them once per intact
-/// slot and reuses them for every masked pass.
+/// [`assign_traffic`] over prebuilt `landmarks` — those of `topology`
+/// itself or of the intact topology it is a [`Topology::masked`] subgraph
+/// of, which stay valid bounds there (see [`Landmarks`]) — and
+/// `topology`'s component `labels` ([`Topology::components`]), with the
+/// load statistics read as utilization of `link_capacity` (routing is
+/// identical: no admission control, which is [`crate::traffic_engine`]'s
+/// job). The degraded evaluator builds the landmarks once per intact slot
+/// and the labels once per evaluated slot.
 pub(crate) fn assign_guided(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
     landmarks: &Landmarks,
+    labels: &[u32],
     flows: &[Flow],
     min_elevation: f64,
     link_capacity: f64,
@@ -184,9 +170,8 @@ pub(crate) fn assign_guided(
     // A flow whose serving satellites lie in different components of the
     // topology has no route — Dijkstra returns `NoRoute` exactly when the
     // labels differ — so it is counted unrouted without a search.
-    let comp = topology.component_labels(None);
     let connected = |&(s, d): &(SatId, SatId)| match (topology.index_of(s), topology.index_of(d)) {
-        (Some(a), Some(b)) => comp[a] == comp[b],
+        (Some(a), Some(b)) => labels[a] == labels[b],
         // Unknown nodes go on to the search, which reports them.
         _ => true,
     };
@@ -382,7 +367,7 @@ mod tests {
         }
         let masked = snap.with_alive(&alive);
         let topo = Topology::plus_grid(&masked, GridTopologyConfig::default()).unwrap();
-        assert!(!topo.is_connected_among(&alive), "the loss must split the grid");
+        assert!(!topo.components(Some(&alive)).is_connected(), "the loss must split the grid");
         let min_elev = 25f64.to_radians();
         let flows = sample_flows(&model(), 15.0, 120, 21);
         let report = assign_traffic(&masked, &topo, &flows, min_elev).unwrap();
@@ -435,8 +420,10 @@ mod tests {
         let flows = sample_flows(&model(), 12.0, 30, 3);
         let unit = assign_traffic(&snap, &topo, &flows, 25f64.to_radians()).unwrap();
         assert_eq!(unit.link_capacity, 1.0);
+        let (landmarks, labels) = (Landmarks::build(&topo), topo.components(None).labels);
         let scaled =
-            assign_traffic_with_capacity(&snap, &topo, &flows, 25f64.to_radians(), 2.0).unwrap();
+            assign_guided(&snap, &topo, &landmarks, &labels, &flows, 25f64.to_radians(), 2.0)
+                .unwrap();
         assert_eq!(scaled.routed, unit.routed);
         assert_eq!(scaled.link_load, unit.link_load, "raw loads are capacity-independent");
         assert!((scaled.max_link_load() - unit.max_link_load() / 2.0).abs() < 1e-12);

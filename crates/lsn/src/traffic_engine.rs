@@ -16,10 +16,11 @@
 //!    not users: a million flows between 256 sites cost the same routing
 //!    work as one flow per site pair.
 //! 2. **k-path candidates** — per distinct source satellite, `k_paths`
-//!    rounds of penalized Dijkstra (edges of already-chosen paths get
-//!    their weight inflated each round, the classic path-diversity
-//!    penalty scheme) produce up to `k` loop-free candidate paths per
-//!    destination, shortest first, deduplicated.
+//!    rounds of the crate's one Dijkstra ([`crate::routing`]) with a
+//!    per-arc penalty (edges of already-chosen paths get their weight
+//!    inflated each round, the classic path-diversity penalty scheme)
+//!    produce up to `k` loop-free candidate paths per destination,
+//!    shortest first, deduplicated.
 //! 3. **Waterfilling with drop accounting** — aggregated pairs are
 //!    visited in deterministic (source, destination) order; each pair's
 //!    demand spills across its candidate paths in order, bounded by the
@@ -35,18 +36,18 @@
 //!
 //! Everything is deterministic: aggregation sums in flow order into
 //! satellite pairs sorted by `(source, destination)`, waterfilling visits
-//! them in that order, and the penalized Dijkstra breaks distance ties on
-//! node index with the routing module's heap order.
+//! them in that order, and the penalized rounds break distance ties with
+//! the routing kernel's canonical `(dist, node)` heap order.
 
 use crate::error::Result;
-use crate::routing::{HeapItem, ServingIndex};
+use crate::routing::{dijkstra, ServingIndex};
 use crate::snapshot::Snapshot;
 use crate::topology::Topology;
 use crate::traffic::Flow;
 use ssplane_astro::geo::GeoPoint;
 use ssplane_demand::gravity::GravityFlow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 /// Capacity and path-diversity configuration of one assignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,80 +165,6 @@ impl ServedDemandSummary {
             utilization_max: 0.0,
         }
     }
-}
-
-/// Single-source Dijkstra where every directed arc's weight is inflated
-/// by its accumulated penalty — the diversity mechanism of the k-path
-/// rounds. `penalty` is dense over arc ids ([`Topology::arc_offset`]); an
-/// all-zero penalty is the plain shortest-path tree. The run stops once
-/// every node of `dsts` (ascending) in `src`'s component (`reach` holds
-/// the topology's component labels under the same mask) has settled: a
-/// settled node's label and whole predecessor chain are final, and the
-/// other destinations are never reached, so the truncated run
-/// reconstructs the same destination paths as a full one.
-///
-/// `alive` restricts the run to a node mask: relaxations into (or out
-/// of) dead nodes are skipped, so the output is bit-identical to running
-/// over [`Topology::masked`] — the same lengths in the same canonical
-/// `(dist, node)` order, hence the same `prev` choices. Arc ids are
-/// those of the topology the rounds run over, and penalties follow node
-/// pairs, which masking preserves (nodes are never renumbered).
-fn penalized_dijkstra(
-    topology: &Topology,
-    src: usize,
-    dsts: &[usize],
-    reach: &[u32],
-    penalty: &[f64],
-    alive: Option<&[bool]>,
-) -> (Vec<f64>, Vec<usize>) {
-    let n = topology.n_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![usize::MAX; n];
-    let mut heap = BinaryHeap::new();
-    dist[src] = 0.0;
-    // A dead source keeps its zero label but reaches nothing, exactly as
-    // in the masked topology where it has no surviving links.
-    if alive.is_none_or(|m| m[src]) {
-        heap.push(HeapItem { dist: 0.0, node: src });
-    }
-    let mut pending = dsts.iter().filter(|&&d| reach[d] == reach[src]).count();
-    while pending > 0 {
-        let Some(HeapItem { dist: d, node }) = heap.pop() else { break };
-        if d > dist[node] {
-            continue;
-        }
-        if dsts.binary_search(&node).is_ok() {
-            pending -= 1;
-        }
-        let first_arc = topology.arc_offset(node);
-        for (j, &(next, w)) in topology.neighbors(node).iter().enumerate() {
-            if let Some(m) = alive {
-                if !m[next] {
-                    continue;
-                }
-            }
-            let factor = 1.0 + penalty[first_arc + j];
-            let nd = d + w * factor;
-            if nd < dist[next] {
-                dist[next] = nd;
-                prev[next] = node;
-                heap.push(HeapItem { dist: nd, node: next });
-            }
-        }
-    }
-    (dist, prev)
-}
-
-/// The node path `src → dst` out of a predecessor array.
-fn reconstruct(prev: &[usize], src: usize, dst: usize) -> Vec<usize> {
-    let mut path = vec![dst];
-    let mut node = dst;
-    while node != src {
-        node = prev[node];
-        path.push(node);
-    }
-    path.reverse();
-    path
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample (`None` if
@@ -381,37 +308,34 @@ pub(crate) fn tally_attachments(
     AttachmentTally { unattached: acc[0], local_served: acc[1], sat_pairs, demand }
 }
 
-/// Stage 2 for one source satellite: `k` rounds of penalized Dijkstra
-/// over `dsts` (ascending), returning up to `k` deduplicated candidate
-/// paths per destination, shortest first, aligned with `dsts` (empty
-/// where unreachable). Each round stops once every destination `s` can
-/// reach has settled, and each round's path edges add one penalty to
-/// every arc joining the same node pair. With an `alive` mask the rounds run
-/// alive-filtered, which is bit-identical to running them over
-/// [`Topology::masked`]; `reach` is [`Topology::component_labels`] under
-/// the same mask.
-///
-/// Round 0 carries no penalty, so its paths are the plain shortest
-/// paths: a caller holding them — from a shortest-path tree under the
-/// same mask, whose canonical heap order makes them the same paths —
-/// passes them as `shortest` (`None` per unreachable destination) and
-/// the rounds start from round 1.
+/// Stage 2 for one source satellite: `k` penalized rounds of the routing
+/// kernel ([`crate::routing::dijkstra`]) over `dsts` (ascending), giving
+/// up to `k` deduplicated candidate paths per destination, shortest
+/// first, aligned with `dsts` (empty where unreachable). A round stops
+/// once every destination in `s`'s component (`labels`, the
+/// [`Topology::components`] labels under `alive`) has settled, and its
+/// paths add one penalty to every arc joining the same node pair — which
+/// masking preserves, so an alive-filtered run is bit-identical to one
+/// over [`Topology::masked`]. Round 0 carries no penalty: a caller
+/// holding those plain shortest paths (from a tree under the same mask)
+/// passes them as `shortest`, `None` per unreachable destination.
 pub(crate) fn k_paths_for_source(
     topology: &Topology,
     s: usize,
     dsts: &[usize],
     k: usize,
     alive: Option<&[bool]>,
-    reach: &[u32],
+    labels: &[u32],
     mut shortest: Option<Vec<Option<Vec<usize>>>>,
 ) -> Vec<Vec<Vec<usize>>> {
     let mut penalty = vec![0.0; topology.n_arcs()];
     let mut round_arcs: Vec<usize> = Vec::new();
     let mut paths: Vec<Vec<Vec<usize>>> = vec![Vec::new(); dsts.len()];
+    let reachable: Vec<usize> = dsts.iter().copied().filter(|&d| labels[d] == labels[s]).collect();
     for round in 0..k {
         let found = shortest.take().unwrap_or_else(|| {
-            let (dist, prev) = penalized_dijkstra(topology, s, dsts, reach, &penalty, alive);
-            dsts.iter().map(|&d| dist[d].is_finite().then(|| reconstruct(&prev, s, d))).collect()
+            let tree = dijkstra(topology, s, alive, Some(&penalty), Some(&reachable));
+            dsts.iter().map(|&d| tree.flat_path_to(d).map(|(hops, _)| hops)).collect()
         });
         let penalize = round + 1 < k;
         for (entry, path) in paths.iter_mut().zip(found) {
@@ -533,15 +457,20 @@ pub fn assign_capacity_constrained(
     min_elevation: f64,
     config: &CapacityConfig,
 ) -> Result<ServedDemandSummary> {
-    Ok(assign_interned(snapshot, topology, flows, &FlowIndex::new(flows), min_elevation, config))
+    let labels = topology.components(None).labels;
+    let index = FlowIndex::new(flows);
+    Ok(assign_interned(snapshot, topology, &labels, flows, &index, min_elevation, config))
 }
 
 /// [`assign_capacity_constrained`] over `flows` interned once as
 /// `interned`, so callers assigning one workload over many slots or
-/// masks intern it once.
+/// masks intern it once, and over `topology`'s component `labels`
+/// ([`Topology::components`]), which the degraded evaluator computes once
+/// per slot for every consumer.
 pub(crate) fn assign_interned(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
+    labels: &[u32],
     flows: &[Flow],
     interned: &FlowIndex,
     min_elevation: f64,
@@ -565,11 +494,10 @@ pub(crate) fn assign_interned(
 
     // --- 2. k-path candidates per source satellite -------------------
     let k = config.k_paths.max(1);
-    let reach = topology.component_labels(None);
     let mut paths: Vec<Vec<Vec<usize>>> = Vec::with_capacity(tally.sat_pairs.len());
     for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
         let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
-        paths.extend(k_paths_for_source(topology, group[0].0, &dsts, k, None, &reach, None));
+        paths.extend(k_paths_for_source(topology, group[0].0, &dsts, k, None, labels, None));
     }
 
     // --- 3. deterministic residual-capacity waterfilling -------------

@@ -376,7 +376,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(mask_seed);
         let alive: Vec<bool> = (0..topo.n_nodes()).map(|_| rng.gen::<f64>() >= kill).collect();
         let stats = ClusterTracker::from_alive(&topo, &alive).stats();
-        prop_assert_eq!(stats.largest, topo.largest_component_among(&alive));
+        prop_assert_eq!(stats.largest, topo.components(Some(&alive)).largest());
         prop_assert_eq!(stats.active, alive.iter().filter(|&&a| a).count());
         prop_assert!(stats.sum_sq >= (stats.largest as u64).pow(2), "second moment holds the giant");
     }
@@ -409,7 +409,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(mask_seed);
         let alive: Vec<bool> = (0..topo.n_nodes()).map(|_| rng.gen::<f64>() >= kill).collect();
         let stats = ClusterTracker::from_alive(&topo, &alive).stats();
-        prop_assert_eq!(stats.largest, topo.largest_component_among(&alive));
+        prop_assert_eq!(stats.largest, topo.components(Some(&alive)).largest());
         prop_assert_eq!(stats.active, alive.iter().filter(|&&a| a).count());
     }
 
@@ -445,7 +445,7 @@ proptest! {
                 alive[v] = false;
             }
             let stats = ClusterTracker::from_alive(&topo, &alive).stats();
-            prop_assert_eq!(stats.largest, topo.largest_component_among(&alive), "step {}", k);
+            prop_assert_eq!(stats.largest, topo.components(Some(&alive)).largest(), "step {}", k);
             prop_assert_eq!(curve.giant_fraction[k], stats.largest as f64 / n as f64);
             prop_assert_eq!(curve.susceptibility[k], stats.susceptibility());
             prop_assert_eq!(curve.mean_finite_cluster[k], stats.mean_finite_cluster());
@@ -487,7 +487,11 @@ proptest! {
     /// The incremental scorer is byte-identical to the from-scratch
     /// `Topology::masked` + re-route evaluation on random sun-synchronous
     /// geometries under random k-satellite masks, including the zero-loss
-    /// and wipeout extremes, for every attack objective.
+    /// and wipeout extremes, for every attack objective. With `stacked`
+    /// every plane is doubled, as the SS designer stacks them, so
+    /// co-located twins share zero-length links; the load-inflation
+    /// objective, which routes every flow through the tree repair, is
+    /// scored on every stacked case.
     #[test]
     fn incremental_scoring_matches_full_on_random_sunsync_sat_masks(
         ltans in collection::vec(0.0f64..24.0, 2usize..5),
@@ -495,11 +499,14 @@ proptest! {
         kill in 0.05f64..0.6,
         mask_seed in 0u64..10_000,
         which in 0usize..5,
+        stacked in 0usize..2,
     ) {
+        let stacked = stacked == 1;
         let plane_params: Vec<(f64, usize)> = ltans
             .iter()
             .copied()
             .zip(slot_counts.iter().copied())
+            .flat_map(|plane| std::iter::repeat_n(plane, 1 + usize::from(stacked)))
             .collect();
         let c = random_constellation(620.0, &plane_params);
         let series =
@@ -512,24 +519,29 @@ proptest! {
             GridTopologyConfig::default(),
         )
         .unwrap();
-        let objective = ATTACK_OBJECTIVES[which];
+        let mut objectives = vec![ATTACK_OBJECTIVES[which]];
+        if stacked && objectives[0] != AttackObjective::LoadInflation {
+            objectives.push(AttackObjective::LoadInflation);
+        }
         let ids: Vec<SatId> = series.snapshot(0).ids().collect();
         let mut rng = StdRng::seed_from_u64(mask_seed);
         let destroyed: Vec<SatId> =
             ids.iter().copied().filter(|_| rng.gen::<f64>() < kill).collect();
-        let scorer = evaluator.incremental_scorer(objective);
-        for victims in [Vec::new(), destroyed, ids] {
-            let full = evaluator.score_attack(&victims, objective).unwrap();
-            let fast = scorer.score(&victims).unwrap();
-            prop_assert_eq!(
-                full.to_bits(),
-                fast.to_bits(),
-                "objective {:?}, |victims| = {}: full {} vs incremental {}",
-                objective,
-                victims.len(),
-                full,
-                fast
-            );
+        for objective in objectives {
+            let scorer = evaluator.incremental_scorer(objective);
+            for victims in [&[][..], &destroyed, &ids] {
+                let full = evaluator.score_attack(victims, objective).unwrap();
+                let fast = scorer.score(victims).unwrap();
+                prop_assert_eq!(
+                    full.to_bits(),
+                    fast.to_bits(),
+                    "objective {:?}, |victims| = {}: full {} vs incremental {}",
+                    objective,
+                    victims.len(),
+                    full,
+                    fast
+                );
+            }
         }
     }
 

@@ -589,11 +589,31 @@ mod tests {
         let mut pairs = ok.clone();
         pairs.traffic.model = crate::spec::TrafficModel::Gravity;
         pairs.traffic.pairs = crate::spec::MAX_TRAFFIC_PAIRS + 1;
-        let outcome = Runner::with_threads(1).run_specs(&[flows, ok.clone(), pairs, ok]);
+        // Each of these sizes an allocation, so an unbounded value can
+        // abort the whole process.
+        let sized = [
+            "demand.lat_bins",
+            "demand.tod_bins",
+            "network.time_grid_slots",
+            "network.slots",
+            "network.percolation_steps",
+        ];
+        let mut points = vec![flows, ok.clone(), pairs, ok.clone()];
+        for key in sized {
+            let mut spec = ok.clone();
+            let huge = crate::toml::TomlValue::Int(10_000_000_000_000);
+            crate::sweep::apply_param(&mut spec, key, &huge).unwrap();
+            points.push(spec);
+        }
+        let outcome = Runner::with_threads(1).run_specs(&points);
         assert!(outcome.reports[1].is_ok() && outcome.reports[3].is_ok());
-        for (k, key) in [(0, "network.n_flows"), (2, "traffic.pairs")] {
-            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
-            assert!(err.contains(key), "point {k}: {err}");
+        let keys = ["network.n_flows", "traffic.pairs"].into_iter().chain(sized);
+        for (k, key) in [0, 2, 4, 5, 6, 7, 8].into_iter().zip(keys) {
+            let err = outcome.reports[k].as_ref().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::BadValue { key: bad, .. } if bad == key),
+                "point {k}: {err}"
+            );
         }
     }
 

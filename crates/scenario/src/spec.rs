@@ -30,6 +30,32 @@ use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 /// one allocation. 100k is 500× the largest value in use (200).
 const MAX_N_FLOWS: usize = 100_000;
 
+/// Most `demand.lat_bins` a point may request: 0.5° rows, 10× the
+/// largest value in use (36). The design grid holds `lat_bins · tod_bins`
+/// cells, so an unbounded count can abort the whole sweep on one
+/// allocation.
+const MAX_LAT_BINS: usize = 360;
+
+/// Most `demand.tod_bins` a point may request: five-minute bins, 12× the
+/// largest value in use (24). It sizes the design grid with
+/// `demand.lat_bins`.
+const MAX_TOD_BINS: usize = 288;
+
+/// Most `network.time_grid_slots` a point may request: a day of
+/// 15-minute slots, 12× the largest value in use (8). Every slot holds a
+/// topology, routing landmarks and an intact evaluation for the whole
+/// stage (a few MB per slot of a 10k-satellite point).
+const MAX_TIME_GRID_SLOTS: usize = 96;
+
+/// Most `network.slots` the reference route may span: a day of
+/// five-minute slots, 36× the largest value in use (8). The route's
+/// snapshot series holds every satellite's position per slot.
+const MAX_ROUTE_SLOTS: usize = 288;
+
+/// Most `network.percolation_steps` a sweep may take, 312× the largest
+/// value in use (32). Every curve holds five samples per step.
+const MAX_PERCOLATION_STEPS: usize = 10_000;
+
 /// Most `traffic.pairs` the gravity model may draw. The draws, the flow
 /// list and the per-pair aggregation grow linearly with it (~56 bytes a
 /// pair before aggregation), so an unbounded count can abort the whole
@@ -768,6 +794,14 @@ pub struct ScenarioSpec {
     pub traffic: TrafficSpec,
 }
 
+/// Rejects a count knob above its bound, naming the key.
+fn at_most(key: &str, value: usize, max: usize) -> Result<()> {
+    if value > max {
+        return Err(ScenarioError::bad_value(key, &value.to_string(), &format!("<= {max}")));
+    }
+    Ok(())
+}
+
 impl ScenarioSpec {
     /// A named spec with all defaults (the paper's baseline setup).
     pub fn named(name: &str) -> Self {
@@ -791,6 +825,8 @@ impl ScenarioSpec {
         if self.demand.lat_bins == 0 || self.demand.tod_bins == 0 {
             return Err(ScenarioError::bad_value("demand.bins", "0", "> 0"));
         }
+        at_most("demand.lat_bins", self.demand.lat_bins, MAX_LAT_BINS)?;
+        at_most("demand.tod_bins", self.demand.tod_bins, MAX_TOD_BINS)?;
         if self.radiation.enabled {
             // The integrator would clamp an out-of-range step and run at a
             // step the report never mentions; refuse it instead.
@@ -896,13 +932,7 @@ impl ScenarioSpec {
             if self.traffic.pairs == 0 {
                 return Err(ScenarioError::bad_value("traffic.pairs", "0", ">= 1"));
             }
-            if self.traffic.pairs > MAX_TRAFFIC_PAIRS {
-                return Err(ScenarioError::bad_value(
-                    "traffic.pairs",
-                    &self.traffic.pairs.to_string(),
-                    &format!("<= {MAX_TRAFFIC_PAIRS}"),
-                ));
-            }
+            at_most("traffic.pairs", self.traffic.pairs, MAX_TRAFFIC_PAIRS)?;
             if self.traffic.sites < 2 {
                 return Err(ScenarioError::bad_value(
                     "traffic.sites",
@@ -923,13 +953,7 @@ impl ScenarioSpec {
             ));
         }
         if self.network.enabled {
-            if self.network.n_flows > MAX_N_FLOWS {
-                return Err(ScenarioError::bad_value(
-                    "network.n_flows",
-                    &self.network.n_flows.to_string(),
-                    &format!("<= {MAX_N_FLOWS}"),
-                ));
-            }
+            at_most("network.n_flows", self.network.n_flows, MAX_N_FLOWS)?;
             // Terminals attach above the horizon only: a negative angle
             // would reach satellites below it, and at 90° or more (or a
             // non-finite angle) no satellite is ever in view.
@@ -960,6 +984,7 @@ impl ScenarioSpec {
             if self.network.time_grid_slots == 0 {
                 return Err(ScenarioError::bad_value("network.time_grid_slots", "0", ">= 1"));
             }
+            at_most("network.time_grid_slots", self.network.time_grid_slots, MAX_TIME_GRID_SLOTS)?;
             if self.network.time_grid_slots > 1 && !positive(self.network.time_grid_slot_s) {
                 return Err(ScenarioError::bad_value(
                     "network.time_grid_slot_s",
@@ -970,6 +995,7 @@ impl ScenarioSpec {
             if self.network.slots == 0 {
                 return Err(ScenarioError::bad_value("network.slots", "0", ">= 1"));
             }
+            at_most("network.slots", self.network.slots, MAX_ROUTE_SLOTS)?;
             if self.network.slots > 1 && !positive(self.network.slot_s) {
                 return Err(ScenarioError::bad_value(
                     "network.slot_s",
@@ -991,6 +1017,8 @@ impl ScenarioSpec {
             if self.network.percolation_steps == 0 {
                 return Err(ScenarioError::bad_value("network.percolation_steps", "0", ">= 1"));
             }
+            let steps = self.network.percolation_steps;
+            at_most("network.percolation_steps", steps, MAX_PERCOLATION_STEPS)?;
             let gap = self.network.percolation_gap;
             if !(gap.is_finite() && gap > 0.0 && gap < 1.0) {
                 return Err(ScenarioError::bad_value(
