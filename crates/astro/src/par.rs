@@ -72,10 +72,18 @@ pub fn par_map<T: Send, R: Send>(
         *slots[i].lock().expect("par_map slot poisoned") = Some(r);
     };
     std::thread::scope(|scope| {
-        for _ in 1..workers {
-            scope.spawn(worker);
-        }
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         worker();
+        // The scope's implicit wait ends when each closure returns, before
+        // its thread has exited and handed its malloc arena back, so the
+        // next pool's threads could find no free arena and make new ones:
+        // peak memory then depends on timing. An explicit join waits for
+        // the exit. A joined panic counts as handled, so it is re-raised.
+        for handle in spawned {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
     });
     slots
         .into_iter()
@@ -149,6 +157,18 @@ mod tests {
     #[should_panic]
     fn a_panicking_item_panics_the_caller() {
         par_map((0..8).collect(), 3, |i: usize| assert!(i != 3, "item {i}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "spawned worker")]
+    fn a_panic_on_a_spawned_worker_panics_the_caller() {
+        // The barrier pair puts one of items 0 and 1 on the spawned thread.
+        let caller = std::thread::current().id();
+        let pair = Barrier::new(2);
+        par_map(vec![0, 1], 2, |_: usize| {
+            pair.wait();
+            assert!(std::thread::current().id() == caller, "spawned worker");
+        });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Percolation-analytics benches on mega-constellation geometry: the
 //! union-find loss-fraction sweep (32 steps over 10k satellites), the
-//! residual-checked Lanczos λ₂, and the full scenario-stage equivalent
+//! residual-checked LOBPCG λ₂, and the full scenario-stage equivalent
 //! (4 slots × 2 orderings + per-slot λ₂) — the ISSUE's "a few seconds"
 //! budget, measured.
 //!
@@ -86,7 +86,9 @@ fn bench_percolation(criterion: &mut Criterion) {
     );
 
     // Algebraic connectivity of the intact 10k-node +grid: the seeded
-    // Lanczos solve, to its residual tolerance.
+    // LOBPCG solve, to its residual tolerance. The +grid wraps in both
+    // directions, so its 2,500-aggregate coarse matrix has the widest
+    // envelope of the shipped geometries.
     group.bench_with_input(criterion::BenchmarkId::new("lambda2", "intact"), &(), |b, ()| {
         b.iter(|| {
             black_box(algebraic_connectivity(&topologies[0], &alive, &Lambda2Config::default()))

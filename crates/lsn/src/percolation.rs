@@ -34,9 +34,11 @@
 //!   [`PercolationCurve::threshold_vs`] for the drop versus an explicit
 //!   random-loss baseline curve;
 //! * [`algebraic_connectivity_solve`] — λ₂ of the masked graph
-//!   Laplacian via a seeded Lanczos solve that stops on the explicit
-//!   residual and reports it, so reports stay byte-reproducible across
-//!   runs and thread counts without any external eigensolver;
+//!   Laplacian via a seeded single-vector LOBPCG solve, preconditioned
+//!   by Jacobi plus an exact coarse solve over plane-block aggregates,
+//!   that stops on the explicit residual and reports it, so reports stay
+//!   byte-reproducible across runs and thread counts without any
+//!   external eigensolver;
 //! * [`collapse_score`] — the scalar the attack optimizer minimizes
 //!   under `attack.objective = "masking-threshold"`: the masking
 //!   threshold of a removal ordering plus a sub-quantum mean-giant
@@ -59,7 +61,7 @@ pub const DEFAULT_PERCOLATION_STEPS: usize = 32;
 /// Default giant-component gap that declares the masking regime broken.
 pub const DEFAULT_MASKING_GAP: f64 = 0.1;
 
-/// The seed of the λ₂ Lanczos start vector ("lambda2").
+/// The seed of the λ₂ start vector ("lambda2").
 const LAMBDA2_SEED: u64 = 0x6C61_6D62_6461_3200;
 
 /// Incremental union-find over a topology's flat node space, tracking
@@ -445,17 +447,17 @@ pub fn percolation_sweep(topology: &Topology, order: &[usize], steps: usize) -> 
     curve
 }
 
-/// Configuration of the λ₂ Lanczos solve. Every parameter is fixed, so
-/// a solve is deterministic; the result says whether it met the
-/// residual contract ([`Lambda2Solve::converged`]).
+/// Configuration of the λ₂ solve. Every parameter is fixed, so a solve
+/// is deterministic; the result says whether it met the residual
+/// contract ([`Lambda2Solve::converged`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lambda2Config {
     /// Residual tolerance relative to `c = 2·d_max` (a Gershgorin bound
     /// on the Laplacian spectrum): the solve has converged once its unit
-    /// Ritz vector `y` satisfies `‖Ly − θy‖ ≤ tolerance · c`.
+    /// vector `y` satisfies `‖Ly − θy‖ ≤ tolerance · c`.
     pub tolerance: f64,
-    /// Cap on Lanczos steps (the cost bound when the spectral gap is too
-    /// small to meet the tolerance).
+    /// Cap on LOBPCG iterations (the cost bound when the spectral gap is
+    /// too small to meet the tolerance).
     pub max_iterations: usize,
     /// Seed of the deterministic start vector.
     pub seed: u64,
@@ -470,16 +472,20 @@ impl Default for Lambda2Config {
 /// The outcome of one λ₂ solve ([`algebraic_connectivity_solve`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lambda2Solve {
-    /// λ₂: the Rayleigh quotient of the final Ritz vector (exactly `0.0`
-    /// for a disconnected, empty or single-node alive set).
+    /// λ₂: the Rayleigh quotient of the final iterate (exactly `0.0` for
+    /// a disconnected, empty or single-node alive set).
     pub value: f64,
-    /// Explicit residual `‖Ly − θy‖` of the unit Ritz vector `y` (`0.0`
+    /// Explicit residual `‖Ly − θy‖` of the final unit iterate `y` (`0.0`
     /// for the combinatorial zero).
     pub residual: f64,
-    /// Lanczos steps taken (`0` for the combinatorial zero).
+    /// LOBPCG iterations taken (`0` for the combinatorial zero).
     pub iterations: usize,
+    /// Laplacian applications made — the solve's work counter: the
+    /// start vector's, one per iteration, and one to re-check the final
+    /// iterate (`0` for the combinatorial zero).
+    pub products: usize,
     /// Whether `residual ≤ tolerance · 2·d_max`; `false` means the solve
-    /// stopped (at the step cap) first and `value` is only an upper
+    /// stopped (at the iteration cap) first and `value` is only an upper
     /// estimate.
     pub converged: bool,
 }
@@ -495,23 +501,22 @@ pub fn algebraic_connectivity(topology: &Topology, alive: &[bool], config: &Lamb
 }
 
 /// λ₂ of the graph Laplacian `L` restricted to the `alive` nodes, with
-/// its residual — a seeded Lanczos solve on `L` over the complement of
-/// the all-ones kernel vector. No external eigensolver, no randomness
-/// beyond the seeded start vector, no threading: byte-reproducible
-/// across runs and thread counts.
+/// its residual — single-vector LOBPCG (Knyazev 2001) on `L` over the
+/// complement of the all-ones kernel vector, from a seeded start. No
+/// external eigensolver, no randomness beyond the seeded start vector,
+/// no threading: byte-reproducible across runs and thread counts.
 ///
-/// The three-term recurrence keeps only two Lanczos vectors (memory
-/// O(nodes + links), no stored basis) and subtracts the mean from each
-/// new vector to stay orthogonal to the ones vector. Every
-/// `LANCZOS_CHECK_EVERY` steps the smallest Ritz value θ of the
-/// tridiagonal `T_j` is found by Sturm bisection and its eigenvector `s`
-/// by inverse iteration; once the residual estimate `β_j·|s_j|` meets
-/// `tolerance · c` (`c = 2·d_max`), the recurrence re-runs from the same
-/// start to form the Ritz vector `y = V s`, whose Rayleigh quotient is
-/// the value and whose explicit residual `‖Ly − θy‖` decides
-/// convergence. If the explicit residual misses the tolerance (lost
-/// orthogonality can make the estimate optimistic) the recurrence
-/// resumes, up to `max_iterations` steps.
+/// Each iteration preconditions the residual `Lx − θx` with a two-level
+/// additive [`TwoLevel`] preconditioner (Jacobi plus an exact coarse
+/// correction over plane-block aggregates), projects the result `w` off
+/// the ones vector, `x` and `p` (the previous step's correction), and
+/// takes the smallest Rayleigh–Ritz pair over `{x, w, p}`: one Laplacian
+/// application per iteration, and the iterate is its own Ritz vector.
+/// A search direction that collapses onto the others is dropped. Once
+/// the updated residual meets `tolerance · c` (`c = 2·d_max`), `Lx` is
+/// applied afresh, and the explicit residual `‖Lx − θx‖` of the
+/// returned vector alone decides convergence; if it misses, the
+/// iteration resumes, up to `max_iterations`.
 ///
 /// A disconnected (or empty, or single-node) alive set returns exactly
 /// `0.0`, converged — detected combinatorially through
@@ -524,7 +529,8 @@ pub fn algebraic_connectivity_solve(
     alive: &[bool],
     config: &Lambda2Config,
 ) -> Lambda2Solve {
-    let exact_zero = Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, converged: true };
+    let exact_zero =
+        Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, products: 0, converged: true };
     // One component of at least two nodes, or λ₂ is exactly 0.
     if !matches!(topology.components(Some(alive)).sizes[..], [size] if size > 1) {
         return exact_zero;
@@ -535,45 +541,36 @@ pub fn algebraic_connectivity_solve(
         // More than one node and connected implies links; defensive only.
         return exact_zero;
     }
-    let bound = config.tolerance * c;
+    let preconditioner = TwoLevel::new(topology, alive, &laplacian);
     let start = start_vector(laplacian.len(), config.seed);
-    let mut lanczos = Lanczos::new(&laplacian, start.clone());
-    let (mut alphas, mut betas) = (Vec::new(), Vec::new());
-    loop {
-        let (alpha, beta) = lanczos.step();
-        alphas.push(alpha);
-        betas.push(beta);
-        let j = alphas.len();
-        // Stop at the step cap, or once β_j is below the bound: the
-        // Krylov space is then (numerically) invariant and v_{j+1} would
-        // be roundoff.
-        let last = beta <= bound || j >= config.max_iterations;
-        if !last && j % LANCZOS_CHECK_EVERY != 0 {
-            continue;
-        }
-        let s = smallest_ritz_vector(&alphas, &betas[..j - 1]);
-        if !last && beta * s[j - 1].abs() > bound {
-            continue;
-        }
-        let y = ritz_vector(&laplacian, start.clone(), &s);
-        let (value, residual) = laplacian.rayleigh_residual(&y);
-        let converged = residual <= bound;
-        if converged || last {
-            return Lambda2Solve { value: value.max(0.0), residual, iterations: j, converged };
-        }
-    }
+    lobpcg(&laplacian, &preconditioner, start, config.tolerance * c, config.max_iterations)
 }
 
-/// Lanczos steps between two checks of the Ritz residual estimate.
-const LANCZOS_CHECK_EVERY: usize = 10;
+/// Alive slots per coarse aggregate of the λ₂ preconditioner: runs of
+/// this many consecutive alive slots within one plane (a plane's last
+/// run may be shorter).
+const AGGREGATE_SLOTS: usize = 4;
+
+/// A search direction whose part independent of the others has a
+/// squared norm at most this fraction of its own counts as collapsed
+/// and is dropped from the Rayleigh–Ritz basis.
+const COLLAPSED: f64 = 1e-12;
+
+/// Neighbor slots stored inline per node in a [`Laplacian`]: a +grid's
+/// degree, so each row is one fixed, branch-free gather.
+const ROW_SLOTS: usize = 4;
 
 /// The unweighted Laplacian of the alive subgraph (the convention the
 /// closed-form spectra use), with the alive nodes compacted to `0..m`
-/// and the adjacency in CSR form.
+/// in flat order. Each node's first [`ROW_SLOTS`] neighbors sit inline,
+/// padded with the node itself (a zero term in the difference form);
+/// any further neighbors follow in a node-ordered overflow list.
 struct Laplacian {
     degree: Vec<f64>,
-    offsets: Vec<usize>,
-    targets: Vec<usize>,
+    head: Vec<[usize; ROW_SLOTS]>,
+    /// `(node, neighbor)` for every neighbor past a node's first
+    /// [`ROW_SLOTS`], in node order.
+    overflow: Vec<(usize, usize)>,
 }
 
 impl Laplacian {
@@ -584,21 +581,28 @@ impl Laplacian {
             compact[v] = m;
             m += 1;
         }
-        let mut offsets = Vec::with_capacity(m + 1);
-        let mut targets = Vec::new();
-        offsets.push(0);
+        let (mut degree, mut head, mut overflow) =
+            (Vec::with_capacity(m), Vec::with_capacity(m), Vec::new());
         for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
-            targets.extend(
-                topology
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&(nb, _)| alive[nb])
-                    .map(|&(nb, _)| compact[nb]),
-            );
-            offsets.push(targets.len());
+            let i = head.len();
+            let mut row = [i; ROW_SLOTS];
+            let neighbors = topology
+                .neighbors(v)
+                .iter()
+                .filter(|&&(nb, _)| alive[nb])
+                .map(|&(nb, _)| compact[nb]);
+            let mut d = 0;
+            for j in neighbors {
+                match row.get_mut(d) {
+                    Some(slot) => *slot = j,
+                    None => overflow.push((i, j)),
+                }
+                d += 1;
+            }
+            head.push(row);
+            degree.push(d as f64);
         }
-        let degree = offsets.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-        Laplacian { degree, offsets, targets }
+        Laplacian { degree, head, overflow }
     }
 
     fn len(&self) -> usize {
@@ -609,21 +613,60 @@ impl Laplacian {
         self.degree.iter().copied().fold(0.0, f64::max)
     }
 
-    /// `Lx` in node order: `(Lx)_i = d_i·x_i − Σ_{j∈N(i)} x_j`.
-    fn apply<'s>(&'s self, x: &'s [f64]) -> impl Iterator<Item = f64> + 's {
-        self.offsets.windows(2).zip(self.degree.iter().zip(x)).map(|(range, (&d, &xi))| {
-            d * xi - self.targets[range[0]..range[1]].iter().map(|&j| x[j]).sum::<f64>()
-        })
+    /// Every directed arc `(i, j)` of the alive subgraph.
+    fn arcs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let inline =
+            self.head.iter().enumerate().flat_map(|(i, row)| row.iter().map(move |&j| (i, j)));
+        inline.filter(|&(i, j)| i != j).chain(self.overflow.iter().copied())
     }
 
-    /// The Rayleigh quotient `θ = yᵀLy / yᵀy` and the residual
-    /// `‖Ly − θy‖ / ‖y‖`.
-    fn rayleigh_residual(&self, y: &[f64]) -> (f64, f64) {
-        let ly: Vec<f64> = self.apply(y).collect();
-        let norm_sq = dot(y, y);
-        let theta = dot(y, &ly) / norm_sq;
-        let residual_sq: f64 = ly.iter().zip(y).map(|(l, v)| (l - theta * v).powi(2)).sum();
-        (theta, (residual_sq / norm_sq).sqrt())
+    /// Calls `row(i, (Lx)_i)` for every node in order, with `Lx` in
+    /// difference form, `(Lx)_i = Σ_{j∈N(i)} (x_i − x_j)`: on the smooth
+    /// vectors near λ₂ neighboring entries differ little, so the
+    /// differences are exact and `Lx` keeps its small relative error
+    /// where `d_i·x_i − Σ x_j` would cancel.
+    #[inline(always)]
+    fn for_each_row(&self, x: &[f64], mut row: impl FnMut(usize, f64)) {
+        let mut overflow = self.overflow.iter().peekable();
+        for (i, (nb, &xi)) in self.head.iter().zip(x).enumerate() {
+            let mut lxi: f64 = nb.iter().map(|&j| xi - x[j]).sum();
+            while let Some(&(_, j)) = overflow.next_if(|&&(v, _)| v == i) {
+                lxi += xi - x[j];
+            }
+            row(i, lxi);
+        }
+    }
+
+    /// `out = Lx`.
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        self.for_each_row(x, |i, lxi| out[i] = lxi);
+    }
+
+    /// The projection `w = raw − μ1 − αx − βp` of `raw` and its image
+    /// `lw = Lw = L·raw − α·lx − β·lp` (the ones vector is `L`'s kernel),
+    /// fused with the Gram entries they enter: returns
+    /// `[w·w, x·w, p·w, x·Lw, w·Lw, p·Lw]`.
+    fn project_apply_gram(
+        &self,
+        raw: &[f64],
+        [mean, alpha, beta]: [f64; 3],
+        [x, lx, p, lp]: [&[f64]; 4],
+        w: &mut [f64],
+        lw: &mut [f64],
+    ) -> [f64; 6] {
+        let mut g = [0.0; 6];
+        self.for_each_row(raw, |i, l_raw| {
+            let wi = raw[i] - mean - alpha * x[i] - beta * p[i];
+            let lwi = l_raw - alpha * lx[i] - beta * lp[i];
+            (w[i], lw[i]) = (wi, lwi);
+            g[0] += wi * wi;
+            g[1] += x[i] * wi;
+            g[2] += p[i] * wi;
+            g[3] += x[i] * lwi;
+            g[4] += wi * lwi;
+            g[5] += p[i] * lwi;
+        });
+        g
     }
 }
 
@@ -657,169 +700,501 @@ fn start_vector(m: usize, seed: u64) -> Vec<f64> {
     v
 }
 
-/// The Lanczos three-term recurrence on a [`Laplacian`], holding only
-/// the current and previous basis vectors.
-struct Lanczos<'a> {
-    laplacian: &'a Laplacian,
-    prev: Vec<f64>,
-    cur: Vec<f64>,
-    beta_prev: f64,
+/// The two-level additive preconditioner `T = D⁻¹ + P A_c⁺ Pᵀ`: Jacobi
+/// plus an exact coarse solve. `P` is the piecewise-constant
+/// prolongation over plane-block aggregates ([`AGGREGATE_SLOTS`]
+/// consecutive alive slots of one plane), and `A_c = PᵀLP` — itself the
+/// Laplacian of the aggregate graph — is grounded at one aggregate and
+/// factored once by an envelope Cholesky in reverse Cuthill–McKee order.
+/// Blocks that cut every plane keep the coarse space rich enough that
+/// the iteration count stays near-constant as the graph grows.
+struct TwoLevel {
+    inv_degree: Vec<f64>,
+    /// Each node's aggregate, as its position in the coarse ordering;
+    /// an aggregate's nodes are consecutive.
+    aggregate: Vec<usize>,
+    /// The grounded coarse matrix (every aggregate but the last in the
+    /// ordering).
+    coarse: EnvelopeCholesky,
 }
 
-impl<'a> Lanczos<'a> {
-    /// A recurrence from a unit start vector orthogonal to the ones
-    /// vector.
-    fn new(laplacian: &'a Laplacian, start: Vec<f64>) -> Lanczos<'a> {
-        Lanczos { laplacian, prev: vec![0.0; start.len()], cur: start, beta_prev: 0.0 }
+impl TwoLevel {
+    fn new(topology: &Topology, alive: &[bool], laplacian: &Laplacian) -> TwoLevel {
+        // Aggregates in flat order: runs of alive slots within a plane.
+        let mut aggregate = Vec::with_capacity(laplacian.len());
+        let mut n = 0;
+        for plane in topology.plane_offsets().windows(2) {
+            let alive_slots = (plane[0]..plane[1]).filter(|&v| alive[v]).count();
+            aggregate.extend((0..alive_slots).map(|s| n + s / AGGREGATE_SLOTS));
+            n += alive_slots.div_ceil(AGGREGATE_SLOTS);
+        }
+        // The aggregate graph: one weighted arc per ordered pair of
+        // linked aggregates, weighted by the fine links between them.
+        let mut arcs: Vec<(usize, usize)> = laplacian
+            .arcs()
+            .map(|(i, j)| (aggregate[i], aggregate[j]))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        arcs.sort_unstable();
+        let mut offsets = vec![0; n + 1];
+        let mut targets = Vec::new();
+        for run in arcs.chunk_by(|x, y| x == y) {
+            let (a, b) = run[0];
+            targets.push((b, run.len() as f64));
+            offsets[a + 1] += 1;
+        }
+        for a in 0..n {
+            offsets[a + 1] += offsets[a];
+        }
+        let graph = CoarseGraph { offsets, targets };
+        let order = graph.reverse_cuthill_mckee();
+        let mut position = vec![0; n];
+        for (k, &a) in order.iter().enumerate() {
+            position[a] = k;
+        }
+        TwoLevel {
+            inv_degree: laplacian.degree.iter().map(|d| d.recip()).collect(),
+            aggregate: aggregate.into_iter().map(|a| position[a]).collect(),
+            coarse: EnvelopeCholesky::grounded_laplacian(&graph, &order, &position),
+        }
     }
 
-    /// One step from `v_j` (the current vector): returns `(α_j, β_j)`
-    /// and advances to `v_{j+1}` (left unnormalized when `β_j = 0`).
-    fn step(&mut self) -> (f64, f64) {
-        let (prev, cur) = (&mut self.prev, &self.cur);
-        // w = L v_j − β_{j−1} v_{j−1}, written over v_{j−1}.
-        let (mut alpha, mut sum_w, mut sum_v) = (0.0, 0.0, 0.0);
-        for ((w, lv), &v) in prev.iter_mut().zip(self.laplacian.apply(cur)).zip(cur) {
-            *w = lv - self.beta_prev * *w;
-            alpha += *w * v;
-            sum_w += *w;
-            sum_v += v;
+    /// Coarse unknowns, the grounded one included.
+    fn coarse_len(&self) -> usize {
+        self.coarse.len() + 1
+    }
+
+    /// Restricts the residual `r`, given node by node in order: writes
+    /// its Jacobi part `D⁻¹r` into `w` and its restriction `Pᵀr` into
+    /// `coarse` (of [`Self::coarse_len`]), and returns `‖r‖²`.
+    #[inline(always)]
+    fn restrict(&self, r: impl Iterator<Item = f64>, w: &mut [f64], coarse: &mut [f64]) -> f64 {
+        let (mut rr, mut sum) = (0.0, 0.0);
+        // An aggregate's nodes are consecutive: sum a run, then store.
+        let mut current = self.aggregate[0];
+        for ((ri, wi), (&k, &inv)) in r.zip(w).zip(self.aggregate.iter().zip(&self.inv_degree)) {
+            if k != current {
+                coarse[current] = sum;
+                (current, sum) = (k, 0.0);
+            }
+            rr += ri * ri;
+            sum += ri;
+            *wi = ri * inv;
         }
-        // w − α_j v_j, minus its mean: the ones-vector component that
-        // roundoff lets back in.
-        let mean = (sum_w - alpha * sum_v) / prev.len() as f64;
-        let mut norm_sq = 0.0;
-        for (w, v) in prev.iter_mut().zip(cur) {
-            *w -= alpha * v + mean;
-            norm_sq += *w * *w;
+        coarse[current] = sum;
+        rr
+    }
+
+    /// Completes `w = T r` from [`Self::restrict`]'s halves: solves the
+    /// grounded coarse system in `coarse` and adds its prolongation to
+    /// `w`. Returns `[Σ w, x·w, p·w, w·w]`.
+    fn add_coarse_correction(
+        &self,
+        coarse: &mut [f64],
+        [x, p]: [&[f64]; 2],
+        w: &mut [f64],
+    ) -> [f64; 4] {
+        let (interior, ground) = coarse.split_at_mut(self.coarse.len());
+        self.coarse.solve(interior);
+        ground[0] = 0.0;
+        let mut sums = [0.0; 4];
+        for ((wi, &k), (&xi, &pi)) in w.iter_mut().zip(&self.aggregate).zip(x.iter().zip(p)) {
+            *wi += coarse[k];
+            sums[0] += *wi;
+            sums[1] += xi * *wi;
+            sums[2] += pi * *wi;
+            sums[3] += *wi * *wi;
         }
-        let beta = norm_sq.sqrt();
-        if beta > 0.0 {
-            let inv = beta.recip();
-            prev.iter_mut().for_each(|w| *w *= inv);
-        }
-        std::mem::swap(&mut self.prev, &mut self.cur);
-        self.beta_prev = beta;
-        (alpha, beta)
+        sums
     }
 }
 
-/// The Ritz vector `y = Σ s_i v_i`, re-running the recurrence from
-/// `start` (bit-identically, so no basis is stored).
-fn ritz_vector(laplacian: &Laplacian, start: Vec<f64>, s: &[f64]) -> Vec<f64> {
-    let mut y = vec![0.0; start.len()];
-    let mut lanczos = Lanczos::new(laplacian, start);
-    for (i, &si) in s.iter().enumerate() {
-        if i > 0 {
-            lanczos.step();
-        }
-        y.iter_mut().zip(&lanczos.cur).for_each(|(y, v)| *y += si * v);
+/// The aggregate graph in CSR form, each arc with its weight.
+struct CoarseGraph {
+    offsets: Vec<usize>,
+    targets: Vec<(usize, f64)>,
+}
+
+impl CoarseGraph {
+    fn neighbors(&self, a: usize) -> &[(usize, f64)] {
+        &self.targets[self.offsets[a]..self.offsets[a + 1]]
     }
-    y
+
+    fn degree(&self, a: usize) -> usize {
+        self.offsets[a + 1] - self.offsets[a]
+    }
+
+    /// Breadth-first search from `root`, neighbors visited by ascending
+    /// degree (then index): the visit order and each node's level.
+    fn bfs(&self, root: usize) -> (Vec<usize>, Vec<usize>) {
+        let mut level = vec![usize::MAX; self.offsets.len() - 1];
+        level[root] = 0;
+        let mut order = vec![root];
+        let mut next = Vec::new();
+        let mut head = 0;
+        while let Some(&a) = order.get(head) {
+            head += 1;
+            next.clear();
+            next.extend(
+                self.neighbors(a).iter().map(|&(b, _)| b).filter(|&b| level[b] == usize::MAX),
+            );
+            next.sort_unstable_by_key(|&b| (self.degree(b), b));
+            for &b in &next {
+                level[b] = level[a] + 1;
+                order.push(b);
+            }
+        }
+        (order, level)
+    }
+
+    /// The reverse Cuthill–McKee ordering of the (connected) graph, from
+    /// a George–Liu pseudo-peripheral root: a narrow envelope for the
+    /// coarse Cholesky.
+    fn reverse_cuthill_mckee(&self) -> Vec<usize> {
+        let n = self.offsets.len() - 1;
+        let root = (0..n).min_by_key(|&a| (self.degree(a), a)).expect("a non-empty graph");
+        let (mut order, mut level) = self.bfs(root);
+        loop {
+            // Restart from the deepest level's least-degree node while
+            // that deepens the search.
+            let depth = level[order[order.len() - 1]];
+            let far = order
+                .iter()
+                .rev()
+                .take_while(|&&a| level[a] == depth)
+                .copied()
+                .min_by_key(|&a| (self.degree(a), a))
+                .expect("the deepest level is non-empty");
+            let (far_order, far_level) = self.bfs(far);
+            if far_level[far_order[far_order.len() - 1]] <= depth {
+                break;
+            }
+            (order, level) = (far_order, far_level);
+        }
+        debug_assert_eq!(order.len(), n, "the aggregate graph of a connected graph is connected");
+        order.reverse();
+        order
+    }
+}
+
+/// A symmetric positive-definite matrix factored `LLᵀ` in envelope
+/// (profile) storage: row `i` keeps columns `first[i]..=i` contiguously,
+/// the span a Cholesky factor fills without fill-in outside it.
+struct EnvelopeCholesky {
+    first: Vec<usize>,
+    /// Row `i` occupies `values[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl EnvelopeCholesky {
+    /// The factor of `graph`'s weighted Laplacian in the given ordering
+    /// with its last node grounded (row and column removed), which makes
+    /// the Laplacian of a connected graph positive definite.
+    fn grounded_laplacian(
+        graph: &CoarseGraph,
+        order: &[usize],
+        position: &[usize],
+    ) -> EnvelopeCholesky {
+        let n = order.len().saturating_sub(1);
+        let first: Vec<usize> = (0..n)
+            .map(|i| {
+                graph.neighbors(order[i]).iter().map(|&(b, _)| position[b]).fold(i, usize::min)
+            })
+            .collect();
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for (i, &f) in first.iter().enumerate() {
+            start.push(start[i] + i + 1 - f);
+        }
+        let mut values = vec![0.0; start[n]];
+        for (i, &a) in order[..n].iter().enumerate() {
+            let row = &mut values[start[i]..start[i + 1]];
+            for &(b, weight) in graph.neighbors(a) {
+                row[row.len() - 1] += weight;
+                if position[b] < i {
+                    row[position[b] - first[i]] -= weight;
+                }
+            }
+        }
+        let mut factor = EnvelopeCholesky { first, start, values };
+        factor.factor();
+        factor
+    }
+
+    fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// Row `i`'s stored entries, columns `first[i]..=i`.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.values[self.start[i]..self.start[i + 1]]
+    }
+
+    /// In-place Cholesky: `L_ij = (A_ij − Σ_k L_ik L_jk) / L_jj` over the
+    /// columns both rows store, then `L_ii = √(A_ii − Σ_k L_ik²)`, kept
+    /// as its reciprocal so the solves multiply instead of divide.
+    fn factor(&mut self) {
+        for i in 0..self.len() {
+            let fi = self.first[i];
+            for j in fi..i {
+                let fj = self.first[j];
+                let k0 = fi.max(fj);
+                let (ri, rj) = (self.row(i), self.row(j));
+                let s = dot(&ri[k0 - fi..j - fi], &rj[k0 - fj..j - fj]);
+                let l = (ri[j - fi] - s) * rj[j - fj];
+                self.values[self.start[i] + j - fi] = l;
+            }
+            let (off, diag) = self.split_row(i);
+            let inv_pivot = (diag - dot(off, off)).sqrt().recip();
+            self.values[self.start[i + 1] - 1] = inv_pivot;
+        }
+    }
+
+    /// Row `i` as its off-diagonal part and its last (diagonal) entry.
+    fn split_row(&self, i: usize) -> (&[f64], f64) {
+        let (off, diag) = self.row(i).split_at(self.start[i + 1] - self.start[i] - 1);
+        (off, diag[0])
+    }
+
+    /// Solves `LLᵀ x = b` in place.
+    fn solve(&self, b: &mut [f64]) {
+        for i in 0..self.len() {
+            let (off, inv_pivot) = self.split_row(i);
+            b[i] = (b[i] - dot(off, &b[self.first[i]..i])) * inv_pivot;
+        }
+        for i in (0..self.len()).rev() {
+            let (off, inv_pivot) = self.split_row(i);
+            b[i] *= inv_pivot;
+            let bi = b[i];
+            b[self.first[i]..i].iter_mut().zip(off).for_each(|(bk, l)| *bk -= l * bi);
+        }
+    }
+}
+
+/// Single-vector LOBPCG for the smallest eigenpair of `laplacian` over
+/// the complement of the ones vector, from the unit `x` (orthogonal to
+/// it), preconditioned by `preconditioner`; see
+/// [`algebraic_connectivity_solve`].
+///
+/// An iteration makes three passes over the nodes: the coarse
+/// correction's prolongation; the projection of `w` fused with `Lw` and
+/// the Gram entries; and the update of `x` and `p` fused with the next
+/// residual's restriction.
+fn lobpcg(
+    laplacian: &Laplacian,
+    preconditioner: &TwoLevel,
+    mut x: Vec<f64>,
+    bound: f64,
+    max_iterations: usize,
+) -> Lambda2Solve {
+    let m = x.len();
+    let (mut w, mut lw) = (vec![0.0; m], vec![0.0; m]);
+    let (mut p, mut lp) = (vec![0.0; m], vec![0.0; m]);
+    // The preconditioned residual before its projection.
+    let mut raw = vec![0.0; m];
+    let mut coarse = vec![0.0; preconditioner.coarse_len()];
+    let mut lx = vec![0.0; m];
+    laplacian.apply(&x, &mut lx);
+    let mut products = 1;
+    // Whether `lx` was applied to `x` rather than updated alongside it.
+    let mut fresh = true;
+    // The Gram entries of x and p: x·x, x·Lx, x·p, x·Lp, p·p, p·Lp.
+    let [mut xx, mut xlx, mut xp, mut xlp, mut pp, mut plp] =
+        [dot(&x, &x), dot(&x, &lx), 0.0, 0.0, 0.0, 0.0];
+    // ‖Lx − θx‖², restricted into `raw` and `coarse`.
+    let theta = xlx / xx;
+    let r = lx.iter().zip(&x).map(|(l, v)| l - theta * v);
+    let mut rr = preconditioner.restrict(r, &mut raw, &mut coarse);
+    let mut have_p = false;
+    let mut iterations = 0;
+    // Set when no search direction survives, so the iterate cannot move.
+    let mut stalled = false;
+    loop {
+        let residual = (rr / xx).sqrt();
+        if residual <= bound || iterations >= max_iterations || stalled {
+            if fresh {
+                return Lambda2Solve {
+                    value: (xlx / xx).max(0.0),
+                    residual,
+                    iterations,
+                    products,
+                    converged: residual <= bound,
+                };
+            }
+            // Re-check on a fresh Lx, so the returned residual is
+            // explicit; resume if it misses.
+            laplacian.apply(&x, &mut lx);
+            products += 1;
+            fresh = true;
+            [xx, xlx] = [dot(&x, &x), dot(&x, &lx)];
+            let theta = xlx / xx;
+            let r = lx.iter().zip(&x).map(|(l, v)| l - theta * v);
+            rr = preconditioner.restrict(r, &mut raw, &mut coarse);
+            continue;
+        }
+        // w = T r, projected off the ones vector, x and p (both sum to
+        // 0) by one Gram–Schmidt step, which keeps the Rayleigh–Ritz
+        // basis close to orthogonal. A p collapsed onto x is dropped
+        // first.
+        have_p &= pp - xp * xp / xx > COLLAPSED * pp;
+        let [sum, x_raw, p_raw, before] =
+            preconditioner.add_coarse_correction(&mut coarse, [&x, &p], &mut raw);
+        let (alpha, beta) = if have_p {
+            let det = xx * pp - xp * xp;
+            ((pp * x_raw - xp * p_raw) / det, (xx * p_raw - xp * x_raw) / det)
+        } else {
+            (x_raw / xx, 0.0)
+        };
+        let [ww, xw, pw, xlw, wlw, plw] = laplacian.project_apply_gram(
+            &raw,
+            [sum / m as f64, alpha, beta],
+            [&x, &lx, &p, &lp],
+            &mut w,
+            &mut lw,
+        );
+        products += 1;
+        let have_w = ww > COLLAPSED * before;
+        let a = [[xlx, xlw, xlp], [xlw, wlw, plw], [xlp, plw, plp]];
+        let b = [[xx, xw, xp], [xw, ww, pw], [xp, pw, pp]];
+        let Some((theta, c)) = smallest_ritz_pair(&a, &b, [true, have_w, have_p]) else {
+            // Nothing left to search: re-check and report the iterate as
+            // it stands.
+            stalled = true;
+            continue;
+        };
+        // x ← Sc (unit in exact arithmetic, as c is b-normalized) and
+        // p ← its w, p part, with their images under L; then the new
+        // residual against the Ritz value θ.
+        [xx, xlx, xp, xlp, pp, plp] = [0.0; 6];
+        let r = x
+            .iter_mut()
+            .zip(lx.iter_mut())
+            .zip(p.iter_mut().zip(lp.iter_mut()))
+            .zip(w.iter().zip(&lw))
+            .map(|(((xi, lxi), (pi, lpi)), (&wi, &lwi))| {
+                *pi = c[1] * wi + c[2] * *pi;
+                *lpi = c[1] * lwi + c[2] * *lpi;
+                *xi = c[0] * *xi + *pi;
+                *lxi = c[0] * *lxi + *lpi;
+                xx += *xi * *xi;
+                xlx += *xi * *lxi;
+                xp += *xi * *pi;
+                xlp += *xi * *lpi;
+                pp += *pi * *pi;
+                plp += *pi * *lpi;
+                *lxi - theta * *xi
+            });
+        rr = preconditioner.restrict(r, &mut raw, &mut coarse);
+        have_p = true;
+        iterations += 1;
+        fresh = false;
+    }
+}
+
+/// The smallest Rayleigh–Ritz pair of the pencil `(a, b)` — `a` the
+/// Gram matrix `SᵀLS`, `b` the Gram matrix `SᵀS` of the basis columns
+/// flagged `active` — as its value and its coefficients over the basis
+/// (`0.0` for an inactive or collapsed column). `b` is orthogonalized by
+/// a pivoted Cholesky `b = RᵀR` in column order; a column whose pivot
+/// falls to [`COLLAPSED`] of its diagonal is dropped. `None` when only
+/// the first column survives, so no step is possible.
+fn smallest_ritz_pair(
+    a: &[[f64; 3]; 3],
+    b: &[[f64; 3]; 3],
+    active: [bool; 3],
+) -> Option<(f64, [f64; 3])> {
+    // R over the kept columns: r[i][j] for kept i ≤ j.
+    let mut kept: Vec<usize> = Vec::with_capacity(3);
+    let mut r = [[0.0; 3]; 3];
+    for j in (0..3).filter(|&j| active[j]) {
+        let mut col = [0.0; 3];
+        let mut rest = b[j][j];
+        for (ki, &i) in kept.iter().enumerate() {
+            let s: f64 = (0..ki).map(|kl| r[kl][ki] * col[kl]).sum();
+            col[ki] = (b[i][j] - s) / r[ki][ki];
+            rest -= col[ki] * col[ki];
+        }
+        if rest <= COLLAPSED * b[j][j] {
+            continue;
+        }
+        let k = kept.len();
+        for (ki, &value) in col.iter().enumerate().take(k) {
+            r[ki][k] = value;
+        }
+        r[k][k] = rest.sqrt();
+        kept.push(j);
+    }
+    let k = kept.len();
+    if k < 2 {
+        return None;
+    }
+    // C = R⁻ᵀ A R⁻¹ through R⁻¹ (upper triangular).
+    let mut inv = [[0.0; 3]; 3];
+    for j in 0..k {
+        inv[j][j] = 1.0 / r[j][j];
+        for i in (0..j).rev() {
+            let s: f64 = (i + 1..=j).map(|l| r[i][l] * inv[l][j]).sum();
+            inv[i][j] = -s / r[i][i];
+        }
+    }
+    let mut c = [[0.0; 3]; 3];
+    for i in 0..k {
+        for j in 0..k {
+            c[i][j] = (0..=i)
+                .flat_map(|p| (0..=j).map(move |q| (p, q)))
+                .map(|(p, q)| inv[p][i] * a[kept[p]][kept[q]] * inv[q][j])
+                .sum();
+        }
+    }
+    let (value, v) = smallest_eigenpair(c, k);
+    let mut coefficients = [0.0; 3];
+    for (p, &column) in kept.iter().enumerate() {
+        coefficients[column] = (p..k).map(|q| inv[p][q] * v[q]).sum();
+    }
+    Some((value, coefficients))
 }
 
 /// The unit eigenvector of the smallest eigenvalue of the symmetric
-/// tridiagonal matrix with diagonal `alpha` and off-diagonal `beta`
-/// (`beta.len() == alpha.len() − 1`): the eigenvalue by Sturm bisection,
-/// the vector by two steps of inverse iteration.
-fn smallest_ritz_vector(alpha: &[f64], beta: &[f64]) -> Vec<f64> {
-    let n = alpha.len();
-    let off = |i: usize| if i < beta.len() { beta[i].abs() } else { 0.0 };
-    // Gershgorin lower bound; the smallest eigenvalue is at most any
-    // diagonal entry.
-    let mut lo = (0..n)
-        .map(|i| alpha[i] - off(i) - if i > 0 { off(i - 1) } else { 0.0 })
-        .fold(f64::INFINITY, f64::min);
-    let mut hi = alpha.iter().copied().fold(f64::INFINITY, f64::min);
-    let scale = lo.abs().max(hi.abs()).max(f64::MIN_POSITIVE);
-    let pivot_floor = f64::EPSILON * scale;
-    // Eigenvalues below x: negative pivots of the LDLᵀ of T − xI.
-    let count_below = |x: f64| {
-        let mut q = 1.0;
-        let mut count = 0;
-        for i in 0..n {
-            let coupling = if i > 0 { beta[i - 1] * beta[i - 1] / q } else { 0.0 };
-            q = alpha[i] - x - coupling;
-            if q.abs() < pivot_floor {
-                q = -pivot_floor;
-            }
-            if q < 0.0 {
-                count += 1;
-            }
-        }
-        count
-    };
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if mid <= lo || mid >= hi {
+/// leading `k×k` block of `c` (`k ≤ 3`), by cyclic Jacobi rotations;
+/// ties go to the lowest index.
+fn smallest_eigenpair(mut c: [[f64; 3]; 3], k: usize) -> (f64, [f64; 3]) {
+    let mut v = [[0.0; 3]; 3];
+    for (i, row) in v.iter_mut().enumerate() {
+        row[i] = 1.0;
+    }
+    for _ in 0..64 {
+        let scale: f64 = (0..k).map(|i| c[i][i] * c[i][i]).sum();
+        let off: f64 = (0..k)
+            .flat_map(|i| (i + 1..k).map(move |j| (i, j)))
+            .map(|(i, j)| c[i][j] * c[i][j])
+            .sum();
+        if off <= f64::EPSILON * f64::EPSILON * scale {
             break;
         }
-        if count_below(mid) >= 1 {
-            hi = mid;
-        } else {
-            lo = mid;
+        for p in 0..k {
+            for q in p + 1..k {
+                if c[p][q] == 0.0 {
+                    continue;
+                }
+                let zeta = (c[q][q] - c[p][p]) / (2.0 * c[p][q]);
+                let t = zeta.signum() / (zeta.abs() + zeta.hypot(1.0));
+                let cs = 1.0 / t.hypot(1.0);
+                let sn = t * cs;
+                // c ← Jᵀ c J and v ← v J: columns p, q, then rows p, q.
+                let rotate =
+                    |a: &mut f64, b: &mut f64| (*a, *b) = (cs * *a - sn * *b, sn * *a + cs * *b);
+                for row in c.iter_mut().chain(v.iter_mut()) {
+                    let (low, high) = row.split_at_mut(q);
+                    rotate(&mut low[p], &mut high[0]);
+                }
+                let (low, high) = c.split_at_mut(q);
+                low[p].iter_mut().zip(high[0].iter_mut()).for_each(|(a, b)| rotate(a, b));
+            }
         }
     }
-    let mut s = vec![1.0; n];
-    for _ in 0..2 {
-        s = solve_shifted_tridiagonal(alpha, beta, hi, &s, pivot_floor);
-        let norm = dot(&s, &s).sqrt();
-        s.iter_mut().for_each(|x| *x /= norm);
-    }
-    s
-}
-
-/// Solves `(T − σI) x = rhs` for the symmetric tridiagonal `T`
-/// (diagonal `alpha`, off-diagonal `beta`) by Gaussian elimination with
-/// partial pivoting; pivots below `pivot_floor` are raised to it, as
-/// inverse iteration at a converged shift requires.
-fn solve_shifted_tridiagonal(
-    alpha: &[f64],
-    beta: &[f64],
-    sigma: f64,
-    rhs: &[f64],
-    pivot_floor: f64,
-) -> Vec<f64> {
-    let n = alpha.len();
-    let floor = |d: f64| if d.abs() < pivot_floor { pivot_floor.copysign(d) } else { d };
-    // Upper-triangular rows: entries at columns (k, k+1, k+2).
-    let mut upper = Vec::with_capacity(n);
-    let mut y = Vec::with_capacity(n);
-    // The reduced row at column k: entries at columns (k, k+1), rhs r.
-    let (mut d, mut u, mut r) = (alpha[0] - sigma, beta.first().copied().unwrap_or(0.0), rhs[0]);
-    for k in 0..n - 1 {
-        // Row k+1: entries at columns (k, k+1, k+2).
-        let (l, nd, nu, nr) =
-            (beta[k], alpha[k + 1] - sigma, beta.get(k + 1).copied().unwrap_or(0.0), rhs[k + 1]);
-        if l.abs() > d.abs() {
-            // Row k+1 pivots and the reduced row is eliminated.
-            let f = d / l;
-            upper.push((l, nd, nu));
-            y.push(nr);
-            (d, u, r) = (u - f * nd, -f * nu, r - f * nr);
-        } else {
-            let pivot = floor(d);
-            let f = l / pivot;
-            upper.push((pivot, u, 0.0));
-            y.push(r);
-            (d, u, r) = (nd - f * u, nu, nr - f * r);
-        }
-    }
-    upper.push((d, 0.0, 0.0));
-    y.push(r);
-    let mut x = vec![0.0; n];
-    for k in (0..n).rev() {
-        let (pd, p1, p2) = upper[k];
-        let mut acc = y[k];
-        if k + 1 < n {
-            acc -= p1 * x[k + 1];
-        }
-        if k + 2 < n {
-            acc -= p2 * x[k + 2];
-        }
-        x[k] = acc / floor(pd);
-    }
-    x
+    let smallest = (0..k).fold(0, |best, i| if c[i][i] < c[best][best] { i } else { best });
+    (c[smallest][smallest], [v[0][smallest], v[1][smallest], v[2][smallest]])
 }
 
 /// The attack optimizer's masking-collapse score of one removal ordering
@@ -1036,10 +1411,10 @@ mod tests {
         assert!(at > 0.0 && at < 1.0, "χ peaks strictly inside the sweep: {at}");
     }
 
-    /// The torus C_rows □ C_cols: node `r·cols + k` links to its ring
-    /// successors along both dimensions (both sides at least 3, so no
-    /// link repeats).
-    fn torus(rows: usize, cols: usize) -> Topology {
+    /// The links of the torus C_rows □ C_cols: node `r·cols + k` links
+    /// to its ring successors along both dimensions (both sides at least
+    /// 3, so no link repeats).
+    fn torus_edges(rows: usize, cols: usize) -> Vec<(usize, usize)> {
         let mut edges = Vec::new();
         for r in 0..rows {
             for k in 0..cols {
@@ -1047,7 +1422,38 @@ mod tests {
                 edges.push((r * cols + k, ((r + 1) % rows) * cols + k));
             }
         }
-        graph(rows * cols, &edges)
+        edges
+    }
+
+    /// The torus C_rows □ C_cols on a single plane.
+    fn torus(rows: usize, cols: usize) -> Topology {
+        graph(rows * cols, &torus_edges(rows, cols))
+    }
+
+    /// A topology laid out plane by plane — plane `p` holds the next
+    /// `sizes[p]` flat indices, empty planes allowed — with the given
+    /// flat-index links, all unit length.
+    fn layered(sizes: &[usize], edges: &[(usize, usize)]) -> Topology {
+        let mut offsets = vec![0];
+        for &size in sizes {
+            offsets.push(offsets[offsets.len() - 1] + size);
+        }
+        let id = |v: usize| {
+            let plane = offsets.partition_point(|&o| o <= v) - 1;
+            SatId { plane, slot: v - offsets[plane] }
+        };
+        let links =
+            edges.iter().map(|&(a, b)| Link { a: id(a), b: id(b), length_km: 1.0 }).collect();
+        Topology::from_links(links, offsets)
+    }
+
+    /// Asserts that a solve converged within the residual contract for
+    /// maximum degree `d_max`, and lands on `expect`.
+    fn assert_converged_to(solve: &Lambda2Solve, expect: f64, d_max: f64, what: &str) {
+        let config = Lambda2Config::default();
+        assert!(solve.converged, "{what}: {solve:?}");
+        assert!(solve.residual <= config.tolerance * 2.0 * d_max, "{what}: {solve:?}");
+        assert!((solve.value - expect).abs() < 1e-9, "{what}: {} vs {expect}", solve.value);
     }
 
     /// The loss fraction at the peak of the seed-averaged random-removal
@@ -1100,11 +1506,16 @@ mod tests {
             let got = algebraic_connectivity(&topo, &vec![true; n], &config);
             assert!((got - expect).abs() < 1e-9, "cycle n={n}: {got} vs {expect}");
         }
-        // Complete K_n: λ₂ = n.
+        // Complete K_n: λ₂ = n. Every vector orthogonal to the ones
+        // vector is an eigenvector, so the first residual already meets
+        // the bound: no iteration, and the start vector's application is
+        // the only one.
         for n in [2usize, 4, 7] {
             let topo = complete(n);
-            let got = algebraic_connectivity(&topo, &vec![true; n], &config);
+            let solve = algebraic_connectivity_solve(&topo, &vec![true; n], &config);
+            let got = solve.value;
             assert!((got - n as f64).abs() < 1e-9, "complete n={n}: {got}");
+            assert_eq!((solve.iterations, solve.products), (0, 1), "complete n={n}: {solve:?}");
         }
     }
 
@@ -1113,20 +1524,26 @@ mod tests {
         use std::f64::consts::PI;
         let config = Lambda2Config::default();
         // C_m □ C_n: λ₂ = 2 − 2cos(2π/max(m, n)); the +grid of a Walker
-        // shell is this graph.
-        for (rows, cols) in [(12usize, 40usize), (40, 12), (5, 7), (16, 16), (3, 50)] {
-            let topo = torus(rows, cols);
-            let solve = algebraic_connectivity_solve(&topo, &vec![true; rows * cols], &config);
-            let expect = 2.0 - 2.0 * (2.0 * PI / rows.max(cols) as f64).cos();
-            assert!(
-                (solve.value - expect).abs() < 1e-9,
-                "torus {rows}x{cols}: {} vs {expect}",
-                solve.value
-            );
-            // Degree 4 everywhere: c = 8.
-            assert!(solve.converged, "torus {rows}x{cols}: {solve:?}");
-            assert!(solve.residual <= config.tolerance * 8.0, "torus {rows}x{cols}: {solve:?}");
-            assert!(solve.iterations > 0 && solve.iterations <= config.max_iterations);
+        // shell is this graph. Once on a single plane, once with row r
+        // as plane r, where the aggregates stop at every plane boundary
+        // (row lengths that are not multiples of 4 leave a short one).
+        let shapes = [(12usize, 40usize), (40, 12), (5, 7), (16, 16), (3, 50), (40, 13), (9, 30)];
+        for (rows, cols) in shapes {
+            let one_plane = torus(rows, cols);
+            let row_planes = layered(&vec![cols; rows], &torus_edges(rows, cols));
+            for (layout, topo) in [("one plane", one_plane), ("row planes", row_planes)] {
+                let solve = algebraic_connectivity_solve(&topo, &vec![true; rows * cols], &config);
+                let expect = 2.0 - 2.0 * (2.0 * PI / rows.max(cols) as f64).cos();
+                let what = format!("torus {rows}x{cols}, {layout}");
+                assert!((solve.value - expect).abs() < 1e-9, "{what}: {} vs {expect}", solve.value);
+                // Degree 4 everywhere: c = 8.
+                assert!(solve.converged, "{what}: {solve:?}");
+                assert!(solve.residual <= config.tolerance * 8.0, "{what}: {solve:?}");
+                assert!(solve.iterations > 0 && solve.iterations <= config.max_iterations);
+                // The start vector's application, one per iteration, and
+                // the final re-check.
+                assert_eq!(solve.products, solve.iterations + 2, "{what}: {solve:?}");
+            }
         }
     }
 
@@ -1154,7 +1571,8 @@ mod tests {
         assert!(!solve.converged, "3 steps cannot resolve a 480-node torus: {solve:?}");
         assert_eq!(solve.iterations, 3);
         assert!(solve.residual > config.tolerance * 8.0);
-        // Still an upper estimate of λ₂ (the Ritz value interlaces).
+        // Still an upper estimate of λ₂: the Rayleigh quotient of any
+        // vector orthogonal to the ones vector is at least λ₂.
         let expect = 2.0 - 2.0 * (2.0 * std::f64::consts::PI / 40.0).cos();
         assert!(solve.value.is_finite() && solve.value >= expect - 1e-12, "{solve:?}");
     }
@@ -1186,8 +1604,68 @@ mod tests {
         let zero = algebraic_connectivity_solve(&topo, &[true; 4], &config);
         assert_eq!(
             zero,
-            Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, converged: true }
+            Lambda2Solve { value: 0.0, residual: 0.0, iterations: 0, products: 0, converged: true }
         );
+    }
+
+    #[test]
+    fn lambda2_converges_over_uneven_and_empty_planes() {
+        use std::f64::consts::PI;
+        // C_21 over planes of 5, 0, 7, 3 and 6 slots: none a multiple of
+        // 4, one empty. Once along the flat order, once striding by 5 so
+        // every link crosses aggregates and most cross planes.
+        let sizes = [5, 0, 7, 3, 6];
+        let expect = 2.0 - 2.0 * (2.0 * PI / 21.0).cos();
+        for stride in [1usize, 5] {
+            let ring: Vec<(usize, usize)> =
+                (0..21).map(|i| (i * stride % 21, (i + 1) * stride % 21)).collect();
+            let solve = algebraic_connectivity_solve(
+                &layered(&sizes, &ring),
+                &[true; 21],
+                &Lambda2Config::default(),
+            );
+            assert_converged_to(&solve, expect, 2.0, &format!("stride {stride}"));
+        }
+    }
+
+    #[test]
+    fn lambda2_of_a_path_around_a_dead_plane() {
+        use std::f64::consts::PI;
+        // Planes 0..4, 4..10 and 10..15. The path runs through plane 0,
+        // then plane 2, then ends in plane 1, so masking plane 1's
+        // interior (or all of it) leaves a connected path with an
+        // aggregate-free plane in the middle of the layout.
+        let order: Vec<usize> = (0..4).chain(10..15).chain(4..10).collect();
+        let edges: Vec<(usize, usize)> = order.windows(2).map(|w| (w[0], w[1])).collect();
+        let topo = layered(&[4, 6, 5], &edges);
+        for (dead, survivors) in [(5..10, 10), (4..10, 9)] {
+            let mut alive = [true; 15];
+            alive[dead.clone()].iter_mut().for_each(|a| *a = false);
+            let solve = algebraic_connectivity_solve(&topo, &alive, &Lambda2Config::default());
+            let expect = 2.0 * (1.0 - (PI / survivors as f64).cos());
+            assert_converged_to(&solve, expect, 2.0, &format!("dead {dead:?}"));
+        }
+    }
+
+    #[test]
+    fn ritz_pair_drops_collapsed_directions() {
+        // x = e1, w = e2 and p = e2 again under L = [[1, ½], [½, 2]]: p
+        // adds nothing, so it is dropped and the pair is the 2×2 one.
+        let a = [[1.0, 0.5, 0.5], [0.5, 2.0, 2.0], [0.5, 2.0, 2.0]];
+        let b = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]];
+        let (value, c) = smallest_ritz_pair(&a, &b, [true; 3]).expect("x and w span a plane");
+        assert!((value - (1.5 - 0.5f64.sqrt())).abs() < 1e-15, "{value}");
+        assert_eq!(c[2], 0.0, "the collapsed p takes no part");
+        assert!(c.iter().all(|v| v.is_finite()), "{c:?}");
+        // A zero direction is dropped without dividing by its zero norm.
+        let zero_w = [[1.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 2.0]];
+        let zero_b = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]];
+        let (value, c) = smallest_ritz_pair(&zero_w, &zero_b, [true; 3]).expect("x and p remain");
+        assert!((value - (1.5 - 0.5f64.sqrt())).abs() < 1e-15, "{value}");
+        assert_eq!(c[1], 0.0);
+        // Nothing beside x: no step is possible.
+        assert_eq!(smallest_ritz_pair(&zero_w, &zero_b, [true, true, false]), None);
+        assert_eq!(smallest_ritz_pair(&a, &b, [true, false, false]), None);
     }
 
     #[test]

@@ -132,9 +132,11 @@ pub struct ScenarioTimings {
     /// `demand.model`, `demand.grid`, and `<system>.<stage>` for the
     /// per-system design/fluence/survivability/network stages.
     pub stages: Vec<(String, f64)>,
-    /// `(metric, value)` derived-rate rows in execution order — e.g.
+    /// `(metric, value)` derived rows in execution order — rates such as
     /// `<system>.attack_search.candidates_per_sec`, the attack search's
-    /// scoring throughput. Not wall-clock, so kept out of
+    /// scoring throughput, and deterministic work counters such as
+    /// `<system>.percolation.lambda2_products`, the λ₂ solves' Laplacian
+    /// applications. Not wall-clock, so kept out of
     /// `Self::total_seconds`.
     pub metrics: Vec<(String, f64)>,
     /// `(kernel, count)` of this point's requests to the run's
@@ -152,7 +154,7 @@ impl ScenarioTimings {
 }
 
 /// Collects `(stage, seconds)` pairs around closures, plus derived
-/// `(metric, value)` rate rows.
+/// `(metric, value)` rows (rates and work counters).
 #[derive(Default)]
 struct StageClock {
     stages: Vec<(String, f64)>,
@@ -371,9 +373,11 @@ impl SweepOutcome {
                 out.push_str(&format!("{}\t{stage}\t{secs:.6}\n", t.name));
             }
             out.push_str(&format!("{}\ttotal\t{:.6}\n", t.name, t.total_seconds()));
-            // Derived rate rows (e.g. attack_search.candidates_per_sec)
-            // after the totals: same three-column shape, value in the
-            // last column, never summed into `total`.
+            // Derived rows (rates such as
+            // attack_search.candidates_per_sec, counters such as
+            // percolation.lambda2_products) after the totals: same
+            // three-column shape, value in the last column, never summed
+            // into `total`.
             for (metric, value) in &t.metrics {
                 out.push_str(&format!("{}\t{metric}\t{value:.6}\n", t.name));
             }
@@ -806,6 +810,29 @@ mod tests {
         let (one, _) = execute_timed(&spec, 1, &KernelCache::default());
         let (many, _) = execute_timed(&spec, 7, &KernelCache::default());
         assert_eq!(one.unwrap().to_json_line(), many.unwrap().to_json_line());
+    }
+
+    #[test]
+    fn percolation_reports_its_lambda2_work_counter() {
+        let mut spec = tiny_spec();
+        spec.radiation.enabled = false;
+        spec.survivability.enabled = false;
+        spec.design.kinds = vec!["ss"];
+        spec.network.enabled = true;
+        spec.network.n_flows = 20;
+        spec.network.slots = 2;
+        spec.network.percolation = true;
+        let products = |threads| {
+            let (report, timings) = execute_timed(&spec, threads, &KernelCache::default());
+            report.unwrap();
+            let row = timings.metrics.iter().find(|(m, _)| m == "ss.percolation.lambda2_products");
+            row.expect("the λ₂ work counter is a timings row").1
+        };
+        let one = products(1);
+        // The start vector's application, one per iteration, and the
+        // final re-check: at least one iteration on a +grid.
+        assert!(one >= 3.0 && one.fract() == 0.0, "a whole count: {one}");
+        assert_eq!(one, products(3), "the counter does not depend on the thread count");
     }
 
     #[test]

@@ -263,9 +263,12 @@ pub(super) fn networked_system_report(
     if spec.network.percolation {
         // Its own timing entry: the sweep is a distinct analytic pass
         // over the stage's topologies, not routing work.
-        network.percolation = Some(clock.time(&format!("{name}.percolation"), || {
+        let (percolation, lambda2_products) = clock.time(&format!("{name}.percolation"), || {
             percolation_report(spec, &evaluator, &victims, ctx.threads)
-        }));
+        });
+        // The λ₂ work counter next to the stage's wall-clock.
+        clock.metric(format!("{name}.percolation.lambda2_products"), lambda2_products as f64);
+        network.percolation = Some(percolation);
     }
     report.network = Some(network);
     Ok(report)

@@ -58,12 +58,16 @@ enum SlotAnalysis {
 /// Every slot's λ₂ and every (ordering, slot) sweep is one job of a
 /// single [`par::par_map`] over `point_threads` workers; the sums and
 /// averages reduce the results by index, in the serial order.
+///
+/// Also returns the λ₂ solves' Laplacian applications summed over the
+/// slots ([`Lambda2Solve::products`]): a work counter for the timing
+/// side channel, identical at every thread count.
 pub(super) fn percolation_report(
     spec: &ScenarioSpec,
     evaluator: &DegradedEvaluator<'_>,
     victims: &[usize],
     point_threads: usize,
-) -> PercolationReport {
+) -> (PercolationReport, usize) {
     let (steps, gap) = (spec.network.percolation_steps, spec.network.percolation_gap);
     let slots = evaluator.intact().len();
     let spread = plane_spread_ordering(evaluator.intact_topology(0));
@@ -135,7 +139,7 @@ pub(super) fn percolation_report(
         })
         .collect();
 
-    PercolationReport {
+    let report = PercolationReport {
         steps,
         gap,
         slots,
@@ -144,5 +148,6 @@ pub(super) fn percolation_report(
         lambda2_converged: lambda2.iter().all(|l2| l2.converged),
         loss_fraction: random_curve.loss_fraction.clone(),
         models,
-    }
+    };
+    (report, lambda2.iter().map(|l2| l2.products).sum())
 }
