@@ -41,7 +41,6 @@
 //!   pass;
 //! * `percolation` — loss-fraction sweeps and λ₂ over the network
 //!   stage's topologies.
-#![warn(clippy::too_many_lines)]
 
 mod network;
 mod percolation;
@@ -592,27 +591,47 @@ mod tests {
         .unwrap();
         let mut pairs = ok.clone();
         pairs.traffic.model = crate::spec::TrafficModel::Gravity;
-        pairs.traffic.pairs = crate::spec::MAX_TRAFFIC_PAIRS + 1;
-        // Each of these sizes an allocation, so an unbounded value can
-        // abort the whole process.
+        pairs.traffic.pairs = crate::sweep::MAX_TRAFFIC_PAIRS + 1;
+        // The stage each key needs on to be read.
+        let as_is: fn(&mut ScenarioSpec) = |_| ();
+        let radiation: fn(&mut ScenarioSpec) = |s| s.radiation.enabled = true;
+        let survivability: fn(&mut ScenarioSpec) = |s| {
+            s.radiation.enabled = true;
+            s.survivability.enabled = true;
+        };
+        let optimized: fn(&mut ScenarioSpec) = |s| {
+            s.attack.kind = crate::spec::AttackKind::Optimized;
+            s.attack.budget = 1;
+        };
+        let gravity: fn(&mut ScenarioSpec) =
+            |s| s.traffic.model = crate::spec::TrafficModel::Gravity;
+        // Each of these sizes an allocation or a loop, so an unbounded
+        // value can abort the whole process or hang it.
         let sized = [
-            "demand.lat_bins",
-            "demand.tod_bins",
-            "network.time_grid_slots",
-            "network.slots",
-            "network.percolation_steps",
+            ("demand.lat_bins", as_is),
+            ("demand.tod_bins", as_is),
+            ("network.time_grid_slots", as_is),
+            ("network.slots", as_is),
+            ("network.percolation_steps", as_is),
+            ("radiation.phases", radiation),
+            ("survivability.horizon_years", survivability),
+            ("attack.restarts", optimized),
+            ("attack.swaps", optimized),
+            ("traffic.k_paths", gravity),
+            ("traffic.sites", gravity),
         ];
         let mut points = vec![flows, ok.clone(), pairs, ok.clone()];
-        for key in sized {
+        for (key, stage_on) in sized {
             let mut spec = ok.clone();
+            stage_on(&mut spec);
             let huge = crate::toml::TomlValue::Int(10_000_000_000_000);
             crate::sweep::apply_param(&mut spec, key, &huge).unwrap();
             points.push(spec);
         }
         let outcome = Runner::with_threads(1).run_specs(&points);
         assert!(outcome.reports[1].is_ok() && outcome.reports[3].is_ok());
-        let keys = ["network.n_flows", "traffic.pairs"].into_iter().chain(sized);
-        for (k, key) in [0, 2, 4, 5, 6, 7, 8].into_iter().zip(keys) {
+        let keys = ["network.n_flows", "traffic.pairs"].into_iter().chain(sized.map(|(k, _)| k));
+        for (k, key) in [0, 2].into_iter().chain(4..).zip(keys) {
             let err = outcome.reports[k].as_ref().unwrap_err();
             assert!(
                 matches!(err, ScenarioError::BadValue { key: bad, .. } if bad == key),

@@ -22,46 +22,6 @@ use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::optimizer::{AttackBudget, AttackObjective, AttackSearchConfig};
 use ssplane_lsn::spares::SparePolicy;
 use ssplane_lsn::survivability::SurvivabilityConfig;
-use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
-
-/// Most `network.n_flows` a point may request. The flow list and every
-/// per-slot routing pass grow linearly with it (40 bytes a flow before
-/// routing state), so an unbounded count can abort the whole sweep on
-/// one allocation. 100k is 500× the largest value in use (200).
-const MAX_N_FLOWS: usize = 100_000;
-
-/// Most `demand.lat_bins` a point may request: 0.5° rows, 10× the
-/// largest value in use (36). The design grid holds `lat_bins · tod_bins`
-/// cells, so an unbounded count can abort the whole sweep on one
-/// allocation.
-const MAX_LAT_BINS: usize = 360;
-
-/// Most `demand.tod_bins` a point may request: five-minute bins, 12× the
-/// largest value in use (24). It sizes the design grid with
-/// `demand.lat_bins`.
-const MAX_TOD_BINS: usize = 288;
-
-/// Most `network.time_grid_slots` a point may request: a day of
-/// 15-minute slots, 12× the largest value in use (8). Every slot holds a
-/// topology, routing landmarks and an intact evaluation for the whole
-/// stage (a few MB per slot of a 10k-satellite point).
-const MAX_TIME_GRID_SLOTS: usize = 96;
-
-/// Most `network.slots` the reference route may span: a day of
-/// five-minute slots, 36× the largest value in use (8). The route's
-/// snapshot series holds every satellite's position per slot.
-const MAX_ROUTE_SLOTS: usize = 288;
-
-/// Most `network.percolation_steps` a sweep may take, 312× the largest
-/// value in use (32). Every curve holds five samples per step.
-const MAX_PERCOLATION_STEPS: usize = 10_000;
-
-/// Most `traffic.pairs` the gravity model may draw. The draws, the flow
-/// list and the per-pair aggregation grow linearly with it (~56 bytes a
-/// pair before aggregation), so an unbounded count can abort the whole
-/// sweep on one allocation. 1M is 10× the 100k-pair mega-network
-/// workload, the largest in use.
-pub(crate) const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
 
 /// Accepted spellings of each canonical designer name, for specs written
 /// against older tokens (`"walker"` predates the `wd` registry name).
@@ -198,7 +158,7 @@ impl DesignSpec {
     }
 
     /// Whether `kind` is selected.
-    fn includes(&self, kind: &str) -> bool {
+    pub(crate) fn includes(&self, kind: &str) -> bool {
         self.kinds.contains(&kind)
     }
 }
@@ -794,53 +754,21 @@ pub struct ScenarioSpec {
     pub traffic: TrafficSpec,
 }
 
-/// Rejects a count knob above its bound, naming the key.
-fn at_most(key: &str, value: usize, max: usize) -> Result<()> {
-    if value > max {
-        return Err(ScenarioError::bad_value(key, &value.to_string(), &format!("<= {max}")));
-    }
-    Ok(())
-}
-
 impl ScenarioSpec {
     /// A named spec with all defaults (the paper's baseline setup).
     pub fn named(name: &str) -> Self {
         ScenarioSpec { name: name.to_string(), seed: 42, ..Default::default() }
     }
 
-    /// Validates cross-field constraints before a run.
+    /// Validates a spec before a run: every ranged key against its
+    /// `PARAMS` row (see [`crate::sweep`]), then the rules that tie keys
+    /// together.
     ///
     /// # Errors
     /// [`ScenarioError::BadValue`] on the first violated constraint.
     pub fn validate(&self) -> Result<()> {
-        // `positive` deliberately rejects NaN alongside non-positives.
-        let positive = |x: f64| x.is_finite() && x > 0.0;
-        if !positive(self.demand.total_demand_b) {
-            return Err(ScenarioError::bad_value(
-                "demand.total_demand_b",
-                &self.demand.total_demand_b.to_string(),
-                "> 0",
-            ));
-        }
-        if self.demand.lat_bins == 0 || self.demand.tod_bins == 0 {
-            return Err(ScenarioError::bad_value("demand.bins", "0", "> 0"));
-        }
-        at_most("demand.lat_bins", self.demand.lat_bins, MAX_LAT_BINS)?;
-        at_most("demand.tod_bins", self.demand.tod_bins, MAX_TOD_BINS)?;
-        if self.radiation.enabled {
-            // The integrator would clamp an out-of-range step and run at a
-            // step the report never mentions; refuse it instead.
-            let step_s = self.radiation.step_s;
-            if !(MIN_STEP_S..=MAX_STEP_S).contains(&step_s) {
-                return Err(ScenarioError::bad_value(
-                    "radiation.step_s",
-                    &step_s.to_string(),
-                    &format!("a step in [{MIN_STEP_S}, {MAX_STEP_S}] s"),
-                ));
-            }
-            if self.radiation.phases == 0 {
-                return Err(ScenarioError::bad_value("radiation.phases", "0", ">= 1"));
-            }
+        for param in crate::sweep::PARAMS {
+            param.check(self)?;
         }
         if self.survivability.enabled && !self.radiation.enabled {
             return Err(ScenarioError::bad_value(
@@ -852,65 +780,19 @@ impl ScenarioSpec {
         if self.design.kinds.is_empty() {
             return Err(ScenarioError::bad_value("design.kinds", "[]", "at least one design kind"));
         }
-        let unit = |x: f64| x.is_finite() && x > 0.0 && x <= 1.0;
-        if self.design.includes("slim") {
-            if !unit(self.design.slim_plane_factor) {
-                return Err(ScenarioError::bad_value(
-                    "design.slim_plane_factor",
-                    &self.design.slim_plane_factor.to_string(),
-                    "a fraction in (0, 1]",
-                ));
-            }
-            if self.design.slim_min_planes == 0 {
-                return Err(ScenarioError::bad_value("design.slim_min_planes", "0", ">= 1"));
-            }
-        }
-        if self.design.includes("starlink") && !unit(self.design.starlink_scale) {
-            return Err(ScenarioError::bad_value(
-                "design.starlink_scale",
-                &self.design.starlink_scale.to_string(),
-                "a fraction in (0, 1]",
-            ));
-        }
-        if self.survivability.enabled {
-            let surv = &self.survivability;
-            if !positive(surv.horizon_years) {
-                return Err(ScenarioError::bad_value(
-                    "survivability.horizon_years",
-                    &surv.horizon_years.to_string(),
-                    "> 0",
-                ));
-            }
-            // A negative cadence would credit availability above 1, and 0
-            // would silently mean "never resupply".
-            if !positive(surv.resupply_days) {
-                return Err(ScenarioError::bad_value(
-                    "survivability.resupply_days",
-                    &surv.resupply_days.to_string(),
-                    "> 0",
-                ));
-            }
-            let replacement_days = surv.policy.replacement_days();
-            if !(replacement_days.is_finite() && replacement_days >= 0.0) {
-                return Err(ScenarioError::bad_value(
-                    "spares.replacement_days",
-                    &replacement_days.to_string(),
-                    ">= 0",
-                ));
-            }
-        }
-        if self.attack.kind == AttackKind::DeclinationBand
-            && !(self.attack.band_min_deg.is_finite()
-                && self.attack.band_max_deg.is_finite()
-                && self.attack.band_min_deg <= self.attack.band_max_deg)
+        let attack = &self.attack;
+        if attack.kind == AttackKind::DeclinationBand
+            && !(attack.band_min_deg.is_finite()
+                && attack.band_max_deg.is_finite()
+                && attack.band_min_deg <= attack.band_max_deg)
         {
             return Err(ScenarioError::bad_value(
                 "attack.band_min_deg/band_max_deg",
-                &format!("[{}, {}]", self.attack.band_min_deg, self.attack.band_max_deg),
+                &format!("[{}, {}]", attack.band_min_deg, attack.band_max_deg),
                 "a finite band with band_min_deg <= band_max_deg",
             ));
         }
-        if self.attack.kind == AttackKind::Optimized && !self.network.enabled {
+        if attack.kind == AttackKind::Optimized && !self.network.enabled {
             return Err(ScenarioError::bad_value(
                 "attack.kind",
                 "optimized",
@@ -918,31 +800,8 @@ impl ScenarioSpec {
                  objective)",
             ));
         }
-        if !positive(self.traffic.capacity_gbps) {
-            return Err(ScenarioError::bad_value(
-                "traffic.capacity_gbps",
-                &self.traffic.capacity_gbps.to_string(),
-                "> 0",
-            ));
-        }
-        if self.traffic.k_paths == 0 {
-            return Err(ScenarioError::bad_value("traffic.k_paths", "0", ">= 1"));
-        }
-        if self.traffic.model == TrafficModel::Gravity {
-            if self.traffic.pairs == 0 {
-                return Err(ScenarioError::bad_value("traffic.pairs", "0", ">= 1"));
-            }
-            at_most("traffic.pairs", self.traffic.pairs, MAX_TRAFFIC_PAIRS)?;
-            if self.traffic.sites < 2 {
-                return Err(ScenarioError::bad_value(
-                    "traffic.sites",
-                    &self.traffic.sites.to_string(),
-                    ">= 2 (the gravity model needs distinct endpoints)",
-                ));
-            }
-        }
-        if self.attack.kind == AttackKind::Optimized
-            && self.attack.objective == AttackObjective::ServedDemand
+        if attack.kind == AttackKind::Optimized
+            && attack.objective == AttackObjective::ServedDemand
             && self.traffic.model != TrafficModel::Gravity
         {
             return Err(ScenarioError::bad_value(
@@ -952,93 +811,39 @@ impl ScenarioSpec {
                  engine's served fraction)",
             ));
         }
-        if self.network.enabled {
-            at_most("network.n_flows", self.network.n_flows, MAX_N_FLOWS)?;
-            // Terminals attach above the horizon only: a negative angle
-            // would reach satellites below it, and at 90° or more (or a
-            // non-finite angle) no satellite is ever in view.
-            let elevation = self.network.min_elevation_deg;
-            if !(0.0..90.0).contains(&elevation) {
+        let network = &self.network;
+        if !network.enabled {
+            if network.percolation {
                 return Err(ScenarioError::bad_value(
-                    "network.min_elevation_deg",
-                    &elevation.to_string(),
-                    "an angle in [0, 90) degrees",
-                ));
-            }
-            // The hour places the constellation and the demand field (and
-            // keys the run's gravity-field cache): one day's hours only.
-            if !(0.0..24.0).contains(&self.network.utc_hour) {
-                return Err(ScenarioError::bad_value(
-                    "network.utc_hour",
-                    &self.network.utc_hour.to_string(),
-                    "an hour in [0, 24)",
-                ));
-            }
-            if !positive(self.network.max_range_km) {
-                return Err(ScenarioError::bad_value(
-                    "network.max_range_km",
-                    &self.network.max_range_km.to_string(),
-                    "> 0 (a non-positive range leaves the network without links)",
-                ));
-            }
-            if self.network.time_grid_slots == 0 {
-                return Err(ScenarioError::bad_value("network.time_grid_slots", "0", ">= 1"));
-            }
-            at_most("network.time_grid_slots", self.network.time_grid_slots, MAX_TIME_GRID_SLOTS)?;
-            if self.network.time_grid_slots > 1 && !positive(self.network.time_grid_slot_s) {
-                return Err(ScenarioError::bad_value(
-                    "network.time_grid_slot_s",
-                    &self.network.time_grid_slot_s.to_string(),
-                    "> 0 for a multi-slot time grid",
-                ));
-            }
-            if self.network.slots == 0 {
-                return Err(ScenarioError::bad_value("network.slots", "0", ">= 1"));
-            }
-            at_most("network.slots", self.network.slots, MAX_ROUTE_SLOTS)?;
-            if self.network.slots > 1 && !positive(self.network.slot_s) {
-                return Err(ScenarioError::bad_value(
-                    "network.slot_s",
-                    &self.network.slot_s.to_string(),
-                    "> 0 for a multi-slot reference route",
-                ));
-            }
-            if self.network.with_outages && !self.attack.is_active() && !self.survivability.enabled
-            {
-                return Err(ScenarioError::bad_value(
-                    "network.with_outages",
+                    "network.percolation",
                     "true",
-                    "an active attack or survivability.enabled = true (otherwise the degraded \
-                     network is the intact network)",
+                    "network.enabled = true (the sweep replays the network stage's topologies)",
                 ));
             }
-            // The stage's evaluator takes these three knobs whether or
-            // not the percolation stage or an attack search uses them.
-            if self.network.percolation_steps == 0 {
-                return Err(ScenarioError::bad_value("network.percolation_steps", "0", ">= 1"));
-            }
-            let steps = self.network.percolation_steps;
-            at_most("network.percolation_steps", steps, MAX_PERCOLATION_STEPS)?;
-            let gap = self.network.percolation_gap;
-            if !(gap.is_finite() && gap > 0.0 && gap < 1.0) {
-                return Err(ScenarioError::bad_value(
-                    "network.percolation_gap",
-                    &gap.to_string(),
-                    "a fraction in (0, 1)",
-                ));
-            }
-            if !unit(self.attack.damage_threshold) {
-                return Err(ScenarioError::bad_value(
-                    "attack.damage_threshold",
-                    &self.attack.damage_threshold.to_string(),
-                    "a fraction in (0, 1]",
-                ));
-            }
-        } else if self.network.percolation {
+            return Ok(());
+        }
+        // A multi-slot grid must step forward in time.
+        let steps_forward = |slots: usize, s: f64| slots <= 1 || (s.is_finite() && s > 0.0);
+        if !steps_forward(network.time_grid_slots, network.time_grid_slot_s) {
             return Err(ScenarioError::bad_value(
-                "network.percolation",
+                "network.time_grid_slot_s",
+                &network.time_grid_slot_s.to_string(),
+                "> 0 for a multi-slot time grid",
+            ));
+        }
+        if !steps_forward(network.slots, network.slot_s) {
+            return Err(ScenarioError::bad_value(
+                "network.slot_s",
+                &network.slot_s.to_string(),
+                "> 0 for a multi-slot reference route",
+            ));
+        }
+        if network.with_outages && !attack.is_active() && !self.survivability.enabled {
+            return Err(ScenarioError::bad_value(
+                "network.with_outages",
                 "true",
-                "network.enabled = true (the sweep replays the network stage's topologies)",
+                "an active attack or survivability.enabled = true (otherwise the degraded \
+                 network is the intact network)",
             ));
         }
         Ok(())
@@ -1048,6 +853,8 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{MAX_N_FLOWS, MAX_TRAFFIC_PAIRS};
+    use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 
     #[test]
     fn defaults_validate() {

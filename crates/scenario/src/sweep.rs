@@ -17,7 +17,11 @@ use crate::spec::{
     TrafficModel,
 };
 use crate::toml::TomlValue;
+use core::ops::Bound::{self, Excluded, Included, Unbounded};
+use core::ops::RangeBounds;
 use ssplane_lsn::spares::SparePolicy;
+use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
+use Gate::{Always, Gravity, Network, Radiation, Slim, Starlink, Survivability};
 
 /// One sweep axis: a dotted parameter path and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,35 +147,56 @@ fn scenario_seed(base_seed: u64, sorted_overrides: &[(String, TomlValue)]) -> u6
     h
 }
 
-fn need_f64(key: &str, v: &TomlValue) -> Result<f64> {
-    v.as_f64().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a number"))
+/// A field type whose key's setter the table derives: the key's TOML
+/// value is read as the field's type.
+trait Plain: Sized {
+    /// Reads `v` as this type; the error names `key`.
+    fn read(key: &str, v: &TomlValue) -> Result<Self>;
 }
 
-fn need_usize(key: &str, v: &TomlValue) -> Result<usize> {
-    v.as_usize()
-        .ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a non-negative integer"))
+/// The error for a value that is not `expected`.
+fn not_a(key: &str, v: &TomlValue, expected: &str) -> ScenarioError {
+    ScenarioError::bad_value(key, &canonical_value(v), expected)
 }
 
-fn need_u64(key: &str, v: &TomlValue) -> Result<u64> {
-    v.as_u64()
-        .ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a non-negative integer"))
+impl Plain for f64 {
+    fn read(key: &str, v: &TomlValue) -> Result<Self> {
+        v.as_f64().ok_or_else(|| not_a(key, v, "a number"))
+    }
 }
 
-fn need_u32(key: &str, v: &TomlValue) -> Result<u32> {
-    u32::try_from(need_usize(key, v)?)
-        .map_err(|_| ScenarioError::bad_value(key, &canonical_value(v), "a small positive integer"))
+impl Plain for u64 {
+    fn read(key: &str, v: &TomlValue) -> Result<Self> {
+        v.as_u64().ok_or_else(|| not_a(key, v, "a non-negative integer"))
+    }
+}
+
+impl Plain for usize {
+    fn read(key: &str, v: &TomlValue) -> Result<Self> {
+        v.as_usize().ok_or_else(|| not_a(key, v, "a non-negative integer"))
+    }
+}
+
+impl Plain for u32 {
+    fn read(key: &str, v: &TomlValue) -> Result<Self> {
+        u32::try_from(u64::read(key, v)?).map_err(|_| not_a(key, v, "a small positive integer"))
+    }
+}
+
+impl Plain for bool {
+    fn read(key: &str, v: &TomlValue) -> Result<Self> {
+        v.as_bool().ok_or_else(|| not_a(key, v, "a boolean"))
+    }
 }
 
 fn need_str<'v>(key: &str, v: &'v TomlValue) -> Result<&'v str> {
-    v.as_str().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a string"))
+    v.as_str().ok_or_else(|| not_a(key, v, "a string"))
 }
 
-fn need_bool(key: &str, v: &TomlValue) -> Result<bool> {
-    v.as_bool().ok_or_else(|| ScenarioError::bad_value(key, &canonical_value(v), "a boolean"))
-}
-
-/// Parses `"YYYY-MM-DD"` into `(year, month, day)`.
-fn parse_ymd(key: &str, s: &str) -> Result<(i32, u32, u32)> {
+/// Parses a `radiation.epoch` date `"YYYY-MM-DD"` into `(year, month,
+/// day)`.
+fn parse_ymd(s: &str) -> Result<(i32, u32, u32)> {
+    let key = "radiation.epoch";
     let parts: Vec<&str> = s.split('-').collect();
     let bad = || ScenarioError::bad_value(key, s, "a date 'YYYY-MM-DD'");
     if parts.len() != 3 {
@@ -204,22 +229,196 @@ fn parse_ymd(key: &str, s: &str) -> Result<(i32, u32, u32)> {
 /// for error messages.
 pub type Setter = fn(&mut ScenarioSpec, &str, &TomlValue) -> Result<()>;
 
-/// Every scenario key and its setter: the *entire* config surface. The
-/// TOML loader funnels every `section.key` pair and every sweep axis
-/// through [`apply_param`], so config files and sweep axes address
-/// exactly these knobs, and an unknown key's did-you-mean hint is drawn
-/// from this list.
-const PARAMS: &[(&str, Setter)] = &[
-    ("name", |s, k, v| need_str(k, v).map(|x| s.name = x.to_string())),
-    ("seed", |s, k, v| need_u64(k, v).map(|x| s.seed = x)),
+/// The values a ranged key accepts: an interval of finite numbers,
+/// whole at both ends for an integer key.
+type Range = (Bound<f64>, Bound<f64>);
+
+/// (0, ∞).
+const POSITIVE: Range = (Excluded(0.0), Unbounded);
+
+/// (0, 1].
+const FRACTION: Range = (Excluded(0.0), Included(1.0));
+
+/// The integers from `lo` to `hi`.
+const fn count(lo: usize, hi: usize) -> Range {
+    (Included(lo as f64), Included(hi as f64))
+}
+
+/// The range in interval notation, as an error message states it.
+fn describe((lo, hi): Range) -> String {
+    let lo = match lo {
+        Included(x) => format!("[{x}"),
+        Excluded(x) => format!("({x}"),
+        Unbounded => "(-∞".to_string(),
+    };
+    let hi = match hi {
+        Included(x) => format!("{x}]"),
+        Excluded(x) => format!("{x})"),
+        Unbounded => "∞)".to_string(),
+    };
+    format!("a value in {lo}, {hi}")
+}
+
+/// The stage whose enabled state gates a key's range check: always, a
+/// stage's `enabled` switch, the gravity traffic model, or the `slim` or
+/// `starlink` designer being selected. A disabled stage does not police
+/// its knobs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Gate {
+    Always,
+    Radiation,
+    Survivability,
+    Network,
+    Gravity,
+    Slim,
+    Starlink,
+}
+
+impl Gate {
+    fn is_on(self, s: &ScenarioSpec) -> bool {
+        match self {
+            Always => true,
+            Radiation => s.radiation.enabled,
+            Survivability => s.survivability.enabled,
+            Network => s.network.enabled,
+            Gravity => s.traffic.model == TrafficModel::Gravity,
+            Slim => s.design.includes("slim"),
+            Starlink => s.design.includes("starlink"),
+        }
+    }
+}
+
+/// Reads a ranged key's value out of a spec for its check.
+type Getter = fn(&ScenarioSpec) -> f64;
+
+/// One scenario key: its name, its setter and, for a ranged key, a
+/// getter for its value, its range, and the gate of its check.
+pub(crate) struct Param {
+    key: &'static str,
+    set: Setter,
+    range: Option<(Getter, Range, Gate)>,
+}
+
+impl Param {
+    /// Checks the key's value against its range while its gate is on.
+    pub(crate) fn check(&self, spec: &ScenarioSpec) -> Result<()> {
+        let Some((get, range, gate)) = self.range else { return Ok(()) };
+        let x = get(spec);
+        if !gate.is_on(spec) || (x.is_finite() && range.contains(&x)) {
+            return Ok(());
+        }
+        Err(ScenarioError::bad_value(self.key, &x.to_string(), &describe(range)))
+    }
+}
+
+/// A key with no range.
+const fn row(key: &'static str, set: Setter) -> Param {
+    Param { key, set, range: None }
+}
+
+/// `param` with a range, checked while `gate` is on.
+const fn ranged(param: Param, get: Getter, range: Range, gate: Gate) -> Param {
+    Param { range: Some((get, range, gate)), ..param }
+}
+
+/// A key that writes one [`Plain`] field, `field!(key, path)`, with
+/// `range, gate` appended for a ranged key. The setter, and the getter,
+/// come from the field's path and type.
+macro_rules! field {
+    ($key:literal, $($f:ident).+) => {
+        row($key, |s, k, v| Plain::read(k, v).map(|x| s.$($f).+ = x))
+    };
+    ($key:literal, $($f:ident).+, $range:expr, $gate:expr) => {
+        ranged(field!($key, $($f).+), |s| s.$($f).+ as f64, $range, $gate)
+    };
+}
+
+/// A key whose token `parse` turns into one field's value,
+/// `token!(key, parse, path)`.
+macro_rules! token {
+    ($key:literal, $parse:path, $($f:ident).+) => {
+        row($key, |s, k, v| $parse(need_str(k, v)?).map(|x| s.$($f).+ = x))
+    };
+}
+
+/// Most `demand.lat_bins` a point may request: 0.5° rows, 10× the
+/// largest value in use (36). The design grid holds `lat_bins · tod_bins`
+/// cells, so an unbounded count can abort the whole sweep on one
+/// allocation.
+const MAX_LAT_BINS: usize = 360;
+
+/// Most `demand.tod_bins` a point may request: five-minute bins, 12× the
+/// largest value in use (24). It sizes the design grid with
+/// `demand.lat_bins`.
+const MAX_TOD_BINS: usize = 288;
+
+/// Most `radiation.phases` a point may sample per plane: one per degree
+/// of orbit, 180× the largest value in use (2). 10^8 asked for 26 GB.
+const MAX_PHASES: usize = 360;
+
+/// Longest `survivability.horizon_years` a point may simulate, 20× the
+/// largest value in use (5). Outage timelines grow with the horizon.
+const MAX_HORIZON_YEARS: f64 = 100.0;
+
+/// Most `attack.restarts` a search may take, 16× the largest value in
+/// use (4). The search allocates its start points up front.
+const MAX_RESTARTS: usize = 64;
+
+/// Most `attack.swaps` a search may propose per start point, 32× the
+/// largest value in use (24). Each proposal scores one candidate.
+const MAX_SWAPS: usize = 768;
+
+/// Most `network.n_flows` a point may request. The flow list and every
+/// per-slot routing pass grow linearly with it (40 bytes a flow before
+/// routing state), so an unbounded count can abort the whole sweep on
+/// one allocation. 100k is 500× the largest value in use (200).
+pub(crate) const MAX_N_FLOWS: usize = 100_000;
+
+/// Most `network.slots` the reference route may span: a day of
+/// five-minute slots, 36× the largest value in use (8). The route's
+/// snapshot series holds every satellite's position per slot.
+const MAX_ROUTE_SLOTS: usize = 288;
+
+/// Most `network.time_grid_slots` a point may request: a day of
+/// 15-minute slots, 12× the largest value in use (8). Every slot holds a
+/// topology, routing landmarks and an intact evaluation for the whole
+/// stage (a few MB per slot of a 10k-satellite point).
+const MAX_TIME_GRID_SLOTS: usize = 96;
+
+/// Most `network.percolation_steps` a sweep may take, 312× the largest
+/// value in use (32). Every curve holds five samples per step.
+const MAX_PERCOLATION_STEPS: usize = 10_000;
+
+/// Most `traffic.pairs` the gravity model may draw. The draws, the flow
+/// list and the per-pair aggregation grow linearly with it (~56 bytes a
+/// pair before aggregation), so an unbounded count can abort the whole
+/// sweep on one allocation. 1M is 10× the 100k-pair mega-network
+/// workload, the largest in use.
+pub(crate) const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
+
+/// Most `traffic.sites` the gravity model may draw pairs between, 8× the
+/// largest value in use (256). The distance table holds sites² entries.
+const MAX_SITES: usize = 2048;
+
+/// Most `traffic.k_paths` per serving-satellite pair, 10× the largest
+/// value in use (3). Each path is one Dijkstra round per source.
+const MAX_K_PATHS: usize = 30;
+
+/// Every scenario key, its setter, and its range and gate: the *entire*
+/// config surface. The TOML loader funnels every `section.key` pair and
+/// every sweep axis through [`apply_param`], so config files and sweep
+/// axes address exactly these knobs, and an unknown key's did-you-mean
+/// hint is drawn from this list. [`ScenarioSpec::validate`] checks every
+/// range here and keeps only the rules that tie keys together.
+pub(crate) const PARAMS: &[Param] = &[
+    row("name", |s, k, v| need_str(k, v).map(|x| s.name = x.to_string())),
+    field!("seed", seed),
     // `design.kind` is the scalar spelling (kept for back-compat:
     // `"both"` still selects the paper's SS + Walker pair);
     // `design.kinds` is the open list form.
-    ("design.kind", |s, k, v| parse_design_kinds(need_str(k, v)?).map(|x| s.design.kinds = x)),
-    ("design.kinds", |s, k, v| {
-        let arr = v.as_array().ok_or_else(|| {
-            ScenarioError::bad_value(k, &canonical_value(v), "an array of design kinds")
-        })?;
+    token!("design.kind", parse_design_kinds, design.kinds),
+    row("design.kinds", |s, k, v| {
+        let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of design kinds"))?;
         let mut kinds = Vec::with_capacity(arr.len());
         for item in arr {
             kinds.push(resolve_design_kind(need_str(k, item)?)?);
@@ -230,48 +429,38 @@ const PARAMS: &[(&str, Setter)] = &[
         s.design.kinds = kinds;
         Ok(())
     }),
-    ("design.altitude_km", |s, k, v| {
-        let alt = need_f64(k, v)?;
+    row("design.altitude_km", |s, k, v| {
+        let alt = f64::read(k, v)?;
         s.design.ss.altitude_km = alt;
         s.design.wd.altitude_km = alt;
         Ok(())
     }),
-    ("design.min_elevation_deg", |s, k, v| {
-        let elev = need_f64(k, v)?;
+    row("design.min_elevation_deg", |s, k, v| {
+        let elev = f64::read(k, v)?;
         s.design.ss.min_elevation_deg = elev;
         s.design.wd.min_elevation_deg = elev;
         s.design.rgt.min_elevation_deg = elev;
         Ok(())
     }),
-    ("design.sat_capacity", |s, k, v| {
-        let cap = need_f64(k, v)?;
+    row("design.sat_capacity", |s, k, v| {
+        let cap = f64::read(k, v)?;
         s.design.ss.sat_capacity = cap;
         s.design.wd.sat_capacity = cap;
         s.design.rgt.sat_capacity = cap;
         Ok(())
     }),
-    ("design.rgt_revs", |s, k, v| need_u32(k, v).map(|x| s.design.rgt.revs = x)),
-    ("design.rgt_days", |s, k, v| need_u32(k, v).map(|x| s.design.rgt.days = x)),
-    ("design.rgt_inclination_deg", |s, k, v| {
-        need_f64(k, v).map(|x| s.design.rgt.inclination_deg = x)
-    }),
-    ("design.max_planes", |s, k, v| need_usize(k, v).map(|x| s.design.ss.max_planes = x)),
-    ("design.branch_rule", |s, k, v| {
-        parse_branch_rule(need_str(k, v)?).map(|x| s.design.ss.branch_rule = x)
-    }),
-    ("design.walker_shell_spacing_km", |s, k, v| {
-        need_f64(k, v).map(|x| s.design.wd.shell_spacing_km = x)
-    }),
-    ("design.walker_supply_model", |s, k, v| {
-        parse_supply_model(need_str(k, v)?).map(|x| s.design.wd.supply_model = x)
-    }),
-    ("design.walker_inclinations_deg", |s, k, v| {
-        let arr = v.as_array().ok_or_else(|| {
-            ScenarioError::bad_value(k, &canonical_value(v), "an array of degrees")
-        })?;
+    field!("design.rgt_revs", design.rgt.revs),
+    field!("design.rgt_days", design.rgt.days),
+    field!("design.rgt_inclination_deg", design.rgt.inclination_deg),
+    field!("design.max_planes", design.ss.max_planes),
+    token!("design.branch_rule", parse_branch_rule, design.ss.branch_rule),
+    field!("design.walker_shell_spacing_km", design.wd.shell_spacing_km),
+    token!("design.walker_supply_model", parse_supply_model, design.wd.supply_model),
+    row("design.walker_inclinations_deg", |s, k, v| {
+        let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of degrees"))?;
         let mut incs = Vec::with_capacity(arr.len());
         for item in arr {
-            incs.push(need_f64(k, item)?);
+            incs.push(f64::read(k, item)?);
         }
         if incs.is_empty() {
             return Err(ScenarioError::bad_value(k, "[]", "at least one inclination"));
@@ -279,129 +468,124 @@ const PARAMS: &[(&str, Setter)] = &[
         s.design.wd.candidate_inclinations_deg = incs;
         Ok(())
     }),
-    ("design.slim_plane_factor", |s, k, v| need_f64(k, v).map(|x| s.design.slim_plane_factor = x)),
-    ("design.slim_min_planes", |s, k, v| need_usize(k, v).map(|x| s.design.slim_min_planes = x)),
-    ("design.starlink_scale", |s, k, v| need_f64(k, v).map(|x| s.design.starlink_scale = x)),
-    ("demand.total_demand_b", |s, k, v| need_f64(k, v).map(|x| s.demand.total_demand_b = x)),
-    ("demand.lat_bins", |s, k, v| need_usize(k, v).map(|x| s.demand.lat_bins = x)),
-    ("demand.tod_bins", |s, k, v| need_usize(k, v).map(|x| s.demand.tod_bins = x)),
-    ("demand.seed", |s, k, v| need_u64(k, v).map(|x| s.demand.seed = x)),
-    ("radiation.enabled", |s, k, v| need_bool(k, v).map(|x| s.radiation.enabled = x)),
-    ("radiation.solar", |s, k, v| {
-        SolarActivity::parse(need_str(k, v)?).map(|x| s.radiation.solar = x)
-    }),
-    ("radiation.epoch", |s, k, v| parse_ymd(k, need_str(k, v)?).map(|x| s.radiation.epoch_ymd = x)),
-    ("radiation.phases", |s, k, v| need_usize(k, v).map(|x| s.radiation.phases = x)),
-    ("radiation.step_s", |s, k, v| need_f64(k, v).map(|x| s.radiation.step_s = x)),
-    ("survivability.enabled", |s, k, v| need_bool(k, v).map(|x| s.survivability.enabled = x)),
-    ("survivability.horizon_years", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.horizon_years = x)
-    }),
-    ("survivability.resupply_days", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.resupply_days = x)
-    }),
-    ("survivability.per_satellite", |s, k, v| {
-        need_bool(k, v).map(|x| s.survivability.per_satellite = x)
-    }),
-    ("survivability.failure.kind", |s, k, v| {
-        FailureKind::parse(need_str(k, v)?).map(|x| s.survivability.failure_kind = x)
-    }),
-    ("survivability.failure.infant_shape", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.infant_shape = x)
-    }),
-    ("survivability.failure.infant_scale_years", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.infant_scale_years = x)
-    }),
-    ("survivability.failure.wearout_shape", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.wearout_shape = x)
-    }),
-    ("survivability.failure.wearout_scale_years", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.wearout_scale_years = x)
-    }),
-    ("survivability.failure.electron_accel", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.electron_accel = x)
-    }),
-    ("survivability.failure.proton_accel", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.weibull.proton_accel = x)
-    }),
-    ("failures.baseline_per_year", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.failure.baseline_per_year = x)
-    }),
-    ("failures.electron_coeff", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.failure.electron_coeff = x)
-    }),
-    ("failures.proton_coeff", |s, k, v| {
-        need_f64(k, v).map(|x| s.survivability.failure.proton_coeff = x)
-    }),
-    ("spares.policy", |s, k, v| {
-        let (count, replacement_days) = policy_parts(&s.survivability.policy);
-        s.survivability.policy = match need_str(k, v)? {
-            "per-plane" => SparePolicy::PerPlane { spares_per_plane: count, replacement_days },
-            "shared-pool" => SparePolicy::SharedPool { pool_size: count, replacement_days },
+    field!("design.slim_plane_factor", design.slim_plane_factor, FRACTION, Slim),
+    field!("design.slim_min_planes", design.slim_min_planes, (Included(1.0), Unbounded), Slim),
+    field!("design.starlink_scale", design.starlink_scale, FRACTION, Starlink),
+    field!("demand.total_demand_b", demand.total_demand_b, POSITIVE, Always),
+    field!("demand.lat_bins", demand.lat_bins, count(1, MAX_LAT_BINS), Always),
+    field!("demand.tod_bins", demand.tod_bins, count(1, MAX_TOD_BINS), Always),
+    field!("demand.seed", demand.seed),
+    field!("radiation.enabled", radiation.enabled),
+    token!("radiation.solar", SolarActivity::parse, radiation.solar),
+    token!("radiation.epoch", parse_ymd, radiation.epoch_ymd),
+    field!("radiation.phases", radiation.phases, count(1, MAX_PHASES), Radiation),
+    // The integrator would clamp an out-of-range step and run at a step
+    // the report never mentions; refuse it instead.
+    field!(
+        "radiation.step_s",
+        radiation.step_s,
+        (Included(MIN_STEP_S), Included(MAX_STEP_S)),
+        Radiation
+    ),
+    field!("survivability.enabled", survivability.enabled),
+    field!(
+        "survivability.horizon_years",
+        survivability.horizon_years,
+        (Excluded(0.0), Included(MAX_HORIZON_YEARS)),
+        Survivability
+    ),
+    // A negative cadence would credit availability above 1, and 0 would
+    // silently mean "never resupply".
+    field!("survivability.resupply_days", survivability.resupply_days, POSITIVE, Survivability),
+    field!("survivability.per_satellite", survivability.per_satellite),
+    token!("survivability.failure.kind", FailureKind::parse, survivability.failure_kind),
+    field!("survivability.failure.infant_shape", survivability.weibull.infant_shape),
+    field!("survivability.failure.infant_scale_years", survivability.weibull.infant_scale_years),
+    field!("survivability.failure.wearout_shape", survivability.weibull.wearout_shape),
+    field!("survivability.failure.wearout_scale_years", survivability.weibull.wearout_scale_years),
+    field!("survivability.failure.electron_accel", survivability.weibull.electron_accel),
+    field!("survivability.failure.proton_accel", survivability.weibull.proton_accel),
+    field!("failures.baseline_per_year", survivability.failure.baseline_per_year),
+    field!("failures.electron_coeff", survivability.failure.electron_coeff),
+    field!("failures.proton_coeff", survivability.failure.proton_coeff),
+    row("spares.policy", |s, k, v| {
+        let shared = match need_str(k, v)? {
+            "per-plane" => false,
+            "shared-pool" => true,
             other => return Err(ScenarioError::bad_value(k, other, "per-plane | shared-pool")),
         };
+        edit_policy(s, |policy| policy.0 = shared);
         Ok(())
     }),
-    ("spares.count", |s, k, v| {
-        let n = need_usize(k, v)?;
-        s.survivability.policy = match s.survivability.policy {
-            SparePolicy::PerPlane { replacement_days, .. } => {
-                SparePolicy::PerPlane { spares_per_plane: n, replacement_days }
-            }
-            SparePolicy::SharedPool { replacement_days, .. } => {
-                SparePolicy::SharedPool { pool_size: n, replacement_days }
-            }
-        };
-        Ok(())
-    }),
-    ("spares.replacement_days", |s, k, v| {
-        let days = need_f64(k, v)?;
-        s.survivability.policy = match s.survivability.policy {
-            SparePolicy::PerPlane { spares_per_plane, .. } => {
-                SparePolicy::PerPlane { spares_per_plane, replacement_days: days }
-            }
-            SparePolicy::SharedPool { pool_size, .. } => {
-                SparePolicy::SharedPool { pool_size, replacement_days: days }
-            }
-        };
-        Ok(())
-    }),
-    ("attack.kind", |s, k, v| AttackKind::parse(need_str(k, v)?).map(|x| s.attack.kind = x)),
-    ("attack.planes_lost", |s, k, v| need_usize(k, v).map(|x| s.attack.planes_lost = x)),
-    ("attack.sats_lost", |s, k, v| need_usize(k, v).map(|x| s.attack.sats_lost = x)),
-    ("attack.band_min_deg", |s, k, v| need_f64(k, v).map(|x| s.attack.band_min_deg = x)),
-    ("attack.band_max_deg", |s, k, v| need_f64(k, v).map(|x| s.attack.band_max_deg = x)),
-    ("attack.shell", |s, k, v| need_usize(k, v).map(|x| s.attack.shell = x)),
-    ("attack.objective", |s, k, v| {
-        parse_objective(need_str(k, v)?).map(|x| s.attack.objective = x)
-    }),
-    ("attack.unit", |s, k, v| AttackUnit::parse(need_str(k, v)?).map(|x| s.attack.unit = x)),
-    ("attack.budget", |s, k, v| need_usize(k, v).map(|x| s.attack.budget = x)),
-    ("attack.restarts", |s, k, v| need_usize(k, v).map(|x| s.attack.restarts = x)),
-    ("attack.swaps", |s, k, v| need_usize(k, v).map(|x| s.attack.swaps = x)),
-    ("attack.damage_threshold", |s, k, v| need_f64(k, v).map(|x| s.attack.damage_threshold = x)),
-    ("network.enabled", |s, k, v| need_bool(k, v).map(|x| s.network.enabled = x)),
-    ("network.with_outages", |s, k, v| need_bool(k, v).map(|x| s.network.with_outages = x)),
-    ("network.n_flows", |s, k, v| need_usize(k, v).map(|x| s.network.n_flows = x)),
-    ("network.utc_hour", |s, k, v| need_f64(k, v).map(|x| s.network.utc_hour = x)),
-    ("network.min_elevation_deg", |s, k, v| {
-        need_f64(k, v).map(|x| s.network.min_elevation_deg = x)
-    }),
-    ("network.max_range_km", |s, k, v| need_f64(k, v).map(|x| s.network.max_range_km = x)),
-    ("network.slots", |s, k, v| need_usize(k, v).map(|x| s.network.slots = x)),
-    ("network.slot_s", |s, k, v| need_f64(k, v).map(|x| s.network.slot_s = x)),
-    ("network.time_grid_slots", |s, k, v| need_usize(k, v).map(|x| s.network.time_grid_slots = x)),
-    ("network.time_grid_slot_s", |s, k, v| need_f64(k, v).map(|x| s.network.time_grid_slot_s = x)),
-    ("network.percolation", |s, k, v| need_bool(k, v).map(|x| s.network.percolation = x)),
-    ("network.percolation_steps", |s, k, v| {
-        need_usize(k, v).map(|x| s.network.percolation_steps = x)
-    }),
-    ("network.percolation_gap", |s, k, v| need_f64(k, v).map(|x| s.network.percolation_gap = x)),
-    ("traffic.model", |s, k, v| TrafficModel::parse(need_str(k, v)?).map(|x| s.traffic.model = x)),
-    ("traffic.pairs", |s, k, v| need_usize(k, v).map(|x| s.traffic.pairs = x)),
-    ("traffic.sites", |s, k, v| need_usize(k, v).map(|x| s.traffic.sites = x)),
-    ("traffic.capacity_gbps", |s, k, v| need_f64(k, v).map(|x| s.traffic.capacity_gbps = x)),
-    ("traffic.k_paths", |s, k, v| need_usize(k, v).map(|x| s.traffic.k_paths = x)),
+    row("spares.count", |s, k, v| usize::read(k, v).map(|n| edit_policy(s, |policy| policy.1 = n))),
+    ranged(
+        row("spares.replacement_days", |s, k, v| {
+            f64::read(k, v).map(|days| edit_policy(s, |policy| policy.2 = days))
+        }),
+        |s| s.survivability.policy.replacement_days(),
+        (Included(0.0), Unbounded),
+        Survivability,
+    ),
+    token!("attack.kind", AttackKind::parse, attack.kind),
+    field!("attack.planes_lost", attack.planes_lost),
+    field!("attack.sats_lost", attack.sats_lost),
+    field!("attack.band_min_deg", attack.band_min_deg),
+    field!("attack.band_max_deg", attack.band_max_deg),
+    field!("attack.shell", attack.shell),
+    token!("attack.objective", parse_objective, attack.objective),
+    token!("attack.unit", AttackUnit::parse, attack.unit),
+    field!("attack.budget", attack.budget),
+    // An attack search runs inside the network stage, whose evaluator
+    // takes the damage threshold whether or not a search runs.
+    field!("attack.restarts", attack.restarts, count(0, MAX_RESTARTS), Network),
+    field!("attack.swaps", attack.swaps, count(0, MAX_SWAPS), Network),
+    field!("attack.damage_threshold", attack.damage_threshold, FRACTION, Network),
+    field!("network.enabled", network.enabled),
+    field!("network.with_outages", network.with_outages),
+    field!("network.n_flows", network.n_flows, count(0, MAX_N_FLOWS), Network),
+    // The hour places the constellation and the demand field (and keys
+    // the run's gravity-field cache): one day's hours only.
+    field!("network.utc_hour", network.utc_hour, (Included(0.0), Excluded(24.0)), Network),
+    // Terminals attach above the horizon only: a negative angle would
+    // reach satellites below it, and at 90° or more no satellite is ever
+    // in view.
+    field!(
+        "network.min_elevation_deg",
+        network.min_elevation_deg,
+        (Included(0.0), Excluded(90.0)),
+        Network
+    ),
+    field!("network.max_range_km", network.max_range_km, POSITIVE, Network),
+    field!("network.slots", network.slots, count(1, MAX_ROUTE_SLOTS), Network),
+    field!("network.slot_s", network.slot_s),
+    field!(
+        "network.time_grid_slots",
+        network.time_grid_slots,
+        count(1, MAX_TIME_GRID_SLOTS),
+        Network
+    ),
+    field!("network.time_grid_slot_s", network.time_grid_slot_s),
+    field!("network.percolation", network.percolation),
+    // The network stage's evaluator takes both percolation knobs whether
+    // or not the percolation stage uses them.
+    field!(
+        "network.percolation_steps",
+        network.percolation_steps,
+        count(1, MAX_PERCOLATION_STEPS),
+        Network
+    ),
+    field!(
+        "network.percolation_gap",
+        network.percolation_gap,
+        (Excluded(0.0), Excluded(1.0)),
+        Network
+    ),
+    token!("traffic.model", TrafficModel::parse, traffic.model),
+    field!("traffic.pairs", traffic.pairs, count(1, MAX_TRAFFIC_PAIRS), Gravity),
+    // The gravity model needs distinct endpoints.
+    field!("traffic.sites", traffic.sites, count(2, MAX_SITES), Gravity),
+    field!("traffic.capacity_gbps", traffic.capacity_gbps, POSITIVE, Always),
+    field!("traffic.k_paths", traffic.k_paths, count(1, MAX_K_PATHS), Always),
 ];
 
 /// Applies one dotted-path override to a spec: looks the key up in
@@ -412,23 +596,33 @@ const PARAMS: &[(&str, Setter)] = &[
 /// the nearest key as a hint), [`ScenarioError::BadValue`] for
 /// un-coercible values.
 pub fn apply_param(spec: &mut ScenarioSpec, key: &str, value: &TomlValue) -> Result<()> {
-    match PARAMS.iter().find(|&&(k, _)| k == key) {
-        Some((_, set)) => set(spec, key, value),
+    match PARAMS.iter().find(|p| p.key == key) {
+        Some(param) => (param.set)(spec, key, value),
         None => Err(ScenarioError::UnknownParameter {
             key: key.to_string(),
-            hint: nearest(key, PARAMS.iter().map(|&(k, _)| k)),
+            hint: nearest(key, PARAMS.iter().map(|p| p.key)),
         }),
     }
 }
 
-/// The `(count, replacement_days)` of either policy variant.
-fn policy_parts(policy: &SparePolicy) -> (usize, f64) {
-    match *policy {
+/// Rewrites the spare policy through its three keys: whether the pool
+/// is shared, the spare count, and the replacement time.
+fn edit_policy(s: &mut ScenarioSpec, edit: impl FnOnce(&mut (bool, usize, f64))) {
+    let mut parts = match s.survivability.policy {
         SparePolicy::PerPlane { spares_per_plane, replacement_days } => {
-            (spares_per_plane, replacement_days)
+            (false, spares_per_plane, replacement_days)
         }
-        SparePolicy::SharedPool { pool_size, replacement_days } => (pool_size, replacement_days),
-    }
+        SparePolicy::SharedPool { pool_size, replacement_days } => {
+            (true, pool_size, replacement_days)
+        }
+    };
+    edit(&mut parts);
+    let (shared, count, replacement_days) = parts;
+    s.survivability.policy = if shared {
+        SparePolicy::SharedPool { pool_size: count, replacement_days }
+    } else {
+        SparePolicy::PerPlane { spares_per_plane: count, replacement_days }
+    };
 }
 
 #[cfg(test)]
@@ -514,10 +708,97 @@ mod tests {
     #[test]
     fn param_keys_are_unique() {
         // A repeated key would shadow its second setter without a word.
-        let mut keys: Vec<&str> = PARAMS.iter().map(|&(k, _)| k).collect();
+        let mut keys: Vec<&str> = PARAMS.iter().map(|p| p.key).collect();
         keys.sort_unstable();
         keys.dedup();
         assert_eq!(keys.len(), PARAMS.len(), "duplicate key in PARAMS");
+    }
+
+    /// Turns `gate` on or off in an otherwise default spec.
+    fn set_gate(spec: &mut ScenarioSpec, gate: Gate, on: bool) {
+        match gate {
+            Always => {}
+            Radiation => {
+                spec.radiation.enabled = on;
+                // Survivability needs the radiation stage.
+                spec.survivability.enabled = on;
+            }
+            Survivability => spec.survivability.enabled = on,
+            Network => spec.network.enabled = on,
+            Gravity => {
+                spec.traffic.model = if on { TrafficModel::Gravity } else { TrafficModel::Sampled }
+            }
+            Slim => spec.design.kinds = vec![if on { "slim" } else { "ss" }],
+            Starlink => spec.design.kinds = vec![if on { "starlink" } else { "ss" }],
+        }
+        assert_eq!(gate.is_on(spec), on || gate == Always, "{gate:?}");
+    }
+
+    /// Validates a spec built from `base` with `key` set to `x`.
+    fn validate_with(base: &ScenarioSpec, key: &str, x: TomlValue) -> Result<()> {
+        let mut spec = base.clone();
+        apply_param(&mut spec, key, &x).unwrap();
+        spec.validate()
+    }
+
+    #[test]
+    fn every_range_holds_at_its_ends_while_its_gate_is_on() {
+        let mut ranged = 0;
+        for param in PARAMS {
+            let Some((_, (lo, hi), gate)) = param.range else { continue };
+            ranged += 1;
+            let key = param.key;
+            // An integer key refuses a fraction; its neighbours are ±1.
+            let integer =
+                apply_param(&mut ScenarioSpec::named("x"), key, &TomlValue::Float(0.5)).is_err();
+            let value =
+                |x: f64| if integer { TomlValue::Int(x as i64) } else { TomlValue::Float(x) };
+            let down = |x: f64| if integer { x - 1.0 } else { x.next_down() };
+            let up = |x: f64| if integer { x + 1.0 } else { x.next_up() };
+            // (the end itself or the first value inside it, the first
+            // value outside it) at each end of the range.
+            let mut ends = Vec::new();
+            match lo {
+                Included(x) => ends.push((x, down(x))),
+                Excluded(x) => ends.push((up(x), x)),
+                Unbounded => {}
+            }
+            match hi {
+                Included(x) => ends.push((x, up(x))),
+                Excluded(x) => ends.push((down(x), x)),
+                Unbounded => {}
+            }
+            let mut outside: Vec<f64> = ends.iter().map(|&(_, out)| out).collect();
+            if !integer {
+                outside.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+            }
+            // A negative count cannot be written at all.
+            outside.retain(|&x| !(integer && x < 0.0));
+
+            let mut on = ScenarioSpec::named("x");
+            set_gate(&mut on, gate, true);
+            on.validate().unwrap();
+            for &(inside, _) in &ends {
+                let ok = validate_with(&on, key, value(inside));
+                assert!(ok.is_ok(), "{key} = {inside}: {ok:?}");
+            }
+            for &x in &outside {
+                let err = validate_with(&on, key, value(x)).unwrap_err();
+                assert!(
+                    matches!(&err, ScenarioError::BadValue { key: bad, .. } if bad == key),
+                    "{key} = {x}: {err}"
+                );
+            }
+            if gate != Always {
+                let mut off = ScenarioSpec::named("x");
+                set_gate(&mut off, gate, false);
+                for &x in &outside {
+                    let ok = validate_with(&off, key, value(x));
+                    assert!(ok.is_ok(), "{key} = {x} with {gate:?} off: {ok:?}");
+                }
+            }
+        }
+        assert_eq!(ranged, 26, "ranged rows");
     }
 
     #[test]
