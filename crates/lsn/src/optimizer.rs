@@ -464,11 +464,7 @@ impl<'a> DegradedEvaluator<'a> {
                     / denom
             }
             AttackObjective::LoadInflation => {
-                if self.intact_mean_link_load <= 0.0 {
-                    return 0.0;
-                }
-                -(slots.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>() / denom)
-                    / self.intact_mean_link_load
+                self.load_inflation(slots.iter().map(|s| s.traffic.mean_link_load()))
             }
             AttackObjective::ServedDemand => {
                 if self.inputs.workload.is_none() || slots.iter().any(|s| s.served.is_none()) {
@@ -493,6 +489,17 @@ impl<'a> DegradedEvaluator<'a> {
                 self.masking_collapse_value(&[])
             }
         }
+    }
+
+    /// The load-inflation objective over each slot's mean link load:
+    /// their mean relative to the intact one, negated so lower is more
+    /// damaging.
+    fn load_inflation(&self, slot_means: impl ExactSizeIterator<Item = f64>) -> f64 {
+        if self.intact_mean_link_load <= 0.0 {
+            return 0.0;
+        }
+        let denom = slot_means.len().max(1) as f64;
+        -(slot_means.sum::<f64>() / denom) / self.intact_mean_link_load
     }
 
     /// The alive mask destroying exactly `destroyed` (network-layout

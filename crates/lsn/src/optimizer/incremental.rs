@@ -38,12 +38,15 @@
 //!    index ascending: `ServingIndex::ranked`). An endpoint's server under
 //!    a mask is the first alive entry — the masked index's first-wins
 //!    maximum without a constellation-wide scan.
-//! 4. **An indexed demand tally** — workload flows are interned by
-//!    endpoint pair once per workload, each pair is classified once per
-//!    candidate, and one flow-order pass accumulates into a dense
-//!    per-satellite-pair vector (`traffic_engine::tally_attachments`,
-//!    the same routine the full engine uses), making the same additions
-//!    in the same order as a per-flow map.
+//! 4. **An indexed demand tally, reused while attachment holds** —
+//!    workload flows are interned by endpoint pair once per workload,
+//!    each pair is classified once per tally, and one flow-order pass
+//!    accumulates into a dense per-satellite-pair vector
+//!    (`traffic_engine::tally_attachments`, the same routine the full
+//!    engine uses), making the same additions in the same order as a
+//!    per-flow map. The tally reads nothing but each endpoint's serving
+//!    satellite, so a slot's state keeps both, and a candidate whose new
+//!    victims serve no endpoint there shares its parent's tally.
 //! 5. **Candidate-delta scoring** — the evaluation state of recent
 //!    candidates (per-flow routes, fallback trees, k-path sets) is kept
 //!    in a small LRU keyed by canonical victim set; a new candidate
@@ -60,12 +63,15 @@
 //!    can never settle.
 //!
 //! Aggregates (routed counts, per-link loads, waterfilled served
-//! demand) are rebuilt in flow order from the per-flow outcomes — never
-//! adjusted by floating-point deltas — so every objective value is
-//! **byte-identical** to the full [`super::DegradedEvaluator`] path,
-//! candidate for candidate, for all objectives and thread counts. The
-//! scorer also deduplicates repeated candidates with a seen-cache keyed
-//! by canonical victim set and reports scored-vs-unique counts.
+//! demand) are rebuilt in flow order from the per-flow outcomes and the
+//! tally — never adjusted by floating-point deltas — so every objective
+//! value is **byte-identical** to the full [`super::DegradedEvaluator`]
+//! path, candidate for candidate, for all objectives and thread counts.
+//! Per-link loads go into a dense per-arc array and are summed in the
+//! `SatId` key order of the full path's per-link map, so the mean link
+//! load needs no map. The scorer also deduplicates repeated candidates
+//! with a seen-cache keyed by canonical victim set and reports
+//! scored-vs-unique counts.
 
 use super::{AttackObjective, DegradedEvaluator, SlotEvaluation};
 use crate::error::Result;
@@ -73,8 +79,8 @@ use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTr
 use crate::topology::{Components, SatId, Topology};
 use crate::traffic::TrafficReport;
 use crate::traffic_engine::{
-    k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, FlowIndex,
-    ServedDemandSummary,
+    k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, AttachmentTally,
+    FlowIndex, ServedDemandSummary,
 };
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
@@ -85,7 +91,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached candidate states kept for delta evaluation. Small on purpose:
 /// the intact state (always available) bounds the worst case, and every
-/// cached state holds repaired trees worth O(sources · nodes).
+/// cached state holds repaired trees worth O(sources · nodes) and, for
+/// served demand, a demand tally per slot.
 const LRU_CAP: usize = 12;
 
 /// Per endpoint of one slot, every satellite able to serve it (flat
@@ -194,8 +201,14 @@ struct SourcePaths {
 }
 
 /// Served-demand evaluation state of one slot.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ServedState {
+    /// Per workload endpoint: its serving satellite under the state's
+    /// mask.
+    servers: Vec<Option<usize>>,
+    /// The demand tally of `servers`, shared with every cached state
+    /// whose endpoints attach the same way.
+    tally: Arc<AttachmentTally>,
     /// Per source satellite: its k-path candidate set.
     sources: BTreeMap<usize, Arc<SourcePaths>>,
 }
@@ -265,6 +278,41 @@ fn diff_sorted(victims: &[usize], parent: &[usize]) -> Vec<usize> {
     out
 }
 
+/// The mean load over the links that routed `paths` (flat hops, each with
+/// its flow's demand) load, at link `capacity`. Loads accumulate in path
+/// order into a dense array indexed by each node pair's first arc, so
+/// parallel arcs load one link and a zero-demand path still counts its
+/// links; the sum then runs in ascending flat `(a, b)` order — the
+/// `SatId` key order, since flat indices ascend plane-major — and
+/// divides as [`TrafficReport::mean_link_load`] does, matching that
+/// per-link map bit for bit.
+fn mean_link_load<'p>(
+    topology: &Topology,
+    paths: impl Iterator<Item = (f64, &'p [usize])>,
+    capacity: f64,
+) -> f64 {
+    let mut load = vec![0.0; topology.n_arcs()];
+    let mut loaded = vec![false; topology.n_arcs()];
+    let mut links: Vec<(usize, usize, usize)> = Vec::new();
+    for (demand, hops) in paths {
+        for hop in hops.windows(2) {
+            let (a, b) = (hop[0], hop[1]);
+            let j = topology.neighbors(a).iter().position(|&(v, _)| v == b);
+            let arc = topology.arc_offset(a) + j.expect("a path hop is a link");
+            if !loaded[arc] {
+                loaded[arc] = true;
+                links.push((a, b, arc));
+            }
+            load[arc] += demand;
+        }
+    }
+    if links.is_empty() {
+        return 0.0;
+    }
+    links.sort_unstable();
+    links.iter().map(|&(_, _, arc)| load[arc]).sum::<f64>() / links.len() as f64 / capacity
+}
+
 /// The incremental candidate scorer: [`Self::score`] is pinned
 /// byte-identical to [`DegradedEvaluator::score_attack`] on the same
 /// destroyed set and objective, at a per-candidate cost proportional to
@@ -289,7 +337,8 @@ pub struct IncrementalScorer<'e, 'a> {
     needs_served: bool,
     /// Whether the objective reads survivor-component sizes.
     needs_connectivity: bool,
-    /// Flat index → network-layout id, for rebuilding `SatId` link keys.
+    /// Flat index → network-layout id, for the masking-threshold
+    /// objective's victim ids.
     ids: Vec<SatId>,
     /// Interned classic flows (empty unless routing is needed).
     flow_index: FlowIndex,
@@ -386,9 +435,10 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         self.seen.lock().expect("seen cache poisoned").len()
     }
 
-    /// Drops every cached candidate state and seen value, keeping only
-    /// the intact state and intact tree cache — each following score
-    /// pays the full delta-from-intact cost again. Benchmarks call this
+    /// Drops every cached candidate state (with the trees, k-path sets
+    /// and demand tallies it holds) and seen value, keeping only the
+    /// intact state and intact tree cache — each following score pays
+    /// the full delta-from-intact cost again. Benchmarks call this
     /// per iteration so repeated timing loops measure real incremental
     /// work instead of replaying the seen-cache. Counters keep counting.
     pub fn clear_cache(&self) {
@@ -420,8 +470,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             self.ev.masking_collapse_value(&sorted_ids)
         } else {
             let parent = self.best_parent(&key);
-            let (state, slots) = self.build_state(key.clone(), &parent);
-            let value = self.ev.objective_value(self.objective, &slots);
+            let (state, value) = self.build_state(key.clone(), &parent);
             self.push_lru(Arc::new(state));
             value
         };
@@ -569,14 +618,15 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         }
     }
 
-    /// The served-demand stage replay: ranked attachment, the shared
-    /// indexed tally and per-source k-path reuse, then the shared
-    /// waterfilling — bit-identical to
+    /// The served-demand stage replay: ranked attachment, the indexed
+    /// tally (the parent's own when every endpoint keeps its server) and
+    /// per-source k-path reuse, then the shared waterfilling —
+    /// bit-identical to
     /// [`crate::traffic_engine::assign_capacity_constrained`] over the
     /// masked snapshot and topology. A recomputed source takes its
     /// round-0 (plain shortest) paths from [`Self::paths_for`]'s tree
     /// repair; `components` reads the slot's labels, `local` and `buffers`
-    /// are as there.
+    /// are as there. The state is `None` for an empty workload.
     fn eval_served<'c>(
         &self,
         k: usize,
@@ -584,25 +634,29 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         components: &impl Fn() -> &'c Components,
         local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
         buffers: &mut RepairBuffers,
-    ) -> (ServedState, ServedDemandSummary) {
+    ) -> (Option<ServedState>, ServedDemandSummary) {
         let mask = delta.mask;
         let w = self.ev.inputs.workload.expect("served demand needs a workload");
         if w.flows.is_empty() {
-            return (ServedState::default(), ServedDemandSummary::empty(0, 0.0, 0.0));
+            return (None, ServedDemandSummary::empty(0, 0.0, 0.0));
         }
         let flows = w.flows.index();
         let topo = &self.ev.topologies[k];
         let servers = self.w_ranked[k].servers(mask);
-        let tally = tally_attachments(&w.flows, flows, &servers);
+        let pserved = delta.parent.slots[k].served.as_ref();
+        // The tally is a function of the servers alone, so a candidate
+        // whose new victims serve no endpoint replays its parent's.
+        let tally = match pserved {
+            Some(ps) if ps.servers == servers => Arc::clone(&ps.tally),
+            _ => Arc::new(tally_attachments(&w.flows, flows, &servers)),
+        };
         let n_flows = w.flows.len();
+        let mut sources: BTreeMap<usize, Arc<SourcePaths>> = BTreeMap::new();
         if tally.sat_pairs.is_empty() {
             let summary = local_only_summary(n_flows, flows.offered, &tally);
-            return (ServedState::default(), summary);
+            return (Some(ServedState { servers, tally, sources }), summary);
         }
-        let fresh = ServedState::default();
-        let pserved = delta.parent.slots[k].served.as_ref().unwrap_or(&fresh);
         let kp = w.capacity.k_paths.max(1);
-        let mut sources: BTreeMap<usize, Arc<SourcePaths>> = BTreeMap::new();
         for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
             let s = group[0].0;
             let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
@@ -610,7 +664,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             // reuse is whole-source: same destination set and every
             // stored candidate path still alive — then each round
             // replays identically and so does the merged path set.
-            let reusable = pserved.sources.get(&s).filter(|sp| {
+            let reusable = pserved.and_then(|ps| ps.sources.get(&s)).filter(|sp| {
                 sp.dsts == dsts && sp.paths.iter().flatten().flatten().all(|&h| mask[h])
             });
             let sp = match reusable {
@@ -645,24 +699,26 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let capacity = w.capacity.link_capacity;
         let summary =
             waterfill_summary(n_flows, flows.offered, &tally, |j| pair_paths[j], capacity);
-        (ServedState { sources }, summary)
+        (Some(ServedState { servers, tally, sources }), summary)
     }
 
     /// One slot's delta evaluation: cached-or-repaired routing plus the
     /// slot aggregates the objective reads, synthesized into a
     /// [`SlotEvaluation`] whose read fields match the full pipeline's
     /// bit for bit (unread fields — stretch, hops, outcomes — are left
-    /// inert). The slot's components are labelled on first use, once for
-    /// the routing, connectivity and served-demand stages together.
-    fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, SlotEvaluation) {
+    /// inert, and so is the per-link map), plus the slot's mean link load
+    /// when the objective reads loads (else `0.0`). The slot's
+    /// components are labelled on first use, once for the routing,
+    /// connectivity and served-demand stages together.
+    fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, SlotEvaluation, f64) {
         let mask = delta.mask;
         let cell = OnceCell::new();
         let components = || cell.get_or_init(|| self.ev.topologies[k].components(Some(mask)));
         let mut state = SlotState::default();
         let mut buffers = RepairBuffers::default();
         let n_flows = self.ev.inputs.flows.len();
-        let (routed, unrouted, link_load) = if !self.needs_routing {
-            (0, 0, BTreeMap::new())
+        let (routed, unrouted, mean_load) = if !self.needs_routing {
+            (0, 0, 0.0)
         } else if !self.need_load {
             // Reachability-only objectives (routed fraction and its
             // served-demand fallback): the masked Dijkstra finds a path
@@ -678,18 +734,29 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                         (Some(a), Some(b)) if a == b || labels[a] == labels[b])
                 })
                 .count();
-            (routed, n_flows - routed, BTreeMap::new())
+            (routed, n_flows - routed, 0.0)
         } else {
             let labels = &components().labels;
             state.flows = self.route_flows(k, delta, labels, &mut state.trees, &mut buffers);
-            let (routed, link_load) = self.aggregate_routes(&state.flows);
-            (routed, n_flows - routed, link_load)
+            let routed = state
+                .flows
+                .iter()
+                .filter(|fs| matches!(fs, FlowState::Local | FlowState::Path { .. }))
+                .count();
+            let paths =
+                self.ev.inputs.flows.iter().zip(&state.flows).filter_map(|(f, fs)| match fs {
+                    FlowState::Path { hops, .. } => Some((f.demand, &hops[..])),
+                    _ => None,
+                });
+            let mean_load =
+                mean_link_load(&self.ev.topologies[k], paths, self.ev.inputs.link_capacity);
+            (routed, n_flows - routed, mean_load)
         };
         let largest_component = if self.needs_connectivity { components().largest() } else { 0 };
         let served = self.needs_served.then(|| {
             let (ss, summary) =
                 self.eval_served(k, delta, &components, &mut state.trees, &mut buffers);
-            state.served = Some(ss);
+            state.served = ss;
             summary
         });
         let evaluation = SlotEvaluation {
@@ -700,7 +767,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             traffic: TrafficReport {
                 routed,
                 unrouted,
-                link_load,
+                link_load: BTreeMap::new(),
                 mean_stretch: f64::NAN,
                 mean_hops: f64::NAN,
                 flow_outcomes: Vec::new(),
@@ -708,7 +775,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             },
             served,
         };
-        (state, evaluation)
+        (state, evaluation, mean_load)
     }
 
     /// Classic flow `i`'s interned endpoint pair.
@@ -782,34 +849,9 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             .collect()
     }
 
-    /// Stage two of a routed slot: the routed count and the per-link loads
-    /// of the flow outcomes, accumulated in flow order onto `SatId` keys —
-    /// the exact summation the full path runs.
-    fn aggregate_routes(&self, flows: &[FlowState]) -> (usize, BTreeMap<(SatId, SatId), f64>) {
-        let (mut routed, mut link_load) = (0usize, BTreeMap::new());
-        for (flow, fs) in self.ev.inputs.flows.iter().zip(flows) {
-            match fs {
-                FlowState::Local => routed += 1,
-                FlowState::Path { hops, .. } => {
-                    routed += 1;
-                    for hop in hops.windows(2) {
-                        *link_load.entry((self.ids[hop[0]], self.ids[hop[1]])).or_insert(0.0) +=
-                            flow.demand;
-                    }
-                }
-                FlowState::Unattached | FlowState::Unreachable { .. } => {}
-            }
-        }
-        (routed, link_load)
-    }
-
     /// Evaluates `victims` as a delta off `parent`, returning the new
-    /// cacheable state and the synthesized per-slot evaluations.
-    fn build_state(
-        &self,
-        victims: Vec<usize>,
-        parent: &MaskState,
-    ) -> (MaskState, Vec<SlotEvaluation>) {
+    /// cacheable state and the candidate's objective value.
+    fn build_state(&self, victims: Vec<usize>, parent: &MaskState) -> (MaskState, f64) {
         let dead_new = diff_sorted(&victims, &parent.victims);
         let mut mask = parent.mask.clone();
         for &d in &dead_new {
@@ -824,12 +866,19 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let delta = Delta { parent, mask: &mask, dead_new: &dead_new, split: &split };
         let mut slots = Vec::with_capacity(n_slots);
         let mut evaluations = Vec::with_capacity(n_slots);
+        let mut mean_loads = Vec::with_capacity(n_slots);
         for k in 0..n_slots {
-            let (st, ev_k) = self.build_slot(k, &delta);
+            let (st, ev_k, mean_load) = self.build_slot(k, &delta);
             slots.push(st);
             evaluations.push(ev_k);
+            mean_loads.push(mean_load);
         }
-        (MaskState { victims, mask, slots }, evaluations)
+        let value = if self.need_load {
+            self.ev.load_inflation(mean_loads.into_iter())
+        } else {
+            self.ev.objective_value(self.objective, &evaluations)
+        };
+        (MaskState { victims, mask, slots }, value)
     }
 }
 
@@ -988,6 +1037,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_served_tally_is_shared_until_a_serving_satellite_dies() {
+        let c = constellation(10, 24);
+        let flows = city_flows();
+        let (series, flows) = evaluator_fixture(&c, &flows, 2);
+        let workload = capacity_workload();
+        let evaluator = DegradedEvaluator::with_workload(
+            &series,
+            &flows,
+            20f64.to_radians(),
+            Default::default(),
+            Some(&workload),
+        )
+        .unwrap();
+        let scorer = evaluator.incremental_scorer(AttackObjective::ServedDemand);
+        let intact = scorer.intact_state.slots[0].served.as_ref().expect("a served state");
+        let serving: Vec<usize> = intact.servers.iter().flatten().copied().collect();
+        let ids: Vec<SatId> = series.snapshot(0).ids().collect();
+        let idle = (0..ids.len()).find(|f| !serving.contains(f)).expect("an idle satellite");
+        for (victim, shared) in [(idle, true), (serving[0], false)] {
+            let destroyed = [ids[victim]];
+            let full = evaluator.score_attack(&destroyed, AttackObjective::ServedDemand).unwrap();
+            assert_eq!(scorer.score(&destroyed).unwrap().to_bits(), full.to_bits());
+            let state = Arc::clone(&scorer.lru.lock().unwrap()[0]);
+            assert_eq!(state.victims, [victim]);
+            let served = state.slots[0].served.as_ref().expect("a served state");
+            assert_eq!(Arc::ptr_eq(&served.tally, &intact.tally), shared, "victim {victim}");
+        }
+    }
+
+    #[test]
+    fn dense_link_loads_match_the_per_link_map() {
+        // Two arcs join (0, 0)–(0, 1), the last path carries no demand,
+        // and node 1 lists node 2 before node 0, so neither arc order nor
+        // first-load order is the key order — and with these demands the
+        // sum's last bit depends on its order.
+        let id = |plane, slot| SatId { plane, slot };
+        let link = |a, b| crate::topology::Link { a, b, length_km: 1.0 };
+        let topology = Topology::from_links(
+            vec![
+                link(id(0, 1), id(1, 0)),
+                link(id(0, 0), id(0, 1)),
+                link(id(0, 1), id(0, 0)),
+                link(id(1, 0), id(1, 1)),
+            ],
+            vec![0, 2, 4],
+        );
+        let paths: [(f64, &[usize]); 4] =
+            [(0.1, &[0, 1, 2]), (0.2, &[1, 0]), (0.2, &[0, 1]), (0.0, &[2, 3])];
+        let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
+        for &(demand, hops) in &paths {
+            for hop in hops.windows(2) {
+                let key = (topology.id_of(hop[0]).unwrap(), topology.id_of(hop[1]).unwrap());
+                *link_load.entry(key).or_insert(0.0) += demand;
+            }
+        }
+        assert_eq!(link_load.len(), 4, "one link per node pair, the idle one included");
+        for capacity in [1.0, 3.0] {
+            let report = TrafficReport {
+                routed: paths.len(),
+                unrouted: 0,
+                link_load: link_load.clone(),
+                mean_stretch: f64::NAN,
+                mean_hops: f64::NAN,
+                flow_outcomes: Vec::new(),
+                link_capacity: capacity,
+            };
+            let dense = mean_link_load(&topology, paths.iter().copied(), capacity);
+            assert_eq!(dense.to_bits(), report.mean_link_load().to_bits(), "capacity {capacity}");
+        }
+        assert_eq!(mean_link_load(&topology, std::iter::empty(), 1.0), 0.0);
     }
 
     #[test]

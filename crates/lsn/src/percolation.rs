@@ -507,7 +507,7 @@ pub fn algebraic_connectivity(topology: &Topology, alive: &[bool], config: &Lamb
 /// no threading: byte-reproducible across runs and thread counts.
 ///
 /// Each iteration preconditions the residual `Lx − θx` with a two-level
-/// additive [`TwoLevel`] preconditioner (Jacobi plus an exact coarse
+/// additive `TwoLevel` preconditioner (Jacobi plus an exact coarse
 /// correction over plane-block aggregates), projects the result `w` off
 /// the ones vector, `x` and `p` (the previous step's correction), and
 /// takes the smallest Rayleigh–Ritz pair over `{x, w, p}`: one Laplacian

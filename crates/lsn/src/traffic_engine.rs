@@ -222,6 +222,7 @@ impl FlowIndex {
 /// Stage-1 output: how the flow list classified under some attachment
 /// resolution — shared between the from-scratch assignment and the
 /// incremental evaluator.
+#[derive(Debug)]
 pub(crate) struct AttachmentTally {
     /// Demand with at least one unserved endpoint.
     pub(crate) unattached: f64,

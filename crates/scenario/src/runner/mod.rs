@@ -605,8 +605,8 @@ mod tests {
         };
         let gravity: fn(&mut ScenarioSpec) =
             |s| s.traffic.model = crate::spec::TrafficModel::Gravity;
-        // Each of these sizes an allocation or a loop, so an unbounded
-        // value can abort the whole process or hang it.
+        // Each of these sizes an allocation, a loop or a product, so an
+        // unbounded value can abort the whole process, hang it or wrap.
         let sized = [
             ("demand.lat_bins", as_is),
             ("demand.tod_bins", as_is),
@@ -615,6 +615,7 @@ mod tests {
             ("network.percolation_steps", as_is),
             ("radiation.phases", radiation),
             ("survivability.horizon_years", survivability),
+            ("spares.count", survivability),
             ("attack.restarts", optimized),
             ("attack.swaps", optimized),
             ("traffic.k_paths", gravity),

@@ -360,6 +360,11 @@ const MAX_PHASES: usize = 360;
 /// largest value in use (5). Outage timelines grow with the horizon.
 const MAX_HORIZON_YEARS: f64 = 100.0;
 
+/// Most `spares.count` a point may carry, per plane or in one pool, 100×
+/// the largest value in use (10). A per-plane count is multiplied by the
+/// plane count, which an unbounded count overflows.
+const MAX_SPARES: usize = 1000;
+
 /// Most `attack.restarts` a search may take, 16× the largest value in
 /// use (4). The search allocates its start points up front.
 const MAX_RESTARTS: usize = 64;
@@ -517,7 +522,17 @@ pub(crate) const PARAMS: &[Param] = &[
         edit_policy(s, |policy| policy.0 = shared);
         Ok(())
     }),
-    row("spares.count", |s, k, v| usize::read(k, v).map(|n| edit_policy(s, |policy| policy.1 = n))),
+    ranged(
+        row("spares.count", |s, k, v| {
+            usize::read(k, v).map(|n| edit_policy(s, |policy| policy.1 = n))
+        }),
+        |s| match s.survivability.policy {
+            SparePolicy::PerPlane { spares_per_plane: n, .. }
+            | SparePolicy::SharedPool { pool_size: n, .. } => n as f64,
+        },
+        count(0, MAX_SPARES),
+        Survivability,
+    ),
     ranged(
         row("spares.replacement_days", |s, k, v| {
             f64::read(k, v).map(|days| edit_policy(s, |policy| policy.2 = days))
@@ -798,7 +813,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ranged, 26, "ranged rows");
+        assert_eq!(ranged, 27, "ranged rows");
     }
 
     #[test]

@@ -15,9 +15,16 @@
 //! stages: they pin the Walker network, the full designer registry, the
 //! multi-slot time grid, the optimized attack search and the percolation
 //! block. Every built-in scenario has a pin.
+//!
+//! `attack-search-objectives` is no built-in: it pins the optimized plane
+//! attack under the served-demand and load-inflation objectives, which no
+//! shipped scenario searches, as captured before the incremental scorer
+//! reused its parent's demand tally and summed link loads densely.
 
 use ssplane_scenario::library;
 use ssplane_scenario::runner::Runner;
+use ssplane_scenario::sweep::{apply_param, SweepAxis, SweepSpec};
+use ssplane_scenario::toml::TomlValue;
 
 /// The pinned scenario set and its output.
 const GOLDEN: &[(&str, &str)] = &[
@@ -86,5 +93,45 @@ fn percolation_lambda2_matches_the_lanczos_answer() {
         assert!(perc.lambda2_converged, "{system}: {perc:?}");
         let rel = (perc.lambda2_intact - lanczos).abs() / lanczos;
         assert!(rel <= 1e-12, "{system}: {} vs {lanczos} ({rel:e})", perc.lambda2_intact);
+    }
+}
+
+/// `traffic-scale` with its fixed plane loss swapped for a small optimized
+/// 2-plane search, swept over the two objectives that score through the
+/// gravity workload and the per-link loads.
+fn attack_search_objectives() -> SweepSpec {
+    let builtin = library::find("traffic-scale").expect("traffic-scale is shipped");
+    let mut sweep = library::sweep(builtin).expect("traffic-scale parses");
+    let base = &mut sweep.base;
+    base.name = "attack-search-objectives".to_string();
+    for (key, value) in [
+        ("attack.kind", TomlValue::Str("optimized".into())),
+        ("attack.unit", TomlValue::Str("planes".into())),
+        ("attack.budget", TomlValue::Int(2)),
+        ("attack.restarts", TomlValue::Int(1)),
+        ("attack.swaps", TomlValue::Int(4)),
+    ] {
+        apply_param(base, key, &value).expect("a valid override");
+    }
+    let objectives = ["served-demand", "load-inflation"];
+    sweep.axes = vec![SweepAxis {
+        param: "attack.objective".to_string(),
+        values: objectives.iter().map(|o| TomlValue::Str((*o).into())).collect(),
+    }];
+    sweep
+}
+
+#[test]
+fn searched_attacks_reproduce_their_pinned_bytes_at_every_thread_count() {
+    let golden = include_str!("golden/attack-search-objectives.jsonl");
+    let sweep = attack_search_objectives();
+    for threads in [1, 2, 7] {
+        let outcome = Runner::with_threads(threads).run_sweep(&sweep).expect("the pin expands");
+        assert_eq!(outcome.ok_count(), 2, "{threads} threads: a point failed");
+        let jsonl = outcome.to_jsonl();
+        for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "{threads} threads: line {i} diverged from its pin");
+        }
+        assert_eq!(jsonl, golden, "{threads} threads diverged from the pin");
     }
 }
