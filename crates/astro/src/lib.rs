@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod angles;

@@ -27,6 +27,7 @@ use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::topology::{Constellation, SatId};
 use ssplane_lsn::traffic::Flow;
 use ssplane_lsn::traffic_engine::{CapacityConfig, TrafficWorkload};
+use ssplane_scenario::sweep::OBJECTIVES;
 use std::hint::black_box;
 
 /// The benchmark time grid: 4 slots, 2 minutes apart (every candidate
@@ -117,12 +118,10 @@ fn incremental_batch(
         .collect();
     let fast: Vec<u64> =
         scorer.score_batch(candidates, 0).unwrap().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(full, fast, "incremental {} diverged from score_attack", objective.as_str());
+    let name = OBJECTIVES.name(objective);
+    assert_eq!(full, fast, "incremental {name} diverged from score_attack");
     group.bench_with_input(
-        criterion::BenchmarkId::new(
-            "score_batch_incremental",
-            format!("{}/{BATCH}x1plane", objective.as_str()),
-        ),
+        criterion::BenchmarkId::new("score_batch_incremental", format!("{name}/{BATCH}x1plane")),
         &(),
         |b, ()| {
             b.iter(|| {

@@ -33,6 +33,7 @@
 //!    SS-candidate kernels, which a sweep shares across its points.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod cache;

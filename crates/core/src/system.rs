@@ -156,12 +156,9 @@ impl DesignedSystem {
 }
 
 /// A constellation design family, pluggable into the generic scenario
-/// pipeline.
+/// pipeline. Its name, also the report key its results are published
+/// under, is its [`DESIGNER_REGISTRY`] row.
 pub trait Designer {
-    /// The family's registry name — also the report key its results are
-    /// published under (`"ss"`, `"wd"`, `"rgt"`).
-    fn name(&self) -> &'static str;
-
     /// Designs the system for `demand` (already scaled to the bandwidth
     /// multiplier).
     ///
@@ -194,10 +191,6 @@ pub struct SsDesigner {
 }
 
 impl Designer for SsDesigner {
-    fn name(&self) -> &'static str {
-        "ss"
-    }
-
     fn design(&self, demand: &LatTodGrid, params: &DesignParams) -> Result<DesignedSystem> {
         self.design_in(demand, params, &KernelCache::default())
     }
@@ -257,10 +250,6 @@ pub struct WalkerDesigner {
 }
 
 impl Designer for WalkerDesigner {
-    fn name(&self) -> &'static str {
-        "wd"
-    }
-
     fn design(&self, demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
         let wd = design_walker_constellation(demand, self.config.clone())?;
         system_from_shells(&wd.shells)
@@ -319,10 +308,6 @@ pub struct RgtDesigner {
 }
 
 impl Designer for RgtDesigner {
-    fn name(&self) -> &'static str {
-        "rgt"
-    }
-
     fn design(&self, demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
         let rgt = design_rgt_constellation(demand, self.config.clone())?;
         let total = rgt.total_sats();
@@ -390,10 +375,6 @@ impl Default for StarlinkDesigner {
 }
 
 impl Designer for StarlinkDesigner {
-    fn name(&self) -> &'static str {
-        "starlink"
-    }
-
     fn design(&self, _demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
         if !(self.scale.is_finite() && self.scale > 0.0 && self.scale <= 1.0) {
             return Err(CoreError::BadConfig {
@@ -442,10 +423,6 @@ impl Default for SlimDesigner {
 }
 
 impl Designer for SlimDesigner {
-    fn name(&self) -> &'static str {
-        "slim"
-    }
-
     fn design(&self, demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
         if !(self.plane_factor.is_finite() && self.plane_factor > 0.0 && self.plane_factor <= 1.0) {
             return Err(CoreError::BadConfig {
@@ -497,23 +474,23 @@ mod tests {
     #[test]
     fn all_registered_designers_produce_consistent_systems() {
         let d = demand();
-        let designers: [&dyn Designer; 5] = [
-            &SsDesigner { config: DesignConfig::default() },
-            &WalkerDesigner { config: WalkerBaselineConfig::default() },
-            &RgtDesigner { config: RgtDesignConfig::default() },
-            &SlimDesigner::default(),
-            &StarlinkDesigner { scale: 0.2 },
+        let designers: [(&str, &dyn Designer); 5] = [
+            ("ss", &SsDesigner { config: DesignConfig::default() }),
+            ("wd", &WalkerDesigner { config: WalkerBaselineConfig::default() }),
+            ("rgt", &RgtDesigner { config: RgtDesignConfig::default() }),
+            ("slim", &SlimDesigner::default()),
+            ("starlink", &StarlinkDesigner { scale: 0.2 }),
         ];
-        for designer in designers {
+        for (name, designer) in designers {
             let sys = designer.design(&d, &params()).unwrap();
-            assert_eq!(sys.summary.sats, sys.total_sats(), "{}", designer.name());
-            assert_eq!(sys.summary.planes, sys.planes.len(), "{}", designer.name());
-            assert_eq!(sys.network_order.len(), sys.planes.len(), "{}", designer.name());
+            assert_eq!(sys.summary.sats, sys.total_sats(), "{name}");
+            assert_eq!(sys.summary.planes, sys.planes.len(), "{name}");
+            assert_eq!(sys.network_order.len(), sys.planes.len(), "{name}");
             let eval_total: usize = sys.eval_groups.iter().map(|&(_, n)| n).sum();
-            assert_eq!(eval_total, sys.total_sats(), "{}", designer.name());
+            assert_eq!(eval_total, sys.total_sats(), "{name}");
             for p in &sys.planes {
-                assert!(p.eval_idx < sys.eval_groups.len(), "{}", designer.name());
-                assert_eq!(p.satellites.len(), p.n_sats, "{}", designer.name());
+                assert!(p.eval_idx < sys.eval_groups.len(), "{name}");
+                assert_eq!(p.satellites.len(), p.n_sats, "{name}");
             }
             // network_order is a permutation.
             let mut order = sys.network_order.clone();
@@ -536,11 +513,6 @@ mod tests {
 
     #[test]
     fn registry_names_are_the_report_keys() {
-        assert_eq!(SsDesigner { config: DesignConfig::default() }.name(), "ss");
-        assert_eq!(WalkerDesigner { config: WalkerBaselineConfig::default() }.name(), "wd");
-        assert_eq!(RgtDesigner { config: RgtDesignConfig::default() }.name(), "rgt");
-        assert_eq!(SlimDesigner::default().name(), "slim");
-        assert_eq!(StarlinkDesigner::default().name(), "starlink");
         let names: Vec<&str> = DESIGNER_REGISTRY.iter().map(|&(n, _)| n).collect();
         assert_eq!(names, ["ss", "wd", "rgt", "slim", "starlink"]);
     }

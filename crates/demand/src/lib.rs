@@ -27,6 +27,7 @@
 //! Everything is deterministic given a seed; no files are read.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod diurnal;

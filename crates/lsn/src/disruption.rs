@@ -60,9 +60,6 @@ impl AttackTarget<'_> {
 /// `(target, seed)` — the scenario engine's byte-identical-output
 /// contract extends to attacks.
 pub trait AttackModel {
-    /// The model's registry name (also its config token).
-    fn name(&self) -> &'static str;
-
     /// The destroyed slots, sorted plane-major, each listed once.
     ///
     /// # Errors
@@ -88,15 +85,11 @@ pub fn strided_plane_indices(n: usize, planes_lost: usize) -> Vec<usize> {
 /// with the historical `attacked_indices` scenario helper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeadingPlanes {
-    /// Whole planes destroyed (clamped to the plane count).
+    /// Whole planes destroyed.
     pub planes_lost: usize,
 }
 
 impl AttackModel for LeadingPlanes {
-    fn name(&self) -> &'static str {
-        "leading-planes"
-    }
-
     fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
         let hit = strided_plane_indices(target.planes.len(), self.planes_lost);
         Ok(hit
@@ -111,15 +104,11 @@ impl AttackModel for LeadingPlanes {
 /// structured plane attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomSats {
-    /// Satellites destroyed (clamped to the fleet size).
+    /// Satellites destroyed.
     pub sats_lost: usize,
 }
 
 impl AttackModel for RandomSats {
-    fn name(&self) -> &'static str {
-        "random-sats"
-    }
-
     fn destroyed(&self, target: &AttackTarget<'_>, seed: u64) -> Result<Vec<SatId>> {
         let ids: Vec<SatId> = target
             .planes
@@ -157,10 +146,6 @@ pub struct DeclinationBand {
 }
 
 impl AttackModel for DeclinationBand {
-    fn name(&self) -> &'static str {
-        "declination-band"
-    }
-
     fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
         if !(self.min_deg.is_finite() && self.max_deg.is_finite() && self.min_deg <= self.max_deg) {
             return Err(LsnError::BadParameter {
@@ -193,10 +178,6 @@ pub struct WholeShell {
 }
 
 impl AttackModel for WholeShell {
-    fn name(&self) -> &'static str {
-        "shell"
-    }
-
     fn destroyed(&self, target: &AttackTarget<'_>, _seed: u64) -> Result<Vec<SatId>> {
         let n_groups = target.plane_groups.iter().max().map_or(0, |&g| g + 1);
         if self.shell >= n_groups {
@@ -222,9 +203,6 @@ impl AttackModel for WholeShell {
 /// replacement satellite starts a fresh life, so infant mortality applies
 /// to spares too.
 pub trait FailureProcess {
-    /// The process's registry name (also its config token).
-    fn name(&self) -> &'static str;
-
     /// Checks the process parameters once before a simulation.
     ///
     /// # Errors
@@ -249,14 +227,16 @@ pub struct RadiationExponential {
 }
 
 impl FailureProcess for RadiationExponential {
-    fn name(&self) -> &'static str {
-        "exponential"
-    }
-
     fn validate(&self) -> Result<()> {
-        // The same guard sample_fleet applies: non-negative coefficients
-        // with positive total hazard.
-        self.model.sample_fleet(&[DailyFluence { electron: 0.0, proton: 0.0 }], 0).map(|_| ())
+        let m = &self.model;
+        let coeffs = [m.baseline_per_year, m.electron_coeff, m.proton_coeff];
+        if coeffs.iter().any(|&c| c < 0.0) || coeffs.iter().all(|&c| c == 0.0) {
+            return Err(LsnError::BadParameter {
+                name: "FailureModel",
+                constraint: "non-negative coefficients with positive total hazard",
+            });
+        }
+        Ok(())
     }
 
     fn sample_lifetime_days(&self, dose: DailyFluence, rng: &mut StdRng) -> f64 {
@@ -314,10 +294,6 @@ impl WeibullBathtub {
 }
 
 impl FailureProcess for WeibullBathtub {
-    fn name(&self) -> &'static str {
-        "weibull"
-    }
-
     fn validate(&self) -> Result<()> {
         let pos = |x: f64| x.is_finite() && x > 0.0;
         if !(pos(self.infant_shape)

@@ -4,12 +4,10 @@
 //! driver of satellite failures, which is why constellations carry
 //! in-orbit spares. This module turns accumulated fluence into a failure
 //! process: each satellite's hazard rate is a baseline (non-radiation
-//! causes) plus a term proportional to its daily dose, and failure times
-//! are sampled from the resulting exponential lifetime.
+//! causes) plus a term proportional to its daily dose, and
+//! [`RadiationExponential`](crate::disruption::RadiationExponential)
+//! samples failure times from the resulting exponential lifetime.
 
-use crate::error::{LsnError, Result};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use ssplane_radiation::fluence::DailyFluence;
 
 /// Failure-model parameters.
@@ -44,39 +42,14 @@ impl FailureModel {
             + self.electron_coeff * dose.electron
             + self.proton_coeff * dose.proton
     }
-
-    /// Samples a failure time \[years\] for one satellite.
-    fn sample_failure_time(&self, dose: DailyFluence, rng: &mut StdRng) -> f64 {
-        let u: f64 = rng.gen::<f64>().max(1e-300);
-        -u.ln() / self.hazard_per_year(dose)
-    }
-
-    /// Samples failure times \[years\] for a fleet of satellites with
-    /// per-satellite doses, deterministically from `seed`.
-    ///
-    /// # Errors
-    /// Rejects non-positive hazard configurations.
-    pub fn sample_fleet(&self, doses: &[DailyFluence], seed: u64) -> Result<Vec<f64>> {
-        if self.baseline_per_year < 0.0
-            || self.electron_coeff < 0.0
-            || self.proton_coeff < 0.0
-            || self.baseline_per_year == 0.0
-                && self.electron_coeff == 0.0
-                && self.proton_coeff == 0.0
-        {
-            return Err(LsnError::BadParameter {
-                name: "FailureModel",
-                constraint: "non-negative coefficients with positive total hazard",
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        Ok(doses.iter().map(|&d| self.sample_failure_time(d, &mut rng)).collect())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disruption::{FailureProcess, RadiationExponential};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn dose(e: f64, p: f64) -> DailyFluence {
         DailyFluence { electron: e, proton: p }
@@ -94,18 +67,26 @@ mod tests {
         assert!((0.02..0.25).contains(&typical), "hazard = {typical}/yr");
     }
 
+    /// `n` lifetimes \[years\] of a validated exponential process, drawn
+    /// from one seeded stream as the renewal engine draws them.
+    fn sample_years(model: FailureModel, d: DailyFluence, n: usize, seed: u64) -> Vec<f64> {
+        let process = RadiationExponential { model };
+        process.validate().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| process.sample_lifetime_days(d, &mut rng) / 365.25).collect()
+    }
+
     #[test]
     fn fleet_sampling_deterministic_and_mean_near_mttf() {
         let m = FailureModel::default();
-        let doses = vec![dose(2e10, 2e7); 4000];
-        let a = m.sample_fleet(&doses, 11).unwrap();
-        let b = m.sample_fleet(&doses, 11).unwrap();
-        assert_eq!(a, b);
+        let d = dose(2e10, 2e7);
+        let a = sample_years(m, d, 4000, 11);
+        assert_eq!(a, sample_years(m, d, 4000, 11));
         let mean: f64 = a.iter().sum::<f64>() / a.len() as f64;
-        let mttf = 1.0 / m.hazard_per_year(doses[0]);
+        let mttf = 1.0 / m.hazard_per_year(d);
         assert!((mean - mttf).abs() / mttf < 0.1, "mean {mean} vs mttf {mttf}");
         // Different seed -> different sample.
-        assert_ne!(m.sample_fleet(&doses, 12).unwrap(), a);
+        assert_ne!(sample_years(m, d, 4000, 12), a);
     }
 
     #[test]
@@ -113,9 +94,9 @@ mod tests {
         // Sampled lifetimes are exponential: at t = MTTF = 1/hazard the
         // failure probability is 1 - 1/e.
         let m = FailureModel::default();
-        let doses = vec![dose(1e10, 2e7); 20_000];
-        let lifetimes = m.sample_fleet(&doses, 3).unwrap();
-        let mttf = 1.0 / m.hazard_per_year(doses[0]);
+        let d = dose(1e10, 2e7);
+        let lifetimes = sample_years(m, d, 20_000, 3);
+        let mttf = 1.0 / m.hazard_per_year(d);
         let failed = lifetimes.iter().filter(|&&t| t <= mttf).count() as f64;
         let p = failed / lifetimes.len() as f64;
         assert!((p - (1.0 - core::f64::consts::E.recip())).abs() < 0.02, "P(T <= MTTF) = {p}");
@@ -124,8 +105,10 @@ mod tests {
 
     #[test]
     fn zero_model_rejected() {
-        let m = FailureModel { baseline_per_year: 0.0, electron_coeff: 0.0, proton_coeff: 0.0 };
-        assert!(m.sample_fleet(&[dose(0.0, 0.0)], 1).is_err());
+        let zero = FailureModel { baseline_per_year: 0.0, electron_coeff: 0.0, proton_coeff: 0.0 };
+        assert!(RadiationExponential { model: zero }.validate().is_err());
+        let negative = FailureModel { proton_coeff: -1e-9, ..FailureModel::default() };
+        assert!(RadiationExponential { model: negative }.validate().is_err());
     }
 
     #[test]

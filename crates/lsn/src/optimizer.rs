@@ -95,19 +95,6 @@ pub enum AttackObjective {
     MaskingThreshold,
 }
 
-impl AttackObjective {
-    /// The objective's registry name (also its config token).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackObjective::RoutedFraction => "routed-fraction",
-            AttackObjective::Connectivity => "connectivity",
-            AttackObjective::LoadInflation => "load-inflation",
-            AttackObjective::ServedDemand => "served-demand",
-            AttackObjective::MaskingThreshold => "masking-threshold",
-        }
-    }
-}
-
 /// The candidate-set unit and size of the search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackBudget {

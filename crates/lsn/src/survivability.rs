@@ -5,7 +5,7 @@
 //! phase in after the policy's latency, exhausted planes wait for
 //! resupply. One engine — [`outage_timeline`] — records the resulting
 //! per-satellite `[start, end)` outage intervals; the scalar
-//! `simulate` wrapper (the paper's §5(2) claim quantified: a
+//! [`simulate_process`] wrapper (the paper's §5(2) claim quantified: a
 //! lower-radiation SS constellation sustains the same availability with
 //! fewer spares) derives its report from the same intervals, so a
 //! timeline and a scalar report built from identical arguments describe
@@ -13,9 +13,8 @@
 //! draws — the scenario engine deliberately seeds its degraded-network
 //! timeline separately from its aggregate survivability report.)
 
-use crate::disruption::{FailureProcess, OutageInterval, OutageTimeline, RadiationExponential};
+use crate::disruption::{FailureProcess, OutageInterval, OutageTimeline};
 use crate::error::Result;
-use crate::failures::FailureModel;
 use crate::spares::{SpareBudget, SparePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -201,53 +200,16 @@ pub fn simulate_process(
     })
 }
 
-/// Event-driven simulation under the historical radiation-driven
-/// exponential process (`plane_doses[p]` is the representative daily
-/// fluence of plane `p`; `sats_per_plane` its slot count) — a
-/// [`simulate_process`] shorthand, bit-identical to the pre-timeline
-/// closed loop.
-///
-/// # Errors
-/// Rejects empty constellations, non-positive horizons, and degenerate
-/// failure models.
-fn simulate(
-    plane_doses: &[DailyFluence],
-    sats_per_plane: usize,
-    failure_model: &FailureModel,
-    policy: &SparePolicy,
-    config: SurvivabilityConfig,
-) -> Result<SurvivabilityReport> {
-    simulate_process(
-        plane_doses,
-        sats_per_plane,
-        &RadiationExponential { model: *failure_model },
-        policy,
-        config,
-    )
-}
-
-/// Convenience comparison: same policy and model, two constellations'
-/// plane doses (e.g. SS vs WD). Returns `(ss_report, wd_report)`.
-///
-/// # Errors
-/// Propagates `simulate` failure.
-pub fn compare(
-    ss_plane_doses: &[DailyFluence],
-    wd_plane_doses: &[DailyFluence],
-    sats_per_plane: usize,
-    failure_model: &FailureModel,
-    policy: &SparePolicy,
-    config: SurvivabilityConfig,
-) -> Result<(SurvivabilityReport, SurvivabilityReport)> {
-    Ok((
-        simulate(ss_plane_doses, sats_per_plane, failure_model, policy, config)?,
-        simulate(wd_plane_doses, sats_per_plane, failure_model, policy, config)?,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disruption::RadiationExponential;
+    use crate::failures::FailureModel;
+
+    /// The historical radiation-driven exponential at its default rates.
+    fn exponential() -> RadiationExponential {
+        RadiationExponential { model: FailureModel::default() }
+    }
 
     fn dose(e: f64, p: f64) -> DailyFluence {
         DailyFluence { electron: e, proton: p }
@@ -260,14 +222,9 @@ mod tests {
     #[test]
     fn basic_run_properties() {
         let doses = vec![dose(3e10, 2e7); 10];
-        let report = simulate(
-            &doses,
-            20,
-            &FailureModel::default(),
-            &policy(),
-            SurvivabilityConfig::default(),
-        )
-        .unwrap();
+        let report =
+            simulate_process(&doses, 20, &exponential(), &policy(), SurvivabilityConfig::default())
+                .unwrap();
         assert!((0.0..=1.0).contains(&report.availability));
         assert!(report.availability > 0.95, "availability {}", report.availability);
         assert!(report.failures > 0);
@@ -279,8 +236,8 @@ mod tests {
     fn deterministic_given_seed() {
         let doses = vec![dose(3e10, 2e7); 6];
         let cfg = SurvivabilityConfig::default();
-        let a = simulate(&doses, 15, &FailureModel::default(), &policy(), cfg).unwrap();
-        let b = simulate(&doses, 15, &FailureModel::default(), &policy(), cfg).unwrap();
+        let a = simulate_process(&doses, 15, &exponential(), &policy(), cfg).unwrap();
+        let b = simulate_process(&doses, 15, &exponential(), &policy(), cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -288,15 +245,9 @@ mod tests {
     fn lower_dose_fewer_failures_higher_availability() {
         let hot = vec![dose(4.2e10, 2.4e7); 12];
         let cool = vec![dose(2.0e10, 1.2e7); 12];
-        let (cool_rep, hot_rep) = compare(
-            &cool,
-            &hot,
-            20,
-            &FailureModel::default(),
-            &policy(),
-            SurvivabilityConfig { horizon_years: 8.0, ..Default::default() },
-        )
-        .unwrap();
+        let cfg = SurvivabilityConfig { horizon_years: 8.0, ..Default::default() };
+        let cool_rep = simulate_process(&cool, 20, &exponential(), &policy(), cfg).unwrap();
+        let hot_rep = simulate_process(&hot, 20, &exponential(), &policy(), cfg).unwrap();
         assert!(cool_rep.failures < hot_rep.failures);
         assert!(cool_rep.availability >= hot_rep.availability);
         assert!(cool_rep.spares_consumed < hot_rep.spares_consumed);
@@ -307,8 +258,8 @@ mod tests {
         let doses = vec![dose(4e10, 2.5e7); 8];
         let none = SparePolicy::PerPlane { spares_per_plane: 0, replacement_days: 3.0 };
         let cfg = SurvivabilityConfig { horizon_years: 6.0, ..Default::default() };
-        let bare = simulate(&doses, 20, &FailureModel::default(), &none, cfg).unwrap();
-        let spared = simulate(&doses, 20, &FailureModel::default(), &policy(), cfg).unwrap();
+        let bare = simulate_process(&doses, 20, &exponential(), &none, cfg).unwrap();
+        let spared = simulate_process(&doses, 20, &exponential(), &policy(), cfg).unwrap();
         assert!(spared.availability > bare.availability);
         assert!(bare.lost_slot_days > spared.lost_slot_days);
     }
@@ -318,7 +269,7 @@ mod tests {
         let doses = vec![dose(3e10, 2e7); 10];
         let pool = SparePolicy::SharedPool { pool_size: 30, replacement_days: 20.0 };
         let report =
-            simulate(&doses, 20, &FailureModel::default(), &pool, SurvivabilityConfig::default())
+            simulate_process(&doses, 20, &exponential(), &pool, SurvivabilityConfig::default())
                 .unwrap();
         assert!((0.0..=1.0).contains(&report.availability));
         // With resupply topping the whole pool back up, a 30-spare pool
@@ -334,7 +285,7 @@ mod tests {
         // A faster delivery with the same pool strictly helps.
         let quick = SparePolicy::SharedPool { pool_size: 30, replacement_days: 2.0 };
         let fast =
-            simulate(&doses, 20, &FailureModel::default(), &quick, SurvivabilityConfig::default())
+            simulate_process(&doses, 20, &exponential(), &quick, SurvivabilityConfig::default())
                 .unwrap();
         assert!(fast.availability > report.availability);
     }
@@ -347,9 +298,6 @@ mod tests {
     }
 
     impl FailureProcess for ConstLife {
-        fn name(&self) -> &'static str {
-            "const"
-        }
         fn validate(&self) -> Result<()> {
             Ok(())
         }
@@ -395,20 +343,13 @@ mod tests {
 
     #[test]
     fn timeline_matches_the_scalar_report() {
-        // simulate() is the timeline reduced: availability, counters, and
-        // lost days must agree exactly.
+        // simulate_process() is the timeline reduced: availability,
+        // counters, and lost days must agree exactly.
         let doses = vec![dose(3.5e10, 2.2e7); 7];
         let cfg = SurvivabilityConfig { horizon_years: 6.0, ..Default::default() };
-        let report = simulate(&doses, 12, &FailureModel::default(), &policy(), cfg).unwrap();
-        let timeline = outage_timeline(
-            &doses,
-            &[12; 7],
-            None,
-            &RadiationExponential { model: FailureModel::default() },
-            &policy(),
-            cfg,
-        )
-        .unwrap();
+        let report = simulate_process(&doses, 12, &exponential(), &policy(), cfg).unwrap();
+        let timeline =
+            outage_timeline(&doses, &[12; 7], None, &exponential(), &policy(), cfg).unwrap();
         assert_eq!(timeline.failures, report.failures);
         assert_eq!(timeline.replacements, report.replacements);
         assert_eq!(timeline.spares_consumed, report.spares_consumed);
@@ -432,7 +373,7 @@ mod tests {
         let doses = vec![dose(4e10, 2.5e7); 4];
         let plane_sats = vec![5usize; 4];
         let cfg = SurvivabilityConfig { horizon_years: 5.0, ..Default::default() };
-        let process = RadiationExponential { model: FailureModel::default() };
+        let process = exponential();
         let full = outage_timeline(&doses, &plane_sats, None, &process, &policy(), cfg).unwrap();
         // Kill plane 2 outright.
         let mut dead = vec![false; 20];
@@ -469,14 +410,12 @@ mod tests {
     #[test]
     fn bad_inputs_rejected() {
         let doses = vec![dose(1e10, 1e7)];
-        assert!(simulate(&[], 5, &FailureModel::default(), &policy(), Default::default()).is_err());
-        assert!(
-            simulate(&doses, 0, &FailureModel::default(), &policy(), Default::default()).is_err()
-        );
-        assert!(simulate(
+        assert!(simulate_process(&[], 5, &exponential(), &policy(), Default::default()).is_err());
+        assert!(simulate_process(&doses, 0, &exponential(), &policy(), Default::default()).is_err());
+        assert!(simulate_process(
             &doses,
             5,
-            &FailureModel::default(),
+            &exponential(),
             &policy(),
             SurvivabilityConfig { horizon_years: 0.0, ..Default::default() }
         )
@@ -486,7 +425,7 @@ mod tests {
             &doses,
             &[1, 2],
             None,
-            &RadiationExponential { model: FailureModel::default() },
+            &exponential(),
             &policy(),
             Default::default()
         )

@@ -32,6 +32,7 @@
 //! curve fitting.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 #![forbid(unsafe_code)]
 
 pub mod belts;

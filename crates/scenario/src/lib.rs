@@ -73,5 +73,5 @@ pub mod toml;
 pub use error::{Result, ScenarioError};
 pub use report::{NamedSystemReport, ScenarioReport, SystemReport};
 pub use runner::{execute_scenario, Runner, ScenarioTimings, SweepOutcome};
-pub use spec::{resolve_design_kind, ScenarioSpec};
-pub use sweep::SweepSpec;
+pub use spec::ScenarioSpec;
+pub use sweep::{resolve_design_kind, SweepSpec};

@@ -49,7 +49,7 @@ mod system;
 use crate::error::{Result, ScenarioError};
 use crate::report::{NamedSystemReport, ScenarioReport};
 use crate::spec::{DesignSpec, ScenarioSpec};
-use crate::sweep::SweepSpec;
+use crate::sweep::{SweepSpec, SOLAR};
 use network::{network_context, networked_system_report, traffic_inputs, TrafficInputs};
 use ssplane_astro::par;
 use ssplane_core::cache::{CacheCount, ComputeOnce, GravityKey, KernelCache};
@@ -102,7 +102,7 @@ fn gravity_key(spec: &ScenarioSpec) -> GravityKey {
 
 /// The designer registry: the [`Designer`] a registry name (an entry of
 /// `ssplane_core::system::DESIGNER_REGISTRY`, as validated by
-/// [`crate::spec::resolve_design_kind`]) selects, configured from the
+/// [`crate::sweep::resolve_design_kind`]) selects, configured from the
 /// spec. The fallthrough arm is `ss` — spec validation guarantees every
 /// kind reaching the pipeline is a registry name.
 fn designer_for(kind: &str, design: &DesignSpec) -> Box<dyn Designer> {
@@ -217,9 +217,8 @@ fn run_scenario(
     // One generic pipeline per selected system, in registry order (so the
     // spec's `kinds` ordering can never change the output bytes).
     let mut systems = Vec::new();
-    for kind in spec.design.ordered_kinds() {
-        let designer = designer_for(kind, &spec.design);
-        let name = designer.name();
+    for name in spec.design.ordered_kinds() {
+        let designer = designer_for(name, &spec.design);
         let sys = clock
             .time(&format!("{name}.design"), || designer.design_in(&demand, &params, cache))?;
         let report = if spec.network.enabled && sys.total_sats() > 0 {
@@ -245,7 +244,7 @@ fn run_scenario(
         seed: spec.seed,
         total_demand_b: spec.demand.total_demand_b,
         demand_multiplier: multiplier,
-        solar: spec.radiation.solar.as_str().to_string(),
+        solar: SOLAR.name(spec.radiation.solar).to_string(),
         epoch_jd: params.epoch.julian_date(),
         systems,
     })
@@ -760,17 +759,30 @@ mod tests {
         ok.network.enabled = true;
         ok.network.n_flows = 20;
         ok.network.slots = 2;
+        // Only the kind that reads a loss count checks it.
+        ok.attack.planes_lost = 1_000_000;
+        ok.attack.sats_lost = 1_000_000;
         let mut planes = ok.clone();
         planes.attack.budget = 1_000_000;
         let mut sats = planes.clone();
         sats.attack.unit = AttackUnit::Sats;
-        let outcome = Runner::with_threads(1).run_specs(&[planes, ok, sats]);
+        let mut planes_lost = ok.clone();
+        planes_lost.attack.kind = AttackKind::LeadingPlanes;
+        let mut sats_lost = ok.clone();
+        sats_lost.attack.kind = AttackKind::RandomSats;
+        let outcome =
+            Runner::with_threads(1).run_specs(&[planes, ok, sats, planes_lost, sats_lost]);
         let report = outcome.reports[1].as_ref().expect("an in-range budget runs");
         let design = &report.system("ss").unwrap().design;
-        for (k, n, unit) in [(0, design.planes, "planes"), (2, design.sats, "sats")] {
+        for (k, key, n, unit) in [
+            (0, "attack.budget", design.planes, "network planes"),
+            (2, "attack.budget", design.sats, "network sats"),
+            (3, "attack.planes_lost", design.planes, "planes"),
+            (4, "attack.sats_lost", design.sats, "satellites"),
+        ] {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
-            assert!(err.contains("attack.budget"), "{err}");
-            assert!(err.contains(&format!("at most the system's {n} network {unit}")), "{err}");
+            assert!(err.contains(key), "{err}");
+            assert!(err.contains(&format!("at most the system's {n} {unit}")), "{err}");
         }
     }
 
@@ -1241,7 +1253,7 @@ sites = 16
             .unwrap()
             .scaled(1.0);
         let sys = designer.design(&grid, &DesignParams { epoch: spec.radiation.epoch() }).unwrap();
-        for planes_lost in [0usize, 1, 2, 5, 1000] {
+        for planes_lost in [0usize, 1, 2, 5, sys.planes.len()] {
             spec.attack.planes_lost = planes_lost;
             let destroyed = attack_destroyed(&spec, &sys).unwrap();
             let expect: Vec<SatId> = strided_plane_indices(sys.planes.len(), planes_lost)
@@ -1390,7 +1402,8 @@ sites = 16
     fn total_wipeout_reports_zero_availability() {
         let mut spec = tiny_spec();
         spec.design.kinds = vec!["ss"];
-        spec.attack.planes_lost = 100_000;
+        // Every plane: a count above the plane count fails the point.
+        spec.attack.planes_lost = execute_scenario(&spec).unwrap().systems[0].report.design.planes;
         let report = execute_scenario(&spec).unwrap();
         let ss = report.system("ss").unwrap();
         let attack = ss.attack.as_ref().expect("attack ran");

@@ -16,6 +16,7 @@ use crate::report::{
     TimeGridReport,
 };
 use crate::spec::{AttackKind, AttackUnit, ScenarioSpec, TrafficModel};
+use crate::sweep::{ATTACK_KINDS, ATTACK_UNITS, OBJECTIVES};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::par;
@@ -294,11 +295,12 @@ fn run_attack_search(
     let n_net_planes = ctx.layout.kept.len();
     // The search picks from the network constellation's planes or
     // satellites; a larger budget would quietly clamp to all of them.
-    let (n_units, unit) = match spec.attack.unit {
-        AttackUnit::Planes => (n_net_planes, "planes"),
-        AttackUnit::Sats => (ctx.series.n_sats(), "sats"),
+    let n_units = match spec.attack.unit {
+        AttackUnit::Planes => n_net_planes,
+        AttackUnit::Sats => ctx.series.n_sats(),
     };
     if spec.attack.budget > n_units {
+        let unit = ATTACK_UNITS.name(spec.attack.unit);
         return Err(ScenarioError::bad_value(
             "attack.budget",
             &spec.attack.budget.to_string(),
@@ -314,7 +316,7 @@ fn run_attack_search(
                     (0..snapshot.slots_in_plane(p)).map(move |s| SatId { plane: p, slot: s })
                 })
                 .collect();
-            ("leading-planes", victims)
+            (ATTACK_KINDS.name(AttackKind::LeadingPlanes), victims)
         }
         AttackUnit::Sats => {
             // The seeded random baseline over the *network* constellation
@@ -327,7 +329,7 @@ fn run_attack_search(
                 epoch: ctx.t,
             };
             let model = RandomSats { sats_lost: spec.attack.budget };
-            ("random-sats", model.destroyed(&target, spec.seed)?)
+            (ATTACK_KINDS.name(AttackKind::RandomSats), model.destroyed(&target, spec.seed)?)
         }
     };
     let baseline_value = evaluator.score_attack(&baseline, config.objective)?;
@@ -336,8 +338,8 @@ fn run_attack_search(
         outcome.destroyed.iter().map(|&id| ctx.layout.design_id(id)).collect();
     destroyed.sort_unstable();
     let report = AttackSearchReport {
-        objective: config.objective.as_str().to_string(),
-        unit: spec.attack.unit.as_str().to_string(),
+        objective: OBJECTIVES.name(config.objective).to_string(),
+        unit: ATTACK_UNITS.name(spec.attack.unit).to_string(),
         budget: spec.attack.budget,
         restarts: spec.attack.restarts,
         // The baseline's standalone scoring above is one extra candidate

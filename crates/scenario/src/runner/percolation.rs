@@ -4,7 +4,8 @@
 //! re-propagation and no routing.
 
 use crate::report::{PercolationModelReport, PercolationReport};
-use crate::spec::ScenarioSpec;
+use crate::spec::{AttackKind, ScenarioSpec};
+use crate::sweep::ATTACK_KINDS;
 use ssplane_astro::par;
 use ssplane_lsn::optimizer::DegradedEvaluator;
 use ssplane_lsn::percolation::{
@@ -72,8 +73,9 @@ pub(super) fn percolation_report(
     let slots = evaluator.intact().len();
     let spread = plane_spread_ordering(evaluator.intact_topology(0));
     let random = random_ordering(evaluator.n_sats(), spec.seed ^ PERCOLATION_SEED_SALT);
+    let random_name = ATTACK_KINDS.name(AttackKind::RandomSats);
     let mut orderings: Vec<(&str, Vec<usize>)> =
-        vec![("leading-planes", spread.clone()), ("random-sats", random)];
+        vec![(ATTACK_KINDS.name(AttackKind::LeadingPlanes), spread.clone()), (random_name, random)];
     if !victims.is_empty() {
         orderings.push(("attack", priority_ordering(victims, &spread)));
     }
@@ -119,7 +121,7 @@ pub(super) fn percolation_report(
         })
         .collect();
     let random_curve =
-        &curves.iter().find(|(name, _)| *name == "random-sats").expect("baseline swept").1;
+        &curves.iter().find(|(name, _)| *name == random_name).expect("baseline swept").1;
 
     let models = curves
         .iter()
@@ -128,7 +130,7 @@ pub(super) fn percolation_report(
             PercolationModelReport {
                 model: (*name).to_string(),
                 masking_threshold: curve.masking_threshold(gap),
-                threshold_vs_random: (*name != "random-sats")
+                threshold_vs_random: (*name != random_name)
                     .then(|| curve.threshold_vs(random_curve, gap))
                     .flatten(),
                 chi_peak_loss,

@@ -4,11 +4,11 @@
 //! survivability simulation.
 
 use super::StageClock;
-use crate::error::Result;
+use crate::error::{Result, ScenarioError};
 use crate::report::{
     AttackReport, FluenceReport, PerSatelliteReport, SurvivabilityOutcome, SystemReport,
 };
-use crate::spec::ScenarioSpec;
+use crate::spec::{AttackKind, ScenarioSpec};
 use ssplane_core::cache::KernelCache;
 use ssplane_core::evaluate::{plane_fluence_samples_in, weighted_median_fluence};
 use ssplane_core::system::DesignedSystem;
@@ -22,6 +22,11 @@ use ssplane_radiation::fluence::DailyFluence;
 /// `optimized` — the searched attack runs against the network stage's
 /// evaluator). The attack model comes from the `attack.kind` registry;
 /// selection is deterministic in the scenario seed.
+///
+/// # Errors
+/// A `leading-planes` `attack.planes_lost` above the system's plane count
+/// or a `random-sats` `attack.sats_lost` above its satellite count, and
+/// any model failure.
 pub(super) fn attack_destroyed(spec: &ScenarioSpec, sys: &DesignedSystem) -> Result<Vec<SatId>> {
     if !spec.attack.is_active() || sys.planes.is_empty() {
         return Ok(Vec::new());
@@ -34,6 +39,24 @@ pub(super) fn attack_destroyed(spec: &ScenarioSpec, sys: &DesignedSystem) -> Res
         plane_groups: sys.planes.iter().map(|p| p.eval_idx).collect(),
         epoch: spec.radiation.epoch(),
     };
+    // A loss count above what the system has would quietly clamp to all
+    // of it; the kind that reads the count refuses it instead.
+    let count = match spec.attack.kind {
+        AttackKind::LeadingPlanes => {
+            Some(("attack.planes_lost", spec.attack.planes_lost, target.planes.len(), "planes"))
+        }
+        AttackKind::RandomSats => {
+            Some(("attack.sats_lost", spec.attack.sats_lost, target.total_sats(), "satellites"))
+        }
+        _ => None,
+    };
+    if let Some((key, lost, n, unit)) = count.filter(|&(_, lost, n, _)| lost > n) {
+        return Err(ScenarioError::bad_value(
+            key,
+            &lost.to_string(),
+            &format!("at most the system's {n} {unit}"),
+        ));
+    }
     Ok(model.destroyed(&target, spec.seed)?)
 }
 

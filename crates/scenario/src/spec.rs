@@ -9,11 +9,12 @@
 //! [`crate::report::ScenarioReport`].
 
 use crate::error::{Result, ScenarioError};
+use crate::sweep::{ATTACK_KINDS, OBJECTIVES};
 use ssplane_astro::time::Epoch;
-use ssplane_core::designer::{BranchRule, DesignConfig};
+use ssplane_core::designer::DesignConfig;
 use ssplane_core::rgt_analysis::RgtDesignConfig;
 use ssplane_core::system::DESIGNER_REGISTRY;
-use ssplane_core::walker_baseline::{SupplyModel, WalkerBaselineConfig};
+use ssplane_core::walker_baseline::WalkerBaselineConfig;
 use ssplane_lsn::disruption::{
     AttackModel, DeclinationBand, FailureProcess, LeadingPlanes, RadiationExponential, RandomSats,
     WeibullBathtub, WholeShell,
@@ -22,103 +23,6 @@ use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::optimizer::{AttackBudget, AttackObjective, AttackSearchConfig};
 use ssplane_lsn::spares::SparePolicy;
 use ssplane_lsn::survivability::SurvivabilityConfig;
-
-/// Accepted spellings of each canonical designer name, for specs written
-/// against older tokens (`"walker"` predates the `wd` registry name).
-const DESIGN_KIND_ALIASES: &[(&str, &str)] =
-    &[("ss-plane", "ss"), ("ssplane", "ss"), ("walker", "wd"), ("wd", "wd")];
-
-/// Resolves a `design.kind` token against the [`DESIGNER_REGISTRY`]:
-/// the canonical names themselves plus the historical aliases. Adding a
-/// `Designer` to the core registry makes its name parse here with no
-/// spec edit.
-///
-/// # Errors
-/// [`ScenarioError::BadValue`] listing the registered names, with a
-/// did-you-mean hint when the token is a near miss.
-pub fn resolve_design_kind(s: &str) -> Result<&'static str> {
-    if let Some(&(_, canonical)) = DESIGN_KIND_ALIASES.iter().find(|&&(alias, _)| alias == s) {
-        return Ok(canonical);
-    }
-    if let Some(&(name, _)) = DESIGNER_REGISTRY.iter().find(|&&(name, _)| name == s) {
-        return Ok(name);
-    }
-    let names: Vec<&str> = DESIGNER_REGISTRY.iter().map(|&(n, _)| n).collect();
-    let mut expected = names.join(" | ");
-    if let Some(hint) = nearest(s, names.iter().copied()) {
-        expected = format!("{expected} — did you mean `{hint}`?");
-    }
-    Err(ScenarioError::bad_value("design.kind", s, &expected))
-}
-
-/// Parses a `design.kind` token into the canonical kinds list it
-/// selects — any registered designer name plus the legacy `"both"`
-/// (= SS + Walker, the pre-`design.kinds` spelling of the paper's
-/// comparisons).
-pub fn parse_design_kinds(s: &str) -> Result<Vec<&'static str>> {
-    if s == "both" {
-        return Ok(vec!["ss", "wd"]);
-    }
-    resolve_design_kind(s).map(|k| vec![k])
-}
-
-/// The did-you-mean hint for a rejected token or key: the candidate
-/// nearest to `s` within 3 edits (ties go to the alphabetically first).
-pub(crate) fn nearest<'c>(
-    s: &str,
-    candidates: impl IntoIterator<Item = &'c str>,
-) -> Option<&'c str> {
-    candidates
-        .into_iter()
-        .map(|c| (edit_distance(s, c), c))
-        .filter(|&(d, _)| d <= 3)
-        .min()
-        .map(|(_, c)| c)
-}
-
-/// Plain Levenshtein distance (designer names and scenario keys are
-/// short; the O(nm) table is fine).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut cur = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
-        }
-        prev = cur;
-    }
-    prev[b.len()]
-}
-
-/// Parses a [`BranchRule`] config token.
-pub fn parse_branch_rule(s: &str) -> Result<BranchRule> {
-    match s {
-        "best-of-both" => Ok(BranchRule::BestOfBoth),
-        "ascending-only" => Ok(BranchRule::AscendingOnly),
-        "alternate" => Ok(BranchRule::Alternate),
-        other => Err(ScenarioError::bad_value(
-            "design.branch_rule",
-            other,
-            "best-of-both | ascending-only | alternate",
-        )),
-    }
-}
-
-/// Parses a [`SupplyModel`] config token.
-pub fn parse_supply_model(s: &str) -> Result<SupplyModel> {
-    match s {
-        "worst-case" => Ok(SupplyModel::WorstCase),
-        "time-average" => Ok(SupplyModel::TimeAverage),
-        other => Err(ScenarioError::bad_value(
-            "design.walker_supply_model",
-            other,
-            "worst-case | time-average",
-        )),
-    }
-}
 
 /// Constellation-design stage configuration: the designer knobs for every
 /// system, embedded as the *actual* designer config structs so a
@@ -201,7 +105,8 @@ impl Default for DemandSpec {
     }
 }
 
-/// Solar-activity setting of the radiation environment.
+/// Solar-activity setting of the radiation environment; its tokens are
+/// [`crate::sweep::SOLAR`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolarActivity {
     /// Mid solar cycle 24 at the scenario's epoch (the figures' default).
@@ -212,27 +117,6 @@ pub enum SolarActivity {
     Max,
     /// Force the epoch to deep solar minimum.
     Min,
-}
-
-impl SolarActivity {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolarActivity::Cycle24 => "cycle24",
-            SolarActivity::Max => "max",
-            SolarActivity::Min => "min",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "cycle24" | "mid" => Ok(SolarActivity::Cycle24),
-            "max" | "solar-max" => Ok(SolarActivity::Max),
-            "min" | "solar-min" => Ok(SolarActivity::Min),
-            other => Err(ScenarioError::bad_value("radiation.solar", other, "cycle24 | max | min")),
-        }
-    }
 }
 
 /// Radiation/fluence stage configuration.
@@ -286,7 +170,8 @@ impl RadiationSpec {
 
 /// The failure-process family the survivability stage samples lifetimes
 /// from — the spec's name for a
-/// [`FailureProcess`] implementation.
+/// [`FailureProcess`] implementation. Its tokens are
+/// [`crate::sweep::FAILURE_KINDS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailureKind {
     /// The radiation-driven exponential (the historical model).
@@ -295,29 +180,6 @@ pub enum FailureKind {
     /// The Weibull bathtub: infant mortality plus dose-accelerated
     /// wear-out.
     Weibull,
-}
-
-impl FailureKind {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FailureKind::Exponential => "exponential",
-            FailureKind::Weibull => "weibull",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "exponential" | "radiation-exponential" => Ok(FailureKind::Exponential),
-            "weibull" | "bathtub" => Ok(FailureKind::Weibull),
-            other => Err(ScenarioError::bad_value(
-                "survivability.failure.kind",
-                other,
-                "exponential | weibull",
-            )),
-        }
-    }
 }
 
 /// Failure-and-spares stage configuration (the survivability simulation).
@@ -385,7 +247,8 @@ impl SurvivabilitySpec {
 }
 
 /// The attack family the attack stage applies — the spec's name for an
-/// [`AttackModel`] implementation.
+/// [`AttackModel`] implementation. Its tokens are
+/// [`crate::sweep::ATTACK_KINDS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttackKind {
     /// Whole-plane loss at evenly strided plane indices (the historical
@@ -407,36 +270,8 @@ pub enum AttackKind {
     Optimized,
 }
 
-impl AttackKind {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackKind::LeadingPlanes => "leading-planes",
-            AttackKind::RandomSats => "random-sats",
-            AttackKind::DeclinationBand => "declination-band",
-            AttackKind::Shell => "shell",
-            AttackKind::Optimized => "optimized",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "leading-planes" | "planes" => Ok(AttackKind::LeadingPlanes),
-            "random-sats" | "random" => Ok(AttackKind::RandomSats),
-            "declination-band" | "band" => Ok(AttackKind::DeclinationBand),
-            "shell" => Ok(AttackKind::Shell),
-            "optimized" | "worst-case" => Ok(AttackKind::Optimized),
-            other => Err(ScenarioError::bad_value(
-                "attack.kind",
-                other,
-                "leading-planes | random-sats | declination-band | shell | optimized",
-            )),
-        }
-    }
-}
-
-/// The candidate-set unit of an optimized attack search.
+/// The candidate-set unit of an optimized attack search; its tokens are
+/// [`crate::sweep::ATTACK_UNITS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AttackUnit {
     /// Search over whole-plane sets.
@@ -446,43 +281,9 @@ pub enum AttackUnit {
     Sats,
 }
 
-impl AttackUnit {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            AttackUnit::Planes => "planes",
-            AttackUnit::Sats => "sats",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "planes" => Ok(AttackUnit::Planes),
-            "sats" | "satellites" => Ok(AttackUnit::Sats),
-            other => Err(ScenarioError::bad_value("attack.unit", other, "planes | sats")),
-        }
-    }
-}
-
-/// Parses an `attack.objective` token into the optimizer's objective.
-pub fn parse_objective(s: &str) -> Result<AttackObjective> {
-    match s {
-        "routed-fraction" | "routed" => Ok(AttackObjective::RoutedFraction),
-        "connectivity" => Ok(AttackObjective::Connectivity),
-        "load-inflation" | "load" => Ok(AttackObjective::LoadInflation),
-        "served-demand" | "served" => Ok(AttackObjective::ServedDemand),
-        "masking-threshold" | "masking" => Ok(AttackObjective::MaskingThreshold),
-        other => Err(ScenarioError::bad_value(
-            "attack.objective",
-            other,
-            "routed-fraction | connectivity | load-inflation | served-demand | masking-threshold",
-        )),
-    }
-}
-
 /// The population-scale traffic workload family the network stage runs —
-/// the spec's name for how `traffic.*` demand is synthesized.
+/// the spec's name for how `traffic.*` demand is synthesized. Its tokens
+/// are [`crate::sweep::TRAFFIC_MODELS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrafficModel {
     /// The classic demand-weighted flow sample (`network.n_flows` unit
@@ -495,25 +296,6 @@ pub enum TrafficModel {
     /// with real rate weights, aggregated by serving-satellite pair and
     /// assigned under per-link capacities — the served-demand metric.
     Gravity,
-}
-
-impl TrafficModel {
-    /// Canonical config-file token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            TrafficModel::Sampled => "sampled",
-            TrafficModel::Gravity => "gravity",
-        }
-    }
-
-    /// Parses the config-file token.
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "sampled" | "flows" => Ok(TrafficModel::Sampled),
-            "gravity" => Ok(TrafficModel::Gravity),
-            other => Err(ScenarioError::bad_value("traffic.model", other, "sampled | gravity")),
-        }
-    }
 }
 
 /// Population-scale traffic-engine configuration (the `traffic.*` keys).
@@ -794,8 +576,8 @@ impl ScenarioSpec {
         }
         if attack.kind == AttackKind::Optimized && !self.network.enabled {
             return Err(ScenarioError::bad_value(
-                "attack.kind",
-                "optimized",
+                ATTACK_KINDS.key,
+                ATTACK_KINDS.name(attack.kind),
                 "network.enabled = true (the search scores candidates by a degraded-network \
                  objective)",
             ));
@@ -805,8 +587,8 @@ impl ScenarioSpec {
             && self.traffic.model != TrafficModel::Gravity
         {
             return Err(ScenarioError::bad_value(
-                "attack.objective",
-                "served-demand",
+                OBJECTIVES.key,
+                OBJECTIVES.name(attack.objective),
                 "traffic.model = \"gravity\" (the objective scores the capacity-constrained \
                  engine's served fraction)",
             ));
@@ -863,29 +645,14 @@ mod tests {
 
     #[test]
     fn token_round_trips() {
+        use crate::sweep::resolve_design_kind;
         for &(name, _) in DESIGNER_REGISTRY {
             assert_eq!(resolve_design_kind(name).unwrap(), name);
-            assert_eq!(parse_design_kinds(name).unwrap(), vec![name]);
         }
         // Historical aliases still resolve to their canonical names.
         assert_eq!(resolve_design_kind("walker").unwrap(), "wd");
         assert_eq!(resolve_design_kind("ss-plane").unwrap(), "ss");
         assert_eq!(resolve_design_kind("ssplane").unwrap(), "ss");
-        assert_eq!(
-            parse_design_kinds("both").unwrap(),
-            vec!["ss", "wd"],
-            "legacy 'both' keeps meaning the paper's SS-vs-Walker pair"
-        );
-        for sol in [SolarActivity::Cycle24, SolarActivity::Max, SolarActivity::Min] {
-            assert_eq!(SolarActivity::parse(sol.as_str()).unwrap(), sol);
-        }
-        for (token, rule) in [
-            ("best-of-both", BranchRule::BestOfBoth),
-            ("ascending-only", BranchRule::AscendingOnly),
-            ("alternate", BranchRule::Alternate),
-        ] {
-            assert_eq!(parse_branch_rule(token).unwrap(), rule);
-        }
         assert!(resolve_design_kind("sparkle").is_err());
         // Near misses get a did-you-mean hint naming the closest
         // registered designer.
@@ -1050,30 +817,20 @@ mod tests {
 
     #[test]
     fn attack_and_failure_tokens_round_trip() {
-        for kind in [
-            AttackKind::LeadingPlanes,
-            AttackKind::RandomSats,
-            AttackKind::DeclinationBand,
-            AttackKind::Shell,
-        ] {
-            assert_eq!(AttackKind::parse(kind.as_str()).unwrap(), kind);
-            // The registry name of the configured model matches the token.
+        // Every attack token but `optimized` configures a fixed model;
+        // the optimized kind's destroyed set is a search outcome, not a
+        // geometry function.
+        for &(kind, _) in crate::sweep::ATTACK_KINDS.values {
             let spec = AttackSpec { kind, ..Default::default() };
-            assert_eq!(spec.fixed_model().expect("fixed kind").name(), kind.as_str());
+            assert_eq!(spec.fixed_model().is_none(), kind == AttackKind::Optimized, "{kind:?}");
         }
-        // The optimized kind parses but has no fixed model: its destroyed
-        // set is a search outcome, not a geometry function.
-        assert_eq!(AttackKind::parse("optimized").unwrap(), AttackKind::Optimized);
         let optimized = AttackSpec { kind: AttackKind::Optimized, ..Default::default() };
-        assert!(optimized.fixed_model().is_none());
         assert!(optimized.is_active());
-        assert!(AttackKind::parse("emp").is_err());
-        for kind in [FailureKind::Exponential, FailureKind::Weibull] {
-            assert_eq!(FailureKind::parse(kind.as_str()).unwrap(), kind);
-            let spec = SurvivabilitySpec { failure_kind: kind, ..Default::default() };
-            assert_eq!(spec.process().name(), kind.as_str());
+        // Every failure token configures a valid process.
+        for &(failure_kind, _) in crate::sweep::FAILURE_KINDS.values {
+            let spec = SurvivabilitySpec { failure_kind, ..Default::default() };
+            spec.process().validate().unwrap();
         }
-        assert!(FailureKind::parse("lognormal").is_err());
     }
 
     #[test]
@@ -1160,22 +917,6 @@ mod tests {
 
     #[test]
     fn optimized_attack_tokens_and_search_config() {
-        use ssplane_lsn::optimizer::{AttackBudget, AttackObjective};
-        for (token, objective) in [
-            ("routed-fraction", AttackObjective::RoutedFraction),
-            ("connectivity", AttackObjective::Connectivity),
-            ("load-inflation", AttackObjective::LoadInflation),
-            ("served-demand", AttackObjective::ServedDemand),
-            ("masking-threshold", AttackObjective::MaskingThreshold),
-        ] {
-            assert_eq!(parse_objective(token).unwrap(), objective);
-            assert_eq!(objective.as_str(), token, "token round trip");
-        }
-        assert!(parse_objective("chaos").is_err());
-        for unit in [AttackUnit::Planes, AttackUnit::Sats] {
-            assert_eq!(AttackUnit::parse(unit.as_str()).unwrap(), unit);
-        }
-        assert!(AttackUnit::parse("shells").is_err());
         let spec = AttackSpec {
             kind: AttackKind::Optimized,
             unit: AttackUnit::Sats,
@@ -1206,11 +947,6 @@ mod tests {
 
     #[test]
     fn traffic_tokens_round_trip_and_validation_rules() {
-        for model in [TrafficModel::Sampled, TrafficModel::Gravity] {
-            assert_eq!(TrafficModel::parse(model.as_str()).unwrap(), model);
-        }
-        assert!(TrafficModel::parse("antigravity").is_err());
-
         let mut spec = ScenarioSpec::named("x");
         spec.traffic.capacity_gbps = 0.0;
         assert!(spec.validate().is_err(), "zero capacity rejected");

@@ -11,14 +11,14 @@
 //!   same scenarios in the same order.
 
 use crate::error::{Result, ScenarioError};
-use crate::spec::{
-    nearest, parse_branch_rule, parse_design_kinds, parse_objective, parse_supply_model,
-    resolve_design_kind, AttackKind, AttackUnit, FailureKind, ScenarioSpec, SolarActivity,
-    TrafficModel,
-};
+use crate::spec::{AttackKind, AttackUnit, FailureKind, ScenarioSpec, SolarActivity, TrafficModel};
 use crate::toml::TomlValue;
 use core::ops::Bound::{self, Excluded, Included, Unbounded};
 use core::ops::RangeBounds;
+use ssplane_core::designer::BranchRule;
+use ssplane_core::system::DESIGNER_REGISTRY;
+use ssplane_core::walker_baseline::SupplyModel;
+use ssplane_lsn::optimizer::AttackObjective;
 use ssplane_lsn::spares::SparePolicy;
 use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
 use Gate::{Always, Gravity, Network, Radiation, Slim, Starlink, Survivability};
@@ -193,6 +193,114 @@ fn need_str<'v>(key: &str, v: &'v TomlValue) -> Result<&'v str> {
     v.as_str().ok_or_else(|| not_a(key, v, "a string"))
 }
 
+/// One enum-valued key's vocabulary: each value with its spellings,
+/// canonical first. The key's parser, the name a report prints for a
+/// value and the expected list of a rejected token all come from it.
+pub struct Vocab<T: 'static> {
+    /// The key whose tokens these are.
+    pub(crate) key: &'static str,
+    /// `(value, spellings)` rows; a value's first spelling is canonical.
+    pub(crate) values: &'static [(T, &'static [&'static str])],
+}
+
+impl<T: Copy + PartialEq> Vocab<T> {
+    /// The value `token` spells.
+    ///
+    /// # Errors
+    /// [`ScenarioError::BadValue`] listing the canonical names, with a
+    /// did-you-mean hint when the token is a near miss.
+    pub fn parse(&self, token: &str) -> Result<T> {
+        let spellings =
+            self.values.iter().flat_map(|&(value, names)| names.iter().map(move |&n| (n, value)));
+        resolve(self.key, token, spellings, self.values.iter().map(|&(_, names)| names[0]))
+    }
+
+    /// The canonical name of `value`.
+    pub fn name(&self, value: T) -> &'static str {
+        self.values.iter().find(|&&(v, _)| v == value).expect("every value has a row").1[0]
+    }
+}
+
+/// The value `token` spells among `(spelling, value)` pairs; a miss is a
+/// `BadValue` for `key` that lists `canonical`, with the nearest of them
+/// as a did-you-mean hint.
+fn resolve<'a, T>(
+    key: &str,
+    token: &str,
+    spellings: impl IntoIterator<Item = (&'a str, T)>,
+    canonical: impl IntoIterator<Item = &'a str>,
+) -> Result<T> {
+    if let Some((_, value)) = spellings.into_iter().find(|&(s, _)| s == token) {
+        return Ok(value);
+    }
+    let names: Vec<&str> = canonical.into_iter().collect();
+    let mut expected = names.join(" | ");
+    if let Some(hint) = nearest(token, names) {
+        expected = format!("{expected} — did you mean `{hint}`?");
+    }
+    Err(ScenarioError::bad_value(key, token, &expected))
+}
+
+/// The did-you-mean hint for a rejected token or key: the candidate
+/// nearest to `s` within 3 edits (ties go to the alphabetically first).
+fn nearest<'c>(s: &str, candidates: impl IntoIterator<Item = &'c str>) -> Option<&'c str> {
+    candidates
+        .into_iter()
+        .map(|c| (edit_distance(s, c), c))
+        .filter(|&(d, _)| d <= 3)
+        .min()
+        .map(|(_, c)| c)
+}
+
+/// Plain Levenshtein distance (tokens and scenario keys are short; the
+/// O(nm) table is fine).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.iter().enumerate() {
+        let mut cur = vec![i + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            cur.push(sub.min(prev[j + 1] + 1).min(cur[j] + 1));
+        }
+        prev = cur;
+    }
+    prev[b.len()]
+}
+
+/// Accepted spellings of each canonical designer name, for specs written
+/// against older tokens (`"walker"` predates the `wd` registry name).
+const DESIGN_KIND_ALIASES: &[(&str, &str)] =
+    &[("ss-plane", "ss"), ("ssplane", "ss"), ("walker", "wd")];
+
+/// Resolves a `design.kind` token against the [`DESIGNER_REGISTRY`]
+/// names plus their historical aliases. Adding a `Designer` to the core
+/// registry makes its name parse here with no edit.
+///
+/// # Errors
+/// [`ScenarioError::BadValue`] listing the registered names, with a
+/// did-you-mean hint when the token is a near miss.
+pub fn resolve_design_kind(s: &str) -> Result<&'static str> {
+    let names = DESIGNER_REGISTRY.iter().map(|&(name, _)| name);
+    resolve(
+        "design.kind",
+        s,
+        names.clone().map(|n| (n, n)).chain(DESIGN_KIND_ALIASES.iter().copied()),
+        names,
+    )
+}
+
+/// Parses a `design.kind` token into the canonical kinds list it
+/// selects: any registered designer name plus the legacy `"both"` (SS +
+/// Walker, the pre-`design.kinds` spelling of the paper's comparisons).
+fn parse_design_kinds(s: &str) -> Result<Vec<&'static str>> {
+    if s == "both" {
+        return Ok(vec!["ss", "wd"]);
+    }
+    resolve_design_kind(s).map(|k| vec![k])
+}
+
 /// Parses a `radiation.epoch` date `"YYYY-MM-DD"` into `(year, month,
 /// day)`.
 fn parse_ymd(s: &str) -> Result<(i32, u32, u32)> {
@@ -334,10 +442,14 @@ macro_rules! field {
 }
 
 /// A key whose token `parse` turns into one field's value,
-/// `token!(key, parse, path)`.
+/// `token!(key, parse, path)`, or `token!(VOCAB, path)` for a key with a
+/// vocabulary table.
 macro_rules! token {
-    ($key:literal, $parse:path, $($f:ident).+) => {
-        row($key, |s, k, v| $parse(need_str(k, v)?).map(|x| s.$($f).+ = x))
+    ($vocab:ident, $($f:ident).+) => {
+        token!($vocab.key, |t| $vocab.parse(t), $($f).+)
+    };
+    ($key:expr, $parse:expr, $($f:ident).+) => {
+        row($key, |s, k, v| ($parse)(need_str(k, v)?).map(|x| s.$($f).+ = x))
     };
 }
 
@@ -409,6 +521,87 @@ const MAX_SITES: usize = 2048;
 /// value in use (3). Each path is one Dijkstra round per source.
 const MAX_K_PATHS: usize = 30;
 
+/// `radiation.solar`.
+pub const SOLAR: Vocab<SolarActivity> = Vocab {
+    key: "radiation.solar",
+    values: &[
+        (SolarActivity::Cycle24, &["cycle24", "mid"]),
+        (SolarActivity::Max, &["max", "solar-max"]),
+        (SolarActivity::Min, &["min", "solar-min"]),
+    ],
+};
+
+/// `design.branch_rule`.
+pub const BRANCH_RULES: Vocab<BranchRule> = Vocab {
+    key: "design.branch_rule",
+    values: &[
+        (BranchRule::BestOfBoth, &["best-of-both"]),
+        (BranchRule::AscendingOnly, &["ascending-only"]),
+        (BranchRule::Alternate, &["alternate"]),
+    ],
+};
+
+/// `design.walker_supply_model`.
+pub const SUPPLY_MODELS: Vocab<SupplyModel> = Vocab {
+    key: "design.walker_supply_model",
+    values: &[
+        (SupplyModel::WorstCase, &["worst-case"]),
+        (SupplyModel::TimeAverage, &["time-average"]),
+    ],
+};
+
+/// `survivability.failure.kind`.
+pub const FAILURE_KINDS: Vocab<FailureKind> = Vocab {
+    key: "survivability.failure.kind",
+    values: &[
+        (FailureKind::Exponential, &["exponential", "radiation-exponential"]),
+        (FailureKind::Weibull, &["weibull", "bathtub"]),
+    ],
+};
+
+/// `spares.policy`: whether the spares sit in one shared pool.
+pub const SPARE_POOLS: Vocab<bool> =
+    Vocab { key: "spares.policy", values: &[(false, &["per-plane"]), (true, &["shared-pool"])] };
+
+/// `attack.kind`.
+pub const ATTACK_KINDS: Vocab<AttackKind> = Vocab {
+    key: "attack.kind",
+    values: &[
+        (AttackKind::LeadingPlanes, &["leading-planes", "planes"]),
+        (AttackKind::RandomSats, &["random-sats", "random"]),
+        (AttackKind::DeclinationBand, &["declination-band", "band"]),
+        (AttackKind::Shell, &["shell"]),
+        (AttackKind::Optimized, &["optimized", "worst-case"]),
+    ],
+};
+
+/// `attack.objective`.
+pub const OBJECTIVES: Vocab<AttackObjective> = Vocab {
+    key: "attack.objective",
+    values: &[
+        (AttackObjective::RoutedFraction, &["routed-fraction", "routed"]),
+        (AttackObjective::Connectivity, &["connectivity"]),
+        (AttackObjective::LoadInflation, &["load-inflation", "load"]),
+        (AttackObjective::ServedDemand, &["served-demand", "served"]),
+        (AttackObjective::MaskingThreshold, &["masking-threshold", "masking"]),
+    ],
+};
+
+/// `attack.unit`.
+pub const ATTACK_UNITS: Vocab<AttackUnit> = Vocab {
+    key: "attack.unit",
+    values: &[(AttackUnit::Planes, &["planes"]), (AttackUnit::Sats, &["sats", "satellites"])],
+};
+
+/// `traffic.model`.
+pub const TRAFFIC_MODELS: Vocab<TrafficModel> = Vocab {
+    key: "traffic.model",
+    values: &[
+        (TrafficModel::Sampled, &["sampled", "flows"]),
+        (TrafficModel::Gravity, &["gravity"]),
+    ],
+};
+
 /// Every scenario key, its setter, and its range and gate: the *entire*
 /// config surface. The TOML loader funnels every `section.key` pair and
 /// every sweep axis through [`apply_param`], so config files and sweep
@@ -458,9 +651,9 @@ pub(crate) const PARAMS: &[Param] = &[
     field!("design.rgt_days", design.rgt.days),
     field!("design.rgt_inclination_deg", design.rgt.inclination_deg),
     field!("design.max_planes", design.ss.max_planes),
-    token!("design.branch_rule", parse_branch_rule, design.ss.branch_rule),
+    token!(BRANCH_RULES, design.ss.branch_rule),
     field!("design.walker_shell_spacing_km", design.wd.shell_spacing_km),
-    token!("design.walker_supply_model", parse_supply_model, design.wd.supply_model),
+    token!(SUPPLY_MODELS, design.wd.supply_model),
     row("design.walker_inclinations_deg", |s, k, v| {
         let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of degrees"))?;
         let mut incs = Vec::with_capacity(arr.len());
@@ -481,7 +674,7 @@ pub(crate) const PARAMS: &[Param] = &[
     field!("demand.tod_bins", demand.tod_bins, count(1, MAX_TOD_BINS), Always),
     field!("demand.seed", demand.seed),
     field!("radiation.enabled", radiation.enabled),
-    token!("radiation.solar", SolarActivity::parse, radiation.solar),
+    token!(SOLAR, radiation.solar),
     token!("radiation.epoch", parse_ymd, radiation.epoch_ymd),
     field!("radiation.phases", radiation.phases, count(1, MAX_PHASES), Radiation),
     // The integrator would clamp an out-of-range step and run at a step
@@ -503,7 +696,7 @@ pub(crate) const PARAMS: &[Param] = &[
     // silently mean "never resupply".
     field!("survivability.resupply_days", survivability.resupply_days, POSITIVE, Survivability),
     field!("survivability.per_satellite", survivability.per_satellite),
-    token!("survivability.failure.kind", FailureKind::parse, survivability.failure_kind),
+    token!(FAILURE_KINDS, survivability.failure_kind),
     field!("survivability.failure.infant_shape", survivability.weibull.infant_shape),
     field!("survivability.failure.infant_scale_years", survivability.weibull.infant_scale_years),
     field!("survivability.failure.wearout_shape", survivability.weibull.wearout_shape),
@@ -513,12 +706,8 @@ pub(crate) const PARAMS: &[Param] = &[
     field!("failures.baseline_per_year", survivability.failure.baseline_per_year),
     field!("failures.electron_coeff", survivability.failure.electron_coeff),
     field!("failures.proton_coeff", survivability.failure.proton_coeff),
-    row("spares.policy", |s, k, v| {
-        let shared = match need_str(k, v)? {
-            "per-plane" => false,
-            "shared-pool" => true,
-            other => return Err(ScenarioError::bad_value(k, other, "per-plane | shared-pool")),
-        };
+    row(SPARE_POOLS.key, |s, k, v| {
+        let shared = SPARE_POOLS.parse(need_str(k, v)?)?;
         edit_policy(s, |policy| policy.0 = shared);
         Ok(())
     }),
@@ -541,14 +730,14 @@ pub(crate) const PARAMS: &[Param] = &[
         (Included(0.0), Unbounded),
         Survivability,
     ),
-    token!("attack.kind", AttackKind::parse, attack.kind),
+    token!(ATTACK_KINDS, attack.kind),
     field!("attack.planes_lost", attack.planes_lost),
     field!("attack.sats_lost", attack.sats_lost),
     field!("attack.band_min_deg", attack.band_min_deg),
     field!("attack.band_max_deg", attack.band_max_deg),
     field!("attack.shell", attack.shell),
-    token!("attack.objective", parse_objective, attack.objective),
-    token!("attack.unit", AttackUnit::parse, attack.unit),
+    token!(OBJECTIVES, attack.objective),
+    token!(ATTACK_UNITS, attack.unit),
     field!("attack.budget", attack.budget),
     // An attack search runs inside the network stage, whose evaluator
     // takes the damage threshold whether or not a search runs.
@@ -595,7 +784,7 @@ pub(crate) const PARAMS: &[Param] = &[
         (Excluded(0.0), Excluded(1.0)),
         Network
     ),
-    token!("traffic.model", TrafficModel::parse, traffic.model),
+    token!(TRAFFIC_MODELS, traffic.model),
     field!("traffic.pairs", traffic.pairs, count(1, MAX_TRAFFIC_PAIRS), Gravity),
     // The gravity model needs distinct endpoints.
     field!("traffic.sites", traffic.sites, count(2, MAX_SITES), Gravity),
@@ -718,6 +907,74 @@ mod tests {
         assert!(err.contains("did you mean `attack.planes_lost`"), "{err}");
         let err = crate::config::sweep_from_toml("[made_up]\nknob = 1.0\n").unwrap_err();
         assert_eq!(err, ScenarioError::UnknownParameter { key: "made_up.knob".into(), hint: None });
+    }
+
+    /// A vocabulary's parser, answering with canonical names.
+    type NameParser = Box<dyn Fn(&str) -> Result<&'static str>>;
+
+    /// One vocabulary seen through canonical names: its key, every
+    /// `(spelling, canonical name)` pair, its parser, and the expected
+    /// list an unknown token's error states.
+    struct VocabCase {
+        key: &'static str,
+        spellings: Vec<(&'static str, &'static str)>,
+        parse: NameParser,
+        expected: &'static str,
+    }
+
+    fn case<T: Copy + PartialEq>(vocab: &'static Vocab<T>, expected: &'static str) -> VocabCase {
+        let spellings = vocab
+            .values
+            .iter()
+            .flat_map(|&(value, names)| names.iter().map(move |&n| (n, vocab.name(value))))
+            .collect();
+        let parse = Box::new(move |t: &str| vocab.parse(t).map(|value| vocab.name(value)));
+        VocabCase { key: vocab.key, spellings, parse, expected }
+    }
+
+    #[test]
+    fn every_vocabulary_parses_names_and_rejects_from_its_table() {
+        let registry = DESIGNER_REGISTRY.iter().map(|&(name, _)| (name, name));
+        let cases = [
+            case(&SOLAR, "cycle24 | max | min"),
+            case(&BRANCH_RULES, "best-of-both | ascending-only | alternate"),
+            case(&SUPPLY_MODELS, "worst-case | time-average"),
+            case(&FAILURE_KINDS, "exponential | weibull"),
+            case(&SPARE_POOLS, "per-plane | shared-pool"),
+            case(&ATTACK_KINDS, "leading-planes | random-sats | declination-band | shell | optimized"),
+            case(
+                &OBJECTIVES,
+                "routed-fraction | connectivity | load-inflation | served-demand | masking-threshold",
+            ),
+            case(&ATTACK_UNITS, "planes | sats"),
+            case(&TRAFFIC_MODELS, "sampled | gravity"),
+            VocabCase {
+                key: "design.kind",
+                spellings: registry.chain(DESIGN_KIND_ALIASES.iter().copied()).collect(),
+                parse: Box::new(resolve_design_kind),
+                expected: "ss | wd | rgt | slim | starlink",
+            },
+        ];
+        for c in &cases {
+            let key = c.key;
+            assert!(PARAMS.iter().any(|p| p.key == key), "{key} has no PARAMS row");
+            for &(spelling, name) in &c.spellings {
+                assert_eq!((c.parse)(spelling).unwrap(), name, "{key}: {spelling}");
+                assert_eq!((c.parse)(name).unwrap(), name, "{key}: canonical {name}");
+                if spelling == name {
+                    // A near miss of a canonical name is hinted at it.
+                    let err = (c.parse)(&format!("{name}x")).unwrap_err().to_string();
+                    assert!(err.contains(&format!("did you mean `{name}`")), "{key}: {err}");
+                }
+            }
+            let mut spellings: Vec<&str> = c.spellings.iter().map(|&(s, _)| s).collect();
+            spellings.sort_unstable();
+            let n = spellings.len();
+            spellings.dedup();
+            assert_eq!(spellings.len(), n, "{key}: a spelling repeats");
+            let far = "zzzzzzzzzzzz";
+            assert_eq!((c.parse)(far), Err(ScenarioError::bad_value(key, far, c.expected)));
+        }
     }
 
     #[test]

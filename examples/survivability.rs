@@ -9,9 +9,10 @@
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::sunsync::sun_synchronous_inclination;
 use ssplane_astro::time::Epoch;
+use ssplane_lsn::disruption::RadiationExponential;
 use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::spares::{expected_failures_per_plane, spares_for_availability, SparePolicy};
-use ssplane_lsn::survivability::{compare, SurvivabilityConfig};
+use ssplane_lsn::survivability::{simulate_process, SurvivabilityConfig};
 use ssplane_radiation::fluence::daily_fluence;
 use ssplane_radiation::RadiationEnvironment;
 
@@ -50,14 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Full event simulation, 20 planes x 25 sats, 3 spares each.
     let policy = SparePolicy::PerPlane { spares_per_plane: 3, replacement_days: 3.0 };
-    let (ss, wd) = compare(
-        &vec![ss_dose; 20],
-        &vec![wd_dose; 20],
-        sats_per_plane,
-        &model,
-        &policy,
-        SurvivabilityConfig { horizon_years: 7.0, ..Default::default() },
-    )?;
+    let process = RadiationExponential { model };
+    let config = SurvivabilityConfig { horizon_years: 7.0, ..Default::default() };
+    let ss = simulate_process(&[ss_dose; 20], sats_per_plane, &process, &policy, config)?;
+    let wd = simulate_process(&[wd_dose; 20], sats_per_plane, &process, &policy, config)?;
     println!("\n7-year simulation, 20 planes x 25 sats, 3 hot spares/plane:");
     println!(
         "  SS: availability {:.4}, failures {}, spares consumed {}",

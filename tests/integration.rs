@@ -6,11 +6,12 @@ use ssplane_bench::figures::{default_demand_model, default_grid, design_epoch};
 use ssplane_core::designer::{design_ss_constellation, DesignConfig};
 use ssplane_core::evaluate::{verify_earth_fixed_supply, verify_sun_relative_supply};
 use ssplane_core::walker_baseline::{design_walker_constellation, WalkerBaselineConfig};
+use ssplane_lsn::disruption::RadiationExponential;
 use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::routing::route_over_time;
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::spares::{spares_for_availability, SparePolicy};
-use ssplane_lsn::survivability::{compare, SurvivabilityConfig};
+use ssplane_lsn::survivability::{simulate_process, SurvivabilityConfig};
 use ssplane_lsn::topology::{Constellation, GridTopologyConfig, Topology};
 use ssplane_radiation::fluence::daily_fluence;
 use ssplane_radiation::RadiationEnvironment;
@@ -170,15 +171,10 @@ fn survivability_ss_needs_fewer_spares() {
     // And the event simulation agrees on fewer failures / better
     // availability.
     let policy = SparePolicy::PerPlane { spares_per_plane: 3, replacement_days: 3.0 };
-    let (ss_rep, wd_rep) = compare(
-        &[ss_dose; 12],
-        &[wd_dose; 12],
-        per_plane,
-        &model,
-        &policy,
-        SurvivabilityConfig { horizon_years: 6.0, ..Default::default() },
-    )
-    .unwrap();
+    let process = RadiationExponential { model };
+    let config = SurvivabilityConfig { horizon_years: 6.0, ..Default::default() };
+    let ss_rep = simulate_process(&[ss_dose; 12], per_plane, &process, &policy, config).unwrap();
+    let wd_rep = simulate_process(&[wd_dose; 12], per_plane, &process, &policy, config).unwrap();
     assert!(ss_rep.failures < wd_rep.failures);
     assert!(ss_rep.availability >= wd_rep.availability);
 }
