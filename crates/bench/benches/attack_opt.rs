@@ -16,6 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::par::par_map;
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
 use ssplane_demand::gravity::{gravity_flows, GravityConfig};
@@ -184,7 +185,8 @@ fn bench_scale(
         },
     );
 
-    // The headline: candidate-evaluation throughput. Each candidate
+    // The headline: candidate-evaluation throughput of the full path,
+    // `score_attack` mapped over the batch in parallel. Each candidate
     // filters the prebuilt intact topology per slot and re-routes the
     // flow set — candidates/sec = BATCH / measured seconds.
     group.bench_with_input(
@@ -192,12 +194,10 @@ fn bench_scale(
         &(),
         |b, ()| {
             b.iter(|| {
-                black_box(
-                    evaluator
-                        .score_batch(&candidates, AttackObjective::RoutedFraction, 0)
-                        .unwrap()
-                        .len(),
-                )
+                let scores = par_map(candidates.iter().collect(), 0, |c| {
+                    evaluator.score_attack(c, AttackObjective::RoutedFraction).unwrap()
+                });
+                black_box(scores.len())
             })
         },
     );

@@ -19,15 +19,22 @@
 //!   the slot aggregates;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
-//!   surviving component fraction), (negated) link-load inflation, or —
-//!   with a population-scale [`TrafficWorkload`] attached — the
-//!   capacity-constrained served-demand fraction;
+//!   surviving component fraction), (negated) link-load inflation, the
+//!   capacity-constrained served-demand fraction (with a
+//!   population-scale [`TrafficWorkload`] attached) or the
+//!   masking-collapse score. Each is the mean over slots of one per-slot
+//!   value followed by one finish step, defined once here and shared by
+//!   both candidate paths below;
+//! * [`DegradedEvaluator::score_attack`] — the full path, one candidate
+//!   at a time: each slot's value from a full masked evaluation (the
+//!   collapse score straight from the prebuilt topology), then the
+//!   finish step. It is the reference the incremental path is pinned to;
 //! * an [`IncrementalScorer`] ([`incremental`] has the details) — the
 //!   delta-evaluation layer the search scores through: per-source
 //!   shortest-path trees repaired instead of rebuilt, cached candidate
 //!   states keyed by canonical victim set, and only damage-affected
-//!   flows re-routed, all pinned byte-identical to the full
-//!   [`DegradedEvaluator::score_attack`] path;
+//!   flows re-routed; each slot yields the same per-slot value as the
+//!   full path, bit for bit, and the same finish step reduces them;
 //! * [`optimize_attack`] — a seeded, deterministic search over k-plane or
 //!   k-satellite candidate sets: greedy construction (each step scores
 //!   its whole frontier in parallel across threads) followed by
@@ -61,9 +68,12 @@ use ssplane_astro::par::par_map;
 /// their whole frontier — plane counts are small).
 const GREEDY_SAT_SAMPLE: usize = 24;
 
-/// The degraded metric an adversary minimizes. All three are computed
-/// from the same per-slot evaluations, so switching objective never
-/// changes what a candidate evaluation costs.
+/// The degraded metric an adversary minimizes: the mean over slots of
+/// one per-slot value — the routed flow count, the largest-component
+/// fraction, the mean link load, the served-demand fraction or the
+/// masking-collapse score — then one finish step that divides by the
+/// flow count (routed fraction) or by the intact mean link load,
+/// negated (load inflation), and leaves the others as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackObjective {
     /// Mean over slots of `routed flows / offered flows` — the headline
@@ -371,35 +381,6 @@ impl<'a> DegradedEvaluator<'a> {
         &self.all_alive
     }
 
-    /// The [`AttackObjective::MaskingThreshold`] value of one destroyed
-    /// set: mean over slots of the masking-collapse score of the removal
-    /// ordering that takes the victims first and the targeted
-    /// plane-spread schedule after (lower = the masking regime collapses
-    /// earlier). Computed directly from the prebuilt topologies — no
-    /// routing, no traffic assignment.
-    pub fn masking_collapse_value(&self, destroyed: &[SatId]) -> f64 {
-        if self.topologies.is_empty() {
-            return 0.0;
-        }
-        let snapshot = self.series.snapshot(0);
-        let priority: Vec<usize> =
-            destroyed.iter().filter_map(|id| snapshot.flat_index(*id)).collect();
-        let order = crate::percolation::priority_ordering(&priority, &self.spread_order);
-        let total: f64 = self
-            .topologies
-            .iter()
-            .map(|t| {
-                crate::percolation::collapse_score(
-                    t,
-                    &order,
-                    self.percolation_steps,
-                    self.percolation_gap,
-                )
-            })
-            .sum();
-        total / self.topologies.len() as f64
-    }
-
     /// Evaluates slot `k` under `alive` (`None` = the intact network,
     /// returned from the construction-time cache).
     ///
@@ -417,122 +398,114 @@ impl<'a> DegradedEvaluator<'a> {
         self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive)
     }
 
-    /// Evaluates every slot under one mask (`None` = intact).
-    ///
-    /// # Errors
-    /// Propagates per-slot failure.
-    pub fn evaluate(&self, alive: Option<&[bool]>) -> Result<Vec<SlotEvaluation>> {
-        (0..self.n_slots()).map(|k| self.evaluate_slot(k, alive)).collect()
-    }
-
-    /// The scalar objective value of a set of per-slot evaluations
-    /// (lower = more damaging).
-    pub fn objective_value(&self, objective: AttackObjective, slots: &[SlotEvaluation]) -> f64 {
-        let denom = slots.len().max(1) as f64;
+    /// The objective a candidate is scored by: served demand without a
+    /// capacity workload falls back to the flow-count service metric, so
+    /// every objective stays total.
+    fn resolve(&self, objective: AttackObjective) -> AttackObjective {
         match objective {
-            AttackObjective::RoutedFraction => {
-                let flows = self.inputs.flows.len();
-                if flows == 0 {
-                    return 0.0;
-                }
-                slots.iter().map(|s| s.traffic.routed as f64).sum::<f64>() / denom / flows as f64
+            AttackObjective::ServedDemand if self.inputs.workload.is_none() => {
+                AttackObjective::RoutedFraction
             }
-            AttackObjective::Connectivity => {
-                slots
-                    .iter()
-                    .map(|s| {
-                        if s.alive == 0 {
-                            0.0
-                        } else {
-                            s.largest_component as f64 / s.alive as f64
-                        }
-                    })
-                    .sum::<f64>()
-                    / denom
-            }
-            AttackObjective::LoadInflation => {
-                self.load_inflation(slots.iter().map(|s| s.traffic.mean_link_load()))
-            }
-            AttackObjective::ServedDemand => {
-                if self.inputs.workload.is_none() || slots.iter().any(|s| s.served.is_none()) {
-                    // No capacity workload: fall back to the flow-count
-                    // service metric so the objective stays total.
-                    return self.objective_value(AttackObjective::RoutedFraction, slots);
-                }
-                slots
-                    .iter()
-                    .map(|s| s.served.as_ref().expect("checked above").served_fraction)
-                    .sum::<f64>()
-                    / denom
-            }
-            AttackObjective::MaskingThreshold => {
-                // The masking score is a function of the destroyed set
-                // itself, not of slot evaluations (see
-                // [`Self::masking_collapse_value`], which
-                // [`Self::score_attack`] routes candidates through
-                // without ever building slot evaluations). Given only
-                // evaluations, return the empty-attack value — exactly
-                // the intact baseline `optimize_attack` needs.
-                self.masking_collapse_value(&[])
-            }
+            other => other,
         }
     }
 
-    /// The load-inflation objective over each slot's mean link load:
-    /// their mean relative to the intact one, negated so lower is more
-    /// damaging.
-    fn load_inflation(&self, slot_means: impl ExactSizeIterator<Item = f64>) -> f64 {
-        if self.intact_mean_link_load <= 0.0 {
-            return 0.0;
+    /// The finish step of the resolved `objective` over its per-slot
+    /// values (lower = more damaging): their mean, divided by the flow
+    /// count for the routed fraction and taken relative to the intact
+    /// mean link load (negated) for load inflation.
+    fn objective_value(&self, objective: AttackObjective, per_slot: &[f64]) -> f64 {
+        let mean = || per_slot.iter().sum::<f64>() / per_slot.len().max(1) as f64;
+        match objective {
+            AttackObjective::RoutedFraction => match self.inputs.flows.len() {
+                0 => 0.0,
+                flows => mean() / flows as f64,
+            },
+            AttackObjective::LoadInflation if self.intact_mean_link_load <= 0.0 => 0.0,
+            AttackObjective::LoadInflation => -mean() / self.intact_mean_link_load,
+            AttackObjective::Connectivity
+            | AttackObjective::ServedDemand
+            | AttackObjective::MaskingThreshold => mean(),
         }
-        let denom = slot_means.len().max(1) as f64;
-        -(slot_means.sum::<f64>() / denom) / self.intact_mean_link_load
     }
 
-    /// The alive mask destroying exactly `destroyed` (network-layout
-    /// ids); out-of-range ids are ignored.
-    fn attack_mask(&self, destroyed: &[SatId]) -> Vec<bool> {
-        let mut mask = self.all_alive.clone();
+    /// The masking-threshold removal ordering of flat `victims`: the
+    /// victims first, in their order, then the targeted plane-spread
+    /// schedule.
+    fn masking_order(&self, victims: &[usize]) -> Vec<usize> {
+        crate::percolation::priority_ordering(victims, &self.spread_order)
+    }
+
+    /// Slot `k`'s masking-collapse score under removal `order` (lower =
+    /// the masking regime collapses earlier): pure union-find over the
+    /// prebuilt topology.
+    fn collapse_score(&self, k: usize, order: &[usize]) -> f64 {
+        let (steps, gap) = (self.percolation_steps, self.percolation_gap);
+        crate::percolation::collapse_score(&self.topologies[k], order, steps, gap)
+    }
+
+    /// The flat indices of `destroyed`, in its order; out-of-range ids
+    /// are dropped.
+    fn flat_victims(&self, destroyed: &[SatId]) -> Vec<usize> {
+        if self.n_slots() == 0 {
+            return Vec::new();
+        }
         let snapshot = self.series.snapshot(0);
-        for id in destroyed {
-            if let Some(flat) = snapshot.flat_index(*id) {
-                mask[flat] = false;
-            }
+        destroyed.iter().filter_map(|id| snapshot.flat_index(*id)).collect()
+    }
+
+    /// The alive mask destroying exactly the flat `victims`.
+    fn attack_mask(&self, victims: &[usize]) -> Vec<bool> {
+        let mut mask = self.all_alive.clone();
+        for &flat in victims {
+            mask[flat] = false;
         }
         mask
     }
 
-    /// Scores one destroyed set under `objective`.
+    /// Scores one destroyed set under `objective`: the finish step over
+    /// each slot's value — its routed flow count, survivor
+    /// largest-component fraction, mean link load or served-demand
+    /// fraction from a full masked evaluation, or its masking-collapse
+    /// score with the victims leading the removal ordering.
     ///
     /// # Errors
     /// Propagates evaluation failure.
     pub fn score_attack(&self, destroyed: &[SatId], objective: AttackObjective) -> Result<f64> {
-        if objective == AttackObjective::MaskingThreshold {
-            // Pure union-find over the prebuilt topologies: skip the
-            // mask/route/evaluate pipeline entirely.
-            return Ok(self.masking_collapse_value(destroyed));
-        }
-        let mask = self.attack_mask(destroyed);
-        let slots = self.evaluate(Some(&mask))?;
-        Ok(self.objective_value(objective, &slots))
+        let objective = self.resolve(objective);
+        let victims = self.flat_victims(destroyed);
+        let (mask, order) = (self.attack_mask(&victims), self.masking_order(&victims));
+        let per_slot = (0..self.n_slots())
+            .map(|k| {
+                let slot = || self.evaluate_slot(k, Some(&mask));
+                Ok(match objective {
+                    AttackObjective::RoutedFraction => slot()?.traffic.routed as f64,
+                    AttackObjective::Connectivity => {
+                        let slot = slot()?;
+                        component_fraction(slot.largest_component, slot.alive)
+                    }
+                    AttackObjective::LoadInflation => slot()?.traffic.mean_link_load(),
+                    AttackObjective::ServedDemand => {
+                        slot()?
+                            .served
+                            .expect("a resolved objective has its workload")
+                            .served_fraction
+                    }
+                    AttackObjective::MaskingThreshold => self.collapse_score(k, &order),
+                })
+            })
+            .collect::<Result<Vec<f64>>>()?;
+        Ok(self.objective_value(objective, &per_slot))
     }
+}
 
-    /// Scores a batch of candidates across `threads` workers (`0` = the
-    /// machine) via [`par_map`], returning scores in candidate order —
-    /// the throughput the attack-search bench measures. The output is
-    /// identical for every thread count.
-    ///
-    /// # Errors
-    /// The first (lowest-index) candidate failure.
-    pub fn score_batch(
-        &self,
-        candidates: &[Vec<SatId>],
-        objective: AttackObjective,
-        threads: usize,
-    ) -> Result<Vec<f64>> {
-        par_map(candidates.iter().collect(), threads, |c| self.score_attack(c, objective))
-            .into_iter()
-            .collect()
+/// The connectivity objective's per-slot value: the largest surviving
+/// component over the surviving satellites (`0` with nobody alive).
+fn component_fraction(largest: usize, alive: usize) -> f64 {
+    if alive == 0 {
+        0.0
+    } else {
+        largest as f64 / alive as f64
     }
 }
 
@@ -643,7 +616,13 @@ pub fn optimize_attack(
 ) -> Result<AttackSearchOutcome> {
     let space = UnitSpace::build(evaluator.series, config.budget);
     let k = config.budget.count().min(space.n_units());
-    let intact_value = evaluator.objective_value(config.objective, evaluator.intact());
+    // Every candidate scores through the incremental delta layer —
+    // byte-identical to `score_attack`, but each greedy-frontier or swap
+    // neighbour costs only its one-unit delta off a cached state, and
+    // repeated victim sets dedup through the seen-cache. The intact
+    // value is the scorer's no-victim state.
+    let scorer = evaluator.incremental_scorer(config.objective);
+    let intact_value = scorer.intact_value;
     if k == 0 {
         return Ok(AttackSearchOutcome {
             destroyed: Vec::new(),
@@ -653,11 +632,6 @@ pub fn optimize_attack(
             candidates_unique: 0,
         });
     }
-    // Every candidate scores through the incremental delta layer —
-    // byte-identical to `score_attack`, but each greedy-frontier or swap
-    // neighbour costs only its one-unit delta off a cached state, and
-    // repeated victim sets dedup through the seen-cache.
-    let scorer = evaluator.incremental_scorer(config.objective);
     let search = Search { scorer: &scorer, space: &space, config, seed, k };
     let (greedy, greedy_value) = search.greedy(intact_value)?;
     let refined = search.refine_starts(search.start_pool(seeds, greedy), greedy_value)?;
@@ -938,9 +912,9 @@ mod tests {
             assert_eq!(cached.connected, topology.is_connected());
             assert_eq!(cached.alive, 60);
         }
-        // evaluate(None) returns the cache.
-        let again = evaluator.evaluate(None).unwrap();
-        assert_eq!(again[0].traffic.routed, evaluator.intact()[0].traffic.routed);
+        // evaluate_slot(_, None) returns the cache.
+        let again = evaluator.evaluate_slot(0, None).unwrap();
+        assert_eq!(again.traffic.routed, evaluator.intact()[0].traffic.routed);
     }
 
     #[test]
@@ -987,7 +961,7 @@ mod tests {
             DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
                 .unwrap();
         let destroyed: Vec<SatId> = (0..12).map(|s| SatId { plane: 2, slot: s }).collect();
-        let mask = evaluator.attack_mask(&destroyed);
+        let mask = evaluator.attack_mask(&evaluator.flat_victims(&destroyed));
         for k in 0..2 {
             let fast = evaluator.evaluate_slot(k, Some(&mask)).unwrap();
             let snapshot = series.snapshot(k).with_alive(&mask);
@@ -999,29 +973,6 @@ mod tests {
             assert_eq!(fast.connected, topology.components(Some(&mask)).is_connected());
             assert_eq!(fast.alive, 48);
         }
-    }
-
-    #[test]
-    fn score_batch_matches_sequential_and_every_thread_count() {
-        let c = constellation(4, 10);
-        let flows = city_flows();
-        let (series, flows) = evaluator_fixture(&c, &flows, 2);
-        let evaluator =
-            DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
-                .unwrap();
-        let candidates: Vec<Vec<SatId>> =
-            (0..4).map(|p| (0..10).map(|s| SatId { plane: p, slot: s }).collect()).collect();
-        let sequential: Vec<f64> = candidates
-            .iter()
-            .map(|d| evaluator.score_attack(d, AttackObjective::RoutedFraction).unwrap())
-            .collect();
-        for threads in [0, 1, 2, 7] {
-            let batch = evaluator
-                .score_batch(&candidates, AttackObjective::RoutedFraction, threads)
-                .unwrap();
-            assert_eq!(batch, sequential, "{threads} threads");
-        }
-        assert!(evaluator.score_batch(&[], AttackObjective::RoutedFraction, 0).unwrap().is_empty());
     }
 
     #[test]
@@ -1143,13 +1094,7 @@ mod tests {
             DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
                 .unwrap()
                 .with_percolation(32, 0.1);
-        // The intact value is the empty-attack collapse score, however
-        // it is asked for.
-        let intact = evaluator.masking_collapse_value(&[]);
-        assert_eq!(
-            evaluator.objective_value(AttackObjective::MaskingThreshold, evaluator.intact()),
-            intact
-        );
+        let intact = evaluator.score_attack(&[], AttackObjective::MaskingThreshold).unwrap();
         // A concentrated two-plane attack leads the ordering and can
         // only accelerate (never delay) the collapse.
         let strided: Vec<SatId> = crate::disruption::strided_plane_indices(8, 2)
@@ -1185,7 +1130,10 @@ mod tests {
             DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
                 .unwrap()
                 .with_percolation(4, 0.1);
-        assert_ne!(coarse.masking_collapse_value(&strided), strided_value);
+        assert_ne!(
+            coarse.score_attack(&strided, AttackObjective::MaskingThreshold).unwrap(),
+            strided_value
+        );
     }
 
     /// A small gravity workload for the served-demand objective tests.
@@ -1240,8 +1188,7 @@ mod tests {
             let served = slot.served.as_ref().expect("workload attached");
             assert!(served.served_fraction > 0.0, "the intact network serves demand");
         }
-        let intact_value =
-            evaluator.objective_value(AttackObjective::ServedDemand, evaluator.intact());
+        let intact_value = evaluator.score_attack(&[], AttackObjective::ServedDemand).unwrap();
         // A 10% satellite loss (24 of 240) must cut served demand. The
         // loss is concentrated — one whole plane — because a scattered
         // sprinkle merely reshuffles attachment under saturation.

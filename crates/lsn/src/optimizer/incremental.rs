@@ -16,7 +16,8 @@
 //!    cut short as soon as the re-routed flows' destinations settle
 //!    (`ShortestPathTree::repaired_paths`), falling back to a full
 //!    recompute past the evaluator's damage threshold
-//!    ([`super::DegradedEvaluator::with_repair_threshold`]). With the
+//!    ([`super::DegradedEvaluator::with_repair_threshold`]) — a tree
+//!    built for that one evaluation and not cached. With the
 //!    canonical `(dist, node)` heap order every repaired label is
 //!    bit-identical to a from-scratch run over the masked topology, so
 //!    the same repair also supplies round 0 (the plain shortest paths)
@@ -48,7 +49,7 @@
 //!    satellite, so a slot's state keeps both, and a candidate whose new
 //!    victims serve no endpoint there shares its parent's tally.
 //! 5. **Candidate-delta scoring** — the evaluation state of recent
-//!    candidates (per-flow routes, fallback trees, k-path sets) is kept
+//!    candidates (per-flow routes, k-path sets, demand tallies) is kept
 //!    in a small LRU keyed by canonical victim set; a new candidate
 //!    starts from the largest cached subset of its victims and applies
 //!    only the delta. The greedy loop pins its growing prefix so every
@@ -62,22 +63,24 @@
 //!    outright, so no repair or k-path round waits on a destination it
 //!    can never settle.
 //!
-//! Aggregates (routed counts, per-link loads, waterfilled served
-//! demand) are rebuilt in flow order from the per-flow outcomes and the
-//! tally — never adjusted by floating-point deltas — so every objective
-//! value is **byte-identical** to the full [`super::DegradedEvaluator`]
-//! path, candidate for candidate, for all objectives and thread counts.
-//! Per-link loads go into a dense per-arc array and are summed in the
-//! `SatId` key order of the full path's per-link map, so the mean link
-//! load needs no map. The scorer also deduplicates repeated candidates
-//! with a seen-cache keyed by canonical victim set and reports
-//! scored-vs-unique counts.
+//! Each slot yields the objective's one per-slot value — the routed
+//! count, the largest-component fraction, the mean link load, the served
+//! fraction or the masking-collapse score — and the evaluator's finish
+//! step reduces them, exactly as
+//! [`super::DegradedEvaluator::score_attack`] does. The values are
+//! rebuilt in flow order from the per-flow outcomes and the tally —
+//! never adjusted by floating-point deltas — so every objective value is
+//! **byte-identical** to the full path, candidate for candidate, for all
+//! objectives and thread counts. Per-link loads go into a dense per-arc
+//! array and are summed in the `SatId` key order of the full path's
+//! per-link map, so the mean link load needs no map. The scorer also
+//! deduplicates repeated candidates with a seen-cache keyed by canonical
+//! victim set and reports scored-vs-unique counts.
 
-use super::{AttackObjective, DegradedEvaluator, SlotEvaluation};
+use super::{component_fraction, AttackObjective, DegradedEvaluator};
 use crate::error::Result;
 use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTree};
 use crate::topology::{Components, SatId, Topology};
-use crate::traffic::TrafficReport;
 use crate::traffic_engine::{
     k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, AttachmentTally,
     FlowIndex, ServedDemandSummary,
@@ -91,8 +94,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Cached candidate states kept for delta evaluation. Small on purpose:
 /// the intact state (always available) bounds the worst case, and every
-/// cached state holds repaired trees worth O(sources · nodes) and, for
-/// served demand, a demand tally per slot.
+/// cached state holds per-flow routes and, for served demand, k-path
+/// sets and a demand tally per slot.
 const LRU_CAP: usize = 12;
 
 /// Per endpoint of one slot, every satellite able to serve it (flat
@@ -167,12 +170,14 @@ impl VictimSplit {
 /// slot's evaluation reads.
 struct Delta<'d> {
     parent: &'d MaskState,
+    /// The candidate's canonical victims.
+    victims: &'d [usize],
     /// The candidate's alive mask.
     mask: &'d [bool],
-    /// The victims alive under the parent's mask.
-    dead_new: &'d [usize],
-    /// The whole victim set, split for intact-tree repairs.
-    split: &'d VictimSplit,
+    /// The whole victim set split for intact-tree repairs, on first use.
+    split: OnceCell<VictimSplit>,
+    /// The masking-threshold removal ordering, on first use.
+    order: OnceCell<Vec<usize>>,
 }
 
 /// One flow's routing outcome under a mask — everything a stricter mask
@@ -216,23 +221,19 @@ struct ServedState {
 /// Cached evaluation state of one slot under one mask.
 #[derive(Debug, Clone, Default)]
 struct SlotState {
-    /// Per classic flow: its routing outcome.
+    /// Per classic flow: its routing outcome, when the objective loads
+    /// links.
     flows: Vec<FlowState>,
-    /// Full from-scratch trees built past the damage threshold while
-    /// evaluating this state (targeted repairs are consumed, not kept).
-    trees: BTreeMap<usize, Arc<ShortestPathTree>>,
     /// Served-demand state, when the objective needs it.
     served: Option<ServedState>,
 }
 
-/// A fully evaluated candidate: the mask and every slot's reusable
+/// A fully evaluated candidate: its victims and every slot's reusable
 /// state. The LRU holds these; the intact state is one with no victims.
 #[derive(Debug)]
 struct MaskState {
     /// Sorted, deduplicated flat victim indices — the canonical key.
     victims: Vec<usize>,
-    /// The alive mask the state was evaluated under.
-    mask: Vec<bool>,
     /// Per-slot state.
     slots: Vec<SlotState>,
 }
@@ -240,10 +241,9 @@ struct MaskState {
 impl MaskState {
     /// The empty bootstrap parent: no victims, nothing cached — every
     /// lookup against it recomputes from the intact tree cache.
-    fn bootstrap(n_slots: usize, all_alive: &[bool]) -> MaskState {
+    fn bootstrap(n_slots: usize) -> MaskState {
         MaskState {
             victims: Vec::new(),
-            mask: all_alive.to_vec(),
             slots: (0..n_slots).map(|_| SlotState::default()).collect(),
         }
     }
@@ -264,28 +264,14 @@ fn is_subset(small: &[usize], big: &[usize]) -> bool {
     true
 }
 
-/// `victims − parent` for sorted slices with `parent ⊆ victims`.
-fn diff_sorted(victims: &[usize], parent: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(victims.len().saturating_sub(parent.len()));
-    let mut j = 0;
-    for &v in victims {
-        if j < parent.len() && parent[j] == v {
-            j += 1;
-        } else {
-            out.push(v);
-        }
-    }
-    out
-}
-
 /// The mean load over the links that routed `paths` (flat hops, each with
 /// its flow's demand) load, at link `capacity`. Loads accumulate in path
 /// order into a dense array indexed by each node pair's first arc, so
 /// parallel arcs load one link and a zero-demand path still counts its
 /// links; the sum then runs in ascending flat `(a, b)` order — the
 /// `SatId` key order, since flat indices ascend plane-major — and
-/// divides as [`TrafficReport::mean_link_load`] does, matching that
-/// per-link map bit for bit.
+/// divides as [`crate::traffic::TrafficReport::mean_link_load`] does,
+/// matching that per-link map bit for bit.
 fn mean_link_load<'p>(
     topology: &Topology,
     paths: impl Iterator<Item = (f64, &'p [usize])>,
@@ -325,32 +311,24 @@ fn mean_link_load<'p>(
 #[derive(Debug)]
 pub struct IncrementalScorer<'e, 'a> {
     ev: &'e DegradedEvaluator<'a>,
+    /// The objective, resolved by the evaluator.
     objective: AttackObjective,
     /// Damage-threshold fallback: repaired regions larger than this many
     /// nodes recompute from scratch instead.
     max_affected: usize,
-    /// Whether the objective reads classic per-flow routing.
-    needs_routing: bool,
-    /// Whether the objective reads per-link loads.
-    need_load: bool,
-    /// Whether the objective reads the waterfilled served demand.
-    needs_served: bool,
-    /// Whether the objective reads survivor-component sizes.
-    needs_connectivity: bool,
-    /// Flat index → network-layout id, for the masking-threshold
-    /// objective's victim ids.
-    ids: Vec<SatId>,
-    /// Interned classic flows (empty unless routing is needed).
+    /// Interned classic flows.
     flow_index: FlowIndex,
-    /// Per slot: the classic endpoints' ranked servers.
+    /// Per slot: the ranked servers of the endpoints the objective
+    /// attaches — the classic flows' for routed fraction and load
+    /// inflation, the workload's for served demand, none otherwise.
     ranked: Vec<RankedServers>,
-    /// Per slot: the workload endpoints' ranked servers.
-    w_ranked: Vec<RankedServers>,
     /// Per-slot intact per-source trees, built lazily, kept for the
     /// scorer's lifetime — the repair baseline every state can reach.
     intact_trees: Vec<Mutex<BTreeMap<usize, Arc<IntactTree>>>>,
     /// The fully evaluated intact state — the universal parent.
     intact_state: Arc<MaskState>,
+    /// The objective value of the intact state.
+    pub(super) intact_value: f64,
     /// Recently evaluated candidate states, most recent first.
     lru: Mutex<Vec<Arc<MaskState>>>,
     /// The greedy prefix pinned by [`Self::ensure_resident`], exempt
@@ -369,56 +347,45 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// the scorer's lifetime pays for, outside damage-threshold
     /// fallbacks).
     pub fn new(ev: &'e DegradedEvaluator<'a>, objective: AttackObjective) -> Self {
-        let needs_served =
-            objective == AttackObjective::ServedDemand && ev.inputs.workload.is_some();
-        let needs_routing =
-            matches!(objective, AttackObjective::RoutedFraction | AttackObjective::LoadInflation)
-                || (objective == AttackObjective::ServedDemand && ev.inputs.workload.is_none());
-        let need_load = objective == AttackObjective::LoadInflation;
-        let needs_connectivity = objective == AttackObjective::Connectivity;
+        let objective = ev.resolve(objective);
         let n_slots = ev.n_slots();
-        let ids: Vec<SatId> =
-            if n_slots > 0 { ev.series.snapshot(0).ids().collect() } else { Vec::new() };
-        let flow_index =
-            if needs_routing { FlowIndex::new(ev.inputs.flows) } else { FlowIndex::default() };
-        let mut ranked = Vec::new();
-        let mut w_ranked = Vec::new();
-        if needs_routing || needs_served {
-            for k in 0..n_slots {
-                let index = ServingIndex::new(ev.series.snapshot(k), ev.inputs.min_elevation);
-                let topology = &ev.topologies[k];
-                ranked.push(RankedServers::build(&index, topology, &flow_index.points));
-                let w_points = match ev.inputs.workload {
-                    Some(w) if needs_served => &w.flows.index().points[..],
-                    _ => &[],
-                };
-                w_ranked.push(RankedServers::build(&index, topology, w_points));
+        let flow_index = FlowIndex::new(ev.inputs.flows);
+        let points: &[GeoPoint] = match (objective, ev.inputs.workload) {
+            (AttackObjective::RoutedFraction | AttackObjective::LoadInflation, _) => {
+                &flow_index.points
             }
-        }
+            (AttackObjective::ServedDemand, Some(w)) => &w.flows.index().points,
+            _ => &[],
+        };
+        let ranked = (0..n_slots)
+            .map(|k| {
+                if points.is_empty() {
+                    return RankedServers::default();
+                }
+                let index = ServingIndex::new(ev.series.snapshot(k), ev.inputs.min_elevation);
+                RankedServers::build(&index, &ev.topologies[k], points)
+            })
+            .collect();
         let n = ev.n_sats();
         let max_affected = crate::cast::f64_to_index(((n as f64) * ev.repair_threshold).ceil());
-        let bootstrap = Arc::new(MaskState::bootstrap(n_slots, &ev.all_alive));
+        let bootstrap = Arc::new(MaskState::bootstrap(n_slots));
         let mut scorer = IncrementalScorer {
             ev,
             objective,
             max_affected,
-            needs_routing,
-            need_load,
-            needs_served,
-            needs_connectivity,
-            ids,
             flow_index,
             ranked,
-            w_ranked,
             intact_trees: (0..n_slots).map(|_| Mutex::new(BTreeMap::new())).collect(),
             intact_state: bootstrap.clone(),
+            intact_value: 0.0,
             lru: Mutex::new(Vec::new()),
             pinned: Mutex::new(None),
             seen: Mutex::new(BTreeMap::new()),
             scored: AtomicUsize::new(0),
         };
-        let (intact, _) = scorer.build_state(Vec::new(), &bootstrap);
+        let (intact, value) = scorer.build_state(Vec::new(), &bootstrap);
         scorer.intact_state = Arc::new(intact);
+        scorer.intact_value = value;
         scorer
     }
 
@@ -435,7 +402,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         self.seen.lock().expect("seen cache poisoned").len()
     }
 
-    /// Drops every cached candidate state (with the trees, k-path sets
+    /// Drops every cached candidate state (with the routes, k-path sets
     /// and demand tallies it holds) and seen value, keeping only the
     /// intact state and intact tree cache — each following score pays
     /// the full delta-from-intact cost again. Benchmarks call this
@@ -450,8 +417,9 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// Scores one destroyed set — byte-identical to
     /// [`DegradedEvaluator::score_attack`] with this scorer's objective.
     /// The destroyed set is canonicalized (sorted unique in-range flat
-    /// indices) for caching, exactly the `DegradedEvaluator::attack_mask`
-    /// semantics.
+    /// indices) for caching — the set `score_attack` destroys; the
+    /// masking-collapse ordering takes the victims in that order, as it
+    /// takes the sorted sets the search passes.
     ///
     /// # Errors
     /// None in practice; the `Result` mirrors `score_attack` so the two
@@ -462,25 +430,15 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         if let Some(&v) = self.seen.lock().expect("seen cache poisoned").get(&key) {
             return Ok(v);
         }
-        let value = if self.objective == AttackObjective::MaskingThreshold {
-            // Pure union-find over the prebuilt topologies, like
-            // score_attack — only the seen-cache is new. Canonical ids
-            // match the sorted sets the search always passes.
-            let sorted_ids: Vec<SatId> = key.iter().map(|&f| self.ids[f]).collect();
-            self.ev.masking_collapse_value(&sorted_ids)
-        } else {
-            let parent = self.best_parent(&key);
-            let (state, value) = self.build_state(key.clone(), &parent);
-            self.push_lru(Arc::new(state));
-            value
-        };
+        let parent = self.best_parent(&key);
+        let (state, value) = self.build_state(key.clone(), &parent);
+        self.push_lru(Arc::new(state));
         self.seen.lock().expect("seen cache poisoned").insert(key, value);
         Ok(value)
     }
 
     /// Scores a batch across `threads` workers (`0` = the machine) via
-    /// [`par_map`], returning scores in candidate order — the incremental
-    /// counterpart of [`DegradedEvaluator::score_batch`]: cached states
+    /// [`par_map`], returning scores in candidate order: cached states
     /// change how much a candidate costs, never what it scores.
     ///
     /// # Errors
@@ -494,9 +452,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// it — the greedy loop pins its prefix after every step. Pinning is
     /// a pure cache operation: values never depend on it.
     pub(super) fn ensure_resident(&self, destroyed: &[SatId]) {
-        if self.objective == AttackObjective::MaskingThreshold {
-            return;
-        }
         let key = self.canonical(destroyed);
         let resident = {
             let mut lru = self.lru.lock().expect("state cache poisoned");
@@ -511,14 +466,9 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     }
 
     /// Canonical victim key: sorted unique in-range flat indices —
-    /// exactly the set [`DegradedEvaluator::attack_mask`] would kill.
+    /// exactly the set [`DegradedEvaluator::score_attack`] destroys.
     fn canonical(&self, destroyed: &[SatId]) -> Vec<usize> {
-        if self.ev.n_slots() == 0 {
-            return Vec::new();
-        }
-        let snapshot = self.ev.series.snapshot(0);
-        let mut v: Vec<usize> =
-            destroyed.iter().filter_map(|id| snapshot.flat_index(*id)).collect();
+        let mut v = self.ev.flat_victims(destroyed);
         v.sort_unstable();
         v.dedup();
         v
@@ -564,57 +514,37 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     }
 
     /// The routes from alive source `s` to each of `dsts` (ascending,
-    /// deduplicated) under the candidate's mask: a fallback tree built
-    /// earlier in this evaluation, then a targeted repair of the parent's
-    /// fallback tree by the newly dead nodes, then a targeted repair of
-    /// the intact tree by the whole victim set (whole planes through the
-    /// tree's plane cuts, the rest walked) — each cut short once the
-    /// needed destinations settle ([`ShortestPathTree::repaired_paths`])
-    /// — then (damage threshold hit) a from-scratch masked tree, kept in
-    /// `local` for this state's lifetime. Every branch is bit-identical.
-    /// Repairs label into `buffers`, shared by the slot's repairs.
+    /// deduplicated) under the candidate's mask: a targeted repair of the
+    /// intact tree by the whole victim set (whole planes through the
+    /// tree's plane cuts, the rest walked), cut short once the needed
+    /// destinations settle ([`ShortestPathTree::repaired_paths`]), or —
+    /// damage threshold hit — a from-scratch masked tree. Both are
+    /// bit-identical. Repairs label into `buffers`, shared by the slot's
+    /// repairs.
     fn paths_for(
         &self,
         k: usize,
         s: usize,
         dsts: &[usize],
         delta: &Delta<'_>,
-        local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
         buffers: &mut RepairBuffers,
     ) -> Vec<Option<Arc<[usize]>>> {
         let from_tree = |tree: &ShortestPathTree| {
             dsts.iter().map(|&d| tree.flat_path_to(d).map(|(h, _)| h.into())).collect()
         };
-        if let Some(tree) = local.get(&s) {
-            return from_tree(tree);
-        }
         let intact = self.intact_tree(k, s);
-        let split = delta.split;
+        let (topo, mask) = (&self.ev.topologies[k], delta.mask);
+        let split =
+            delta.split.get_or_init(|| VictimSplit::new(delta.victims, topo.plane_offsets()));
         if split.planes.is_empty() && split.others.is_empty() {
             return from_tree(&intact.tree);
         }
-        let (topo, mask) = (&self.ev.topologies[k], delta.mask);
-        let repaired = delta.parent.slots[k]
-            .trees
-            .get(&s)
-            .and_then(|t| {
-                let cut = Cut { planes: None, nodes: delta.dead_new };
-                t.repaired_paths(topo, mask, cut, self.max_affected, dsts, buffers)
-            })
-            .or_else(|| {
-                let planes = (!split.planes.is_empty()).then(|| {
-                    (intact.cuts.get_or_init(|| intact.tree.plane_cuts(topo)), &split.planes[..])
-                });
-                let cut = Cut { planes, nodes: &split.others };
-                intact.tree.repaired_paths(topo, mask, cut, self.max_affected, dsts, buffers)
-            });
-        match repaired {
+        let planes = (!split.planes.is_empty())
+            .then(|| (intact.cuts.get_or_init(|| intact.tree.plane_cuts(topo)), &split.planes[..]));
+        let cut = Cut { planes, nodes: &split.others };
+        match intact.tree.repaired_paths(topo, mask, cut, self.max_affected, dsts, buffers) {
             Some(paths) => paths.into_iter().map(|p| p.map(|(h, _)| h.into())).collect(),
-            None => {
-                let tree = Arc::new(ShortestPathTree::from_flat(topo, s, Some(mask)));
-                local.insert(s, Arc::clone(&tree));
-                from_tree(&tree)
-            }
+            None => from_tree(&ShortestPathTree::from_flat(topo, s, Some(mask))),
         }
     }
 
@@ -625,15 +555,13 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// [`crate::traffic_engine::assign_capacity_constrained`] over the
     /// masked snapshot and topology. A recomputed source takes its
     /// round-0 (plain shortest) paths from [`Self::paths_for`]'s tree
-    /// repair; `components` reads the slot's labels, `local` and `buffers`
-    /// are as there. The state is `None` for an empty workload.
+    /// repair; `components` reads the slot's labels. The state is `None`
+    /// for an empty workload.
     fn eval_served<'c>(
         &self,
         k: usize,
         delta: &Delta<'_>,
         components: &impl Fn() -> &'c Components,
-        local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
-        buffers: &mut RepairBuffers,
     ) -> (Option<ServedState>, ServedDemandSummary) {
         let mask = delta.mask;
         let w = self.ev.inputs.workload.expect("served demand needs a workload");
@@ -642,7 +570,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         }
         let flows = w.flows.index();
         let topo = &self.ev.topologies[k];
-        let servers = self.w_ranked[k].servers(mask);
+        let servers = self.ranked[k].servers(mask);
         let pserved = delta.parent.slots[k].served.as_ref();
         // The tally is a function of the servers alone, so a candidate
         // whose new victims serve no endpoint replays its parent's.
@@ -657,6 +585,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             return (Some(ServedState { servers, tally, sources }), summary);
         }
         let kp = w.capacity.k_paths.max(1);
+        let mut buffers = RepairBuffers::default();
         for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
             let s = group[0].0;
             let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
@@ -676,7 +605,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                     let reachable: Vec<usize> =
                         dsts.iter().copied().filter(|&d| labels[d] == labels[s]).collect();
                     let mut found =
-                        self.paths_for(k, s, &reachable, delta, local, buffers).into_iter();
+                        self.paths_for(k, s, &reachable, delta, &mut buffers).into_iter();
                     let shortest = dsts
                         .iter()
                         .map(|&d| {
@@ -702,80 +631,56 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         (Some(ServedState { servers, tally, sources }), summary)
     }
 
-    /// One slot's delta evaluation: cached-or-repaired routing plus the
-    /// slot aggregates the objective reads, synthesized into a
-    /// [`SlotEvaluation`] whose read fields match the full pipeline's
-    /// bit for bit (unread fields — stretch, hops, outcomes — are left
-    /// inert, and so is the per-link map), plus the slot's mean link load
-    /// when the objective reads loads (else `0.0`). The slot's
-    /// components are labelled on first use, once for the routing,
-    /// connectivity and served-demand stages together.
-    fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, SlotEvaluation, f64) {
+    /// One slot's delta evaluation: its reusable state and its value of
+    /// the objective — the routed flow count, the largest-component
+    /// fraction, the mean link load, the served-demand fraction or the
+    /// masking-collapse score — bit for bit the full path's. The slot's
+    /// components are labelled on first use.
+    fn build_slot(&self, k: usize, delta: &Delta<'_>) -> (SlotState, f64) {
         let mask = delta.mask;
         let cell = OnceCell::new();
         let components = || cell.get_or_init(|| self.ev.topologies[k].components(Some(mask)));
         let mut state = SlotState::default();
-        let mut buffers = RepairBuffers::default();
-        let n_flows = self.ev.inputs.flows.len();
-        let (routed, unrouted, mean_load) = if !self.needs_routing {
-            (0, 0, 0.0)
-        } else if !self.need_load {
-            // Reachability-only objectives (routed fraction and its
-            // served-demand fallback): the masked Dijkstra finds a path
-            // iff both serving satellites share an alive component, so
-            // component labels give the exact same routed/unrouted
-            // counts without building a single path.
-            let servers = self.ranked[k].servers(mask);
-            let labels = &components().labels;
-            let routed = (0..n_flows)
-                .filter(|&i| {
-                    let (ea, eb) = self.flow_ends(i);
-                    matches!((servers[ea], servers[eb]),
-                        (Some(a), Some(b)) if a == b || labels[a] == labels[b])
-                })
-                .count();
-            (routed, n_flows - routed, 0.0)
-        } else {
-            let labels = &components().labels;
-            state.flows = self.route_flows(k, delta, labels, &mut state.trees, &mut buffers);
-            let routed = state
-                .flows
-                .iter()
-                .filter(|fs| matches!(fs, FlowState::Local | FlowState::Path { .. }))
-                .count();
-            let paths =
-                self.ev.inputs.flows.iter().zip(&state.flows).filter_map(|(f, fs)| match fs {
-                    FlowState::Path { hops, .. } => Some((f.demand, &hops[..])),
-                    _ => None,
-                });
-            let mean_load =
-                mean_link_load(&self.ev.topologies[k], paths, self.ev.inputs.link_capacity);
-            (routed, n_flows - routed, mean_load)
+        let value = match self.objective {
+            AttackObjective::RoutedFraction => {
+                // The masked Dijkstra finds a path iff both serving
+                // satellites share an alive component, so component
+                // labels give the exact routed count without building a
+                // single path.
+                let servers = self.ranked[k].servers(mask);
+                let labels = &components().labels;
+                let routed = (0..self.ev.inputs.flows.len())
+                    .filter(|&i| {
+                        let (ea, eb) = self.flow_ends(i);
+                        matches!((servers[ea], servers[eb]),
+                            (Some(a), Some(b)) if a == b || labels[a] == labels[b])
+                    })
+                    .count();
+                routed as f64
+            }
+            AttackObjective::Connectivity => {
+                component_fraction(components().largest(), self.ev.n_sats() - delta.victims.len())
+            }
+            AttackObjective::LoadInflation => {
+                state.flows = self.route_flows(k, delta, &components().labels);
+                let paths =
+                    self.ev.inputs.flows.iter().zip(&state.flows).filter_map(|(f, fs)| match fs {
+                        FlowState::Path { hops, .. } => Some((f.demand, &hops[..])),
+                        _ => None,
+                    });
+                mean_link_load(&self.ev.topologies[k], paths, self.ev.inputs.link_capacity)
+            }
+            AttackObjective::ServedDemand => {
+                let (served, summary) = self.eval_served(k, delta, &components);
+                state.served = served;
+                summary.served_fraction
+            }
+            AttackObjective::MaskingThreshold => {
+                let order = delta.order.get_or_init(|| self.ev.masking_order(delta.victims));
+                self.ev.collapse_score(k, order)
+            }
         };
-        let largest_component = if self.needs_connectivity { components().largest() } else { 0 };
-        let served = self.needs_served.then(|| {
-            let (ss, summary) =
-                self.eval_served(k, delta, &components, &mut state.trees, &mut buffers);
-            state.served = ss;
-            summary
-        });
-        let evaluation = SlotEvaluation {
-            connected: false,
-            largest_component,
-            // The victims are the parent's plus the disjoint new ones.
-            alive: self.ev.n_sats() - delta.parent.victims.len() - delta.dead_new.len(),
-            traffic: TrafficReport {
-                routed,
-                unrouted,
-                link_load: BTreeMap::new(),
-                mean_stretch: f64::NAN,
-                mean_hops: f64::NAN,
-                flow_outcomes: Vec::new(),
-                link_capacity: self.ev.inputs.link_capacity,
-            },
-            served,
-        };
-        (state, evaluation, mean_load)
+        (state, value)
     }
 
     /// Classic flow `i`'s interned endpoint pair.
@@ -789,14 +694,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// those left need a route and are grouped by source, so each source
     /// pays one targeted repair ([`Self::paths_for`]) that only waits for
     /// destinations it will settle.
-    fn route_flows(
-        &self,
-        k: usize,
-        delta: &Delta<'_>,
-        labels: &[u32],
-        local: &mut BTreeMap<usize, Arc<ShortestPathTree>>,
-        buffers: &mut RepairBuffers,
-    ) -> Vec<FlowState> {
+    fn route_flows(&self, k: usize, delta: &Delta<'_>, labels: &[u32]) -> Vec<FlowState> {
         let (parent, mask) = (delta.parent, delta.mask);
         let servers = self.ranked[k].servers(mask);
         let n_flows = self.ev.inputs.flows.len();
@@ -832,10 +730,11 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             staged.push(fs);
         }
         let mut routes: BTreeMap<(usize, usize), Option<Arc<[usize]>>> = BTreeMap::new();
+        let mut buffers = RepairBuffers::default();
         for (&s, dsts) in &mut by_src {
             dsts.sort_unstable();
             dsts.dedup();
-            let found = self.paths_for(k, s, dsts, delta, local, buffers);
+            let found = self.paths_for(k, s, dsts, delta, &mut buffers);
             routes.extend(dsts.iter().map(|&d| (s, d)).zip(found));
         }
         staged
@@ -850,43 +749,32 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     }
 
     /// Evaluates `victims` as a delta off `parent`, returning the new
-    /// cacheable state and the candidate's objective value.
+    /// cacheable state and the candidate's objective value: the
+    /// evaluator's finish step over the per-slot values.
     fn build_state(&self, victims: Vec<usize>, parent: &MaskState) -> (MaskState, f64) {
-        let dead_new = diff_sorted(&victims, &parent.victims);
-        let mut mask = parent.mask.clone();
-        for &d in &dead_new {
-            mask[d] = false;
-        }
-        let n_slots = self.ev.n_slots();
-        let split = if (self.need_load || self.needs_served) && n_slots > 0 {
-            VictimSplit::new(&victims, self.ev.topologies[0].plane_offsets())
-        } else {
-            VictimSplit::default()
+        let mask = self.ev.attack_mask(&victims);
+        let delta = Delta {
+            parent,
+            victims: &victims,
+            mask: &mask,
+            split: OnceCell::new(),
+            order: OnceCell::new(),
         };
-        let delta = Delta { parent, mask: &mask, dead_new: &dead_new, split: &split };
-        let mut slots = Vec::with_capacity(n_slots);
-        let mut evaluations = Vec::with_capacity(n_slots);
-        let mut mean_loads = Vec::with_capacity(n_slots);
-        for k in 0..n_slots {
-            let (st, ev_k, mean_load) = self.build_slot(k, &delta);
-            slots.push(st);
-            evaluations.push(ev_k);
-            mean_loads.push(mean_load);
-        }
-        let value = if self.need_load {
-            self.ev.load_inflation(mean_loads.into_iter())
-        } else {
-            self.ev.objective_value(self.objective, &evaluations)
-        };
-        (MaskState { victims, mask, slots }, value)
+        let (slots, per_slot): (Vec<SlotState>, Vec<f64>) =
+            (0..self.ev.n_slots()).map(|k| self.build_slot(k, &delta)).unzip();
+        let value = self.ev.objective_value(self.objective, &per_slot);
+        (MaskState { victims, slots }, value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::tests::{capacity_workload, city_flows, constellation, evaluator_fixture};
-    use super::super::{AttackObjective, DegradedEvaluator};
+    use super::super::{
+        optimize_attack, AttackBudget, AttackObjective, AttackSearchConfig, DegradedEvaluator,
+    };
     use super::*;
+    use crate::traffic::TrafficReport;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1026,7 +914,10 @@ mod tests {
                     mixed.sort_unstable();
                     batch.push(mixed);
                     batch.push(vec![SatId { plane: 2, slot: step }]);
-                    let full = evaluator.score_batch(&batch, objective, 1).unwrap();
+                    let full: Vec<f64> = batch
+                        .iter()
+                        .map(|c| evaluator.score_attack(c, objective).unwrap())
+                        .collect();
                     let fast = scorer.score_batch(&batch, threads).unwrap();
                     for (i, (f, g)) in full.iter().zip(&fast).enumerate() {
                         assert_eq!(f.to_bits(), g.to_bits(), "{objective:?} step {step} #{i}");
@@ -1120,25 +1011,45 @@ mod tests {
         let evaluator =
             DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
                 .unwrap();
-        let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
-        // Zero loss = the intact value.
-        let intact = evaluator.objective_value(AttackObjective::RoutedFraction, evaluator.intact());
-        assert_eq!(scorer.score(&[]).unwrap().to_bits(), intact.to_bits());
-        // Wipeout: nobody alive, nothing routes.
         let everyone: Vec<SatId> = series.snapshot(0).ids().collect();
-        assert_eq!(scorer.score(&everyone).unwrap(), 0.0);
-        assert_eq!(
-            scorer.score(&everyone).unwrap().to_bits(),
-            evaluator.score_attack(&everyone, AttackObjective::RoutedFraction).unwrap().to_bits()
-        );
         // Duplicate and out-of-range victims canonicalize like attack_mask.
         let messy = vec![
             SatId { plane: 1, slot: 3 },
             SatId { plane: 1, slot: 3 },
             SatId { plane: 99, slot: 0 },
         ];
-        let full = evaluator.score_attack(&messy, AttackObjective::RoutedFraction).unwrap();
-        assert_eq!(scorer.score(&messy).unwrap().to_bits(), full.to_bits());
+        for objective in [
+            AttackObjective::RoutedFraction,
+            AttackObjective::Connectivity,
+            AttackObjective::LoadInflation,
+            AttackObjective::ServedDemand, // no workload: routed-fraction semantics
+            AttackObjective::MaskingThreshold,
+        ] {
+            let scorer = evaluator.incremental_scorer(objective);
+            // Zero loss = the intact value, which the search reports.
+            let intact = evaluator.score_attack(&[], objective).unwrap();
+            assert_eq!(scorer.score(&[]).unwrap().to_bits(), intact.to_bits(), "{objective:?}");
+            let config = AttackSearchConfig {
+                objective,
+                budget: AttackBudget::Planes(1),
+                restarts: 0,
+                swaps: 0,
+                threads: 1,
+            };
+            let outcome = optimize_attack(&evaluator, &config, 1, &[]).unwrap();
+            assert_eq!(outcome.intact_value.to_bits(), intact.to_bits(), "{objective:?}");
+            for destroyed in [&everyone, &messy] {
+                let full = evaluator.score_attack(destroyed, objective).unwrap();
+                assert_eq!(
+                    scorer.score(destroyed).unwrap().to_bits(),
+                    full.to_bits(),
+                    "{objective:?}"
+                );
+            }
+        }
+        // Wipeout: nobody alive, nothing routes.
+        let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
+        assert_eq!(scorer.score(&everyone).unwrap(), 0.0);
     }
 
     #[test]
@@ -1177,8 +1088,10 @@ mod tests {
                 .unwrap();
         let candidates: Vec<Vec<SatId>> =
             (0..5).map(|p| (0..12).map(|s| SatId { plane: p, slot: s }).collect()).collect();
-        let reference =
-            evaluator.score_batch(&candidates, AttackObjective::RoutedFraction, 1).unwrap();
+        let reference: Vec<f64> = candidates
+            .iter()
+            .map(|c| evaluator.score_attack(c, AttackObjective::RoutedFraction).unwrap())
+            .collect();
         for threads in [0usize, 1, 2, 7] {
             let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
             let batch = scorer.score_batch(&candidates, threads).unwrap();

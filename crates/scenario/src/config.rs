@@ -148,6 +148,21 @@ count = 12
         assert!(matches!(err, ScenarioError::UnknownParameter { .. }), "{err}");
         let err = sweep_from_toml("[sweep]\n\"attack.planes_lots\" = [0, 2]\n").unwrap_err();
         assert!(err.to_string().contains("did you mean `attack.planes_lost`"), "{err}");
+        // A mistyped section key is hinted the same way.
+        let err = sweep_from_toml("[attack]\nplane_lost = 3\n").unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::UnknownParameter {
+                key: "attack.plane_lost".into(),
+                hint: Some("attack.planes_lost"),
+            }
+        );
+        // An axis is looked up by its whole dotted path, not by a suffix.
+        let err = sweep_from_toml("[sweep]\n\"planes_lost\" = [0, 2]\n").unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::UnknownParameter { key, .. } if key == "planes_lost"),
+            "{err}"
+        );
         let err = sweep_from_toml("[sweep]\n\"made_up.knob\" = [1.0]\n").unwrap_err();
         assert!(matches!(err, ScenarioError::UnknownParameter { hint: None, .. }), "{err}");
         // `seed` is a real key, so the axis loads; expansion refuses it

@@ -64,8 +64,6 @@ pub mod json;
 pub mod library;
 pub mod report;
 pub mod runner;
-#[cfg(test)]
-mod schema;
 pub mod spec;
 pub mod sweep;
 pub mod toml;

@@ -282,13 +282,14 @@ const DESIGN_KIND_ALIASES: &[(&str, &str)] =
 /// [`ScenarioError::BadValue`] listing the registered names, with a
 /// did-you-mean hint when the token is a near miss.
 pub fn resolve_design_kind(s: &str) -> Result<&'static str> {
+    design_kind("design.kind", s)
+}
+
+/// [`resolve_design_kind`] for the token of `key`, whose name a rejected
+/// token's error carries.
+fn design_kind(key: &str, s: &str) -> Result<&'static str> {
     let names = DESIGNER_REGISTRY.iter().map(|&(name, _)| name);
-    resolve(
-        "design.kind",
-        s,
-        names.clone().map(|n| (n, n)).chain(DESIGN_KIND_ALIASES.iter().copied()),
-        names,
-    )
+    resolve(key, s, names.clone().map(|n| (n, n)).chain(DESIGN_KIND_ALIASES.iter().copied()), names)
 }
 
 /// Parses a `design.kind` token into the canonical kinds list it
@@ -619,7 +620,7 @@ pub(crate) const PARAMS: &[Param] = &[
         let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of design kinds"))?;
         let mut kinds = Vec::with_capacity(arr.len());
         for item in arr {
-            kinds.push(resolve_design_kind(need_str(k, item)?)?);
+            kinds.push(design_kind(k, need_str(k, item)?)?);
         }
         if kinds.is_empty() {
             return Err(ScenarioError::bad_value(k, "[]", "at least one design kind"));
@@ -950,8 +951,19 @@ mod tests {
             case(&TRAFFIC_MODELS, "sampled | gravity"),
             VocabCase {
                 key: "design.kind",
-                spellings: registry.chain(DESIGN_KIND_ALIASES.iter().copied()).collect(),
+                spellings: registry.clone().chain(DESIGN_KIND_ALIASES.iter().copied()).collect(),
                 parse: Box::new(resolve_design_kind),
+                expected: "ss | wd | rgt | slim | starlink",
+            },
+            // The list form names its own key.
+            VocabCase {
+                key: "design.kinds",
+                spellings: registry.chain(DESIGN_KIND_ALIASES.iter().copied()).collect(),
+                parse: Box::new(|t: &str| {
+                    let mut spec = ScenarioSpec::named("k");
+                    let kinds = TomlValue::Array(vec![TomlValue::Str(t.to_string())]);
+                    apply_param(&mut spec, "design.kinds", &kinds).map(|()| spec.design.kinds[0])
+                }),
                 expected: "ss | wd | rgt | slim | starlink",
             },
         ];
