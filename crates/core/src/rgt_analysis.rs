@@ -209,7 +209,8 @@ impl RgtConstellation {
 /// SS designer.
 ///
 /// # Errors
-/// * [`CoreError::BadConfig`] for non-positive capacity;
+/// * [`CoreError::BadConfig`] for non-positive capacity or an
+///   inclination outside \[0°, 180°\] (non-finite included);
 /// * astrodynamics errors for infeasible `revs:days` requests or geometry.
 pub fn design_rgt_constellation(
     demand: &LatTodGrid,
@@ -217,6 +218,9 @@ pub fn design_rgt_constellation(
 ) -> Result<RgtConstellation> {
     if config.sat_capacity <= 0.0 {
         return Err(CoreError::BadConfig { name: "sat_capacity", constraint: "> 0" });
+    }
+    if !(0.0..=180.0).contains(&config.inclination_deg) {
+        return Err(CoreError::BadConfig { name: "inclination_deg", constraint: "in [0, 180]" });
     }
     let inclination = config.inclination_deg.to_radians();
     let orbit = rgt_orbit(config.revs, config.days, inclination).map_err(CoreError::from)?;
@@ -448,5 +452,25 @@ mod tests {
         .is_err());
         assert!(design_rgt_constellation(&g, RgtDesignConfig { revs: 0, ..Default::default() })
             .is_err());
+    }
+
+    #[test]
+    fn rgt_design_rejects_inclinations_outside_0_to_180_deg() {
+        let g = band_demand(&[(23, 1.0)]);
+        let design = |inclination_deg| {
+            design_rgt_constellation(&g, RgtDesignConfig { inclination_deg, ..Default::default() })
+        };
+        // Each of these once designed an empty constellation that left all
+        // the demand unserved instead of failing.
+        for bad in [-30.0, -1e-9, 180.5, 500.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(
+                matches!(design(bad), Err(CoreError::BadConfig { name: "inclination_deg", .. })),
+                "{bad}"
+            );
+        }
+        for good in [0.0, 65.0, 115.0, 180.0] {
+            assert!(!matches!(design(good), Err(CoreError::BadConfig { .. })), "{good}");
+        }
+        assert!(design(65.0).unwrap().total_sats() > 0);
     }
 }

@@ -690,11 +690,20 @@ mod tests {
             crate::sweep::apply_param(&mut spec, key, &value).unwrap();
             spec
         };
+        // The RGT designer once designed an empty constellation at any
+        // inclination outside [0, 180] deg and reported all demand unserved.
+        let rgt = |x: f64| {
+            let mut spec = bad("design.rgt_inclination_deg", TomlValue::Float(x));
+            spec.design.kinds = vec!["rgt"];
+            spec
+        };
         let points = [
             bad("attack.damage_threshold", TomlValue::Float(1.5)),
             ok.clone(),
             bad("network.percolation_steps", TomlValue::Int(0)),
             bad("network.percolation_gap", TomlValue::Float(1.0)),
+            rgt(-30.0),
+            rgt(500.0),
         ];
         let outcome = Runner::with_threads(1).run_specs(&points);
         assert!(outcome.reports[1].is_ok());
@@ -702,6 +711,8 @@ mod tests {
             (0, "attack.damage_threshold"),
             (2, "network.percolation_steps"),
             (3, "network.percolation_gap"),
+            (4, "inclination_deg"),
+            (5, "inclination_deg"),
         ] {
             let err = outcome.reports[k].as_ref().unwrap_err().to_string();
             assert!(err.contains(key), "point {k}: {err}");
