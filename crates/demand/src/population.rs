@@ -71,10 +71,6 @@ pub fn latitude_envelope(lat_deg: f64) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Longitude columns per city bucket in the grid fill (10° at the
-/// default 0.5° resolution).
-const BLOCK_COLS: usize = 20;
-
 /// One synthetic city cluster: a truncated Gaussian kernel.
 struct City {
     lat: f64,
@@ -85,11 +81,40 @@ struct City {
     sigma: f64,
 }
 
+impl City {
+    /// Adds this city's kernel at the cell centred at longitude `lon` to
+    /// `modulation` when the cell is within reach, `d² = dl² + dn² < 16`;
+    /// `dl2` is the row's latitude term `dl²`.
+    fn add_kernel(&self, modulation: &mut f64, dl2: f64, lon: f64) {
+        // Longitude wrap for kernels near the date line.
+        let mut dlon_c = (lon - self.lon).abs();
+        if dlon_c > 180.0 {
+            dlon_c = 360.0 - dlon_c;
+        }
+        let dn = dlon_c / self.sigma;
+        let d2 = dl2 + dn * dn;
+        if d2 < 16.0 {
+            *modulation += self.amplitude * (-d2 / 2.0).exp();
+        }
+    }
+}
+
 /// Samples the anchor megacities and the `n_cities` Zipf-sized clusters
-/// from `config.seed`, in the order their kernels are summed.
+/// from `config.seed`, in the order their kernels are summed. Each
+/// cluster picks a land box by weight and rejection-samples its latitude
+/// against the envelope under that box's bound, the envelope's maximum
+/// over 64 sample latitudes, computed once per box.
 fn sample_cities(config: &PopulationConfig) -> Vec<City> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let total_weight: f64 = LAND_BOXES.iter().map(|b| b.4).sum();
+    let env_max: Vec<f64> = LAND_BOXES
+        .iter()
+        .map(|&(lat_min, lat_max, ..)| {
+            (0..64)
+                .map(|k| latitude_envelope(lat_min + (lat_max - lat_min) * (k as f64 + 0.5) / 64.0))
+                .fold(1e-9, f64::max)
+        })
+        .collect();
     let mut cities = Vec::with_capacity(config.n_cities + 4 * LAND_BOXES.len());
     // Anchor megacities: a few per land box, guaranteeing that each
     // region's core latitudes saturate the envelope (the SEDAC max-per-
@@ -105,23 +130,19 @@ fn sample_cities(config: &PopulationConfig) -> Vec<City> {
     for rank in 0..config.n_cities {
         // Pick a land box by weight.
         let mut pick = rng.gen::<f64>() * total_weight;
-        let mut chosen = LAND_BOXES[0];
-        for b in LAND_BOXES {
-            pick -= b.4;
-            if pick <= 0.0 {
-                chosen = *b;
-                break;
-            }
-        }
-        let (lat_min, lat_max, lon_min, lon_max, _) = chosen;
+        let chosen = LAND_BOXES
+            .iter()
+            .position(|b| {
+                pick -= b.4;
+                pick <= 0.0
+            })
+            .unwrap_or(0);
+        let (lat_min, lat_max, lon_min, lon_max, _) = LAND_BOXES[chosen];
         // Rejection-sample latitude proportionally to the envelope so
         // big cities sit where Fig. 3 has mass.
-        let env_max = (0..64)
-            .map(|k| latitude_envelope(lat_min + (lat_max - lat_min) * (k as f64 + 0.5) / 64.0))
-            .fold(1e-9, f64::max);
         let lat = loop {
             let cand = lat_min + (lat_max - lat_min) * rng.gen::<f64>();
-            if rng.gen::<f64>() * env_max <= latitude_envelope(cand) {
+            if rng.gen::<f64>() * env_max[chosen] <= latitude_envelope(cand) {
                 break cand;
             }
         };
@@ -135,89 +156,64 @@ fn sample_cities(config: &PopulationConfig) -> Vec<City> {
     cities
 }
 
-/// Density of the cell centred at (`lat`, `lon`): the land/ocean base
-/// plus every city kernel within reach (`d² < 16`), summed in iteration
-/// order, clamped at 1 and scaled by the row's `envelope`.
-fn cell_density<'a>(
-    lat: f64,
-    lon: f64,
-    envelope: f64,
-    cities: impl IntoIterator<Item = &'a City>,
-) -> f64 {
+/// Land/ocean base modulation of the cell centred at (`lat`, `lon`).
+fn base_modulation(lat: f64, lon: f64) -> f64 {
     let on_land =
         LAND_BOXES.iter().any(|&(a, b, c, d, _)| lat >= a && lat <= b && lon >= c && lon <= d);
-    let base = if on_land { 0.02 } else { 0.0005 };
-    let mut modulation = base;
-    for city in cities {
-        let dl = (lat - city.lat) / city.sigma;
-        // Longitude wrap for kernels near the date line.
-        let mut dlon_c = (lon - city.lon).abs();
-        if dlon_c > 180.0 {
-            dlon_c = 360.0 - dlon_c;
-        }
-        let dn = dlon_c / city.sigma;
-        let d2 = dl * dl + dn * dn;
-        if d2 < 16.0 {
-            modulation += city.amplitude * (-d2 / 2.0).exp();
-        }
+    if on_land {
+        0.02
+    } else {
+        0.0005
     }
-    envelope * modulation.min(1.0)
-}
-
-/// Wrapped longitude gap \[deg\] from `lon` to the eastward arc
-/// `[lo, hi]` (all in \[-180, 180\], `lo <= hi`); zero inside the arc.
-/// Outside it, the shortest way round to any point of the arc passes an
-/// end, so the gap never exceeds the distance to any longitude in it.
-fn lon_gap_deg(lon: f64, lo: f64, hi: f64) -> f64 {
-    if lon >= lo && lon <= hi {
-        return 0.0;
-    }
-    let wrapped = |d: f64| if d > 180.0 { 360.0 - d } else { d };
-    wrapped((lon - lo).abs()).min(wrapped((lon - hi).abs()))
 }
 
 /// Fills the row-major density grid from the sampled cities.
 ///
-/// Each kernel has compact support: it contributes only where
-/// `d² = dl² + dn² < 16`, i.e. within 4σ ≤ 8° of its centre. So each
-/// latitude row keeps only the cities whose latitude term alone passes
-/// (`dl² < 16`, computed exactly as [`cell_density`] computes it), and
-/// each block of [`BLOCK_COLS`] columns keeps only those whose wrapped
-/// longitude gap to the block's column-centre span is below `4σ` (plus a
-/// 1e-6° margin that absorbs rounding in the gap). A skipped city has
-/// `d² ≥ 16` at every cell of the block and would have added nothing;
-/// the kept ones are summed in city-index order through the unchanged
-/// per-cell kernel, so the grid is bit-identical to evaluating every
-/// city at every cell.
+/// A cell's density is its land/ocean base plus every city kernel within
+/// reach (`d² = dl² + dn² < 16`), summed in city-index order, clamped at
+/// 1 and scaled by the row's latitude envelope. Each row is filled by
+/// scatter: the row's cells start at their base, then each city whose
+/// latitude term alone passes (`dl² < 16`) visits, in city-index order,
+/// only the columns whose centre lies within its longitude reach
+/// `σ·sqrt(16 − dl²)` (plus a 1e-6° margin and one column of slack at
+/// each end), wrapping across the date line, or the whole ring once when
+/// that reach covers it. Every visited cell runs the unchanged kernel
+/// test; an unvisited one has `d² ≥ 16` and would add nothing. So every
+/// cell takes the same additions in the same order as evaluating every
+/// city at every cell, and the grid is bit-identical to that.
 fn fill_grid(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
-    let mut density = vec![0.0; config.lat_bins * config.lon_bins];
+    let cols = config.lon_bins;
+    let mut density = vec![0.0; config.lat_bins * cols];
     let dlat = 180.0 / config.lat_bins as f64;
-    let dlon = 360.0 / config.lon_bins as f64;
+    let dlon = 360.0 / cols as f64;
     let lon_of = |j: usize| -180.0 + dlon * (j as f64 + 0.5);
-    let mut row: Vec<&City> = Vec::new();
-    let mut bucket: Vec<&City> = Vec::new();
-    for i in 0..config.lat_bins {
+    let ring = cols as isize;
+    for (i, row) in density.chunks_exact_mut(cols).enumerate() {
         let lat = -90.0 + dlat * (i as f64 + 0.5);
         let envelope = latitude_envelope(lat);
         if envelope < 1e-6 {
             continue;
         }
-        row.clear();
-        row.extend(cities.iter().filter(|city| {
+        for (j, cell) in row.iter_mut().enumerate() {
+            *cell = base_modulation(lat, lon_of(j));
+        }
+        for city in cities {
             let dl = (lat - city.lat) / city.sigma;
-            dl * dl < 16.0
-        }));
-        for start in (0..config.lon_bins).step_by(BLOCK_COLS) {
-            let end = (start + BLOCK_COLS).min(config.lon_bins);
-            let (lo, hi) = (lon_of(start), lon_of(end - 1));
-            bucket.clear();
-            bucket.extend(
-                row.iter().filter(|city| lon_gap_deg(city.lon, lo, hi) < 4.0 * city.sigma + 1e-6),
-            );
-            for j in start..end {
-                density[i * config.lon_bins + j] =
-                    cell_density(lat, lon_of(j), envelope, bucket.iter().copied());
+            let dl2 = dl * dl;
+            if dl2 >= 16.0 {
+                continue;
             }
+            let reach = city.sigma * (16.0 - dl2).sqrt() + 1e-6;
+            let first = ((city.lon - reach + 180.0) / dlon - 0.5).floor() as isize;
+            let last = ((city.lon + reach + 180.0) / dlon - 0.5).ceil() as isize;
+            let span = if last - first < ring { first..last + 1 } else { 0..ring };
+            for j in span {
+                let j = j.rem_euclid(ring) as usize;
+                city.add_kernel(&mut row[j], dl2, lon_of(j));
+            }
+        }
+        for cell in row {
+            *cell = envelope * cell.min(1.0);
         }
     }
     density
@@ -312,8 +308,9 @@ mod tests {
     use proptest::prelude::*;
     use ssplane_astro::constants::EARTH_RADIUS_KM;
 
-    /// The brute-force fill the bucketed [`fill_grid`] replaced — every
-    /// city kernel at every cell — kept as its bit-exact oracle.
+    /// The brute-force fill — every city kernel at every cell, in
+    /// city-index order — kept as the scatter [`fill_grid`]'s bit-exact
+    /// oracle.
     fn fill_grid_brute_force(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
         let mut density = vec![0.0; config.lat_bins * config.lon_bins];
         let dlat = 180.0 / config.lat_bins as f64;
@@ -326,7 +323,12 @@ mod tests {
             }
             for j in 0..config.lon_bins {
                 let lon = -180.0 + dlon * (j as f64 + 0.5);
-                density[i * config.lon_bins + j] = cell_density(lat, lon, envelope, cities);
+                let mut modulation = base_modulation(lat, lon);
+                for city in cities {
+                    let dl = (lat - city.lat) / city.sigma;
+                    city.add_kernel(&mut modulation, dl * dl, lon);
+                }
+                density[i * config.lon_bins + j] = envelope * modulation.min(1.0);
             }
         }
         density
@@ -467,39 +469,52 @@ mod tests {
     }
 
     #[test]
-    fn lon_gap_wraps_across_the_date_line() {
-        // Block 0 of the default grid spans column centres -179.75..=-170.25.
-        let (lo, hi) = (-179.75, -170.25);
-        assert!((lon_gap_deg(179.5, lo, hi) - 0.75).abs() < 1e-12);
-        assert!((lon_gap_deg(-179.5, 170.25, 179.75) - 0.75).abs() < 1e-12);
-        assert!((lon_gap_deg(-160.0, lo, hi) - 10.25).abs() < 1e-12);
-        assert_eq!(lon_gap_deg(-175.0, lo, hi), 0.0);
-        assert_eq!(lon_gap_deg(lo, lo, hi), 0.0);
+    #[ignore = "~5 s in release: three brute-force fills of the default grid"]
+    fn default_grid_matches_brute_force_at_more_seeds() {
+        // The digest pin covers seed 42; these seeds draw other cities.
+        for seed in [1, 7, 1009] {
+            let config = PopulationConfig { seed, ..Default::default() };
+            let cities = sample_cities(&config);
+            assert_bits_eq(&fill_grid(&config, &cities), &fill_grid_brute_force(&config, &cities));
+        }
+    }
 
-        // The shipped land boxes never put a kernel across the seam, so
-        // check seam-straddling cities against the brute force directly.
-        let config = PopulationConfig { lat_bins: 90, lon_bins: 180, n_cities: 0, seed: 0 };
+    #[test]
+    fn narrow_rings_and_seam_straddling_reaches_match_brute_force() {
+        // The shipped land boxes never put a kernel across the date line,
+        // and random grids rarely come this narrow, so place the cities
+        // by hand: reaches that straddle the seam from either side or sit
+        // on it, and one (4σ = 240°) that covers the whole ring. Small
+        // amplitudes keep the modulation below its clamp at 1.
         let cities = [
-            City { lat: 19.0, lon: 179.5, amplitude: 1.0, sigma: 2.0 },
-            City { lat: -11.0, lon: -179.9, amplitude: 0.5, sigma: 0.5 },
-            City { lat: 41.0, lon: 176.0, amplitude: 0.2, sigma: 1.0 },
+            City { lat: 19.0, lon: 179.5, amplitude: 0.3, sigma: 2.0 },
+            City { lat: -11.0, lon: -179.9, amplitude: 0.2, sigma: 0.5 },
+            City { lat: 41.0, lon: 176.0, amplitude: 0.1, sigma: 1.0 },
+            City { lat: 5.0, lon: 180.0, amplitude: 0.1, sigma: 30.0 },
+            City { lat: 0.0, lon: 10.0, amplitude: 0.05, sigma: 60.0 },
+            City { lat: 30.0, lon: -180.0, amplitude: 0.2, sigma: 1.5 },
         ];
-        let bucketed = fill_grid(&config, &cities);
-        assert_bits_eq(&bucketed, &fill_grid_brute_force(&config, &cities));
-        // Row 54 is centred on 19°N; its westernmost cell (-179°) sits
-        // 1.5° across the seam from the first city and takes its kernel.
-        let west_edge = bucketed[54 * 180];
-        assert!(west_edge > 0.5 * latitude_envelope(19.0), "west edge = {west_edge}");
+        for (lat_bins, lon_bins) in [(1, 1), (2, 2), (3, 3), (7, 5), (13, 2), (90, 180)] {
+            let config = PopulationConfig { lat_bins, lon_bins, n_cities: 0, seed: 0 };
+            let scattered = fill_grid(&config, &cities);
+            assert_bits_eq(&scattered, &fill_grid_brute_force(&config, &cities));
+            if lon_bins == 180 {
+                // Row 54 is centred on 19°N; its westernmost cell (-179°)
+                // sits 1.5° across the seam from the first city and takes
+                // its kernel.
+                let west_edge = scattered[54 * 180];
+                assert!(west_edge > 0.2 * latitude_envelope(19.0), "west edge = {west_edge}");
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// The bucketed fill equals the brute-force oracle bit for bit on
-        /// any grid shape (including widths that are not a multiple of
-        /// the block), city count and seed.
+        /// The scatter fill equals the brute-force oracle bit for bit on
+        /// any grid shape, city count and seed.
         #[test]
-        fn bucketed_fill_matches_brute_force(
+        fn scatter_fill_matches_brute_force(
             lat_bins in 1usize..=400,
             lon_bins in 1usize..=800,
             n_cities in 0usize..=800,

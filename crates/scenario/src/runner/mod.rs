@@ -697,6 +697,10 @@ mod tests {
             spec.design.kinds = vec!["rgt"];
             spec
         };
+        // The Walker designer refuses an inclination outside (0, 180) deg.
+        let mut walker =
+            bad("design.walker_inclinations_deg", TomlValue::Array(vec![TomlValue::Float(500.0)]));
+        walker.design.kinds = vec!["wd"];
         let points = [
             bad("attack.damage_threshold", TomlValue::Float(1.5)),
             ok.clone(),
@@ -704,18 +708,23 @@ mod tests {
             bad("network.percolation_gap", TomlValue::Float(1.0)),
             rgt(-30.0),
             rgt(500.0),
+            walker,
         ];
         let outcome = Runner::with_threads(1).run_specs(&points);
         assert!(outcome.reports[1].is_ok());
-        for (k, key) in [
+        for (k, expected) in [
             (0, "attack.damage_threshold"),
             (2, "network.percolation_steps"),
             (3, "network.percolation_gap"),
-            (4, "inclination_deg"),
-            (5, "inclination_deg"),
+            (4, "design.rgt_inclination_deg"),
+            (5, "design.rgt_inclination_deg"),
+            (6, "design.walker_inclinations_deg"),
         ] {
-            let err = outcome.reports[k].as_ref().unwrap_err().to_string();
-            assert!(err.contains(key), "point {k}: {err}");
+            let err = outcome.reports[k].as_ref().unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::BadValue { key, .. } if key == expected),
+                "point {k}: {err}"
+            );
         }
     }
 

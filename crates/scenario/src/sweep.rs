@@ -21,7 +21,7 @@ use ssplane_core::walker_baseline::SupplyModel;
 use ssplane_lsn::optimizer::AttackObjective;
 use ssplane_lsn::spares::SparePolicy;
 use ssplane_radiation::fluence::{MAX_STEP_S, MIN_STEP_S};
-use Gate::{Always, Gravity, Network, Radiation, Slim, Starlink, Survivability};
+use Gate::{Always, Gravity, Network, Radiation, Rgt, Slim, Starlink, Survivability, Walker};
 
 /// One sweep axis: a dotted parameter path and the values it takes.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,6 +348,9 @@ const POSITIVE: Range = (Excluded(0.0), Unbounded);
 /// (0, 1].
 const FRACTION: Range = (Excluded(0.0), Included(1.0));
 
+/// [0, 180]: an inclination in degrees.
+const DEGREES: Range = (Included(0.0), Included(180.0));
+
 /// The integers from `lo` to `hi`.
 const fn count(lo: usize, hi: usize) -> Range {
     (Included(lo as f64), Included(hi as f64))
@@ -369,9 +372,10 @@ fn describe((lo, hi): Range) -> String {
 }
 
 /// The stage whose enabled state gates a key's range check: always, a
-/// stage's `enabled` switch, the gravity traffic model, or the `slim` or
-/// `starlink` designer being selected. A disabled stage does not police
-/// its knobs.
+/// stage's `enabled` switch, the gravity traffic model, or a designer
+/// being selected (`rgt`, `slim`, `starlink`, or either designer that
+/// reads the Walker config, `wd` or `slim`). A disabled stage does not
+/// police its knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Gate {
     Always,
@@ -379,6 +383,8 @@ enum Gate {
     Survivability,
     Network,
     Gravity,
+    Rgt,
+    Walker,
     Slim,
     Starlink,
 }
@@ -391,14 +397,21 @@ impl Gate {
             Survivability => s.survivability.enabled,
             Network => s.network.enabled,
             Gravity => s.traffic.model == TrafficModel::Gravity,
+            Rgt => s.design.includes("rgt"),
+            Walker => s.design.includes("wd") || s.design.includes("slim"),
             Slim => s.design.includes("slim"),
             Starlink => s.design.includes("starlink"),
         }
     }
 }
 
-/// Reads a ranged key's value out of a spec for its check.
-type Getter = fn(&ScenarioSpec) -> f64;
+/// Reads a ranged key's value out of a spec for its check: one number,
+/// or every entry of a list-valued key.
+#[derive(Clone, Copy)]
+enum Getter {
+    One(fn(&ScenarioSpec) -> f64),
+    Each(fn(&ScenarioSpec) -> &[f64]),
+}
 
 /// One scenario key: its name, its setter and, for a ranged key, a
 /// getter for its value, its range, and the gate of its check.
@@ -409,14 +422,22 @@ pub(crate) struct Param {
 }
 
 impl Param {
-    /// Checks the key's value against its range while its gate is on.
+    /// Checks the key's value, or each entry of a list, against its
+    /// range while its gate is on.
     pub(crate) fn check(&self, spec: &ScenarioSpec) -> Result<()> {
         let Some((get, range, gate)) = self.range else { return Ok(()) };
-        let x = get(spec);
-        if !gate.is_on(spec) || (x.is_finite() && range.contains(&x)) {
+        if !gate.is_on(spec) {
             return Ok(());
         }
-        Err(ScenarioError::bad_value(self.key, &x.to_string(), &describe(range)))
+        let outside = |x: &f64| !(x.is_finite() && range.contains(x));
+        let bad = match get {
+            Getter::One(get) => Some(get(spec)).filter(outside),
+            Getter::Each(get) => get(spec).iter().copied().find(outside),
+        };
+        match bad {
+            Some(x) => Err(ScenarioError::bad_value(self.key, &x.to_string(), &describe(range))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -438,7 +459,7 @@ macro_rules! field {
         row($key, |s, k, v| Plain::read(k, v).map(|x| s.$($f).+ = x))
     };
     ($key:literal, $($f:ident).+, $range:expr, $gate:expr) => {
-        ranged(field!($key, $($f).+), |s| s.$($f).+ as f64, $range, $gate)
+        ranged(field!($key, $($f).+), Getter::One(|s| s.$($f).+ as f64), $range, $gate)
     };
 }
 
@@ -650,23 +671,30 @@ pub(crate) const PARAMS: &[Param] = &[
     }),
     field!("design.rgt_revs", design.rgt.revs),
     field!("design.rgt_days", design.rgt.days),
-    field!("design.rgt_inclination_deg", design.rgt.inclination_deg),
+    field!("design.rgt_inclination_deg", design.rgt.inclination_deg, DEGREES, Rgt),
     field!("design.max_planes", design.ss.max_planes),
     token!(BRANCH_RULES, design.ss.branch_rule),
     field!("design.walker_shell_spacing_km", design.wd.shell_spacing_km),
     token!(SUPPLY_MODELS, design.wd.supply_model),
-    row("design.walker_inclinations_deg", |s, k, v| {
-        let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of degrees"))?;
-        let mut incs = Vec::with_capacity(arr.len());
-        for item in arr {
-            incs.push(f64::read(k, item)?);
-        }
-        if incs.is_empty() {
-            return Err(ScenarioError::bad_value(k, "[]", "at least one inclination"));
-        }
-        s.design.wd.candidate_inclinations_deg = incs;
-        Ok(())
-    }),
+    // The Walker designers take inclinations in (0, 180) deg only; each
+    // entry is checked here so that the error names this key.
+    ranged(
+        row("design.walker_inclinations_deg", |s, k, v| {
+            let arr = v.as_array().ok_or_else(|| not_a(k, v, "an array of degrees"))?;
+            let mut incs = Vec::with_capacity(arr.len());
+            for item in arr {
+                incs.push(f64::read(k, item)?);
+            }
+            if incs.is_empty() {
+                return Err(ScenarioError::bad_value(k, "[]", "at least one inclination"));
+            }
+            s.design.wd.candidate_inclinations_deg = incs;
+            Ok(())
+        }),
+        Getter::Each(|s| &s.design.wd.candidate_inclinations_deg),
+        (Excluded(0.0), Excluded(180.0)),
+        Walker,
+    ),
     field!("design.slim_plane_factor", design.slim_plane_factor, FRACTION, Slim),
     field!("design.slim_min_planes", design.slim_min_planes, (Included(1.0), Unbounded), Slim),
     field!("design.starlink_scale", design.starlink_scale, FRACTION, Starlink),
@@ -716,10 +744,10 @@ pub(crate) const PARAMS: &[Param] = &[
         row("spares.count", |s, k, v| {
             usize::read(k, v).map(|n| edit_policy(s, |policy| policy.1 = n))
         }),
-        |s| match s.survivability.policy {
+        Getter::One(|s| match s.survivability.policy {
             SparePolicy::PerPlane { spares_per_plane: n, .. }
             | SparePolicy::SharedPool { pool_size: n, .. } => n as f64,
-        },
+        }),
         count(0, MAX_SPARES),
         Survivability,
     ),
@@ -727,7 +755,7 @@ pub(crate) const PARAMS: &[Param] = &[
         row("spares.replacement_days", |s, k, v| {
             f64::read(k, v).map(|days| edit_policy(s, |policy| policy.2 = days))
         }),
-        |s| s.survivability.policy.replacement_days(),
+        Getter::One(|s| s.survivability.policy.replacement_days()),
         (Included(0.0), Unbounded),
         Survivability,
     ),
@@ -1012,6 +1040,8 @@ mod tests {
             Gravity => {
                 spec.traffic.model = if on { TrafficModel::Gravity } else { TrafficModel::Sampled }
             }
+            Rgt => spec.design.kinds = vec![if on { "rgt" } else { "ss" }],
+            Walker => spec.design.kinds = vec![if on { "wd" } else { "ss" }],
             Slim => spec.design.kinds = vec![if on { "slim" } else { "ss" }],
             Starlink => spec.design.kinds = vec![if on { "starlink" } else { "ss" }],
         }
@@ -1029,13 +1059,14 @@ mod tests {
     fn every_range_holds_at_its_ends_while_its_gate_is_on() {
         let mut ranged = 0;
         for param in PARAMS {
-            let Some((_, (lo, hi), gate)) = param.range else { continue };
+            let Some((get, (lo, hi), gate)) = param.range else { continue };
             ranged += 1;
             let key = param.key;
+            let list = matches!(get, Getter::Each(_));
             // An integer key refuses a fraction; its neighbours are ±1.
-            let integer =
-                apply_param(&mut ScenarioSpec::named("x"), key, &TomlValue::Float(0.5)).is_err();
-            let value =
+            let integer = !list
+                && apply_param(&mut ScenarioSpec::named("x"), key, &TomlValue::Float(0.5)).is_err();
+            let scalar =
                 |x: f64| if integer { TomlValue::Int(x as i64) } else { TomlValue::Float(x) };
             let down = |x: f64| if integer { x - 1.0 } else { x.next_down() };
             let up = |x: f64| if integer { x + 1.0 } else { x.next_up() };
@@ -1052,6 +1083,15 @@ mod tests {
                 Excluded(x) => ends.push((down(x), x)),
                 Unbounded => {}
             }
+            // A list key takes `x` after an entry inside the range, so a
+            // bad entry must fail behind a good one.
+            let value = |x: f64| {
+                if list {
+                    TomlValue::Array(vec![scalar(ends[0].0), scalar(x)])
+                } else {
+                    scalar(x)
+                }
+            };
             let mut outside: Vec<f64> = ends.iter().map(|&(_, out)| out).collect();
             if !integer {
                 outside.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
@@ -1082,7 +1122,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(ranged, 27, "ranged rows");
+        assert_eq!(ranged, 29, "ranged rows");
     }
 
     #[test]
