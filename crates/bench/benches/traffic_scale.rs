@@ -1,6 +1,7 @@
 //! Population-scale traffic-engine benches: seeded gravity-model
 //! synthesis of the 100k-pair workload (whole, and split into its
-//! seed-free field and its seeded draws), and the capacity-constrained
+//! seed-free field and its seeded draws), the workload's interning, and
+//! the capacity-constrained
 //! served-demand assignment (attachment aggregation → k-path candidates
 //! → residual waterfilling) at 10k-satellite scale — one slot and the
 //! full 4-slot grid, the per-scenario stage `scenario-runner` pays. On
@@ -89,11 +90,17 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
 
     let gravity = gravity_flows(&model, &config, 0).unwrap();
     let total: f64 = gravity.iter().map(|g| g.rate).sum();
-    let workload = TrafficWorkload::from_gravity(
-        &gravity,
-        OFFERED / total,
-        CapacityConfig { link_capacity: 1.0, k_paths: 2 },
+    let capacity = CapacityConfig { link_capacity: 1.0, k_paths: 2 };
+    // The workload a point builds from its draws, serially: the flow
+    // list plus its interned endpoints and endpoint pairs.
+    group.bench_with_input(
+        criterion::BenchmarkId::new("from_gravity", format!("{PAIRS}pairs")),
+        &(),
+        |b, ()| {
+            b.iter(|| black_box(TrafficWorkload::from_gravity(&gravity, OFFERED / total, capacity)))
+        },
     );
+    let workload = TrafficWorkload::from_gravity(&gravity, OFFERED / total, capacity);
 
     // 10k satellites: 50 planes x 200 slots (the mega-constellation
     // geometry every other bench uses), with the per-slot +grid

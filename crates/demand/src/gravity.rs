@@ -107,6 +107,13 @@ pub struct GravityFlow {
     pub dst_lon_deg: f64,
     /// Offered rate, in the same units as [`grid_demand_total`].
     pub rate: f64,
+    /// Source site: its index in the field's site list
+    /// ([`GravityField::sites`]). Equal indices carry equal coordinates,
+    /// so a consumer can intern endpoints by index instead of by
+    /// coordinates.
+    pub src_site: u32,
+    /// Destination site index, as `src_site`.
+    pub dst_site: u32,
 }
 
 /// The diurnal weight of each longitude column at `utc_hour`. A cell's
@@ -355,14 +362,16 @@ pub fn gravity_flows_in(
     let scale = field.total / weight_sum;
     // `flatten` hides the length, so presize instead of growing by doubling.
     let mut flows = Vec::with_capacity(config.pairs);
-    flows.extend(chunks.iter().flatten().map(|&(s, d, w)| {
-        let (s, d) = (&sites[s as usize], &sites[d as usize]);
+    flows.extend(chunks.iter().flatten().map(|&(src_site, dst_site, w)| {
+        let (s, d) = (&sites[src_site as usize], &sites[dst_site as usize]);
         GravityFlow {
             src_lat_deg: s.lat_deg,
             src_lon_deg: s.lon_deg,
             dst_lat_deg: d.lat_deg,
             dst_lon_deg: d.lon_deg,
             rate: w * scale,
+            src_site,
+            dst_site,
         }
     }));
     Ok(flows)
@@ -431,14 +440,29 @@ mod tests {
         sites.iter().map(|s| [s.lat_deg.to_bits(), s.lon_deg.to_bits(), s.mass.to_bits()]).collect()
     }
 
-    fn flow_bits(flows: &[GravityFlow]) -> Vec<[u64; 5]> {
+    fn flow_bits(flows: &[GravityFlow]) -> Vec<([u64; 5], [u32; 2])> {
         flows
             .iter()
             .map(|f| {
-                [f.src_lat_deg, f.src_lon_deg, f.dst_lat_deg, f.dst_lon_deg, f.rate]
-                    .map(f64::to_bits)
+                let coords = [f.src_lat_deg, f.src_lon_deg, f.dst_lat_deg, f.dst_lon_deg, f.rate];
+                (coords.map(f64::to_bits), [f.src_site, f.dst_site])
             })
             .collect()
+    }
+
+    #[test]
+    fn site_indices_name_the_flow_coordinates() {
+        let m = model();
+        let field = GravityField::new(&m, 12.0, 64);
+        let flows = gravity_flows_in(&field, &config(2 * CHUNK + 5, 3), 2).unwrap();
+        let at = |site: u32| {
+            let s = &field.sites()[site as usize];
+            (s.lat_deg.to_bits(), s.lon_deg.to_bits())
+        };
+        for f in &flows {
+            assert_eq!(at(f.src_site), (f.src_lat_deg.to_bits(), f.src_lon_deg.to_bits()));
+            assert_eq!(at(f.dst_site), (f.dst_lat_deg.to_bits(), f.dst_lon_deg.to_bits()));
+        }
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //!
 //! * a [`DegradedEvaluator`] — the reusable per-candidate evaluation the
 //!   degraded network stage and the search share: one prebuilt intact
-//!   [`Topology`] and routing [`Landmarks`] per slot of a
-//!   [`SnapshotSeries`], and candidate alive masks scored by filtering
-//!   that topology ([`Topology::masked`], an O(links) incremental pass
-//!   that never re-runs the geometric construction, let alone
-//!   re-propagates an orbit) followed by the landmark-guided traffic
-//!   assignment ([`crate::traffic::assign_traffic`]) and
-//!   the slot aggregates;
+//!   [`Topology`], routing [`Landmarks`] and ground attachment per slot
+//!   of a [`SnapshotSeries`], and candidate alive masks scored by
+//!   filtering that topology ([`Topology::masked`], an O(links)
+//!   incremental pass that never re-runs the geometric construction, let
+//!   alone re-propagates an orbit), re-attaching only the endpoints whose
+//!   server died, then the landmark-guided traffic assignment
+//!   ([`crate::traffic::assign_traffic`]) and the slot aggregates;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
 //!   surviving component fraction), (negated) link-load inflation, the
@@ -52,14 +52,17 @@ pub mod incremental;
 pub use incremental::IncrementalScorer;
 
 use crate::error::Result;
-use crate::routing::Landmarks;
+use crate::routing::{Landmarks, ServingIndex};
 use crate::snapshot::{Snapshot, SnapshotSeries};
 use crate::topology::{GridTopologyConfig, SatId, Topology};
-use crate::traffic::{assign_guided, Flow, TrafficReport};
-use crate::traffic_engine::{assign_interned, ServedDemandSummary, TrafficWorkload};
+use crate::traffic::{assign_guided, serving_pairs, Flow, TrafficReport};
+use crate::traffic_engine::{assign_interned, FlowIndex, ServedDemandSummary, TrafficWorkload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Greedy frontier sample per step for satellite-unit searches: scoring
 /// every remaining satellite each step would cost O(budget · fleet)
@@ -140,11 +143,21 @@ pub struct SlotEvaluation {
     pub served: Option<ServedDemandSummary>,
 }
 
+/// Per interned endpoint of one slot, the flat index of its serving
+/// satellite: the classic flows' endpoints and the workload's.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Attachment {
+    classic: Vec<Option<usize>>,
+    workload: Vec<Option<usize>>,
+}
+
 /// The traffic every slot evaluation routes, shared by the intact build
 /// and every masked pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct SlotInputs<'a> {
     flows: &'a [Flow],
+    /// The classic flows, interned once for every slot and mask.
+    index: FlowIndex,
     min_elevation: f64,
     workload: Option<&'a TrafficWorkload>,
     /// The capacity the classic load statistics normalize by — the
@@ -153,25 +166,42 @@ struct SlotInputs<'a> {
     link_capacity: f64,
 }
 
-impl SlotInputs<'_> {
+impl<'a> SlotInputs<'a> {
+    /// The workload's interned endpoints (none without a workload).
+    fn workload_points(&self) -> &'a [GeoPoint] {
+        self.workload.map_or(&[], |w| &w.flows.index().points)
+    }
+
+    /// Both endpoint sets attached through `index`, an intact slot's.
+    fn attach(&self, index: &ServingIndex<'_>) -> Attachment {
+        Attachment {
+            classic: index.attach(&self.index.points),
+            workload: index.attach(self.workload_points()),
+        }
+    }
+
     /// One slot's evaluation under `alive` (`None` = intact) for the intact
-    /// build and every [`DegradedEvaluator::evaluate_slot`]: one component
-    /// pass serves connectivity and both traffic passes' reachability.
+    /// build and every [`DegradedEvaluator::evaluate_slot`], with the
+    /// endpoints attached as `servers`: one component pass serves
+    /// connectivity and both traffic passes' reachability.
     fn evaluate(
         &self,
         snapshot: &Snapshot<'_>,
         topology: &Topology,
         landmarks: &Landmarks,
         alive: Option<&[bool]>,
+        servers: &Attachment,
     ) -> Result<SlotEvaluation> {
         let components = topology.components(alive);
         let labels = &components.labels;
-        let (flows, elevation, capacity) = (self.flows, self.min_elevation, self.link_capacity);
-        let traffic =
-            assign_guided(snapshot, topology, landmarks, labels, flows, elevation, capacity)?;
+        let ends = serving_pairs(snapshot, &self.index, &servers.classic);
+        let (flows, capacity) = (self.flows, self.link_capacity);
+        let traffic = assign_guided(snapshot, topology, landmarks, labels, flows, &ends, capacity)?;
+        // Snapshot flat indices are topology node indices: the slot's
+        // topology is built from its snapshot.
         let served = self.workload.map(|w| {
             let (index, capacity) = (w.flows.index(), &w.capacity);
-            assign_interned(snapshot, topology, labels, &w.flows, index, elevation, capacity)
+            assign_interned(topology, labels, &w.flows, index, &servers.workload, capacity)
         });
         Ok(SlotEvaluation {
             connected: components.is_connected(),
@@ -185,12 +215,15 @@ impl SlotInputs<'_> {
 
 /// The reusable per-candidate evaluation pipeline: mask →
 /// [`Topology::masked`] → traffic assignment → aggregates, over every
-/// slot of one prebuilt [`SnapshotSeries`]. Construction builds the
-/// intact per-slot topologies, their routing [`Landmarks`] **and** the
-/// intact evaluations once; every candidate afterwards only filters links
-/// and re-routes flows under the intact slot's landmarks — no candidate
-/// ever re-propagates, re-runs the geometric +grid search or rebuilds a
-/// landmark table.
+/// slot of one prebuilt [`SnapshotSeries`]. Construction interns the
+/// classic flows once and builds the intact per-slot topologies, their
+/// routing [`Landmarks`], the ground attachment of every classic and
+/// workload endpoint (one [`ServingIndex`] per slot) **and** the intact
+/// evaluations once; every candidate afterwards only filters links,
+/// re-attaches the endpoints whose intact server it killed and re-routes
+/// flows under the intact slot's landmarks — no candidate ever
+/// re-propagates, re-runs the geometric +grid search, rebuilds a
+/// landmark table or re-queries an endpoint whose server survived.
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
@@ -199,6 +232,11 @@ pub struct DegradedEvaluator<'a> {
     /// Each intact slot's routing bounds, reused by every masked pass
     /// over that slot.
     landmarks: Vec<Landmarks>,
+    /// Each intact slot's ground attachment, the start of every masked
+    /// pass's.
+    attachments: Vec<Attachment>,
+    /// Endpoints masked evaluations re-queried ([`Self::reattached`]).
+    reattached: AtomicUsize,
     intact: Vec<SlotEvaluation>,
     intact_mean_link_load: f64,
     all_alive: Vec<bool>,
@@ -275,19 +313,24 @@ impl<'a> DegradedEvaluator<'a> {
         threads: usize,
     ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
-        let inputs = SlotInputs { flows, min_elevation, workload, link_capacity };
-        let slots: Vec<((Topology, Landmarks), SlotEvaluation)> =
+        let index = FlowIndex::new(flows);
+        let inputs = SlotInputs { flows, index, min_elevation, workload, link_capacity };
+        let slots: Vec<((Topology, Landmarks), (Attachment, SlotEvaluation))> =
             par_map((0..series.len()).collect(), threads, |k| {
                 let snapshot = series.snapshot(k);
                 let topology = Topology::plus_grid(&snapshot, config)?;
                 let landmarks = Landmarks::build(&topology);
-                let evaluation = inputs.evaluate(&snapshot, &topology, &landmarks, None)?;
-                Ok(((topology, landmarks), evaluation))
+                let servers = inputs.attach(&ServingIndex::new(snapshot, min_elevation));
+                let evaluation =
+                    inputs.evaluate(&snapshot, &topology, &landmarks, None, &servers)?;
+                Ok(((topology, landmarks), (servers, evaluation)))
             })
             .into_iter()
             .collect::<Result<_>>()?;
-        let (built, intact): (Vec<_>, Vec<SlotEvaluation>) = slots.into_iter().unzip();
+        let (built, attached): (Vec<_>, Vec<_>) = slots.into_iter().unzip();
         let (topologies, landmarks): (Vec<Topology>, Vec<Landmarks>) = built.into_iter().unzip();
+        let (attachments, intact): (Vec<Attachment>, Vec<SlotEvaluation>) =
+            attached.into_iter().unzip();
         let intact_mean_link_load = intact.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>()
             / intact.len().max(1) as f64;
         let spread_order =
@@ -297,6 +340,8 @@ impl<'a> DegradedEvaluator<'a> {
             inputs,
             topologies,
             landmarks,
+            attachments,
+            reattached: AtomicUsize::new(0),
             intact,
             intact_mean_link_load,
             all_alive: vec![true; series.n_sats()],
@@ -381,6 +426,15 @@ impl<'a> DegradedEvaluator<'a> {
         &self.all_alive
     }
 
+    /// Endpoints re-queried by masked evaluations so far, over both
+    /// endpoint sets and every slot: those whose intact server a mask
+    /// killed. A deterministic work counter — each evaluation adds a
+    /// function of its slot and mask — so it reads the same for every
+    /// thread count.
+    pub fn reattached(&self) -> usize {
+        self.reattached.load(Ordering::Relaxed)
+    }
+
     /// Evaluates slot `k` under `alive` (`None` = the intact network,
     /// returned from the construction-time cache).
     ///
@@ -395,7 +449,42 @@ impl<'a> DegradedEvaluator<'a> {
         };
         let snapshot = self.series.snapshot(k).with_alive(mask);
         let topology = self.topologies[k].masked(mask);
-        self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive)
+        let servers = self.reattach(k, snapshot, mask);
+        self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive, &servers)
+    }
+
+    /// Slot `k`'s attachment under `mask`, `snapshot` being the slot
+    /// masked by it. An endpoint whose intact server is alive keeps it,
+    /// and one with no intact server stays unattached: dropping
+    /// satellites from a first-wins maximum never changes which survivor
+    /// wins, nor adds a candidate (see [`ServingIndex::ranked`]). Only the
+    /// endpoints whose server died are queried, through one index over
+    /// `snapshot` built for the first of them.
+    fn reattach(&self, k: usize, snapshot: Snapshot<'_>, mask: &[bool]) -> Attachment {
+        let masked = OnceCell::new();
+        let mut queried = 0usize;
+        let mut servers = |intact: &[Option<usize>], points: &[GeoPoint]| -> Vec<Option<usize>> {
+            intact
+                .iter()
+                .zip(points)
+                .map(|(&server, &p)| match server {
+                    Some(s) if !mask[s] => {
+                        queried += 1;
+                        let index = masked
+                            .get_or_init(|| ServingIndex::new(snapshot, self.inputs.min_elevation));
+                        index.serving_flat(p)
+                    }
+                    kept => kept,
+                })
+                .collect()
+        };
+        let intact = &self.attachments[k];
+        let attachment = Attachment {
+            classic: servers(&intact.classic, &self.inputs.index.points),
+            workload: servers(&intact.workload, self.inputs.workload_points()),
+        };
+        self.reattached.fetch_add(queried, Ordering::Relaxed);
+        attachment
     }
 
     /// The objective a candidate is scored by: served demand without a
@@ -973,6 +1062,140 @@ mod tests {
             assert_eq!(fast.connected, topology.components(Some(&mask)).is_connected());
             assert_eq!(fast.alive, 48);
         }
+    }
+
+    /// A 240-satellite, 2-slot evaluator carrying the city flows and a
+    /// gravity workload, built once for the re-attachment properties.
+    fn attachment_evaluator() -> &'static DegradedEvaluator<'static> {
+        use std::sync::OnceLock;
+        static FIXTURE: OnceLock<(SnapshotSeries, Vec<Flow>, TrafficWorkload)> = OnceLock::new();
+        static EVALUATOR: OnceLock<DegradedEvaluator<'static>> = OnceLock::new();
+        let (series, flows, workload) = FIXTURE.get_or_init(|| {
+            let (series, flows) = evaluator_fixture(&constellation(10, 24), &city_flows(), 2);
+            (series, flows, capacity_workload())
+        });
+        EVALUATOR.get_or_init(|| {
+            let elevation = 20f64.to_radians();
+            DegradedEvaluator::with_workload(
+                series,
+                flows,
+                elevation,
+                Default::default(),
+                Some(workload),
+            )
+            .unwrap()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Masked re-attachment answers what an index rebuilt over the
+        /// masked snapshot answers, for every classic and workload
+        /// endpoint under whole-plane and scattered losses, and queries
+        /// exactly the endpoints whose intact server died.
+        #[test]
+        fn masked_reattachment_matches_a_rebuilt_index(
+            planes in proptest::collection::vec(0usize..10, 0..4),
+            sats in proptest::collection::vec(0usize..240, 0..60),
+            k in 0usize..2,
+        ) {
+            let ev = attachment_evaluator();
+            let offsets = ev.series.snapshot(0).plane_offsets().to_vec();
+            let mut mask = ev.all_alive().to_vec();
+            for p in planes {
+                mask[offsets[p]..offsets[p + 1]].fill(false);
+            }
+            for s in sats {
+                mask[s] = false;
+            }
+            check_reattachment(ev, k, &mask);
+        }
+    }
+
+    /// Slot `k`'s re-attachment under `mask` answers what an index
+    /// rebuilt over the masked snapshot answers, for every classic and
+    /// workload endpoint, and queries exactly the endpoints whose intact
+    /// server died.
+    fn check_reattachment(ev: &DegradedEvaluator<'_>, k: usize, mask: &[bool]) {
+        let snapshot = ev.series.snapshot(k).with_alive(mask);
+        let before = ev.reattached();
+        let got = ev.reattach(k, snapshot, mask);
+        let requeried = ev.reattached() - before;
+        let rebuilt = ServingIndex::new(snapshot, ev.inputs.min_elevation);
+        let intact = &ev.attachments[k];
+        let sets = [
+            (&got.classic, &intact.classic, &ev.inputs.index.points[..]),
+            (&got.workload, &intact.workload, ev.inputs.workload_points()),
+        ];
+        let mut dead = 0;
+        for (servers, intact, points) in sets {
+            assert!(!points.is_empty(), "both endpoint sets are covered");
+            assert_eq!(servers.len(), points.len());
+            for ((&server, &was), &p) in servers.iter().zip(intact).zip(points) {
+                assert_eq!(server, rebuilt.serving_flat(p), "slot {k}, endpoint {p:?}");
+                dead += usize::from(was.is_some_and(|s| !mask[s]));
+            }
+        }
+        assert_eq!(requeried, dead, "only endpoints whose server died are queried");
+    }
+
+    /// [`check_reattachment`] on a mega-constellation: a 10k-satellite
+    /// Walker (50 planes × 200), 4 slots, a strided 4-plane loss and
+    /// random-satellite losses, 200 demand-sampled flows (400 endpoints)
+    /// and a 64-site gravity workload. Ignored by default; run it with
+    /// `cargo test --release -p ssplane-lsn --lib optimizer:: -- --ignored`.
+    #[test]
+    #[ignore = "mega-scale oracle, run in release"]
+    fn masked_reattachment_matches_a_rebuilt_index_at_mega_scale() {
+        use ssplane_astro::walker::WalkerDelta;
+        use ssplane_demand::gravity::{gravity_flows, GravityConfig};
+        use ssplane_demand::DemandModel;
+        let pattern =
+            WalkerDelta::new(550.0, 53f64.to_radians(), 10_000, 50, 1).unwrap().generate().unwrap();
+        let planes: Vec<_> = pattern.chunks(200).map(<[_]>::to_vec).collect();
+        let c = Constellation::from_planes(Epoch::J2000, planes).unwrap();
+        let series =
+            SnapshotSeries::build_parallel(&c, &time_grid(Epoch::J2000, 4, 420.0), 0).unwrap();
+        let model = DemandModel::synthetic_seeded(42).unwrap();
+        let flows = crate::traffic::sample_flows(&model, 12.0, 200, 7);
+        let config = GravityConfig { pairs: 20_000, sites: 64, seed: 3, ..Default::default() };
+        let gravity = gravity_flows(&model, &config, 0).unwrap();
+        let workload = TrafficWorkload::from_gravity(&gravity, 1e-3, Default::default());
+        let ev = DegradedEvaluator::with_workload_threads(
+            &series,
+            &flows,
+            20f64.to_radians(),
+            Default::default(),
+            Some(&workload),
+            0,
+        )
+        .unwrap();
+        let mut masks = Vec::new();
+        let mut planes_lost = ev.all_alive().to_vec();
+        for p in [0usize, 12, 25, 37] {
+            planes_lost[p * 200..(p + 1) * 200].fill(false);
+        }
+        masks.push(planes_lost);
+        let mut rng = StdRng::seed_from_u64(17);
+        for lost in [50usize, 500, 3000] {
+            let mut mask = ev.all_alive().to_vec();
+            for _ in 0..lost {
+                let victim = rng.gen_index(mask.len());
+                mask[victim] = false;
+            }
+            masks.push(mask);
+        }
+        let mut both = masks[0].clone();
+        both.iter_mut().zip(&masks[2]).for_each(|(a, &b)| *a &= b);
+        masks.push(both);
+        let before = ev.reattached();
+        for mask in &masks {
+            for k in 0..ev.n_slots() {
+                check_reattachment(&ev, k, mask);
+            }
+        }
+        assert!(ev.reattached() > before, "the losses killed some servers");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Incremental candidate evaluation for the attack search.
 //!
 //! [`super::DegradedEvaluator::score_attack`] re-runs the full masked
-//! pipeline per candidate: rebuild the masked topology, re-attach every
-//! endpoint, re-run one Dijkstra per distinct serving satellite. The
-//! search shapes that feed it are far more structured than that —
-//! greedy-frontier neighbours share a (k−1)-victim prefix, swap
-//! neighbours share k−1 of k victims — so almost all of that work
+//! pipeline per candidate: rebuild the masked topology, re-attach the
+//! endpoints whose server died, re-run one Dijkstra per distinct serving
+//! satellite. The search shapes that feed it are far more structured
+//! than that — greedy-frontier neighbours share a (k−1)-victim prefix,
+//! swap neighbours share k−1 of k victims — so almost all of that work
 //! repeats verbatim between candidates. [`IncrementalScorer`] exploits
 //! the structure with these mechanisms, each *exact*, never heuristic:
 //!
@@ -83,7 +83,7 @@ use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTr
 use crate::topology::{Components, SatId, Topology};
 use crate::traffic_engine::{
     k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, AttachmentTally,
-    FlowIndex, ServedDemandSummary,
+    ServedDemandSummary,
 };
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
@@ -316,8 +316,6 @@ pub struct IncrementalScorer<'e, 'a> {
     /// Damage-threshold fallback: repaired regions larger than this many
     /// nodes recompute from scratch instead.
     max_affected: usize,
-    /// Interned classic flows.
-    flow_index: FlowIndex,
     /// Per slot: the ranked servers of the endpoints the objective
     /// attaches — the classic flows' for routed fraction and load
     /// inflation, the workload's for served demand, none otherwise.
@@ -341,18 +339,17 @@ pub struct IncrementalScorer<'e, 'a> {
 }
 
 impl<'e, 'a> IncrementalScorer<'e, 'a> {
-    /// Builds the scorer: interns flows, ranks every endpoint's serving
-    /// candidates per slot, and evaluates the intact state (one tree per
-    /// distinct intact source — the only whole-constellation Dijkstras
-    /// the scorer's lifetime pays for, outside damage-threshold
-    /// fallbacks).
+    /// Builds the scorer over the evaluator's interned flows: ranks every
+    /// endpoint's serving candidates per slot, and evaluates the intact
+    /// state (one tree per distinct intact source — the only
+    /// whole-constellation Dijkstras the scorer's lifetime pays for,
+    /// outside damage-threshold fallbacks).
     pub fn new(ev: &'e DegradedEvaluator<'a>, objective: AttackObjective) -> Self {
         let objective = ev.resolve(objective);
         let n_slots = ev.n_slots();
-        let flow_index = FlowIndex::new(ev.inputs.flows);
         let points: &[GeoPoint] = match (objective, ev.inputs.workload) {
             (AttackObjective::RoutedFraction | AttackObjective::LoadInflation, _) => {
-                &flow_index.points
+                &ev.inputs.index.points
             }
             (AttackObjective::ServedDemand, Some(w)) => &w.flows.index().points,
             _ => &[],
@@ -373,7 +370,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             ev,
             objective,
             max_affected,
-            flow_index,
             ranked,
             intact_trees: (0..n_slots).map(|_| Mutex::new(BTreeMap::new())).collect(),
             intact_state: bootstrap.clone(),
@@ -685,7 +681,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
 
     /// Classic flow `i`'s interned endpoint pair.
     fn flow_ends(&self, i: usize) -> (usize, usize) {
-        self.flow_index.pairs[crate::cast::widen_u32(self.flow_index.flow_pair[i])]
+        self.ev.inputs.index.ends(i)
     }
 
     /// Stage one of a routed slot: every classic flow's outcome under the

@@ -1074,13 +1074,28 @@ impl<'a> ServingIndex<'a> {
     /// The serving satellite for `ground` — identical to
     /// [`serving_satellite`] on this snapshot.
     pub fn query(&self, ground: GeoPoint) -> Option<(SatId, f64)> {
+        self.best(ground).map(|(flat, elev)| (self.id(flat), elev))
+    }
+
+    /// [`Self::query`] as `(flat index, elevation)`.
+    fn best(&self, ground: GeoPoint) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         self.for_each_visible(ground, |flat, elev| {
             if best.is_none_or(|(bf, be)| elev > be || (elev == be && flat < bf)) {
                 best = Some((flat, elev));
             }
         });
-        best.map(|(flat, elev)| (self.id(flat), elev))
+        best
+    }
+
+    /// The serving satellite of `ground` as a flat snapshot index.
+    pub(crate) fn serving_flat(&self, ground: GeoPoint) -> Option<usize> {
+        self.best(ground).map(|(flat, _)| flat)
+    }
+
+    /// [`Self::serving_flat`] of every point.
+    pub(crate) fn attach(&self, points: &[GeoPoint]) -> Vec<Option<usize>> {
+        points.iter().map(|&p| self.serving_flat(p)).collect()
     }
 
     /// Every satellite able to serve `ground`, best first: elevation

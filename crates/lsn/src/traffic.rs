@@ -11,7 +11,8 @@ use crate::routing::{
     assemble_route, great_circle_delay_ms, GuidedSearch, Landmarks, ServingIndex,
 };
 use crate::snapshot::Snapshot;
-use crate::topology::{SatId, Topology};
+use crate::topology::{sat_id_at, SatId, Topology};
+use crate::traffic_engine::FlowIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::geo::GeoPoint;
@@ -121,10 +122,11 @@ impl TrafficReport {
 
 /// Routes every flow at the snapshot's epoch and accumulates per-link
 /// load. Ground attachment reads positions from the snapshot (no
-/// propagation), and each flow's ISL path comes from one
-/// landmark-guided [`GuidedSearch`] over [`Landmarks`] built for
-/// `topology` — bit-identical to the per-flow
-/// [`crate::routing::shortest_path`] reference.
+/// propagation) through one [`ServingIndex`], one query per distinct
+/// endpoint, and each flow's ISL path comes from one landmark-guided
+/// [`GuidedSearch`] over [`Landmarks`] built for `topology` —
+/// bit-identical to the per-flow [`crate::routing::shortest_path`]
+/// reference.
 ///
 /// # Errors
 /// Propagates topology failure; per-flow unreachability is counted, not
@@ -137,36 +139,52 @@ pub fn assign_traffic(
 ) -> Result<TrafficReport> {
     let landmarks = Landmarks::build(topology);
     let labels = topology.components(None).labels;
-    assign_guided(snapshot, topology, &landmarks, &labels, flows, min_elevation, 1.0)
+    let index = FlowIndex::new(flows);
+    let servers = ServingIndex::new(*snapshot, min_elevation).attach(&index.points);
+    let ends = serving_pairs(snapshot, &index, &servers);
+    assign_guided(snapshot, topology, &landmarks, &labels, flows, &ends, 1.0)
 }
 
-/// [`assign_traffic`] over prebuilt `landmarks` — those of `topology`
-/// itself or of the intact topology it is a [`Topology::masked`] subgraph
-/// of, which stay valid bounds there (see [`Landmarks`]) — and
+/// Each flow's serving pair (first and last hop) under `servers`, the
+/// flat snapshot index serving each endpoint of `index` — `None` where
+/// an endpoint is unserved.
+pub(crate) fn serving_pairs(
+    snapshot: &Snapshot<'_>,
+    index: &FlowIndex,
+    servers: &[Option<usize>],
+) -> Vec<Option<(SatId, SatId)>> {
+    let offsets = snapshot.plane_offsets();
+    let ids: Vec<Option<SatId>> = servers
+        .iter()
+        .map(|s| s.map(|flat| sat_id_at(offsets, flat).expect("a flat index in range")))
+        .collect();
+    (0..index.flow_pair.len())
+        .map(|i| {
+            let (a, b) = index.ends(i);
+            ids[a].zip(ids[b])
+        })
+        .collect()
+}
+
+/// [`assign_traffic`] over each flow's serving pair `ends`
+/// ([`serving_pairs`]), prebuilt `landmarks` — those of `topology`
+/// itself or of the intact topology it is a [`Topology::masked`]
+/// subgraph of, which stay valid bounds there (see [`Landmarks`]) — and
 /// `topology`'s component `labels` ([`Topology::components`]), with the
 /// load statistics read as utilization of `link_capacity` (routing is
 /// identical: no admission control, which is [`crate::traffic_engine`]'s
-/// job). The degraded evaluator builds the landmarks once per intact slot
-/// and the labels once per evaluated slot.
+/// job). The degraded evaluator builds the landmarks and the intact
+/// attachment once per intact slot and the labels once per evaluated
+/// slot.
 pub(crate) fn assign_guided(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
     landmarks: &Landmarks,
     labels: &[u32],
     flows: &[Flow],
-    min_elevation: f64,
+    ends: &[Option<(SatId, SatId)>],
     link_capacity: f64,
 ) -> Result<TrafficReport> {
-    // Resolve ground attachment up front: one windowed serving index
-    // per snapshot, one exact query per *distinct* endpoint (demand
-    // sampling concentrates endpoints in cities, so flows share them).
-    let index = ServingIndex::new(*snapshot, min_elevation);
-    let mut endpoint_cache: BTreeMap<(u64, u64), Option<SatId>> = BTreeMap::new();
-    let mut serve = |p: GeoPoint| -> Option<SatId> {
-        *endpoint_cache
-            .entry((p.lat.to_bits(), p.lon.to_bits()))
-            .or_insert_with(|| index.query(p).map(|(id, _)| id))
-    };
     // A flow whose serving satellites lie in different components of the
     // topology has no route — Dijkstra returns `NoRoute` exactly when the
     // labels differ — so it is counted unrouted without a search.
@@ -176,7 +194,7 @@ pub(crate) fn assign_guided(
         _ => true,
     };
     let pairs: Vec<Option<(SatId, SatId)>> =
-        flows.iter().map(|f| serve(f.src).zip(serve(f.dst)).filter(connected)).collect();
+        ends.iter().map(|pair| pair.filter(connected)).collect();
 
     let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
     let mut routed = 0usize;
@@ -421,9 +439,10 @@ mod tests {
         let unit = assign_traffic(&snap, &topo, &flows, 25f64.to_radians()).unwrap();
         assert_eq!(unit.link_capacity, 1.0);
         let (landmarks, labels) = (Landmarks::build(&topo), topo.components(None).labels);
-        let scaled =
-            assign_guided(&snap, &topo, &landmarks, &labels, &flows, 25f64.to_radians(), 2.0)
-                .unwrap();
+        let index = FlowIndex::new(&flows);
+        let servers = ServingIndex::new(snap, 25f64.to_radians()).attach(&index.points);
+        let ends = serving_pairs(&snap, &index, &servers);
+        let scaled = assign_guided(&snap, &topo, &landmarks, &labels, &flows, &ends, 2.0).unwrap();
         assert_eq!(scaled.routed, unit.routed);
         assert_eq!(scaled.link_load, unit.link_load, "raw loads are capacity-independent");
         assert!((scaled.max_link_load() - unit.max_link_load() / 2.0).abs() < 1e-12);

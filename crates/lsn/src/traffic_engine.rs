@@ -10,9 +10,10 @@
 //!
 //! 1. **Attachment aggregation** — every flow endpoint resolves to its
 //!    serving satellite through one [`ServingIndex`] (one exact query per
-//!    *distinct* endpoint — gravity flows reuse a few hundred sites), and
-//!    flows collapse into per-(source satellite, destination satellite)
-//!    demand. Per-slot routing cost then scales with *attachment points*,
+//!    *distinct* endpoint — gravity flows reuse a few hundred sites; the
+//!    degraded evaluator attaches them once per intact slot and, under a
+//!    mask, re-queries only those whose server died), and flows collapse
+//!    into per-(source satellite, destination satellite) demand. Per-slot routing cost then scales with *attachment points*,
 //!    not users: a million flows between 256 sites cost the same routing
 //!    work as one flow per site pair.
 //! 2. **k-path candidates** — per distinct source satellite, `k_paths`
@@ -80,17 +81,32 @@ pub struct TrafficWorkload {
 impl TrafficWorkload {
     /// Builds a workload from gravity-model flows, rescaling rates by
     /// `scale` (e.g. from grid demand mass to satellite-capacity units).
+    /// The flows are interned by their site indices, constant work per
+    /// flow.
     pub fn from_gravity(gravity: &[GravityFlow], scale: f64, capacity: CapacityConfig) -> Self {
-        let flows: Vec<Flow> = gravity
+        // Interning first keeps its scratch buffers and the flow list
+        // apart in memory, and hands every flow its endpoints already
+        // converted: an interned point is bit for bit the endpoint it
+        // names.
+        let index = FlowIndex::from_gravity(gravity, scale);
+        let flows = gravity
             .iter()
-            .map(|g| Flow {
-                src: GeoPoint::from_degrees(g.src_lat_deg, g.src_lon_deg),
-                dst: GeoPoint::from_degrees(g.dst_lat_deg, g.dst_lon_deg),
-                demand: g.rate * scale,
+            .enumerate()
+            .map(|(i, g)| {
+                let (a, b) = index.ends(i);
+                Flow { src: index.points[a], dst: index.points[b], demand: g.rate * scale }
             })
             .collect();
-        let index = FlowIndex::new(&flows);
         TrafficWorkload { flows: InternedFlows { flows, index }, capacity }
+    }
+}
+
+/// The flow of one gravity-model flow, its rate rescaled by `scale`.
+fn gravity_flow(g: &GravityFlow, scale: f64) -> Flow {
+    Flow {
+        src: GeoPoint::from_degrees(g.src_lat_deg, g.src_lon_deg),
+        dst: GeoPoint::from_degrees(g.dst_lat_deg, g.dst_lon_deg),
+        demand: g.rate * scale,
     }
 }
 
@@ -180,7 +196,9 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
 /// Flow endpoints and endpoint pairs, interned once per flow list: the
 /// attachment work of a mask is then one lookup per distinct endpoint,
 /// and the demand tally classifies each distinct endpoint pair once
-/// instead of every flow.
+/// instead of every flow. The degraded evaluator interns its flow lists
+/// once and attaches the endpoints once per intact slot; masked
+/// evaluations re-query only the endpoints whose server died.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct FlowIndex {
     /// Distinct endpoint coordinates (bit-exact), first-appearance order.
@@ -194,6 +212,11 @@ pub(crate) struct FlowIndex {
     pub(crate) offered: f64,
 }
 
+/// The bit pattern an endpoint is interned by.
+fn point_key(p: GeoPoint) -> (u64, u64) {
+    (p.lat.to_bits(), p.lon.to_bits())
+}
+
 impl FlowIndex {
     pub(crate) fn new(flows: &[Flow]) -> Self {
         let mut point_ids: BTreeMap<(u64, u64), usize> = BTreeMap::new();
@@ -203,7 +226,7 @@ impl FlowIndex {
         let mut flow_pair = Vec::with_capacity(flows.len());
         for f in flows {
             let mut intern = |p: GeoPoint| -> usize {
-                *point_ids.entry((p.lat.to_bits(), p.lon.to_bits())).or_insert_with(|| {
+                *point_ids.entry(point_key(p)).or_insert_with(|| {
                     points.push(p);
                     points.len() - 1
                 })
@@ -216,6 +239,107 @@ impl FlowIndex {
         }
         let offered = flows.iter().map(|f| f.demand).sum();
         FlowIndex { points, pairs, flow_pair, offered }
+    }
+
+    /// [`Self::new`] of the flows `gravity` makes at `scale`
+    /// ([`TrafficWorkload::from_gravity`]), interned by site index in time
+    /// linear in the flows and sites. An endpoint is interned by a table
+    /// lookup on its site, and a pair by its first flow: flows are
+    /// chained by source endpoint (each chain in flow order, threaded
+    /// through the output's own buffer), a stamped per-destination table
+    /// finds each pair's first flow, and one flow-order pass numbers the
+    /// pairs by that flow. The ids equal
+    /// [`Self::new`]'s whenever sites and coordinates name each other one
+    /// to one; a list that breaks that (checked on the way), or whose
+    /// site indices outnumber its endpoints, is interned by coordinates.
+    pub(crate) fn from_gravity(gravity: &[GravityFlow], scale: f64) -> Self {
+        use crate::cast::{index_u32, widen_u32};
+        let by_coordinates = || {
+            let flows: Vec<Flow> = gravity.iter().map(|g| gravity_flow(g, scale)).collect();
+            Self::new(&flows)
+        };
+        let sites = gravity.iter().map(|g| widen_u32(g.src_site.max(g.dst_site)) + 1).max();
+        let sites = sites.unwrap_or(0);
+        if sites > 2 * gravity.len() {
+            return by_coordinates();
+        }
+        // Per site its point id; per point its degree bits, which every
+        // endpoint naming the point must repeat.
+        let mut point_of_site = vec![u32::MAX; sites];
+        let mut points: Vec<GeoPoint> = Vec::new();
+        let mut degrees: Vec<(u64, u64)> = Vec::new();
+        let mut consistent = true;
+        let mut intern = |site: u32, lat: f64, lon: f64| {
+            let id = &mut point_of_site[widen_u32(site)];
+            if *id == u32::MAX {
+                *id = index_u32(points.len());
+                points.push(GeoPoint::from_degrees(lat, lon));
+                degrees.push((lat.to_bits(), lon.to_bits()));
+            }
+            consistent &= degrees[widen_u32(*id)] == (lat.to_bits(), lon.to_bits());
+        };
+        for g in gravity {
+            intern(g.src_site, g.src_lat_deg, g.src_lon_deg);
+            intern(g.dst_site, g.dst_lat_deg, g.dst_lon_deg);
+        }
+        let mut keys: Vec<(u64, u64)> = points.iter().map(|&p| point_key(p)).collect();
+        keys.sort_unstable();
+        if !consistent || keys.windows(2).any(|w| w[0] == w[1]) {
+            return by_coordinates();
+        }
+        // Flow `i`'s endpoint ids, read back through the site table: no
+        // per-flow scratch buffer beyond the output's own.
+        let ends = |i: usize| {
+            let point = |site: u32| widen_u32(point_of_site[widen_u32(site)]);
+            (point(gravity[i].src_site), point(gravity[i].dst_site))
+        };
+        // Flows chained by source endpoint in flow order: `head[a]` is
+        // source `a`'s first flow and, until it names a pair,
+        // `flow_pair[i]` the next flow from flow `i`'s source.
+        const END: u32 = u32::MAX;
+        let mut flow_pair = vec![END; gravity.len()];
+        let mut head = vec![END; points.len()];
+        for i in (0..gravity.len()).rev() {
+            let a = ends(i).0;
+            flow_pair[i] = head[a];
+            head[a] = index_u32(i);
+        }
+        // Per flow, the first flow of its pair: along a source's chain,
+        // the first flow to each destination.
+        let mut stamp = vec![usize::MAX; points.len()];
+        let mut first = vec![END; points.len()];
+        for (a, &start) in head.iter().enumerate() {
+            let mut i = start;
+            while i != END {
+                let flow = widen_u32(i);
+                let b = ends(flow).1;
+                if stamp[b] != a {
+                    stamp[b] = a;
+                    first[b] = i;
+                }
+                i = std::mem::replace(&mut flow_pair[flow], first[b]);
+            }
+        }
+        // In flow order, a pair's first flow opens the next pair id and
+        // every later flow of the pair copies it (its first flow is
+        // already renumbered).
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for i in 0..gravity.len() {
+            let leader = widen_u32(flow_pair[i]);
+            flow_pair[i] = if leader == i {
+                pairs.push(ends(i));
+                index_u32(pairs.len() - 1)
+            } else {
+                flow_pair[leader]
+            };
+        }
+        let offered = gravity.iter().map(|g| g.rate * scale).sum();
+        FlowIndex { points, pairs, flow_pair, offered }
+    }
+
+    /// Flow `i`'s endpoint pair.
+    pub(crate) fn ends(&self, i: usize) -> (usize, usize) {
+        self.pairs[crate::cast::widen_u32(self.flow_pair[i])]
     }
 }
 
@@ -460,21 +584,27 @@ pub fn assign_capacity_constrained(
 ) -> Result<ServedDemandSummary> {
     let labels = topology.components(None).labels;
     let index = FlowIndex::new(flows);
-    Ok(assign_interned(snapshot, topology, &labels, flows, &index, min_elevation, config))
+    let serving = ServingIndex::new(*snapshot, min_elevation);
+    let servers: Vec<Option<usize>> = index
+        .points
+        .iter()
+        .map(|&p| serving.query(p).and_then(|(id, _)| topology.index_of(id)))
+        .collect();
+    Ok(assign_interned(topology, &labels, flows, &index, &servers, config))
 }
 
 /// [`assign_capacity_constrained`] over `flows` interned once as
-/// `interned`, so callers assigning one workload over many slots or
-/// masks intern it once, and over `topology`'s component `labels`
-/// ([`Topology::components`]), which the degraded evaluator computes once
-/// per slot for every consumer.
+/// `interned`, whose endpoints attach to the `servers` (per interned
+/// endpoint, a `topology` node index), and over `topology`'s component
+/// `labels` ([`Topology::components`]). The degraded evaluator interns a
+/// workload once, attaches it once per intact slot, and computes the
+/// labels once per evaluated slot for every consumer.
 pub(crate) fn assign_interned(
-    snapshot: &Snapshot<'_>,
     topology: &Topology,
     labels: &[u32],
     flows: &[Flow],
     interned: &FlowIndex,
-    min_elevation: f64,
+    servers: &[Option<usize>],
     config: &CapacityConfig,
 ) -> ServedDemandSummary {
     if flows.is_empty() {
@@ -482,13 +612,7 @@ pub(crate) fn assign_interned(
     }
 
     // --- 1. attachment aggregation ----------------------------------
-    let index = ServingIndex::new(*snapshot, min_elevation);
-    let servers: Vec<Option<usize>> = interned
-        .points
-        .iter()
-        .map(|&p| index.query(p).and_then(|(id, _)| topology.index_of(id)))
-        .collect();
-    let tally = tally_attachments(flows, interned, &servers);
+    let tally = tally_attachments(flows, interned, servers);
     if tally.sat_pairs.is_empty() {
         return local_only_summary(flows.len(), interned.offered, &tally);
     }
@@ -567,6 +691,62 @@ mod tests {
         assert_eq!(fresh.flow_pair.len(), 3000);
         assert!(fresh.points.len() <= 48, "gravity endpoints are the 48 sites");
         assert_eq!(w.clone().flows.index(), &fresh, "a clone carries the same index");
+    }
+
+    /// The gravity interning against the coordinate-keyed one: equal
+    /// points (bit for bit), pairs and per-flow pairs, and the offered
+    /// total bit for bit.
+    fn assert_interned_by_coordinates(gravity: &[GravityFlow], scale: f64) {
+        let flows: Vec<Flow> = gravity.iter().map(|g| gravity_flow(g, scale)).collect();
+        let (fast, oracle) = (FlowIndex::from_gravity(gravity, scale), FlowIndex::new(&flows));
+        let bits = |index: &FlowIndex| -> Vec<(u64, u64)> {
+            index.points.iter().map(|&p| point_key(p)).collect()
+        };
+        assert_eq!(bits(&fast), bits(&oracle), "points");
+        assert_eq!(fast.pairs, oracle.pairs, "pairs");
+        assert_eq!(fast.flow_pair, oracle.flow_pair, "flow pairs");
+        assert_eq!(fast.offered.to_bits(), oracle.offered.to_bits(), "offered");
+    }
+
+    #[test]
+    fn gravity_interning_matches_the_coordinate_interning() {
+        let m = model();
+        for seed in [3u64, 1009] {
+            let config = GravityConfig { pairs: 20_000, sites: 64, seed, ..Default::default() };
+            let gravity = gravity_flows(&m, &config, 2).unwrap();
+            assert_interned_by_coordinates(&gravity, 0.37);
+            let w = TrafficWorkload::from_gravity(&gravity, 0.37, CapacityConfig::default());
+            assert_eq!(w.flows.index(), &FlowIndex::new(&w.flows), "seed {seed}");
+        }
+        // Degenerate lists: one source site, every pair repeated, and a
+        // pair that runs both ways.
+        let flow = |src_site: u32, dst_site: u32, rate: f64| GravityFlow {
+            src_lat_deg: 10.0 * f64::from(src_site),
+            src_lon_deg: -5.0 * f64::from(src_site),
+            dst_lat_deg: 10.0 * f64::from(dst_site),
+            dst_lon_deg: -5.0 * f64::from(dst_site),
+            rate,
+            src_site,
+            dst_site,
+        };
+        let one_source: Vec<GravityFlow> =
+            [4u32, 2, 4, 4, 1, 2].iter().map(|&d| flow(3, d, 0.25 * f64::from(d))).collect();
+        assert_interned_by_coordinates(&one_source, 2.0);
+        let repeated: Vec<GravityFlow> = (0..40).map(|i| flow(i % 3, 7 - i % 2, 0.1)).collect();
+        assert_interned_by_coordinates(&repeated, 1.5);
+        assert_interned_by_coordinates(&[flow(0, 1, 1.0), flow(1, 0, 2.0), flow(0, 1, 3.0)], 1.0);
+        assert_interned_by_coordinates(&[], 1.0);
+        // Site indices that do not name their coordinates one to one, or
+        // outnumber the endpoints, fall back to the coordinates.
+        let mut relabeled = repeated.clone();
+        relabeled[5].src_site = 9;
+        assert_interned_by_coordinates(&relabeled, 1.0);
+        let mut moved = repeated.clone();
+        moved[7].dst_lat_deg = 1.0;
+        assert_interned_by_coordinates(&moved, 1.0);
+        let mut sparse = repeated;
+        sparse[0].src_site = 1_000_000;
+        assert_interned_by_coordinates(&sparse, 1.0);
     }
 
     #[test]

@@ -1230,6 +1230,56 @@ sites = 16
     }
 
     #[test]
+    fn reattachment_counts_are_pinned_and_thread_independent() {
+        // A two-plane attack masks the degraded pass of both systems;
+        // only the endpoints whose intact server it killed are queried
+        // again, classic flows and gravity sites alike.
+        let sweep = crate::config::sweep_from_toml(
+            r#"
+name = "reattach"
+seed = 5
+
+[demand]
+total_demand_b = 10.0
+lat_bins = 18
+tod_bins = 12
+
+[design]
+kinds = ["ss", "wd"]
+
+[radiation]
+enabled = false
+
+[survivability]
+enabled = false
+
+[attack]
+planes_lost = 2
+
+[network]
+enabled = true
+n_flows = 40
+slots = 1
+time_grid_slots = 2
+with_outages = true
+
+[traffic]
+model = "gravity"
+pairs = 400
+sites = 16
+"#,
+        )
+        .unwrap();
+        for threads in [1, 2, 7] {
+            let table = Runner::with_threads(threads).run_sweep(&sweep).unwrap().timings_table();
+            for (system, count) in [("ss", 38), ("wd", 12)] {
+                let row = format!("reattach\t{system}.network.reattached\t{count}.000000\n");
+                assert!(table.contains(&row), "{row:?} missing at {threads} threads:\n{table}");
+            }
+        }
+    }
+
+    #[test]
     fn demand_seed_changes_the_design() {
         let mut spec = tiny_spec();
         spec.radiation.enabled = false;

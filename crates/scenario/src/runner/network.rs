@@ -258,9 +258,14 @@ pub(super) fn networked_system_report(
     let snapshot = ctx.series.snapshot(0);
     let victims: Vec<usize> =
         destroyed.iter().filter_map(|&id| ctx.layout.flat_of_design(&snapshot, id)).collect();
+    let before = evaluator.reattached();
     let mut network = clock.time(&format!("{name}.network"), || {
         network_report(spec, ctx, &evaluator, &victims, plane_doses.as_deref())
     })?;
+    // The degraded pass's ground-attachment work: endpoints whose intact
+    // server its masks killed, a deterministic counter.
+    let reattached = evaluator.reattached() - before;
+    clock.metric(format!("{name}.network.reattached"), reattached as f64);
     if spec.network.percolation {
         // Its own timing entry: the sweep is a distinct analytic pass
         // over the stage's topologies, not routing work.
