@@ -1,8 +1,9 @@
 //! Degraded-network benches on mega-constellation geometry: the
 //! outage-coupled network stage (attack mask + outage-timeline mask per
 //! slot over one shared `SnapshotSeries`) against the intact stage, plus
-//! the cost of the masked +grid build and of generating a 10k-satellite
-//! outage timeline.
+//! the cost of the masked +grid build, of generating a 10k-satellite
+//! outage timeline, and of the scalar survivability report the same
+//! renewal loop yields without keeping intervals.
 //!
 //! The headline numbers land in `BENCH_disruption.json` at the
 //! repository root; re-capture with
@@ -16,7 +17,7 @@ use ssplane_lsn::disruption::{AttackModel, AttackTarget, RadiationExponential, R
 use ssplane_lsn::failures::FailureModel;
 use ssplane_lsn::snapshot::{time_grid, SnapshotSeries};
 use ssplane_lsn::spares::SparePolicy;
-use ssplane_lsn::survivability::{outage_timeline, SurvivabilityConfig};
+use ssplane_lsn::survivability::{outage_timeline, simulate_process, SurvivabilityConfig};
 use ssplane_lsn::topology::{Constellation, GridTopologyConfig, Topology};
 use ssplane_lsn::traffic::{assign_traffic, Flow};
 use ssplane_radiation::fluence::DailyFluence;
@@ -156,6 +157,22 @@ fn bench_disruption(criterion: &mut Criterion) {
                     )
                     .unwrap()
                     .failures,
+                )
+            })
+        },
+    );
+
+    // The scalar survivability report over the whole 10k-satellite fleet
+    // (no attack mask): the same renewal loop, keeping no intervals.
+    group.bench_with_input(
+        criterion::BenchmarkId::new("simulate_process", "5y_mission"),
+        &(),
+        |b, ()| {
+            b.iter(|| {
+                black_box(
+                    simulate_process(&doses, PER_PLANE, &process, &policy, sim_config)
+                        .unwrap()
+                        .failures,
                 )
             })
         },

@@ -7,7 +7,9 @@
 //! on the grid shape and the altitude/elevation configuration, never on
 //! the demand. Likewise the gravity workload's seed-free field (sites,
 //! sampling tables and grid total) depends on the demand model, the UTC
-//! hour and the site budget, never on the point's seed. [`KernelCache`]
+//! hour and the site budget, never on the point's seed, and the unscaled
+//! latitude × time-of-day demand grid depends on the demand model and
+//! the bin counts, never on the point's demand level. [`KernelCache`]
 //! keys each kernel on the bits of every input it reads and computes each
 //! key once for as long as the cache lives; the scenario runner builds
 //! one per run and lends it to every point.
@@ -20,6 +22,7 @@ use crate::error::Result;
 use ssplane_astro::kepler::OrbitalElements;
 use ssplane_astro::time::Epoch;
 use ssplane_demand::gravity::GravityField;
+use ssplane_demand::grid::LatTodGrid;
 use ssplane_demand::DemandModel;
 use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
 use ssplane_radiation::RadiationEnvironment;
@@ -132,6 +135,11 @@ pub(crate) type CandidateKey = (usize, usize, u64, u64, usize, usize);
 /// names its model uniquely.
 pub type GravityKey = (u64, u64, usize);
 
+/// `(demand model key, lat_bins, tod_bins)`: everything a
+/// [`LatTodGrid::from_model`] reads, given that the caller's demand model
+/// key names its model uniquely.
+pub type DemandGridKey = (u64, usize, usize);
+
 /// The entries a [`KernelCache`] and its [`KernelCache::share`]d handles
 /// hold in common.
 #[derive(Debug)]
@@ -140,12 +148,13 @@ struct Kernels {
     fluence: ComputeOnce<FluenceKey, DailyFluence>,
     ss_candidates: ComputeOnce<CandidateKey, Arc<Candidates>>,
     gravity: ComputeOnce<GravityKey, Arc<GravityField>>,
+    demand_grid: ComputeOnce<DemandGridKey, Arc<LatTodGrid>>,
 }
 
 /// The compute-once cache of the sweep kernels: daily fluence
 /// integrations in one radiation environment, the SS designer's
-/// peak-cell candidate planes with the cells they cover, and the gravity
-/// workload's seed-free fields.
+/// peak-cell candidate planes with the cells they cover, the gravity
+/// workload's seed-free fields, and the unscaled demand grids.
 ///
 /// Each handle counts its own requests ([`Self::counters`]); handles made
 /// by [`Self::share`] read and fill the same entries, so summing their
@@ -156,6 +165,7 @@ pub struct KernelCache {
     fluence: Tally,
     ss_candidates: Tally,
     gravity: Tally,
+    demand_grid: Tally,
 }
 
 impl Default for KernelCache {
@@ -174,10 +184,12 @@ impl KernelCache {
                 fluence: ComputeOnce::new(),
                 ss_candidates: ComputeOnce::new(),
                 gravity: ComputeOnce::new(),
+                demand_grid: ComputeOnce::new(),
             }),
             fluence: Tally::default(),
             ss_candidates: Tally::default(),
             gravity: Tally::default(),
+            demand_grid: Tally::default(),
         }
     }
 
@@ -188,6 +200,7 @@ impl KernelCache {
             fluence: Tally::default(),
             ss_candidates: Tally::default(),
             gravity: Tally::default(),
+            demand_grid: Tally::default(),
         }
     }
 
@@ -197,13 +210,15 @@ impl KernelCache {
     }
 
     /// This handle's `(kernel, count)` pairs: `fluence` (daily fluence
-    /// integrations), `ss_candidates` (SS peak-cell candidates) and
-    /// `gravity` (gravity fields).
-    pub fn counters(&self) -> [(&'static str, CacheCount); 3] {
+    /// integrations), `ss_candidates` (SS peak-cell candidates),
+    /// `gravity` (gravity fields) and `demand_grid` (unscaled demand
+    /// grids).
+    pub fn counters(&self) -> [(&'static str, CacheCount); 4] {
         [
             ("fluence", self.fluence.count()),
             ("ss_candidates", self.ss_candidates.count()),
             ("gravity", self.gravity.count()),
+            ("demand_grid", self.demand_grid.count()),
         ]
     }
 
@@ -242,6 +257,24 @@ impl KernelCache {
                 Ok::<_, std::convert::Infallible>(Arc::new(field))
             })
             .unwrap_or_else(|never| match never {})
+    }
+
+    /// The unscaled demand grid of `model` at `key`'s bin counts
+    /// ([`LatTodGrid::from_model`]), built on first request. `key.0` must
+    /// name `model`: equal keys are served one grid.
+    ///
+    /// # Errors
+    /// As [`LatTodGrid::from_model`]; the error is not cached, so every
+    /// request of a failing key fails again.
+    pub fn demand_grid(
+        &self,
+        key: DemandGridKey,
+        model: &DemandModel,
+    ) -> ssplane_demand::Result<Arc<LatTodGrid>> {
+        let (_, lat_bins, tod_bins) = key;
+        self.demand_grid.fetch(&self.kernels.demand_grid, key, || {
+            LatTodGrid::from_model(model, lat_bins, tod_bins).map(Arc::new)
+        })
     }
 }
 
@@ -308,5 +341,24 @@ mod tests {
         assert_eq!(a.counters()[0].1, CacheCount { computed: 1, requested: 1 });
         assert_eq!(b.counters()[0].1, CacheCount { computed: 0, requested: 1 });
         assert_eq!(run.counters()[0].1, CacheCount::default());
+    }
+
+    #[test]
+    fn demand_grids_are_keyed_on_the_bins_and_errors_are_not_stored() {
+        use ssplane_demand::diurnal::DiurnalModel;
+        use ssplane_demand::population::{PopulationConfig, PopulationGrid};
+        let population = PopulationConfig { lat_bins: 90, lon_bins: 180, n_cities: 200, seed: 7 };
+        let model = DemandModel::new(
+            PopulationGrid::synthetic(population).unwrap(),
+            DiurnalModel::default(),
+        );
+        let cache = KernelCache::default();
+        for bins in [(18, 12), (36, 12), (18, 12), (36, 12)] {
+            let grid = cache.demand_grid((7, bins.0, bins.1), &model).unwrap();
+            assert_eq!(*grid, LatTodGrid::from_model(&model, bins.0, bins.1).unwrap());
+        }
+        assert!(cache.demand_grid((7, 0, 12), &model).is_err());
+        assert!(cache.demand_grid((7, 0, 12), &model).is_err());
+        assert_eq!(cache.counters()[3], ("demand_grid", CacheCount { computed: 4, requested: 6 }));
     }
 }

@@ -3,15 +3,16 @@
 //! Ties a [`FailureProcess`] and the spare policies together over mission
 //! time: satellites fail according to the process's lifetime law, spares
 //! phase in after the policy's latency, exhausted planes wait for
-//! resupply. One engine — [`outage_timeline`] — records the resulting
-//! per-satellite `[start, end)` outage intervals; the scalar
-//! [`simulate_process`] wrapper (the paper's §5(2) claim quantified: a
-//! lower-radiation SS constellation sustains the same availability with
-//! fewer spares) derives its report from the same intervals, so a
-//! timeline and a scalar report built from identical arguments describe
-//! the same realization. (Callers may still run them as independent
-//! draws — the scenario engine deliberately seeds its degraded-network
-//! timeline separately from its aggregate survivability report.)
+//! resupply. One renewal loop serves both entry points: [`outage_timeline`]
+//! records the resulting per-satellite `[start, end)` outage intervals,
+//! and the scalar [`simulate_process`] (the paper's §5(2) claim
+//! quantified: a lower-radiation SS constellation sustains the same
+//! availability with fewer spares) keeps only the loop's running totals,
+//! so a timeline and a scalar report built from identical arguments
+//! describe the same realization. (Callers may still run them as
+//! independent draws — the scenario engine deliberately seeds its
+//! degraded-network timeline separately from its aggregate survivability
+//! report.)
 
 use crate::disruption::{FailureProcess, OutageInterval, OutageTimeline};
 use crate::error::Result;
@@ -53,33 +54,25 @@ pub struct SurvivabilityReport {
     pub spares_consumed: usize,
 }
 
-/// The renewal engine: runs `process` over every slot of every plane and
-/// records the outage intervals instead of only their sum.
-///
-/// `plane_doses[p]` is the representative daily fluence of plane `p`,
-/// `plane_sats[p]` its slot count. A failed slot consumes a spare from
-/// the policy's [`SpareBudget`] (if one remains) and returns to service
-/// after the replacement latency; otherwise it stays vacant until the
-/// next resupply epoch, which tops the exhausted inventory back up to
-/// the policy's budget. Slots flagged in `dead` (flat plane-major — an
-/// attack's victims) are out for the whole horizon: they draw no
-/// lifetimes and consume no spares, exactly as destroyed capacity is
-/// excluded from the scalar report.
-///
-/// Deterministic in `config.seed`: slots are processed in flat
-/// plane-major order, each failure drawing from one shared stream.
-///
-/// # Errors
-/// Rejects empty constellations, mismatched `plane_doses`/`plane_sats`
-/// lengths, non-positive horizons, and degenerate failure processes.
-pub fn outage_timeline(
+/// The renewal loop's totals over the whole constellation.
+struct RenewalTotals {
+    failures: usize,
+    replacements: usize,
+    spares_consumed: usize,
+    vacancy_slot_days: f64,
+    destroyed_slots: usize,
+    horizon_days: f64,
+}
+
+/// Checks the arguments [`outage_timeline`] and [`simulate_process`]
+/// share, returning the slot count.
+fn check_inputs(
     plane_doses: &[DailyFluence],
     plane_sats: &[usize],
     dead: Option<&[bool]>,
     process: &dyn FailureProcess,
-    policy: &SparePolicy,
     config: SurvivabilityConfig,
-) -> Result<OutageTimeline> {
+) -> Result<usize> {
     let total: usize = plane_sats.iter().sum();
     if plane_doses.is_empty() || plane_doses.len() != plane_sats.len() || total == 0 {
         return Err(crate::error::LsnError::BadParameter {
@@ -102,44 +95,60 @@ pub fn outage_timeline(
         }
     }
     process.validate()?;
+    Ok(total)
+}
 
-    let planes = plane_doses.len();
+/// The renewal loop both [`outage_timeline`] and [`simulate_process`]
+/// run on arguments that passed [`check_inputs`] (the bookkeeping is
+/// documented on [`outage_timeline`]), handing each outage to `sink` as
+/// `(flat slot, interval)` in event order and returning the totals.
+/// [`simulate_process`] passes a no-op sink, so it keeps no intervals;
+/// the draws and the running `vacancy_slot_days` sum do not depend on
+/// the sink, so both callers see the same realization.
+fn renew(
+    plane_doses: &[DailyFluence],
+    plane_sats: &[usize],
+    dead: Option<&[bool]>,
+    process: &dyn FailureProcess,
+    policy: &SparePolicy,
+    config: SurvivabilityConfig,
+    mut sink: impl FnMut(usize, OutageInterval),
+) -> RenewalTotals {
     let horizon_days = config.horizon_years * 365.25;
     let replacement_days = policy.replacement_days();
-    let mut budget = SpareBudget::new(policy, planes);
+    let mut budget = SpareBudget::new(policy, plane_doses.len());
 
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut failures = 0usize;
-    let mut replacements = 0usize;
-    let mut spares_consumed = 0usize;
-    let mut vacancy_slot_days = 0.0f64;
-    let mut destroyed_slots = 0usize;
+    let mut totals = RenewalTotals {
+        failures: 0,
+        replacements: 0,
+        spares_consumed: 0,
+        vacancy_slot_days: 0.0,
+        destroyed_slots: 0,
+        horizon_days,
+    };
 
-    let mut plane_offsets = Vec::with_capacity(planes + 1);
-    let mut outages: Vec<Vec<OutageInterval>> = Vec::with_capacity(total);
-
-    for (p, dose) in plane_doses.iter().enumerate() {
-        plane_offsets.push(outages.len());
-        for _slot in 0..plane_sats[p] {
-            if dead.is_some_and(|d| d[outages.len()]) {
+    let mut plane_start = 0usize;
+    for (p, (dose, &n)) in plane_doses.iter().zip(plane_sats).enumerate() {
+        for flat in plane_start..plane_start + n {
+            if dead.is_some_and(|d| d[flat]) {
                 // Destroyed before the mission: one wall-to-wall outage,
                 // no lifetime draws, no spare consumption.
-                destroyed_slots += 1;
-                outages.push(vec![OutageInterval { start_day: 0.0, end_day: horizon_days }]);
+                totals.destroyed_slots += 1;
+                sink(flat, OutageInterval { start_day: 0.0, end_day: horizon_days });
                 continue;
             }
             // Renewal process for this slot across the horizon.
-            let mut slot_outages = Vec::new();
             let mut t = 0.0f64;
             loop {
                 t += process.sample_lifetime_days(*dose, &mut rng);
                 if t >= horizon_days {
                     break;
                 }
-                failures += 1;
+                totals.failures += 1;
+                totals.replacements += 1;
+                totals.spares_consumed += 1;
                 let vacancy_days = if budget.draw(p) {
-                    spares_consumed += 1;
-                    replacements += 1;
                     replacement_days
                 } else {
                     // Wait for the next resupply epoch, which tops the
@@ -147,35 +156,75 @@ pub fn outage_timeline(
                     // replacement is delivered alongside.
                     let next_resupply = (t / config.resupply_days).ceil() * config.resupply_days;
                     budget.resupply(p);
-                    replacements += 1;
-                    spares_consumed += 1;
                     (next_resupply - t) + replacement_days
                 };
                 let vacancy_days = vacancy_days.min(horizon_days - t);
-                vacancy_slot_days += vacancy_days;
-                slot_outages.push(OutageInterval { start_day: t, end_day: t + vacancy_days });
+                totals.vacancy_slot_days += vacancy_days;
+                sink(flat, OutageInterval { start_day: t, end_day: t + vacancy_days });
                 t += vacancy_days;
             }
-            outages.push(slot_outages);
         }
+        plane_start += n;
     }
-    plane_offsets.push(outages.len());
+    totals
+}
 
+/// The renewal engine with its intervals kept: runs `process` over every
+/// slot of every plane and records the outage intervals instead of only
+/// their sum.
+///
+/// `plane_doses[p]` is the representative daily fluence of plane `p`,
+/// `plane_sats[p]` its slot count. A failed slot consumes a spare from
+/// the policy's [`SpareBudget`] (if one remains) and returns to service
+/// after the replacement latency; otherwise it stays vacant until the
+/// next resupply epoch, which tops the exhausted inventory back up to
+/// the policy's budget. Slots flagged in `dead` (flat plane-major — an
+/// attack's victims) are out for the whole horizon: they draw no
+/// lifetimes and consume no spares, exactly as destroyed capacity is
+/// excluded from the scalar report.
+///
+/// Deterministic in `config.seed`: slots are processed in flat
+/// plane-major order, each failure drawing from one shared stream.
+/// [`simulate_process`] runs the same loop without keeping intervals,
+/// so from identical arguments both describe the same realization.
+///
+/// # Errors
+/// Rejects empty constellations, mismatched `plane_doses`/`plane_sats`
+/// lengths, non-positive horizons, and degenerate failure processes.
+pub fn outage_timeline(
+    plane_doses: &[DailyFluence],
+    plane_sats: &[usize],
+    dead: Option<&[bool]>,
+    process: &dyn FailureProcess,
+    policy: &SparePolicy,
+    config: SurvivabilityConfig,
+) -> Result<OutageTimeline> {
+    let total = check_inputs(plane_doses, plane_sats, dead, process, config)?;
+    let mut outages: Vec<Vec<OutageInterval>> = vec![Vec::new(); total];
+    let totals = renew(plane_doses, plane_sats, dead, process, policy, config, |flat, o| {
+        outages[flat].push(o);
+    });
+    let plane_offsets = std::iter::once(0)
+        .chain(plane_sats.iter().scan(0, |end, &n| {
+            *end += n;
+            Some(*end)
+        }))
+        .collect();
     Ok(OutageTimeline {
-        horizon_days,
+        horizon_days: totals.horizon_days,
         plane_offsets,
         outages,
-        failures,
-        replacements,
-        spares_consumed,
-        vacancy_slot_days,
-        destroyed_slots,
+        failures: totals.failures,
+        replacements: totals.replacements,
+        spares_consumed: totals.spares_consumed,
+        vacancy_slot_days: totals.vacancy_slot_days,
+        destroyed_slots: totals.destroyed_slots,
     })
 }
 
 /// Event-driven simulation of one constellation under an arbitrary
-/// [`FailureProcess`]: the [`outage_timeline`] engine reduced to the
-/// scalar report.
+/// [`FailureProcess`]: the renewal loop [`outage_timeline`] runs, reduced
+/// to the scalar report without keeping any interval.
 ///
 /// # Errors
 /// As [`outage_timeline`].
@@ -187,23 +236,23 @@ pub fn simulate_process(
     config: SurvivabilityConfig,
 ) -> Result<SurvivabilityReport> {
     let plane_sats = vec![sats_per_plane; plane_doses.len()];
-    let timeline = outage_timeline(plane_doses, &plane_sats, None, process, policy, config)?;
-    let lost_slot_days = timeline.lost_slot_days();
-    let slot_days =
-        plane_doses.len() as f64 * sats_per_plane as f64 * (config.horizon_years * 365.25);
+    check_inputs(plane_doses, &plane_sats, None, process, config)?;
+    let totals = renew(plane_doses, &plane_sats, None, process, policy, config, |_, _| {});
+    let lost_slot_days = totals.vacancy_slot_days;
+    let slot_days = plane_doses.len() as f64 * sats_per_plane as f64 * totals.horizon_days;
     Ok(SurvivabilityReport {
         availability: 1.0 - lost_slot_days / slot_days,
-        failures: timeline.failures,
-        replacements: timeline.replacements,
+        failures: totals.failures,
+        replacements: totals.replacements,
         lost_slot_days,
-        spares_consumed: timeline.spares_consumed,
+        spares_consumed: totals.spares_consumed,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disruption::RadiationExponential;
+    use crate::disruption::{RadiationExponential, WeibullBathtub};
     use crate::failures::FailureModel;
 
     /// The historical radiation-driven exponential at its default rates.
@@ -341,30 +390,67 @@ mod tests {
         assert!((timeline.lost_slot_days() - (970.0 + 970.0)).abs() < 1e-9);
     }
 
-    #[test]
-    fn timeline_matches_the_scalar_report() {
-        // simulate_process() is the timeline reduced: availability,
-        // counters, and lost days must agree exactly.
-        let doses = vec![dose(3.5e10, 2.2e7); 7];
-        let cfg = SurvivabilityConfig { horizon_years: 6.0, ..Default::default() };
-        let report = simulate_process(&doses, 12, &exponential(), &policy(), cfg).unwrap();
-        let timeline =
-            outage_timeline(&doses, &[12; 7], None, &exponential(), &policy(), cfg).unwrap();
-        assert_eq!(timeline.failures, report.failures);
-        assert_eq!(timeline.replacements, report.replacements);
-        assert_eq!(timeline.spares_consumed, report.spares_consumed);
-        assert_eq!(timeline.lost_slot_days(), report.lost_slot_days);
-        assert_eq!(timeline.n_sats(), 84);
-        assert_eq!(timeline.plane_offsets, (0..=7).map(|p| p * 12).collect::<Vec<_>>());
-        // Intervals are chronological, inside the horizon, and match the
-        // aggregate loss.
-        for slot in &timeline.outages {
-            for w in slot.windows(2) {
-                assert!(w[0].end_day <= w[1].start_day);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// simulate_process() is the timeline reduced: for either failure
+        /// process and either spare policy, the counters and the bits of
+        /// the lost days and the availability equal the timeline's, and
+        /// the intervals are chronological, inside the horizon, and sum
+        /// to the lost days.
+        #[test]
+        fn timeline_matches_the_scalar_report(
+            weibull in 0usize..2,
+            shared in 0usize..2,
+            doses in proptest::collection::vec((0.0f64..6e10, 0.0f64..4e7), 1..9),
+            sats_per_plane in 1usize..20,
+            horizon_years in 0.3f64..10.0,
+            resupply_days in 5.0f64..400.0,
+            spares in 0usize..6,
+            replacement_days in 0.0f64..30.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let doses: Vec<DailyFluence> = doses.iter().map(|&(e, p)| dose(e, p)).collect();
+            let planes = doses.len();
+            let process: Box<dyn FailureProcess> = if weibull == 1 {
+                Box::new(WeibullBathtub::default())
+            } else {
+                Box::new(exponential())
+            };
+            let policy = if shared == 1 {
+                SparePolicy::SharedPool { pool_size: spares * planes, replacement_days }
+            } else {
+                SparePolicy::PerPlane { spares_per_plane: spares, replacement_days }
+            };
+            let cfg = SurvivabilityConfig { horizon_years, resupply_days, seed };
+            let report = simulate_process(&doses, sats_per_plane, &*process, &policy, cfg).unwrap();
+            let plane_sats = vec![sats_per_plane; planes];
+            let timeline =
+                outage_timeline(&doses, &plane_sats, None, &*process, &policy, cfg).unwrap();
+            assert_eq!(report.failures, timeline.failures);
+            assert_eq!(report.replacements, timeline.replacements);
+            assert_eq!(report.spares_consumed, timeline.spares_consumed);
+            assert_eq!(report.lost_slot_days.to_bits(), timeline.lost_slot_days().to_bits());
+            assert_eq!(report.availability.to_bits(), timeline.availability().to_bits());
+            assert_eq!(timeline.n_sats(), planes * sats_per_plane);
+            assert_eq!(
+                timeline.plane_offsets,
+                (0..=planes).map(|p| p * sats_per_plane).collect::<Vec<_>>()
+            );
+            let intervals = timeline.outages.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(intervals, timeline.failures, "one interval per failure");
+            let mut days = 0.0;
+            for slot in &timeline.outages {
+                for w in slot.windows(2) {
+                    assert!(w[0].end_day <= w[1].start_day);
+                }
+                for o in slot {
+                    assert!(o.start_day >= 0.0 && o.end_day <= timeline.horizon_days + 1e-9);
+                    days += o.days();
+                }
             }
-            for o in slot {
-                assert!(o.start_day >= 0.0 && o.end_day <= timeline.horizon_days + 1e-9);
-            }
+            let tolerance = 1e-9 * timeline.lost_slot_days().max(1.0);
+            assert!((days - timeline.lost_slot_days()).abs() <= tolerance);
         }
     }
 
@@ -397,7 +483,6 @@ mod tests {
 
     #[test]
     fn weibull_process_runs_end_to_end() {
-        use crate::disruption::WeibullBathtub;
         let doses = vec![dose(3e10, 2e7); 6];
         let cfg = SurvivabilityConfig::default();
         let a = simulate_process(&doses, 15, &WeibullBathtub::default(), &policy(), cfg).unwrap();

@@ -52,11 +52,10 @@ use crate::spec::{DesignSpec, ScenarioSpec};
 use crate::sweep::{SweepSpec, SOLAR};
 use network::{network_context, networked_system_report, traffic_inputs, TrafficInputs};
 use ssplane_astro::par;
-use ssplane_core::cache::{CacheCount, ComputeOnce, GravityKey, KernelCache};
+use ssplane_core::cache::{CacheCount, ComputeOnce, DemandGridKey, GravityKey, KernelCache};
 use ssplane_core::system::{
     DesignParams, Designer, RgtDesigner, SlimDesigner, SsDesigner, StarlinkDesigner, WalkerDesigner,
 };
-use ssplane_demand::grid::LatTodGrid;
 use ssplane_demand::DemandModel;
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -86,9 +85,9 @@ fn shared_demand_model(spec: &ScenarioSpec) -> Arc<DemandModel> {
 }
 
 /// The key of the spec's demand model: the `demand.seed` it is
-/// synthesized from. [`shared_demand_model`] and [`gravity_key`] both
-/// derive from it, so the two caches cannot disagree on which model a
-/// spec names.
+/// synthesized from. [`shared_demand_model`], [`gravity_key`] and
+/// [`demand_grid_key`] all derive from it, so the caches cannot disagree
+/// on which model a spec names.
 fn demand_key(spec: &ScenarioSpec) -> u64 {
     spec.demand.seed
 }
@@ -98,6 +97,14 @@ fn demand_key(spec: &ScenarioSpec) -> u64 {
 /// reads — the demand model, `network.utc_hour` and `traffic.sites`.
 fn gravity_key(spec: &ScenarioSpec) -> GravityKey {
     (demand_key(spec), spec.network.utc_hour.to_bits(), spec.traffic.sites)
+}
+
+/// The run cache's key for the spec's unscaled demand grid: exactly what
+/// [`LatTodGrid::from_model`](ssplane_demand::grid::LatTodGrid::from_model)
+/// reads — the demand model, `demand.lat_bins` and `demand.tod_bins`.
+/// Each point scales its own copy to `demand.total_demand_b`.
+fn demand_grid_key(spec: &ScenarioSpec) -> DemandGridKey {
+    (demand_key(spec), spec.demand.lat_bins, spec.demand.tod_bins)
 }
 
 /// The designer registry: the [`Designer`] a registry name (an entry of
@@ -194,9 +201,7 @@ fn run_scenario(
 
     // Demand stage.
     let model = clock.time("demand.model", || shared_demand_model(spec));
-    let grid = clock.time("demand.grid", || {
-        LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
-    })?;
+    let grid = clock.time("demand.grid", || cache.demand_grid(demand_grid_key(spec), &model))?;
     let total = grid.total();
     if !total.is_finite() || total <= 0.0 {
         return Err(ScenarioError::bad_value(
@@ -467,6 +472,7 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssplane_demand::grid::LatTodGrid;
     use ssplane_lsn::topology::SatId;
 
     pub(super) fn tiny_spec() -> ScenarioSpec {
@@ -1148,6 +1154,35 @@ horizon_years = 2.0
         .unwrap()
     }
 
+    /// Three latitude resolutions × two demand levels over SS and WD:
+    /// six points that need three distinct unscaled demand grids (and
+    /// three sets of SS candidate planes).
+    fn lat_bins_sweep() -> SweepSpec {
+        crate::config::sweep_from_toml(
+            r#"
+name = "demand-grids"
+seed = 5
+
+[demand]
+tod_bins = 12
+
+[design]
+kinds = ["ss", "wd"]
+
+[radiation]
+enabled = false
+
+[survivability]
+enabled = false
+
+[sweep]
+"demand.lat_bins" = [12, 18, 36]
+"demand.total_demand_b" = [20.0, 60.0]
+"#,
+        )
+        .unwrap()
+    }
+
     /// Two UTC hours × two link capacities over a small gravity
     /// workload: four points, each drawing its own seeded pairs, from
     /// two distinct gravity fields.
@@ -1199,6 +1234,7 @@ sites = 16
                     ("fluence", CacheCount { computed: 34, requested: 120 }),
                     ("ss_candidates", CacheCount { computed: 6, requested: 68 }),
                     ("gravity", CacheCount { computed: 0, requested: 0 }),
+                    ("demand_grid", CacheCount { computed: 1, requested: 8 }),
                 ],
             ),
             (
@@ -1208,15 +1244,35 @@ sites = 16
                     ("fluence", CacheCount { computed: 0, requested: 0 }),
                     ("ss_candidates", CacheCount { computed: 6, requested: 24 }),
                     ("gravity", CacheCount { computed: 2, requested: 4 }),
+                    ("demand_grid", CacheCount { computed: 1, requested: 4 }),
+                ],
+            ),
+            (
+                lat_bins_sweep(),
+                6,
+                vec![
+                    ("fluence", CacheCount { computed: 0, requested: 0 }),
+                    ("ss_candidates", CacheCount { computed: 18, requested: 51 }),
+                    ("gravity", CacheCount { computed: 0, requested: 0 }),
+                    ("demand_grid", CacheCount { computed: 3, requested: 6 }),
                 ],
             ),
         ];
         for (sweep, points, expected) in &cases {
+            // A cached kernel value is the value a fresh computation
+            // returns: every point's bytes equal a standalone run's.
+            let fresh: String = sweep
+                .expand()
+                .unwrap()
+                .iter()
+                .map(|spec| execute_scenario(spec).unwrap().to_json_line() + "\n")
+                .collect();
             for threads in [1, 2, 7] {
                 let runner = Runner::with_threads(threads);
                 let outcome = runner.run_sweep(sweep).unwrap();
                 assert_eq!(outcome.ok_count(), *points);
                 assert_eq!(&outcome.cache_counters(), expected, "{threads} threads");
+                assert_eq!(outcome.to_jsonl(), fresh, "{threads} threads");
                 let table = outcome.timings_table();
                 for (kernel, count) in expected {
                     let row = format!("sweep\tcache.{kernel}.computed\t{}\n", count.computed);

@@ -185,8 +185,8 @@ k_paths = 2
 #[test]
 fn a_point_alone_equals_the_same_point_inside_a_sweep() {
     let cases = [
-        (paper_shaped_sweep(), &["fluence", "ss_candidates"][..]),
-        (gravity_sweep(), &["ss_candidates", "gravity"][..]),
+        (paper_shaped_sweep(), &["fluence", "ss_candidates", "demand_grid"][..]),
+        (gravity_sweep(), &["ss_candidates", "gravity", "demand_grid"][..]),
     ];
     for (sweep, shared) in cases {
         let specs = sweep.expand().unwrap();
