@@ -27,6 +27,10 @@ const FALLBACK_THREADS: usize = 4;
 /// available parallelism when `0`.
 pub fn budget(threads: usize) -> usize {
     if threads == 0 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this module is the workspace's one thread pool"
+        )]
         std::thread::available_parallelism().map_or(FALLBACK_THREADS, NonZeroUsize::get)
     } else {
         threads
@@ -71,6 +75,10 @@ pub fn par_map<T: Send, R: Send>(
         let r = f(item);
         *slots[i].lock().expect("par_map slot poisoned") = Some(r);
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this module is the workspace's one thread pool"
+    )]
     std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
         worker();
@@ -149,6 +157,10 @@ mod tests {
             std::thread::current().id()
         });
         assert!(ids.contains(&caller), "no item ran on the calling thread");
+        #[expect(
+            clippy::disallowed_types,
+            reason = "ThreadId has no Ord; only the set's size is read, never its order"
+        )]
         let distinct: std::collections::HashSet<_> = ids.iter().collect();
         assert!(distinct.len() <= workers(2, ids.len()), "{} threads ran items", distinct.len());
     }

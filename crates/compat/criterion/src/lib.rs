@@ -11,6 +11,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness is a stopwatch; its timings never reach report bytes"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

@@ -3,9 +3,10 @@
 //! At 10k→100k-satellite scale, raw `as`-casts between index/count
 //! types stop being harmless: `f64 → usize` truncates toward zero
 //! silently (and maps NaN/negatives to 0 on some paths), and
-//! `u64 → usize` would wrap on a 32-bit host. The **lossy-cast** lint
-//! rule bans `as`-casts to integer types throughout `crates/lsn`; these
-//! helpers are the sanctioned replacements — each states its domain and
+//! `u64 → usize` would wrap on a 32-bit host. Clippy's cast lints
+//! (`cast_possible_truncation`, `cast_sign_loss`, `cast_possible_wrap`)
+//! ban such `as`-casts in this crate's library code; these helpers are
+//! the sanctioned replacements — each states its domain and
 //! panics loudly (debug *and* release) instead of truncating quietly.
 
 /// Widens a count to `u64`. Infallible on every supported platform
@@ -54,7 +55,13 @@ pub fn f64_to_index(x: f64) -> usize {
         "f64_to_index: {x} outside the exactly-representable index domain"
     );
     // The one audited truncation site the checked helpers funnel into.
-    x as usize // ssplane-lint: allow(lossy-cast) -- domain asserted non-negative finite < 2^53 above
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "domain asserted non-negative finite < 2^53 above"
+    )]
+    let index = x as usize;
+    index
 }
 
 #[cfg(test)]

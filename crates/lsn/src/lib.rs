@@ -41,16 +41,16 @@
 //! * [`optimizer`] — adversarial attack search: a [`DegradedEvaluator`]
 //!   scoring candidate destroyed sets over a prebuilt [`SnapshotSeries`]
 //!   (intact topologies filtered per candidate, never rebuilt), an
-//!   incremental delta scorer (shortest-path-tree repair, cached
-//!   candidate states, affected-flow filtering — byte-identical to the
-//!   full path at a fraction of the cost), and a seeded greedy +
-//!   random-restart swap search for the worst k-plane / k-satellite
-//!   attack against a degraded-network objective.
+//!   incremental delta scorer (shortest-path-tree repair, a pinned
+//!   greedy-prefix parent state, affected-flow filtering —
+//!   byte-identical to the full path at a fraction of the cost), and a
+//!   seeded greedy + random-restart swap search for the worst k-plane /
+//!   k-satellite attack against a degraded-network objective.
 //! * [`spares`] — spare provisioning policies (per-plane hot spares vs a
 //!   shared on-demand pool), the paper's "2–10 spares per plane" practice.
 //! * [`cast`] — checked index/count conversions: the sanctioned
-//!   replacements for the `as`-casts the workspace's **lossy-cast** lint
-//!   rule bans in these hot paths.
+//!   replacements for the truncating, sign-losing and wrapping `as`-casts
+//!   that clippy's cast lints ban in this crate's library code.
 //! * [`survivability`] — a discrete-event simulation tying it together:
 //!   failures, replacements, and capacity availability over mission time
 //!   (§5(2): *lighter-weight fault tolerance for low-radiation
@@ -64,6 +64,12 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::too_many_lines)]
+// At 10k→100k-satellite scale an index truncation is a real bug: casts
+// that can truncate, lose a sign or wrap go through `cast` instead.
+#![cfg_attr(
+    not(test),
+    warn(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)
+)]
 #![forbid(unsafe_code)]
 
 pub mod cast;

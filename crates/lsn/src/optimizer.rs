@@ -31,10 +31,11 @@
 //!   finish step. It is the reference the incremental path is pinned to;
 //! * an [`IncrementalScorer`] ([`incremental`] has the details) — the
 //!   delta-evaluation layer the search scores through: per-source
-//!   shortest-path trees repaired instead of rebuilt, cached candidate
-//!   states keyed by canonical victim set, and only damage-affected
-//!   flows re-routed; each slot yields the same per-slot value as the
-//!   full path, bit for bit, and the same finish step reduces them;
+//!   shortest-path trees repaired instead of rebuilt, the greedy prefix
+//!   pinned as the frontier's parent state, a seen-cache keyed by
+//!   canonical victim set, and only damage-affected flows re-routed;
+//!   each slot yields the same per-slot value as the full path, bit for
+//!   bit, and the same finish step reduces them;
 //! * [`optimize_attack`] — a seeded, deterministic search over k-plane or
 //!   k-satellite candidate sets: greedy construction (each step scores
 //!   its whole frontier in parallel across threads) followed by
@@ -706,9 +707,10 @@ pub fn optimize_attack(
     let space = UnitSpace::build(evaluator.series, config.budget);
     let k = config.budget.count().min(space.n_units());
     // Every candidate scores through the incremental delta layer —
-    // byte-identical to `score_attack`, but each greedy-frontier or swap
-    // neighbour costs only its one-unit delta off a cached state, and
-    // repeated victim sets dedup through the seen-cache. The intact
+    // byte-identical to `score_attack`, but each greedy-frontier
+    // neighbour costs only its one-unit delta off the pinned prefix, any
+    // other candidate its delta off the intact state, and repeated victim
+    // sets dedup through the seen-cache. The intact
     // value is the scorer's no-victim state.
     let scorer = evaluator.incremental_scorer(config.objective);
     let intact_value = scorer.intact_value;
@@ -802,7 +804,7 @@ impl Search<'_> {
             greedy_value = scores[best];
             if greedy.len() < self.k {
                 // Pin the grown prefix so the next frontier batch deltas
-                // off it instead of whatever the LRU happens to retain.
+                // off it instead of the intact state.
                 self.scorer.ensure_resident(&self.space.expand(&greedy));
             }
         }
@@ -888,9 +890,9 @@ impl Search<'_> {
     /// Local swap refinement: propose `swaps` member/non-member exchanges
     /// (both drawn through the shared seeded [`Rng::gen_index`]), keeping
     /// each only on strict improvement. Returns the refined units and
-    /// value. Swap neighbours share k−1 victims, so scoring through the
-    /// [`IncrementalScorer`] makes each trial a one-unit delta off a
-    /// cached state (and repeats — revisited swaps — free via its
+    /// value. Scoring through the [`IncrementalScorer`] makes each trial
+    /// a delta off the pinned greedy prefix when the trial keeps it, else
+    /// off the intact state (and repeats — revisited swaps — free via its
     /// seen-cache).
     fn refine(&self, start: Units, start_value: f64, seed: u64) -> Result<(Units, f64)> {
         let n_units = self.space.n_units();

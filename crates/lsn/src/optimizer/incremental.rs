@@ -48,12 +48,12 @@
 //!    per-flow map. The tally reads nothing but each endpoint's serving
 //!    satellite, so a slot's state keeps both, and a candidate whose new
 //!    victims serve no endpoint there shares its parent's tally.
-//! 5. **Candidate-delta scoring** — the evaluation state of recent
-//!    candidates (per-flow routes, k-path sets, demand tallies) is kept
-//!    in a small LRU keyed by canonical victim set; a new candidate
-//!    starts from the largest cached subset of its victims and applies
-//!    only the delta. The greedy loop pins its growing prefix so every
-//!    frontier neighbour is a one-unit delta.
+//! 5. **Candidate-delta scoring** — a candidate starts from a parent
+//!    state (per-flow routes, k-path sets, demand tallies) whose victims
+//!    are a subset of its own and applies only the delta. The greedy
+//!    loop pins its growing prefix as that parent, so every frontier
+//!    neighbour is a one-unit delta; any other candidate deltas off the
+//!    intact state.
 //! 6. **Affected-flow filtering** — only flows whose cached route
 //!    touches a newly dead node (or whose attachment changed) are
 //!    re-routed, and a source's k-path set is recomputed only when its
@@ -91,12 +91,6 @@ use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Cached candidate states kept for delta evaluation. Small on purpose:
-/// the intact state (always available) bounds the worst case, and every
-/// cached state holds per-flow routes and, for served demand, k-path
-/// sets and a demand tally per slot.
-const LRU_CAP: usize = 12;
 
 /// Per endpoint of one slot, every satellite able to serve it (flat
 /// indices), best first — see [`ServingIndex::ranked`].
@@ -194,8 +188,8 @@ enum FlowState {
     Unreachable { s: usize, d: usize },
 }
 
-/// The k-path candidate set of one source satellite, shared across
-/// cached states while it stays valid.
+/// The k-path candidate set of one source satellite, shared between a
+/// parent state and the states built off it while it stays valid.
 #[derive(Debug)]
 struct SourcePaths {
     /// The destination set the rounds were run over (ascending).
@@ -211,8 +205,8 @@ struct ServedState {
     /// Per workload endpoint: its serving satellite under the state's
     /// mask.
     servers: Vec<Option<usize>>,
-    /// The demand tally of `servers`, shared with every cached state
-    /// whose endpoints attach the same way.
+    /// The demand tally of `servers`, shared with the parent state when
+    /// its endpoints attach the same way.
     tally: Arc<AttachmentTally>,
     /// Per source satellite: its k-path candidate set.
     sources: BTreeMap<usize, Arc<SourcePaths>>,
@@ -229,7 +223,7 @@ struct SlotState {
 }
 
 /// A fully evaluated candidate: its victims and every slot's reusable
-/// state. The LRU holds these; the intact state is one with no victims.
+/// state. The intact state is one with no victims.
 #[derive(Debug)]
 struct MaskState {
     /// Sorted, deduplicated flat victim indices — the canonical key.
@@ -302,8 +296,8 @@ fn mean_link_load<'p>(
 /// The incremental candidate scorer: [`Self::score`] is pinned
 /// byte-identical to [`DegradedEvaluator::score_attack`] on the same
 /// destroyed set and objective, at a per-candidate cost proportional to
-/// the *damage delta* from the nearest cached state instead of the whole
-/// constellation. Build one per search via
+/// the *damage delta* from the pinned prefix or the intact state instead
+/// of the whole constellation. Build one per search via
 /// [`DegradedEvaluator::incremental_scorer`]; it is `Sync`, so one
 /// instance serves every scoring thread (the caches are internally
 /// locked, and cache content never influences returned values — only
@@ -327,10 +321,8 @@ pub struct IncrementalScorer<'e, 'a> {
     intact_state: Arc<MaskState>,
     /// The objective value of the intact state.
     pub(super) intact_value: f64,
-    /// Recently evaluated candidate states, most recent first.
-    lru: Mutex<Vec<Arc<MaskState>>>,
-    /// The greedy prefix pinned by [`Self::ensure_resident`], exempt
-    /// from LRU eviction so a whole frontier batch deltas off it.
+    /// The greedy prefix pinned by [`Self::ensure_resident`], so a whole
+    /// frontier batch deltas off it.
     pinned: Mutex<Option<Arc<MaskState>>>,
     /// Seen-cache: canonical victim set → objective value.
     seen: Mutex<BTreeMap<Vec<usize>, f64>>,
@@ -374,7 +366,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             intact_trees: (0..n_slots).map(|_| Mutex::new(BTreeMap::new())).collect(),
             intact_state: bootstrap.clone(),
             intact_value: 0.0,
-            lru: Mutex::new(Vec::new()),
             pinned: Mutex::new(None),
             seen: Mutex::new(BTreeMap::new()),
             scored: AtomicUsize::new(0),
@@ -398,14 +389,13 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         self.seen.lock().expect("seen cache poisoned").len()
     }
 
-    /// Drops every cached candidate state (with the routes, k-path sets
-    /// and demand tallies it holds) and seen value, keeping only the
-    /// intact state and intact tree cache — each following score pays
+    /// Drops the pinned state (with the routes, k-path sets and demand
+    /// tallies it holds) and every seen value, keeping only the intact
+    /// state and intact tree cache — each following score pays
     /// the full delta-from-intact cost again. Benchmarks call this
     /// per iteration so repeated timing loops measure real incremental
     /// work instead of replaying the seen-cache. Counters keep counting.
     pub fn clear_cache(&self) {
-        self.lru.lock().expect("state cache poisoned").clear();
         *self.pinned.lock().expect("pinned state poisoned") = None;
         self.seen.lock().expect("seen cache poisoned").clear();
     }
@@ -427,15 +417,14 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             return Ok(v);
         }
         let parent = self.best_parent(&key);
-        let (state, value) = self.build_state(key.clone(), &parent);
-        self.push_lru(Arc::new(state));
+        let (_, value) = self.build_state(key.clone(), &parent);
         self.seen.lock().expect("seen cache poisoned").insert(key, value);
         Ok(value)
     }
 
     /// Scores a batch across `threads` workers (`0` = the machine) via
-    /// [`par_map`], returning scores in candidate order: cached states
-    /// change how much a candidate costs, never what it scores.
+    /// [`par_map`], returning scores in candidate order: the pinned state
+    /// changes how much a candidate costs, never what it scores.
     ///
     /// # Errors
     /// The first (lowest-index) candidate failure.
@@ -449,16 +438,9 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// a pure cache operation: values never depend on it.
     pub(super) fn ensure_resident(&self, destroyed: &[SatId]) {
         let key = self.canonical(destroyed);
-        let resident = {
-            let mut lru = self.lru.lock().expect("state cache poisoned");
-            lru.iter().position(|st| st.victims == key).map(|pos| lru.remove(pos))
-        };
-        let state = resident.unwrap_or_else(|| {
-            let parent = self.best_parent(&key);
-            let (state, _) = self.build_state(key, &parent);
-            Arc::new(state)
-        });
-        *self.pinned.lock().expect("pinned state poisoned") = Some(state);
+        let parent = self.best_parent(&key);
+        let (state, _) = self.build_state(key, &parent);
+        *self.pinned.lock().expect("pinned state poisoned") = Some(Arc::new(state));
     }
 
     /// Canonical victim key: sorted unique in-range flat indices —
@@ -470,28 +452,14 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         v
     }
 
-    /// The largest cached state whose victims are a subset of `victims`
-    /// (pinned state first, then most-recent LRU order); the intact
-    /// state when nothing better is cached.
+    /// The pinned prefix if its victims are a subset of `victims`, else
+    /// the intact state.
     fn best_parent(&self, victims: &[usize]) -> Arc<MaskState> {
-        let pinned = self.pinned.lock().expect("pinned state poisoned").clone();
-        let lru = self.lru.lock().expect("state cache poisoned");
-        let mut best: Option<&Arc<MaskState>> = None;
-        for st in pinned.iter().chain(lru.iter()) {
-            if st.victims.len() <= victims.len()
-                && best.is_none_or(|b| st.victims.len() > b.victims.len())
-                && is_subset(&st.victims, victims)
-            {
-                best = Some(st);
-            }
+        let pinned = self.pinned.lock().expect("pinned state poisoned");
+        match pinned.as_ref() {
+            Some(st) if is_subset(&st.victims, victims) => Arc::clone(st),
+            _ => Arc::clone(&self.intact_state),
         }
-        best.cloned().unwrap_or_else(|| self.intact_state.clone())
-    }
-
-    fn push_lru(&self, state: Arc<MaskState>) {
-        let mut lru = self.lru.lock().expect("state cache poisoned");
-        lru.insert(0, state);
-        lru.truncate(LRU_CAP);
     }
 
     /// The intact tree of source `s` in slot `k`, built on first use and
@@ -949,8 +917,8 @@ mod tests {
             let destroyed = [ids[victim]];
             let full = evaluator.score_attack(&destroyed, AttackObjective::ServedDemand).unwrap();
             assert_eq!(scorer.score(&destroyed).unwrap().to_bits(), full.to_bits());
-            let state = Arc::clone(&scorer.lru.lock().unwrap()[0]);
-            assert_eq!(state.victims, [victim]);
+            let (state, value) = scorer.build_state(vec![victim], &scorer.intact_state);
+            assert_eq!(value.to_bits(), full.to_bits());
             let served = state.slots[0].served.as_ref().expect("a served state");
             assert_eq!(Arc::ptr_eq(&served.tally, &intact.tally), shared, "victim {victim}");
         }

@@ -799,7 +799,10 @@ impl ShortestPathTree {
     /// two different positions that a hand-built graph can have. On +grid
     /// geometry the exact ties are those of co-located twins; the
     /// stacked-plane incremental proptest pins the repair there.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "per target a path and its delay, or `None` if unreachable; `None` overall past `max_affected`"
+    )]
     pub(crate) fn repaired_paths(
         &self,
         topology: &Topology,

@@ -553,7 +553,7 @@ impl Topology {
         // Build adjacency (deduplicated, undirected). An ordered set —
         // never a hash set — so the membership structure itself can
         // never leak iteration-order nondeterminism into link order
-        // (the hash-iter lint rule bans hash collections here outright).
+        // (`clippy.toml` bans hash collections outright).
         let mut seen = std::collections::BTreeSet::new();
         links.retain(|l| {
             let key =

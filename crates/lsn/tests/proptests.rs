@@ -546,9 +546,10 @@ proptest! {
     }
 
     /// Same property on Walker-delta geometries under whole-plane masks
-    /// grown as a prefix chain (the greedy-frontier shape), so repairs
-    /// delta off the previous prefix state in the LRU rather than the
-    /// intact trees.
+    /// grown as a prefix chain (the greedy-frontier shape). Nothing is
+    /// pinned here, so each prefix repairs the intact trees by whole
+    /// planes; deltas off a pinned prefix are covered by the scorer's
+    /// unit tests.
     #[test]
     fn incremental_scoring_matches_full_on_walker_plane_prefixes(
         total in 36usize..100,

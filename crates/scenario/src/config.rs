@@ -171,4 +171,40 @@ count = 12
         let err = sweep.expand().unwrap_err().to_string();
         assert!(err.contains("seed") && err.contains("a sweep axis"), "{err}");
     }
+
+    #[test]
+    fn schema_accepts_clean_and_rejects_typos() {
+        // Scenario keys are checked by the loader, against the one key
+        // table `crate::sweep::PARAMS`.
+        let clean = "name = \"fixture-clean\"\nseed = 7\n\n[design]\nkind = \"both\"\n\n\
+                     [spares]\npolicy = \"per-plane\"\ncount = 3\n\n\
+                     [sweep]\n\"demand.total_demand_b\" = [10.0, 50.0]\n";
+        let sweep = sweep_from_toml(clean).expect("clean scenario loads");
+        assert_eq!(sweep.expand().expect("clean scenario expands").len(), 2);
+
+        // A typo'd key, an unknown section and a reserved sweep axis: the
+        // loader stops at the first fault, so each is peeled off in turn.
+        let seed_axis = "name = \"fixture-typo\"\nseed = 7\n\n[sweep]\nseed = [1, 2, 3]\n";
+        let made_up = format!("[made_up]\nknob = 1.0\n\n{seed_axis}");
+        let typo = format!("[attack]\nplanes_lots = 2\n\n{made_up}");
+        let err = sweep_from_toml(&typo).unwrap_err().to_string();
+        assert!(err.contains("attack.planes_lots"), "{err}");
+        assert!(err.contains("did you mean `attack.planes_lost`"), "{err}");
+        let err = sweep_from_toml(&made_up).unwrap_err().to_string();
+        assert!(err.contains("made_up.knob"), "{err}");
+        let err = sweep_from_toml(seed_axis).expect("seed is a known key").expand().unwrap_err();
+        assert!(err.to_string().contains("got 'a sweep axis'"), "{err}");
+    }
+
+    #[test]
+    fn corrupting_a_scenario_key_is_caught() {
+        // Typo one key of a real shipped scenario.
+        let baseline = include_str!("../../../scenarios/baseline.toml");
+        sweep_from_toml(baseline).expect("shipped baseline loads");
+        let corrupt = baseline.replacen("[spares]", "[spare]", 1);
+        assert_ne!(baseline, corrupt, "corruption did not apply");
+        let err = sweep_from_toml(&corrupt).expect_err("typo'd section must be rejected");
+        assert!(matches!(err, ScenarioError::UnknownParameter { .. }), "{err}");
+        assert!(err.to_string().contains("did you mean `spares."), "{err}");
+    }
 }

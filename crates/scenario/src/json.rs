@@ -5,8 +5,6 @@
 //! round-trip `Display` (which is locale-independent and stable across
 //! platforms), and non-finite floats as `null` (JSON has no NaN).
 
-#![allow(clippy::must_use_candidate)]
-
 use std::fmt::Write;
 
 /// A JSON value.

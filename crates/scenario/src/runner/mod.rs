@@ -169,7 +169,10 @@ struct StageClock {
 
 impl StageClock {
     fn time<T>(&mut self, stage: &str, f: impl FnOnce() -> T) -> T {
-        // ssplane-lint: allow(wall-clock) -- --timings side channel; durations never enter report bytes
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "--timings side channel; durations never enter report bytes"
+        )]
         let start = std::time::Instant::now();
         let out = f();
         self.stages.push((stage.to_string(), start.elapsed().as_secs_f64()));
