@@ -92,7 +92,8 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
     let total: f64 = gravity.iter().map(|g| g.rate).sum();
     let capacity = CapacityConfig { link_capacity: 1.0, k_paths: 2 };
     // The workload a point builds from its draws, serially: the flow
-    // list plus its interned endpoints and endpoint pairs.
+    // list plus its endpoints and endpoint pairs, interned through the
+    // draw's site table and one dense site-pair table.
     group.bench_with_input(
         criterion::BenchmarkId::new("from_gravity", format!("{PAIRS}pairs")),
         &(),

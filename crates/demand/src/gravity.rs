@@ -27,6 +27,12 @@
 //! a fresh field plus one draw. A cell's diurnal weight depends on its
 //! longitude alone, so a field scan evaluates it once per column.
 //!
+//! A draw is a [`GravityFlows`]: the field's site table plus one
+//! 16-byte [`GravityFlow`] per pair, which names its endpoints by index
+//! into that table. The sites are distinct grid cells, so distinct
+//! indices name distinct coordinates, and a consumer can intern
+//! endpoints and pairs by index alone.
+//!
 //! Determinism contract: the flow list is a pure function of
 //! `(model, config)` — byte-identical across runs **and thread counts**.
 //! Generation is chunked; every chunk owns a seed derived from
@@ -94,26 +100,42 @@ pub struct GravitySite {
     pub mass: f64,
 }
 
-/// One synthesized city-pair flow.
+/// One synthesized city-pair flow: its endpoints as indices into its
+/// draw's site table ([`GravityFlows::sites`]) and its offered rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GravityFlow {
-    /// Source latitude \[deg\].
-    pub src_lat_deg: f64,
-    /// Source longitude \[deg\].
-    pub src_lon_deg: f64,
-    /// Destination latitude \[deg\].
-    pub dst_lat_deg: f64,
-    /// Destination longitude \[deg\].
-    pub dst_lon_deg: f64,
+    /// Source site index.
+    pub src_site: u32,
+    /// Destination site index, never the source's.
+    pub dst_site: u32,
     /// Offered rate, in the same units as [`grid_demand_total`].
     pub rate: f64,
-    /// Source site: its index in the field's site list
-    /// ([`GravityField::sites`]). Equal indices carry equal coordinates,
-    /// so a consumer can intern endpoints by index instead of by
-    /// coordinates.
-    pub src_site: u32,
-    /// Destination site index, as `src_site`.
-    pub dst_site: u32,
+}
+
+/// One gravity draw: a copy of the field's site table and the flows
+/// drawn over it, in draw order. Only [`gravity_flows_in`] builds one,
+/// so every flow's site indices are in range and distinct sites carry
+/// distinct coordinates. It derefs to `[GravityFlow]`.
+#[derive(Debug, PartialEq)]
+pub struct GravityFlows {
+    sites: Vec<GravitySite>,
+    flows: Vec<GravityFlow>,
+}
+
+impl GravityFlows {
+    /// The site table the flows index, heaviest first
+    /// ([`GravityField::sites`]).
+    pub fn sites(&self) -> &[GravitySite] {
+        &self.sites
+    }
+}
+
+impl std::ops::Deref for GravityFlows {
+    type Target = [GravityFlow];
+
+    fn deref(&self) -> &[GravityFlow] {
+        &self.flows
+    }
 }
 
 /// The diurnal weight of each longitude column at `utc_hour`. A cell's
@@ -265,16 +287,14 @@ fn pick_site(prefix: &[f64], rng: &mut StdRng) -> usize {
     prefix.partition_point(|&p| p <= u).min(prefix.len() - 1)
 }
 
-/// One raw draw: source site, destination site, gravity weight.
-type RawDraw = (u32, u32, f64);
-
-/// One chunk of raw `(src, dst, weight)` draws on its own seeded stream.
+/// One chunk of draws on its own seeded stream, each flow's rate still
+/// its raw gravity weight.
 fn generate_chunk(
     chunk: usize,
     count: usize,
     field: &GravityField,
     config: &GravityConfig,
-) -> Vec<RawDraw> {
+) -> Vec<GravityFlow> {
     let (sites, prefix) = (&field.sites, &field.prefix);
     let mut rng = StdRng::seed_from_u64(config.seed ^ (chunk as u64 + 1).wrapping_mul(CHUNK_SALT));
     let mut out = Vec::with_capacity(count);
@@ -287,8 +307,8 @@ fn generate_chunk(
             }
         };
         let d_km = field.distance[src * sites.len() + dst];
-        let w = sites[src].mass * sites[dst].mass * (-d_km / config.deterrence_km).exp();
-        out.push((src as u32, dst as u32, w));
+        let rate = sites[src].mass * sites[dst].mass * (-d_km / config.deterrence_km).exp();
+        out.push(GravityFlow { src_site: src as u32, dst_site: dst as u32, rate });
     }
     out
 }
@@ -304,7 +324,7 @@ pub fn gravity_flows(
     model: &DemandModel,
     config: &GravityConfig,
     threads: usize,
-) -> Result<Vec<GravityFlow>> {
+) -> Result<GravityFlows> {
     gravity_flows_in(&GravityField::new(model, config.utc_hour, config.sites), config, threads)
 }
 
@@ -321,7 +341,7 @@ pub fn gravity_flows_in(
     field: &GravityField,
     config: &GravityConfig,
     threads: usize,
-) -> Result<Vec<GravityFlow>> {
+) -> Result<GravityFlows> {
     if config.pairs == 0 {
         return Err(DemandError::EmptyGrid { dimension: "pairs" });
     }
@@ -337,8 +357,7 @@ pub fn gravity_flows_in(
             expected: "the UTC hour and site budget the field was built at",
         });
     }
-    let sites = &field.sites;
-    if sites.len() < 2 {
+    if field.sites.len() < 2 {
         return Err(DemandError::EmptyGrid { dimension: "sites" });
     }
 
@@ -346,13 +365,14 @@ pub fn gravity_flows_in(
     // and `par_map` returns chunks in index order, so the output is
     // independent of scheduling.
     let n_chunks = config.pairs.div_ceil(CHUNK);
-    let chunks: Vec<Vec<RawDraw>> = par_map((0..n_chunks).collect(), threads, |c| {
+    let chunks: Vec<Vec<GravityFlow>> = par_map((0..n_chunks).collect(), threads, |c| {
         generate_chunk(c, CHUNK.min(config.pairs - c * CHUNK), field, config)
     });
+    let mut flows = chunks.concat();
 
-    // Normalize in chunk-then-draw order so the float summation is the
-    // same serial reduction for every thread count.
-    let weight_sum: f64 = chunks.iter().flatten().map(|&(_, _, w)| w).sum();
+    // Normalize in draw order so the float summation is the same serial
+    // reduction for every thread count.
+    let weight_sum: f64 = flows.iter().map(|f| f.rate).sum();
     if weight_sum <= 0.0 {
         return Err(DemandError::OutOfDomain {
             name: "deterrence_km",
@@ -360,21 +380,10 @@ pub fn gravity_flows_in(
         });
     }
     let scale = field.total / weight_sum;
-    // `flatten` hides the length, so presize instead of growing by doubling.
-    let mut flows = Vec::with_capacity(config.pairs);
-    flows.extend(chunks.iter().flatten().map(|&(src_site, dst_site, w)| {
-        let (s, d) = (&sites[src_site as usize], &sites[dst_site as usize]);
-        GravityFlow {
-            src_lat_deg: s.lat_deg,
-            src_lon_deg: s.lon_deg,
-            dst_lat_deg: d.lat_deg,
-            dst_lon_deg: d.lon_deg,
-            rate: w * scale,
-            src_site,
-            dst_site,
-        }
-    }));
-    Ok(flows)
+    for f in &mut flows {
+        f.rate *= scale;
+    }
+    Ok(GravityFlows { sites: field.sites.clone(), flows })
 }
 
 #[cfg(test)]
@@ -440,29 +449,8 @@ mod tests {
         sites.iter().map(|s| [s.lat_deg.to_bits(), s.lon_deg.to_bits(), s.mass.to_bits()]).collect()
     }
 
-    fn flow_bits(flows: &[GravityFlow]) -> Vec<([u64; 5], [u32; 2])> {
-        flows
-            .iter()
-            .map(|f| {
-                let coords = [f.src_lat_deg, f.src_lon_deg, f.dst_lat_deg, f.dst_lon_deg, f.rate];
-                (coords.map(f64::to_bits), [f.src_site, f.dst_site])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn site_indices_name_the_flow_coordinates() {
-        let m = model();
-        let field = GravityField::new(&m, 12.0, 64);
-        let flows = gravity_flows_in(&field, &config(2 * CHUNK + 5, 3), 2).unwrap();
-        let at = |site: u32| {
-            let s = &field.sites()[site as usize];
-            (s.lat_deg.to_bits(), s.lon_deg.to_bits())
-        };
-        for f in &flows {
-            assert_eq!(at(f.src_site), (f.src_lat_deg.to_bits(), f.src_lon_deg.to_bits()));
-            assert_eq!(at(f.dst_site), (f.dst_lat_deg.to_bits(), f.dst_lon_deg.to_bits()));
-        }
+    fn flow_bits(flows: &GravityFlows) -> Vec<(u32, u32, u64)> {
+        flows.iter().map(|f| (f.src_site, f.dst_site, f.rate.to_bits())).collect()
     }
 
     #[test]
@@ -474,6 +462,7 @@ mod tests {
             let shared = gravity_flows_in(&field, &cfg, 2).unwrap();
             let fresh = gravity_flows(&m, &cfg, 1).unwrap();
             assert_eq!(flow_bits(&shared), flow_bits(&fresh), "seed {seed}, {pairs} pairs");
+            assert_eq!(site_bits(shared.sites()), site_bits(field.sites()));
         }
     }
 
@@ -514,12 +503,9 @@ mod tests {
             (total - grid_total).abs() / grid_total < 1e-9,
             "emitted {total} vs grid {grid_total}"
         );
-        for f in &flows {
+        for f in flows.iter() {
             assert!(f.rate > 0.0);
-            assert!(
-                (f.src_lat_deg, f.src_lon_deg) != (f.dst_lat_deg, f.dst_lon_deg),
-                "self-pair emitted"
-            );
+            assert_ne!(f.src_site, f.dst_site, "self-pair emitted");
         }
         let again = gravity_flows(&m, &config(10_000, 7), 1).unwrap();
         assert_eq!(flows, again);
@@ -535,12 +521,7 @@ mod tests {
         let serial = gravity_flows(&m, &cfg, 1).unwrap();
         for threads in [0, 2, 4, 7] {
             let parallel = gravity_flows(&m, &cfg, threads).unwrap();
-            assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.rate.to_bits(), b.rate.to_bits(), "{threads} threads changed bytes");
-                assert_eq!(a.src_lat_deg.to_bits(), b.src_lat_deg.to_bits());
-                assert_eq!(a.dst_lon_deg.to_bits(), b.dst_lon_deg.to_bits());
-            }
+            assert_eq!(flow_bits(&serial), flow_bits(&parallel), "{threads} threads changed bytes");
         }
     }
 
@@ -606,6 +587,13 @@ mod tests {
             let field = GravityField::new(&m, hour, n_sites);
             prop_assert_eq!(field.total().to_bits(), total.to_bits());
             prop_assert_eq!(site_bits(field.sites()), sites);
+            // Distinct sites sit at distinct coordinates, so a draw's site
+            // indices intern its endpoints one to one.
+            let mut at: Vec<(u64, u64)> =
+                field.sites().iter().map(|s| (s.lat_deg.to_bits(), s.lon_deg.to_bits())).collect();
+            at.sort_unstable();
+            at.dedup();
+            prop_assert_eq!(at.len(), field.sites().len());
         }
     }
 

@@ -39,7 +39,7 @@ pub mod spatiotemporal;
 
 pub use diurnal::DiurnalModel;
 pub use error::{DemandError, Result};
-pub use gravity::{gravity_flows, gravity_sites, GravityConfig, GravityFlow};
+pub use gravity::{gravity_flows, gravity_sites, GravityConfig, GravityFlow, GravityFlows};
 pub use grid::LatTodGrid;
 pub use population::PopulationGrid;
 pub use spatiotemporal::DemandModel;

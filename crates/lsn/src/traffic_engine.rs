@@ -46,7 +46,7 @@ use crate::snapshot::Snapshot;
 use crate::topology::Topology;
 use crate::traffic::Flow;
 use ssplane_astro::geo::GeoPoint;
-use ssplane_demand::gravity::GravityFlow;
+use ssplane_demand::gravity::GravityFlows;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
@@ -79,13 +79,12 @@ pub struct TrafficWorkload {
 }
 
 impl TrafficWorkload {
-    /// Builds a workload from gravity-model flows, rescaling rates by
-    /// `scale` (e.g. from grid demand mass to satellite-capacity units).
-    /// The flows are interned by their site indices, constant work per
-    /// flow.
-    pub fn from_gravity(gravity: &[GravityFlow], scale: f64, capacity: CapacityConfig) -> Self {
-        // Interning first keeps its scratch buffers and the flow list
-        // apart in memory, and hands every flow its endpoints already
+    /// Builds a workload from a gravity draw, rescaling rates by `scale`
+    /// (e.g. from grid demand mass to satellite-capacity units). The
+    /// flows are interned by their site indices, constant work per flow.
+    pub fn from_gravity(gravity: &GravityFlows, scale: f64, capacity: CapacityConfig) -> Self {
+        // Interning first keeps its scratch table and the flow list apart
+        // in memory, and hands every flow its endpoints already
         // converted: an interned point is bit for bit the endpoint it
         // names.
         let index = FlowIndex::from_gravity(gravity, scale);
@@ -98,15 +97,6 @@ impl TrafficWorkload {
             })
             .collect();
         TrafficWorkload { flows: InternedFlows { flows, index }, capacity }
-    }
-}
-
-/// The flow of one gravity-model flow, its rate rescaled by `scale`.
-fn gravity_flow(g: &GravityFlow, scale: f64) -> Flow {
-    Flow {
-        src: GeoPoint::from_degrees(g.src_lat_deg, g.src_lon_deg),
-        dst: GeoPoint::from_degrees(g.dst_lat_deg, g.dst_lon_deg),
-        demand: g.rate * scale,
     }
 }
 
@@ -242,96 +232,36 @@ impl FlowIndex {
     }
 
     /// [`Self::new`] of the flows `gravity` makes at `scale`
-    /// ([`TrafficWorkload::from_gravity`]), interned by site index in time
-    /// linear in the flows and sites. An endpoint is interned by a table
-    /// lookup on its site, and a pair by its first flow: flows are
-    /// chained by source endpoint (each chain in flow order, threaded
-    /// through the output's own buffer), a stamped per-destination table
-    /// finds each pair's first flow, and one flow-order pass numbers the
-    /// pairs by that flow. The ids equal
-    /// [`Self::new`]'s whenever sites and coordinates name each other one
-    /// to one; a list that breaks that (checked on the way), or whose
-    /// site indices outnumber its endpoints, is interned by coordinates.
-    pub(crate) fn from_gravity(gravity: &[GravityFlow], scale: f64) -> Self {
+    /// ([`TrafficWorkload::from_gravity`]), interned by site index in one
+    /// flow-order pass: an endpoint through a per-site table, a pair
+    /// through a dense `sites × sites` table (half the size of the
+    /// field's own distance table). Distinct sites carry distinct
+    /// coordinates, so the ids equal [`Self::new`]'s.
+    pub(crate) fn from_gravity(gravity: &GravityFlows, scale: f64) -> Self {
         use crate::cast::{index_u32, widen_u32};
-        let by_coordinates = || {
-            let flows: Vec<Flow> = gravity.iter().map(|g| gravity_flow(g, scale)).collect();
-            Self::new(&flows)
-        };
-        let sites = gravity.iter().map(|g| widen_u32(g.src_site.max(g.dst_site)) + 1).max();
-        let sites = sites.unwrap_or(0);
-        if sites > 2 * gravity.len() {
-            return by_coordinates();
-        }
-        // Per site its point id; per point its degree bits, which every
-        // endpoint naming the point must repeat.
-        let mut point_of_site = vec![u32::MAX; sites];
+        const NONE: u32 = u32::MAX;
+        let sites = gravity.sites();
+        let mut point_of_site = vec![NONE; sites.len()];
+        let mut pair_of_sites = vec![NONE; sites.len() * sites.len()];
         let mut points: Vec<GeoPoint> = Vec::new();
-        let mut degrees: Vec<(u64, u64)> = Vec::new();
-        let mut consistent = true;
-        let mut intern = |site: u32, lat: f64, lon: f64| {
-            let id = &mut point_of_site[widen_u32(site)];
-            if *id == u32::MAX {
-                *id = index_u32(points.len());
-                points.push(GeoPoint::from_degrees(lat, lon));
-                degrees.push((lat.to_bits(), lon.to_bits()));
-            }
-            consistent &= degrees[widen_u32(*id)] == (lat.to_bits(), lon.to_bits());
-        };
-        for g in gravity {
-            intern(g.src_site, g.src_lat_deg, g.src_lon_deg);
-            intern(g.dst_site, g.dst_lat_deg, g.dst_lon_deg);
-        }
-        let mut keys: Vec<(u64, u64)> = points.iter().map(|&p| point_key(p)).collect();
-        keys.sort_unstable();
-        if !consistent || keys.windows(2).any(|w| w[0] == w[1]) {
-            return by_coordinates();
-        }
-        // Flow `i`'s endpoint ids, read back through the site table: no
-        // per-flow scratch buffer beyond the output's own.
-        let ends = |i: usize| {
-            let point = |site: u32| widen_u32(point_of_site[widen_u32(site)]);
-            (point(gravity[i].src_site), point(gravity[i].dst_site))
-        };
-        // Flows chained by source endpoint in flow order: `head[a]` is
-        // source `a`'s first flow and, until it names a pair,
-        // `flow_pair[i]` the next flow from flow `i`'s source.
-        const END: u32 = u32::MAX;
-        let mut flow_pair = vec![END; gravity.len()];
-        let mut head = vec![END; points.len()];
-        for i in (0..gravity.len()).rev() {
-            let a = ends(i).0;
-            flow_pair[i] = head[a];
-            head[a] = index_u32(i);
-        }
-        // Per flow, the first flow of its pair: along a source's chain,
-        // the first flow to each destination.
-        let mut stamp = vec![usize::MAX; points.len()];
-        let mut first = vec![END; points.len()];
-        for (a, &start) in head.iter().enumerate() {
-            let mut i = start;
-            while i != END {
-                let flow = widen_u32(i);
-                let b = ends(flow).1;
-                if stamp[b] != a {
-                    stamp[b] = a;
-                    first[b] = i;
-                }
-                i = std::mem::replace(&mut flow_pair[flow], first[b]);
-            }
-        }
-        // In flow order, a pair's first flow opens the next pair id and
-        // every later flow of the pair copies it (its first flow is
-        // already renumbered).
         let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for i in 0..gravity.len() {
-            let leader = widen_u32(flow_pair[i]);
-            flow_pair[i] = if leader == i {
-                pairs.push(ends(i));
-                index_u32(pairs.len() - 1)
-            } else {
-                flow_pair[leader]
+        let mut flow_pair = Vec::with_capacity(gravity.len());
+        for g in gravity.iter() {
+            let (src, dst) = (widen_u32(g.src_site), widen_u32(g.dst_site));
+            let mut intern = |site: usize| {
+                if point_of_site[site] == NONE {
+                    point_of_site[site] = index_u32(points.len());
+                    points.push(GeoPoint::from_degrees(sites[site].lat_deg, sites[site].lon_deg));
+                }
+                widen_u32(point_of_site[site])
             };
+            let ends = (intern(src), intern(dst));
+            let pair = &mut pair_of_sites[src * sites.len() + dst];
+            if *pair == NONE {
+                *pair = index_u32(pairs.len());
+                pairs.push(ends);
+            }
+            flow_pair.push(*pair);
         }
         let offered = gravity.iter().map(|g| g.rate * scale).sum();
         FlowIndex { points, pairs, flow_pair, offered }
@@ -696,8 +626,15 @@ mod tests {
     /// The gravity interning against the coordinate-keyed one: equal
     /// points (bit for bit), pairs and per-flow pairs, and the offered
     /// total bit for bit.
-    fn assert_interned_by_coordinates(gravity: &[GravityFlow], scale: f64) {
-        let flows: Vec<Flow> = gravity.iter().map(|g| gravity_flow(g, scale)).collect();
+    fn assert_interned_by_coordinates(gravity: &GravityFlows, scale: f64) {
+        let at = |site: u32| {
+            let s = &gravity.sites()[crate::cast::widen_u32(site)];
+            GeoPoint::from_degrees(s.lat_deg, s.lon_deg)
+        };
+        let flows: Vec<Flow> = gravity
+            .iter()
+            .map(|g| Flow { src: at(g.src_site), dst: at(g.dst_site), demand: g.rate * scale })
+            .collect();
         let (fast, oracle) = (FlowIndex::from_gravity(gravity, scale), FlowIndex::new(&flows));
         let bits = |index: &FlowIndex| -> Vec<(u64, u64)> {
             index.points.iter().map(|&p| point_key(p)).collect()
@@ -718,35 +655,16 @@ mod tests {
             let w = TrafficWorkload::from_gravity(&gravity, 0.37, CapacityConfig::default());
             assert_eq!(w.flows.index(), &FlowIndex::new(&w.flows), "seed {seed}");
         }
-        // Degenerate lists: one source site, every pair repeated, and a
-        // pair that runs both ways.
-        let flow = |src_site: u32, dst_site: u32, rate: f64| GravityFlow {
-            src_lat_deg: 10.0 * f64::from(src_site),
-            src_lon_deg: -5.0 * f64::from(src_site),
-            dst_lat_deg: 10.0 * f64::from(dst_site),
-            dst_lon_deg: -5.0 * f64::from(dst_site),
-            rate,
-            src_site,
-            dst_site,
-        };
-        let one_source: Vec<GravityFlow> =
-            [4u32, 2, 4, 4, 1, 2].iter().map(|&d| flow(3, d, 0.25 * f64::from(d))).collect();
-        assert_interned_by_coordinates(&one_source, 2.0);
-        let repeated: Vec<GravityFlow> = (0..40).map(|i| flow(i % 3, 7 - i % 2, 0.1)).collect();
-        assert_interned_by_coordinates(&repeated, 1.5);
-        assert_interned_by_coordinates(&[flow(0, 1, 1.0), flow(1, 0, 2.0), flow(0, 1, 3.0)], 1.0);
-        assert_interned_by_coordinates(&[], 1.0);
-        // Site indices that do not name their coordinates one to one, or
-        // outnumber the endpoints, fall back to the coordinates.
-        let mut relabeled = repeated.clone();
-        relabeled[5].src_site = 9;
-        assert_interned_by_coordinates(&relabeled, 1.0);
-        let mut moved = repeated.clone();
-        moved[7].dst_lat_deg = 1.0;
-        assert_interned_by_coordinates(&moved, 1.0);
-        let mut sparse = repeated;
-        sparse[0].src_site = 1_000_000;
-        assert_interned_by_coordinates(&sparse, 1.0);
+        // Two sites: every pair repeated, both ways round.
+        let two = GravityConfig { pairs: 40, sites: 2, seed: 5, ..Default::default() };
+        let gravity = gravity_flows(&m, &two, 1).unwrap();
+        assert!(gravity.iter().any(|g| g.src_site == 0) && gravity.iter().any(|g| g.src_site == 1));
+        assert_interned_by_coordinates(&gravity, 1.5);
+        // Sparse site use: a few flows over many sites.
+        for (pairs, sites) in [(1, 64), (3, 64), (1, 256), (3, 256)] {
+            let config = GravityConfig { pairs, sites, seed: 11, ..Default::default() };
+            assert_interned_by_coordinates(&gravity_flows(&m, &config, 1).unwrap(), 2.0);
+        }
     }
 
     #[test]

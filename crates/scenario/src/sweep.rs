@@ -529,14 +529,15 @@ const MAX_TIME_GRID_SLOTS: usize = 96;
 const MAX_PERCOLATION_STEPS: usize = 10_000;
 
 /// Most `traffic.pairs` the gravity model may draw. The draws, the flow
-/// list and the per-pair aggregation grow linearly with it (~56 bytes a
-/// pair before aggregation), so an unbounded count can abort the whole
-/// sweep on one allocation. 1M is 10× the 100k-pair mega-network
-/// workload, the largest in use.
+/// list and the per-pair aggregation grow linearly with it (16 bytes a
+/// pair drawn, 44 once routable, ~60 while one becomes the other), so an
+/// unbounded count can abort the whole sweep on one allocation. 1M is
+/// 10× the 100k-pair mega-network workload, the largest in use.
 pub(crate) const MAX_TRAFFIC_PAIRS: usize = 1_000_000;
 
 /// Most `traffic.sites` the gravity model may draw pairs between, 8× the
-/// largest value in use (256). The distance table holds sites² entries.
+/// largest value in use (256). The field's distance table holds sites²
+/// `f64`s, and interning a draw's pairs takes a sites² `u32` table.
 const MAX_SITES: usize = 2048;
 
 /// Most `traffic.k_paths` per serving-satellite pair, 10× the largest
