@@ -35,12 +35,13 @@
 //!   incremental union-find [`ClusterTracker`] replaying attack-registry
 //!   removal orderings into loss-fraction phase-transition curves
 //!   (giant-component fraction, susceptibility χ, mean finite-cluster
-//!   size), algebraic connectivity λ₂ via a deterministic deflated power
-//!   iteration, and the *masking threshold* — the critical loss fraction
+//!   size), algebraic connectivity λ₂ via a seeded, preconditioned
+//!   LOBPCG solve, and the *masking threshold* — the critical loss fraction
 //!   where redundancy stops hiding targeted-attack damage.
 //! * [`optimizer`] — adversarial attack search: a [`DegradedEvaluator`]
 //!   scoring candidate destroyed sets over a prebuilt [`SnapshotSeries`]
-//!   (intact topologies filtered per candidate, never rebuilt), an
+//!   (intact topologies filtered per candidate, never rebuilt; each
+//!   endpoint's servers ranked once per slot), an
 //!   incremental delta scorer (shortest-path-tree repair, a pinned
 //!   greedy-prefix parent state, affected-flow filtering —
 //!   byte-identical to the full path at a fraction of the cost), and a
@@ -54,7 +55,8 @@
 //! * [`survivability`] — a discrete-event simulation tying it together:
 //!   failures, replacements, and capacity availability over mission time
 //!   (§5(2): *lighter-weight fault tolerance for low-radiation
-//!   constellations*), now a scalar reduction of the outage timeline.
+//!   constellations*); one renewal loop yields both the outage timeline
+//!   and the scalar report.
 //!
 //! [`AttackModel`]: disruption::AttackModel
 //! [`ClusterTracker`]: percolation::ClusterTracker

@@ -14,8 +14,8 @@
 //!   of a [`SnapshotSeries`], and candidate alive masks scored by
 //!   filtering that topology ([`Topology::masked`], an O(links)
 //!   incremental pass that never re-runs the geometric construction, let
-//!   alone re-propagates an orbit), re-attaching only the endpoints whose
-//!   server died, then the landmark-guided traffic assignment
+//!   alone re-propagates an orbit), attaching each endpoint to its first
+//!   surviving ranked server, then the landmark-guided traffic assignment
 //!   ([`crate::traffic::assign_traffic`]) and the slot aggregates;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
@@ -52,6 +52,7 @@ pub mod incremental;
 
 pub use incremental::IncrementalScorer;
 
+use crate::cast::{index_u32, widen_u32};
 use crate::error::Result;
 use crate::routing::{Landmarks, ServingIndex};
 use crate::snapshot::{Snapshot, SnapshotSeries};
@@ -62,7 +63,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
-use std::cell::OnceCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Greedy frontier sample per step for satellite-unit searches: scoring
@@ -144,12 +144,78 @@ pub struct SlotEvaluation {
     pub served: Option<ServedDemandSummary>,
 }
 
+/// Per interned endpoint of one slot, every satellite able to serve it
+/// (flat indices), best first — see [`ServingIndex::ranked`]. The head
+/// is the intact server; under any alive mask the first alive entry is
+/// what an index rebuilt over the masked snapshot answers.
+#[derive(Debug)]
+struct RankedServers {
+    /// Endpoint `e`'s list is `sats[starts[e]..starts[e + 1]]`.
+    starts: Vec<u32>,
+    sats: Vec<u32>,
+}
+
+impl RankedServers {
+    /// Ranks every point through `index`, reusing `visible` as scratch.
+    fn build(
+        index: &ServingIndex<'_>,
+        points: &[GeoPoint],
+        visible: &mut Vec<(usize, f64)>,
+    ) -> Self {
+        let mut starts = Vec::with_capacity(points.len() + 1);
+        let mut sats = Vec::new();
+        starts.push(0);
+        for &p in points {
+            index.rank_flat(p, visible);
+            sats.extend(visible.iter().map(|&(flat, _)| index_u32(flat)));
+            starts.push(index_u32(sats.len()));
+        }
+        // The lists live as long as the evaluator: drop the growth slack.
+        sats.shrink_to_fit();
+        RankedServers { starts, sats }
+    }
+
+    /// Each endpoint's list.
+    fn lists(&self) -> impl Iterator<Item = &[u32]> {
+        self.starts.windows(2).map(|w| &self.sats[widen_u32(w[0])..widen_u32(w[1])])
+    }
+
+    /// Per endpoint: its serving satellite under `alive` (`None` =
+    /// intact), the first alive entry of its list.
+    fn servers(&self, alive: Option<&[bool]>) -> Vec<Option<usize>> {
+        self.lists()
+            .map(|list| list.iter().map(|&s| widen_u32(s)).find(|&s| alive.is_none_or(|m| m[s])))
+            .collect()
+    }
+
+    /// Endpoints whose intact server `mask` kills.
+    fn dead_heads(&self, mask: &[bool]) -> usize {
+        self.lists().filter(|list| list.first().is_some_and(|&s| !mask[widen_u32(s)])).count()
+    }
+}
+
 /// Per interned endpoint of one slot, the flat index of its serving
-/// satellite: the classic flows' endpoints and the workload's.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// satellite under one mask: the classic flows' endpoints and the
+/// workload's.
+#[derive(Debug)]
 struct Attachment {
     classic: Vec<Option<usize>>,
     workload: Vec<Option<usize>>,
+}
+
+/// One slot's ranked servers of both endpoint sets: the classic flows'
+/// interned endpoints and the workload's.
+#[derive(Debug)]
+struct SlotRanking {
+    classic: RankedServers,
+    workload: RankedServers,
+}
+
+impl SlotRanking {
+    /// Both endpoint sets' servers under `alive` (`None` = intact).
+    fn attach(&self, alive: Option<&[bool]>) -> Attachment {
+        Attachment { classic: self.classic.servers(alive), workload: self.workload.servers(alive) }
+    }
 }
 
 /// The traffic every slot evaluation routes, shared by the intact build
@@ -159,7 +225,6 @@ struct SlotInputs<'a> {
     flows: &'a [Flow],
     /// The classic flows, interned once for every slot and mask.
     index: FlowIndex,
-    min_elevation: f64,
     workload: Option<&'a TrafficWorkload>,
     /// The capacity the classic load statistics normalize by — the
     /// workload's link capacity when one is carried, else `1.0` (raw
@@ -173,11 +238,12 @@ impl<'a> SlotInputs<'a> {
         self.workload.map_or(&[], |w| &w.flows.index().points)
     }
 
-    /// Both endpoint sets attached through `index`, an intact slot's.
-    fn attach(&self, index: &ServingIndex<'_>) -> Attachment {
-        Attachment {
-            classic: index.attach(&self.index.points),
-            workload: index.attach(self.workload_points()),
+    /// Both endpoint sets ranked through `index`, an intact slot's.
+    fn rank(&self, index: &ServingIndex<'_>) -> SlotRanking {
+        let mut visible = Vec::new();
+        SlotRanking {
+            classic: RankedServers::build(index, &self.index.points, &mut visible),
+            workload: RankedServers::build(index, self.workload_points(), &mut visible),
         }
     }
 
@@ -218,13 +284,14 @@ impl<'a> SlotInputs<'a> {
 /// [`Topology::masked`] → traffic assignment → aggregates, over every
 /// slot of one prebuilt [`SnapshotSeries`]. Construction interns the
 /// classic flows once and builds the intact per-slot topologies, their
-/// routing [`Landmarks`], the ground attachment of every classic and
-/// workload endpoint (one [`ServingIndex`] per slot) **and** the intact
-/// evaluations once; every candidate afterwards only filters links,
-/// re-attaches the endpoints whose intact server it killed and re-routes
-/// flows under the intact slot's landmarks — no candidate ever
-/// re-propagates, re-runs the geometric +grid search, rebuilds a
-/// landmark table or re-queries an endpoint whose server survived.
+/// routing [`Landmarks`], every classic and workload endpoint's serving
+/// satellites ranked best first (one [`ServingIndex`] per slot, the only
+/// place servers are ranked) **and** the intact evaluations once; every
+/// candidate afterwards only filters links, attaches each endpoint to
+/// its first surviving ranked server and re-routes flows under the
+/// intact slot's landmarks — no candidate ever re-propagates, re-runs the
+/// geometric +grid search, rebuilds a landmark table or a serving index.
+/// The [`IncrementalScorer`] reads the same ranked lists.
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
@@ -233,10 +300,11 @@ pub struct DegradedEvaluator<'a> {
     /// Each intact slot's routing bounds, reused by every masked pass
     /// over that slot.
     landmarks: Vec<Landmarks>,
-    /// Each intact slot's ground attachment, the start of every masked
-    /// pass's.
-    attachments: Vec<Attachment>,
-    /// Endpoints masked evaluations re-queried ([`Self::reattached`]).
+    /// Each intact slot's ranked servers: the head of each list is the
+    /// intact attachment, the first alive entry a masked pass's.
+    ranked: Vec<SlotRanking>,
+    /// Endpoints whose intact server a masked evaluation killed
+    /// ([`Self::reattached`]).
     reattached: AtomicUsize,
     intact: Vec<SlotEvaluation>,
     intact_mean_link_load: f64,
@@ -315,22 +383,23 @@ impl<'a> DegradedEvaluator<'a> {
     ) -> Result<Self> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
         let index = FlowIndex::new(flows);
-        let inputs = SlotInputs { flows, index, min_elevation, workload, link_capacity };
-        let slots: Vec<((Topology, Landmarks), (Attachment, SlotEvaluation))> =
+        let inputs = SlotInputs { flows, index, workload, link_capacity };
+        let slots: Vec<((Topology, Landmarks), (SlotRanking, SlotEvaluation))> =
             par_map((0..series.len()).collect(), threads, |k| {
                 let snapshot = series.snapshot(k);
                 let topology = Topology::plus_grid(&snapshot, config)?;
                 let landmarks = Landmarks::build(&topology);
-                let servers = inputs.attach(&ServingIndex::new(snapshot, min_elevation));
+                let ranked = inputs.rank(&ServingIndex::new(snapshot, min_elevation));
+                let servers = ranked.attach(None);
                 let evaluation =
                     inputs.evaluate(&snapshot, &topology, &landmarks, None, &servers)?;
-                Ok(((topology, landmarks), (servers, evaluation)))
+                Ok(((topology, landmarks), (ranked, evaluation)))
             })
             .into_iter()
             .collect::<Result<_>>()?;
         let (built, attached): (Vec<_>, Vec<_>) = slots.into_iter().unzip();
         let (topologies, landmarks): (Vec<Topology>, Vec<Landmarks>) = built.into_iter().unzip();
-        let (attachments, intact): (Vec<Attachment>, Vec<SlotEvaluation>) =
+        let (ranked, intact): (Vec<SlotRanking>, Vec<SlotEvaluation>) =
             attached.into_iter().unzip();
         let intact_mean_link_load = intact.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>()
             / intact.len().max(1) as f64;
@@ -341,7 +410,7 @@ impl<'a> DegradedEvaluator<'a> {
             inputs,
             topologies,
             landmarks,
-            attachments,
+            ranked,
             reattached: AtomicUsize::new(0),
             intact,
             intact_mean_link_load,
@@ -427,11 +496,11 @@ impl<'a> DegradedEvaluator<'a> {
         &self.all_alive
     }
 
-    /// Endpoints re-queried by masked evaluations so far, over both
+    /// Endpoints re-attached by masked evaluations so far, over both
     /// endpoint sets and every slot: those whose intact server a mask
-    /// killed. A deterministic work counter — each evaluation adds a
-    /// function of its slot and mask — so it reads the same for every
-    /// thread count.
+    /// killed, so that they moved down their ranked list. A
+    /// deterministic work counter — each evaluation adds a function of
+    /// its slot and mask — so it reads the same for every thread count.
     pub fn reattached(&self) -> usize {
         self.reattached.load(Ordering::Relaxed)
     }
@@ -450,42 +519,19 @@ impl<'a> DegradedEvaluator<'a> {
         };
         let snapshot = self.series.snapshot(k).with_alive(mask);
         let topology = self.topologies[k].masked(mask);
-        let servers = self.reattach(k, snapshot, mask);
+        let servers = self.reattach(k, mask);
         self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive, &servers)
     }
 
-    /// Slot `k`'s attachment under `mask`, `snapshot` being the slot
-    /// masked by it. An endpoint whose intact server is alive keeps it,
-    /// and one with no intact server stays unattached: dropping
-    /// satellites from a first-wins maximum never changes which survivor
-    /// wins, nor adds a candidate (see [`ServingIndex::ranked`]). Only the
-    /// endpoints whose server died are queried, through one index over
-    /// `snapshot` built for the first of them.
-    fn reattach(&self, k: usize, snapshot: Snapshot<'_>, mask: &[bool]) -> Attachment {
-        let masked = OnceCell::new();
-        let mut queried = 0usize;
-        let mut servers = |intact: &[Option<usize>], points: &[GeoPoint]| -> Vec<Option<usize>> {
-            intact
-                .iter()
-                .zip(points)
-                .map(|(&server, &p)| match server {
-                    Some(s) if !mask[s] => {
-                        queried += 1;
-                        let index = masked
-                            .get_or_init(|| ServingIndex::new(snapshot, self.inputs.min_elevation));
-                        index.serving_flat(p)
-                    }
-                    kept => kept,
-                })
-                .collect()
-        };
-        let intact = &self.attachments[k];
-        let attachment = Attachment {
-            classic: servers(&intact.classic, &self.inputs.index.points),
-            workload: servers(&intact.workload, self.inputs.workload_points()),
-        };
-        self.reattached.fetch_add(queried, Ordering::Relaxed);
-        attachment
+    /// Slot `k`'s attachment under `mask`: each endpoint's first alive
+    /// ranked server, what an index rebuilt over the masked snapshot
+    /// answers (see [`ServingIndex::ranked`]). Counts the endpoints whose
+    /// intact server the mask killed.
+    fn reattach(&self, k: usize, mask: &[bool]) -> Attachment {
+        let ranked = &self.ranked[k];
+        let moved = ranked.classic.dead_heads(mask) + ranked.workload.dead_heads(mask);
+        self.reattached.fetch_add(moved, Ordering::Relaxed);
+        ranked.attach(Some(mask))
     }
 
     /// The objective a candidate is scored by: served demand without a
@@ -1111,35 +1157,73 @@ mod tests {
             for s in sats {
                 mask[s] = false;
             }
-            check_reattachment(ev, k, &mask);
+            check_reattachment(ev, k, &mask, 20f64.to_radians());
         }
     }
 
-    /// Slot `k`'s re-attachment under `mask` answers what an index
-    /// rebuilt over the masked snapshot answers, for every classic and
-    /// workload endpoint, and queries exactly the endpoints whose intact
+    /// Slot `k`'s attachment, built at `min_elevation`, read intact and
+    /// under `mask`: the intact heads are what an index over the intact
+    /// snapshot answers, the masked servers what an index rebuilt over
+    /// the masked snapshot answers, for every classic and workload
+    /// endpoint, and the counter adds exactly the endpoints whose intact
     /// server died.
-    fn check_reattachment(ev: &DegradedEvaluator<'_>, k: usize, mask: &[bool]) {
-        let snapshot = ev.series.snapshot(k).with_alive(mask);
+    fn check_reattachment(ev: &DegradedEvaluator<'_>, k: usize, mask: &[bool], min_elevation: f64) {
         let before = ev.reattached();
-        let got = ev.reattach(k, snapshot, mask);
-        let requeried = ev.reattached() - before;
-        let rebuilt = ServingIndex::new(snapshot, ev.inputs.min_elevation);
-        let intact = &ev.attachments[k];
+        let got = ev.reattach(k, mask);
+        let moved = ev.reattached() - before;
+        let heads = ev.ranked[k].attach(None);
+        let intact = ServingIndex::new(ev.series.snapshot(k), min_elevation);
+        let rebuilt = ServingIndex::new(ev.series.snapshot(k).with_alive(mask), min_elevation);
         let sets = [
-            (&got.classic, &intact.classic, &ev.inputs.index.points[..]),
-            (&got.workload, &intact.workload, ev.inputs.workload_points()),
+            (&got.classic, &heads.classic, &ev.inputs.index.points[..]),
+            (&got.workload, &heads.workload, ev.inputs.workload_points()),
         ];
         let mut dead = 0;
-        for (servers, intact, points) in sets {
+        for (servers, heads, points) in sets {
             assert!(!points.is_empty(), "both endpoint sets are covered");
-            assert_eq!(servers.len(), points.len());
-            for ((&server, &was), &p) in servers.iter().zip(intact).zip(points) {
-                assert_eq!(server, rebuilt.serving_flat(p), "slot {k}, endpoint {p:?}");
-                dead += usize::from(was.is_some_and(|s| !mask[s]));
+            let was = intact.attach(points);
+            assert_eq!(heads, &was, "slot {k}: the intact heads are the intact servers");
+            assert_eq!(servers, &rebuilt.attach(points), "slot {k}: the masked servers");
+            dead += was.iter().filter(|s| s.is_some_and(|s| !mask[s])).count();
+        }
+        assert_eq!(moved, dead, "the counter adds the endpoints whose server died");
+    }
+
+    /// [`check_reattachment`] on a twin fleet: the second half repeats
+    /// the first plane for plane, so every elevation ties exactly and
+    /// the intact head must be the lower twin. Losing the lower half
+    /// hands every served endpoint to its upper twin.
+    #[test]
+    fn twin_servers_attach_to_the_lower_flat_index_first() {
+        let epoch = Epoch::J2000;
+        let orbit = sun_synchronous_orbit(560.0).unwrap();
+        let half: Vec<Vec<OrbitalElements>> = (0..5)
+            .map(|p| orbit.with_ltan(7.5 + p as f64 * 1.2).plane_elements(epoch, 24).unwrap())
+            .collect();
+        let c = Constellation::new(epoch, [half.clone(), half].concat()).unwrap();
+        let (series, flows) = evaluator_fixture(&c, &city_flows(), 2);
+        let workload = capacity_workload();
+        let elevation = 20f64.to_radians();
+        let ev = DegradedEvaluator::with_workload(
+            &series,
+            &flows,
+            elevation,
+            Default::default(),
+            Some(&workload),
+        )
+        .unwrap();
+        let mut lower_lost = ev.all_alive().to_vec();
+        lower_lost[..120].fill(false);
+        let mut scattered = ev.all_alive().to_vec();
+        for flat in (0..240).step_by(7) {
+            scattered[flat] = false;
+        }
+        for k in 0..2 {
+            for mask in [ev.all_alive(), &lower_lost, &scattered] {
+                check_reattachment(&ev, k, mask, elevation);
             }
         }
-        assert_eq!(requeried, dead, "only endpoints whose server died are queried");
+        assert!(ev.reattached() > 0, "the lower twins served some endpoints");
     }
 
     /// [`check_reattachment`] on a mega-constellation: a 10k-satellite
@@ -1194,7 +1278,7 @@ mod tests {
         let before = ev.reattached();
         for mask in &masks {
             for k in 0..ev.n_slots() {
-                check_reattachment(&ev, k, mask);
+                check_reattachment(&ev, k, mask, 20f64.to_radians());
             }
         }
         assert!(ev.reattached() > before, "the losses killed some servers");

@@ -34,11 +34,14 @@
 //!    tree. Victims
 //!    outside whole planes still go through the subtree walk in the same
 //!    routine, and the damage threshold compares the region's popcount.
-//! 3. **Ranked attachment** — per (slot, interned endpoint), the serving
-//!    candidates are listed once, best first (elevation descending, flat
-//!    index ascending: `ServingIndex::ranked`). An endpoint's server under
-//!    a mask is the first alive entry — the masked index's first-wins
-//!    maximum without a constellation-wide scan.
+//! 3. **Ranked attachment** — the evaluator lists, per (slot, interned
+//!    endpoint), the serving candidates once, best first (elevation
+//!    descending, flat index ascending: `ServingIndex::ranked`), and the
+//!    scorer reads those lists: the classic flows' for routed fraction
+//!    and load inflation, the workload's for served demand. An
+//!    endpoint's server under a mask is the first alive entry — the
+//!    masked index's first-wins maximum without a constellation-wide
+//!    scan, and the same answer the evaluator's masked passes read.
 //! 4. **An indexed demand tally, reused while attachment holds** —
 //!    workload flows are interned by endpoint pair once per workload,
 //!    each pair is classified once per tally, and one flow-order pass
@@ -79,51 +82,17 @@
 
 use super::{component_fraction, AttackObjective, DegradedEvaluator};
 use crate::error::Result;
-use crate::routing::{Cut, PlaneCuts, RepairBuffers, ServingIndex, ShortestPathTree};
+use crate::routing::{Cut, PlaneCuts, RepairBuffers, ShortestPathTree};
 use crate::topology::{Components, SatId, Topology};
 use crate::traffic_engine::{
     k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, AttachmentTally,
     ServedDemandSummary,
 };
-use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Per endpoint of one slot, every satellite able to serve it (flat
-/// indices), best first — see [`ServingIndex::ranked`].
-#[derive(Debug, Default)]
-struct RankedServers {
-    /// Endpoint `e`'s list is `sats[starts[e]..starts[e + 1]]`.
-    starts: Vec<usize>,
-    sats: Vec<usize>,
-}
-
-impl RankedServers {
-    fn build(index: &ServingIndex<'_>, topology: &Topology, points: &[GeoPoint]) -> Self {
-        let mut starts = Vec::with_capacity(points.len() + 1);
-        let mut sats = Vec::new();
-        starts.push(0);
-        for &p in points {
-            sats.extend(index.ranked(p).into_iter().map(|(id, _)| {
-                topology.index_of(id).expect("snapshot and topology share the flat layout")
-            }));
-            starts.push(sats.len());
-        }
-        RankedServers { starts, sats }
-    }
-
-    /// Per endpoint: its serving satellite under `mask`, the first alive
-    /// entry of its list.
-    fn servers(&self, mask: &[bool]) -> Vec<Option<usize>> {
-        self.starts
-            .windows(2)
-            .map(|w| self.sats[w[0]..w[1]].iter().copied().find(|&s| mask[s]))
-            .collect()
-    }
-}
 
 /// A cached intact tree and its per-plane cuts, built on the tree's
 /// first plane repair.
@@ -310,10 +279,6 @@ pub struct IncrementalScorer<'e, 'a> {
     /// Damage-threshold fallback: repaired regions larger than this many
     /// nodes recompute from scratch instead.
     max_affected: usize,
-    /// Per slot: the ranked servers of the endpoints the objective
-    /// attaches — the classic flows' for routed fraction and load
-    /// inflation, the workload's for served demand, none otherwise.
-    ranked: Vec<RankedServers>,
     /// Per-slot intact per-source trees, built lazily, kept for the
     /// scorer's lifetime — the repair baseline every state can reach.
     intact_trees: Vec<Mutex<BTreeMap<usize, Arc<IntactTree>>>>,
@@ -331,30 +296,13 @@ pub struct IncrementalScorer<'e, 'a> {
 }
 
 impl<'e, 'a> IncrementalScorer<'e, 'a> {
-    /// Builds the scorer over the evaluator's interned flows: ranks every
-    /// endpoint's serving candidates per slot, and evaluates the intact
-    /// state (one tree per distinct intact source — the only
-    /// whole-constellation Dijkstras the scorer's lifetime pays for,
-    /// outside damage-threshold fallbacks).
+    /// Builds the scorer over the evaluator's interned flows and ranked
+    /// servers, and evaluates the intact state (one tree per distinct
+    /// intact source — the only whole-constellation Dijkstras the
+    /// scorer's lifetime pays for, outside damage-threshold fallbacks).
     pub fn new(ev: &'e DegradedEvaluator<'a>, objective: AttackObjective) -> Self {
         let objective = ev.resolve(objective);
         let n_slots = ev.n_slots();
-        let points: &[GeoPoint] = match (objective, ev.inputs.workload) {
-            (AttackObjective::RoutedFraction | AttackObjective::LoadInflation, _) => {
-                &ev.inputs.index.points
-            }
-            (AttackObjective::ServedDemand, Some(w)) => &w.flows.index().points,
-            _ => &[],
-        };
-        let ranked = (0..n_slots)
-            .map(|k| {
-                if points.is_empty() {
-                    return RankedServers::default();
-                }
-                let index = ServingIndex::new(ev.series.snapshot(k), ev.inputs.min_elevation);
-                RankedServers::build(&index, &ev.topologies[k], points)
-            })
-            .collect();
         let n = ev.n_sats();
         let max_affected = crate::cast::f64_to_index(((n as f64) * ev.repair_threshold).ceil());
         let bootstrap = Arc::new(MaskState::bootstrap(n_slots));
@@ -362,7 +310,6 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             ev,
             objective,
             max_affected,
-            ranked,
             intact_trees: (0..n_slots).map(|_| Mutex::new(BTreeMap::new())).collect(),
             intact_state: bootstrap.clone(),
             intact_value: 0.0,
@@ -534,7 +481,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         }
         let flows = w.flows.index();
         let topo = &self.ev.topologies[k];
-        let servers = self.ranked[k].servers(mask);
+        let servers = self.ev.ranked[k].workload.servers(Some(mask));
         let pserved = delta.parent.slots[k].served.as_ref();
         // The tally is a function of the servers alone, so a candidate
         // whose new victims serve no endpoint replays its parent's.
@@ -611,7 +558,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
                 // satellites share an alive component, so component
                 // labels give the exact routed count without building a
                 // single path.
-                let servers = self.ranked[k].servers(mask);
+                let servers = self.ev.ranked[k].classic.servers(Some(mask));
                 let labels = &components().labels;
                 let routed = (0..self.ev.inputs.flows.len())
                     .filter(|&i| {
@@ -660,7 +607,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// destinations it will settle.
     fn route_flows(&self, k: usize, delta: &Delta<'_>, labels: &[u32]) -> Vec<FlowState> {
         let (parent, mask) = (delta.parent, delta.mask);
-        let servers = self.ranked[k].servers(mask);
+        let servers = self.ev.ranked[k].classic.servers(Some(mask));
         let n_flows = self.ev.inputs.flows.len();
         // A flow still to route holds its serving pair.
         let mut staged = Vec::with_capacity(n_flows);

@@ -1091,14 +1091,9 @@ impl<'a> ServingIndex<'a> {
         best
     }
 
-    /// The serving satellite of `ground` as a flat snapshot index.
-    pub(crate) fn serving_flat(&self, ground: GeoPoint) -> Option<usize> {
-        self.best(ground).map(|(flat, _)| flat)
-    }
-
-    /// [`Self::serving_flat`] of every point.
+    /// The serving satellite of every point as a flat snapshot index.
     pub(crate) fn attach(&self, points: &[GeoPoint]) -> Vec<Option<usize>> {
-        points.iter().map(|&p| self.serving_flat(p)).collect()
+        points.iter().map(|&p| self.best(p).map(|(flat, _)| flat)).collect()
     }
 
     /// Every satellite able to serve `ground`, best first: elevation
@@ -1108,13 +1103,20 @@ impl<'a> ServingIndex<'a> {
     /// `snapshot.with_alive(mask)` answers: positions and elevations
     /// never consult aliveness, and dropping entries from a first-wins
     /// maximum never changes which survivor wins. One list therefore
-    /// serves every candidate mask of an attack search.
+    /// serves the intact slot and every mask over it.
     pub fn ranked(&self, ground: GeoPoint) -> Vec<(SatId, f64)> {
-        let mut visible: Vec<(usize, f64)> = Vec::new();
+        let mut visible = Vec::new();
+        self.rank_flat(ground, &mut visible);
+        visible.into_iter().map(|(flat, elev)| (self.id(flat), elev)).collect()
+    }
+
+    /// [`Self::ranked`] as `(flat index, elevation)`, written into
+    /// `visible` (cleared first) so one buffer serves many points.
+    pub(crate) fn rank_flat(&self, ground: GeoPoint, visible: &mut Vec<(usize, f64)>) {
+        visible.clear();
         self.for_each_visible(ground, |flat, elev| visible.push((flat, elev)));
         visible
             .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0)));
-        visible.into_iter().map(|(flat, elev)| (self.id(flat), elev)).collect()
     }
 }
 

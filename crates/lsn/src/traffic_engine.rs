@@ -11,9 +11,10 @@
 //! 1. **Attachment aggregation** — every flow endpoint resolves to its
 //!    serving satellite through one [`ServingIndex`] (one exact query per
 //!    *distinct* endpoint — gravity flows reuse a few hundred sites; the
-//!    degraded evaluator attaches them once per intact slot and, under a
-//!    mask, re-queries only those whose server died), and flows collapse
-//!    into per-(source satellite, destination satellite) demand. Per-slot routing cost then scales with *attachment points*,
+//!    degraded evaluator ranks their servers once per intact slot and,
+//!    under a mask, takes each one's first surviving server), and flows
+//!    collapse into per-(source satellite, destination satellite)
+//!    demand. Per-slot routing cost then scales with *attachment points*,
 //!    not users: a million flows between 256 sites cost the same routing
 //!    work as one flow per site pair.
 //! 2. **k-path candidates** — per distinct source satellite, `k_paths`
@@ -187,8 +188,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
 /// attachment work of a mask is then one lookup per distinct endpoint,
 /// and the demand tally classifies each distinct endpoint pair once
 /// instead of every flow. The degraded evaluator interns its flow lists
-/// once and attaches the endpoints once per intact slot; masked
-/// evaluations re-query only the endpoints whose server died.
+/// once and ranks the endpoints' servers once per intact slot; masked
+/// evaluations take each endpoint's first surviving server.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub(crate) struct FlowIndex {
     /// Distinct endpoint coordinates (bit-exact), first-appearance order.
@@ -502,6 +503,10 @@ pub(crate) fn local_only_summary(
 /// Dead satellites (a masked snapshot) never serve an endpoint and carry
 /// no links, so the same call evaluates the degraded network.
 ///
+/// `topology` must be built from `snapshot` (as [`Topology::plus_grid`]
+/// builds it): the endpoints attach by the snapshot's flat satellite
+/// index, which is then that topology's node index.
+///
 /// # Errors
 /// Currently infallible in practice (the `Result` mirrors the other
 /// assignment entry points so capacity models that can fail slot in).
@@ -514,12 +519,7 @@ pub fn assign_capacity_constrained(
 ) -> Result<ServedDemandSummary> {
     let labels = topology.components(None).labels;
     let index = FlowIndex::new(flows);
-    let serving = ServingIndex::new(*snapshot, min_elevation);
-    let servers: Vec<Option<usize>> = index
-        .points
-        .iter()
-        .map(|&p| serving.query(p).and_then(|(id, _)| topology.index_of(id)))
-        .collect();
+    let servers = ServingIndex::new(*snapshot, min_elevation).attach(&index.points);
     Ok(assign_interned(topology, &labels, flows, &index, &servers, config))
 }
 
