@@ -1,9 +1,10 @@
 //! Deterministic data parallelism: the workspace's one thread pool.
 //!
-//! Every intra-process parallel loop goes through [`par_map`]: snapshot
-//! builds, gravity draws, candidate scoring, attack refinement, the
-//! per-slot loops of a network point (intact evaluator build, degraded
-//! pass, λ₂ and percolation sweeps) and the sweep runner itself. Workers
+//! Every intra-process parallel loop goes through [`par_map`]: the
+//! population grid's row fill, snapshot builds, gravity draws, candidate
+//! scoring, attack refinement, the per-slot loops of a network point
+//! (intact evaluator build, reference route, degraded pass, λ₂ and
+//! percolation sweeps) and the sweep runner itself. Workers
 //! claim items off one shared queue and every result is put back at its
 //! item's index, so the output is in input order and identical for every
 //! thread count: threads change how fast a result arrives, never what it

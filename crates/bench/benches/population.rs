@@ -1,6 +1,7 @@
 //! Population-synthesis benches: the procedural SEDAC stand-in that every
 //! scenario process pays once per `demand.seed` before any design work —
-//! the default 360 × 720 / 2,500-city grid fill, and the full
+//! the default 360 × 720 / 2,500-city grid fill on one worker (the serial
+//! kernel) and on the machine's cores (the default), and the full
 //! `DemandModel::synthetic_seeded` call the scenario runner caches.
 //!
 //! The headline numbers land in `BENCH_population.json` at the
@@ -20,6 +21,11 @@ fn bench_population(criterion: &mut Criterion) {
         criterion::BenchmarkId::new("synthetic", "360x720_2500cities"),
         &(),
         |b, ()| b.iter(|| black_box(PopulationGrid::synthetic(PopulationConfig::default()))),
+    );
+    group.bench_with_input(
+        criterion::BenchmarkId::new("synthetic_in", "360x720_2500cities_1_worker"),
+        &(),
+        |b, ()| b.iter(|| black_box(PopulationGrid::synthetic_in(PopulationConfig::default(), 1))),
     );
     group.bench_with_input(
         criterion::BenchmarkId::new("demand_model", "synthetic_seeded_42"),

@@ -15,6 +15,7 @@
 use crate::error::{DemandError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ssplane_astro::par::par_map;
 
 /// Configuration for the synthetic population generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,7 +168,8 @@ fn base_modulation(lat: f64, lon: f64) -> f64 {
     }
 }
 
-/// Fills the row-major density grid from the sampled cities.
+/// Fills the row-major density grid from the sampled cities, one job per
+/// latitude row on [`par_map`]`(…, threads, …)` (`0` = the machine).
 ///
 /// A cell's density is its land/ocean base plus every city kernel within
 /// reach (`d² = dl² + dn² < 16`), summed in city-index order, clamped at
@@ -180,19 +182,22 @@ fn base_modulation(lat: f64, lon: f64) -> f64 {
 /// that reach covers it. Every visited cell runs the unchanged kernel
 /// test; an unvisited one has `d² ≥ 16` and would add nothing. So every
 /// cell takes the same additions in the same order as evaluating every
-/// city at every cell, and the grid is bit-identical to that.
-fn fill_grid(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
+/// city at every cell, and the grid is bit-identical to that. A row reads
+/// nothing but its own index and the cities, and each job writes only
+/// its own `&mut` row, so the grid is the same at every worker count.
+fn fill_grid(config: &PopulationConfig, cities: &[City], threads: usize) -> Vec<f64> {
     let cols = config.lon_bins;
     let mut density = vec![0.0; config.lat_bins * cols];
     let dlat = 180.0 / config.lat_bins as f64;
     let dlon = 360.0 / cols as f64;
     let lon_of = |j: usize| -180.0 + dlon * (j as f64 + 0.5);
     let ring = cols as isize;
-    for (i, row) in density.chunks_exact_mut(cols).enumerate() {
+    let rows: Vec<(usize, &mut [f64])> = density.chunks_exact_mut(cols).enumerate().collect();
+    par_map(rows, threads, |(i, row)| {
         let lat = -90.0 + dlat * (i as f64 + 0.5);
         let envelope = latitude_envelope(lat);
         if envelope < 1e-6 {
-            continue;
+            return;
         }
         for (j, cell) in row.iter_mut().enumerate() {
             *cell = base_modulation(lat, lon_of(j));
@@ -215,7 +220,7 @@ fn fill_grid(config: &PopulationConfig, cities: &[City]) -> Vec<f64> {
         for cell in row {
             *cell = envelope * cell.min(1.0);
         }
-    }
+    });
     density
 }
 
@@ -229,18 +234,30 @@ pub struct PopulationGrid {
 }
 
 impl PopulationGrid {
-    /// Generates the synthetic population grid.
+    /// Generates the synthetic population grid, filling its rows on every
+    /// core of the machine ([`Self::synthetic_in`] with `threads = 0`).
     ///
     /// # Errors
     /// Returns [`DemandError::EmptyGrid`] for zero-sized dimensions.
     pub fn synthetic(config: PopulationConfig) -> Result<Self> {
+        Self::synthetic_in(config, 0)
+    }
+
+    /// Generates the synthetic population grid with its rows filled on
+    /// `threads` workers (`0` = the machine; `1` spawns no thread). City
+    /// sampling is one RNG stream and stays serial. The grid is
+    /// bit-identical at every worker count.
+    ///
+    /// # Errors
+    /// Returns [`DemandError::EmptyGrid`] for zero-sized dimensions.
+    pub fn synthetic_in(config: PopulationConfig, threads: usize) -> Result<Self> {
         if config.lat_bins == 0 {
             return Err(DemandError::EmptyGrid { dimension: "lat_bins" });
         }
         if config.lon_bins == 0 {
             return Err(DemandError::EmptyGrid { dimension: "lon_bins" });
         }
-        let density = fill_grid(&config, &sample_cities(&config));
+        let density = fill_grid(&config, &sample_cities(&config), threads);
         Ok(PopulationGrid { lat_bins: config.lat_bins, lon_bins: config.lon_bins, density })
     }
 
@@ -463,9 +480,12 @@ mod tests {
     #[test]
     fn default_grid_digest_is_pinned() {
         // Any change to synthesis — city sampling, the kernel, or the
-        // fill's summation order — moves this digest.
-        let g = PopulationGrid::synthetic(PopulationConfig::default()).unwrap();
-        assert_eq!(density_digest(&g.density), 0x23f9_4508_7856_f33f);
+        // fill's summation order — moves this digest, and so does a row
+        // the pooled fill drops, shifts or writes twice.
+        for threads in [1, 2, 3, 7] {
+            let g = PopulationGrid::synthetic_in(PopulationConfig::default(), threads).unwrap();
+            assert_eq!(density_digest(&g.density), 0x23f9_4508_7856_f33f, "{threads} workers");
+        }
     }
 
     #[test]
@@ -475,7 +495,10 @@ mod tests {
         for seed in [1, 7, 1009] {
             let config = PopulationConfig { seed, ..Default::default() };
             let cities = sample_cities(&config);
-            assert_bits_eq(&fill_grid(&config, &cities), &fill_grid_brute_force(&config, &cities));
+            let oracle = fill_grid_brute_force(&config, &cities);
+            for threads in [1, 2, 7] {
+                assert_bits_eq(&fill_grid(&config, &cities, threads), &oracle);
+            }
         }
     }
 
@@ -496,8 +519,11 @@ mod tests {
         ];
         for (lat_bins, lon_bins) in [(1, 1), (2, 2), (3, 3), (7, 5), (13, 2), (90, 180)] {
             let config = PopulationConfig { lat_bins, lon_bins, n_cities: 0, seed: 0 };
-            let scattered = fill_grid(&config, &cities);
+            let scattered = fill_grid(&config, &cities, 1);
             assert_bits_eq(&scattered, &fill_grid_brute_force(&config, &cities));
+            // Seven workers over as few as one row: the idle ones must
+            // not disturb the grid.
+            assert_bits_eq(&fill_grid(&config, &cities, 7), &scattered);
             if lon_bins == 180 {
                 // Row 54 is centred on 19°N; its westernmost cell (-179°)
                 // sits 1.5° across the seam from the first city and takes
@@ -512,17 +538,21 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// The scatter fill equals the brute-force oracle bit for bit on
-        /// any grid shape, city count and seed.
+        /// any grid shape, city count, seed and worker count.
         #[test]
         fn scatter_fill_matches_brute_force(
             lat_bins in 1usize..=400,
             lon_bins in 1usize..=800,
             n_cities in 0usize..=800,
             seed in 0u64..=u64::MAX,
+            threads in 1usize..=4,
         ) {
             let config = PopulationConfig { lat_bins, lon_bins, n_cities, seed };
             let cities = sample_cities(&config);
-            assert_bits_eq(&fill_grid(&config, &cities), &fill_grid_brute_force(&config, &cities));
+            assert_bits_eq(
+                &fill_grid(&config, &cities, threads),
+                &fill_grid_brute_force(&config, &cities),
+            );
         }
     }
 }

@@ -36,14 +36,26 @@ impl DemandModel {
 
     /// Builds the synthetic model at the default resolution but with a
     /// caller-chosen city-placement seed (every run with the same seed is
-    /// identical; [`Self::synthetic_default`] is seed 42).
+    /// identical; [`Self::synthetic_default`] is seed 42). The grid's rows
+    /// are filled on every core of the machine: this is
+    /// [`Self::synthetic_seeded_in`] with `threads = 0`.
     ///
     /// # Errors
     /// Propagates population-grid construction failure.
     pub fn synthetic_seeded(seed: u64) -> Result<Self> {
+        Self::synthetic_seeded_in(seed, 0)
+    }
+
+    /// [`Self::synthetic_seeded`] with the grid's rows filled on `threads`
+    /// workers (`0` = the machine; `1` spawns no thread). The model is
+    /// the same at every worker count.
+    ///
+    /// # Errors
+    /// Propagates population-grid construction failure.
+    pub fn synthetic_seeded_in(seed: u64, threads: usize) -> Result<Self> {
         let config = crate::population::PopulationConfig { seed, ..Default::default() };
         Ok(DemandModel {
-            population: PopulationGrid::synthetic(config)?,
+            population: PopulationGrid::synthetic_in(config, threads)?,
             diurnal: DiurnalModel::default(),
         })
     }

@@ -73,12 +73,18 @@ use system::{attack_destroyed, system_report};
 /// [`KernelCache`]. Each seed is a compute-once cell: concurrent workers
 /// wanting the *same* new seed wait for one synthesis rather than racing
 /// on it, while first touches of *distinct* seeds synthesize in parallel.
-fn shared_demand_model(spec: &ScenarioSpec) -> Arc<DemandModel> {
+///
+/// The synthesis fills the grid's rows on the first caller's
+/// `point_threads` workers, like every other pool inside a point: a lone
+/// point gets the whole budget, the points of a multi-point sweep fill
+/// inline, and `--threads 1` spawns no thread. The model is the same at
+/// every worker count.
+fn shared_demand_model(spec: &ScenarioSpec, point_threads: usize) -> Arc<DemandModel> {
     static MODELS: ComputeOnce<u64, Arc<DemandModel>> = ComputeOnce::new();
     let seed = demand_key(spec);
     MODELS.get_or_compute(seed, || {
         Arc::new(
-            DemandModel::synthetic_seeded(seed)
+            DemandModel::synthetic_seeded_in(seed, point_threads)
                 .expect("default-resolution synthesis is valid for every seed"),
         )
     })
@@ -190,9 +196,10 @@ impl StageClock {
 }
 
 /// The scenario pipeline body, writing stage timings into `clock`.
-/// `point_threads` caps every pool inside the point: snapshot builds,
-/// gravity draws, the evaluator's slots, the attack search, the degraded
-/// pass and the percolation jobs. Design and fluence kernels go through
+/// `point_threads` caps every pool inside the point: a cold demand
+/// synthesis's row fill, snapshot builds, gravity draws, the evaluator's
+/// slots, the reference route, the attack search, the degraded pass and
+/// the percolation jobs. Design and fluence kernels go through
 /// `cache`, whose environment the fluence integrals run in.
 fn run_scenario(
     spec: &ScenarioSpec,
@@ -203,7 +210,7 @@ fn run_scenario(
     spec.validate()?;
 
     // Demand stage.
-    let model = clock.time("demand.model", || shared_demand_model(spec));
+    let model = clock.time("demand.model", || shared_demand_model(spec, point_threads));
     let grid = clock.time("demand.grid", || cache.demand_grid(demand_grid_key(spec), &model))?;
     let total = grid.total();
     if !total.is_finite() || total <= 0.0 {
@@ -444,8 +451,9 @@ impl Runner {
     pub fn run_specs(&self, specs: &[ScenarioSpec]) -> SweepOutcome {
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
         // Each concurrent worker gets its share of the thread budget for
-        // the pools inside its point (snapshot builds, gravity draws, the
-        // evaluator's slots, attack search, degraded pass, percolation),
+        // the pools inside its point (a cold demand synthesis, snapshot
+        // builds, gravity draws, the evaluator's slots, the reference
+        // route, attack search, degraded pass, percolation),
         // so a sweep never runs more threads than configured: a
         // multi-point sweep's points run them inline, a lone point gets
         // the whole budget.
@@ -1293,8 +1301,7 @@ sites = 16
         // A two-plane attack masks the degraded pass of both systems;
         // only the endpoints whose intact server it killed are queried
         // again, classic flows and gravity sites alike.
-        let sweep = crate::config::sweep_from_toml(
-            r#"
+        let toml = r#"
 name = "reattach"
 seed = 5
 
@@ -1326,15 +1333,26 @@ with_outages = true
 model = "gravity"
 pairs = 400
 sites = 16
-"#,
-        )
-        .unwrap();
+"#;
+        let sweep = crate::config::sweep_from_toml(toml).unwrap();
+        // With the route grid equal to the traffic grid, the reference
+        // route rides the evaluator's topologies on the point's pool.
+        let equal_grids =
+            crate::config::sweep_from_toml(&toml.replace("\nslots = 1\n", "\nslots = 2\n"))
+                .unwrap();
+        let mut serial: Option<String> = None;
         for threads in [1, 2, 7] {
-            let table = Runner::with_threads(threads).run_sweep(&sweep).unwrap().timings_table();
+            let runner = Runner::with_threads(threads);
+            let table = runner.run_sweep(&sweep).unwrap().timings_table();
             for (system, count) in [("ss", 38), ("wd", 12)] {
                 let row = format!("reattach\t{system}.network.reattached\t{count}.000000\n");
                 assert!(table.contains(&row), "{row:?} missing at {threads} threads:\n{table}");
             }
+            let outcome = runner.run_sweep(&equal_grids).unwrap();
+            assert_eq!(outcome.ok_count(), 1);
+            let jsonl = outcome.to_jsonl();
+            assert_eq!(jsonl.matches("\"reachable_slots\":2,\"slots\":2,").count(), 2, "{jsonl}");
+            assert_eq!(&jsonl, serial.get_or_insert_with(|| jsonl.clone()), "{threads} threads");
         }
     }
 
@@ -1377,7 +1395,7 @@ sites = 16
         spec.radiation.enabled = false;
         spec.survivability.enabled = false;
         let designer = designer_for("ss", &spec.design);
-        let model = shared_demand_model(&spec);
+        let model = shared_demand_model(&spec, 1);
         let grid = LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
             .unwrap()
             .scaled(1.0);
@@ -1807,7 +1825,7 @@ sites = 16
         // The catalog's shell structure, from the same designer the
         // pipeline will run.
         let designer = designer_for("starlink", &spec.design);
-        let model = shared_demand_model(&spec);
+        let model = shared_demand_model(&spec, 1);
         let grid = LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
             .unwrap()
             .scaled(1.0);

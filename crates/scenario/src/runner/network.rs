@@ -418,7 +418,10 @@ fn network_report(
 /// The reference pair of every routing walkthrough in this repo: New
 /// York → London across the configured route-grid slots. When the route
 /// grid coincides with the traffic grid, the route rides the evaluator's
-/// per-slot topologies instead of rebuilding the whole series.
+/// per-slot topologies instead of rebuilding the whole series, one job
+/// per slot on the point's pool; the routes land in slot order and a
+/// failure reports the lowest failing slot's error, at every thread
+/// count.
 fn reference_route(
     spec: &ScenarioSpec,
     ctx: &NetworkContext<'_>,
@@ -432,19 +435,16 @@ fn reference_route(
             SnapshotSeries::build_parallel(&ctx.constellation, &route_grid, ctx.threads)?;
         return Ok(route_over_time(&route_series, src, dst, ctx.min_elev, ctx.topo_config)?);
     }
-    let routes = ctx
-        .series
-        .iter()
-        .enumerate()
-        .map(|(k, snapshot)| {
-            let topology = evaluator.intact_topology(k);
-            match route_ground_to_ground(&snapshot, topology, src, dst, ctx.min_elev) {
-                Ok(route) => Ok(Some(route)),
-                Err(LsnError::NoRoute) => Ok(None),
-                Err(e) => Err(e.into()),
-            }
-        })
-        .collect::<Result<_>>()?;
+    let routes = par::par_map((0..ctx.series.len()).collect(), ctx.threads, |k| {
+        let topology = evaluator.intact_topology(k);
+        match route_ground_to_ground(&ctx.series.snapshot(k), topology, src, dst, ctx.min_elev) {
+            Ok(route) => Ok(Some(route)),
+            Err(LsnError::NoRoute) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    })
+    .into_iter()
+    .collect::<Result<_>>()?;
     Ok(TimeExpandedRoutes { epochs: route_grid, routes })
 }
 
