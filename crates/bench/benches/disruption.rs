@@ -181,7 +181,9 @@ fn bench_disruption(criterion: &mut Criterion) {
     // Single-slot +grid: intact vs masked build.
     let single = SnapshotSeries::build(&c, &[start]).unwrap();
     group.bench_with_input(criterion::BenchmarkId::new("plus_grid", "intact"), &(), |b, ()| {
-        b.iter(|| black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().links.len()))
+        b.iter(|| {
+            black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().edges().count())
+        })
     });
     group.bench_with_input(
         criterion::BenchmarkId::new("plus_grid", "masked_10pct"),
@@ -191,8 +193,8 @@ fn bench_disruption(criterion: &mut Criterion) {
                 black_box(
                     Topology::plus_grid(&single.snapshot(0).with_alive(&masks[0]), config)
                         .unwrap()
-                        .links
-                        .len(),
+                        .edges()
+                        .count(),
                 )
             })
         },

@@ -192,7 +192,7 @@ fn bench_topology(criterion: &mut Criterion) {
         criterion::BenchmarkId::new("plus_grid", "legacy_scan"),
         &(),
         |b, ()| {
-            b.iter(|| black_box(Topology::plus_grid_at(&c, start, config).unwrap().links.len()))
+            b.iter(|| black_box(Topology::plus_grid_at(&c, start, config).unwrap().edges().count()))
         },
     );
     let single = SnapshotSeries::build(&c, &[start]).unwrap();
@@ -201,7 +201,7 @@ fn bench_topology(criterion: &mut Criterion) {
         &(),
         |b, ()| {
             b.iter(|| {
-                black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().links.len())
+                black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().edges().count())
             })
         },
     );

@@ -9,8 +9,9 @@
 //! (intact, then under an attack mask): ground attachment through the
 //! serving index, the landmark tables the routing is bounded by, and
 //! landmark-guided shortest-path routing of 200 demand-sampled flows
-//! over the intact and a 4-plane-masked topology — the latter also as
-//! the degraded evaluator runs it, under the intact slot's landmarks.
+//! over the intact topology and over one rebuilt under a 4-plane mask;
+//! then the same mask as the degraded evaluator runs it, over the intact
+//! slot's topology and landmarks with the lost satellites skipped.
 //!
 //! The headline numbers land in `BENCH_traffic_scale.json` at the
 //! repository root; re-capture with
@@ -166,9 +167,9 @@ fn bench_traffic_scale(criterion: &mut Criterion) {
             })
         },
     );
-    // The degraded pass as a network point runs it: the evaluator's
-    // intact slot filtered by the same mask, the flows re-routed under
-    // the intact slot's landmarks, survivor components counted.
+    // The degraded pass as a network point runs it: the flows re-routed
+    // over the evaluator's intact slot and landmarks with the masked
+    // satellites skipped, survivor components counted.
     let first_slot = SnapshotSeries::build(&c, &[snapshot.epoch()]).unwrap();
     let evaluator =
         DegradedEvaluator::new(&first_slot, &flows, min_elevation, Default::default()).unwrap();

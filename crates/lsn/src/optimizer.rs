@@ -11,12 +11,14 @@
 //! * a [`DegradedEvaluator`] — the reusable per-candidate evaluation the
 //!   degraded network stage and the search share: one prebuilt intact
 //!   [`Topology`], routing [`Landmarks`] and ground attachment per slot
-//!   of a [`SnapshotSeries`], and candidate alive masks scored by
-//!   filtering that topology ([`Topology::masked`], an O(links)
-//!   incremental pass that never re-runs the geometric construction, let
-//!   alone re-propagates an orbit), attaching each endpoint to its first
-//!   surviving ranked server, then the landmark-guided traffic assignment
-//!   ([`crate::traffic::assign_traffic`]) and the slot aggregates;
+//!   of a [`SnapshotSeries`], and candidate alive masks scored over that
+//!   topology as it stands: each endpoint attaches to its first
+//!   surviving ranked server, and the component pass, the
+//!   landmark-guided traffic assignment
+//!   ([`crate::traffic::assign_traffic`]) and the capacity engine's
+//!   k-path rounds skip dead satellites as they walk it. No candidate
+//!   builds a masked topology or snapshot, re-runs the geometric
+//!   construction or re-propagates an orbit;
 //! * an [`AttackObjective`] — the degraded metric the adversary drives
 //!   down: mean routed-flow fraction, survivor connectivity (largest
 //!   surviving component fraction), (negated) link-load inflation, the
@@ -261,37 +263,38 @@ impl<'a> SlotInputs<'a> {
     ) -> Result<SlotEvaluation> {
         let components = topology.components(alive);
         let labels = &components.labels;
-        let ends = serving_pairs(snapshot, &self.index, &servers.classic);
+        let ends = serving_pairs(snapshot, &self.index, &servers.classic, labels);
         let (flows, capacity) = (self.flows, self.link_capacity);
-        let traffic = assign_guided(snapshot, topology, landmarks, labels, flows, &ends, capacity)?;
+        let traffic = assign_guided(snapshot, topology, landmarks, alive, flows, &ends, capacity)?;
         // Snapshot flat indices are topology node indices: the slot's
         // topology is built from its snapshot.
         let served = self.workload.map(|w| {
             let (index, capacity) = (w.flows.index(), &w.capacity);
-            assign_interned(topology, labels, &w.flows, index, &servers.workload, capacity)
+            assign_interned(topology, labels, alive, &w.flows, index, &servers.workload, capacity)
         });
         Ok(SlotEvaluation {
             connected: components.is_connected(),
             largest_component: components.largest(),
-            alive: snapshot.alive_count(),
+            alive: alive.map_or(topology.n_nodes(), |m| m.iter().filter(|&&a| a).count()),
             traffic,
             served,
         })
     }
 }
 
-/// The reusable per-candidate evaluation pipeline: mask →
-/// [`Topology::masked`] → traffic assignment → aggregates, over every
-/// slot of one prebuilt [`SnapshotSeries`]. Construction interns the
-/// classic flows once and builds the intact per-slot topologies, their
-/// routing [`Landmarks`], every classic and workload endpoint's serving
-/// satellites ranked best first (one [`ServingIndex`] per slot, the only
-/// place servers are ranked) **and** the intact evaluations once; every
-/// candidate afterwards only filters links, attaches each endpoint to
-/// its first surviving ranked server and re-routes flows under the
-/// intact slot's landmarks — no candidate ever re-propagates, re-runs the
-/// geometric +grid search, rebuilds a landmark table or a serving index.
-/// The [`IncrementalScorer`] reads the same ranked lists.
+/// The reusable per-candidate evaluation pipeline: mask → re-attachment
+/// → traffic assignment over the alive satellites → aggregates, over
+/// every slot of one prebuilt [`SnapshotSeries`]. Construction interns
+/// the classic flows once and builds the intact per-slot topologies,
+/// their routing [`Landmarks`], every classic and workload endpoint's
+/// serving satellites ranked best first (one [`ServingIndex`] per slot,
+/// the only place servers are ranked) **and** the intact evaluations
+/// once; every candidate afterwards attaches each endpoint to its first
+/// surviving ranked server and re-routes flows over the intact slot's
+/// topology and landmarks, skipping dead satellites — no candidate ever
+/// re-propagates, re-runs the geometric +grid search, builds a masked
+/// topology or rebuilds a landmark table or a serving index. The
+/// [`IncrementalScorer`] reads the same ranked lists.
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
@@ -517,10 +520,9 @@ impl<'a> DegradedEvaluator<'a> {
         let Some(mask) = alive else {
             return Ok(self.intact[k].clone());
         };
-        let snapshot = self.series.snapshot(k).with_alive(mask);
-        let topology = self.topologies[k].masked(mask);
         let servers = self.reattach(k, mask);
-        self.inputs.evaluate(&snapshot, &topology, &self.landmarks[k], alive, &servers)
+        let snapshot = self.series.snapshot(k);
+        self.inputs.evaluate(&snapshot, &self.topologies[k], &self.landmarks[k], alive, &servers)
     }
 
     /// Slot `k`'s attachment under `mask`: each endpoint's first alive
@@ -1086,29 +1088,85 @@ mod tests {
         assert_eq!(serial.intact_mean_link_load(), pooled.intact_mean_link_load());
     }
 
+    /// Slot `k` of `series` under `mask`, evaluated from scratch: a
+    /// `plus_grid` rebuilt over the masked snapshot, then the classic
+    /// assignment and the capacity-constrained engine over it — the
+    /// reference a masked [`DegradedEvaluator::evaluate_slot`], which
+    /// filters the intact slot by the mask instead, is held to.
+    fn rebuilt_evaluation(
+        series: &SnapshotSeries,
+        k: usize,
+        mask: &[bool],
+        flows: &[Flow],
+        workload: &TrafficWorkload,
+        min_elevation: f64,
+    ) -> SlotEvaluation {
+        let snapshot = series.snapshot(k).with_alive(mask);
+        let topology = Topology::plus_grid(&snapshot, Default::default()).unwrap();
+        let components = topology.components(Some(mask));
+        let traffic = assign_traffic(&snapshot, &topology, flows, min_elevation).unwrap();
+        let (demand, capacity) = (&workload.flows, &workload.capacity);
+        let served = crate::traffic_engine::assign_capacity_constrained(
+            &snapshot,
+            &topology,
+            demand,
+            min_elevation,
+            capacity,
+        )
+        .unwrap();
+        SlotEvaluation {
+            connected: components.is_connected(),
+            largest_component: components.largest(),
+            alive: components.sizes.iter().sum(),
+            traffic: TrafficReport { link_capacity: capacity.link_capacity, ..traffic },
+            served: Some(served),
+        }
+    }
+
+    /// Asserts that slot `k`'s masked evaluation is [`rebuilt_evaluation`]
+    /// to the bit: Debug output spells every float exactly, so equal
+    /// strings mean equal counts, link loads, flow outcomes and
+    /// served-demand summaries.
+    fn check_masked_evaluation(
+        ev: &DegradedEvaluator<'_>,
+        k: usize,
+        mask: &[bool],
+        min_elevation: f64,
+    ) -> SlotEvaluation {
+        let workload = ev.inputs.workload.expect("the evaluator carries a workload");
+        let fast = ev.evaluate_slot(k, Some(mask)).unwrap();
+        let reference =
+            rebuilt_evaluation(ev.series, k, mask, ev.inputs.flows, workload, min_elevation);
+        assert_eq!(format!("{fast:?}"), format!("{reference:?}"), "slot {k}");
+        fast
+    }
+
     #[test]
     fn masked_evaluation_matches_a_from_scratch_rebuild() {
-        // The incremental fast path end to end: evaluate_slot through
-        // Topology::masked must equal the plus_grid-from-scratch path the
-        // scenario engine's degraded loop historically ran.
-        let c = constellation(5, 12);
-        let flows = city_flows();
-        let (series, flows) = evaluator_fixture(&c, &flows, 2);
-        let evaluator =
-            DegradedEvaluator::new(&series, &flows, 20f64.to_radians(), Default::default())
-                .unwrap();
-        let destroyed: Vec<SatId> = (0..12).map(|s| SatId { plane: 2, slot: s }).collect();
-        let mask = evaluator.attack_mask(&evaluator.flat_victims(&destroyed));
+        let (series, flows) = evaluator_fixture(&constellation(10, 24), &city_flows(), 2);
+        let workload = capacity_workload();
+        let elevation = 20f64.to_radians();
+        let evaluator = DegradedEvaluator::with_workload(
+            &series,
+            &flows,
+            elevation,
+            Default::default(),
+            Some(&workload),
+        )
+        .unwrap();
+        let destroyed: Vec<SatId> = (0..24).map(|s| SatId { plane: 4, slot: s }).collect();
+        let plane_lost = evaluator.attack_mask(&evaluator.flat_victims(&destroyed));
+        let scattered = evaluator.attack_mask(&(3..240).step_by(7).collect::<Vec<_>>());
+        let all_dead = vec![false; 240];
         for k in 0..2 {
-            let fast = evaluator.evaluate_slot(k, Some(&mask)).unwrap();
-            let snapshot = series.snapshot(k).with_alive(&mask);
-            let topology = Topology::plus_grid(&snapshot, Default::default()).unwrap();
-            let reference =
-                assign_traffic(&snapshot, &topology, &flows, 20f64.to_radians()).unwrap();
-            assert_eq!(fast.traffic.routed, reference.routed);
-            assert_eq!(fast.traffic.link_load, reference.link_load);
-            assert_eq!(fast.connected, topology.components(Some(&mask)).is_connected());
-            assert_eq!(fast.alive, 48);
+            for mask in [&plane_lost, &scattered] {
+                let slot = check_masked_evaluation(&evaluator, k, mask, elevation);
+                assert!(slot.traffic.routed > 0, "slot {k}: some flows survive");
+                let served = slot.served.expect("the engine ran");
+                assert!(served.pairs > 0 && served.served > 0.0, "slot {k}: ISL pairs served");
+            }
+            let slot = check_masked_evaluation(&evaluator, k, &all_dead, elevation);
+            assert_eq!((slot.alive, slot.traffic.routed), (0, 0));
         }
     }
 
@@ -1229,7 +1287,10 @@ mod tests {
     /// [`check_reattachment`] on a mega-constellation: a 10k-satellite
     /// Walker (50 planes × 200), 4 slots, a strided 4-plane loss and
     /// random-satellite losses, 200 demand-sampled flows (400 endpoints)
-    /// and a 64-site gravity workload. Ignored by default; run it with
+    /// and a 64-site gravity workload; and [`check_masked_evaluation`]
+    /// under the 4-plane and the 3000-satellite losses, which routes both
+    /// workloads through the alive-filtered guided search and k-path
+    /// rounds. Ignored by default; run it with
     /// `cargo test --release -p ssplane-lsn --lib optimizer:: -- --ignored`.
     #[test]
     #[ignore = "mega-scale oracle, run in release"]
@@ -1282,6 +1343,11 @@ mod tests {
             }
         }
         assert!(ev.reattached() > before, "the losses killed some servers");
+        for mask in [&masks[0], &masks[3]] {
+            for k in 0..ev.n_slots() {
+                check_masked_evaluation(&ev, k, mask, 20f64.to_radians());
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental candidate evaluation for the attack search.
 //!
 //! [`super::DegradedEvaluator::score_attack`] re-runs the full masked
-//! pipeline per candidate: rebuild the masked topology, re-attach the
-//! endpoints whose server died, re-run one Dijkstra per distinct serving
-//! satellite. The search shapes that feed it are far more structured
+//! pipeline per candidate: re-attach the endpoints whose server died,
+//! re-label the surviving components and re-route every flow over the
+//! intact topology with the dead satellites skipped. The search shapes that feed it are far more structured
 //! than that — greedy-frontier neighbours share a (k−1)-victim prefix,
 //! swap neighbours share k−1 of k victims — so almost all of that work
 //! repeats verbatim between candidates. [`IncrementalScorer`] exploits

@@ -365,30 +365,33 @@ impl GuidedSearch {
         GuidedSearch::default()
     }
 
-    /// The shortest path `from → to` on `topology`, bounded by
-    /// `landmarks` — built on `topology` or on any topology it is a
-    /// [`Topology::masked`] subgraph of. Same answers as
-    /// [`shortest_path`].
+    /// The shortest path `from → to` over the nodes of `topology` flagged
+    /// in `alive` (`None` is the full graph), bounded by `landmarks`
+    /// built on `topology`. Same answers as [`shortest_path`] on
+    /// [`Topology::masked`]: dead neighbors are skipped, as the Dijkstra
+    /// kernel skips them, and a dead `from` relaxes nothing.
     ///
     /// # Errors
     /// [`LsnError::UnknownNode`] for unknown endpoints, [`LsnError::NoRoute`]
     /// if disconnected.
     ///
     /// # Panics
-    /// If `landmarks` was built over a different node count.
+    /// If `landmarks` was built over a different node count, or `alive`
+    /// is shorter than it.
     pub fn shortest_path(
         &mut self,
         topology: &Topology,
         landmarks: &Landmarks,
+        alive: Option<&[bool]>,
         from: SatId,
         to: SatId,
     ) -> Result<(Vec<SatId>, f64)> {
         let (src, dst) = (flat_index(topology, from)?, flat_index(topology, to)?);
         assert_eq!(landmarks.n_nodes, topology.n_nodes(), "landmarks of another node layout");
         self.pops = 0;
-        let mut pass = self.run(topology, landmarks, landmarks.count > 0, src, dst);
+        let mut pass = self.run(topology, landmarks, alive, landmarks.count > 0, src, dst);
         if matches!(pass, Pass::OverCap) {
-            pass = self.run(topology, landmarks, false, src, dst);
+            pass = self.run(topology, landmarks, alive, false, src, dst);
         }
         match pass {
             Pass::Reached => {
@@ -411,6 +414,7 @@ impl GuidedSearch {
         &mut self,
         topology: &Topology,
         landmarks: &Landmarks,
+        alive: Option<&[bool]>,
         bounded: bool,
         src: usize,
         dst: usize,
@@ -453,10 +457,14 @@ impl GuidedSearch {
             if u == dst {
                 return Pass::Reached;
             }
+            // Only the source can settle dead: it has no links.
+            if alive.is_some_and(|m| !m[u]) {
+                continue;
+            }
             let du = self.dist[u];
             let ru = (du.to_bits(), rank(self, u));
             for &(v, w) in topology.neighbors(u) {
-                if self.settled[v] {
+                if self.settled[v] || alive.is_some_and(|m| !m[v]) {
                     continue;
                 }
                 let nd = du + w;
@@ -1605,9 +1613,9 @@ mod tests {
             let from = topo.id_of(rng.gen_index(n)).unwrap();
             let to = topo.id_of(rng.gen_index(n)).unwrap();
             let want = shortest_path(&topo, from, to).unwrap();
-            assert_eq!(search.shortest_path(&topo, &plain, from, to).unwrap(), want);
+            assert_eq!(search.shortest_path(&topo, &plain, None, from, to).unwrap(), want);
             plain_pops += search.settled();
-            assert_eq!(search.shortest_path(&topo, &landmarks, from, to).unwrap(), want);
+            assert_eq!(search.shortest_path(&topo, &landmarks, None, from, to).unwrap(), want);
             guided_pops += search.settled();
         }
         assert!(
@@ -1639,7 +1647,7 @@ mod tests {
         assert!(landmarks.count > 0, "the bound must be on for the keys to round");
         let want = shortest_path(&topo, id(3), id(4)).unwrap();
         assert_eq!(want.0, vec![id(3), id(1), id(0), id(4)]);
-        let got = GuidedSearch::new().shortest_path(&topo, &landmarks, id(3), id(4)).unwrap();
+        let got = GuidedSearch::new().shortest_path(&topo, &landmarks, None, id(3), id(4)).unwrap();
         assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
     }
 
@@ -1657,7 +1665,7 @@ mod tests {
         let mut search = GuidedSearch::new();
         for (from, to) in [(bad, SatId { plane: 0, slot: 0 }), (SatId { plane: 0, slot: 0 }, bad)] {
             assert!(matches!(
-                search.shortest_path(&topo, &landmarks, from, to),
+                search.shortest_path(&topo, &landmarks, None, from, to),
                 Err(LsnError::UnknownNode { .. })
             ));
         }

@@ -175,11 +175,10 @@ pub struct Link {
     pub length_km: f64,
 }
 
-/// An ISL topology over a constellation.
+/// An ISL topology over a constellation, stored as its CSR adjacency
+/// only: each link is the pair of arcs `a → b` and `b → a`.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    /// Feasible links at the evaluation epoch.
-    pub links: Vec<Link>,
     /// CSR adjacency: node `i`'s neighbors live at
     /// `adj_entries[adj_offsets[i]..adj_offsets[i + 1]]`. One flat
     /// allocation instead of a `Vec` per node — Dijkstra's inner loop
@@ -190,37 +189,36 @@ pub struct Topology {
     plane_offsets: Vec<usize>,
 }
 
-/// Builds the CSR adjacency from an undirected link list. Entries keep
-/// the per-node insertion order a `Vec<Vec<_>>` build would produce
-/// (links scanned in emission order, both directions appended), so graph
-/// traversal order — and every downstream tie-break — is unchanged.
-fn build_adjacency(
-    links: &[Link],
-    flat: impl Fn(SatId) -> usize,
-    total: usize,
-) -> (Vec<usize>, Vec<(usize, f64)>) {
+/// Builds the topology's CSR adjacency from an undirected link list.
+/// Entries keep the per-node insertion order a `Vec<Vec<_>>` build would
+/// produce (links scanned in emission order, both directions appended),
+/// so graph traversal order — and every downstream tie-break — follows
+/// the emission order.
+fn build_adjacency(links: &[Link], plane_offsets: Vec<usize>) -> Topology {
+    let total = *plane_offsets.last().unwrap_or(&0);
+    let flat = |id: SatId| plane_offsets[id.plane] + id.slot;
     let mut degrees = vec![0usize; total];
     for l in links {
         degrees[flat(l.a)] += 1;
         degrees[flat(l.b)] += 1;
     }
-    let mut offsets = Vec::with_capacity(total + 1);
+    let mut adj_offsets = Vec::with_capacity(total + 1);
     let mut acc = 0usize;
-    offsets.push(0);
+    adj_offsets.push(0);
     for &d in &degrees {
         acc += d;
-        offsets.push(acc);
+        adj_offsets.push(acc);
     }
-    let mut cursor = offsets[..total].to_vec();
-    let mut entries = vec![(0usize, 0.0f64); acc];
+    let mut cursor = adj_offsets[..total].to_vec();
+    let mut adj_entries = vec![(0usize, 0.0f64); acc];
     for l in links {
         let (ia, ib) = (flat(l.a), flat(l.b));
-        entries[cursor[ia]] = (ib, l.length_km);
+        adj_entries[cursor[ia]] = (ib, l.length_km);
         cursor[ia] += 1;
-        entries[cursor[ib]] = (ia, l.length_km);
+        adj_entries[cursor[ib]] = (ia, l.length_km);
         cursor[ib] += 1;
     }
-    (offsets, entries)
+    Topology { adj_offsets, adj_entries, plane_offsets }
 }
 
 /// Configuration for +grid topology construction.
@@ -469,10 +467,9 @@ impl Topology {
             }
         }
 
-        // Build adjacency; emission above is duplicate-free by
-        // construction, so no dedup pass.
-        let (adj_offsets, adj_entries) = build_adjacency(&links, flat, total);
-        Ok(Topology { links, adj_offsets, adj_entries, plane_offsets })
+        // Emission above is duplicate-free by construction, so no dedup
+        // pass.
+        Ok(build_adjacency(&links, plane_offsets))
     }
 
     /// The legacy single-shot construction: propagates every position on
@@ -560,8 +557,7 @@ impl Topology {
                 if flat(l.a) < flat(l.b) { (flat(l.a), flat(l.b)) } else { (flat(l.b), flat(l.a)) };
             seen.insert(key)
         });
-        let (adj_offsets, adj_entries) = build_adjacency(&links, flat, total);
-        Ok(Topology { links, adj_offsets, adj_entries, plane_offsets })
+        Ok(build_adjacency(&links, plane_offsets))
     }
 
     /// Builds a topology directly from an explicit link list and plane
@@ -570,47 +566,45 @@ impl Topology {
     /// complete graphs have known Laplacian spectra that no orbital
     /// geometry reproduces exactly), and the routing properties build
     /// equal-weight lattices with (ties no orbital geometry produces).
-    /// Links are kept in the given order; endpoints must be valid under
-    /// `plane_offsets`.
+    /// Each node's neighbors follow the given link order; endpoints must
+    /// be valid under `plane_offsets`.
     ///
     /// # Panics
     /// If a link endpoint is outside the plane layout.
     pub fn from_links(links: Vec<Link>, plane_offsets: Vec<usize>) -> Topology {
-        let total = *plane_offsets.last().unwrap_or(&0);
-        let flat = |id: SatId| {
+        for id in links.iter().flat_map(|l| [l.a, l.b]) {
             let idx = plane_offsets[id.plane] + id.slot;
             assert!(idx < plane_offsets[id.plane + 1], "link endpoint outside its plane");
-            idx
-        };
-        for l in &links {
-            let _ = (flat(l.a), flat(l.b));
         }
-        let flat_unchecked = |id: SatId| plane_offsets[id.plane] + id.slot;
-        let (adj_offsets, adj_entries) = build_adjacency(&links, flat_unchecked, total);
-        Topology { links, adj_offsets, adj_entries, plane_offsets }
+        build_adjacency(&links, plane_offsets)
     }
 
     /// The subgraph of this topology over the satellites flagged alive:
-    /// every link incident to a dead satellite is dropped, in emission
-    /// order, and the adjacency rebuilt. Because a masked
-    /// [`Topology::plus_grid`] selects its partners from *positions*
-    /// (nearest-slot queries never consult the mask) and only filters at
-    /// link emission, this is **exactly** the topology `plus_grid` builds
-    /// over the same snapshot with the same alive mask — link for link,
-    /// length for length — computed in O(links) instead of re-running the
-    /// geometric construction. This is the incremental fast path the
-    /// attack optimizer scores candidates through: the intact topology is
-    /// built once per slot and every candidate mask only filters it.
+    /// each alive node keeps its alive neighbors in their intact order, a
+    /// dead node keeps none. Because a masked [`Topology::plus_grid`]
+    /// selects its partners from *positions* (nearest-slot queries never
+    /// consult the mask) and only filters at link emission, this is
+    /// **exactly** the topology `plus_grid` builds over the same snapshot
+    /// with the same alive mask — arc for arc, length for length. It is
+    /// the reference the tests and benches hold the alive-filtered passes
+    /// to: every production pass (components, Dijkstra, the guided
+    /// search, the k-path rounds, the tree repair, percolation and λ₂)
+    /// reads the intact topology and skips dead neighbors instead.
     ///
     /// # Panics
     /// If `alive.len()` is not the node count.
     pub fn masked(&self, alive: &[bool]) -> Topology {
         assert_eq!(alive.len(), self.n_nodes(), "alive mask length mismatch");
-        let flat = |id: SatId| self.plane_offsets[id.plane] + id.slot;
-        let links: Vec<Link> =
-            self.links.iter().filter(|l| alive[flat(l.a)] && alive[flat(l.b)]).copied().collect();
-        let (adj_offsets, adj_entries) = build_adjacency(&links, flat, self.n_nodes());
-        Topology { links, adj_offsets, adj_entries, plane_offsets: self.plane_offsets.clone() }
+        let mut adj_offsets = Vec::with_capacity(self.n_nodes() + 1);
+        let mut adj_entries = Vec::new();
+        adj_offsets.push(0);
+        for u in 0..self.n_nodes() {
+            if alive[u] {
+                adj_entries.extend(self.neighbors(u).iter().filter(|&&(v, _)| alive[v]));
+            }
+            adj_offsets.push(adj_entries.len());
+        }
+        Topology { adj_offsets, adj_entries, plane_offsets: self.plane_offsets.clone() }
     }
 
     /// Number of nodes.
@@ -649,17 +643,15 @@ impl Topology {
     }
 
     /// Neighbors of a node restricted to an alive mask — the lazy
-    /// equivalent of `self.masked(alive).neighbors(index)`. Because
-    /// [`Topology::masked`] filters links in emission order and
-    /// `build_adjacency` preserves per-node insertion order, the masked
+    /// equivalent of `self.masked(alive).neighbors(index)`. The masked
     /// neighbor list is exactly the alive subsequence of the intact one,
     /// so filtering on the fly visits the same `(neighbor, length)` pairs
     /// in the same order without materializing the masked topology. This
-    /// is what makes alive-filtered Dijkstra over the intact topology
-    /// bit-identical to Dijkstra over [`Topology::masked`]. A dead
+    /// is what makes every alive-filtered pass over the intact topology
+    /// bit-identical to the same pass over [`Topology::masked`]. A dead
     /// `index` has no surviving links at all (masking drops a link when
-    /// *either* endpoint is dead), so its list is empty. The traffic
-    /// engine filters inline; the tests pin the invariant through this.
+    /// *either* endpoint is dead), so its list is empty. The passes
+    /// filter inline; the tests pin the invariant through this.
     #[cfg(test)]
     pub fn neighbors_alive<'m>(
         &'m self,
@@ -682,17 +674,12 @@ impl Topology {
     }
 
     /// Every undirected link as a flat node-index pair `(a, b)` with
-    /// `a < b`, in link-emission order — the edge stream the percolation
-    /// cluster tracker unions over.
+    /// `a < b`, read off the adjacency in node order (by `a`, then by
+    /// `b`'s place in `a`'s neighbor list) — the edge stream the
+    /// percolation cluster tracker unions over.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let flat = |id: SatId| self.plane_offsets[id.plane] + id.slot;
-        self.links.iter().map(move |l| {
-            let (a, b) = (flat(l.a), flat(l.b));
-            if a < b {
-                (a, b)
-            } else {
-                (b, a)
-            }
+        (0..self.n_nodes()).flat_map(move |a| {
+            self.neighbors(a).iter().filter(move |&&(b, _)| a < b).map(move |&(b, _)| (a, b))
         })
     }
 
@@ -701,7 +688,7 @@ impl Topology {
         if self.n_nodes() == 0 {
             0.0
         } else {
-            2.0 * self.links.len() as f64 / self.n_nodes() as f64
+            self.n_arcs() as f64 / self.n_nodes() as f64
         }
     }
 
@@ -826,8 +813,8 @@ mod tests {
         assert!(Constellation::new(Epoch::J2000, vec![vec![], vec![]]).is_err());
     }
 
-    /// The legacy builder's dedup pass must be order-stable: the link
-    /// list is a function of the geometry alone, with no duplicate
+    /// The legacy builder's dedup pass must be order-stable: the
+    /// adjacency is a function of the geometry alone, with no duplicate
     /// undirected pairs and no run-to-run variation (the dedup
     /// membership set is ordered precisely so it cannot reorder links).
     #[test]
@@ -835,18 +822,34 @@ mod tests {
         let c = test_constellation(5, 8);
         let config = GridTopologyConfig::default();
         let first = Topology::plus_grid_at(&c, Epoch::J2000, config).unwrap();
-        let offsets = c.plane_offsets();
-        let flat = |id: SatId| offsets[id.plane] + id.slot;
         let mut pairs = std::collections::BTreeSet::new();
-        for l in &first.links {
-            let key =
-                if flat(l.a) < flat(l.b) { (flat(l.a), flat(l.b)) } else { (flat(l.b), flat(l.a)) };
-            assert!(pairs.insert(key), "duplicate undirected link {l:?} survived dedup");
+        for edge in first.edges() {
+            assert!(pairs.insert(edge), "duplicate undirected link {edge:?} survived dedup");
         }
         for _ in 0..3 {
             let again = Topology::plus_grid_at(&c, Epoch::J2000, config).unwrap();
-            assert_eq!(first.links, again.links, "link order varied between builds");
+            for node in 0..first.n_nodes() {
+                assert_eq!(first.neighbors(node), again.neighbors(node), "node {node} varied");
+            }
         }
+    }
+
+    #[test]
+    fn edges_list_each_link_once_from_the_adjacency() {
+        let c = test_constellation(4, 9);
+        let topo = Topology::plus_grid_at(&c, Epoch::J2000, Default::default()).unwrap();
+        let edges: Vec<(usize, usize)> = topo.edges().collect();
+        assert!(edges.iter().all(|&(a, b)| a < b), "an edge out of (min, max) order");
+        let distinct: std::collections::BTreeSet<_> = edges.iter().copied().collect();
+        assert_eq!(distinct.len(), edges.len(), "an edge listed twice");
+        // Each link is two arcs, one in each endpoint's neighbor list.
+        for &(a, b) in &edges {
+            assert!(topo.neighbors(a).iter().any(|&(v, _)| v == b));
+            assert!(topo.neighbors(b).iter().any(|&(v, _)| v == a));
+        }
+        assert_eq!(2 * edges.len(), topo.n_arcs());
+        let degree = 2.0 * edges.len() as f64 / topo.n_nodes() as f64;
+        assert_eq!(topo.mean_degree().to_bits(), degree.to_bits());
     }
 
     #[test]
@@ -879,7 +882,8 @@ mod tests {
         let topo = grid_at(&c, Epoch::J2000, Default::default());
         assert_eq!(topo.n_nodes(), 48);
         // Ring links: 12 per plane × 4 planes; cross-plane ≈ 12 × 3.
-        assert!(topo.links.len() >= 48 + 24, "links = {}", topo.links.len());
+        let links = topo.edges().count();
+        assert!(links >= 48 + 24, "links = {links}");
         assert!(topo.mean_degree() >= 3.0, "degree = {}", topo.mean_degree());
         assert!(topo.is_connected());
         // index/id round trip.
@@ -913,9 +917,9 @@ mod tests {
             Epoch::J2000,
             GridTopologyConfig { max_range_km: 100.0, ..Default::default() },
         );
-        assert!(tight.links.is_empty(), "no link is under 100 km");
+        assert_eq!(tight.edges().count(), 0, "no link is under 100 km");
         let loose = grid_at(&c, Epoch::J2000, Default::default());
-        assert!(!loose.links.is_empty());
+        assert!(loose.edges().count() > 0);
     }
 
     #[test]
@@ -923,11 +927,12 @@ mod tests {
         let c = test_constellation(5, 15);
         let cfg = GridTopologyConfig::default();
         let topo = grid_at(&c, Epoch::J2000, cfg);
-        for l in &topo.links {
-            assert!(l.length_km <= cfg.max_range_km);
-            let pa = c.position(l.a, Epoch::J2000).unwrap();
-            let pb = c.position(l.b, Epoch::J2000).unwrap();
-            assert!(line_of_sight(pa, pb, cfg.occlusion_margin_km));
+        let position = |v: usize| c.position(topo.id_of(v).unwrap(), Epoch::J2000).unwrap();
+        for a in 0..topo.n_nodes() {
+            for &(b, length_km) in topo.neighbors(a) {
+                assert!(length_km <= cfg.max_range_km);
+                assert!(line_of_sight(position(a), position(b), cfg.occlusion_margin_km));
+            }
         }
     }
 
@@ -941,24 +946,20 @@ mod tests {
         // An all-alive mask is byte-identical to no mask.
         let all = vec![true; 48];
         let same = Topology::plus_grid(&snap.with_alive(&all), Default::default()).unwrap();
-        assert_eq!(same.links.len(), intact.links.len());
-        for (a, b) in same.links.iter().zip(&intact.links) {
-            assert_eq!((a.a, a.b, a.length_km), (b.a, b.b, b.length_km));
+        for node in 0..48 {
+            assert_eq!(same.neighbors(node), intact.neighbors(node), "node {node}");
         }
 
         // Kill one satellite: exactly its incident links disappear, no
         // others move.
-        let victim = SatId { plane: 1, slot: 5 };
+        let victim = intact.index_of(SatId { plane: 1, slot: 5 }).unwrap();
         let mut mask = all.clone();
-        mask[intact.index_of(victim).unwrap()] = false;
+        mask[victim] = false;
         let degraded = Topology::plus_grid(&snap.with_alive(&mask), Default::default()).unwrap();
-        let expected: Vec<&Link> =
-            intact.links.iter().filter(|l| l.a != victim && l.b != victim).collect();
-        assert_eq!(degraded.links.len(), expected.len());
-        for (got, want) in degraded.links.iter().zip(expected) {
-            assert_eq!((got.a, got.b), (want.a, want.b));
-        }
-        assert!(degraded.neighbors(intact.index_of(victim).unwrap()).is_empty());
+        let expected: Vec<(usize, usize)> =
+            intact.edges().filter(|&(a, b)| a != victim && b != victim).collect();
+        assert_eq!(degraded.edges().collect::<Vec<_>>(), expected);
+        assert!(degraded.neighbors(victim).is_empty());
 
         // The survivors stay connected; the full node set (dead node
         // included) does not.
@@ -1003,18 +1004,15 @@ mod tests {
         }
         let filtered = intact.masked(&mask);
         let rebuilt = Topology::plus_grid(&snap.with_alive(&mask), Default::default()).unwrap();
-        assert_eq!(filtered.links.len(), rebuilt.links.len());
-        for (a, b) in filtered.links.iter().zip(&rebuilt.links) {
-            assert_eq!((a.a, a.b, a.length_km), (b.a, b.b, b.length_km));
-        }
         for node in 0..60 {
             assert_eq!(filtered.neighbors(node), rebuilt.neighbors(node), "node {node}");
         }
+        assert!(filtered.edges().eq(rebuilt.edges()));
         // All-alive filtering is the identity.
         let same = intact.masked(&[true; 60]);
-        assert_eq!(same.links.len(), intact.links.len());
+        assert!((0..60).all(|node| same.neighbors(node) == intact.neighbors(node)));
         // All-dead filtering leaves a linkless graph.
-        assert!(intact.masked(&[false; 60]).links.is_empty());
+        assert_eq!(intact.masked(&[false; 60]).edges().count(), 0);
     }
 
     #[test]
@@ -1077,6 +1075,6 @@ mod tests {
             Epoch::J2000,
             GridTopologyConfig { wrap_planes: true, ..Default::default() },
         );
-        assert!(wrapped.links.len() >= open.links.len());
+        assert!(wrapped.edges().count() >= open.edges().count());
     }
 }

@@ -141,61 +141,50 @@ pub fn assign_traffic(
     let labels = topology.components(None).labels;
     let index = FlowIndex::new(flows);
     let servers = ServingIndex::new(*snapshot, min_elevation).attach(&index.points);
-    let ends = serving_pairs(snapshot, &index, &servers);
-    assign_guided(snapshot, topology, &landmarks, &labels, flows, &ends, 1.0)
+    let ends = serving_pairs(snapshot, &index, &servers, &labels);
+    assign_guided(snapshot, topology, &landmarks, None, flows, &ends, 1.0)
 }
 
 /// Each flow's serving pair (first and last hop) under `servers`, the
 /// flat snapshot index serving each endpoint of `index` — `None` where
-/// an endpoint is unserved.
+/// an endpoint is unserved or the two servers lie in different
+/// components (`labels`, [`Topology::components`]). Such a flow has no
+/// route — Dijkstra returns `NoRoute` exactly when the labels differ —
+/// so it is counted unrouted without a search.
 pub(crate) fn serving_pairs(
     snapshot: &Snapshot<'_>,
     index: &FlowIndex,
     servers: &[Option<usize>],
+    labels: &[u32],
 ) -> Vec<Option<(SatId, SatId)>> {
-    let offsets = snapshot.plane_offsets();
-    let ids: Vec<Option<SatId>> = servers
-        .iter()
-        .map(|s| s.map(|flat| sat_id_at(offsets, flat).expect("a flat index in range")))
-        .collect();
+    let id = |flat| sat_id_at(snapshot.plane_offsets(), flat).expect("a flat index in range");
     (0..index.flow_pair.len())
         .map(|i| {
             let (a, b) = index.ends(i);
-            ids[a].zip(ids[b])
+            let (s, d) = servers[a].zip(servers[b])?;
+            (labels[s] == labels[d]).then(|| (id(s), id(d)))
         })
         .collect()
 }
 
 /// [`assign_traffic`] over each flow's serving pair `ends`
-/// ([`serving_pairs`]), prebuilt `landmarks` — those of `topology`
-/// itself or of the intact topology it is a [`Topology::masked`]
-/// subgraph of, which stay valid bounds there (see [`Landmarks`]) — and
-/// `topology`'s component `labels` ([`Topology::components`]), with the
-/// load statistics read as utilization of `link_capacity` (routing is
-/// identical: no admission control, which is [`crate::traffic_engine`]'s
-/// job). The degraded evaluator builds the landmarks and the intact
-/// attachment once per intact slot and the labels once per evaluated
-/// slot.
+/// ([`serving_pairs`]) and the nodes of `topology` flagged in `alive`
+/// (`None` = all), searched under `topology`'s prebuilt `landmarks`,
+/// which stay valid bounds on any masked subgraph (see [`Landmarks`]),
+/// with the load statistics read as utilization of `link_capacity`
+/// (routing is identical: no admission control, which is
+/// [`crate::traffic_engine`]'s job). The degraded evaluator builds the
+/// landmarks and ranks the servers once per intact slot, and every
+/// masked pass routes over the intact topology under its mask.
 pub(crate) fn assign_guided(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
     landmarks: &Landmarks,
-    labels: &[u32],
+    alive: Option<&[bool]>,
     flows: &[Flow],
     ends: &[Option<(SatId, SatId)>],
     link_capacity: f64,
 ) -> Result<TrafficReport> {
-    // A flow whose serving satellites lie in different components of the
-    // topology has no route — Dijkstra returns `NoRoute` exactly when the
-    // labels differ — so it is counted unrouted without a search.
-    let connected = |&(s, d): &(SatId, SatId)| match (topology.index_of(s), topology.index_of(d)) {
-        (Some(a), Some(b)) => labels[a] == labels[b],
-        // Unknown nodes go on to the search, which reports them.
-        _ => true,
-    };
-    let pairs: Vec<Option<(SatId, SatId)>> =
-        ends.iter().map(|pair| pair.filter(connected)).collect();
-
     let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
     let mut routed = 0usize;
     let mut unrouted = 0usize;
@@ -203,13 +192,13 @@ pub(crate) fn assign_guided(
     let mut hop_sum = 0usize;
     let mut flow_outcomes: Vec<Option<FlowOutcome>> = Vec::with_capacity(flows.len());
     let mut search = GuidedSearch::new();
-    for (flow, pair) in flows.iter().zip(&pairs) {
+    for (flow, pair) in flows.iter().zip(ends) {
         let Some((s_sat, d_sat)) = *pair else {
             unrouted += 1;
             flow_outcomes.push(None);
             continue;
         };
-        let (hops, isl_km) = search.shortest_path(topology, landmarks, s_sat, d_sat)?;
+        let (hops, isl_km) = search.shortest_path(topology, landmarks, alive, s_sat, d_sat)?;
         let route = assemble_route(snapshot, flow.src, flow.dst, s_sat, d_sat, hops, isl_km)?;
         routed += 1;
         hop_sum += route.hops.len();
@@ -441,8 +430,8 @@ mod tests {
         let (landmarks, labels) = (Landmarks::build(&topo), topo.components(None).labels);
         let index = FlowIndex::new(&flows);
         let servers = ServingIndex::new(snap, 25f64.to_radians()).attach(&index.points);
-        let ends = serving_pairs(&snap, &index, &servers);
-        let scaled = assign_guided(&snap, &topo, &landmarks, &labels, &flows, &ends, 2.0).unwrap();
+        let ends = serving_pairs(&snap, &index, &servers, &labels);
+        let scaled = assign_guided(&snap, &topo, &landmarks, None, &flows, &ends, 2.0).unwrap();
         assert_eq!(scaled.routed, unit.routed);
         assert_eq!(scaled.link_load, unit.link_load, "raw loads are capacity-independent");
         assert!((scaled.max_link_load() - unit.max_link_load() / 2.0).abs() < 1e-12);

@@ -371,8 +371,8 @@ pub(crate) fn tally_attachments(
 /// once every destination in `s`'s component (`labels`, the
 /// [`Topology::components`] labels under `alive`) has settled, and its
 /// paths add one penalty to every arc joining the same node pair — which
-/// masking preserves, so an alive-filtered run is bit-identical to one
-/// over [`Topology::masked`]. Round 0 carries no penalty: a caller
+/// masking preserves, so an alive-filtered run over the intact topology
+/// is bit-identical to one over [`Topology::masked`]. Round 0 carries no penalty: a caller
 /// holding those plain shortest paths (from a tree under the same mask)
 /// passes them as `shortest`, `None` per unreachable destination.
 pub(crate) fn k_paths_for_source(
@@ -520,18 +520,21 @@ pub fn assign_capacity_constrained(
     let labels = topology.components(None).labels;
     let index = FlowIndex::new(flows);
     let servers = ServingIndex::new(*snapshot, min_elevation).attach(&index.points);
-    Ok(assign_interned(topology, &labels, flows, &index, &servers, config))
+    Ok(assign_interned(topology, &labels, None, flows, &index, &servers, config))
 }
 
 /// [`assign_capacity_constrained`] over `flows` interned once as
 /// `interned`, whose endpoints attach to the `servers` (per interned
-/// endpoint, a `topology` node index), and over `topology`'s component
-/// `labels` ([`Topology::components`]). The degraded evaluator interns a
-/// workload once, attaches it once per intact slot, and computes the
-/// labels once per evaluated slot for every consumer.
+/// endpoint, a `topology` node index), over the nodes of `topology`
+/// flagged in `alive` (`None` = all) and their component `labels`
+/// ([`Topology::components`] under the same mask). The degraded
+/// evaluator interns a workload once, ranks its servers once per intact
+/// slot, and computes the labels once per evaluated slot for every
+/// consumer.
 pub(crate) fn assign_interned(
     topology: &Topology,
     labels: &[u32],
+    alive: Option<&[bool]>,
     flows: &[Flow],
     interned: &FlowIndex,
     servers: &[Option<usize>],
@@ -552,7 +555,7 @@ pub(crate) fn assign_interned(
     let mut paths: Vec<Vec<Vec<usize>>> = Vec::with_capacity(tally.sat_pairs.len());
     for group in tally.sat_pairs.chunk_by(|a, b| a.0 == b.0) {
         let dsts: Vec<usize> = group.iter().map(|&(_, d)| d).collect();
-        paths.extend(k_paths_for_source(topology, group[0].0, &dsts, k, None, labels, None));
+        paths.extend(k_paths_for_source(topology, group[0].0, &dsts, k, alive, labels, None));
     }
 
     // --- 3. deterministic residual-capacity waterfilling -------------

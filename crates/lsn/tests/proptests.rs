@@ -1,8 +1,7 @@
 //! Property-based tests for the networking layer, including the
 //! snapshot-parity suite: the SoA-cached, sorted-search
-//! [`Topology::plus_grid`] must produce exactly the links and adjacency
-//! of the legacy per-call-position construction over arbitrary plane
-//! sets.
+//! [`Topology::plus_grid`] must produce exactly the adjacency of the
+//! legacy per-call-position construction over arbitrary plane sets.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,28 +62,15 @@ fn first_alive(
     ranked.iter().copied().find(|(id, _)| alive[snapshot.flat_index(*id).unwrap()])
 }
 
-/// Asserts that two topologies are identical: same canonical link list
-/// (order included) and the same adjacency lists entry for entry. The
-/// legacy construction may emit a link's endpoints in either orientation,
-/// so links are compared after canonicalizing to `(min, max)` flat order.
+/// Asserts that two topologies are identical: the same adjacency lists
+/// entry for entry (neighbor, length bits and order) and so the same
+/// edge list.
 fn assert_topologies_identical(legacy: &Topology, snapshot: &Topology) {
     assert_eq!(legacy.n_nodes(), snapshot.n_nodes());
-    assert_eq!(legacy.links.len(), snapshot.links.len(), "link counts diverge");
-    for (l, s) in legacy.links.iter().zip(&snapshot.links) {
-        let (lf, lt) = (legacy.index_of(l.a).unwrap(), legacy.index_of(l.b).unwrap());
-        let canonical = if lf < lt { (l.a, l.b) } else { (l.b, l.a) };
-        assert_eq!((s.a, s.b), canonical, "link endpoint order diverged");
-        assert!(
-            snapshot.index_of(s.a).unwrap() < snapshot.index_of(s.b).unwrap(),
-            "snapshot link not canonical: {:?} -> {:?}",
-            s.a,
-            s.b
-        );
-        assert_eq!(l.length_km, s.length_km, "link length diverged for {:?}-{:?}", s.a, s.b);
-    }
     for i in 0..legacy.n_nodes() {
         assert_eq!(legacy.neighbors(i), snapshot.neighbors(i), "adjacency of node {i} diverged");
     }
+    assert!(legacy.edges().eq(snapshot.edges()), "edge lists diverged");
 }
 
 proptest! {
@@ -611,18 +597,23 @@ proptest! {
     }
 }
 
-/// Asserts that the landmark-guided search answers every pair exactly as
-/// the Dijkstra reference does on `topo`: the same hop list, the same
-/// length bits, the same `NoRoute`.
+/// Asserts that the landmark-guided search over `topo` under `alive`
+/// answers every pair exactly as the Dijkstra reference does on
+/// `topo.masked(alive)` (on `topo` itself for `None`): the same hop list,
+/// the same length bits, the same `NoRoute`.
 fn assert_guided_matches_dijkstra(
     topo: &Topology,
     landmarks: &Landmarks,
+    alive: Option<&[bool]>,
     pairs: impl IntoIterator<Item = (usize, usize)>,
 ) {
+    let masked = alive.map(|m| topo.masked(m));
+    let reference = masked.as_ref().unwrap_or(topo);
     let mut search = GuidedSearch::new();
     for (a, b) in pairs {
         let (from, to) = (topo.id_of(a).unwrap(), topo.id_of(b).unwrap());
-        match (shortest_path(topo, from, to), search.shortest_path(topo, landmarks, from, to)) {
+        let got = search.shortest_path(topo, landmarks, alive, from, to);
+        match (shortest_path(reference, from, to), got) {
             (Ok((want, want_km)), Ok((got, got_km))) => {
                 assert_eq!(got, want, "hops {from:?} -> {to:?}");
                 assert_eq!(got_km.to_bits(), want_km.to_bits(), "length {from:?} -> {to:?}");
@@ -644,9 +635,10 @@ proptest! {
 
     /// The guided search is Dijkstra, bit for bit, on sun-synchronous
     /// and Walker-delta slots — intact, under random satellite loss and
-    /// under strided whole-plane loss that splits the grid — with the
-    /// masked searches bounded by the *intact* topology's landmarks, as
-    /// the degraded evaluator runs them. Stacked sun-synchronous planes
+    /// under strided whole-plane loss that splits the grid, where the
+    /// search filters the intact topology by the mask under its
+    /// landmarks, as the degraded evaluator runs it, and Dijkstra runs on
+    /// the masked topology. Stacked sun-synchronous planes
     /// (pairs sharing one LTAN, as the SS designer builds them) put
     /// co-located satellites on zero-length links.
     #[test]
@@ -680,11 +672,12 @@ proptest! {
         };
         let topo = snapshot_grid(&c, Epoch::J2000 + dt, GridTopologyConfig::default());
         if walker == 0 && stacked == 1 {
-            prop_assert!(topo.links.iter().any(|l| l.length_km == 0.0), "no co-located pair");
+            let co_located = (0..topo.n_nodes()).any(|v| topo.neighbors(v).iter().any(|&(_, w)| w == 0.0));
+            prop_assert!(co_located, "no co-located pair");
         }
         let n = topo.n_nodes();
         let landmarks = Landmarks::build(&topo);
-        assert_guided_matches_dijkstra(&topo, &landmarks, random_pairs(n, 60, seed));
+        assert_guided_matches_dijkstra(&topo, &landmarks, None, random_pairs(n, 60, seed));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let random: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= kill).collect();
         let mut strided = vec![true; n];
@@ -692,8 +685,8 @@ proptest! {
             strided[p * slots..(p + 1) * slots].fill(false);
         }
         for alive in [random, strided] {
-            let masked = topo.masked(&alive);
-            assert_guided_matches_dijkstra(&masked, &landmarks, random_pairs(n, 60, seed + 1));
+            let pairs = random_pairs(n, 60, seed + 1);
+            assert_guided_matches_dijkstra(&topo, &landmarks, Some(&alive), pairs);
         }
     }
 
@@ -730,11 +723,11 @@ proptest! {
         let topo = Topology::from_links(links, (0..=planes).map(|p| p * cols).collect());
         let n = topo.n_nodes();
         let landmarks = Landmarks::build(&topo);
-        assert_guided_matches_dijkstra(&topo, &landmarks, random_pairs(n, 150, seed));
+        assert_guided_matches_dijkstra(&topo, &landmarks, None, random_pairs(n, 150, seed));
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1a77);
         let alive: Vec<bool> = (0..n).map(|_| rng.gen::<f64>() >= kill).collect();
-        let masked = topo.masked(&alive);
-        assert_guided_matches_dijkstra(&masked, &landmarks, random_pairs(n, 150, seed + 1));
+        let pairs = random_pairs(n, 150, seed + 1);
+        assert_guided_matches_dijkstra(&topo, &landmarks, Some(&alive), pairs);
     }
 }
 
@@ -776,6 +769,6 @@ proptest! {
         let topo = Topology::from_links(links, vec![0, nodes]);
         let landmarks = Landmarks::build(&topo);
         let all = (0..nodes).flat_map(|a| (0..nodes).map(move |b| (a, b)));
-        assert_guided_matches_dijkstra(&topo, &landmarks, all);
+        assert_guided_matches_dijkstra(&topo, &landmarks, None, all);
     }
 }

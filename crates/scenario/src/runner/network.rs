@@ -453,9 +453,9 @@ fn reference_route(
 /// snapshot is masked by the attack's flat `victims` plus, when
 /// survivability is enabled, an outage timeline driven by `plane_doses`
 /// and sampled at the slot's mission fraction — so the grid reads as
-/// orbital geometry *and* mission life at once. Each masked slot filters
-/// the prebuilt intact topology instead of re-running the geometric
-/// construction.
+/// orbital geometry *and* mission life at once. Each masked slot is
+/// evaluated over the prebuilt intact topology, its dead satellites
+/// skipped, instead of re-running the geometric construction.
 fn degraded_pass(
     spec: &ScenarioSpec,
     ctx: &NetworkContext<'_>,

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "topology: {} ISLs, mean degree {:.2}, connected = {}",
-        topology.links.len(),
+        topology.edges().count(),
         topology.mean_degree(),
         topology.is_connected()
     );
