@@ -93,7 +93,6 @@ pub fn sats_per_plane_half_overlap(theta: f64) -> usize {
 
 /// Result of analytic Walker-delta sizing for continuous coverage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WalkerSizing {
     /// Number of orbital planes.
     pub planes: usize,

@@ -37,7 +37,6 @@ pub fn subsatellite_point(epoch: Epoch, r_eci: Vec3) -> Option<(GeoPoint, f64)> 
 /// A position expressed in the sun-relative grid the paper's demand model
 /// lives on.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SunRelativePoint {
     /// Latitude \[rad\], identical to the geographic latitude.
     pub lat: f64,

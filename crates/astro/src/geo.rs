@@ -7,7 +7,6 @@ use crate::linalg::Vec3;
 ///
 /// Latitude in `[-π/2, π/2]`, longitude in `(-π, π]`, radians.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GeoPoint {
     /// Geocentric latitude \[rad\], positive north.
     pub lat: f64,

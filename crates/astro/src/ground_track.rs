@@ -9,7 +9,6 @@ use crate::time::Epoch;
 
 /// One sample of a ground track.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrackSample {
     /// Sample epoch.
     pub epoch: Epoch,

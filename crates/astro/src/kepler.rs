@@ -18,7 +18,6 @@ const KEPLER_TOL: f64 = 1e-12;
 /// the **mean anomaly** `mean_anomaly` — the natural choice for secular J2
 /// propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrbitalElements {
     /// Semi-major axis \[km\]. Must exceed the Earth radius for the orbits
     /// this crate designs.

@@ -11,7 +11,6 @@ use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// Units are contextual (km for positions, km/s for velocities, unitless for
 /// directions); operations never change units implicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// X component.
     pub x: f64,

@@ -25,7 +25,6 @@ use core::f64::consts::TAU;
 
 /// A repeat-ground-track orbit: `revs` revolutions per `days` nodal days.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RgtOrbit {
     /// Revolutions per repeat cycle `k`.
     pub revs: u32,

@@ -54,7 +54,6 @@ pub fn sun_synchronous_inclination(altitude_km: f64) -> Result<f64> {
 /// A sun-synchronous circular orbit, identified by its altitude and its
 /// **LTAN** — the mean local solar time (hours) of the ascending node.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SunSyncOrbit {
     /// Circular altitude \[km\].
     pub altitude_km: f64,

@@ -12,7 +12,6 @@ use core::ops::{Add, Sub};
 
 /// An instant in time, stored as seconds since the J2000.0 epoch.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Epoch {
     seconds_since_j2000: f64,
 }

@@ -12,7 +12,6 @@ use core::f64::consts::TAU;
 
 /// A Walker-delta constellation specification.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WalkerDelta {
     /// Circular-orbit altitude \[km\].
     pub altitude_km: f64,

@@ -71,9 +71,11 @@ pub struct DesignConfig {
     pub max_planes: usize,
     /// Branch selection rule.
     pub branch_rule: BranchRule,
-    /// Demand below this is considered satisfied (absolute units).
-    pub epsilon: f64,
 }
+
+/// Residual demand at or below this counts as satisfied (absolute
+/// units).
+const EPSILON: f64 = 1e-9;
 
 impl Default for DesignConfig {
     fn default() -> Self {
@@ -83,7 +85,6 @@ impl Default for DesignConfig {
             sat_capacity: 1.0,
             max_planes: 50_000,
             branch_rule: BranchRule::BestOfBoth,
-            epsilon: 1e-9,
         }
     }
 }
@@ -197,7 +198,7 @@ pub fn design_ss_constellation_in(
     let mut unserved = 0.0f64;
 
     while let Some((i, j)) = residual.argmax() {
-        if residual.value(i, j) <= config.epsilon {
+        if residual.value(i, j) <= EPSILON {
             break;
         }
         if planes.len() >= config.max_planes {
@@ -286,7 +287,7 @@ mod tests {
         let mut unserved = 0.0f64;
 
         while let Some((i, j)) = residual.argmax() {
-            if residual.value(i, j) <= config.epsilon {
+            if residual.value(i, j) <= EPSILON {
                 break;
             }
             if planes.len() >= config.max_planes {

@@ -10,7 +10,6 @@ use ssplane_demand::grid::LatTodGrid;
 
 /// A sun-synchronous plane populated with equally spaced satellites.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SsPlane {
     /// The plane's orbit (altitude, inclination, LTAN).
     pub orbit: SunSyncOrbit,

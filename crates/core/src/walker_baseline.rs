@@ -55,9 +55,10 @@ pub struct WalkerBaselineConfig {
     pub candidate_inclinations_deg: Vec<f64>,
     /// Supply accounting model.
     pub supply_model: SupplyModel,
-    /// Safety bound on design iterations.
-    pub max_iterations: usize,
 }
+
+/// Safety bound on design iterations.
+const MAX_ITERATIONS: usize = 10_000;
 
 impl Default for WalkerBaselineConfig {
     fn default() -> Self {
@@ -68,7 +69,6 @@ impl Default for WalkerBaselineConfig {
             sat_capacity: 1.0,
             candidate_inclinations_deg: vec![15.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0],
             supply_model: SupplyModel::WorstCase,
-            max_iterations: 10_000,
         }
     }
 }
@@ -220,10 +220,8 @@ pub fn design_walker_constellation(
         config.candidate_inclinations_deg.iter().map(|d| d.to_radians()).collect();
 
     let alloc = match config.supply_model {
-        SupplyModel::WorstCase => allocate_worst_case(&mut deficits, &candidates, theta, &config)?,
-        SupplyModel::TimeAverage => {
-            allocate_time_average(&mut deficits, &candidates, theta, &config)?
-        }
+        SupplyModel::WorstCase => allocate_worst_case(&mut deficits, &candidates, theta)?,
+        SupplyModel::TimeAverage => allocate_time_average(&mut deficits, &candidates, theta)?,
     };
 
     // Round every used inclination into a feasible shell: at least the
@@ -262,7 +260,6 @@ fn allocate_worst_case(
     deficits: &mut [(f64, f64)],
     candidates: &[f64],
     theta: f64,
-    config: &WalkerBaselineConfig,
 ) -> Result<Vec<f64>> {
     // Coverage minima per candidate.
     let minima: Vec<usize> = candidates
@@ -280,7 +277,7 @@ fn allocate_worst_case(
             break;
         }
         iterations += 1;
-        if iterations > config.max_iterations {
+        if iterations > MAX_ITERATIONS {
             return Err(CoreError::PlaneBudgetExhausted {
                 placed: iterations,
                 residual_demand: deficits.iter().map(|d| d.1.max(0.0)).sum(),
@@ -320,7 +317,6 @@ fn allocate_time_average(
     deficits: &mut [(f64, f64)],
     candidates: &[f64],
     theta: f64,
-    config: &WalkerBaselineConfig,
 ) -> Result<Vec<f64>> {
     let kernels: Vec<Vec<f64>> = candidates
         .iter()
@@ -337,7 +333,7 @@ fn allocate_time_average(
             break;
         }
         iterations += 1;
-        if iterations > config.max_iterations {
+        if iterations > MAX_ITERATIONS {
             return Err(CoreError::PlaneBudgetExhausted {
                 placed: iterations,
                 residual_demand: deficits.iter().map(|d| d.1.max(0.0)).sum(),

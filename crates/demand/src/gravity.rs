@@ -60,6 +60,10 @@ const CHUNK: usize = 8192;
 /// workspace).
 const CHUNK_SALT: u64 = 0x6772_6176_6974_7921; // "gravity!"
 
+/// Distance-deterrence scale \[km\]: a pair's weight carries
+/// `exp(-d / DETERRENCE_KM)`.
+const DETERRENCE_KM: f64 = 8000.0;
+
 /// Configuration of one gravity-model synthesis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GravityConfig {
@@ -69,22 +73,13 @@ pub struct GravityConfig {
     pub sites: usize,
     /// UTC hour the demand field is evaluated at.
     pub utc_hour: f64,
-    /// Distance-deterrence scale \[km\]: pair weight carries
-    /// `exp(-d / deterrence_km)`.
-    pub deterrence_km: f64,
     /// RNG seed; the flow list is byte-identical per seed.
     pub seed: u64,
 }
 
 impl Default for GravityConfig {
     fn default() -> Self {
-        GravityConfig {
-            pairs: 100_000,
-            sites: 256,
-            utc_hour: 12.0,
-            deterrence_km: 8000.0,
-            seed: 42,
-        }
+        GravityConfig { pairs: 100_000, sites: 256, utc_hour: 12.0, seed: 42 }
     }
 }
 
@@ -307,7 +302,7 @@ fn generate_chunk(
             }
         };
         let d_km = field.distance[src * sites.len() + dst];
-        let rate = sites[src].mass * sites[dst].mass * (-d_km / config.deterrence_km).exp();
+        let rate = sites[src].mass * sites[dst].mass * (-d_km / DETERRENCE_KM).exp();
         out.push(GravityFlow { src_site: src as u32, dst_site: dst as u32, rate });
     }
     out
@@ -335,8 +330,8 @@ pub fn gravity_flows(
 /// # Errors
 /// [`DemandError::EmptyGrid`] when `pairs` is zero or fewer than two
 /// sites carry demand mass, and [`DemandError::OutOfDomain`] for a
-/// non-positive deterrence scale or a config whose UTC hour or site
-/// budget is not the field's.
+/// config whose UTC hour or site budget is not the field's, or draws
+/// that leave no pair with positive weight.
 pub fn gravity_flows_in(
     field: &GravityField,
     config: &GravityConfig,
@@ -344,12 +339,6 @@ pub fn gravity_flows_in(
 ) -> Result<GravityFlows> {
     if config.pairs == 0 {
         return Err(DemandError::EmptyGrid { dimension: "pairs" });
-    }
-    if config.deterrence_km <= 0.0 {
-        return Err(DemandError::OutOfDomain {
-            name: "deterrence_km",
-            expected: "a positive distance scale [km]",
-        });
     }
     if config.utc_hour.to_bits() != field.utc_hour.to_bits() || config.sites != field.site_budget {
         return Err(DemandError::OutOfDomain {
@@ -375,8 +364,8 @@ pub fn gravity_flows_in(
     let weight_sum: f64 = flows.iter().map(|f| f.rate).sum();
     if weight_sum <= 0.0 {
         return Err(DemandError::OutOfDomain {
-            name: "deterrence_km",
-            expected: "a scale that leaves at least one pair with positive weight",
+            name: "pair weights",
+            expected: "at least one pair with positive weight",
         });
     }
     let scale = field.total / weight_sum;
@@ -530,8 +519,6 @@ mod tests {
         let m = model();
         assert!(gravity_flows(&m, &GravityConfig { pairs: 0, ..Default::default() }, 1).is_err());
         assert!(gravity_flows(&m, &GravityConfig { sites: 1, ..Default::default() }, 1).is_err());
-        assert!(gravity_flows(&m, &GravityConfig { deterrence_km: 0.0, ..Default::default() }, 1)
-            .is_err());
     }
 
     proptest! {

@@ -18,7 +18,6 @@ use ssplane_astro::frames::SunRelativePoint;
 /// *bandwidth multiplier* (demand measured in multiples of one satellite's
 /// capacity, as in the paper's Figs. 9-10) via [`LatTodGrid::scaled`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatTodGrid {
     lat_bins: usize,
     tod_bins: usize,

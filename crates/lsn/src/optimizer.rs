@@ -65,6 +65,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_astro::par::par_map;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Greedy frontier sample per step for satellite-unit searches: scoring
@@ -146,10 +147,11 @@ pub struct SlotEvaluation {
     pub served: Option<ServedDemandSummary>,
 }
 
-/// Per interned endpoint of one slot, every satellite able to serve it
-/// (flat indices), best first — see [`ServingIndex::ranked`]. The head
-/// is the intact server; under any alive mask the first alive entry is
-/// what an index rebuilt over the masked snapshot answers.
+/// Per endpoint of one slot's table — the classic flows' interned
+/// endpoints, then the workload's — every satellite able to serve it
+/// (flat indices), best first ([`ServingIndex::ranked`]). The head is the
+/// intact server; under any alive mask the first alive entry is what an
+/// index rebuilt over the masked snapshot answers.
 #[derive(Debug)]
 struct RankedServers {
     /// Endpoint `e`'s list is `sats[starts[e]..starts[e + 1]]`.
@@ -158,17 +160,11 @@ struct RankedServers {
 }
 
 impl RankedServers {
-    /// Ranks every point through `index`, reusing `visible` as scratch.
-    fn build(
-        index: &ServingIndex<'_>,
-        points: &[GeoPoint],
-        visible: &mut Vec<(usize, f64)>,
-    ) -> Self {
-        let mut starts = Vec::with_capacity(points.len() + 1);
-        let mut sats = Vec::new();
-        starts.push(0);
-        for &p in points {
-            index.rank_flat(p, visible);
+    /// Ranks every point through `index`.
+    fn build(index: &ServingIndex<'_>, points: impl Iterator<Item = GeoPoint>) -> Self {
+        let (mut starts, mut sats, mut visible) = (vec![0], Vec::new(), Vec::new());
+        for p in points {
+            index.rank_flat(p, &mut visible);
             sats.extend(visible.iter().map(|&(flat, _)| index_u32(flat)));
             starts.push(index_u32(sats.len()));
         }
@@ -177,46 +173,25 @@ impl RankedServers {
         RankedServers { starts, sats }
     }
 
-    /// Each endpoint's list.
-    fn lists(&self) -> impl Iterator<Item = &[u32]> {
-        self.starts.windows(2).map(|w| &self.sats[widen_u32(w[0])..widen_u32(w[1])])
+    /// Endpoint `e`'s list.
+    fn list(&self, e: usize) -> &[u32] {
+        &self.sats[widen_u32(self.starts[e])..widen_u32(self.starts[e + 1])]
     }
 
-    /// Per endpoint: its serving satellite under `alive` (`None` =
-    /// intact), the first alive entry of its list.
-    fn servers(&self, alive: Option<&[bool]>) -> Vec<Option<usize>> {
-        self.lists()
-            .map(|list| list.iter().map(|&s| widen_u32(s)).find(|&s| alive.is_none_or(|m| m[s])))
+    /// Per endpoint of `endpoints`: its serving satellite under `alive`
+    /// (`None` = intact), the first alive entry of its list.
+    fn servers(&self, endpoints: Range<usize>, alive: Option<&[bool]>) -> Vec<Option<usize>> {
+        endpoints
+            .map(|e| {
+                self.list(e).iter().map(|&s| widen_u32(s)).find(|&s| alive.is_none_or(|m| m[s]))
+            })
             .collect()
     }
 
     /// Endpoints whose intact server `mask` kills.
     fn dead_heads(&self, mask: &[bool]) -> usize {
-        self.lists().filter(|list| list.first().is_some_and(|&s| !mask[widen_u32(s)])).count()
-    }
-}
-
-/// Per interned endpoint of one slot, the flat index of its serving
-/// satellite under one mask: the classic flows' endpoints and the
-/// workload's.
-#[derive(Debug)]
-struct Attachment {
-    classic: Vec<Option<usize>>,
-    workload: Vec<Option<usize>>,
-}
-
-/// One slot's ranked servers of both endpoint sets: the classic flows'
-/// interned endpoints and the workload's.
-#[derive(Debug)]
-struct SlotRanking {
-    classic: RankedServers,
-    workload: RankedServers,
-}
-
-impl SlotRanking {
-    /// Both endpoint sets' servers under `alive` (`None` = intact).
-    fn attach(&self, alive: Option<&[bool]>) -> Attachment {
-        Attachment { classic: self.classic.servers(alive), workload: self.workload.servers(alive) }
+        let ends = 0..self.starts.len() - 1;
+        ends.filter(|&e| self.list(e).first().is_some_and(|&s| !mask[widen_u32(s)])).count()
     }
 }
 
@@ -240,18 +215,32 @@ impl<'a> SlotInputs<'a> {
         self.workload.map_or(&[], |w| &w.flows.index().points)
     }
 
-    /// Both endpoint sets ranked through `index`, an intact slot's.
-    fn rank(&self, index: &ServingIndex<'_>) -> SlotRanking {
-        let mut visible = Vec::new();
-        SlotRanking {
-            classic: RankedServers::build(index, &self.index.points, &mut visible),
-            workload: RankedServers::build(index, self.workload_points(), &mut visible),
-        }
+    /// The classic flows' endpoints in the slot's endpoint table.
+    fn classic(&self) -> Range<usize> {
+        0..self.index.points.len()
+    }
+
+    /// The workload's endpoints in the slot's endpoint table, after the
+    /// classic flows'.
+    fn workload_range(&self) -> Range<usize> {
+        let start = self.index.points.len();
+        start..start + self.workload_points().len()
+    }
+
+    /// Every endpoint of the slot's table.
+    fn endpoints(&self) -> Range<usize> {
+        0..self.workload_range().end
+    }
+
+    /// The slot's endpoint table ranked through `index`, an intact
+    /// slot's.
+    fn rank(&self, index: &ServingIndex<'_>) -> RankedServers {
+        RankedServers::build(index, self.index.points.iter().chain(self.workload_points()).copied())
     }
 
     /// One slot's evaluation under `alive` (`None` = intact) for the intact
     /// build and every [`DegradedEvaluator::evaluate_slot`], with the
-    /// endpoints attached as `servers`: one component pass serves
+    /// endpoint table attached as `servers`: one component pass serves
     /// connectivity and both traffic passes' reachability.
     fn evaluate(
         &self,
@@ -259,26 +248,27 @@ impl<'a> SlotInputs<'a> {
         topology: &Topology,
         landmarks: &Landmarks,
         alive: Option<&[bool]>,
-        servers: &Attachment,
-    ) -> Result<SlotEvaluation> {
+        servers: &[Option<usize>],
+    ) -> SlotEvaluation {
         let components = topology.components(alive);
         let labels = &components.labels;
-        let ends = serving_pairs(snapshot, &self.index, &servers.classic, labels);
+        let (classic, workload) = servers.split_at(self.index.points.len());
+        let ends = serving_pairs(&self.index, classic, labels);
         let (flows, capacity) = (self.flows, self.link_capacity);
-        let traffic = assign_guided(snapshot, topology, landmarks, alive, flows, &ends, capacity)?;
+        let traffic = assign_guided(snapshot, topology, landmarks, alive, flows, &ends, capacity);
         // Snapshot flat indices are topology node indices: the slot's
         // topology is built from its snapshot.
         let served = self.workload.map(|w| {
             let (index, capacity) = (w.flows.index(), &w.capacity);
-            assign_interned(topology, labels, alive, &w.flows, index, &servers.workload, capacity)
+            assign_interned(topology, labels, alive, &w.flows, index, workload, capacity)
         });
-        Ok(SlotEvaluation {
+        SlotEvaluation {
             connected: components.is_connected(),
             largest_component: components.largest(),
             alive: alive.map_or(topology.n_nodes(), |m| m.iter().filter(|&&a| a).count()),
             traffic,
             served,
-        })
+        }
     }
 }
 
@@ -286,15 +276,16 @@ impl<'a> SlotInputs<'a> {
 /// → traffic assignment over the alive satellites → aggregates, over
 /// every slot of one prebuilt [`SnapshotSeries`]. Construction interns
 /// the classic flows once and builds the intact per-slot topologies,
-/// their routing [`Landmarks`], every classic and workload endpoint's
-/// serving satellites ranked best first (one [`ServingIndex`] per slot,
-/// the only place servers are ranked) **and** the intact evaluations
-/// once; every candidate afterwards attaches each endpoint to its first
-/// surviving ranked server and re-routes flows over the intact slot's
-/// topology and landmarks, skipping dead satellites — no candidate ever
-/// re-propagates, re-runs the geometric +grid search, builds a masked
-/// topology or rebuilds a landmark table or a serving index. The
-/// [`IncrementalScorer`] reads the same ranked lists.
+/// their routing [`Landmarks`], one endpoint table per slot — the
+/// classic flows' interned endpoints, then the workload's — with each
+/// endpoint's serving satellites ranked best first (one [`ServingIndex`]
+/// per slot, the only place servers are ranked) **and** the intact
+/// evaluations once; every candidate afterwards attaches each endpoint
+/// to its first surviving ranked server and re-routes flows over the
+/// intact slot's topology and landmarks, skipping dead satellites — no
+/// candidate ever re-propagates, re-runs the geometric +grid search,
+/// builds a masked topology or rebuilds a landmark table or a serving
+/// index. The [`IncrementalScorer`] reads ranges of the same table.
 #[derive(Debug)]
 pub struct DegradedEvaluator<'a> {
     series: &'a SnapshotSeries,
@@ -303,9 +294,9 @@ pub struct DegradedEvaluator<'a> {
     /// Each intact slot's routing bounds, reused by every masked pass
     /// over that slot.
     landmarks: Vec<Landmarks>,
-    /// Each intact slot's ranked servers: the head of each list is the
-    /// intact attachment, the first alive entry a masked pass's.
-    ranked: Vec<SlotRanking>,
+    /// Each intact slot's ranked endpoint table: the head of each list
+    /// is the intact attachment, the first alive entry a masked pass's.
+    ranked: Vec<RankedServers>,
     /// Endpoints whose intact server a masked evaluation killed
     /// ([`Self::reattached`]).
     reattached: AtomicUsize,
@@ -387,22 +378,21 @@ impl<'a> DegradedEvaluator<'a> {
         let link_capacity = workload.map_or(1.0, |w| w.capacity.link_capacity);
         let index = FlowIndex::new(flows);
         let inputs = SlotInputs { flows, index, workload, link_capacity };
-        let slots: Vec<((Topology, Landmarks), (SlotRanking, SlotEvaluation))> =
+        let slots: Vec<((Topology, Landmarks), (RankedServers, SlotEvaluation))> =
             par_map((0..series.len()).collect(), threads, |k| {
                 let snapshot = series.snapshot(k);
                 let topology = Topology::plus_grid(&snapshot, config)?;
                 let landmarks = Landmarks::build(&topology);
                 let ranked = inputs.rank(&ServingIndex::new(snapshot, min_elevation));
-                let servers = ranked.attach(None);
-                let evaluation =
-                    inputs.evaluate(&snapshot, &topology, &landmarks, None, &servers)?;
+                let servers = ranked.servers(inputs.endpoints(), None);
+                let evaluation = inputs.evaluate(&snapshot, &topology, &landmarks, None, &servers);
                 Ok(((topology, landmarks), (ranked, evaluation)))
             })
             .into_iter()
             .collect::<Result<_>>()?;
         let (built, attached): (Vec<_>, Vec<_>) = slots.into_iter().unzip();
         let (topologies, landmarks): (Vec<Topology>, Vec<Landmarks>) = built.into_iter().unzip();
-        let (ranked, intact): (Vec<SlotRanking>, Vec<SlotEvaluation>) =
+        let (ranked, intact): (Vec<RankedServers>, Vec<SlotEvaluation>) =
             attached.into_iter().unzip();
         let intact_mean_link_load = intact.iter().map(|s| s.traffic.mean_link_load()).sum::<f64>()
             / intact.len().max(1) as f64;
@@ -499,8 +489,8 @@ impl<'a> DegradedEvaluator<'a> {
         &self.all_alive
     }
 
-    /// Endpoints re-attached by masked evaluations so far, over both
-    /// endpoint sets and every slot: those whose intact server a mask
+    /// Endpoints re-attached by masked evaluations so far, over the
+    /// endpoint table of every slot: those whose intact server a mask
     /// killed, so that they moved down their ranked list. A
     /// deterministic work counter — each evaluation adds a function of
     /// its slot and mask — so it reads the same for every thread count.
@@ -512,7 +502,7 @@ impl<'a> DegradedEvaluator<'a> {
     /// returned from the construction-time cache).
     ///
     /// # Errors
-    /// Propagates traffic-assignment failure.
+    /// None in practice: a masked pass only reads the prebuilt slot.
     ///
     /// # Panics
     /// If `k` is out of range or the mask length mismatches.
@@ -522,18 +512,18 @@ impl<'a> DegradedEvaluator<'a> {
         };
         let servers = self.reattach(k, mask);
         let snapshot = self.series.snapshot(k);
-        self.inputs.evaluate(&snapshot, &self.topologies[k], &self.landmarks[k], alive, &servers)
+        let (topology, landmarks) = (&self.topologies[k], &self.landmarks[k]);
+        Ok(self.inputs.evaluate(&snapshot, topology, landmarks, alive, &servers))
     }
 
-    /// Slot `k`'s attachment under `mask`: each endpoint's first alive
-    /// ranked server, what an index rebuilt over the masked snapshot
-    /// answers (see [`ServingIndex::ranked`]). Counts the endpoints whose
-    /// intact server the mask killed.
-    fn reattach(&self, k: usize, mask: &[bool]) -> Attachment {
+    /// Slot `k`'s endpoint table attached under `mask`: each endpoint's
+    /// first alive ranked server, what an index rebuilt over the masked
+    /// snapshot answers (see [`ServingIndex::ranked`]). Counts the
+    /// endpoints whose intact server the mask killed.
+    fn reattach(&self, k: usize, mask: &[bool]) -> Vec<Option<usize>> {
         let ranked = &self.ranked[k];
-        let moved = ranked.classic.dead_heads(mask) + ranked.workload.dead_heads(mask);
-        self.reattached.fetch_add(moved, Ordering::Relaxed);
-        ranked.attach(Some(mask))
+        self.reattached.fetch_add(ranked.dead_heads(mask), Ordering::Relaxed);
+        ranked.servers(self.inputs.endpoints(), Some(mask))
     }
 
     /// The objective a candidate is scored by: served demand without a
@@ -1229,19 +1219,21 @@ mod tests {
         let before = ev.reattached();
         let got = ev.reattach(k, mask);
         let moved = ev.reattached() - before;
-        let heads = ev.ranked[k].attach(None);
+        let heads = ev.ranked[k].servers(ev.inputs.endpoints(), None);
         let intact = ServingIndex::new(ev.series.snapshot(k), min_elevation);
         let rebuilt = ServingIndex::new(ev.series.snapshot(k).with_alive(mask), min_elevation);
         let sets = [
-            (&got.classic, &heads.classic, &ev.inputs.index.points[..]),
-            (&got.workload, &heads.workload, ev.inputs.workload_points()),
+            (ev.inputs.classic(), &ev.inputs.index.points[..]),
+            (ev.inputs.workload_range(), ev.inputs.workload_points()),
         ];
+        assert_eq!(got.len(), ev.inputs.endpoints().len(), "one server per endpoint");
         let mut dead = 0;
-        for (servers, heads, points) in sets {
+        for (range, points) in sets {
             assert!(!points.is_empty(), "both endpoint sets are covered");
+            let (servers, heads) = (&got[range.clone()], &heads[range]);
             let was = intact.attach(points);
-            assert_eq!(heads, &was, "slot {k}: the intact heads are the intact servers");
-            assert_eq!(servers, &rebuilt.attach(points), "slot {k}: the masked servers");
+            assert_eq!(heads, &was[..], "slot {k}: the intact heads are the intact servers");
+            assert_eq!(servers, &rebuilt.attach(points)[..], "slot {k}: the masked servers");
             dead += was.iter().filter(|s| s.is_some_and(|s| !mask[s])).count();
         }
         assert_eq!(moved, dead, "the counter adds the endpoints whose server died");

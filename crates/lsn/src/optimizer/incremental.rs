@@ -34,11 +34,12 @@
 //!    tree. Victims
 //!    outside whole planes still go through the subtree walk in the same
 //!    routine, and the damage threshold compares the region's popcount.
-//! 3. **Ranked attachment** — the evaluator lists, per (slot, interned
-//!    endpoint), the serving candidates once, best first (elevation
-//!    descending, flat index ascending: `ServingIndex::ranked`), and the
-//!    scorer reads those lists: the classic flows' for routed fraction
-//!    and load inflation, the workload's for served demand. An
+//! 3. **Ranked attachment** — the evaluator lists, per slot, the serving
+//!    candidates of one endpoint table once, best first (elevation
+//!    descending, flat index ascending: `ServingIndex::ranked`): the
+//!    classic flows' interned endpoints, then the workload's. The scorer
+//!    reads a range of that table: the classic range for routed fraction
+//!    and load inflation, the workload range for served demand. An
 //!    endpoint's server under a mask is the first alive entry — the
 //!    masked index's first-wins maximum without a constellation-wide
 //!    scan, and the same answer the evaluator's masked passes read.
@@ -74,16 +75,18 @@
 //! rebuilt in flow order from the per-flow outcomes and the tally —
 //! never adjusted by floating-point deltas — so every objective value is
 //! **byte-identical** to the full path, candidate for candidate, for all
-//! objectives and thread counts. Per-link loads go into a dense per-arc
-//! array and are summed in the `SatId` key order of the full path's
-//! per-link map, so the mean link load needs no map. The scorer also
-//! deduplicates repeated candidates with a seen-cache keyed by canonical
-//! victim set and reports scored-vs-unique counts.
+//! objectives and thread counts. Per-link loads go through the traffic
+//! assignment's own tally (`traffic::LinkTally`, a dense per-arc array
+//! read back in ascending link order), so the mean link load is the full
+//! path's by construction. The scorer also deduplicates repeated
+//! candidates with a seen-cache keyed by canonical victim set and reports
+//! scored-vs-unique counts.
 
 use super::{component_fraction, AttackObjective, DegradedEvaluator};
 use crate::error::Result;
 use crate::routing::{Cut, PlaneCuts, RepairBuffers, ShortestPathTree};
-use crate::topology::{Components, SatId, Topology};
+use crate::topology::{Components, SatId};
+use crate::traffic::{mean_link_load, serving_pairs, LinkTally};
 use crate::traffic_engine::{
     k_paths_for_source, local_only_summary, tally_attachments, waterfill_summary, AttachmentTally,
     ServedDemandSummary,
@@ -143,19 +146,10 @@ struct Delta<'d> {
     order: OnceCell<Vec<usize>>,
 }
 
-/// One flow's routing outcome under a mask — everything a stricter mask
-/// needs to decide reuse.
-#[derive(Debug, Clone)]
-enum FlowState {
-    /// An endpoint had no serving satellite.
-    Unattached,
-    /// Both endpoints attach to the same satellite (routed, no ISL).
-    Local,
-    /// Routed over the ISL path `hops` (flat indices, `s` → `d`).
-    Path { s: usize, d: usize, hops: Arc<[usize]> },
-    /// Attached at both ends but partitioned.
-    Unreachable { s: usize, d: usize },
-}
+/// One classic flow's ISL route under a mask: flat hops from its source
+/// server to its destination server — everything a stricter mask needs
+/// to decide reuse. `None` when it has none: unattached, local or split.
+type FlowRoute = Option<Arc<[usize]>>;
 
 /// The k-path candidate set of one source satellite, shared between a
 /// parent state and the states built off it while it stays valid.
@@ -184,9 +178,8 @@ struct ServedState {
 /// Cached evaluation state of one slot under one mask.
 #[derive(Debug, Clone, Default)]
 struct SlotState {
-    /// Per classic flow: its routing outcome, when the objective loads
-    /// links.
-    flows: Vec<FlowState>,
+    /// Per classic flow: its route, when the objective loads links.
+    flows: Vec<FlowRoute>,
     /// Served-demand state, when the objective needs it.
     served: Option<ServedState>,
 }
@@ -225,41 +218,6 @@ fn is_subset(small: &[usize], big: &[usize]) -> bool {
         j += 1;
     }
     true
-}
-
-/// The mean load over the links that routed `paths` (flat hops, each with
-/// its flow's demand) load, at link `capacity`. Loads accumulate in path
-/// order into a dense array indexed by each node pair's first arc, so
-/// parallel arcs load one link and a zero-demand path still counts its
-/// links; the sum then runs in ascending flat `(a, b)` order — the
-/// `SatId` key order, since flat indices ascend plane-major — and
-/// divides as [`crate::traffic::TrafficReport::mean_link_load`] does,
-/// matching that per-link map bit for bit.
-fn mean_link_load<'p>(
-    topology: &Topology,
-    paths: impl Iterator<Item = (f64, &'p [usize])>,
-    capacity: f64,
-) -> f64 {
-    let mut load = vec![0.0; topology.n_arcs()];
-    let mut loaded = vec![false; topology.n_arcs()];
-    let mut links: Vec<(usize, usize, usize)> = Vec::new();
-    for (demand, hops) in paths {
-        for hop in hops.windows(2) {
-            let (a, b) = (hop[0], hop[1]);
-            let j = topology.neighbors(a).iter().position(|&(v, _)| v == b);
-            let arc = topology.arc_offset(a) + j.expect("a path hop is a link");
-            if !loaded[arc] {
-                loaded[arc] = true;
-                links.push((a, b, arc));
-            }
-            load[arc] += demand;
-        }
-    }
-    if links.is_empty() {
-        return 0.0;
-    }
-    links.sort_unstable();
-    links.iter().map(|&(_, _, arc)| load[arc]).sum::<f64>() / links.len() as f64 / capacity
 }
 
 /// The incremental candidate scorer: [`Self::score`] is pinned
@@ -481,7 +439,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         }
         let flows = w.flows.index();
         let topo = &self.ev.topologies[k];
-        let servers = self.ev.ranked[k].workload.servers(Some(mask));
+        let servers = self.ev.ranked[k].servers(self.ev.inputs.workload_range(), Some(mask));
         let pserved = delta.parent.slots[k].served.as_ref();
         // The tally is a function of the servers alone, so a candidate
         // whose new victims serve no endpoint replays its parent's.
@@ -554,32 +512,24 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         let mut state = SlotState::default();
         let value = match self.objective {
             AttackObjective::RoutedFraction => {
-                // The masked Dijkstra finds a path iff both serving
-                // satellites share an alive component, so component
-                // labels give the exact routed count without building a
-                // single path.
-                let servers = self.ev.ranked[k].classic.servers(Some(mask));
-                let labels = &components().labels;
-                let routed = (0..self.ev.inputs.flows.len())
-                    .filter(|&i| {
-                        let (ea, eb) = self.flow_ends(i);
-                        matches!((servers[ea], servers[eb]),
-                            (Some(a), Some(b)) if a == b || labels[a] == labels[b])
-                    })
-                    .count();
-                routed as f64
+                // A flow routes iff it has a serving pair in one
+                // component, so the pairs give the exact routed count
+                // without building a single path.
+                let pairs = self.classic_pairs(k, mask, &components().labels);
+                pairs.iter().flatten().count() as f64
             }
             AttackObjective::Connectivity => {
                 component_fraction(components().largest(), self.ev.n_sats() - delta.victims.len())
             }
             AttackObjective::LoadInflation => {
                 state.flows = self.route_flows(k, delta, &components().labels);
-                let paths =
-                    self.ev.inputs.flows.iter().zip(&state.flows).filter_map(|(f, fs)| match fs {
-                        FlowState::Path { hops, .. } => Some((f.demand, &hops[..])),
-                        _ => None,
-                    });
-                mean_link_load(&self.ev.topologies[k], paths, self.ev.inputs.link_capacity)
+                let mut tally = LinkTally::new(&self.ev.topologies[k]);
+                for (flow, hops) in self.ev.inputs.flows.iter().zip(&state.flows) {
+                    if let Some(hops) = hops {
+                        tally.add(hops, flow.demand);
+                    }
+                }
+                mean_link_load(&tally.into_loads(), self.ev.inputs.link_capacity)
             }
             AttackObjective::ServedDemand => {
                 let (served, summary) = self.eval_served(k, delta, &components);
@@ -594,53 +544,52 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
         (state, value)
     }
 
-    /// Classic flow `i`'s interned endpoint pair.
-    fn flow_ends(&self, i: usize) -> (usize, usize) {
-        self.ev.inputs.index.ends(i)
+    /// Each classic flow's serving pair in slot `k` under `mask`, as the
+    /// full path's [`serving_pairs`] reads it: the classic range of the
+    /// slot's ranked endpoint table, checked against the components
+    /// `labels`.
+    fn classic_pairs(
+        &self,
+        k: usize,
+        mask: &[bool],
+        labels: &[u32],
+    ) -> Vec<Option<(usize, usize)>> {
+        let servers = self.ev.ranked[k].servers(self.ev.inputs.classic(), Some(mask));
+        serving_pairs(&self.ev.inputs.index, &servers, labels)
     }
 
-    /// Stage one of a routed slot: every classic flow's outcome under the
-    /// candidate's mask. Flows are classified first (local, unattached,
-    /// parent route still alive, split across the components `labels`);
-    /// those left need a route and are grouped by source, so each source
-    /// pays one targeted repair ([`Self::paths_for`]) that only waits for
-    /// destinations it will settle.
-    fn route_flows(&self, k: usize, delta: &Delta<'_>, labels: &[u32]) -> Vec<FlowState> {
+    /// Stage one of a routed slot: every classic flow's ISL route under
+    /// the candidate's mask. A flow without a serving pair in one of the
+    /// components `labels`, or with both ends on one satellite, has none;
+    /// one whose parent route still holds keeps it; the others are
+    /// grouped by source, so each source pays one targeted repair
+    /// ([`Self::paths_for`]) that only waits for destinations it will
+    /// settle.
+    fn route_flows(&self, k: usize, delta: &Delta<'_>, labels: &[u32]) -> Vec<FlowRoute> {
         let (parent, mask) = (delta.parent, delta.mask);
-        let servers = self.ev.ranked[k].classic.servers(Some(mask));
-        let n_flows = self.ev.inputs.flows.len();
-        // A flow still to route holds its serving pair.
-        let mut staged = Vec::with_capacity(n_flows);
         let mut by_src: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in 0..n_flows {
-            let (ea, eb) = self.flow_ends(i);
-            let fs = match (servers[ea], servers[eb]) {
-                (Some(a), Some(b)) if a == b => Ok(FlowState::Local),
-                (Some(a), Some(b)) => match parent.slots[k].flows.get(i) {
+        // A flow still to route holds its serving pair.
+        let staged: Vec<_> = (self.classic_pairs(k, mask, labels).into_iter().enumerate())
+            .map(|(i, pair)| match pair {
+                Some((a, b)) if a != b => match parent.slots[k].flows.get(i) {
                     // Same serving pair and every hop alive: the cached
                     // route is still canonical (removals only lengthen
                     // competitors).
-                    Some(FlowState::Path { s, d, hops })
-                        if *s == a && *d == b && hops.iter().all(|&h| mask[h]) =>
+                    Some(Some(hops))
+                        if (hops[0], hops[hops.len() - 1]) == (a, b)
+                            && hops.iter().all(|&h| mask[h]) =>
                     {
-                        Ok(FlowState::Path { s: a, d: b, hops: Arc::clone(hops) })
+                        Ok(Some(Arc::clone(hops)))
                     }
-                    // Reachability only shrinks under a stricter mask:
-                    // unreachable stays unreachable.
-                    Some(FlowState::Unreachable { s, d }) if *s == a && *d == b => {
-                        Ok(FlowState::Unreachable { s: a, d: b })
-                    }
-                    _ if labels[a] != labels[b] => Ok(FlowState::Unreachable { s: a, d: b }),
                     _ => {
                         by_src.entry(a).or_default().push(b);
                         Err((a, b))
                     }
                 },
-                _ => Ok(FlowState::Unattached),
-            };
-            staged.push(fs);
-        }
-        let mut routes: BTreeMap<(usize, usize), Option<Arc<[usize]>>> = BTreeMap::new();
+                _ => Ok(None),
+            })
+            .collect();
+        let mut routes: BTreeMap<(usize, usize), FlowRoute> = BTreeMap::new();
         let mut buffers = RepairBuffers::default();
         for (&s, dsts) in &mut by_src {
             dsts.sort_unstable();
@@ -648,15 +597,7 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
             let found = self.paths_for(k, s, dsts, delta, &mut buffers);
             routes.extend(dsts.iter().map(|&d| (s, d)).zip(found));
         }
-        staged
-            .into_iter()
-            .map(|st| {
-                st.unwrap_or_else(|(a, b)| match &routes[&(a, b)] {
-                    Some(hops) => FlowState::Path { s: a, d: b, hops: Arc::clone(hops) },
-                    None => FlowState::Unreachable { s: a, d: b },
-                })
-            })
-            .collect()
+        staged.into_iter().map(|st| st.unwrap_or_else(|pair| routes[&pair].clone())).collect()
     }
 
     /// Evaluates `victims` as a delta off `parent`, returning the new
@@ -685,7 +626,6 @@ mod tests {
         optimize_attack, AttackBudget, AttackObjective, AttackSearchConfig, DegradedEvaluator,
     };
     use super::*;
-    use crate::traffic::TrafficReport;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -869,49 +809,6 @@ mod tests {
             let served = state.slots[0].served.as_ref().expect("a served state");
             assert_eq!(Arc::ptr_eq(&served.tally, &intact.tally), shared, "victim {victim}");
         }
-    }
-
-    #[test]
-    fn dense_link_loads_match_the_per_link_map() {
-        // Two arcs join (0, 0)–(0, 1), the last path carries no demand,
-        // and node 1 lists node 2 before node 0, so neither arc order nor
-        // first-load order is the key order — and with these demands the
-        // sum's last bit depends on its order.
-        let id = |plane, slot| SatId { plane, slot };
-        let link = |a, b| crate::topology::Link { a, b, length_km: 1.0 };
-        let topology = Topology::from_links(
-            vec![
-                link(id(0, 1), id(1, 0)),
-                link(id(0, 0), id(0, 1)),
-                link(id(0, 1), id(0, 0)),
-                link(id(1, 0), id(1, 1)),
-            ],
-            vec![0, 2, 4],
-        );
-        let paths: [(f64, &[usize]); 4] =
-            [(0.1, &[0, 1, 2]), (0.2, &[1, 0]), (0.2, &[0, 1]), (0.0, &[2, 3])];
-        let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
-        for &(demand, hops) in &paths {
-            for hop in hops.windows(2) {
-                let key = (topology.id_of(hop[0]).unwrap(), topology.id_of(hop[1]).unwrap());
-                *link_load.entry(key).or_insert(0.0) += demand;
-            }
-        }
-        assert_eq!(link_load.len(), 4, "one link per node pair, the idle one included");
-        for capacity in [1.0, 3.0] {
-            let report = TrafficReport {
-                routed: paths.len(),
-                unrouted: 0,
-                link_load: link_load.clone(),
-                mean_stretch: f64::NAN,
-                mean_hops: f64::NAN,
-                flow_outcomes: Vec::new(),
-                link_capacity: capacity,
-            };
-            let dense = mean_link_load(&topology, paths.iter().copied(), capacity);
-            assert_eq!(dense.to_bits(), report.mean_link_load().to_bits(), "capacity {capacity}");
-        }
-        assert_eq!(mean_link_load(&topology, std::iter::empty(), 1.0), 0.0);
     }
 
     #[test]

@@ -387,6 +387,22 @@ impl GuidedSearch {
         to: SatId,
     ) -> Result<(Vec<SatId>, f64)> {
         let (src, dst) = (flat_index(topology, from)?, flat_index(topology, to)?);
+        let (hops, km) =
+            self.flat_path(topology, landmarks, alive, src, dst).ok_or(LsnError::NoRoute)?;
+        Ok((hop_ids(topology, hops), km))
+    }
+
+    /// [`Self::shortest_path`] between flat node indices, `None` if
+    /// disconnected; it panics as that does. The traffic assignment's
+    /// entry.
+    pub(crate) fn flat_path(
+        &mut self,
+        topology: &Topology,
+        landmarks: &Landmarks,
+        alive: Option<&[bool]>,
+        src: usize,
+        dst: usize,
+    ) -> Option<(Vec<usize>, f64)> {
         assert_eq!(landmarks.n_nodes, topology.n_nodes(), "landmarks of another node layout");
         self.pops = 0;
         let mut pass = self.run(topology, landmarks, alive, landmarks.count > 0, src, dst);
@@ -394,11 +410,8 @@ impl GuidedSearch {
             pass = self.run(topology, landmarks, alive, false, src, dst);
         }
         match pass {
-            Pass::Reached => {
-                let hops = walk(src, dst, |v| self.prev[v]);
-                Ok((hop_ids(topology, hops), self.dist[dst]))
-            }
-            Pass::Unreachable | Pass::OverCap => Err(LsnError::NoRoute),
+            Pass::Reached => Some((walk(src, dst, |v| self.prev[v]), self.dist[dst])),
+            Pass::Unreachable | Pass::OverCap => None,
         }
     }
 
@@ -1150,28 +1163,22 @@ fn sorted_candidates(snapshot: &Snapshot<'_>, min_elevation: f64) -> Option<(Vec
     Some((sorted, max_band))
 }
 
-/// Assembles the full ground-to-ground route from a serving pair and its
-/// ISL path: up/down link lengths at the snapshot's epoch complete the
-/// delay accounting.
-///
-/// # Errors
-/// [`LsnError::UnknownNode`] for out-of-range serving satellites.
-pub(crate) fn assemble_route(
+/// The length \[km\] and propagation delay \[ms\] of a ground-to-ground
+/// route: `isl_km` over ISLs from the serving satellite at flat index `s`
+/// to the one at `d`, completed by the up/down link lengths from `src`
+/// and to `dst` at the snapshot's epoch.
+pub(crate) fn ground_route_km_ms(
     snapshot: &Snapshot<'_>,
     src: GeoPoint,
     dst: GeoPoint,
-    s_sat: SatId,
-    d_sat: SatId,
-    hops: Vec<SatId>,
+    (s, d): (usize, usize),
     isl_km: f64,
-) -> Result<Route> {
-    let t = snapshot.epoch();
-    let up =
-        (snapshot.position(s_sat)? - ecef_to_eci(t, src.to_unit_vector() * EARTH_RADIUS_KM)).norm();
-    let down =
-        (snapshot.position(d_sat)? - ecef_to_eci(t, dst.to_unit_vector() * EARTH_RADIUS_KM)).norm();
+) -> (f64, f64) {
+    let (t, position) = (snapshot.epoch(), |flat| snapshot.position_flat(flat));
+    let up = (position(s) - ecef_to_eci(t, src.to_unit_vector() * EARTH_RADIUS_KM)).norm();
+    let down = (position(d) - ecef_to_eci(t, dst.to_unit_vector() * EARTH_RADIUS_KM)).norm();
     let length_km = isl_km + up + down;
-    Ok(Route { hops, delay_ms: length_km / SPEED_OF_LIGHT_KM_S * 1e3, length_km })
+    (length_km, length_km / SPEED_OF_LIGHT_KM_S * 1e3)
 }
 
 /// Routes ground-to-ground traffic at the snapshot's epoch: uplink to the
@@ -1191,7 +1198,10 @@ pub fn route_ground_to_ground(
     let (d_sat, _) = serving_satellite(snapshot, dst, min_elevation).ok_or(LsnError::NoRoute)?;
     let (hops, isl_km) =
         if s_sat == d_sat { (vec![s_sat], 0.0) } else { shortest_path(topology, s_sat, d_sat)? };
-    assemble_route(snapshot, src, dst, s_sat, d_sat, hops, isl_km)
+    let flat = |id| snapshot.flat_index(id).expect("a serving satellite of the snapshot");
+    let ends = (flat(s_sat), flat(d_sat));
+    let (length_km, delay_ms) = ground_route_km_ms(snapshot, src, dst, ends, isl_km);
+    Ok(Route { hops, delay_ms, length_km })
 }
 
 /// Number of *handoffs* along one flow's per-slot serving pairs

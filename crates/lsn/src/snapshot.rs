@@ -224,16 +224,6 @@ impl Snapshot<'_> {
         let base = self.slot * self.series.n_sats;
         Vec3::new(self.series.xs[base + i], self.series.ys[base + i], self.series.zs[base + i])
     }
-
-    /// ECI position \[km\] of a satellite.
-    ///
-    /// # Errors
-    /// [`LsnError::UnknownNode`] for out-of-range ids.
-    pub fn position(&self, id: SatId) -> Result<Vec3> {
-        self.flat_index(id)
-            .map(|i| self.position_flat(i))
-            .ok_or(LsnError::UnknownNode { plane: id.plane, slot: id.slot })
-    }
 }
 
 #[cfg(test)]
@@ -260,9 +250,9 @@ mod tests {
         assert_eq!(series.n_sats(), 36);
         for (k, snap) in series.iter().enumerate() {
             assert_eq!(snap.epoch(), epochs[k]);
-            for id in c.ids() {
+            for (flat, id) in c.ids().into_iter().enumerate() {
                 let expected = c.position(id, epochs[k]).unwrap();
-                let got = snap.position(id).unwrap();
+                let got = snap.position_flat(flat);
                 assert_eq!((got.x, got.y, got.z), (expected.x, expected.y, expected.z));
             }
         }
@@ -293,7 +283,7 @@ mod tests {
         assert_eq!(snap.ids().count(), 12);
         assert_eq!(snap.flat_index(SatId { plane: 1, slot: 2 }), Some(8));
         assert!(snap.flat_index(SatId { plane: 1, slot: 9 }).is_none());
-        assert!(snap.position(SatId { plane: 3, slot: 0 }).is_err());
+        assert!(snap.flat_index(SatId { plane: 3, slot: 0 }).is_none());
         assert!(!series.is_empty());
     }
 
@@ -310,10 +300,7 @@ mod tests {
         let alive: Vec<bool> = (0..10).map(|i| masked.is_alive_flat(i)).collect();
         assert_eq!(alive, mask);
         // Positions stay addressable for dead satellites.
-        assert_eq!(
-            masked.position(SatId { plane: 0, slot: 3 }).unwrap().x,
-            snap.position(SatId { plane: 0, slot: 3 }).unwrap().x
-        );
+        assert_eq!(masked.position_flat(3).x, snap.position_flat(3).x);
     }
 
     #[test]

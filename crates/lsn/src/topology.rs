@@ -221,22 +221,22 @@ fn build_adjacency(links: &[Link], plane_offsets: Vec<usize>) -> Topology {
     Topology { adj_offsets, adj_entries, plane_offsets }
 }
 
-/// Configuration for +grid topology construction.
+/// Atmosphere clearance margin \[km\] an ISL's line of sight must keep
+/// above the Earth.
+const OCCLUSION_MARGIN_KM: f64 = 80.0;
+
+/// Configuration for +grid topology construction. The highest-index
+/// plane links to no plane after it, leaving a *seam*, as deployed
+/// systems do between counter-rotating or LTAN-wrapped planes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridTopologyConfig {
     /// Maximum ISL range \[km\] (laser terminal budget).
     pub max_range_km: f64,
-    /// Atmosphere clearance margin \[km\] for line-of-sight.
-    pub occlusion_margin_km: f64,
-    /// Whether to close the ring across the highest-index plane back to
-    /// plane 0 (false leaves a *seam*, as deployed systems do between
-    /// counter-rotating or LTAN-wrapped planes).
-    pub wrap_planes: bool,
 }
 
 impl Default for GridTopologyConfig {
     fn default() -> Self {
-        GridTopologyConfig { max_range_km: 5000.0, occlusion_margin_km: 80.0, wrap_planes: false }
+        GridTopologyConfig { max_range_km: 5000.0 }
     }
 }
 
@@ -405,15 +405,10 @@ impl Topology {
             }
             let (pa, pb) = (position(flat(a)), position(flat(b)));
             let length = (pa - pb).norm();
-            if length <= config.max_range_km && line_of_sight(pa, pb, config.occlusion_margin_km) {
+            if length <= config.max_range_km && line_of_sight(pa, pb, OCCLUSION_MARGIN_KM) {
                 links.push(Link { a, b, length_km: length });
             }
         };
-
-        // Sorted angular index per *target* plane, built on first use (a
-        // plane is a cross-link target at most twice: as successor and as
-        // the wrap target).
-        let mut circles: Vec<Option<Option<PlaneCircle>>> = (0..n_planes).map(|_| None).collect();
 
         for p in 0..n_planes {
             let slots = snapshot.slots_in_plane(p);
@@ -434,19 +429,13 @@ impl Topology {
                     );
                 }
             }
-            // Cross-plane to the next plane's nearest slot.
-            let next_plane = if p + 1 < n_planes {
-                Some(p + 1)
-            } else if config.wrap_planes && n_planes > 2 {
-                Some(0)
-            } else {
-                None
-            };
-            if let Some(q) = next_plane {
+            // Cross-plane to the next plane's nearest slot, through a
+            // sorted angular index of that plane.
+            if p + 1 < n_planes {
+                let q = p + 1;
                 let q_slots = snapshot.slots_in_plane(q);
                 let q_offset = plane_offsets[q];
-                let circle = circles[q]
-                    .get_or_insert_with(|| PlaneCircle::build(&position, q_offset, q_slots));
+                let circle = PlaneCircle::build(&position, q_offset, q_slots);
                 for s in 0..slots {
                     let from = SatId { plane: p, slot: s };
                     let x = position(flat(from));
@@ -455,13 +444,7 @@ impl Topology {
                         .and_then(|c| c.nearest_slot(x, &position, q_offset))
                         .or_else(|| nearest_slot_scan(x, &position, q_offset, q_slots));
                     if let Some(sq) = nearest {
-                        let to = SatId { plane: q, slot: sq };
-                        // Canonicalize (the wrap pair has q < p).
-                        if flat(from) < flat(to) {
-                            push_link(from, to, &mut links);
-                        } else {
-                            push_link(to, from, &mut links);
-                        }
+                        push_link(from, SatId { plane: q, slot: sq }, &mut links);
                     }
                 }
             }
@@ -504,7 +487,7 @@ impl Topology {
         let push_link = |a: SatId, b: SatId, links: &mut Vec<Link>| {
             let (pa, pb) = (positions[flat(a)], positions[flat(b)]);
             let length = (pa - pb).norm();
-            if length <= config.max_range_km && line_of_sight(pa, pb, config.occlusion_margin_km) {
+            if length <= config.max_range_km && line_of_sight(pa, pb, OCCLUSION_MARGIN_KM) {
                 links.push(Link { a, b, length_km: length });
             }
         };
@@ -526,14 +509,8 @@ impl Topology {
                 }
             }
             // Cross-plane to the next plane's nearest slot.
-            let next_plane = if p + 1 < n_planes {
-                Some(p + 1)
-            } else if config.wrap_planes && n_planes > 2 {
-                Some(0)
-            } else {
-                None
-            };
-            if let Some(q) = next_plane {
+            if p + 1 < n_planes {
+                let q = p + 1;
                 let q_slots = constellation.slots_in_plane(q);
                 for s in 0..slots {
                     let from = SatId { plane: p, slot: s };
@@ -912,11 +889,7 @@ mod tests {
     #[test]
     fn range_limit_prunes_links() {
         let c = test_constellation(3, 8);
-        let tight = grid_at(
-            &c,
-            Epoch::J2000,
-            GridTopologyConfig { max_range_km: 100.0, ..Default::default() },
-        );
+        let tight = grid_at(&c, Epoch::J2000, GridTopologyConfig { max_range_km: 100.0 });
         assert_eq!(tight.edges().count(), 0, "no link is under 100 km");
         let loose = grid_at(&c, Epoch::J2000, Default::default());
         assert!(loose.edges().count() > 0);
@@ -931,7 +904,7 @@ mod tests {
         for a in 0..topo.n_nodes() {
             for &(b, length_km) in topo.neighbors(a) {
                 assert!(length_km <= cfg.max_range_km);
-                assert!(line_of_sight(position(a), position(b), cfg.occlusion_margin_km));
+                assert!(line_of_sight(position(a), position(b), OCCLUSION_MARGIN_KM));
             }
         }
     }
@@ -1064,17 +1037,5 @@ mod tests {
         let mut lone = vec![false; 30];
         lone[7] = true;
         assert_eq!(topo.components(Some(&lone)).largest(), 1);
-    }
-
-    #[test]
-    fn wrap_planes_adds_links() {
-        let c = test_constellation(5, 8);
-        let open = grid_at(&c, Epoch::J2000, Default::default());
-        let wrapped = grid_at(
-            &c,
-            Epoch::J2000,
-            GridTopologyConfig { wrap_planes: true, ..Default::default() },
-        );
-        assert!(wrapped.edges().count() >= open.edges().count());
     }
 }

@@ -8,16 +8,15 @@
 
 use crate::error::Result;
 use crate::routing::{
-    assemble_route, great_circle_delay_ms, GuidedSearch, Landmarks, ServingIndex,
+    great_circle_delay_ms, ground_route_km_ms, GuidedSearch, Landmarks, ServingIndex,
 };
 use crate::snapshot::Snapshot;
-use crate::topology::{sat_id_at, SatId, Topology};
+use crate::topology::{SatId, Topology};
 use crate::traffic_engine::FlowIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssplane_astro::geo::GeoPoint;
 use ssplane_demand::DemandModel;
-use std::collections::BTreeMap;
 
 /// A ground-to-ground traffic flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,12 +80,10 @@ pub struct TrafficReport {
     pub routed: usize,
     /// Flows with no route (endpoint uncovered or partition).
     pub unrouted: usize,
-    /// Load per directed link (keyed by ordered satellite pair). A
-    /// `BTreeMap` so iteration — and therefore the floating-point
-    /// summation order of the aggregate statistics — is deterministic:
-    /// the scenario engine's byte-identical-output contract covers the
-    /// network stage too.
-    pub link_load: BTreeMap<(SatId, SatId), f64>,
+    /// Load per loaded directed link, keyed by ordered satellite pair, in
+    /// ascending key order — the summation order of the aggregate
+    /// statistics, so the network stage's bytes are deterministic.
+    pub link_load: Vec<((SatId, SatId), f64)>,
     /// Mean latency stretch over routed flows: route delay / great-circle
     /// fiber delay.
     pub mean_stretch: f64,
@@ -107,16 +104,70 @@ pub struct TrafficReport {
 impl TrafficReport {
     /// The maximum utilization on any link (raw load at unit capacity).
     pub fn max_link_load(&self) -> f64 {
-        self.link_load.values().cloned().fold(0.0, f64::max) / self.link_capacity
+        self.link_load.iter().map(|&(_, load)| load).fold(0.0, f64::max) / self.link_capacity
     }
 
     /// Mean utilization over loaded links (raw load at unit capacity).
     pub fn mean_link_load(&self) -> f64 {
-        if self.link_load.is_empty() {
-            0.0
-        } else {
-            self.link_load.values().sum::<f64>() / self.link_load.len() as f64 / self.link_capacity
+        mean_link_load(&self.link_load, self.link_capacity)
+    }
+}
+
+/// The mean of per-link `loads`, summed in their order, at link
+/// `capacity` (`0` with no loaded link).
+pub(crate) fn mean_link_load<K>(loads: &[(K, f64)], capacity: f64) -> f64 {
+    let sum: f64 = loads.iter().map(|&(_, load)| load).sum();
+    if loads.is_empty() {
+        0.0
+    } else {
+        sum / loads.len() as f64 / capacity
+    }
+}
+
+/// The per-link load tally of routed paths over one topology — the one
+/// link-load accumulation: the traffic assignment's report and the
+/// incremental scorer's load inflation both read it. Loads accumulate
+/// in path order into a dense array indexed by each node pair's first
+/// arc ([`Topology::arc_offset`]), so parallel arcs load one link and a
+/// zero-demand path still counts its links.
+#[derive(Debug)]
+pub(crate) struct LinkTally<'t> {
+    topology: &'t Topology,
+    /// Load per directed arc, and whether a path crossed it.
+    load: Vec<f64>,
+    loaded: Vec<bool>,
+    /// Each loaded link as `(a, b, arc)`, in first-load order.
+    links: Vec<(usize, usize, usize)>,
+}
+
+impl<'t> LinkTally<'t> {
+    /// An empty tally over `topology`'s arcs.
+    pub(crate) fn new(topology: &'t Topology) -> Self {
+        let arcs = topology.n_arcs();
+        LinkTally { topology, load: vec![0.0; arcs], loaded: vec![false; arcs], links: Vec::new() }
+    }
+
+    /// Adds `demand` to every link of the flat path `hops`.
+    ///
+    /// # Panics
+    /// If consecutive hops are not linked.
+    pub(crate) fn add(&mut self, hops: &[usize], demand: f64) {
+        for hop in hops.windows(2) {
+            let (a, b) = (hop[0], hop[1]);
+            let j = self.topology.neighbors(a).iter().position(|&(v, _)| v == b);
+            let arc = self.topology.arc_offset(a) + j.expect("a path hop is a link");
+            if !std::mem::replace(&mut self.loaded[arc], true) {
+                self.links.push((a, b, arc));
+            }
+            self.load[arc] += demand;
         }
+    }
+
+    /// Each loaded link's load, in ascending flat `(a, b)` order — the
+    /// `SatId` key order, since flat indices ascend plane-major.
+    pub(crate) fn into_loads(mut self) -> Vec<((usize, usize), f64)> {
+        self.links.sort_unstable();
+        self.links.iter().map(|&(a, b, arc)| ((a, b), self.load[arc])).collect()
     }
 }
 
@@ -126,11 +177,14 @@ impl TrafficReport {
 /// endpoint, and each flow's ISL path comes from one landmark-guided
 /// [`GuidedSearch`] over [`Landmarks`] built for `topology` —
 /// bit-identical to the per-flow [`crate::routing::shortest_path`]
-/// reference.
+/// reference. `topology` is built over `snapshot`: snapshot flat indices
+/// are its node indices.
 ///
 /// # Errors
-/// Propagates topology failure; per-flow unreachability is counted, not
-/// raised.
+/// None: per-flow unreachability is counted, not raised.
+///
+/// # Panics
+/// If `topology` has fewer nodes than `snapshot` has satellites.
 pub fn assign_traffic(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
@@ -141,28 +195,26 @@ pub fn assign_traffic(
     let labels = topology.components(None).labels;
     let index = FlowIndex::new(flows);
     let servers = ServingIndex::new(*snapshot, min_elevation).attach(&index.points);
-    let ends = serving_pairs(snapshot, &index, &servers, &labels);
-    assign_guided(snapshot, topology, &landmarks, None, flows, &ends, 1.0)
+    let ends = serving_pairs(&index, &servers, &labels);
+    Ok(assign_guided(snapshot, topology, &landmarks, None, flows, &ends, 1.0))
 }
 
-/// Each flow's serving pair (first and last hop) under `servers`, the
-/// flat snapshot index serving each endpoint of `index` — `None` where
-/// an endpoint is unserved or the two servers lie in different
-/// components (`labels`, [`Topology::components`]). Such a flow has no
-/// route — Dijkstra returns `NoRoute` exactly when the labels differ —
-/// so it is counted unrouted without a search.
+/// Each flow's serving pair (first and last hop, flat indices) under
+/// `servers`, the flat snapshot index serving each endpoint of `index` —
+/// `None` where an endpoint is unserved or the two servers lie in
+/// different components (`labels`, [`Topology::components`]). Such a
+/// flow has no route — Dijkstra returns `NoRoute` exactly when the
+/// labels differ — so it is counted unrouted without a search.
 pub(crate) fn serving_pairs(
-    snapshot: &Snapshot<'_>,
     index: &FlowIndex,
     servers: &[Option<usize>],
     labels: &[u32],
-) -> Vec<Option<(SatId, SatId)>> {
-    let id = |flat| sat_id_at(snapshot.plane_offsets(), flat).expect("a flat index in range");
+) -> Vec<Option<(usize, usize)>> {
     (0..index.flow_pair.len())
         .map(|i| {
             let (a, b) = index.ends(i);
             let (s, d) = servers[a].zip(servers[b])?;
-            (labels[s] == labels[d]).then(|| (id(s), id(d)))
+            (labels[s] == labels[d]).then_some((s, d))
         })
         .collect()
 }
@@ -173,19 +225,26 @@ pub(crate) fn serving_pairs(
 /// which stay valid bounds on any masked subgraph (see [`Landmarks`]),
 /// with the load statistics read as utilization of `link_capacity`
 /// (routing is identical: no admission control, which is
-/// [`crate::traffic_engine`]'s job). The degraded evaluator builds the
-/// landmarks and ranks the servers once per intact slot, and every
-/// masked pass routes over the intact topology under its mask.
+/// [`crate::traffic_engine`]'s job). Routing runs on flat indices end to
+/// end; `SatId`s are built only for each outcome's serving pair and the
+/// report's link keys. The degraded evaluator builds the landmarks and
+/// ranks the servers once per intact slot, and every masked pass routes
+/// over the intact topology under its mask.
+///
+/// # Panics
+/// If a serving pair of one component has no route — the component
+/// labels and the search disagree.
 pub(crate) fn assign_guided(
     snapshot: &Snapshot<'_>,
     topology: &Topology,
     landmarks: &Landmarks,
     alive: Option<&[bool]>,
     flows: &[Flow],
-    ends: &[Option<(SatId, SatId)>],
+    ends: &[Option<(usize, usize)>],
     link_capacity: f64,
-) -> Result<TrafficReport> {
-    let mut link_load: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
+) -> TrafficReport {
+    let id = |flat| topology.id_of(flat).expect("a node of the topology");
+    let mut tally = LinkTally::new(topology);
     let mut routed = 0usize;
     let mut unrouted = 0usize;
     let mut stretch_sum = 0.0;
@@ -193,23 +252,25 @@ pub(crate) fn assign_guided(
     let mut flow_outcomes: Vec<Option<FlowOutcome>> = Vec::with_capacity(flows.len());
     let mut search = GuidedSearch::new();
     for (flow, pair) in flows.iter().zip(ends) {
-        let Some((s_sat, d_sat)) = *pair else {
+        let Some((s, d)) = *pair else {
             unrouted += 1;
             flow_outcomes.push(None);
             continue;
         };
-        let (hops, isl_km) = search.shortest_path(topology, landmarks, alive, s_sat, d_sat)?;
-        let route = assemble_route(snapshot, flow.src, flow.dst, s_sat, d_sat, hops, isl_km)?;
+        let (hops, isl_km) = search
+            .flat_path(topology, landmarks, alive, s, d)
+            .expect("a serving pair of one component has a route");
+        let (_, delay_ms) = ground_route_km_ms(snapshot, flow.src, flow.dst, (s, d), isl_km);
         routed += 1;
-        hop_sum += route.hops.len();
+        hop_sum += hops.len();
         let fiber = great_circle_delay_ms(flow.src, flow.dst).max(0.1);
-        stretch_sum += route.delay_ms / fiber;
-        for pair in route.hops.windows(2) {
-            *link_load.entry((pair[0], pair[1])).or_insert(0.0) += flow.demand;
-        }
-        flow_outcomes.push(Some(FlowOutcome { delay_ms: route.delay_ms, ends: (s_sat, d_sat) }));
+        stretch_sum += delay_ms / fiber;
+        tally.add(&hops, flow.demand);
+        flow_outcomes.push(Some(FlowOutcome { delay_ms, ends: (id(s), id(d)) }));
     }
-    Ok(TrafficReport {
+    let link_load =
+        tally.into_loads().into_iter().map(|((a, b), load)| ((id(a), id(b)), load)).collect();
+    TrafficReport {
         routed,
         unrouted,
         link_load,
@@ -217,7 +278,7 @@ pub(crate) fn assign_guided(
         mean_hops: if routed == 0 { f64::NAN } else { hop_sum as f64 / routed as f64 },
         flow_outcomes,
         link_capacity,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -231,6 +292,7 @@ mod tests {
     use ssplane_astro::time::Epoch;
     use ssplane_demand::diurnal::DiurnalModel;
     use ssplane_demand::population::{PopulationConfig, PopulationGrid};
+    use std::collections::BTreeMap;
 
     fn model() -> DemandModel {
         DemandModel::new(
@@ -349,7 +411,7 @@ mod tests {
         let degraded = assign_traffic(&masked, &degraded_topo, &flows, 25f64.to_radians()).unwrap();
         assert!(degraded.routed <= intact.routed);
         assert_eq!(degraded.routed + degraded.unrouted, 40);
-        for (a, b) in degraded.link_load.keys().map(|&(a, b)| (a, b)) {
+        for &((a, b), _) in &degraded.link_load {
             for end in [a, b] {
                 assert!(mask[snap.flat_index(end).unwrap()], "load crosses dead sat {end:?}");
             }
@@ -430,12 +492,69 @@ mod tests {
         let (landmarks, labels) = (Landmarks::build(&topo), topo.components(None).labels);
         let index = FlowIndex::new(&flows);
         let servers = ServingIndex::new(snap, 25f64.to_radians()).attach(&index.points);
-        let ends = serving_pairs(&snap, &index, &servers, &labels);
-        let scaled = assign_guided(&snap, &topo, &landmarks, None, &flows, &ends, 2.0).unwrap();
+        let ends = serving_pairs(&index, &servers, &labels);
+        let scaled = assign_guided(&snap, &topo, &landmarks, None, &flows, &ends, 2.0);
         assert_eq!(scaled.routed, unit.routed);
         assert_eq!(scaled.link_load, unit.link_load, "raw loads are capacity-independent");
         assert!((scaled.max_link_load() - unit.max_link_load() / 2.0).abs() < 1e-12);
         assert!((scaled.mean_link_load() - unit.mean_link_load() / 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dense_link_loads_match_the_per_link_map() {
+        // Two arcs join (0, 0)–(0, 1), the last path carries no demand,
+        // and node 1 lists node 2 before node 0, so neither arc order nor
+        // first-load order is the key order — and with these demands the
+        // sum's last bit depends on its order.
+        let id = |plane, slot| SatId { plane, slot };
+        let link = |a, b| crate::topology::Link { a, b, length_km: 1.0 };
+        let topology = Topology::from_links(
+            vec![
+                link(id(0, 1), id(1, 0)),
+                link(id(0, 0), id(0, 1)),
+                link(id(0, 1), id(0, 0)),
+                link(id(1, 0), id(1, 1)),
+            ],
+            vec![0, 2, 4],
+        );
+        let paths: [(f64, &[usize]); 4] =
+            [(0.1, &[0, 1, 2]), (0.2, &[1, 0]), (0.2, &[0, 1]), (0.0, &[2, 3])];
+        let mut reference: BTreeMap<(SatId, SatId), f64> = BTreeMap::new();
+        let mut tally = LinkTally::new(&topology);
+        for &(demand, hops) in &paths {
+            for hop in hops.windows(2) {
+                let key = (topology.id_of(hop[0]).unwrap(), topology.id_of(hop[1]).unwrap());
+                *reference.entry(key).or_insert(0.0) += demand;
+            }
+            tally.add(hops, demand);
+        }
+        assert_eq!(reference.len(), 4, "one link per node pair, the idle one included");
+        let loads = tally.into_loads();
+        let key = |(a, b)| (topology.id_of(a).unwrap(), topology.id_of(b).unwrap());
+        let bits = |(k, load): (_, f64)| (k, load.to_bits());
+        assert_eq!(
+            loads.iter().map(|&(k, load)| bits((key(k), load))).collect::<Vec<_>>(),
+            reference.iter().map(|(&k, &load)| bits((k, load))).collect::<Vec<_>>(),
+            "the whole per-link list, key for key and bit for bit"
+        );
+        for capacity in [1.0, 3.0] {
+            let report = TrafficReport {
+                routed: paths.len(),
+                unrouted: 0,
+                link_load: loads.iter().map(|&(k, load)| (key(k), load)).collect(),
+                mean_stretch: f64::NAN,
+                mean_hops: f64::NAN,
+                flow_outcomes: Vec::new(),
+                link_capacity: capacity,
+            };
+            let n = reference.len() as f64;
+            let mean = reference.values().sum::<f64>() / n / capacity;
+            let max = reference.values().copied().fold(0.0, f64::max) / capacity;
+            assert_eq!(report.mean_link_load().to_bits(), mean.to_bits(), "capacity {capacity}");
+            assert_eq!(report.max_link_load().to_bits(), max.to_bits(), "capacity {capacity}");
+        }
+        assert!(LinkTally::new(&topology).into_loads().is_empty());
+        assert_eq!(mean_link_load::<()>(&[], 1.0), 0.0);
     }
 
     #[test]

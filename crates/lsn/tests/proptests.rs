@@ -144,7 +144,6 @@ proptest! {
         ltans in collection::vec(0.0f64..24.0, 1usize..7),
         slot_counts in collection::vec(1usize..45, 1usize..7),
         dt in 0.0f64..172_800.0,
-        wrap in 0usize..2,
         max_range_km in 1500.0f64..6000.0,
     ) {
         // Pair the sampled LTANs and slot counts into a random plane set
@@ -155,11 +154,7 @@ proptest! {
             ltans.iter().copied().zip(slot_counts.iter().copied()).collect();
         let c = random_constellation(altitude_km, &plane_params);
         let t = Epoch::J2000 + dt;
-        let config = GridTopologyConfig {
-            max_range_km,
-            wrap_planes: wrap == 1,
-            ..GridTopologyConfig::default()
-        };
+        let config = GridTopologyConfig { max_range_km };
         let legacy = Topology::plus_grid_at(&c, t, config).unwrap();
         let series = SnapshotSeries::build(&c, &[t]).unwrap();
         let snapshot = Topology::plus_grid(&series.snapshot(0), config).unwrap();

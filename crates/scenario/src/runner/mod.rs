@@ -146,10 +146,11 @@ pub struct ScenarioTimings {
     pub stages: Vec<(String, f64)>,
     /// `(metric, value)` derived rows in execution order — rates such as
     /// `<system>.attack_search.candidates_per_sec`, the attack search's
-    /// scoring throughput, and deterministic work counters such as
+    /// scoring throughput, and deterministic work counters:
     /// `<system>.percolation.lambda2_products`, the λ₂ solves' Laplacian
-    /// applications. Not wall-clock, so kept out of
-    /// `Self::total_seconds`.
+    /// applications, and `<system>.network.reattached`, the endpoints the
+    /// degraded pass re-attached because a mask killed their intact
+    /// server. Not wall-clock, so kept out of `Self::total_seconds`.
     pub metrics: Vec<(String, f64)>,
     /// `(kernel, count)` of this point's requests to the run's
     /// [`KernelCache`] ([`KernelCache::counters`]). Which point computes a

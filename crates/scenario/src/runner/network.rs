@@ -90,7 +90,6 @@ pub(super) fn traffic_inputs(
             sites: spec.traffic.sites,
             utc_hour: spec.network.utc_hour,
             seed: spec.seed ^ TRAFFIC_SEED_SALT,
-            ..GravityConfig::default()
         };
         let field = cache.gravity_field(gravity_key(spec), model);
         let gravity = gravity_flows_in(&field, &config, point_threads)?;
@@ -189,10 +188,7 @@ pub(super) fn network_context<'t>(
     let series = SnapshotSeries::build_parallel(&constellation, &grid, point_threads)?;
     Ok(NetworkContext {
         constellation,
-        topo_config: GridTopologyConfig {
-            max_range_km: spec.network.max_range_km,
-            ..GridTopologyConfig::default()
-        },
+        topo_config: GridTopologyConfig { max_range_km: spec.network.max_range_km },
         min_elev: spec.network.min_elevation_deg.to_radians(),
         t,
         series,
@@ -604,7 +600,7 @@ mod tests {
         let traffic = TrafficReport {
             routed: outcomes.iter().flatten().count(),
             unrouted: outcomes.iter().filter(|o| o.is_none()).count(),
-            link_load: std::collections::BTreeMap::new(),
+            link_load: Vec::new(),
             link_capacity: 1.0,
             mean_stretch: 1.0,
             mean_hops: 1.0,
