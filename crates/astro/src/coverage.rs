@@ -11,7 +11,8 @@
 //!
 //! The workspace default minimum elevation is [`DEFAULT_MIN_ELEVATION_DEG`]
 //! (30°), which calibrates the analytic sizes to the satellite counts the
-//! paper reports (see EXPERIMENTS.md for the sensitivity ablation).
+//! paper reports (the `min_elevation_deg` rows of
+//! `ssplane_bench::figures::ablations` are the sensitivity ablation).
 
 use crate::constants::EARTH_RADIUS_KM;
 use crate::error::{AstroError, Result};

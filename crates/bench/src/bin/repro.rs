@@ -4,8 +4,8 @@
 //! repro <fig1..fig10|ablations|extensions|all> [--quick]
 //! ```
 //!
-//! Output is printed to stdout as aligned tables or CSV; EXPERIMENTS.md
-//! records the paper-vs-measured comparison for each experiment.
+//! Output is printed to stdout as aligned tables or CSV; the workspace's
+//! `tests/figures.rs` asserts each figure's qualitative claims.
 //! `--quick` shrinks sweep sizes ~10x for smoke runs.
 
 use ssplane_bench::figures;

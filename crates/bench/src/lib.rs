@@ -5,7 +5,7 @@
 //! Every figure in the paper's evaluation is backed by one module in
 //! [`figures`], returning typed series that the `repro` binary renders,
 //! the Criterion benches time, and the workspace integration tests assert
-//! shape properties on. EXPERIMENTS.md records paper-vs-measured values.
+//! shape properties on (`tests/figures.rs`, one test per figure).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -98,7 +98,9 @@ impl Default for BeltModel {
         // Amplitudes calibrated so 560 km daily fluences land in the
         // decades of the paper's Fig. 7 (electrons ~10⁹–10¹⁰, protons
         // ~10⁷ #/cm²/MeV/day); structure parameters from standard belt
-        // climatology. See EXPERIMENTS.md for the calibration record.
+        // climatology. `fig7_inclination_worst_case` in the workspace's
+        // `tests/figures.rs` holds the electron peak and the proton
+        // fluences to those decades.
         BeltModel {
             inner_protons: BeltComponent {
                 peak_l: 1.45,

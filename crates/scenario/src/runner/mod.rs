@@ -54,7 +54,8 @@ use network::{network_context, networked_system_report, traffic_inputs, TrafficI
 use ssplane_astro::par;
 use ssplane_core::cache::{CacheCount, ComputeOnce, DemandGridKey, GravityKey, KernelCache};
 use ssplane_core::system::{
-    DesignParams, Designer, RgtDesigner, SlimDesigner, SsDesigner, StarlinkDesigner, WalkerDesigner,
+    DesignParams, Designer, RgtDesigner, SlimDesigner, SsDesigner, StarlinkDesigner,
+    WalkerDesigner, DESIGNER_REGISTRY,
 };
 use ssplane_demand::DemandModel;
 use std::cell::OnceCell;
@@ -403,32 +404,34 @@ impl SweepOutcome {
         out
     }
 
-    /// A human-readable aggregate summary (one row per scenario).
+    /// A human-readable aggregate summary: one row per scenario, with a
+    /// satellite-count and an availability column per
+    /// [`DESIGNER_REGISTRY`] entry (`-` where the point did not run it).
     pub fn summary(&self) -> String {
-        const SYSTEMS: [(&str, &str); 5] =
-            [("ss", "SS"), ("wd", "WD"), ("rgt", "RGT"), ("slim", "SLIM"), ("starlink", "STAR")];
-        let mut out = String::new();
-        out.push_str(&format!("{:<52}", "scenario"));
-        for (_, label) in SYSTEMS {
-            out.push_str(&format!(
-                " {:>9} {:>10}",
-                format!("{label} sats"),
-                format!("{label} avail")
-            ));
+        let columns: Vec<(&str, String, String)> = DESIGNER_REGISTRY
+            .iter()
+            .map(|&(name, _)| {
+                let label = name.to_uppercase();
+                (name, format!("{label} sats"), format!("{label} avail"))
+            })
+            .collect();
+        let mut out = format!("{:<52}", "scenario");
+        for (_, sats, avail) in &columns {
+            out.push_str(&format!(" {sats:>9} {avail:>10}"));
         }
         out.push('\n');
         for (i, r) in self.reports.iter().enumerate() {
             match r {
                 Ok(rep) => {
                     out.push_str(&format!("{:<52}", rep.name));
-                    for (name, _) in SYSTEMS {
-                        let sats =
-                            rep.system(name).map_or("-".to_string(), |x| x.design.sats.to_string());
-                        let avail = rep
-                            .system(name)
+                    for (name, sats_head, avail_head) in &columns {
+                        let system = rep.system(name);
+                        let sats = system.map_or("-".to_string(), |x| x.design.sats.to_string());
+                        let avail = system
                             .and_then(|x| x.survivability.as_ref())
                             .map_or("-".to_string(), |v| format!("{:.4}", v.availability));
-                        out.push_str(&format!(" {sats:>9} {avail:>10}"));
+                        let (w, v) = (sats_head.len().max(9), avail_head.len().max(10));
+                        out.push_str(&format!(" {sats:>w$} {avail:>v$}"));
                     }
                     out.push('\n');
                 }
@@ -1102,6 +1105,19 @@ mod tests {
         assert_eq!(s.handoffs, n.handoffs);
         assert_eq!(s.mean_delay_ms, n.mean_delay_ms);
         assert_eq!(s.routed, n.routed);
+    }
+
+    #[test]
+    fn summary_header_names_every_registry_designer() {
+        let empty = SweepOutcome { names: Vec::new(), reports: Vec::new(), timings: Vec::new() };
+        let summary = empty.summary();
+        let header = summary.lines().next().expect("a header row");
+        for &(name, _) in DESIGNER_REGISTRY {
+            let label = name.to_uppercase();
+            for column in [format!("{label} sats"), format!("{label} avail")] {
+                assert!(header.contains(&column), "no `{column}` column: {header}");
+            }
+        }
     }
 
     #[test]

@@ -633,6 +633,47 @@ mod tests {
         assert_eq!(time_grid_report(&two).handoffs, 1);
     }
 
+    #[test]
+    fn pooled_reference_route_matches_a_rebuilt_series_slot_for_slot() {
+        use crate::runner::{designer_for, shared_demand_model};
+        use ssplane_core::system::DesignParams;
+        use ssplane_demand::grid::LatTodGrid;
+        let mut spec = tiny_spec();
+        spec.network.enabled = true;
+        spec.network.n_flows = 20;
+        (spec.network.slots, spec.network.slot_s) = (4, 600.0);
+        spec.network.time_grid_slot_s = 600.0;
+        let model = shared_demand_model(&spec, 1);
+        let grid = LatTodGrid::from_model(&model, spec.demand.lat_bins, spec.demand.tod_bins)
+            .unwrap()
+            .scaled(1.0);
+        let params = DesignParams { epoch: spec.radiation.epoch() };
+        let sys = designer_for("ss", &spec.design).design(&grid, &params).unwrap();
+        let traffic = traffic_inputs(&spec, &model, &KernelCache::default(), 2).unwrap();
+        let route = |time_grid_slots| {
+            let mut spec = spec.clone();
+            spec.network.time_grid_slots = time_grid_slots;
+            let ctx = network_context(&spec, &sys, &traffic, 2).unwrap();
+            let evaluator = DegradedEvaluator::with_workload_threads(
+                &ctx.series,
+                &traffic.flows,
+                ctx.min_elev,
+                ctx.topo_config,
+                None,
+                2,
+            )
+            .unwrap();
+            reference_route(&spec, &ctx, &evaluator).unwrap()
+        };
+        // A 4-slot traffic grid is the route grid, so the route rides the
+        // evaluator's topologies; a 1-slot one makes it rebuild a series.
+        let (pooled, rebuilt) = (route(4), route(1));
+        assert_eq!(pooled.epochs, rebuilt.epochs);
+        // The slots route differently, so a permuted slot order shows.
+        assert_ne!(rebuilt.routes.first(), rebuilt.routes.last(), "{rebuilt:?}");
+        assert_eq!(pooled.routes, rebuilt.routes);
+    }
+
     /// A 3-plane system with a permuted network order and an empty
     /// middle plane — the RGT-style layout the degraded-stage mapping
     /// has to survive.

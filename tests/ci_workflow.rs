@@ -6,6 +6,9 @@
 //! - a `run:` value written as a plain (unquoted, non-block) scalar
 //!   that contains `: ` (a mapping indicator) or ` #` (a comment);
 //! - a line indented with a tab, which YAML forbids.
+//!
+//! It also checks that the workflow keeps its tier-1 `cargo test -q`
+//! step, which carries every determinism and work-counter gate.
 
 /// Every offending line of `text`, as `line N: reason`.
 fn problems(text: &str) -> Vec<String> {
@@ -51,6 +54,10 @@ fn the_ci_workflow_has_no_unparseable_lines() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
     let text = std::fs::read_to_string(path).expect("read the CI workflow");
     assert!(text.contains("\njobs:\n"), "the workflow declares its jobs");
+    assert!(
+        text.lines().any(|l| l.trim() == "run: cargo test -q"),
+        "{path}: no `run: cargo test -q` step; tier-1 carries the golden and counter gates"
+    );
     assert_eq!(problems(&text), Vec::<String>::new(), "{path}");
 }
 

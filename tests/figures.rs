@@ -1,7 +1,7 @@
-//! Shape assertions for every reproduced figure — the executable version
-//! of EXPERIMENTS.md's paper-vs-measured checklist. Each test runs the
-//! figure pipeline at reduced resolution and asserts the *qualitative*
-//! claims the paper makes about that figure.
+//! Shape assertions for every reproduced figure: the paper-vs-measured
+//! checks, one test per figure. Each test runs the figure pipeline at
+//! reduced resolution and asserts the *qualitative* claims the paper
+//! makes about that figure.
 
 use ssplane_bench::figures::*;
 use ssplane_radiation::Species;
