@@ -1,5 +1,6 @@
 //! Ablation benches: time the design pipeline under the alternative
-//! configurations of DESIGN.md §6 (the *result* comparison is produced by
+//! branch rules, grid resolutions and Walker supply models of
+//! `figures::ablations` (the *result* comparison is produced by
 //! `repro ablations`; these measure the cost of each variant).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,8 +1,9 @@
 //! Criterion bench for the Fig. 9/10 pipeline: the greedy SS-plane
 //! designer and the multi-shell Walker baseline on the realistic demand
-//! grid, the per-plane fluence sampling of the largest SS design, and the
-//! paper sweep's design and fluence kernels through per-call caches vs
-//! one shared [`KernelCache`].
+//! grid, the per-plane fluence sampling of the largest SS design (alone
+//! and by two workers sharing one cache), and the paper sweep's design
+//! and fluence kernels through per-call caches vs one shared
+//! [`KernelCache`].
 //!
 //! The design and fluence kernel numbers land in `BENCH_design.json` at
 //! the repository root; re-capture with
@@ -10,6 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ssplane_astro::kepler::OrbitalElements;
+use ssplane_astro::par::par_map;
 use ssplane_bench::figures::{
     default_demand_model, default_environment, default_grid, design_epoch,
 };
@@ -101,6 +103,18 @@ fn bench_designers(c: &mut Criterion) {
         b.iter(|| {
             let samples = plane_fluence_samples(black_box(&groups), &env, epoch, 1, 120.0).unwrap();
             black_box(samples.len())
+        })
+    });
+
+    // Two workers sampling that design at once through one fresh cache,
+    // as two sweep points that share a design do: each distinct orbit is
+    // still integrated once, by whichever worker claims it first.
+    c.bench_function("plane_fluence_samples_ss_B5000/pair", |b| {
+        b.iter(|| {
+            let cache = KernelCache::new(env);
+            black_box(par_map(vec![(); 2], 2, |()| {
+                plane_fluence_samples_in(black_box(&groups), &cache, epoch, 1, 120.0).unwrap().len()
+            }))
         })
     });
 

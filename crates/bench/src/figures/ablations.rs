@@ -1,6 +1,7 @@
-//! Ablations of the design choices called out in DESIGN.md §6:
-//! branch-selection rule, minimum elevation, grid resolution, and the
-//! Walker supply model.
+//! Ablations of the designers' fixed choices, one knob at a time at the
+//! probe demand level: the SS branch-selection rule, the minimum
+//! elevation, the demand-grid resolution, and the Walker baseline's supply
+//! model and shell set. `repro ablations` prints the table.
 
 use crate::render;
 use ssplane_core::designer::{design_ss_constellation, BranchRule, DesignConfig};

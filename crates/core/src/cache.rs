@@ -14,6 +14,14 @@
 //! key once for as long as the cache lives; the scenario runner builds
 //! one per run and lends it to every point.
 //!
+//! Points that run at the same time often ask for the same keys: points
+//! that differ only in what neither design nor fluence reads (say
+//! `spares.count`) share every fluence integration. A point's fluence
+//! samples are fetched as one batch that computes every key no other point
+//! holds before it waits on one that another point is computing, so
+//! concurrent points split the shared integrations instead of queueing on
+//! them.
+//!
 //! The reuse is exact: a key holds every input bit the kernel reads, so a
 //! cached value is the value a fresh computation would return.
 
@@ -28,15 +36,17 @@ use ssplane_radiation::fluence::{daily_fluence, DailyFluence};
 use ssplane_radiation::RadiationEnvironment;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 /// A map of compute-once cells: each key's value is computed by the first
-/// caller that wants it, while later callers for the same key wait for
-/// that computation and then read its result. Each key is therefore
-/// computed exactly once at any thread count. The map lock is held only
-/// while a cell is fetched, so distinct keys compute concurrently.
-/// Errors are returned to the caller and never stored: the next caller
-/// for that key computes again.
+/// caller that claims its cell, and every other caller reads the stored
+/// result. Each key is therefore computed exactly once at any thread
+/// count. The map lock is held only while cells are fetched, so distinct
+/// keys compute concurrently, and a caller never waits on a cell another
+/// caller holds while one of its own keys is still free: a fetch claims
+/// and fills every free cell first and waits for the held ones last
+/// ([`Self::get_or_try_compute_each`]). Errors are returned to the caller
+/// and never stored: the next caller for that key computes again.
 #[derive(Debug, Default)]
 pub struct ComputeOnce<K, V> {
     cells: Mutex<BTreeMap<K, Arc<Mutex<Option<V>>>>>,
@@ -48,8 +58,67 @@ impl<K: Ord, V: Clone> ComputeOnce<K, V> {
         ComputeOnce { cells: Mutex::new(BTreeMap::new()) }
     }
 
-    /// The value for `key`, computed by `compute` unless an earlier call
-    /// already stored it.
+    /// Hands the value of each of `keys` to `put`, with the key's index
+    /// in `keys`; a value no earlier fetch stored is computed by
+    /// `compute(i)`. Nothing is allocated unless a key is deferred.
+    ///
+    /// A first pass claims every cell no other caller holds and reads or
+    /// computes it; a second pass waits for the cells it deferred and
+    /// computes any still empty (the holder's computation failed). So
+    /// `put` sees the deferred keys last, and which caller computes a key
+    /// depends on timing, but its value and the number of computations do
+    /// not.
+    ///
+    /// # Errors
+    /// The lowest-index error `compute` returns. Every key is fetched even
+    /// so, and no error is stored.
+    pub fn get_or_try_compute_each<E>(
+        &self,
+        keys: impl IntoIterator<Item = K>,
+        mut compute: impl FnMut(usize) -> std::result::Result<V, E>,
+        mut put: impl FnMut(usize, V),
+    ) -> std::result::Result<(), E> {
+        let mut fill = |i: usize, mut slot: MutexGuard<'_, Option<V>>| match slot.as_ref() {
+            Some(value) => Ok(value.clone()),
+            None => {
+                let value = compute(i)?;
+                *slot = Some(value.clone());
+                Ok(value)
+            }
+        };
+        let mut first_error: Option<(usize, E)> = None;
+        let mut settle = |i: usize, value| match value {
+            Ok(value) => put(i, value),
+            Err(e) if first_error.as_ref().is_none_or(|&(first, _)| i < first) => {
+                first_error = Some((i, e));
+            }
+            Err(_) => {}
+        };
+        let mut deferred = Vec::new();
+        for (i, key) in keys.into_iter().enumerate() {
+            // A panicking computation leaves its cell empty and the map
+            // consistent, so a poisoned lock is safe to take over.
+            let cell = Arc::clone(
+                self.cells.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
+            );
+            let claimed = match cell.try_lock() {
+                Ok(slot) => Some(fill(i, slot)),
+                Err(TryLockError::Poisoned(poisoned)) => Some(fill(i, poisoned.into_inner())),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            match claimed {
+                Some(value) => settle(i, value),
+                None => deferred.push((i, cell)),
+            }
+        }
+        for (i, cell) in deferred {
+            let value = fill(i, cell.lock().unwrap_or_else(PoisonError::into_inner));
+            settle(i, value);
+        }
+        first_error.map_or(Ok(()), |(_, e)| Err(e))
+    }
+
+    /// The value for `key`: [`Self::get_or_try_compute_each`] of one key.
     ///
     /// # Errors
     /// Whatever `compute` returns; the error is not cached.
@@ -58,18 +127,13 @@ impl<K: Ord, V: Clone> ComputeOnce<K, V> {
         key: K,
         compute: impl FnOnce() -> std::result::Result<V, E>,
     ) -> std::result::Result<V, E> {
-        // A panicking computation leaves its cell empty and the map
-        // consistent, so a poisoned lock is safe to take over.
-        let cell = Arc::clone(
-            self.cells.lock().unwrap_or_else(PoisonError::into_inner).entry(key).or_default(),
-        );
-        let mut slot = cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(value) = slot.as_ref() {
-            return Ok(value.clone());
-        }
-        let value = compute()?;
-        *slot = Some(value.clone());
-        Ok(value)
+        let (mut compute, mut value) = (Some(compute), None);
+        self.get_or_try_compute_each(
+            [key],
+            |_| compute.take().expect("a one-key fetch computes at most once")(),
+            |_, fetched| value = Some(fetched),
+        )?;
+        Ok(value.expect("a fetch that succeeds puts its value"))
     }
 
     /// As [`Self::get_or_try_compute`] for a computation that cannot fail.
@@ -111,6 +175,24 @@ impl Tally {
             self.computed.fetch_add(1, Ordering::Relaxed);
             compute()
         })
+    }
+
+    /// Fetches every key of `keys` from `store`
+    /// ([`ComputeOnce::get_or_try_compute_each`]), counting each request
+    /// and each computation that runs.
+    fn fetch_each<K: Ord, V: Clone, E>(
+        &self,
+        store: &ComputeOnce<K, V>,
+        keys: impl ExactSizeIterator<Item = K>,
+        mut compute: impl FnMut(usize) -> std::result::Result<V, E>,
+        put: impl FnMut(usize, V),
+    ) -> std::result::Result<(), E> {
+        self.requested.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let compute = |i| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            compute(i)
+        };
+        store.get_or_try_compute_each(keys, compute, put)
     }
 
     fn count(&self) -> CacheCount {
@@ -222,18 +304,31 @@ impl KernelCache {
         ]
     }
 
-    /// The daily fluence of `elements` from `epoch` at `step_s`
-    /// ([`daily_fluence`] in the cache's environment).
+    /// Hands the daily fluence of each of `n` sample orbits to `put`, with
+    /// the sample's index: [`daily_fluence`] in the cache's environment of
+    /// `sample(i)` from `epoch` at `step_s`, fetched as one batch
+    /// ([`ComputeOnce::get_or_try_compute_each`]).
+    ///
+    /// # Errors
+    /// The lowest-index integration failure. Every sample is requested
+    /// even so, so the counters do not depend on which caller computed
+    /// what.
     pub(crate) fn daily_fluence(
         &self,
-        elements: &OrbitalElements,
+        n: usize,
+        sample: impl Fn(usize) -> OrbitalElements,
         epoch: Epoch,
         step_s: f64,
-    ) -> Result<DailyFluence> {
-        let key = (element_bits(elements), epoch.seconds_j2000().to_bits(), step_s.to_bits());
-        self.fluence.fetch(&self.kernels.fluence, key, || {
-            Ok(daily_fluence(&self.kernels.env, elements, epoch, step_s)?)
-        })
+        put: impl FnMut(usize, DailyFluence),
+    ) -> Result<()> {
+        let (epoch_bits, step_bits) = (epoch.seconds_j2000().to_bits(), step_s.to_bits());
+        let keys = (0..n).map(|i| (element_bits(&sample(i)), epoch_bits, step_bits));
+        self.fluence.fetch_each(
+            &self.kernels.fluence,
+            keys,
+            |i| Ok(daily_fluence(&self.kernels.env, &sample(i), epoch, step_s)?),
+            put,
+        )
     }
 
     /// The SS designer's candidates for `key`, computed by `compute` on
@@ -294,6 +389,7 @@ pub(crate) fn element_bits(el: &OrbitalElements) -> [u64; 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssplane_astro::par::par_map;
 
     #[test]
     fn each_key_computes_once_and_errors_are_not_stored() {
@@ -317,7 +413,7 @@ mod tests {
         let cache: ComputeOnce<u32, u64> = ComputeOnce::new();
         let runs = AtomicU64::new(0);
         let keys: Vec<u32> = (0..64).map(|k| k % 4).collect();
-        let values = ssplane_astro::par::par_map(keys, 7, |k| {
+        let values = par_map(keys, 7, |k| {
             cache.get_or_compute(k, || {
                 runs.fetch_add(1, Ordering::Relaxed);
                 // Long enough for the other workers to pile up on the cell.
@@ -330,13 +426,123 @@ mod tests {
     }
 
     #[test]
+    fn a_fetch_fills_every_free_cell_before_waiting_on_a_held_one() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let cache: ComputeOnce<u32, u32> = ComputeOnce::new();
+        let (claimed_tx, claimed_rx) = channel();
+        let (release_tx, release_rx) = channel();
+        let (claimed_rx, release_rx) = (Mutex::new(claimed_rx), Mutex::new(release_rx));
+        // Caller A holds key 0's computation open until caller B releases
+        // it from inside key 2's computation. A fetch that waited on key 0
+        // before computing 1 and 2 would never get there: A then gives up
+        // after the timeout and reports that nobody released it.
+        let callers = par_map(vec![true, false], 2, |holder| {
+            if holder {
+                let mut released = false;
+                let value = cache.get_or_compute(0, || {
+                    claimed_tx.send(()).expect("caller B waits for the claim");
+                    let release = release_rx.lock().expect("one holder");
+                    released = release.recv_timeout(Duration::from_secs(5)).is_ok();
+                    0
+                });
+                (vec![Some(value)], Vec::new(), released)
+            } else {
+                claimed_rx.lock().expect("one batch").recv().expect("caller A claims key 0");
+                let (mut computed, mut values) = (Vec::new(), vec![None; 3]);
+                cache
+                    .get_or_try_compute_each(
+                        [0, 1, 2],
+                        |i| {
+                            computed.push(i);
+                            if i == 2 {
+                                release_tx.send(()).expect("the holder outlives the batch");
+                            }
+                            Ok::<_, ()>(10 * u32::try_from(i).expect("three keys"))
+                        },
+                        |i, value| values[i] = Some(value),
+                    )
+                    .unwrap();
+                (values, computed, false)
+            }
+        });
+        assert_eq!(callers[0], (vec![Some(0)], vec![], true), "caller B released the held key");
+        assert_eq!(callers[1], (vec![Some(0), Some(10), Some(20)], vec![1, 2], false));
+    }
+
+    #[test]
+    fn a_failing_key_returns_the_lowest_index_error_at_every_caller_count() {
+        // Keys 2 and 4 fail, and key 1 is asked for twice.
+        let keys = [0_u32, 1, 2, 3, 4, 5, 1];
+        for callers in [1_u64, 2, 7] {
+            let store: ComputeOnce<u32, u32> = ComputeOnce::new();
+            let tally = Tally::default();
+            let n = usize::try_from(callers).unwrap();
+            let start = std::sync::Barrier::new(n);
+            let results = par_map(vec![(); n], n, |()| {
+                start.wait();
+                let mut values = [None; 7];
+                tally
+                    .fetch_each(
+                        &store,
+                        keys.into_iter(),
+                        |i| match keys[i] {
+                            k @ (2 | 4) => Err(k),
+                            k => Ok(10 * k),
+                        },
+                        |i, value| values[i] = Some(value),
+                    )
+                    .map(|()| values)
+            });
+            assert!(results.iter().all(|r| *r == Err(2)), "{callers} callers: {results:?}");
+            // Each succeeding key computes once in all; each request of a
+            // failing key computes, since its error is never stored.
+            let count = CacheCount { computed: 4 + 2 * callers, requested: 7 * callers };
+            assert_eq!(tally.count(), count, "{callers} callers");
+            assert_eq!(store.get_or_try_compute(2, || Ok::<_, u32>(20)), Ok(20));
+            assert_eq!(store.get_or_compute(4, || 40), 40);
+        }
+    }
+
+    #[test]
+    fn concurrent_plane_fluence_samples_match_a_fresh_cache() {
+        use crate::evaluate::{plane_fluence_samples, plane_fluence_samples_in};
+        let env = RadiationEnvironment::default();
+        let epoch = Epoch::from_calendar(2013, 6, 1, 0, 0, 0.0);
+        let orbit = |raan| OrbitalElements::circular(560.0, 1.7, raan, 0.0).unwrap();
+        // The second group repeats the first orbit, as SS planes placed
+        // through one peak cell do: 3 distinct orbits × 2 phases.
+        let groups = [(orbit(0.0), 50), (orbit(0.0), 50), (orbit(1.0), 30), (orbit(2.0), 7)];
+        let bits = |samples: &[(DailyFluence, usize)]| -> Vec<(u64, u64, usize)> {
+            samples.iter().map(|(f, w)| (f.electron.to_bits(), f.proton.to_bits(), *w)).collect()
+        };
+        let fresh = bits(&plane_fluence_samples(&groups, &env, epoch, 2, 600.0).unwrap());
+        for callers in [1_u64, 2, 7] {
+            let n = usize::try_from(callers).unwrap();
+            let cache = KernelCache::new(env);
+            let start = std::sync::Barrier::new(n);
+            let runs = par_map(vec![(); n], n, |()| {
+                let handle = cache.share();
+                start.wait();
+                let samples = plane_fluence_samples_in(&groups, &handle, epoch, 2, 600.0).unwrap();
+                (bits(&samples), handle.counters()[0].1)
+            });
+            assert!(runs.iter().all(|(samples, _)| *samples == fresh), "{callers} callers");
+            let computed: u64 = runs.iter().map(|(_, count)| count.computed).sum();
+            assert_eq!(computed, 6, "{callers} callers");
+            assert!(runs.iter().all(|(_, count)| count.requested == 8));
+        }
+    }
+
+    #[test]
     fn shared_handles_count_their_own_requests() {
         let run = KernelCache::default();
         let (a, b) = (run.share(), run.share());
         let el = OrbitalElements::circular(560.0, 1.2, 0.0, 0.0).unwrap();
         let epoch = Epoch::from_calendar(2013, 6, 1, 0, 0, 0.0);
-        let fa = a.daily_fluence(&el, epoch, 600.0).unwrap();
-        let fb = b.daily_fluence(&el, epoch, 600.0).unwrap();
+        let (mut fa, mut fb) = (DailyFluence::default(), DailyFluence::default());
+        a.daily_fluence(1, |_| el, epoch, 600.0, |_, f| fa = f).unwrap();
+        b.daily_fluence(1, |_| el, epoch, 600.0, |_, f| fb = f).unwrap();
         assert_eq!(fa, fb);
         assert_eq!(a.counters()[0].1, CacheCount { computed: 1, requested: 1 });
         assert_eq!(b.counters()[0].1, CacheCount { computed: 0, requested: 1 });

@@ -275,9 +275,13 @@ pub fn plane_fluence_samples(
 /// `cache` and reusing every integration it holds: a sample orbit is
 /// integrated once per (elements, epoch, step) for as long as the cache
 /// lives (keyed by the bits of all of them, which makes the reuse exact).
+/// The samples are fetched as one batch, so a caller that shares the
+/// cache with concurrent ones integrates every sample no other caller is
+/// integrating before it waits on any that one is.
 ///
 /// # Errors
-/// Propagates fluence-integration failure.
+/// Propagates the lowest-index fluence-integration failure; every sample
+/// is still requested.
 pub fn plane_fluence_samples_in(
     groups: &[(OrbitalElements, usize)],
     cache: &KernelCache,
@@ -286,17 +290,20 @@ pub fn plane_fluence_samples_in(
     step_s: f64,
 ) -> Result<Vec<(DailyFluence, usize)>> {
     let phases = phases.max(1);
+    let sample = |i: usize| {
+        let (el, _) = groups[i / phases];
+        let mut sample = el;
+        sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
+            el.mean_anomaly + core::f64::consts::TAU * (i % phases) as f64 / phases as f64,
+        );
+        sample
+    };
     let mut out = Vec::with_capacity(groups.len() * phases);
-    for &(el, weight) in groups {
-        for k in 0..phases {
-            let mut sample = el;
-            sample.mean_anomaly = ssplane_astro::angles::wrap_two_pi(
-                el.mean_anomaly + core::f64::consts::TAU * k as f64 / phases as f64,
-            );
-            let f = cache.daily_fluence(&sample, epoch, step_s)?;
-            out.push((f, weight.div_ceil(phases).max(1)));
-        }
+    for &(_, weight) in groups {
+        let weight = weight.div_ceil(phases).max(1);
+        out.extend(std::iter::repeat_n((DailyFluence::default(), weight), phases));
     }
+    cache.daily_fluence(out.len(), sample, epoch, step_s, |i, f| out[i].0 = f)?;
     Ok(out)
 }
 

@@ -5,7 +5,7 @@
 //!
 //! The paper grounds its demand model in two external datasets that are not
 //! redistributable, so this crate implements calibrated synthetic
-//! equivalents (see DESIGN.md §2 for the substitution argument):
+//! equivalents, each calibrated to the paper figure it stands in for:
 //!
 //! * [`population`] — a procedural stand-in for the SEDAC Gridded World
 //!   Population: a 0.5°-resolution density grid whose *max-density-per-

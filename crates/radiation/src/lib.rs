@@ -5,7 +5,7 @@
 //! IRENE (AE9/AP9) model the paper uses, which is export-controlled and
 //! unavailable offline.
 //!
-//! Physical structure reproduced (DESIGN.md §2 documents the substitution):
+//! Physical structure reproduced by the stand-in:
 //!
 //! * [`dipole`] — an **offset tilted dipole** geomagnetic field. The
 //!   ~11.5° tilt and ~500 km offset of the dipole center are what create
