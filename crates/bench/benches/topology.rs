@@ -1,8 +1,14 @@
 //! Topology and time-expanded-routing benches on mega-constellation
-//! geometry: the legacy rebuild-per-slot path (re-propagating positions
-//! on demand, O(S_p x S_q) cross-plane nearest-slot scans) against the
-//! `SnapshotSeries` path (one batch propagation over the whole time
-//! grid, sorted-by-angle nearest-slot search).
+//! geometry: the legacy rebuild-per-slot path (positions re-propagated
+//! on demand, a post-hoc dedup pass) against the `SnapshotSeries` path
+//! (one batch propagation over the whole time grid, links emitted once
+//! over the shared positions). Both find each cross-plane partner with
+//! the same exact O(S) scan of the next plane.
+//!
+//! Single-slot `plus_grid` is also timed on the plane shapes the default
+//! designers produce. Plane size follows altitude and minimum elevation,
+//! not demand: Walker designs carry 33-38 satellites per plane and SS
+//! designs 50, at every demand from 10 to 20,000 B.
 //!
 //! The headline numbers land in `BENCH_topology.json` at the repository
 //! root; re-capture with
@@ -13,6 +19,7 @@ use ssplane_astro::constants::EARTH_RADIUS_KM;
 use ssplane_astro::coverage::elevation_at_central_angle;
 use ssplane_astro::frames::ecef_to_eci;
 use ssplane_astro::geo::GeoPoint;
+use ssplane_astro::sunsync::sun_synchronous_orbit;
 use ssplane_astro::time::Epoch;
 use ssplane_astro::walker::WalkerDelta;
 use ssplane_lsn::routing::{route_over_time, shortest_path};
@@ -29,13 +36,32 @@ const SLOT_S: f64 = 120.0;
 const NYC: (f64, f64) = (40.7, -74.0);
 const LONDON: (f64, f64) = (51.5, -0.1);
 
-/// The mega-constellation geometry: a 10 000-satellite Walker delta
-/// (50 planes x 200 slots at 550 km / 53 deg), the scale the
-/// `mega-constellation` scenario pushes the Walker baseline to.
-fn mega_constellation() -> Constellation {
+/// A Walker delta of `planes x slots` satellites at `altitude_km` and
+/// `inclination_deg`, phasing 1.
+fn walker(altitude_km: f64, inclination_deg: f64, planes: usize, slots: usize) -> Constellation {
     let pattern =
-        WalkerDelta::new(550.0, 53f64.to_radians(), 10_000, 50, 1).unwrap().generate().unwrap();
-    let planes = pattern.chunks(200).map(<[_]>::to_vec).collect();
+        WalkerDelta::new(altitude_km, inclination_deg.to_radians(), planes * slots, planes, 1)
+            .unwrap()
+            .generate()
+            .unwrap();
+    let planes = pattern.chunks(slots).map(<[_]>::to_vec).collect();
+    Constellation::from_planes(Epoch::J2000, planes).unwrap()
+}
+
+/// The mega-constellation geometry: a 10 000-satellite Walker delta
+/// (50 planes x 200 slots at 550 km / 53 deg). No designer produces
+/// 200-satellite planes; this is a large-graph stress shape.
+fn mega_constellation() -> Constellation {
+    walker(550.0, 53.0, 50, 200)
+}
+
+/// The shape of an SS design: 53 sun-synchronous planes (560 km, 97.6
+/// deg) of 50 satellites, LTANs spread evenly over the day.
+fn ss_shape() -> Constellation {
+    let orbit = sun_synchronous_orbit(560.0).unwrap();
+    let planes = (0..53)
+        .map(|p| orbit.with_ltan(24.0 * p as f64 / 53.0).plane_elements(Epoch::J2000, 50).unwrap())
+        .collect();
     Constellation::from_planes(Epoch::J2000, planes).unwrap()
 }
 
@@ -186,8 +212,8 @@ fn bench_topology(criterion: &mut Criterion) {
     let mut group = criterion.benchmark_group("topology_10000sats");
     group.sample_size(10);
 
-    // Single-slot +grid: legacy per-pair scan vs sorted-by-angle search
-    // over a prebuilt snapshot.
+    // Single-slot +grid: legacy on-demand propagation and dedup vs one
+    // build over a prebuilt snapshot.
     group.bench_with_input(
         criterion::BenchmarkId::new("plus_grid", "legacy_scan"),
         &(),
@@ -196,15 +222,11 @@ fn bench_topology(criterion: &mut Criterion) {
         },
     );
     let single = SnapshotSeries::build(&c, &[start]).unwrap();
-    group.bench_with_input(
-        criterion::BenchmarkId::new("plus_grid", "snapshot_sorted"),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().edges().count())
-            })
-        },
-    );
+    group.bench_with_input(criterion::BenchmarkId::new("plus_grid", "snapshot"), &(), |b, ()| {
+        b.iter(|| {
+            black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().edges().count())
+        })
+    });
 
     // The multi-slot network stage, slot-by-slot rebuild vs shared cache.
     group.bench_with_input(
@@ -243,5 +265,24 @@ fn bench_topology(criterion: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topology);
+/// Single-slot `plus_grid` over a prebuilt snapshot, on the plane shapes
+/// the designers produce: a Walker 231 x 34 at 560 km / 47 deg (the
+/// mega-network workload's WD design, 7,854 satellites) and the SS
+/// design's 53 x 50 at 97.6 deg (2,650 satellites).
+fn bench_designer_shapes(criterion: &mut Criterion) {
+    let config = GridTopologyConfig::default();
+    let mut group = criterion.benchmark_group("topology_designer_shapes");
+    group.sample_size(10);
+    for (name, c) in [("walker_231x34", walker(560.0, 47.0, 231, 34)), ("ss_53x50", ss_shape())] {
+        let single = SnapshotSeries::build(&c, &[Epoch::J2000]).unwrap();
+        group.bench_with_input(criterion::BenchmarkId::new("plus_grid", name), &(), |b, ()| {
+            b.iter(|| {
+                black_box(Topology::plus_grid(&single.snapshot(0), config).unwrap().edges().count())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_topology, bench_designer_shapes);
 criterion_main!(benches);

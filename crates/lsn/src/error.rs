@@ -12,8 +12,6 @@ pub enum LsnError {
     Astro(ssplane_astro::AstroError),
     /// A constellation-design routine failed.
     Core(ssplane_core::CoreError),
-    /// A radiation routine failed.
-    Radiation(ssplane_radiation::RadiationError),
     /// The requested node does not exist in the topology.
     UnknownNode {
         /// Plane index requested.
@@ -37,7 +35,6 @@ impl fmt::Display for LsnError {
         match self {
             LsnError::Astro(e) => write!(f, "astrodynamics error: {e}"),
             LsnError::Core(e) => write!(f, "constellation design error: {e}"),
-            LsnError::Radiation(e) => write!(f, "radiation error: {e}"),
             LsnError::UnknownNode { plane, slot } => {
                 write!(f, "unknown satellite (plane {plane}, slot {slot})")
             }
@@ -54,7 +51,6 @@ impl std::error::Error for LsnError {
         match self {
             LsnError::Astro(e) => Some(e),
             LsnError::Core(e) => Some(e),
-            LsnError::Radiation(e) => Some(e),
             _ => None,
         }
     }
@@ -69,12 +65,6 @@ impl From<ssplane_astro::AstroError> for LsnError {
 impl From<ssplane_core::CoreError> for LsnError {
     fn from(e: ssplane_core::CoreError) -> Self {
         LsnError::Core(e)
-    }
-}
-
-impl From<ssplane_radiation::RadiationError> for LsnError {
-    fn from(e: ssplane_radiation::RadiationError) -> Self {
-        LsnError::Radiation(e)
     }
 }
 

@@ -735,7 +735,9 @@ impl UnitSpace {
 /// thread counts.
 ///
 /// # Errors
-/// Propagates candidate-evaluation failure.
+/// None today: every candidate scores through the infallible
+/// [`IncrementalScorer`]. The `Result` stays for the callers that
+/// propagate it with `?`, perfbench's trace among them.
 pub fn optimize_attack(
     evaluator: &DegradedEvaluator<'_>,
     config: &AttackSearchConfig,
@@ -762,8 +764,8 @@ pub fn optimize_attack(
         });
     }
     let search = Search { scorer: &scorer, space: &space, config, seed, k };
-    let (greedy, greedy_value) = search.greedy(intact_value)?;
-    let refined = search.refine_starts(search.start_pool(seeds, greedy), greedy_value)?;
+    let (greedy, greedy_value) = search.greedy(intact_value);
+    let refined = search.refine_starts(search.start_pool(seeds, greedy), greedy_value);
 
     // The final pick: strict < over start order, so ties resolve to the
     // earliest start (greedy, then baseline, then seeds, then restarts).
@@ -799,7 +801,7 @@ impl Search<'_> {
     /// scoring the whole frontier of each step in one parallel batch
     /// (satellite budgets sample their frontier — see
     /// [`GREEDY_SAT_SAMPLE`]). Returns the units and their value.
-    fn greedy(&self, intact_value: f64) -> Result<(Units, f64)> {
+    fn greedy(&self, intact_value: f64) -> (Units, f64) {
         let n_units = self.space.n_units();
         let mut greedy: Units = Vec::with_capacity(self.k);
         let mut member = vec![false; n_units];
@@ -830,7 +832,7 @@ impl Search<'_> {
                     self.space.expand(&units)
                 })
                 .collect();
-            let scores = self.scorer.score_batch(&candidates, self.config.threads)?;
+            let scores = self.scorer.score_batch(&candidates, self.config.threads);
             let mut best = 0usize;
             for (i, &s) in scores.iter().enumerate() {
                 if s < scores[best] {
@@ -846,7 +848,7 @@ impl Search<'_> {
                 self.scorer.ensure_resident(&self.space.expand(&greedy));
             }
         }
-        Ok((greedy, greedy_value))
+        (greedy, greedy_value)
     }
 
     /// The start pool, in tie-break order: the greedy set, the implicit
@@ -907,10 +909,10 @@ impl Search<'_> {
     /// construction already produced) in one parallel batch, then refines
     /// each with the same swap budget, in parallel across starts, each on
     /// its own deterministic stream. Returns the results in start order.
-    fn refine_starts(&self, starts: Vec<Units>, greedy_value: f64) -> Result<Vec<(Units, f64)>> {
+    fn refine_starts(&self, starts: Vec<Units>, greedy_value: f64) -> Vec<(Units, f64)> {
         let expanded: Vec<Vec<SatId>> =
             starts.iter().skip(1).map(|units| self.space.expand(units)).collect();
-        let start_values = self.scorer.score_batch(&expanded, self.config.threads)?;
+        let start_values = self.scorer.score_batch(&expanded, self.config.threads);
         let jobs: Vec<(Units, f64, u64)> = starts
             .into_iter()
             .zip(std::iter::once(greedy_value).chain(start_values))
@@ -921,8 +923,6 @@ impl Search<'_> {
             })
             .collect();
         par_map(jobs, self.config.threads, |(units, value, s)| self.refine(units, value, s))
-            .into_iter()
-            .collect()
     }
 
     /// Local swap refinement: propose `swaps` member/non-member exchanges
@@ -932,12 +932,12 @@ impl Search<'_> {
     /// a delta off the pinned greedy prefix when the trial keeps it, else
     /// off the intact state (and repeats — revisited swaps — free via its
     /// seen-cache).
-    fn refine(&self, start: Units, start_value: f64, seed: u64) -> Result<(Units, f64)> {
+    fn refine(&self, start: Units, start_value: f64, seed: u64) -> (Units, f64) {
         let n_units = self.space.n_units();
         let mut current = start;
         let mut value = start_value;
         if current.is_empty() || current.len() >= n_units {
-            return Ok((current, value));
+            return (current, value);
         }
         let mut member = vec![false; n_units];
         for &u in &current {
@@ -954,7 +954,7 @@ impl Search<'_> {
                 .expect("pick is within the non-member count");
             let outgoing = current[out_pos];
             current[out_pos] = incoming;
-            let trial = self.scorer.score(&self.space.expand(&current))?;
+            let trial = self.scorer.score(&self.space.expand(&current));
             if trial < value {
                 value = trial;
                 member[outgoing] = false;
@@ -963,7 +963,7 @@ impl Search<'_> {
                 current[out_pos] = outgoing;
             }
         }
-        Ok((current, value))
+        (current, value)
     }
 }
 

@@ -83,7 +83,6 @@
 //! scored-vs-unique counts.
 
 use super::{component_fraction, AttackObjective, DegradedEvaluator};
-use crate::error::Result;
 use crate::routing::{Cut, PlaneCuts, RepairBuffers, ShortestPathTree};
 use crate::topology::{Components, SatId};
 use crate::traffic::{mean_link_load, serving_pairs, LinkTally};
@@ -311,30 +310,23 @@ impl<'e, 'a> IncrementalScorer<'e, 'a> {
     /// indices) for caching — the set `score_attack` destroys; the
     /// masking-collapse ordering takes the victims in that order, as it
     /// takes the sorted sets the search passes.
-    ///
-    /// # Errors
-    /// None in practice; the `Result` mirrors `score_attack` so the two
-    /// paths stay drop-in interchangeable.
-    pub fn score(&self, destroyed: &[SatId]) -> Result<f64> {
+    pub fn score(&self, destroyed: &[SatId]) -> f64 {
         self.scored.fetch_add(1, Ordering::Relaxed);
         let key = self.canonical(destroyed);
         if let Some(&v) = self.seen.lock().expect("seen cache poisoned").get(&key) {
-            return Ok(v);
+            return v;
         }
         let parent = self.best_parent(&key);
         let (_, value) = self.build_state(key.clone(), &parent);
         self.seen.lock().expect("seen cache poisoned").insert(key, value);
-        Ok(value)
+        value
     }
 
     /// Scores a batch across `threads` workers (`0` = the machine) via
     /// [`par_map`], returning scores in candidate order: the pinned state
     /// changes how much a candidate costs, never what it scores.
-    ///
-    /// # Errors
-    /// The first (lowest-index) candidate failure.
-    pub fn score_batch(&self, candidates: &[Vec<SatId>], threads: usize) -> Result<Vec<f64>> {
-        par_map(candidates.iter().collect(), threads, |c| self.score(c)).into_iter().collect()
+    pub fn score_batch(&self, candidates: &[Vec<SatId>], threads: usize) -> Vec<f64> {
+        par_map(candidates.iter().collect(), threads, |c| self.score(c))
     }
 
     /// Pins the state of `destroyed` (evaluating it if needed, without
@@ -671,7 +663,7 @@ mod tests {
             let scorer = evaluator.incremental_scorer(objective);
             for destroyed in &candidates {
                 let full = evaluator.score_attack(destroyed, objective).unwrap();
-                let fast = scorer.score(destroyed).unwrap();
+                let fast = scorer.score(destroyed);
                 assert_eq!(
                     full.to_bits(),
                     fast.to_bits(),
@@ -683,7 +675,7 @@ mod tests {
             for end in 1..=chain.len() {
                 let prefix = &chain[..end];
                 let full = evaluator.score_attack(prefix, objective).unwrap();
-                let fast = scorer.score(prefix).unwrap();
+                let fast = scorer.score(prefix);
                 assert_eq!(full.to_bits(), fast.to_bits(), "{objective:?} prefix {end}");
                 scorer.ensure_resident(prefix);
             }
@@ -709,18 +701,18 @@ mod tests {
         for k in [1usize, 4, 24] {
             let destroyed = random_victims(&evaluator, &mut rng, k);
             let full = evaluator.score_attack(&destroyed, AttackObjective::ServedDemand).unwrap();
-            let fast = scorer.score(&destroyed).unwrap();
+            let fast = scorer.score(&destroyed);
             assert_eq!(full.to_bits(), fast.to_bits(), "served-demand diverged at k={k}");
         }
         // A whole plane, then the same plane plus more: prefix chaining.
         let plane: Vec<SatId> = (0..24).map(|slot| SatId { plane: 0, slot }).collect();
         let full = evaluator.score_attack(&plane, AttackObjective::ServedDemand).unwrap();
-        assert_eq!(full.to_bits(), scorer.score(&plane).unwrap().to_bits());
+        assert_eq!(full.to_bits(), scorer.score(&plane).to_bits());
         scorer.ensure_resident(&plane);
         let mut wider = plane.clone();
         wider.extend((0..24).map(|slot| SatId { plane: 3, slot }));
         let full = evaluator.score_attack(&wider, AttackObjective::ServedDemand).unwrap();
-        assert_eq!(full.to_bits(), scorer.score(&wider).unwrap().to_bits());
+        assert_eq!(full.to_bits(), scorer.score(&wider).to_bits());
     }
 
     #[test]
@@ -769,7 +761,7 @@ mod tests {
                         .iter()
                         .map(|c| evaluator.score_attack(c, objective).unwrap())
                         .collect();
-                    let fast = scorer.score_batch(&batch, threads).unwrap();
+                    let fast = scorer.score_batch(&batch, threads);
                     for (i, (f, g)) in full.iter().zip(&fast).enumerate() {
                         assert_eq!(f.to_bits(), g.to_bits(), "{objective:?} step {step} #{i}");
                     }
@@ -803,7 +795,7 @@ mod tests {
         for (victim, shared) in [(idle, true), (serving[0], false)] {
             let destroyed = [ids[victim]];
             let full = evaluator.score_attack(&destroyed, AttackObjective::ServedDemand).unwrap();
-            assert_eq!(scorer.score(&destroyed).unwrap().to_bits(), full.to_bits());
+            assert_eq!(scorer.score(&destroyed).to_bits(), full.to_bits());
             let (state, value) = scorer.build_state(vec![victim], &scorer.intact_state);
             assert_eq!(value.to_bits(), full.to_bits());
             let served = state.slots[0].served.as_ref().expect("a served state");
@@ -836,7 +828,7 @@ mod tests {
             let scorer = evaluator.incremental_scorer(objective);
             // Zero loss = the intact value, which the search reports.
             let intact = evaluator.score_attack(&[], objective).unwrap();
-            assert_eq!(scorer.score(&[]).unwrap().to_bits(), intact.to_bits(), "{objective:?}");
+            assert_eq!(scorer.score(&[]).to_bits(), intact.to_bits(), "{objective:?}");
             let config = AttackSearchConfig {
                 objective,
                 budget: AttackBudget::Planes(1),
@@ -848,16 +840,12 @@ mod tests {
             assert_eq!(outcome.intact_value.to_bits(), intact.to_bits(), "{objective:?}");
             for destroyed in [&everyone, &messy] {
                 let full = evaluator.score_attack(destroyed, objective).unwrap();
-                assert_eq!(
-                    scorer.score(destroyed).unwrap().to_bits(),
-                    full.to_bits(),
-                    "{objective:?}"
-                );
+                assert_eq!(scorer.score(destroyed).to_bits(), full.to_bits(), "{objective:?}");
             }
         }
         // Wipeout: nobody alive, nothing routes.
         let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
-        assert_eq!(scorer.score(&everyone).unwrap(), 0.0);
+        assert_eq!(scorer.score(&everyone), 0.0);
     }
 
     #[test]
@@ -872,16 +860,16 @@ mod tests {
         let a = vec![SatId { plane: 0, slot: 1 }, SatId { plane: 2, slot: 5 }];
         let b = vec![SatId { plane: 2, slot: 5 }, SatId { plane: 0, slot: 1 }]; // same set
         let c2 = vec![SatId { plane: 1, slot: 0 }];
-        let va = scorer.score(&a).unwrap();
-        assert_eq!(scorer.score(&b).unwrap().to_bits(), va.to_bits());
-        scorer.score(&c2).unwrap();
-        scorer.score(&a).unwrap();
+        let va = scorer.score(&a);
+        assert_eq!(scorer.score(&b).to_bits(), va.to_bits());
+        scorer.score(&c2);
+        scorer.score(&a);
         assert_eq!(scorer.candidates_scored(), 4);
         assert_eq!(scorer.candidates_unique(), 2);
         // clear_cache drops values but keeps counting monotonically.
         scorer.clear_cache();
         assert_eq!(scorer.candidates_unique(), 0);
-        assert_eq!(scorer.score(&a).unwrap().to_bits(), va.to_bits());
+        assert_eq!(scorer.score(&a).to_bits(), va.to_bits());
         assert_eq!(scorer.candidates_scored(), 5);
         assert_eq!(scorer.candidates_unique(), 1);
     }
@@ -902,7 +890,7 @@ mod tests {
             .collect();
         for threads in [0usize, 1, 2, 7] {
             let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
-            let batch = scorer.score_batch(&candidates, threads).unwrap();
+            let batch = scorer.score_batch(&candidates, threads);
             let bits: Vec<u64> = batch.iter().map(|v| v.to_bits()).collect();
             let ref_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, ref_bits, "{threads} threads");
@@ -924,6 +912,6 @@ mod tests {
         let scorer = evaluator.incremental_scorer(AttackObjective::RoutedFraction);
         let destroyed: Vec<SatId> = (0..12).map(|s| SatId { plane: 2, slot: s }).collect();
         let full = evaluator.score_attack(&destroyed, AttackObjective::RoutedFraction).unwrap();
-        assert_eq!(scorer.score(&destroyed).unwrap().to_bits(), full.to_bits());
+        assert_eq!(scorer.score(&destroyed).to_bits(), full.to_bits());
     }
 }

@@ -240,111 +240,9 @@ impl Default for GridTopologyConfig {
     }
 }
 
-/// Sorted angular index of one plane's satellites, used to answer
-/// nearest-slot queries in O(log S + window) instead of a full O(S) scan
-/// per query. Built only when the plane really is a common-radius
-/// coplanar circle (always true for mean-element orbital planes); any
-/// other geometry falls back to the exact brute-force scan.
-struct PlaneCircle {
-    /// In-plane orthonormal basis.
-    basis_a: Vec3,
-    basis_b: Vec3,
-    /// Slot indices sorted by angle.
-    order: Vec<usize>,
-    /// The sorted angles \[rad, in `(-pi, pi]`\].
-    angles: Vec<f64>,
-    /// Common orbit radius \[km\].
-    radius: f64,
-}
-
-/// Relative tolerance for the circle check: far above position rounding
-/// (~1e-12 relative) yet far below any genuine geometric deviation.
-const CIRCLE_TOL: f64 = 1e-6;
-
-/// Planes smaller than this are cheaper to brute-force than to index.
-const MIN_INDEXED_SLOTS: usize = 8;
-
-impl PlaneCircle {
-    /// Builds the index for the plane whose flat indices are
-    /// `offset..offset + slots`, or `None` if the satellites do not lie
-    /// on a common circle about the geocenter (within [`CIRCLE_TOL`]).
-    fn build(positions: &impl Fn(usize) -> Vec3, offset: usize, slots: usize) -> Option<Self> {
-        if slots < MIN_INDEXED_SLOTS {
-            return None;
-        }
-        let r0 = positions(offset);
-        let radius = r0.norm();
-        if radius <= 0.0 {
-            return None;
-        }
-        let normal = r0.cross(positions(offset + 1));
-        if normal.norm() <= CIRCLE_TOL * radius * radius {
-            return None; // first two satellites (anti)parallel: no plane
-        }
-        let normal = normal * (1.0 / normal.norm());
-        let basis_a = r0 * (1.0 / radius);
-        let basis_b = normal.cross(basis_a);
-        let tol = CIRCLE_TOL * radius;
-        let mut angles: Vec<(f64, usize)> = Vec::with_capacity(slots);
-        for k in 0..slots {
-            let r = positions(offset + k);
-            if (r.norm() - radius).abs() > tol || r.dot(normal).abs() > tol {
-                return None; // off-radius or out-of-plane satellite
-            }
-            angles.push((r.dot(basis_b).atan2(r.dot(basis_a)), k));
-        }
-        angles.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite angles"));
-        Some(PlaneCircle {
-            basis_a,
-            basis_b,
-            order: angles.iter().map(|&(_, k)| k).collect(),
-            angles: angles.iter().map(|&(a, _)| a).collect(),
-            radius,
-        })
-    }
-
-    /// The slot nearest to `x`, found by locating `x`'s in-plane angle
-    /// among the sorted slot angles and comparing true distances over a
-    /// six-slot window around the insertion point — enough to cover the
-    /// angular nearest and its runners-up, so the winner (including its
-    /// lowest-index tie-break) matches the brute-force scan exactly.
-    /// Returns `None` when `x` is too close to the plane normal for the
-    /// angular ordering to be trustworthy (the caller brute-forces).
-    fn nearest_slot(
-        &self,
-        x: Vec3,
-        positions: &impl Fn(usize) -> Vec3,
-        offset: usize,
-    ) -> Option<usize> {
-        let xa = x.dot(self.basis_a);
-        let xb = x.dot(self.basis_b);
-        if xa.hypot(xb) < 1e-3 * self.radius {
-            return None; // degenerate: all slots nearly equidistant
-        }
-        let phi = xb.atan2(xa);
-        let m = self.order.len();
-        let i = self.angles.partition_point(|&theta| theta < phi);
-        let mut candidates = [0usize; 6];
-        for (d, slot) in candidates.iter_mut().enumerate() {
-            *slot = self.order[(i + m - 3 + d) % m];
-        }
-        candidates.sort_unstable();
-        // The brute-force comparison, restricted to the window: strict
-        // `<` in ascending slot order keeps the lowest-index tie-break
-        // (duplicate candidates are harmless under strict `<`).
-        let mut best: Option<(usize, f64)> = None;
-        for &sq in &candidates {
-            let d = (x - positions(offset + sq)).norm();
-            if best.is_none_or(|(_, bd)| d < bd) {
-                best = Some((sq, d));
-            }
-        }
-        best.map(|(sq, _)| sq)
-    }
-}
-
-/// The brute-force nearest-slot scan (the reference semantics): strict
-/// `<` in ascending slot order, so the lowest index wins ties.
+/// The slot of the plane at flat indices `offset..offset + slots` nearest
+/// to `x` (plane-relative), `None` for an empty plane. An exact scan:
+/// strict `<` in ascending slot order, so the lowest index wins ties.
 fn nearest_slot_scan(
     x: Vec3,
     positions: &impl Fn(usize) -> Vec3,
@@ -371,9 +269,9 @@ impl Topology {
     /// Links are emitted in canonical `(min, max)` flat order, each
     /// exactly once: the ring walks `s -> s+1` and closes with `(0,
     /// slots-1)`, so no post-hoc deduplication pass (and no special case
-    /// for 2-slot planes) is needed. Cross-plane nearest-slot queries go
-    /// through a sorted-by-angle index per target plane instead of a full
-    /// scan per satellite pair — the same links, found in O(log S).
+    /// for 2-slot planes) is needed. Each cross-plane partner is the
+    /// next plane's nearest slot, found by the same exact scan as
+    /// [`Topology::plus_grid_at`].
     ///
     /// If the snapshot carries an alive mask
     /// ([`Snapshot::with_alive`](crate::snapshot::Snapshot::with_alive)),
@@ -429,21 +327,14 @@ impl Topology {
                     );
                 }
             }
-            // Cross-plane to the next plane's nearest slot, through a
-            // sorted angular index of that plane.
+            // Cross-plane to the next plane's nearest slot.
             if p + 1 < n_planes {
                 let q = p + 1;
                 let q_slots = snapshot.slots_in_plane(q);
-                let q_offset = plane_offsets[q];
-                let circle = PlaneCircle::build(&position, q_offset, q_slots);
                 for s in 0..slots {
                     let from = SatId { plane: p, slot: s };
                     let x = position(flat(from));
-                    let nearest = circle
-                        .as_ref()
-                        .and_then(|c| c.nearest_slot(x, &position, q_offset))
-                        .or_else(|| nearest_slot_scan(x, &position, q_offset, q_slots));
-                    if let Some(sq) = nearest {
+                    if let Some(sq) = nearest_slot_scan(x, &position, plane_offsets[q], q_slots) {
                         push_link(from, SatId { plane: q, slot: sq }, &mut links);
                     }
                 }
@@ -769,6 +660,33 @@ mod tests {
         assert!(!line_of_sight(a, c, 80.0));
         // Degenerate zero-length segment above surface.
         assert!(line_of_sight(a, a, 80.0));
+    }
+
+    /// The one cross-plane partner rule both +grid builders share, on
+    /// hand-placed positions: an exact tie goes to the lower slot, the
+    /// answer is relative to the queried plane (whose flat offset is
+    /// nonzero, and whose neighbors sit nearer the query), and a
+    /// one-slot plane answers its only slot.
+    #[test]
+    fn nearest_slot_scan_rule() {
+        let positions = [
+            // Plane 0 (flat 0..2): on the query point itself.
+            Vec3::new(0.0, 0.0, 0.0),
+            Vec3::new(0.0, 0.0, 0.5),
+            // Plane 1 (flat 2..6): slots 1 and 3 are both exactly 1 away.
+            Vec3::new(0.0, 5.0, 0.0),
+            Vec3::new(1.0, 0.0, 0.0),
+            Vec3::new(0.0, -5.0, 0.0),
+            Vec3::new(-1.0, 0.0, 0.0),
+            // Plane 2 (flat 6..7): one far slot.
+            Vec3::new(900.0, 0.0, 0.0),
+        ];
+        let at = |i: usize| positions[i];
+        let x = Vec3::new(0.0, 0.0, 0.0);
+        assert_eq!(nearest_slot_scan(x, &at, 2, 4), Some(1));
+        assert_eq!(nearest_slot_scan(Vec3::new(-0.5, 0.0, 0.0), &at, 2, 4), Some(3));
+        assert_eq!(nearest_slot_scan(x, &at, 6, 1), Some(0));
+        assert_eq!(nearest_slot_scan(x, &at, 6, 0), None);
     }
 
     #[test]

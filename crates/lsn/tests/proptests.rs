@@ -512,7 +512,7 @@ proptest! {
             let scorer = evaluator.incremental_scorer(objective);
             for victims in [&[][..], &destroyed, &ids] {
                 let full = evaluator.score_attack(victims, objective).unwrap();
-                let fast = scorer.score(victims).unwrap();
+                let fast = scorer.score(victims);
                 prop_assert_eq!(
                     full.to_bits(),
                     fast.to_bits(),
@@ -578,7 +578,7 @@ proptest! {
             victims.extend((0..per_plane).map(|s| SatId { plane: p, slot: s }));
             victims.sort_unstable();
             let full = evaluator.score_attack(&victims, objective).unwrap();
-            let fast = scorer.score(&victims).unwrap();
+            let fast = scorer.score(&victims);
             prop_assert_eq!(
                 full.to_bits(),
                 fast.to_bits(),

@@ -16,13 +16,6 @@ pub enum RadiationError {
     },
     /// Propagation of the orbit being integrated failed.
     Propagation(ssplane_astro::AstroError),
-    /// A configuration parameter was out of domain.
-    BadParameter {
-        /// Parameter name.
-        name: &'static str,
-        /// Constraint description.
-        constraint: &'static str,
-    },
 }
 
 impl fmt::Display for RadiationError {
@@ -32,9 +25,6 @@ impl fmt::Display for RadiationError {
                 write!(f, "query position below the Earth surface (r = {radius_km} km)")
             }
             RadiationError::Propagation(e) => write!(f, "orbit propagation failed: {e}"),
-            RadiationError::BadParameter { name, constraint } => {
-                write!(f, "bad parameter {name}: must satisfy {constraint}")
-            }
         }
     }
 }
@@ -66,7 +56,5 @@ mod tests {
         assert!(e.source().is_none());
         let e: RadiationError = ssplane_astro::AstroError::NoSolution { what: "x" }.into();
         assert!(e.source().is_some());
-        let e = RadiationError::BadParameter { name: "step", constraint: "> 0" };
-        assert!(e.to_string().contains("step"));
     }
 }

@@ -35,19 +35,8 @@ pub enum ScenarioError {
     Core(ssplane_core::CoreError),
     /// A networking or survivability routine failed.
     Lsn(ssplane_lsn::LsnError),
-    /// A radiation routine failed.
-    Radiation(ssplane_radiation::RadiationError),
     /// A demand-model routine failed.
     Demand(ssplane_demand::DemandError),
-    /// An astrodynamics routine failed.
-    Astro(ssplane_astro::AstroError),
-    /// Reading a scenario file failed.
-    Io {
-        /// The path that failed.
-        path: String,
-        /// The OS error text.
-        message: String,
-    },
 }
 
 impl ScenarioError {
@@ -79,10 +68,7 @@ impl fmt::Display for ScenarioError {
             }
             ScenarioError::Core(e) => write!(f, "design error: {e}"),
             ScenarioError::Lsn(e) => write!(f, "networking/survivability error: {e}"),
-            ScenarioError::Radiation(e) => write!(f, "radiation error: {e}"),
             ScenarioError::Demand(e) => write!(f, "demand error: {e}"),
-            ScenarioError::Astro(e) => write!(f, "astrodynamics error: {e}"),
-            ScenarioError::Io { path, message } => write!(f, "cannot read {path}: {message}"),
         }
     }
 }
@@ -92,9 +78,7 @@ impl std::error::Error for ScenarioError {
         match self {
             ScenarioError::Core(e) => Some(e),
             ScenarioError::Lsn(e) => Some(e),
-            ScenarioError::Radiation(e) => Some(e),
             ScenarioError::Demand(e) => Some(e),
-            ScenarioError::Astro(e) => Some(e),
             _ => None,
         }
     }
@@ -112,20 +96,8 @@ impl From<ssplane_lsn::LsnError> for ScenarioError {
     }
 }
 
-impl From<ssplane_radiation::RadiationError> for ScenarioError {
-    fn from(e: ssplane_radiation::RadiationError) -> Self {
-        ScenarioError::Radiation(e)
-    }
-}
-
 impl From<ssplane_demand::DemandError> for ScenarioError {
     fn from(e: ssplane_demand::DemandError) -> Self {
         ScenarioError::Demand(e)
-    }
-}
-
-impl From<ssplane_astro::AstroError> for ScenarioError {
-    fn from(e: ssplane_astro::AstroError) -> Self {
-        ScenarioError::Astro(e)
     }
 }
