@@ -5,10 +5,12 @@
 //! over the shared positions). Both find each cross-plane partner with
 //! the same exact O(S) scan of the next plane.
 //!
-//! Single-slot `plus_grid` is also timed on the plane shapes the default
+//! Single-slot `plus_grid` is also timed on the plane shapes the
 //! designers produce. Plane size follows altitude and minimum elevation,
-//! not demand: Walker designs carry 33-38 satellites per plane and SS
-//! designs 50, at every demand from 10 to 20,000 B.
+//! not demand: at the default 560 km and 30 deg mask, Walker designs carry
+//! 33-38 satellites per plane and SS designs 50, at every demand from 10
+//! to 20,000 B. A 60 deg mask (`design.min_elevation_deg`) narrows each
+//! footprint and raises that to 96 and 137.
 //!
 //! The headline numbers land in `BENCH_topology.json` at the repository
 //! root; re-capture with
@@ -49,18 +51,22 @@ fn walker(altitude_km: f64, inclination_deg: f64, planes: usize, slots: usize) -
 }
 
 /// The mega-constellation geometry: a 10 000-satellite Walker delta
-/// (50 planes x 200 slots at 550 km / 53 deg). No designer produces
-/// 200-satellite planes; this is a large-graph stress shape.
+/// (50 planes x 200 slots at 550 km / 53 deg), a large-graph stress
+/// shape. At the default 30 deg mask no designer produces 200-satellite
+/// planes; the SS designer reaches them near a 69 deg mask.
 fn mega_constellation() -> Constellation {
     walker(550.0, 53.0, 50, 200)
 }
 
-/// The shape of an SS design: 53 sun-synchronous planes (560 km, 97.6
-/// deg) of 50 satellites, LTANs spread evenly over the day.
-fn ss_shape() -> Constellation {
+/// The shape of an SS design: `planes` sun-synchronous planes (560 km,
+/// 97.6 deg) of `slots` satellites, LTANs spread evenly over the day.
+fn ss_shape(planes: usize, slots: usize) -> Constellation {
     let orbit = sun_synchronous_orbit(560.0).unwrap();
-    let planes = (0..53)
-        .map(|p| orbit.with_ltan(24.0 * p as f64 / 53.0).plane_elements(Epoch::J2000, 50).unwrap())
+    let planes = (0..planes)
+        .map(|p| {
+            let ltan = 24.0 * p as f64 / planes as f64;
+            orbit.with_ltan(ltan).plane_elements(Epoch::J2000, slots).unwrap()
+        })
         .collect();
     Constellation::from_planes(Epoch::J2000, planes).unwrap()
 }
@@ -266,14 +272,21 @@ fn bench_topology(criterion: &mut Criterion) {
 }
 
 /// Single-slot `plus_grid` over a prebuilt snapshot, on the plane shapes
-/// the designers produce: a Walker 231 x 34 at 560 km / 47 deg (the
-/// mega-network workload's WD design, 7,854 satellites) and the SS
-/// design's 53 x 50 at 97.6 deg (2,650 satellites).
+/// the designers produce for the mega-network workload's 600 B demand.
+/// At the default 30 deg mask: a Walker 231 x 34 at 560 km / 47 deg (the
+/// WD design, 7,854 satellites) and the SS design's 53 x 50 at 97.6 deg
+/// (2,650 satellites). At a 60 deg mask: a Walker 615 x 96 (59,040
+/// satellites) and SS 54 x 137 (7,398 satellites).
 fn bench_designer_shapes(criterion: &mut Criterion) {
     let config = GridTopologyConfig::default();
     let mut group = criterion.benchmark_group("topology_designer_shapes");
     group.sample_size(10);
-    for (name, c) in [("walker_231x34", walker(560.0, 47.0, 231, 34)), ("ss_53x50", ss_shape())] {
+    for (name, c) in [
+        ("walker_231x34", walker(560.0, 47.0, 231, 34)),
+        ("ss_53x50", ss_shape(53, 50)),
+        ("walker_615x96", walker(560.0, 47.0, 615, 96)),
+        ("ss_54x137", ss_shape(54, 137)),
+    ] {
         let single = SnapshotSeries::build(&c, &[Epoch::J2000]).unwrap();
         group.bench_with_input(criterion::BenchmarkId::new("plus_grid", name), &(), |b, ()| {
             b.iter(|| {
