@@ -70,23 +70,35 @@ impl WalkerDelta {
         self.total_sats / self.planes
     }
 
-    /// Generates the orbital elements of every satellite.
+    /// Generates the orbital elements of plane `plane`'s satellites, in
+    /// slot order.
     ///
     /// Satellite `(plane k, slot j)` sits at RAAN `Ω₀ + 2πk/p` and argument
     /// of latitude `2πj/s + 2πfk/t`.
     ///
     /// # Errors
     /// Propagates element validation failure (e.g. negative altitude).
-    pub fn generate(&self) -> Result<Vec<OrbitalElements>> {
+    pub fn plane_elements(&self, plane: usize) -> Result<Vec<OrbitalElements>> {
         let s = self.sats_per_plane();
+        let raan = self.raan_offset + TAU * plane as f64 / self.planes as f64;
+        let phase = TAU * (self.phasing * plane) as f64 / self.total_sats as f64;
+        let mut out = Vec::with_capacity(s);
+        for slot in 0..s {
+            let u = TAU * slot as f64 / s as f64 + phase;
+            out.push(OrbitalElements::circular(self.altitude_km, self.inclination, raan, u)?);
+        }
+        Ok(out)
+    }
+
+    /// Generates the orbital elements of every satellite, plane by plane
+    /// (see [`WalkerDelta::plane_elements`]).
+    ///
+    /// # Errors
+    /// Propagates element validation failure (e.g. negative altitude).
+    pub fn generate(&self) -> Result<Vec<OrbitalElements>> {
         let mut out = Vec::with_capacity(self.total_sats);
         for plane in 0..self.planes {
-            let raan = self.raan_offset + TAU * plane as f64 / self.planes as f64;
-            let phase = TAU * (self.phasing * plane) as f64 / self.total_sats as f64;
-            for slot in 0..s {
-                let u = TAU * slot as f64 / s as f64 + phase;
-                out.push(OrbitalElements::circular(self.altitude_km, self.inclination, raan, u)?);
-            }
+            out.extend(self.plane_elements(plane)?);
         }
         Ok(out)
     }
@@ -134,6 +146,24 @@ mod tests {
         // Adjacent planes offset by 2π f / t = 2π·2/20.
         let du = separation(sats[5].mean_anomaly, sats[0].mean_anomaly + TAU * 2.0 / 20.0);
         assert!(du < 1e-9, "du = {du}");
+    }
+
+    #[test]
+    fn each_plane_is_its_slice_of_the_pattern() {
+        let mut w = WalkerDelta::new(560.0, 0.9, 20, 4, 3).unwrap();
+        w.raan_offset = 0.25;
+        let all = w.generate().unwrap();
+        for k in 0..4 {
+            let plane = w.plane_elements(k).unwrap();
+            assert_eq!(plane, all[k * 5..(k + 1) * 5], "plane {k}");
+            for (j, el) in plane.iter().enumerate() {
+                let raan = 0.25 + TAU * k as f64 / 4.0;
+                let u = TAU * j as f64 / 5.0 + TAU * (3 * k) as f64 / 20.0;
+                let want = OrbitalElements::circular(560.0, 0.9, raan, u).unwrap();
+                assert_eq!(el.raan.to_bits(), want.raan.to_bits(), "({k}, {j})");
+                assert_eq!(el.mean_anomaly.to_bits(), want.mean_anomaly.to_bits(), "({k}, {j})");
+            }
+        }
     }
 
     #[test]

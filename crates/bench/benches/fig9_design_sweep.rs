@@ -1,9 +1,10 @@
 //! Criterion bench for the Fig. 9/10 pipeline: the greedy SS-plane
 //! designer and the multi-shell Walker baseline on the realistic demand
-//! grid, the per-plane fluence sampling of the largest SS design (alone
-//! and by two workers sharing one cache), and the paper sweep's design
-//! and fluence kernels through per-call caches vs one shared
-//! [`KernelCache`].
+//! grid (alone, and at the top of the paper sweep as the runner's
+//! `Designer::design_in`, system assembly included), the per-plane
+//! fluence sampling of the largest SS design (alone and by two workers
+//! sharing one cache), and the paper sweep's design and fluence kernels
+//! through per-call caches vs one shared [`KernelCache`].
 //!
 //! The design and fluence kernel numbers land in `BENCH_design.json` at
 //! the repository root; re-capture with
@@ -89,10 +90,27 @@ fn bench_designers(c: &mut Criterion) {
         })
     });
 
-    // Fluence sampling of that design, as the scenario runner calls it
-    // (one evaluation group per placed plane, 1 phase, 120 s steps).
+    // The designers as the scenario runner calls them at that demand:
+    // design plus system assembly (plane structure, evaluation groups),
+    // through one cache shared by every iteration, as sweep points share
+    // it.
     let epoch = design_epoch();
     let env = default_environment();
+    let params = DesignParams { epoch };
+    let cache = KernelCache::new(env);
+    let ss = SsDesigner { config: DesignConfig::default() };
+    let wd = WalkerDesigner { config: WalkerBaselineConfig::default() };
+    for (name, designer) in [("ss", &ss as &dyn Designer), ("wd", &wd)] {
+        c.bench_function(&format!("system_design_in_B5000/{name}"), |b| {
+            b.iter(|| {
+                let sys = designer.design_in(black_box(&demand_5000), &params, &cache).unwrap();
+                black_box(sys.total_sats())
+            })
+        });
+    }
+
+    // Fluence sampling of that design, as the scenario runner calls it
+    // (one evaluation group per placed plane, 1 phase, 120 s steps).
     let ss_5000 = design_ss_constellation(&demand_5000, DesignConfig::default()).unwrap();
     let groups: Vec<(OrbitalElements, usize)> = ss_5000
         .planes

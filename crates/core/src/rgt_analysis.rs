@@ -177,27 +177,27 @@ impl RgtConstellation {
     /// # Errors
     /// Propagates element validation failure.
     pub fn satellites(&self) -> Result<Vec<Vec<OrbitalElements>>> {
+        (0..self.planes).map(|p| self.arc(p)).collect()
+    }
+
+    /// Orbital elements of track-arc group `p`'s satellites (see
+    /// [`RgtConstellation::satellites`] for the placement).
+    ///
+    /// # Errors
+    /// Propagates element validation failure.
+    pub(crate) fn arc(&self, p: usize) -> Result<Vec<OrbitalElements>> {
         let n = self.total_sats();
-        let mut out = Vec::with_capacity(self.planes);
-        for p in 0..self.planes {
-            let mut arc = Vec::with_capacity(self.sats_per_plane);
-            for s in 0..self.sats_per_plane {
-                let f = (p * self.sats_per_plane + s) as f64 / n as f64;
-                let raan = wrap_two_pi(TAU * self.orbit.days as f64 * f);
-                let u = wrap_two_pi(-TAU * self.orbit.revs as f64 * f);
-                arc.push(
-                    OrbitalElements::circular(
-                        self.orbit.altitude_km,
-                        self.orbit.inclination,
-                        raan,
-                        u,
-                    )
+        let mut arc = Vec::with_capacity(self.sats_per_plane);
+        for s in 0..self.sats_per_plane {
+            let f = (p * self.sats_per_plane + s) as f64 / n as f64;
+            let raan = wrap_two_pi(TAU * self.orbit.days as f64 * f);
+            let u = wrap_two_pi(-TAU * self.orbit.revs as f64 * f);
+            arc.push(
+                OrbitalElements::circular(self.orbit.altitude_km, self.orbit.inclination, raan, u)
                     .map_err(CoreError::from)?,
-                );
-            }
-            out.push(arc);
+            );
         }
-        Ok(out)
+        Ok(arc)
     }
 }
 

@@ -16,7 +16,11 @@
 //!   spare budgets act on, each plane tagged with the evaluation group
 //!   its radiation dose comes from,
 //! * the **satellite geometry** per plane, so the networking stage can
-//!   build ISL topologies for any system, not just the SS design.
+//!   build ISL topologies for any system, not just the SS design. Each
+//!   plane keeps what generates its satellites (the SS plane's orbit, the
+//!   Walker shell's pattern and plane index, the RGT track and arc) and
+//!   expands the element list on first read ([`PlaneSatellites`]): the
+//!   Fig. 9/10 sweep never reads it, and builds none.
 //!
 //! Five designers ship: [`SsDesigner`] (§4.2 greedy cover),
 //! [`WalkerDesigner`] (the demand-aware multi-shell baseline),
@@ -29,11 +33,16 @@
 use crate::cache::KernelCache;
 use crate::designer::{design_ss_constellation_in, DesignConfig};
 use crate::error::{CoreError, Result};
-use crate::rgt_analysis::{design_rgt_constellation, RgtDesignConfig};
+use crate::rgt_analysis::{design_rgt_constellation, RgtConstellation, RgtDesignConfig};
 use crate::walker_baseline::{design_walker_constellation, WalkerBaselineConfig, WalkerShell};
 use ssplane_astro::kepler::OrbitalElements;
+use ssplane_astro::sunsync::SunSyncOrbit;
 use ssplane_astro::time::Epoch;
+use ssplane_astro::walker::WalkerDelta;
+use ssplane_astro::AstroError;
 use ssplane_demand::grid::LatTodGrid;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// The canonical designer registry: `(name, one-line summary)` in the
 /// fixed order systems execute and serialize in. Report bytes depend on
@@ -66,7 +75,85 @@ pub struct SystemPlane {
     /// Walker; the single track group for RGT).
     pub eval_idx: usize,
     /// Orbital elements of the plane's satellites at the design epoch.
-    pub satellites: Vec<OrbitalElements>,
+    pub satellites: PlaneSatellites,
+}
+
+/// One plane's satellite elements, expanded from the plane's geometry on
+/// first read (once, however many threads read it first) and kept.
+/// `len` and `is_empty` answer from the count; [`Deref`] and
+/// [`PlaneSatellites::as_slice`] expand. The designers make every check
+/// the expansion rests on, so expanding cannot fail.
+#[derive(Debug, Clone)]
+pub struct PlaneSatellites {
+    len: usize,
+    geometry: PlaneGeometry,
+    elements: OnceLock<Vec<OrbitalElements>>,
+}
+
+/// What a plane's satellites are generated from.
+#[derive(Debug, Clone)]
+enum PlaneGeometry {
+    /// Given whole by [`From`], which sets `elements`.
+    Given,
+    /// A sun-synchronous plane at the design epoch.
+    SunSync(SunSyncOrbit, Epoch),
+    /// One plane (by index) of a Walker-delta shell.
+    Walker(WalkerDelta, usize),
+    /// One track-arc group (by index) of an RGT design.
+    Track(Arc<RgtConstellation>, usize),
+}
+
+impl SystemPlane {
+    fn lazy(n_sats: usize, eval_idx: usize, geometry: PlaneGeometry) -> Self {
+        let satellites = PlaneSatellites { len: n_sats, geometry, elements: OnceLock::new() };
+        Self { n_sats, eval_idx, satellites }
+    }
+}
+
+impl PlaneSatellites {
+    /// Satellites in the plane (expands nothing).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the plane has no satellites (expands nothing).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The elements, expanded on the first read.
+    pub fn as_slice(&self) -> &[OrbitalElements] {
+        self.elements.get_or_init(|| {
+            match &self.geometry {
+                PlaneGeometry::Given => Ok(Vec::new()),
+                PlaneGeometry::SunSync(orbit, epoch) => {
+                    orbit.plane_elements(*epoch, self.len).map_err(CoreError::from)
+                }
+                PlaneGeometry::Walker(pattern, plane) => {
+                    pattern.plane_elements(*plane).map_err(CoreError::from)
+                }
+                PlaneGeometry::Track(rgt, arc) => rgt.arc(*arc),
+            }
+            .expect(
+                "the designer checked the plane: SS n_sats > 0, WalkerDelta::new, and \
+                 OrbitalElements::circular at its altitude and inclination",
+            )
+        })
+    }
+}
+
+impl From<Vec<OrbitalElements>> for PlaneSatellites {
+    fn from(elements: Vec<OrbitalElements>) -> Self {
+        Self { len: elements.len(), geometry: PlaneGeometry::Given, elements: elements.into() }
+    }
+}
+
+impl Deref for PlaneSatellites {
+    type Target = [OrbitalElements];
+
+    fn deref(&self) -> &[OrbitalElements] {
+        self.as_slice()
+    }
 }
 
 /// The design-stage outcome a report prints, computed by the designer so
@@ -127,7 +214,7 @@ pub struct ShellMeta {
 impl DesignedSystem {
     /// Per-plane satellite elements in network (topology) order.
     pub fn network_planes(&self) -> Vec<Vec<OrbitalElements>> {
-        self.network_order.iter().map(|&i| self.planes[i].satellites.clone()).collect()
+        self.network_order.iter().map(|&i| self.planes[i].satellites.to_vec()).collect()
     }
 
     /// Total satellites across planes.
@@ -207,18 +294,22 @@ impl Designer for SsDesigner {
             .iter()
             .map(|p| Ok((p.orbit.elements_at(params.epoch, 0.0)?, p.n_sats)))
             .collect::<Result<_>>()?;
+        // Each eval-group element passed `OrbitalElements::circular`; with
+        // a non-zero count, its plane's expansion cannot fail.
+        if ss.planes.iter().any(|p| p.n_sats == 0) {
+            let zero =
+                AstroError::InvalidElement { name: "n_sats", value: 0.0, constraint: "non-zero" };
+            return Err(zero.into());
+        }
         let planes: Vec<SystemPlane> = ss
             .planes
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                Ok(SystemPlane {
-                    n_sats: p.n_sats,
-                    eval_idx: i,
-                    satellites: p.satellites(params.epoch)?,
-                })
+                let geometry = PlaneGeometry::SunSync(p.orbit, params.epoch);
+                SystemPlane::lazy(p.n_sats, i, geometry)
             })
-            .collect::<Result<_>>()?;
+            .collect();
         // The network stage orders SS planes by LTAN (stable sort, as the
         // pre-`Designer` pipeline did) so the +grid topology links planes
         // adjacent in local time.
@@ -270,10 +361,15 @@ fn system_from_shells(shells: &[WalkerShell]) -> Result<DesignedSystem> {
         let elements = OrbitalElements::circular(shell.altitude_km, shell.inclination, 0.0, 0.0)?;
         eval_groups.push((elements, shell.n_sats));
         // The shell's real Walker pattern, one plane per group — the
-        // same geometry `WalkerConstellation::satellites` flattens.
-        for arc in shell.plane_satellites()? {
-            planes.push(SystemPlane { n_sats: arc.len(), eval_idx: s, satellites: arc });
-        }
+        // same geometry `WalkerConstellation::satellites` flattens. The
+        // `circular` call above and `WalkerDelta::new` are the checks its
+        // planes' expansion rests on.
+        let pattern = shell.pattern()?;
+        let n_sats = pattern.sats_per_plane();
+        planes.extend(
+            (0..pattern.planes)
+                .map(|plane| SystemPlane::lazy(n_sats, s, PlaneGeometry::Walker(pattern, plane))),
+        );
     }
     let total_sats: usize = shells.iter().map(|s| s.n_sats).sum();
     let total_planes = planes.len();
@@ -314,15 +410,19 @@ impl Designer for RgtDesigner {
         let eval_groups = if total == 0 {
             Vec::new()
         } else {
+            // The check every arc's expansion rests on.
+            OrbitalElements::circular(rgt.orbit.altitude_km, rgt.orbit.inclination, 0.0, 0.0)?;
             // Satellites share the track's altitude/inclination, so one
             // evaluation group covers the constellation (phases sample the
             // orbit, exactly as for a Walker shell).
             vec![(rgt.orbit.reference_elements(), total)]
         };
-        let planes: Vec<SystemPlane> = rgt
-            .satellites()?
-            .into_iter()
-            .map(|arc| SystemPlane { n_sats: arc.len(), eval_idx: 0, satellites: arc })
+        let rgt = Arc::new(rgt);
+        let planes: Vec<SystemPlane> = (0..rgt.planes)
+            .map(|arc| {
+                let geometry = PlaneGeometry::Track(Arc::clone(&rgt), arc);
+                SystemPlane::lazy(rgt.sats_per_plane, 0, geometry)
+            })
             .collect();
         let network_order: Vec<usize> = (0..planes.len()).collect();
         Ok(DesignedSystem {
@@ -376,13 +476,20 @@ impl Default for StarlinkDesigner {
 
 impl Designer for StarlinkDesigner {
     fn design(&self, _demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
+        system_from_shells(&self.shells()?)
+    }
+}
+
+impl StarlinkDesigner {
+    /// The catalog's shells at this scale.
+    fn shells(&self) -> Result<Vec<WalkerShell>> {
         if !(self.scale.is_finite() && self.scale > 0.0 && self.scale <= 1.0) {
             return Err(CoreError::BadConfig {
                 name: "starlink_scale",
                 constraint: "0 < scale <= 1",
             });
         }
-        let shells: Vec<WalkerShell> = STARLINK_GEN1_SHELLS
+        Ok(STARLINK_GEN1_SHELLS
             .iter()
             .map(|&(altitude_km, inclination_deg, planes, spp)| {
                 let planes = ((planes as f64 * self.scale).round() as usize).max(1);
@@ -394,8 +501,7 @@ impl Designer for StarlinkDesigner {
                     planes,
                 }
             })
-            .collect();
-        system_from_shells(&shells)
+            .collect())
     }
 }
 
@@ -424,6 +530,13 @@ impl Default for SlimDesigner {
 
 impl Designer for SlimDesigner {
     fn design(&self, demand: &LatTodGrid, _params: &DesignParams) -> Result<DesignedSystem> {
+        system_from_shells(&self.shells(demand)?)
+    }
+}
+
+impl SlimDesigner {
+    /// The baseline's shells, each thinned to its slimmed plane count.
+    fn shells(&self, demand: &LatTodGrid) -> Result<Vec<WalkerShell>> {
         if !(self.plane_factor.is_finite() && self.plane_factor > 0.0 && self.plane_factor <= 1.0) {
             return Err(CoreError::BadConfig {
                 name: "slim_plane_factor",
@@ -434,7 +547,7 @@ impl Designer for SlimDesigner {
             return Err(CoreError::BadConfig { name: "slim_min_planes", constraint: ">= 1" });
         }
         let wd = design_walker_constellation(demand, self.config.clone())?;
-        let shells: Vec<WalkerShell> = wd
+        Ok(wd
             .shells
             .iter()
             .map(|shell| {
@@ -448,15 +561,16 @@ impl Designer for SlimDesigner {
                     planes: slim_planes,
                 }
             })
-            .collect();
-        system_from_shells(&shells)
+            .collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssplane_astro::par::par_map;
     use ssplane_demand::grid::LatTodGrid;
+    use std::sync::Barrier;
 
     fn demand() -> LatTodGrid {
         let mut v = vec![0.0; 36 * 24];
@@ -490,12 +604,130 @@ mod tests {
             assert_eq!(eval_total, sys.total_sats(), "{name}");
             for p in &sys.planes {
                 assert!(p.eval_idx < sys.eval_groups.len(), "{name}");
-                assert_eq!(p.satellites.len(), p.n_sats, "{name}");
+                assert_eq!(p.satellites.as_slice().len(), p.n_sats, "{name}");
             }
             // network_order is a permutation.
             let mut order = sys.network_order.clone();
             order.sort_unstable();
             assert_eq!(order, (0..sys.planes.len()).collect::<Vec<_>>());
+        }
+    }
+
+    /// The five registered designers, Starlink at a test-sized scale.
+    fn designers() -> [(&'static str, Box<dyn Designer>); 5] {
+        [
+            ("ss", Box::new(SsDesigner { config: DesignConfig::default() })),
+            ("wd", Box::new(WalkerDesigner { config: WalkerBaselineConfig::default() })),
+            ("rgt", Box::new(RgtDesigner { config: RgtDesignConfig::default() })),
+            ("slim", Box::new(SlimDesigner::default())),
+            ("starlink", Box::new(StarlinkDesigner { scale: 0.2 })),
+        ]
+    }
+
+    fn bits(elements: &[OrbitalElements]) -> Vec<[u64; 6]> {
+        elements
+            .iter()
+            .map(|e| {
+                [
+                    e.semi_major_axis_km.to_bits(),
+                    e.eccentricity.to_bits(),
+                    e.inclination.to_bits(),
+                    e.raan.to_bits(),
+                    e.arg_perigee.to_bits(),
+                    e.mean_anomaly.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Each plane's elements from the family's eager generator, in design
+    /// order: `SsPlane::satellites`, every shell's `WalkerDelta::generate`
+    /// chunked by plane, and the RGT arcs.
+    fn eager_planes(name: &str, d: &LatTodGrid) -> Vec<Vec<OrbitalElements>> {
+        let walker = |shells: &[WalkerShell]| -> Vec<Vec<OrbitalElements>> {
+            let mut out = Vec::new();
+            for shell in shells {
+                let n_planes = shell.planes.max(1);
+                let pattern = WalkerDelta::new(
+                    shell.altitude_km,
+                    shell.inclination,
+                    shell.n_sats,
+                    n_planes,
+                    1 % n_planes,
+                )
+                .unwrap();
+                let all = pattern.generate().unwrap();
+                out.extend(all.chunks(shell.n_sats / n_planes).map(<[_]>::to_vec));
+            }
+            out
+        };
+        match name {
+            "ss" => design_ss_constellation_in(d, DesignConfig::default(), &KernelCache::default())
+                .unwrap()
+                .planes
+                .iter()
+                .map(|p| p.satellites(params().epoch).unwrap())
+                .collect(),
+            "wd" => walker(&design_walker_constellation(d, Default::default()).unwrap().shells),
+            "rgt" => design_rgt_constellation(d, Default::default()).unwrap().satellites().unwrap(),
+            "slim" => walker(&SlimDesigner::default().shells(d).unwrap()),
+            "starlink" => walker(&StarlinkDesigner { scale: 0.2 }.shells().unwrap()),
+            _ => unreachable!("{name}"),
+        }
+    }
+
+    #[test]
+    fn expanded_planes_equal_the_eager_generators_bit_for_bit() {
+        let d = demand();
+        let wd = WalkerDesigner { config: WalkerBaselineConfig::default() };
+        assert!(wd.design(&d, &params()).unwrap().eval_groups.len() > 1, "a multi-shell wd");
+        for (name, designer) in designers() {
+            let sys = designer.design(&d, &params()).unwrap();
+            let eager = eager_planes(name, &d);
+            assert_eq!(sys.planes.len(), eager.len(), "{name}");
+            for (k, (plane, want)) in sys.planes.iter().zip(&eager).enumerate() {
+                assert_eq!(bits(&plane.satellites), bits(want), "{name} plane {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn planes_expand_once_on_first_read() {
+        let d = demand();
+        let expanded = |sys: &DesignedSystem| {
+            sys.planes.iter().filter(|p| p.satellites.elements.get().is_some()).count()
+        };
+        for (name, designer) in designers() {
+            let sys = designer.design_in(&d, &params(), &KernelCache::default()).unwrap();
+            assert!(sys.planes.len() > 1, "{name}");
+            assert_eq!(expanded(&sys), 0, "{name}: the design expanded a plane");
+            let counted: usize = sys.planes.iter().map(|p| p.satellites.len()).sum();
+            assert_eq!(counted, sys.total_sats(), "{name}");
+            assert!(sys.planes.iter().all(|p| !p.satellites.is_empty()), "{name}");
+            assert_eq!(expanded(&sys), 0, "{name}: len or is_empty expanded a plane");
+
+            let first = sys.planes[1].satellites.as_ptr();
+            assert_eq!(expanded(&sys), 1, "{name}: one deref expands one plane");
+            assert_eq!(sys.planes[1].satellites.as_slice().as_ptr(), first, "{name}");
+            assert_eq!(expanded(&sys), 1, "{name}");
+
+            let eager = eager_planes(name, &d);
+            for threads in [2, 7] {
+                let sys = designer.design_in(&d, &params(), &KernelCache::default()).unwrap();
+                for (k, want) in eager.iter().enumerate() {
+                    // One item per worker, each held at the barrier until
+                    // every worker can make the plane's first read at once.
+                    let barrier = Barrier::new(threads);
+                    let lists = par_map(vec![k; threads], threads, |k| {
+                        barrier.wait();
+                        bits(&sys.planes[k].satellites)
+                    });
+                    for list in lists {
+                        assert_eq!(list, bits(want), "{name} plane {k} at {threads} workers");
+                    }
+                }
+                assert_eq!(expanded(&sys), sys.planes.len(), "{name}");
+            }
         }
     }
 

@@ -88,26 +88,23 @@ pub struct WalkerShell {
 }
 
 impl WalkerShell {
-    /// The shell's Walker pattern, chunked into its planes (plane-major;
-    /// `n_sats = planes × sats_per_plane` by construction). The single
-    /// home of the shell's phasing convention (`F = 1 mod planes`), so
-    /// every consumer — flat satellite lists, the network stage's plane
-    /// geometry — sees the same orbits.
+    /// The shell's Walker-delta pattern (`n_sats = planes ×
+    /// sats_per_plane` by construction). The single home of the shell's
+    /// phasing convention (`F = 1 mod planes`), so every consumer — flat
+    /// satellite lists, the network stage's plane geometry — sees the
+    /// same orbits.
     ///
     /// # Errors
-    /// Propagates Walker-pattern generation failure.
-    pub fn plane_satellites(&self) -> Result<Vec<Vec<OrbitalElements>>> {
+    /// Propagates Walker-pattern validation failure.
+    pub(crate) fn pattern(&self) -> Result<WalkerDelta> {
         let n_planes = self.planes.max(1);
-        let pattern = WalkerDelta::new(
+        Ok(WalkerDelta::new(
             self.altitude_km,
             self.inclination,
             self.n_sats,
             n_planes,
             1 % n_planes,
-        )?
-        .generate()?;
-        let per_plane = (self.n_sats / n_planes).max(1);
-        Ok(pattern.chunks(per_plane).map(<[_]>::to_vec).collect())
+        )?)
     }
 }
 
@@ -133,7 +130,7 @@ impl WalkerConstellation {
     pub fn satellites(&self) -> Result<Vec<OrbitalElements>> {
         let mut out = Vec::with_capacity(self.total_sats());
         for shell in &self.shells {
-            out.extend(shell.plane_satellites()?.into_iter().flatten());
+            out.extend(shell.pattern()?.generate()?);
         }
         Ok(out)
     }

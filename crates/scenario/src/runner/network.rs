@@ -685,9 +685,9 @@ mod tests {
             n_sats: n,
             eval_idx: 0,
             satellites: if n == 0 {
-                Vec::new()
+                Vec::new().into()
             } else {
-                orbit.with_ltan(ltan).plane_elements(epoch, n).unwrap()
+                orbit.with_ltan(ltan).plane_elements(epoch, n).unwrap().into()
             },
         };
         DesignedSystem {

@@ -252,7 +252,7 @@ mod tests {
                 unserved_demand: 0.0,
             },
             eval_groups: vec![(satellites[0], 12)],
-            planes: vec![SystemPlane { n_sats: 12, eval_idx: 0, satellites }],
+            planes: vec![SystemPlane { n_sats: 12, eval_idx: 0, satellites: satellites.into() }],
             network_order: vec![0],
         }
     }
